@@ -1,32 +1,24 @@
-"""Serving-layer throughput benchmark — thread and process modes.
+"""Serving-layer throughput benchmark — 8 user streams, 1..8 workers.
 
-Runs the multiuser Q80 workload through the concurrent serving layer
-and reports, per run:
+Runs the multiuser Q80 workload through the concurrent serving layer at
+1, 2, 4 and 8 worker threads under the fair schedule and reports, per
+run:
 
 - **wall_qps** — real queries/second of the whole session;
-- **wall_speedup** — wall_qps relative to the same mode's 1-worker
-  run — the honest number.  Thread mode is GIL-bound, so its
-  wall_speedup hovers near (or below) 1.0 however many workers run;
-  the benchmark warns whenever a run regresses below 1.0 so the
-  artifact makes the gap visible;
+- **wall_speedup** — wall_qps relative to the 1-worker run.  Worker
+  threads are GIL-bound, so it hovers near (or below) 1.0; it is only
+  emitted for runs with ``workers <= usable_cores`` — on fewer cores
+  the ratio measures time-slicing, not parallelism — and the benchmark
+  warns whenever an emitted value drops below 1.0;
 - **simulated throughput/speedup** — queries per simulated second,
   what a multi-core deployment of the modelled architecture would
   observe.
 
-Two arms:
+Shape asserted: every worker count produces bit-identical accounting
+totals (the fair schedule's determinism contract), and 4 workers beat
+1 worker by more than 1.5x in simulated throughput.
 
-1. **threads** (1, 2, 4, 8 workers) — the oracle.  Every worker count
-   must produce bit-identical accounting totals, and simulated speedup
-   must scale (>1.5x at 4 workers).
-2. **processes** (1, 2, 4 pool workers) — the process-parallel engine
-   of ``repro.serve.proc``.  Totals must equal the thread baseline
-   bit-for-bit (the replay contract), and real wall-clock speedup must
-   reach >= 1.5x at 4 workers over the mode's own 1-worker run — the
-   assertion this whole refactor exists for.  It is gated on the
-   machine actually having >= 4 usable cores; ``wall_speedup`` is
-   recorded either way.
-
-A third arm runs the same workload once with the persistent second
+A second arm runs the same workload once with the persistent second
 tier enabled (``cache_tiers=2``, ``docs/TIERING.md``) and records the
 per-tier hit ratios and spill/promote page counts — deterministic
 counters only, so the fields stay inside the R010 digest-taint fence.
@@ -37,18 +29,17 @@ The full scan is written to ``BENCH_serve.json`` at the repo root.
 import os
 import warnings
 
-from repro.api import PROCESSES, THREADS, StackConfig, build_cache
+from repro.api import StackConfig, build_cache
 from repro.experiments.configs import DEFAULT_SCALE
 from repro.experiments.harness import get_system
 from repro.experiments.multiuser import run_shared_concurrent, user_streams
 
 WORKER_COUNTS = (1, 2, 4, 8)
-PROC_WORKER_COUNTS = (1, 2, 4)
 NUM_STREAMS = 8
 
-#: Real cores available to this process — the wall-clock speedup
-#: assertion is only meaningful when the hardware can actually run
-#: 4 workers in parallel.
+#: Real cores available to this process — a wall-clock speedup is only
+#: meaningful for worker counts the hardware can actually run in
+#: parallel.
 USABLE_CORES = len(os.sched_getaffinity(0))
 
 
@@ -64,28 +55,12 @@ def totals(report):
     )
 
 
-def wall_speedups(reports):
-    """wall_qps of each run relative to the 1-worker run of its mode."""
-    qps = {
-        workers: reports[workers].queries / reports[workers].wall_seconds
-        for workers in reports
-    }
-    return {workers: qps[workers] / qps[1] for workers in reports}
-
-
-def run_row(mode, workers, report, wall_speedup, simulated_speedup):
-    if wall_speedup < 1.0:
-        warnings.warn(
-            f"{mode} mode at {workers} workers regressed below the "
-            f"1-worker wall clock: wall_speedup={wall_speedup:.2f}",
-            stacklevel=2,
-        )
-    return {
-        "mode": mode,
+def run_row(workers, report, base, simulated_speedup):
+    wall_qps = report.queries / report.wall_seconds
+    row = {
         "workers": workers,
         "wall_seconds": report.wall_seconds,
-        "wall_qps": report.queries / report.wall_seconds,
-        "wall_speedup": wall_speedup,
+        "wall_qps": wall_qps,
         "simulated_makespan": report.simulated_makespan,
         "simulated_throughput": report.simulated_throughput,
         "simulated_speedup": simulated_speedup,
@@ -95,6 +70,16 @@ def run_row(mode, workers, report, wall_speedup, simulated_speedup):
             report.contention["backend"]["lock_acquisitions"]
         ),
     }
+    if workers <= USABLE_CORES:
+        wall_speedup = wall_qps / (base.queries / base.wall_seconds)
+        row["wall_speedup"] = wall_speedup
+        if wall_speedup < 1.0:
+            warnings.warn(
+                f"{workers} workers regressed below the 1-worker wall "
+                f"clock: wall_speedup={wall_speedup:.2f}",
+                stacklevel=2,
+            )
+    return row
 
 
 def tier_ratios(tiers):
@@ -120,61 +105,32 @@ def test_bench_serve(benchmark, record_json, tmp_path):
     streams = user_streams(system, num_users=NUM_STREAMS)
 
     def scan():
-        thread_reports = {
+        return {
             workers: run_shared_concurrent(
                 system, streams, max_workers=workers
             )
             for workers in WORKER_COUNTS
         }
-        proc_reports = {
-            workers: run_shared_concurrent(
-                system,
-                streams,
-                max_workers=NUM_STREAMS,
-                exec_mode=PROCESSES,
-                proc_workers=workers,
-            )
-            for workers in PROC_WORKER_COUNTS
-        }
-        return thread_reports, proc_reports
 
-    thread_reports, proc_reports = benchmark.pedantic(
-        scan, rounds=1, iterations=1
-    )
+    reports = benchmark.pedantic(scan, rounds=1, iterations=1)
 
-    # Determinism contract: neither the worker count nor the execution
-    # mode changes a single accounting number.
-    baseline = totals(thread_reports[1])
+    # Determinism contract: the worker count changes throughput only,
+    # never a single accounting number.
+    baseline = totals(reports[1])
     for workers in WORKER_COUNTS[1:]:
-        assert totals(thread_reports[workers]) == baseline, (
-            f"{workers}-worker thread totals diverged from sequential"
-        )
-    for workers in PROC_WORKER_COUNTS:
-        assert totals(proc_reports[workers]) == baseline, (
-            f"{workers}-worker process totals diverged from thread mode"
+        assert totals(reports[workers]) == baseline, (
+            f"{workers}-worker totals diverged from sequential"
         )
 
-    sim_base = thread_reports[1].simulated_throughput
+    sim_base = reports[1].simulated_throughput
     sim_speedups = {
-        workers: thread_reports[workers].simulated_throughput / sim_base
+        workers: reports[workers].simulated_throughput / sim_base
         for workers in WORKER_COUNTS
     }
     assert sim_speedups[4] > 1.5, (
         f"4-worker simulated speedup only {sim_speedups[4]:.2f}x"
     )
-    assert (
-        thread_reports[8].simulated_makespan
-        <= thread_reports[1].simulated_makespan
-    )
-
-    # The tentpole number: real wall-clock scaling in process mode.
-    thread_wall = wall_speedups(thread_reports)
-    proc_wall = wall_speedups(proc_reports)
-    if USABLE_CORES >= 4:
-        assert proc_wall[4] >= 1.5, (
-            f"4-worker process-mode wall speedup only "
-            f"{proc_wall[4]:.2f}x on {USABLE_CORES} cores"
-        )
+    assert reports[8].simulated_makespan <= reports[1].simulated_makespan
 
     # The 2-tier arm: same workload, L1 over each persistent L2
     # backend in turn.  Untimed — the artifact entry is the per-tier
@@ -212,39 +168,22 @@ def test_bench_serve(benchmark, record_json, tmp_path):
         "contract is broken"
     )
 
-    proc_sim_base = proc_reports[1].simulated_throughput
     record_json(
         "serve",
         {
             "experiment": "serve-throughput",
             "scale": "default",
             "streams": NUM_STREAMS,
-            "queries": thread_reports[1].queries,
+            "queries": reports[1].queries,
             "schedule": "fair",
             "usable_cores": USABLE_CORES,
             "totals": baseline,
             "runs": [
                 run_row(
-                    THREADS,
-                    workers,
-                    thread_reports[workers],
-                    thread_wall[workers],
+                    workers, reports[workers], reports[1],
                     sim_speedups[workers],
                 )
                 for workers in WORKER_COUNTS
-            ]
-            + [
-                run_row(
-                    PROCESSES,
-                    workers,
-                    proc_reports[workers],
-                    proc_wall[workers],
-                    (
-                        proc_reports[workers].simulated_throughput
-                        / proc_sim_base
-                    ),
-                )
-                for workers in PROC_WORKER_COUNTS
             ],
             "tiers": tier_split,
         },

@@ -16,11 +16,19 @@ from __future__ import annotations
 
 import json
 import sys
+from typing import Callable, TypeVar
 
 from repro import __version__
-from repro.experiments.configs import DEFAULT_SCALE, PAPER_SCALE, SMOKE_SCALE
+from repro.experiments.configs import (
+    DEFAULT_SCALE,
+    PAPER_SCALE,
+    SMOKE_SCALE,
+    Scale,
+)
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.reporting import ExperimentResult
+
+_Number = TypeVar("_Number", int, float)
 
 USAGE = """\
 usage: python -m repro <command> [options]
@@ -32,8 +40,7 @@ commands:
   soak                 concurrency soak; --chaos for fault injection,
                        --rate low|mid|high, --seed N, --users N,
                        --per-user N, --shards N, --workers N,
-                       --exec threads|processes, --tiers 1|2,
-                       --persist PATH (2-tier chunk log),
+                       --tiers 1|2, --persist PATH (2-tier chunk log),
                        --cache-bytes N (override the L1 budget),
                        --l2-backend chunklog|sqlite,
                        --l2-budget N (L2 live-byte budget),
@@ -43,13 +50,29 @@ commands:
                        coalescing; --chaos for fault injection,
                        --rate low|mid|high, --seed N, --users N,
                        --per-user N, --window N, --workers N,
-                       --exec threads|processes, --no-coalesce,
-                       --tiers 1|2, --persist PATH (2-tier chunk log),
+                       --no-coalesce, --tiers 1|2,
+                       --persist PATH (2-tier chunk log),
                        --l2-backend chunklog|sqlite,
                        --l2-budget N, --compact-threshold R,
                        --report PATH (JSON), --smoke / --paper
   info                 version and default scale
+
+A flag that takes N or R exits 2 when its value is not a number.
 """
+
+
+class _UsageError(Exception):
+    """A malformed command line: ``main`` prints it and exits 2."""
+
+
+def _pop_scale(argv: list[str]) -> tuple[list[str], Scale]:
+    """Pop ``--smoke`` / ``--paper`` and return the scale they select."""
+    scale = DEFAULT_SCALE
+    for flag, selected in (("--smoke", SMOKE_SCALE), ("--paper", PAPER_SCALE)):
+        if flag in argv:
+            scale = selected
+            argv = [a for a in argv if a != flag]
+    return argv, scale
 
 
 def _cmd_list() -> int:
@@ -60,13 +83,7 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(argv: list[str]) -> int:
-    scale = DEFAULT_SCALE
-    if "--smoke" in argv:
-        scale = SMOKE_SCALE
-        argv = [a for a in argv if a != "--smoke"]
-    if "--paper" in argv:
-        scale = PAPER_SCALE
-        argv = [a for a in argv if a != "--paper"]
+    argv, scale = _pop_scale(argv)
     ids = argv or list(EXPERIMENTS)
     unknown = [eid for eid in ids if eid not in EXPERIMENTS]
     if unknown:
@@ -79,13 +96,7 @@ def _cmd_run(argv: list[str]) -> int:
 
 
 def _cmd_report(argv: list[str]) -> int:
-    scale = DEFAULT_SCALE
-    if "--smoke" in argv:
-        scale = SMOKE_SCALE
-        argv = [a for a in argv if a != "--smoke"]
-    if "--paper" in argv:
-        scale = PAPER_SCALE
-        argv = [a for a in argv if a != "--paper"]
+    argv, scale = _pop_scale(argv)
     path = argv[0] if argv else "experiment-report.md"
     sections = [
         "# Reproduced evaluation — Caching Multidimensional Queries "
@@ -129,73 +140,75 @@ def _flag_value(argv: list[str], name: str) -> tuple[list[str], str | None]:
     return argv[:index] + argv[index + 2 :], value
 
 
+def _number_flag(
+    argv: list[str], name: str, convert: Callable[[str], _Number]
+) -> tuple[list[str], _Number | None]:
+    """Pop ``name VALUE`` and convert the value with ``convert``."""
+    argv, text = _flag_value(argv, name)
+    if text is None:
+        return argv, None
+    try:
+        return argv, convert(text)
+    except ValueError:
+        raise _UsageError(f"{name} needs a number, got {text!r}") from None
+
+
 def _cmd_soak(argv: list[str]) -> int:
     # The composition root for fault plans lives in the experiments
     # layer (R006); import it lazily so `python -m repro list` stays
     # cheap.
     from repro.experiments.soakjob import run_chaos_job, run_soak_job
-    from repro.serve import THREADS, ChaosConfig, SoakConfig
+    from repro.serve import ChaosConfig, SoakConfig
 
-    scale = DEFAULT_SCALE
-    if "--smoke" in argv:
-        scale = SMOKE_SCALE
-        argv = [a for a in argv if a != "--smoke"]
-    if "--paper" in argv:
-        scale = PAPER_SCALE
-        argv = [a for a in argv if a != "--paper"]
+    argv, scale = _pop_scale(argv)
     chaos = "--chaos" in argv
     argv = [a for a in argv if a != "--chaos"]
     argv, rate = _flag_value(argv, "--rate")
-    argv, seed = _flag_value(argv, "--seed")
-    argv, users = _flag_value(argv, "--users")
-    argv, per_user = _flag_value(argv, "--per-user")
-    argv, shards = _flag_value(argv, "--shards")
-    argv, workers = _flag_value(argv, "--workers")
-    argv, exec_mode = _flag_value(argv, "--exec")
-    argv, tiers = _flag_value(argv, "--tiers")
+    argv, seed = _number_flag(argv, "--seed", int)
+    argv, users = _number_flag(argv, "--users", int)
+    argv, per_user = _number_flag(argv, "--per-user", int)
+    argv, shards = _number_flag(argv, "--shards", int)
+    argv, max_workers = _number_flag(argv, "--workers", int)
+    argv, tiers = _number_flag(argv, "--tiers", int)
     argv, persist = _flag_value(argv, "--persist")
-    argv, cache_bytes = _flag_value(argv, "--cache-bytes")
+    argv, cache_bytes = _number_flag(argv, "--cache-bytes", int)
     argv, l2_backend = _flag_value(argv, "--l2-backend")
-    argv, l2_budget = _flag_value(argv, "--l2-budget")
-    argv, compact_threshold = _flag_value(argv, "--compact-threshold")
+    argv, l2_budget = _number_flag(argv, "--l2-budget", int)
+    argv, compact_threshold = _number_flag(
+        argv, "--compact-threshold", float
+    )
     argv, report_path = _flag_value(argv, "--report")
     if argv:
         print(f"unknown soak arguments: {argv}", file=sys.stderr)
         return 2
-    max_workers = int(workers) if workers is not None else None
-    mode = exec_mode if exec_mode is not None else THREADS
     kwargs: dict[str, object] = {"scale": scale}
     if users is not None:
-        kwargs["num_users"] = int(users)
+        kwargs["num_users"] = users
     if per_user is not None:
-        kwargs["per_user"] = int(per_user)
+        kwargs["per_user"] = per_user
     if shards is not None:
-        kwargs["num_shards"] = int(shards)
+        kwargs["num_shards"] = shards
     if tiers is not None:
-        kwargs["cache_tiers"] = int(tiers)
+        kwargs["cache_tiers"] = tiers
     if persist is not None:
         kwargs["persist_path"] = persist
     if cache_bytes is not None:
-        kwargs["cache_bytes"] = int(cache_bytes)
+        kwargs["cache_bytes"] = cache_bytes
     if l2_backend is not None:
         kwargs["l2_backend"] = l2_backend
     if l2_budget is not None:
-        kwargs["l2_budget_bytes"] = int(l2_budget)
+        kwargs["l2_budget_bytes"] = l2_budget
     if compact_threshold is not None:
-        kwargs["compact_threshold"] = float(compact_threshold)
+        kwargs["compact_threshold"] = compact_threshold
     if chaos:
         if rate is not None:
             kwargs["rate"] = rate
         if seed is not None:
-            kwargs["seed"] = int(seed)
-        kwargs["config"] = ChaosConfig(
-            max_workers=max_workers, exec_mode=mode
-        )
+            kwargs["seed"] = seed
+        kwargs["config"] = ChaosConfig(max_workers=max_workers)
         summary = run_chaos_job(**kwargs)  # type: ignore[arg-type]
     else:
-        kwargs["config"] = SoakConfig(
-            max_workers=max_workers, exec_mode=mode
-        )
+        kwargs["config"] = SoakConfig(max_workers=max_workers)
         summary = run_soak_job(**kwargs)  # type: ignore[arg-type]
     for key in sorted(summary):
         if key != "contention":
@@ -216,64 +229,55 @@ def _cmd_front(argv: list[str]) -> int:
         run_front_chaos_job,
         run_front_job,
     )
-    from repro.serve import THREADS, FrontConfig
+    from repro.serve import FrontConfig
 
-    scale = DEFAULT_SCALE
-    if "--smoke" in argv:
-        scale = SMOKE_SCALE
-        argv = [a for a in argv if a != "--smoke"]
-    if "--paper" in argv:
-        scale = PAPER_SCALE
-        argv = [a for a in argv if a != "--paper"]
+    argv, scale = _pop_scale(argv)
     chaos = "--chaos" in argv
     argv = [a for a in argv if a != "--chaos"]
     coalesce = "--no-coalesce" not in argv
     argv = [a for a in argv if a != "--no-coalesce"]
     argv, rate = _flag_value(argv, "--rate")
-    argv, seed = _flag_value(argv, "--seed")
-    argv, users = _flag_value(argv, "--users")
-    argv, per_user = _flag_value(argv, "--per-user")
-    argv, window = _flag_value(argv, "--window")
-    argv, workers = _flag_value(argv, "--workers")
-    argv, exec_mode = _flag_value(argv, "--exec")
-    argv, tiers = _flag_value(argv, "--tiers")
+    argv, seed = _number_flag(argv, "--seed", int)
+    argv, users = _number_flag(argv, "--users", int)
+    argv, per_user = _number_flag(argv, "--per-user", int)
+    argv, window = _number_flag(argv, "--window", int)
+    argv, max_workers = _number_flag(argv, "--workers", int)
+    argv, tiers = _number_flag(argv, "--tiers", int)
     argv, persist = _flag_value(argv, "--persist")
     argv, l2_backend = _flag_value(argv, "--l2-backend")
-    argv, l2_budget = _flag_value(argv, "--l2-budget")
-    argv, compact_threshold = _flag_value(argv, "--compact-threshold")
+    argv, l2_budget = _number_flag(argv, "--l2-budget", int)
+    argv, compact_threshold = _number_flag(
+        argv, "--compact-threshold", float
+    )
     argv, report_path = _flag_value(argv, "--report")
     if argv:
         print(f"unknown front arguments: {argv}", file=sys.stderr)
         return 2
     config = FrontConfig(
-        window=int(window) if window is not None else 8,
-        max_workers=int(workers) if workers is not None else None,
+        window=window if window is not None else 8,
+        max_workers=max_workers,
         coalesce=coalesce,
     )
-    kwargs: dict[str, object] = {
-        "scale": scale,
-        "config": config,
-        "exec_mode": exec_mode if exec_mode is not None else THREADS,
-    }
+    kwargs: dict[str, object] = {"scale": scale, "config": config}
     if users is not None:
-        kwargs["num_users"] = int(users)
+        kwargs["num_users"] = users
     if per_user is not None:
-        kwargs["per_user"] = int(per_user)
+        kwargs["per_user"] = per_user
     if tiers is not None:
-        kwargs["cache_tiers"] = int(tiers)
+        kwargs["cache_tiers"] = tiers
     if persist is not None:
         kwargs["persist_path"] = persist
     if l2_backend is not None:
         kwargs["l2_backend"] = l2_backend
     if l2_budget is not None:
-        kwargs["l2_budget_bytes"] = int(l2_budget)
+        kwargs["l2_budget_bytes"] = l2_budget
     if compact_threshold is not None:
-        kwargs["compact_threshold"] = float(compact_threshold)
+        kwargs["compact_threshold"] = compact_threshold
     if chaos:
         if rate is not None:
             kwargs["rate"] = rate
         if seed is not None:
-            kwargs["seed"] = int(seed)
+            kwargs["seed"] = seed
         summary = run_front_chaos_job(**kwargs)  # type: ignore[arg-type]
     else:
         summary = run_front_job(**kwargs)  # type: ignore[arg-type]
@@ -310,10 +314,14 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_run(rest)
     if command == "report":
         return _cmd_report(rest)
-    if command == "soak":
-        return _cmd_soak(rest)
-    if command == "front":
-        return _cmd_front(rest)
+    try:
+        if command == "soak":
+            return _cmd_soak(rest)
+        if command == "front":
+            return _cmd_front(rest)
+    except _UsageError as error:
+        print(f"{command}: {error}", file=sys.stderr)
+        return 2
     if command == "info":
         return _cmd_info()
     print(USAGE, file=sys.stderr)

@@ -33,7 +33,6 @@ from repro.core.tiered import TieredChunkCache
 from repro.core.query_cache import QueryCacheManager
 from repro.exceptions import StackError
 from repro.schema.star import StarSchema
-from repro.serve.session import PROCESSES, THREADS
 from repro.serve.sharded import ShardedChunkCache
 from repro.storage.chunklog import ChunkLog
 from repro.storage.l2 import L2Backend
@@ -42,8 +41,6 @@ from repro.storage.sqlitelog import SqliteBackend
 __all__ = [
     "CHUNK",
     "QUERY",
-    "PROCESSES",
-    "THREADS",
     "Stack",
     "StackConfig",
     "build_backend",
@@ -85,15 +82,6 @@ class StackConfig:
             derivation).  Chunk scheme only.
         miss_path: Query-scheme miss access path (``"auto"``,
             ``"bitmap"``, ``"scan"``).
-        exec_mode: ``"threads"`` (the default — workers are threads
-            sharing one backend engine, byte-for-byte the historical
-            behavior) or ``"processes"`` — chunk payload compute runs
-            in replica worker processes behind a
-            :class:`~repro.serve.proc.ProcessComputeEngine` while the
-            coordinator keeps authoritative accounting (see
-            ``docs/PARALLEL.md``).  Chunk scheme only; requires fact
-            ``records`` so each worker can build its replica.
-        proc_workers: Worker-process count for ``exec_mode="processes"``.
         cache_tiers: ``1`` (the default — the historical in-memory-only
             cache, byte-for-byte unchanged) or ``2`` — the L1 store is
             wrapped in a :class:`~repro.core.tiered.TieredChunkCache`
@@ -134,8 +122,6 @@ class StackConfig:
     aggregate_in_cache: bool = False
     prefetch_drilldown: bool = False
     miss_path: str = "auto"
-    exec_mode: str = THREADS
-    proc_workers: int = 4
     cache_tiers: int = 1
     persist_path: str | None = None
     demote_min_benefit: float = 0.0
@@ -187,18 +173,10 @@ class Stack:
         return self.manager
 
     def close(self) -> None:
-        """Release execution resources (idempotent).
-
-        A no-op for thread mode; in process mode it shuts the worker
-        pool down.  Stacks built with ``exec_mode="processes"`` should
-        always be closed when done.
-        """
-        close = getattr(self.backend, "close", None)
+        """Close the cache's persistent tier, if it has one (idempotent)."""
+        close = getattr(self.cache, "close", None)
         if close is not None:
             close()
-        cache_close = getattr(self.cache, "close", None)
-        if cache_close is not None:
-            cache_close()
 
 
 def build_backend(
@@ -320,11 +298,6 @@ def build_stack(
             f"unknown caching scheme {config.scheme!r}; "
             f"expected {CHUNK!r} or {QUERY!r}"
         )
-    if config.exec_mode not in (THREADS, PROCESSES):
-        raise StackError(
-            f"unknown exec_mode {config.exec_mode!r}; "
-            f"expected {THREADS!r} or {PROCESSES!r}"
-        )
     if config.cache_tiers != 1 and config.scheme != CHUNK:
         raise StackError(
             "cache_tiers=2 supports the chunk scheme only"
@@ -346,24 +319,6 @@ def build_stack(
             buffer_pool_pages=config.buffer_pool_pages,
             build_bitmaps=config.build_bitmaps,
         )
-    if config.exec_mode == PROCESSES:
-        # Imported here: the proc module builds worker replicas through
-        # this facade, so a top-level import would be circular.
-        from repro.serve.proc import ProcessComputeEngine
-
-        if config.scheme != CHUNK:
-            raise StackError(
-                "exec_mode='processes' supports the chunk scheme only"
-            )
-        if records is None:
-            raise StackError(
-                "exec_mode='processes' needs the raw fact records to "
-                "seed each worker's replica engine"
-            )
-        if not isinstance(backend, ProcessComputeEngine):
-            backend = ProcessComputeEngine.launch(
-                backend, records, num_workers=config.proc_workers
-            )
     manager: ChunkCacheManager | QueryCacheManager
     if config.scheme == CHUNK:
         if cache is None:

@@ -23,9 +23,14 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Callable
 
-from repro.api import StackConfig, build_cache
+from repro.api import Stack, StackConfig, build_cache
 from repro.experiments.configs import DEFAULT_SCALE, Scale
-from repro.experiments.harness import System, get_system, make_chunk_manager
+from repro.experiments.harness import (
+    System,
+    get_system,
+    make_chunk_manager,
+    make_chunk_stack,
+)
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -33,13 +38,7 @@ from repro.faults import (
     tiered_specs,
 )
 from repro.query.model import StarQuery
-from repro.serve import (
-    PROCESSES,
-    THREADS,
-    FrontConfig,
-    FrontReport,
-    run_front,
-)
+from repro.serve import FrontConfig, FrontReport, run_front
 from repro.workload.generator import Q80, QueryGenerator
 from repro.workload.stream import QueryStream
 
@@ -79,16 +78,15 @@ def duplicate_streams(
     return streams
 
 
-def _build_manager(
+def _build_stack(
     system: System,
     num_shards: int,
-    exec_mode: str = THREADS,
     cache_tiers: int = 1,
     persist_path: str | None = None,
     l2_backend: str = "chunklog",
     l2_budget_bytes: int | None = None,
     compact_threshold: float | None = None,
-) -> Any:
+) -> Stack:
     cache = build_cache(
         StackConfig(
             cache_bytes=system.cache_bytes,
@@ -100,25 +98,17 @@ def _build_manager(
             compact_threshold=compact_threshold,
         )
     )
-    return make_chunk_manager(system, cache=cache, exec_mode=exec_mode)
-
-
-def _close_manager(manager: Any, exec_mode: str) -> None:
-    if exec_mode == PROCESSES:
-        manager.backend.close()
-    cache_close = getattr(manager.cache, "close", None)
-    if cache_close is not None:
-        cache_close()
+    return make_chunk_stack(system, cache=cache)
 
 
 def _add_tier_summary(
-    summary: dict[str, Any], manager: Any, cache_tiers: int
+    summary: dict[str, Any], cache: Any, cache_tiers: int
 ) -> None:
     """Attach per-tier counters — 2-tier runs only, so the 1-tier
     summary JSON stays byte-identical to the pre-tiering jobs."""
     if cache_tiers == 2:
         summary["cache_tiers"] = cache_tiers
-        summary["tiers"] = manager.cache.tiers()
+        summary["tiers"] = cache.tiers()
 
 
 def run_front_job(
@@ -127,7 +117,6 @@ def run_front_job(
     per_user: int | None = None,
     num_shards: int = NUM_SHARDS,
     config: FrontConfig = FrontConfig(),
-    exec_mode: str = THREADS,
     cache_tiers: int = 1,
     persist_path: str | None = None,
     l2_backend: str = "chunklog",
@@ -141,17 +130,14 @@ def run_front_job(
     physically refetched), then with the configured front door — and
     reports both page totals.  The coalesced run must read strictly
     fewer backend pages; ``pages_saved`` is the difference.
-    ``exec_mode="processes"`` runs both arms over a process-parallel
-    backend (identical digests by the determinism contract).
     """
     system = get_system(scale)
     streams = duplicate_streams(
         system, num_users=num_users, per_user=per_user
     )
-    manager = _build_manager(
+    stack = _build_stack(
         system,
         num_shards,
-        exec_mode,
         cache_tiers,
         l2_backend=l2_backend,
         l2_budget_bytes=l2_budget_bytes,
@@ -159,14 +145,13 @@ def run_front_job(
     )
     try:
         baseline = run_front(
-            manager, streams, replace(config, coalesce=False)
+            stack.chunk_manager, streams, replace(config, coalesce=False)
         )
     finally:
-        _close_manager(manager, exec_mode)
-    manager = _build_manager(
+        stack.close()
+    stack = _build_stack(
         system,
         num_shards,
-        exec_mode,
         cache_tiers,
         persist_path,
         l2_backend=l2_backend,
@@ -174,21 +159,20 @@ def run_front_job(
         compact_threshold=compact_threshold,
     )
     try:
-        report = run_front(manager, streams, config)
+        report = run_front(stack.chunk_manager, streams, config)
     finally:
-        _close_manager(manager, exec_mode)
+        stack.close()
     summary = {
         "job": "front",
         "scale_tuples": scale.num_tuples,
         "num_users": num_users,
         "per_user": len(streams[0]),
         "num_shards": num_shards,
-        "exec_mode": exec_mode,
         "baseline_pages_read": baseline.pages_read,
         "pages_saved": baseline.pages_read - report.pages_read,
         **_front_summary(report),
     }
-    _add_tier_summary(summary, manager, cache_tiers)
+    _add_tier_summary(summary, stack.cache, cache_tiers)
     return summary
 
 
@@ -201,7 +185,6 @@ def run_front_chaos_job(
     num_shards: int = NUM_SHARDS,
     config: FrontConfig = FrontConfig(),
     with_oracle: bool = True,
-    exec_mode: str = THREADS,
     cache_tiers: int = 1,
     persist_path: str | None = None,
     l2_backend: str = "chunklog",
@@ -240,10 +223,9 @@ def run_front_chaos_job(
 
         oracle = _replay
 
-    manager = _build_manager(
+    stack = _build_stack(
         system,
         num_shards,
-        exec_mode,
         cache_tiers,
         persist_path,
         l2_backend=l2_backend,
@@ -255,10 +237,14 @@ def run_front_chaos_job(
     injector = FaultInjector(plan)
     try:
         report = run_front(
-            manager, streams, config, injector=injector, oracle=oracle
+            stack.chunk_manager,
+            streams,
+            config,
+            injector=injector,
+            oracle=oracle,
         )
     finally:
-        _close_manager(manager, exec_mode)
+        stack.close()
     summary = {
         "job": "front-chaos",
         "scale_tuples": scale.num_tuples,
@@ -267,11 +253,10 @@ def run_front_chaos_job(
         "num_users": num_users,
         "per_user": len(streams[0]),
         "num_shards": num_shards,
-        "exec_mode": exec_mode,
         "oracle_replayed": with_oracle,
         **_front_summary(report),
     }
-    _add_tier_summary(summary, manager, cache_tiers)
+    _add_tier_summary(summary, stack.cache, cache_tiers)
     return summary
 
 

@@ -24,9 +24,8 @@ import numpy as np
 from repro.analysis.cost import CostModel
 from repro.api import (
     CHUNK,
-    PROCESSES,
     QUERY,
-    THREADS,
+    Stack,
     StackConfig,
     build_backend,
     build_stack,
@@ -49,9 +48,9 @@ from repro.workload.data import generate_fact_table
 from repro.workload.generator import LocalityMix
 from repro.workload.stream import QueryStream, make_stream
 
-__all__ = ["System", "build_system", "get_system", "make_chunk_manager",
-           "make_query_manager", "run_stream", "reset_backend",
-           "make_mix_stream"]
+__all__ = ["System", "build_system", "get_system", "make_chunk_stack",
+           "make_chunk_manager", "make_query_manager", "run_stream",
+           "reset_backend", "make_mix_stream"]
 
 
 @dataclass
@@ -150,35 +149,27 @@ def reset_backend(system: System) -> None:
     system.backend.disk.reset_stats()
 
 
-def make_chunk_manager(
+def make_chunk_stack(
     system: System,
     cache_bytes: int | None = None,
     policy: str = "benefit",
     aggregate_in_cache: bool = False,
     cache: ChunkStore | None = None,
-    exec_mode: str = THREADS,
-    proc_workers: int = 4,
-) -> ChunkCacheManager:
-    """A chunk-caching middle tier over the system's backend.
+) -> Stack:
+    """A chunk-caching stack over the system's backend.
+
+    The job runners hold on to the stack so that ``stack.close()``
+    closes a persistent cache tier when the run ends.
 
     Args:
         cache: Pre-built chunk store to use instead of a fresh
             :class:`~repro.core.cache.ChunkCache` (e.g. a
             :class:`repro.serve.ShardedChunkCache` for concurrent
             serving); ``cache_bytes`` and ``policy`` are ignored then.
-        exec_mode: ``"threads"`` (default) or ``"processes"`` — the
-            latter wraps the system's backend in a
-            :class:`~repro.serve.proc.ProcessComputeEngine` seeded with
-            the system's fact records.  Close the returned manager's
-            backend when done (``manager.backend.close()``).
-        proc_workers: Worker-process count for process mode.
     """
     reset_backend(system)
-    stack = build_stack(
+    return build_stack(
         system.schema,
-        records=(
-            system.records if exec_mode == PROCESSES else None
-        ),
         config=StackConfig(
             scheme=CHUNK,
             cache_bytes=(
@@ -187,15 +178,25 @@ def make_chunk_manager(
             ),
             policy=policy,
             aggregate_in_cache=aggregate_in_cache,
-            exec_mode=exec_mode,
-            proc_workers=proc_workers,
         ),
         space=system.space,
         backend=system.backend,
         cache=cache,
         cost_model=system.cost_model,
     )
-    return stack.chunk_manager
+
+
+def make_chunk_manager(
+    system: System,
+    cache_bytes: int | None = None,
+    policy: str = "benefit",
+    aggregate_in_cache: bool = False,
+    cache: ChunkStore | None = None,
+) -> ChunkCacheManager:
+    """The manager of :func:`make_chunk_stack` (same arguments)."""
+    return make_chunk_stack(
+        system, cache_bytes, policy, aggregate_in_cache, cache
+    ).chunk_manager
 
 
 def make_query_manager(

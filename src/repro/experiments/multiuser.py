@@ -35,14 +35,7 @@ from repro.experiments.harness import (
     run_stream,
 )
 from repro.experiments.reporting import ExperimentResult
-from repro.serve import (
-    FAIR,
-    PROCESSES,
-    THREADS,
-    ProcServeSession,
-    ServeReport,
-    ServeSession,
-)
+from repro.serve import FAIR, ServeReport, ServeSession
 from repro.workload.generator import Q80, QueryGenerator
 from repro.workload.stream import QueryStream, interleave_streams
 
@@ -85,17 +78,13 @@ def run_shared_concurrent(
     max_workers: int | None = None,
     num_shards: int = 1,
     schedule: str = FAIR,
-    exec_mode: str = THREADS,
-    proc_workers: int = 4,
     cache: ChunkStore | None = None,
 ) -> ServeReport:
     """The shared cache behind the concurrent serving layer.
 
     Defaults (single shard, fair schedule) pin the determinism
     contract: the report's totals equal the sequential shared arm's for
-    any worker count — in thread mode *and* in process mode
-    (``exec_mode="processes"``), where payload compute moves to replica
-    worker processes.  Tests also call this with ``max_workers=1`` to
+    any worker count.  Tests also call this with ``max_workers=1`` to
     pin bit-identical equality, and with more shards for stress runs.
     Pass a prebuilt ``cache`` (e.g. a 2-tier store from
     :func:`repro.api.build_cache`) to inspect its counters afterwards;
@@ -107,26 +96,14 @@ def run_shared_concurrent(
                 cache_bytes=system.cache_bytes, num_shards=num_shards
             )
         )
-    manager = make_chunk_manager(
-        system,
-        cache=cache,
-        exec_mode=exec_mode,
-        proc_workers=proc_workers,
+    manager = make_chunk_manager(system, cache=cache)
+    session = ServeSession(
+        manager,
+        streams,
+        max_workers=max_workers,
+        schedule=schedule,
     )
-    try:
-        session_class = (
-            ProcServeSession if exec_mode == PROCESSES else ServeSession
-        )
-        session = session_class(
-            manager,
-            streams,
-            max_workers=max_workers,
-            schedule=schedule,
-        )
-        return session.run()
-    finally:
-        if exec_mode == PROCESSES:
-            manager.backend.close()
+    return session.run()
 
 
 def run(scale: Scale = DEFAULT_SCALE) -> ExperimentResult:

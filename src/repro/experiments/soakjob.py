@@ -20,7 +20,11 @@ from typing import Any, Callable
 
 from repro.api import StackConfig, build_cache
 from repro.experiments.configs import DEFAULT_SCALE, Scale
-from repro.experiments.harness import get_system, make_chunk_manager
+from repro.experiments.harness import (
+    get_system,
+    make_chunk_manager,
+    make_chunk_stack,
+)
 from repro.experiments.multiuser import user_streams
 from repro.faults import (
     FaultInjector,
@@ -30,7 +34,6 @@ from repro.faults import (
 )
 from repro.query.model import StarQuery
 from repro.serve import (
-    PROCESSES,
     ChaosConfig,
     ChaosReport,
     SoakConfig,
@@ -62,9 +65,8 @@ def run_soak_job(
 
     Builds K user streams over one hot region, races them under the
     free schedule with deep invariants, and returns the verified
-    totals as a JSON-able dictionary.  ``config.exec_mode`` selects the
-    thread (default) or process execution mode; ``cache_tiers=2`` puts
-    the persistent spill tier under the sharded store (the 1-tier
+    totals as a JSON-able dictionary.  ``cache_tiers=2`` puts the
+    persistent spill tier under the sharded store (the 1-tier
     summary stays byte-identical — tier keys only appear at 2).
     ``cache_bytes`` overrides the scale-derived L1 budget — a
     constrained budget forces evictions, which is how the nightly
@@ -88,22 +90,17 @@ def run_soak_job(
             compact_threshold=compact_threshold,
         )
     )
-    manager = make_chunk_manager(
-        system, cache=cache, exec_mode=config.exec_mode
-    )
+    stack = make_chunk_stack(system, cache=cache)
     try:
-        report = run_soak(manager, streams, config)
+        report = run_soak(stack.chunk_manager, streams, config)
     finally:
-        if config.exec_mode == PROCESSES:
-            manager.backend.close()
-        _close_cache(cache)
+        stack.close()
     summary = {
         "job": "soak",
         "scale_tuples": scale.num_tuples,
         "num_users": num_users,
         "per_user": len(streams[0]),
         "num_shards": num_shards,
-        "exec_mode": config.exec_mode,
         **_soak_summary(report),
     }
     _add_tier_summary(summary, cache, cache_tiers)
@@ -178,20 +175,16 @@ def run_chaos_job(
             compact_threshold=compact_threshold,
         )
     )
-    manager = make_chunk_manager(
-        system, cache=cache, exec_mode=config.exec_mode
-    )
+    stack = make_chunk_stack(system, cache=cache)
     specs = tiered_specs(rate) if cache_tiers == 2 else standard_specs(rate)
     plan = FaultPlan(seed=seed, specs=specs)
     injector = FaultInjector(plan)
     try:
         report = run_chaos_soak(
-            manager, streams, injector, config, oracle=oracle
+            stack.chunk_manager, streams, injector, config, oracle=oracle
         )
     finally:
-        if config.exec_mode == PROCESSES:
-            manager.backend.close()
-        _close_cache(cache)
+        stack.close()
     summary = {
         "job": "chaos-soak",
         "scale_tuples": scale.num_tuples,
@@ -201,19 +194,11 @@ def run_chaos_job(
         "per_user": len(streams[0]),
         "num_shards": num_shards,
         "schedule": config.schedule,
-        "exec_mode": config.exec_mode,
         "oracle_replayed": with_oracle,
         **_chaos_summary(report),
     }
     _add_tier_summary(summary, cache, cache_tiers)
     return summary
-
-
-def _close_cache(cache: Any) -> None:
-    """Close a tiered store's chunk log (no-op for 1-tier stores)."""
-    close = getattr(cache, "close", None)
-    if close is not None:
-        close()
 
 
 def _add_tier_summary(

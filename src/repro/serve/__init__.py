@@ -17,12 +17,7 @@ simultaneous users on real threads:
   front door: bounded deterministic backpressure (typed
   :class:`~repro.exceptions.AdmissionShed`), fixed admission windows,
   and single-flight chunk coalescing through the pipeline's
-  :class:`~repro.pipeline.flight.FlightTable`;
-- :class:`ProcessComputeEngine` / :class:`ProcServeSession` — the
-  process-parallel execution mode (``exec_mode="processes"``): replica
-  worker processes compute chunk payloads while the coordinator keeps
-  authoritative accounting, so digests stay bit-identical to thread
-  mode at any worker count (see ``docs/PARALLEL.md``).
+  :class:`~repro.pipeline.flight.FlightTable`.
 
 The layer sits strictly *above* the pipeline: it composes the manager,
 cache and workload layers and never touches the backend or storage
@@ -38,19 +33,9 @@ from repro.serve.front import (
     ShedQuery,
     run_front,
 )
-from repro.serve.proc import (
-    EngineSpec,
-    ProcServeSession,
-    ProcessComputeEngine,
-    WorkItem,
-    WorkResult,
-    WorkerPool,
-)
 from repro.serve.session import (
     FAIR,
     FREE,
-    PROCESSES,
-    THREADS,
     QueryFailure,
     ServeReport,
     ServeSession,
@@ -73,18 +58,13 @@ from repro.serve.soak import (
 __all__ = [
     "FAIR",
     "FREE",
-    "PROCESSES",
-    "THREADS",
     "CacheShard",
     "ChaosConfig",
     "ChaosReport",
-    "EngineSpec",
     "FaultSource",
     "FrontConfig",
     "FrontReport",
     "FrontSession",
-    "ProcServeSession",
-    "ProcessComputeEngine",
     "QueryFailure",
     "ShedQuery",
     "ServeReport",
@@ -92,9 +72,6 @@ __all__ = [
     "ShardedChunkCache",
     "SoakConfig",
     "SoakReport",
-    "WorkItem",
-    "WorkResult",
-    "WorkerPool",
     "run_chaos_soak",
     "run_front",
     "run_soak",

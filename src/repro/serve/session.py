@@ -54,20 +54,10 @@ __all__ = [
     "ServeSession",
     "FAIR",
     "FREE",
-    "THREADS",
-    "PROCESSES",
 ]
 
 FAIR = "fair"
 FREE = "free"
-
-#: Execution modes for the serving stack.  ``THREADS`` (the default)
-#: runs query workers as threads sharing one backend engine;
-#: ``PROCESSES`` runs payload compute in replica worker processes
-#: behind a :class:`repro.serve.proc.ProcessComputeEngine` while the
-#: coordinator keeps authoritative accounting (see docs/PARALLEL.md).
-THREADS = "threads"
-PROCESSES = "processes"
 _SCHEDULES = (FAIR, FREE)
 
 

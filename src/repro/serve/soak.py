@@ -37,12 +37,9 @@ from repro import invariants
 from repro.core.manager import ChunkCacheManager
 from repro.exceptions import InjectedFault, ServeError
 from repro.query.model import StarQuery
-from repro.serve.proc import ProcServeSession
 from repro.serve.session import (
     FAIR,
     FREE,
-    PROCESSES,
-    THREADS,
     QueryFailure,
     ServeReport,
     ServeSession,
@@ -71,17 +68,11 @@ class SoakConfig:
         max_workers: Worker threads (default: one per stream).
         timeout_seconds: Hard deadline — a deadlocked worker becomes a
             :class:`~repro.exceptions.ServeError`, never a hung test.
-        exec_mode: ``"threads"`` (default) or ``"processes"`` — the
-            latter requires the manager's backend to be a
-            :class:`~repro.serve.proc.ProcessComputeEngine` (built via
-            ``StackConfig(exec_mode="processes")``) and runs the session
-            with the lookahead dispatcher.
     """
 
     checkpoint_every: int = 100
     max_workers: int | None = None
     timeout_seconds: float = 300.0
-    exec_mode: str = THREADS
 
 
 @dataclass(frozen=True)
@@ -104,18 +95,6 @@ class SoakReport:
     disk_read_delta: int
     deep_checks: int
     serve: ServeReport
-
-
-def _session_class(exec_mode: str) -> type[ServeSession]:
-    """The session class for an execution mode (validated)."""
-    if exec_mode == THREADS:
-        return ServeSession
-    if exec_mode == PROCESSES:
-        return ProcServeSession
-    raise ServeError(
-        f"unknown exec_mode {exec_mode!r}; "
-        f"expected {THREADS!r} or {PROCESSES!r}"
-    )
 
 
 def run_soak(
@@ -145,7 +124,7 @@ def run_soak(
     previous_mode = invariants.set_mode(invariants.DEEP)
     checks_before = invariants.counters()["deep"]
     try:
-        session = _session_class(config.exec_mode)(
+        session = ServeSession(
             manager,
             streams,
             max_workers=config.max_workers,
@@ -213,17 +192,12 @@ class ChaosConfig:
             reproducible and worker-count-independent; ``"free"`` races
             for real and still checks every conservation property, but
             its digest is interleaving-dependent.
-        exec_mode: ``"threads"`` (default) or ``"processes"`` — see
-            :class:`SoakConfig`.  Under the fair schedule the chaos
-            digest is bit-identical across both modes and any worker
-            count.
     """
 
     checkpoint_every: int = 100
     max_workers: int | None = None
     timeout_seconds: float = 300.0
     schedule: str = FAIR
-    exec_mode: str = THREADS
 
 
 @dataclass(frozen=True)
@@ -387,7 +361,7 @@ def run_chaos_soak(
     previous_mode = invariants.set_mode(invariants.DEEP)
     checks_before = invariants.counters()["deep"]
     try:
-        session = _session_class(config.exec_mode)(
+        session = ServeSession(
             manager,
             streams,
             max_workers=config.max_workers,

@@ -231,37 +231,6 @@ class ChunkedFile:
         ]
         return np.concatenate(parts) if parts else self.record_format.empty()
 
-    def touch_chunks(self, numbers: Sequence[int]) -> int:
-        """Charge exactly the I/O of :meth:`read_chunks` without decoding.
-
-        Probes the chunk index with the same batched traversal, merges
-        adjacent extents into the same runs, and touches each run's
-        pages through :meth:`FactFile.touch_range` — so disk counters,
-        buffer-pool state and read hooks see the identical page
-        sequence :meth:`read_chunks` produces — but never decodes or
-        concatenates the records.
-
-        Returns:
-            The number of tuples the equivalent :meth:`read_chunks`
-            would have returned.
-        """
-        self._require_loaded()
-        if not len(numbers):
-            return 0
-        extents = self.chunk_index.search_many(list(numbers))
-        if not extents:
-            return 0
-        runs: list[list[int]] = []
-        for start, count in sorted(extents.values()):
-            if runs and runs[-1][0] + runs[-1][1] == start:
-                runs[-1][1] += count
-            else:
-                runs.append([start, count])
-        return sum(
-            self.fact_file.touch_range(start, count)
-            for start, count in runs
-        )
-
     def pages_for_chunk(self, number: int) -> int:
         """Data pages one chunk spans (0 for an empty chunk)."""
         extent = self.chunk_extent(number)

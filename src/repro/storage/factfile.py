@@ -59,36 +59,6 @@ class FactFile(HeapFile):
             parts.append(records[lo:hi])
         return np.concatenate(parts)
 
-    def touch_range(self, start: int, count: int) -> int:
-        """Charge the exact I/O of :meth:`read_range` without decoding.
-
-        Requests the same pages, in the same order, through the same
-        buffer pool / disk path as :meth:`read_range` — so counters,
-        buffer-pool state and any installed read hook behave
-        identically — but skips record decoding and slicing.  Used by
-        accounting replays (the process-parallel serving engine) that
-        need the read's cost but get the rows elsewhere.
-
-        Returns:
-            The number of records the equivalent :meth:`read_range`
-            would have returned (``count``).
-        """
-        if count < 0:
-            raise FileFormatError(f"negative record count {count}")
-        if count == 0:
-            return 0
-        if not 0 <= start or start + count > self._num_records:
-            raise FileFormatError(
-                f"range [{start}, {start + count}) out of file bounds "
-                f"[0, {self._num_records})"
-            )
-        capacity = self.codec.capacity
-        first_page = start // capacity
-        last_page = (start + count - 1) // capacity
-        for page_index in range(first_page, last_page + 1):
-            self._read(self._page_ids[page_index])
-        return count
-
     def pages_for_range(self, start: int, count: int) -> int:
         """Pages a positional range read would touch, without reading."""
         if count <= 0:

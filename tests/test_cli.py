@@ -85,3 +85,16 @@ class TestSoakCommand:
     def test_soak_flag_missing_value_rejected(self):
         with pytest.raises(SystemExit, match="--seed needs a value"):
             main(["soak", "--chaos", "--seed"])
+
+    @pytest.mark.parametrize("command", ["soak", "front"])
+    def test_non_numeric_value_rejected(self, capsys, command):
+        assert main([command, "--smoke", "--workers", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "--workers needs a number, got 'x'" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["soak", "front"])
+    def test_exec_flag_is_gone(self, capsys, command):
+        assert main([command, "--smoke", "--exec", "processes"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown {command} arguments" in err and "--exec" in err

@@ -137,11 +137,11 @@ class TestGuardedState:
     def test_registered_coordinator_state_passes(self):
         source = (
             "import threading\n"
-            "class WorkerPool:\n"
+            "class ServeSession:\n"
             "    def __init__(self):\n"
             "        self._lock = threading.Lock()\n"
-            "    def start(self):\n"
-            "        self._started = True\n"
+            "    def run(self):\n"
+            "        self._next_seq = 0\n"
         )
         assert _r009(source) == []
 

@@ -60,7 +60,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert sorted(RULES_BY_CODE) == [
             "R000", "R001", "R002", "R003", "R004", "R005", "R006",
-            "R007", "R008", "R009", "R010", "R011",
+            "R007", "R009", "R010", "R011",
         ]
 
     def test_rules_have_summaries(self):

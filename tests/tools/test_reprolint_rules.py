@@ -127,36 +127,6 @@ class TestR001Layering:
         src = "from repro.serve import ServeSession\n"
         assert only(src, "src/repro/experiments/multiuser.py", "R001") == []
 
-    # The repro.serve.proc carve-out: the process-parallel backend
-    # implementation may import the layers it implements (facet 4) and
-    # drive engine entry points (facet 2) — no other serve module may.
-    def test_serve_proc_importing_backend_is_fine(self):
-        src = (
-            "from repro.backend.engine import BackendEngine\n"
-            "from repro.chunks.grid import ChunkSpace\n"
-        )
-        assert only(src, "src/repro/serve/proc.py", "R001") == []
-
-    def test_serve_proc_importing_api_facade_is_fine(self):
-        src = (
-            "def build(spec):\n"
-            "    from repro.api import build_backend\n"
-            "    return build_backend(spec.schema, spec.space, spec.records)\n"
-        )
-        assert only(src, "src/repro/serve/proc.py", "R001") == []
-
-    def test_serve_proc_backend_call_is_fine(self):
-        src = (
-            "def f(backend, g, n):\n"
-            "    return backend.compute_chunks(g, n, ())\n"
-        )
-        assert only(src, "src/repro/serve/proc.py", "R001") == []
-
-    def test_serve_proc_carveout_does_not_leak_to_siblings(self):
-        src = "from repro.backend.engine import BackendEngine\n"
-        assert only(src, "src/repro/serve/procx.py", "R001") == ["R001"]
-        assert only(src, "src/repro/serve/soak.py", "R001") == ["R001"]
-
 
 class TestR002FloatEquality:
     def test_float_literal_equality_fires(self):
@@ -466,54 +436,6 @@ class TestR007Facade:
             "    ChunkCacheManager(schema, space, backend, cache)\n"
         )
         assert only(src, "tests/core/test_manager.py", "R007") == []
-
-
-class TestR008ProcessBoundary:
-    def test_core_importing_multiprocessing_fires(self):
-        src = "import multiprocessing\n"
-        assert only(src, "src/repro/core/manager.py", "R008") == ["R008"]
-
-    def test_mp_submodule_import_fires(self):
-        src = "from multiprocessing.queues import Queue\n"
-        assert only(src, "src/repro/serve/session.py", "R008") == ["R008"]
-
-    def test_process_pool_executor_import_fires(self):
-        src = "from concurrent.futures import ProcessPoolExecutor\n"
-        assert only(src, "src/repro/pipeline/executor.py", "R008") == [
-            "R008"
-        ]
-
-    def test_process_pool_executor_call_fires(self):
-        src = (
-            "import concurrent.futures as cf\n"
-            "def f():\n"
-            "    return cf.ProcessPoolExecutor(4)\n"
-        )
-        assert only(src, "src/repro/backend/engine.py", "R008") == ["R008"]
-
-    def test_thread_pool_executor_is_fine(self):
-        src = "from concurrent.futures import ThreadPoolExecutor\n"
-        assert only(src, "src/repro/serve/session.py", "R008") == []
-
-    def test_serve_proc_is_the_sanctioned_home(self):
-        src = (
-            "import multiprocessing\n"
-            "def pool():\n"
-            "    return multiprocessing.get_context('spawn')\n"
-        )
-        assert only(src, "src/repro/serve/proc.py", "R008") == []
-
-    def test_experiments_layer_is_a_composition_root(self):
-        src = "import multiprocessing\n"
-        assert only(src, "src/repro/experiments/soakjob.py", "R008") == []
-
-    def test_cli_is_a_composition_root(self):
-        src = "from multiprocessing import get_context\n"
-        assert only(src, "src/repro/__main__.py", "R008") == []
-
-    def test_tests_are_exempt(self):
-        src = "import multiprocessing\n"
-        assert only(src, "tests/serve/test_proc.py", "R008") == []
 
 
 class TestR011ChunkLog:

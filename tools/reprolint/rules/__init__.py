@@ -19,7 +19,6 @@ from tools.reprolint.rules import (
     r005_metrics,
     r006_faults,
     r007_facade,
-    r008_process,
     r009_lockorder,
     r010_taint,
     r011_chunklog,
@@ -34,7 +33,6 @@ ALL_RULES = (
     r005_metrics,
     r006_faults,
     r007_facade,
-    r008_process,
     r009_lockorder,
     r010_taint,
     r011_chunklog,

@@ -39,15 +39,6 @@ Five machine-checkable facets:
 5. Nothing below the experiments layer may import ``repro.serve`` —
    core, pipeline, backend, chunks and storage must all stay usable in
    single-threaded form without the serving machinery.
-
-One module is carved out of facets 2 and 4: ``repro.serve.proc`` *is*
-the process-parallel backend implementation — it subclasses
-:class:`~repro.backend.engine.BackendEngine` so the resolver chain can
-drive it unchanged, and each worker process builds its replica engine
-through the :mod:`repro.api` facade.  It is still only ever *driven*
-through the pipeline's resolvers (its entry points are the same ones
-facet 2 guards), so the call discipline survives; the carve-out admits
-the implementation, not new callers.
 """
 
 from __future__ import annotations
@@ -81,13 +72,6 @@ BACKEND_ENTRY_POINTS = frozenset(
 
 #: Modules allowed to drive the backend's entry points.
 BACKEND_CALLERS = ("repro.pipeline.resolvers", "repro.pipeline.work")
-
-#: The process-parallel backend implementation (see the docstring): a
-#: BackendEngine subclass living in the serving package, exempt from
-#: facets 2 (it replays the engine's own accounting) and 4 (it imports
-#: the backend/storage types it implements and the api facade its
-#: workers compose replicas through).
-SERVE_PROC = "repro.serve.proc"
 
 #: Receiver names that denote "the backend engine" at a call site.
 _BACKEND_RECEIVERS = frozenset({"backend", "engine", "_backend", "_engine"})
@@ -169,11 +153,7 @@ def check(ctx: FileContext) -> Iterator[Violation]:
                 )
 
     # Facet 2: backend entry points called only from pipeline resolvers/work.
-    if (
-        ctx.module not in BACKEND_CALLERS
-        and ctx.module != SERVE_PROC
-        and not ctx.in_package("repro.backend")
-    ):
+    if ctx.module not in BACKEND_CALLERS and not ctx.in_package("repro.backend"):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -202,10 +182,8 @@ def check(ctx: FileContext) -> Iterator[Violation]:
                     "facade instead",
                 )
 
-    # Facet 4: serve composes core/pipeline/workload + leaves, nothing
-    # else — except repro.serve.proc, the process-parallel backend
-    # implementation itself (see the docstring).
-    if ctx.in_package("repro.serve") and ctx.module != SERVE_PROC:
+    # Facet 4: serve composes core/pipeline/workload + leaves, nothing else.
+    if ctx.in_package("repro.serve"):
         for module, line, col in _imported_modules(ctx.tree):
             if not module.startswith("repro"):
                 continue

@@ -58,8 +58,6 @@ LOCK_LEVELS: Mapping[tuple[str, str], str] = {
     ("CacheShard", "lock"): "shard",
     ("ShardedChunkCache", "_accounting_lock"): "accounting",
     ("BackendEngine", "_lock"): "engine",
-    ("ProcessComputeEngine", "_lock"): "engine",
-    ("WorkerPool", "_lock"): "pool",
     ("ServeSession", "_cond"): "turnstile",
     ("FrontSession", "_wcond"): "window",
     ("FrontSession", "_acond"): "admission",
@@ -262,17 +260,6 @@ COORDINATOR_STATE: tuple[StateWaiver, ...] = (
         "_deadline",
         "written once by run() before any thread starts; read-only "
         "afterwards",
-    ),
-    StateWaiver(
-        "WorkerPool",
-        "_started",
-        "set by start(), called from the build() factory before the "
-        "pool object is shared with any other thread",
-    ),
-    StateWaiver(
-        "WorkerPool",
-        "_collector",
-        "written by start()/close() on the coordinator thread only",
     ),
 )
 

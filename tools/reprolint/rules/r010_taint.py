@@ -58,7 +58,7 @@ SUMMARY = (
 
 #: Exact qualnames that are sinks besides any ``*digest*`` function.
 #: ``StreamMetrics.summary`` is the serve totals surface — the numbers
-#: asserted bit-identical across worker counts and exec modes.
+#: asserted bit-identical across worker counts.
 SINK_QUALNAMES = frozenset({"StreamMetrics.summary"})
 
 #: BENCH_* payload keys allowed to carry wall-clock taint.  The name
