@@ -20,8 +20,8 @@ the artifact the nightly workflow archives next to ``BENCH_serve``.
 from dataclasses import replace
 
 from repro.experiments.configs import DEFAULT_SCALE
-from repro.experiments.frontjob import duplicate_streams
 from repro.experiments.harness import get_system, make_chunk_manager
+from repro.experiments.multiuser import user_streams
 from repro.serve import FrontConfig, run_front
 
 WORKER_COUNTS = (1, 2, 4)
@@ -31,7 +31,7 @@ CONFIG = FrontConfig(window=8)
 
 def test_bench_front(benchmark, record_json):
     system = get_system(DEFAULT_SCALE)
-    streams = duplicate_streams(system, num_users=NUM_STREAMS)
+    streams = user_streams(system, num_users=NUM_STREAMS, paired=True)
 
     def scan():
         baseline = run_front(
@@ -84,18 +84,14 @@ def test_bench_front(benchmark, record_json):
                 {
                     "workers": workers,
                     "coalesce": True,
-                    "pages_read": coalesced[workers].pages_read,
-                    "flights": coalesced[workers].flights,
-                    "coalesced_chunks": (
-                        coalesced[workers].coalesced_chunks
-                    ),
-                    "shared_pages": coalesced[workers].shared_pages,
-                    "wall_seconds": coalesced[workers].wall_seconds,
-                    "simulated_throughput": (
-                        coalesced[workers].simulated_throughput
-                    ),
+                    "pages_read": run.pages_read,
+                    "flights": run.flights,
+                    "coalesced_chunks": run.coalesced_chunks,
+                    "shared_pages": run.shared_pages,
+                    "wall_seconds": run.serve.wall_seconds,
+                    "simulated_throughput": run.serve.simulated_throughput,
                 }
-                for workers in WORKER_COUNTS
+                for workers, run in coalesced.items()
             ],
         },
     )

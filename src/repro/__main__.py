@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Callable, TypeVar
+from typing import Any, Callable, NamedTuple, TypeVar
 
 from repro import __version__
+from repro.exceptions import FaultError, StackError
 from repro.experiments.configs import (
     DEFAULT_SCALE,
     PAPER_SCALE,
@@ -27,6 +28,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.reporting import ExperimentResult
+from repro.serve import FAIR, FREE, FrontConfig, SoakConfig
 
 _Number = TypeVar("_Number", int, float)
 
@@ -57,12 +59,19 @@ commands:
                        --report PATH (JSON), --smoke / --paper
   info                 version and default scale
 
-A flag that takes N or R exits 2 when its value is not a number.
+A flag that takes N or R exits 2 when its value is missing or not a
+number; --users, --per-user, --shards, --window and --workers must be
+>= 1, and --rate / --seed need --chaos.
 """
 
 
 class _UsageError(Exception):
-    """A malformed command line: ``main`` prints it and exits 2."""
+    """A malformed command line: ``main`` prints it and returns 2.
+
+    A rejected stack or fault-plan configuration
+    (:class:`~repro.exceptions.StackError`,
+    :class:`~repro.exceptions.FaultError`) is reported the same way.
+    """
 
 
 def _pop_scale(argv: list[str]) -> tuple[list[str], Scale]:
@@ -135,43 +144,67 @@ def _flag_value(argv: list[str], name: str) -> tuple[list[str], str | None]:
         return argv, None
     index = argv.index(name)
     if index + 1 >= len(argv):
-        raise SystemExit(f"{name} needs a value")
+        raise _UsageError(f"{name} needs a value")
     value = argv[index + 1]
     return argv[:index] + argv[index + 2 :], value
 
 
 def _number_flag(
-    argv: list[str], name: str, convert: Callable[[str], _Number]
+    argv: list[str],
+    name: str,
+    convert: Callable[[str], _Number],
+    minimum: int | None = None,
 ) -> tuple[list[str], _Number | None]:
-    """Pop ``name VALUE`` and convert the value with ``convert``."""
+    """Pop ``name VALUE``, convert the value and check its lower bound."""
     argv, text = _flag_value(argv, name)
     if text is None:
         return argv, None
     try:
-        return argv, convert(text)
+        number = convert(text)
     except ValueError:
         raise _UsageError(f"{name} needs a number, got {text!r}") from None
+    if minimum is not None and number < minimum:
+        raise _UsageError(f"{name} must be >= {minimum}, got {number}")
+    return argv, number
 
 
-def _cmd_soak(argv: list[str]) -> int:
-    # The composition root for fault plans lives in the experiments
-    # layer (R006); import it lazily so `python -m repro list` stays
-    # cheap.
-    from repro.experiments.soakjob import run_chaos_job, run_soak_job
-    from repro.serve import ChaosConfig, SoakConfig
+def _given(**values: object) -> dict[str, object]:
+    """The flags actually given: ``None`` means "not on the command line"."""
+    return {key: value for key, value in values.items() if value is not None}
 
+
+class _JobFlags(NamedTuple):
+    """What ``soak`` and ``front`` share, parsed.
+
+    ``job`` holds the job function's workload/fault keyword arguments
+    and ``cache`` the :class:`~repro.api.StackConfig` overrides — both
+    carry only what was given, so every default stays the job's own.
+    """
+
+    scale: Scale
+    chaos: bool
+    job: dict[str, object]
+    cache: dict[str, object]
+    workers: int | None
+    report_path: str | None
+
+
+def _job_flags(command: str, argv: list[str]) -> _JobFlags:
+    """Parse the flags ``soak`` and ``front`` have in common.
+
+    Each command pops its own extras first; anything left over here is
+    an error.
+    """
     argv, scale = _pop_scale(argv)
     chaos = "--chaos" in argv
     argv = [a for a in argv if a != "--chaos"]
     argv, rate = _flag_value(argv, "--rate")
     argv, seed = _number_flag(argv, "--seed", int)
-    argv, users = _number_flag(argv, "--users", int)
-    argv, per_user = _number_flag(argv, "--per-user", int)
-    argv, shards = _number_flag(argv, "--shards", int)
-    argv, max_workers = _number_flag(argv, "--workers", int)
+    argv, users = _number_flag(argv, "--users", int, minimum=1)
+    argv, per_user = _number_flag(argv, "--per-user", int, minimum=1)
+    argv, workers = _number_flag(argv, "--workers", int, minimum=1)
     argv, tiers = _number_flag(argv, "--tiers", int)
     argv, persist = _flag_value(argv, "--persist")
-    argv, cache_bytes = _number_flag(argv, "--cache-bytes", int)
     argv, l2_backend = _flag_value(argv, "--l2-backend")
     argv, l2_budget = _number_flag(argv, "--l2-budget", int)
     argv, compact_threshold = _number_flag(
@@ -179,116 +212,82 @@ def _cmd_soak(argv: list[str]) -> int:
     )
     argv, report_path = _flag_value(argv, "--report")
     if argv:
-        print(f"unknown soak arguments: {argv}", file=sys.stderr)
-        return 2
-    kwargs: dict[str, object] = {"scale": scale}
-    if users is not None:
-        kwargs["num_users"] = users
-    if per_user is not None:
-        kwargs["per_user"] = per_user
-    if shards is not None:
-        kwargs["num_shards"] = shards
-    if tiers is not None:
-        kwargs["cache_tiers"] = tiers
-    if persist is not None:
-        kwargs["persist_path"] = persist
-    if cache_bytes is not None:
-        kwargs["cache_bytes"] = cache_bytes
-    if l2_backend is not None:
-        kwargs["l2_backend"] = l2_backend
-    if l2_budget is not None:
-        kwargs["l2_budget_bytes"] = l2_budget
-    if compact_threshold is not None:
-        kwargs["compact_threshold"] = compact_threshold
-    if chaos:
-        if rate is not None:
-            kwargs["rate"] = rate
-        if seed is not None:
-            kwargs["seed"] = seed
-        kwargs["config"] = ChaosConfig(max_workers=max_workers)
-        summary = run_chaos_job(**kwargs)  # type: ignore[arg-type]
-    else:
-        kwargs["config"] = SoakConfig(max_workers=max_workers)
-        summary = run_soak_job(**kwargs)  # type: ignore[arg-type]
-    for key in sorted(summary):
-        if key != "contention":
-            print(f"  {key}: {summary[key]}")
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"soak report written to {report_path}")
-    return 0
-
-
-def _cmd_front(argv: list[str]) -> int:
-    # Like soak, the composition root (workload, cache, fault plan)
-    # lives in the experiments layer (R006/R007); import it lazily so
-    # `python -m repro list` stays cheap.
-    from repro.experiments.frontjob import (
-        run_front_chaos_job,
-        run_front_job,
+        raise _UsageError(f"unknown {command} arguments: {argv}")
+    if not chaos and (rate is not None or seed is not None):
+        raise _UsageError("--rate and --seed need --chaos")
+    return _JobFlags(
+        scale=scale,
+        chaos=chaos,
+        job=_given(
+            num_users=users, per_user=per_user, rate=rate, seed=seed
+        ),
+        cache=_given(
+            cache_tiers=tiers,
+            persist_path=persist,
+            l2_backend=l2_backend,
+            l2_budget_bytes=l2_budget,
+            compact_threshold=compact_threshold,
+        ),
+        workers=workers,
+        report_path=report_path,
     )
-    from repro.serve import FrontConfig
 
-    argv, scale = _pop_scale(argv)
-    chaos = "--chaos" in argv
-    argv = [a for a in argv if a != "--chaos"]
+
+def _parse_soak(argv: list[str]) -> tuple[_JobFlags, SoakConfig]:
+    argv, shards = _number_flag(argv, "--shards", int, minimum=1)
+    argv, cache_bytes = _number_flag(argv, "--cache-bytes", int)
+    flags = _job_flags("soak", argv)
+    flags.cache.update(_given(num_shards=shards, cache_bytes=cache_bytes))
+    return flags, SoakConfig(
+        max_workers=flags.workers,
+        schedule=FAIR if flags.chaos else FREE,
+    )
+
+
+def _parse_front(argv: list[str]) -> tuple[_JobFlags, FrontConfig]:
     coalesce = "--no-coalesce" not in argv
     argv = [a for a in argv if a != "--no-coalesce"]
-    argv, rate = _flag_value(argv, "--rate")
-    argv, seed = _number_flag(argv, "--seed", int)
-    argv, users = _number_flag(argv, "--users", int)
-    argv, per_user = _number_flag(argv, "--per-user", int)
-    argv, window = _number_flag(argv, "--window", int)
-    argv, max_workers = _number_flag(argv, "--workers", int)
-    argv, tiers = _number_flag(argv, "--tiers", int)
-    argv, persist = _flag_value(argv, "--persist")
-    argv, l2_backend = _flag_value(argv, "--l2-backend")
-    argv, l2_budget = _number_flag(argv, "--l2-budget", int)
-    argv, compact_threshold = _number_flag(
-        argv, "--compact-threshold", float
-    )
-    argv, report_path = _flag_value(argv, "--report")
-    if argv:
-        print(f"unknown front arguments: {argv}", file=sys.stderr)
-        return 2
-    config = FrontConfig(
-        window=window if window is not None else 8,
-        max_workers=max_workers,
+    argv, window = _number_flag(argv, "--window", int, minimum=1)
+    flags = _job_flags("front", argv)
+    return flags, FrontConfig(
+        window=window if window is not None else FrontConfig.window,
+        max_workers=flags.workers,
         coalesce=coalesce,
     )
-    kwargs: dict[str, object] = {"scale": scale, "config": config}
-    if users is not None:
-        kwargs["num_users"] = users
-    if per_user is not None:
-        kwargs["per_user"] = per_user
-    if tiers is not None:
-        kwargs["cache_tiers"] = tiers
-    if persist is not None:
-        kwargs["persist_path"] = persist
-    if l2_backend is not None:
-        kwargs["l2_backend"] = l2_backend
-    if l2_budget is not None:
-        kwargs["l2_budget_bytes"] = l2_budget
-    if compact_threshold is not None:
-        kwargs["compact_threshold"] = compact_threshold
-    if chaos:
-        if rate is not None:
-            kwargs["rate"] = rate
-        if seed is not None:
-            kwargs["seed"] = seed
-        summary = run_front_chaos_job(**kwargs)  # type: ignore[arg-type]
+
+
+def _cmd_job(command: str, argv: list[str]) -> int:
+    """Run ``soak`` or ``front``: parse, run the job, report."""
+    # The composition root (workload, cache, fault plan) lives in the
+    # experiments layer (R006/R007); import it lazily so `python -m
+    # repro list` stays cheap.
+    from repro.experiments import jobs
+
+    run: Callable[..., dict[str, Any]]
+    if command == "soak":
+        flags, config = _parse_soak(argv)
+        run = jobs.run_chaos_job if flags.chaos else jobs.run_soak_job
+        unprinted = "contention"
     else:
-        summary = run_front_job(**kwargs)  # type: ignore[arg-type]
+        flags, config = _parse_front(argv)
+        run = (
+            jobs.run_front_chaos_job if flags.chaos else jobs.run_front_job
+        )
+        unprinted = "fault_counters"
+    summary = run(
+        scale=flags.scale,
+        cache=jobs.cache_config(flags.scale, **flags.cache),
+        config=config,
+        **flags.job,
+    )
     for key in sorted(summary):
-        if key != "fault_counters":
+        if key != unprinted:
             print(f"  {key}: {summary[key]}")
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as handle:
+    if flags.report_path is not None:
+        with open(flags.report_path, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(f"front report written to {report_path}")
+        print(f"{command} report written to {flags.report_path}")
     return 0
 
 
@@ -314,14 +313,12 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_run(rest)
     if command == "report":
         return _cmd_report(rest)
-    try:
-        if command == "soak":
-            return _cmd_soak(rest)
-        if command == "front":
-            return _cmd_front(rest)
-    except _UsageError as error:
-        print(f"{command}: {error}", file=sys.stderr)
-        return 2
+    if command in ("soak", "front"):
+        try:
+            return _cmd_job(command, rest)
+        except (_UsageError, StackError, FaultError) as error:
+            print(f"{command}: {error}", file=sys.stderr)
+            return 2
     if command == "info":
         return _cmd_info()
     print(USAGE, file=sys.stderr)

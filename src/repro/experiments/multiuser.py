@@ -45,14 +45,22 @@ NUM_USERS = 4
 
 
 def user_streams(
-    system: System, num_users: int = NUM_USERS,
+    system: System,
+    num_users: int = NUM_USERS,
     per_user: int | None = None,
+    paired: bool = False,
 ) -> list[QueryStream]:
     """The experiment's user streams: one hot region, K analysts.
 
     All users analyse the same popular region (a shared hot-region
     placement seed) but issue independent query sequences.  Also the
-    workload the serving soak test runs.
+    workload the serving soak runs.
+
+    With ``paired``, users ``2k`` and ``2k+1`` jump their RNGs to the
+    *same* sequence, so each pair issues identical queries.
+    Interleaved admission then fills every front-door window with
+    duplicate chunk requests — the workload single-flight coalescing
+    exists for.
     """
     scale = system.scale
     if per_user is None:
@@ -61,8 +69,11 @@ def user_streams(
     for user in range(num_users):
         generator = QueryGenerator(system.schema, seed=scale.seed)
         # Same constructor seed -> same hot region; then jump each user's
-        # RNG to a distinct sequence so the queries differ.
-        generator.rng.seed(scale.seed * 1000 + user)
+        # (or, paired, each pair's) RNG to a distinct sequence so the
+        # queries differ.
+        generator.rng.seed(
+            scale.seed * 1000 + (user // 2 if paired else user)
+        )
         streams.append(
             QueryStream(
                 name=f"user{user}",

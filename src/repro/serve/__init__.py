@@ -9,10 +9,10 @@ simultaneous users on real threads:
 - :class:`ServeSession` — K user streams on a thread pool through the
   existing staged pipeline, with a deterministic **fair** schedule and a
   racing **free** schedule;
-- :func:`run_soak` — the invariant-hammering stress harness;
-- :func:`run_chaos_soak` — the same soak under a deterministic fault
-  plan, asserting graceful degradation (correct answer or typed
-  failure, exact I/O conservation, reproducible digest);
+- :func:`run_soak` — the invariant-hammering stress harness; given a
+  fault injector and the fair schedule it is the chaos soak, asserting
+  graceful degradation (correct answer or typed failure, exact I/O
+  conservation, reproducible digest);
 - :class:`FrontSession` / :func:`run_front` — the asyncio admission
   front door: bounded deterministic backpressure (typed
   :class:`~repro.exceptions.AdmissionShed`), fixed admission windows,
@@ -46,12 +46,9 @@ from repro.serve.sharded import (
     stable_key_hash,
 )
 from repro.serve.soak import (
-    ChaosConfig,
-    ChaosReport,
     FaultSource,
     SoakConfig,
     SoakReport,
-    run_chaos_soak,
     run_soak,
 )
 
@@ -59,8 +56,6 @@ __all__ = [
     "FAIR",
     "FREE",
     "CacheShard",
-    "ChaosConfig",
-    "ChaosReport",
     "FaultSource",
     "FrontConfig",
     "FrontReport",
@@ -72,7 +67,6 @@ __all__ = [
     "ShardedChunkCache",
     "SoakConfig",
     "SoakReport",
-    "run_chaos_soak",
     "run_front",
     "run_soak",
     "stable_key_hash",

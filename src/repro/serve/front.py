@@ -29,10 +29,11 @@ requester fetches, waiters share the published rows and are charged
 only their fair-share modelled cost, and a failed fetch propagates the
 same typed fault to every waiter (see :mod:`repro.pipeline.flight`).
 
-:func:`run_front` is the verifying harness (deep invariants, exact I/O
+:func:`run_front` puts the front door through the verifying harness
+(:func:`repro.serve.soak.verified_run`: deep invariants, exact I/O
 conservation, optional fault injection and oracle replay); its
-:class:`FrontReport` carries a digest that is — like
-:class:`~repro.serve.soak.ChaosReport`'s — a pure function of
+:class:`FrontReport` carries a digest that is — like a fair-schedule
+:class:`~repro.serve.soak.SoakReport`'s — a pure function of
 (workload, seed, config) at any worker count.
 """
 
@@ -42,15 +43,12 @@ import asyncio
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from hashlib import sha256
 from typing import Any, Callable, Sequence
 
-from repro import invariants
 from repro.core.manager import ChunkCacheManager
 from repro.core.metrics import StreamMetrics
-from repro.exceptions import AdmissionShed, InjectedFault, ServeError
+from repro.exceptions import AdmissionShed, ServeError
 from repro.pipeline.executor import StagedPipeline
 from repro.pipeline.flight import FlightResolver, FlightTable
 from repro.pipeline.resolvers import (
@@ -61,8 +59,8 @@ from repro.pipeline.resolvers import (
 from repro.pipeline.stages import AnalyzedQuery
 from repro.pipeline.trace import record_blocked_wait
 from repro.query.model import StarQuery
-from repro.serve.session import QueryFailure, ServeReport
-from repro.serve.soak import FaultSource, _canonical_rows, _failed_pages
+from repro.serve.session import QueryFailure, ServeReport, merge_report
+from repro.serve.soak import FaultSource, SoakReport, verified_run
 from repro.workload.stream import QueryStream
 
 __all__ = [
@@ -129,77 +127,32 @@ class ShedQuery:
 
 
 @dataclass(frozen=True)
-class FrontReport:
+class FrontReport(SoakReport):
     """Everything one verified front-door run produced.
 
+    The verified totals of a :class:`~repro.serve.soak.SoakReport`
+    (``serve`` holds the session report: merged and per-stream metrics,
+    the failures themselves in admission order, simulated throughput)
+    plus the front door's own admission outcome.  The ``digest`` here
+    additionally covers sheds, window compositions and flight counters.
+
     Attributes:
-        queries: Queries answered successfully.
-        failures: Tolerated per-query failures, in admission order.
         shed: Queries rejected by admission backpressure, in admission
             order.
         windows: The admitted sequence numbers of every executed
             window, in execution order — the run's full admission
             schedule.
-        window_size: The configured admission window.
-        queue_limit: The configured backlog bound.
-        max_workers: Worker threads used per window.
-        coalesce: Whether single-flight coalescing was enabled.
         flights: Chunk fetches published to at least one waiter.
         coalesced_chunks: Chunk requests served from a flight instead
-            of the backend.
+            of the backend (those waiters report 0 pages).
         shared_pages: Estimated physical pages those claims avoided.
-        pages_read: Backend pages consumed by answered queries.
-        failed_pages: Backend pages consumed by failed queries (from
-            their faults' cost reports; coalesced waiters report 0).
-        disk_read_delta: Disk read-counter delta over the run; equals
-            ``pages_read + failed_pages`` exactly — asserted.
-        deep_checks: Deep invariant checks executed during the run.
-        checkpoints: Mid-run conservation checkpoints that fired.
-        fault_counters: Injected-fault counts by kind (empty without an
-            injector).
-        wrong_answers: Answers disagreeing with the fault-free oracle
-            (0 — asserted — whenever an oracle was supplied).
-        wall_seconds: Real elapsed time (never in the digest).
-        simulated_worker_seconds: Per-worker sums of modelled query
-            times (never in the digest).
-        simulated_makespan: The slowest worker's simulated time.
-        simulated_throughput: Queries per simulated second.
-        metrics: All answered queries' metrics merged in admission
-            order.
-        per_stream: Each stream's own metrics, keyed by stream name.
-        contention: Cache-shard and backend lock contention counters.
-        digest: SHA-256 over the run's deterministic outcome (records,
-            failures, sheds, window compositions, fault counters,
-            flight counters, traces, final cache occupancy).  A pure
-            function of (workload, seed, config) at any worker count.
     """
 
-    queries: int
-    failures: tuple[QueryFailure, ...]
     shed: tuple[ShedQuery, ...]
     windows: tuple[tuple[int, ...], ...]
-    window_size: int
-    queue_limit: int
-    max_workers: int
-    coalesce: bool
     flights: int
     coalesced_chunks: int
     shared_pages: int
-    pages_read: int
-    failed_pages: int
-    disk_read_delta: int
-    deep_checks: int
-    checkpoints: int
-    fault_counters: dict[str, int]
-    wrong_answers: int
-    wall_seconds: float
-    simulated_worker_seconds: tuple[float, ...]
-    simulated_makespan: float
-    simulated_throughput: float
-    metrics: StreamMetrics
-    per_stream: dict[str, StreamMetrics]
-    contention: dict[str, object]
-    digest: str
 
 
 class FrontSession:
@@ -519,18 +472,8 @@ class FrontSession:
                 result = self.pipeline.execute(query)
             except self.tolerate as error:
                 # A tolerated failure (including a cloned flight fault)
-                # is recorded and the window moves on; the pages its
-                # attempts consumed ride on the fault's cost report so
-                # conservation stays exact.
-                report = getattr(error, "cost_report", None)
-                pages = int(getattr(report, "pages_read", 0) or 0)
-                failure = QueryFailure(
-                    seq=seq,
-                    stream=stream_name,
-                    kind=type(error).__name__,
-                    message=str(error),
-                    pages_read=pages,
-                )
+                # is recorded and the window moves on.
+                failure = QueryFailure.from_error(seq, stream_name, error)
                 with self._wcond:
                     self._failures.append(failure)
                     self._completed += 1
@@ -596,31 +539,16 @@ class FrontSession:
             backend.lock_wait_recorder = previous_recorder
         wall = time.perf_counter() - started
 
-        # Merge in admission order — a pure function of (streams,
-        # config), never of thread completion order.
-        metrics = StreamMetrics()
-        for _seq, single in sorted(
-            self._merged, key=lambda item: item[0]
-        ):
-            metrics.absorb(single)
-        makespan = max(self._sim_seconds) if self._sim_seconds else 0.0
-        queries = len(metrics)
-        throughput = queries / makespan if makespan > 0.0 else 0.0
-        return ServeReport(
-            queries=queries,
-            max_workers=self.max_workers,
-            schedule=FRONT,
-            wall_seconds=wall,
-            simulated_worker_seconds=tuple(self._sim_seconds),
-            simulated_makespan=makespan,
-            simulated_throughput=throughput,
-            metrics=metrics,
-            per_stream=self._per_stream,
-            contention=self._contention(),
-            checkpoints=self._checkpoints,
-            failures=tuple(
-                sorted(self._failures, key=lambda f: f.seq)
-            ),
+        return merge_report(
+            self.manager,
+            FRONT,
+            self.max_workers,
+            wall,
+            self._merged,
+            self._sim_seconds,
+            self._per_stream,
+            self._checkpoints,
+            self._failures,
         )
 
     @property
@@ -633,65 +561,6 @@ class FrontSession:
         """Admitted sequence numbers per executed window, in order."""
         return tuple(self._windows)
 
-    def _contention(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "backend": {
-                "lock_wait_seconds": self.manager.backend.lock_wait_seconds,
-                "lock_acquisitions": self.manager.backend.lock_acquisitions,
-            }
-        }
-        cache_contention = self.manager.cache.contention()
-        if cache_contention:
-            out["cache"] = cache_contention
-        return out
-
-
-def _front_digest(
-    serve: ServeReport,
-    shed: Sequence[ShedQuery],
-    windows: Sequence[tuple[int, ...]],
-    flight_stats: dict[str, int],
-    fault_counters: dict[str, int],
-    cache_bytes: int,
-    cache_entries: int,
-) -> str:
-    """Hash the deterministic outcome of a front-door run.
-
-    Mirrors :func:`repro.serve.soak._chaos_digest` and additionally
-    covers the admission schedule (window compositions, sheds) and the
-    coalescing counters.  Wall-clock fields never enter.
-    """
-    parts: list[str] = []
-    for record in serve.metrics.records:
-        parts.append(repr(record))
-    for failure in serve.failures:
-        parts.append(
-            f"failure:{failure.seq}:{failure.stream}:"
-            f"{failure.kind}:{failure.pages_read}"
-        )
-    for entry in shed:
-        parts.append(f"shed:{entry.seq}:{entry.stream}:{entry.depth}")
-    for seqs in windows:
-        parts.append("window:" + ",".join(str(seq) for seq in seqs))
-    for name, count in sorted(fault_counters.items()):
-        parts.append(f"fault:{name}:{count}")
-    for name, count in sorted(flight_stats.items()):
-        parts.append(f"flight:{name}:{count}")
-    for trace in serve.metrics.traces:
-        parts.append(
-            f"trace:{sorted(trace.resolved_by.items())!r}:"
-            f"{trace.partitions_total}:{trace.backend_pages}"
-        )
-        for stage in trace.stages:
-            parts.append(
-                f"stage:{stage.name}:{stage.partitions}:"
-                f"{stage.pages_read}:{stage.tuples_scanned}:"
-                f"{stage.faults}:{stage.retries}:{stage.degraded}:"
-                f"{stage.backoff_seconds!r}:{stage.coalesce_seconds!r}"
-            )
-    parts.append(f"cache:{cache_bytes}:{cache_entries}")
-    return sha256("\n".join(parts).encode()).hexdigest()
-
 
 def run_front(
     manager: ChunkCacheManager,
@@ -700,9 +569,10 @@ def run_front(
     injector: FaultSource | None = None,
     oracle: Callable[[StarQuery], Any] | None = None,
 ) -> FrontReport:
-    """Run the front door under deep invariants and verify conservation.
+    """Run the front door through the verifying harness.
 
-    The front-door analogue of :func:`repro.serve.soak.run_chaos_soak`:
+    :func:`~repro.serve.soak.verified_run` asserts, as for
+    :func:`~repro.serve.soak.run_soak`:
 
     - **exact conservation** — ``pages_read + failed_pages == disk read
       delta``, with coalesced waiters contributing zero pages (the
@@ -732,111 +602,25 @@ def run_front(
         oracle: Optional fault-free replay oracle, checked after the
             injector deactivates and outside the disk bracket.
     """
-    conserve = getattr(manager.cache, "check_conservation", None)
-    answers: dict[int, tuple[StarQuery, Any]] = {}
-
-    def capture(
-        seq: int, stream: str, query: StarQuery, rows: Any
-    ) -> None:
-        if oracle is not None:
-            answers[seq] = (query, rows)
-
-    on_checkpoint: Callable[[int], None] | None = None
-    if callable(conserve):
-        checker = conserve
-
-        def _checkpoint(_count: int) -> None:
-            checker()
-
-        on_checkpoint = _checkpoint
-
-    previous_mode = invariants.set_mode(invariants.DEEP)
-    checks_before = invariants.counters()["deep"]
-    try:
-        session = FrontSession(
-            manager,
-            streams,
-            config,
-            tolerate=(InjectedFault,) if injector is not None else (),
-            on_answer=capture,
-            on_checkpoint=on_checkpoint,
-        )
-        disk = manager.backend.disk
-        reads_before = disk.stats.reads
-        activation = (
-            injector.activate(manager)
-            if injector is not None
-            else nullcontext()
-        )
-        with activation:
-            report = session.run()
-            if callable(conserve):
-                conserve()
-            delta = disk.stats.reads - reads_before
-        pages = report.metrics.total_pages_read()
-        failed = _failed_pages(report.failures)
-        invariants.require(
-            pages + failed == delta,
-            "front-door I/O conservation broken: answered queries "
-            f"account for {pages} pages and failed queries for "
-            f"{failed}, but the disk counter advanced by {delta} "
-            "(a coalesced fetch was double-counted or leaked)",
-        )
-        deep_checks = invariants.counters()["deep"] - checks_before
-    finally:
-        invariants.set_mode(previous_mode)
-
-    wrong = 0
-    if oracle is not None:
-        for seq in sorted(answers):
-            query, rows = answers[seq]
-            if _canonical_rows(oracle(query)) != _canonical_rows(rows):
-                wrong += 1
-        invariants.require(
-            wrong == 0,
-            f"{wrong} front-door answers disagreed with the fault-free "
-            "oracle — coalescing must never change results",
-        )
-
-    fault_counters = (
-        dict(injector.counters()) if injector is not None else {}
+    session, verified = verified_run(
+        manager,
+        lambda tolerate, on_answer, on_checkpoint: FrontSession(
+            manager, streams, config, tolerate, on_answer, on_checkpoint
+        ),
+        injector,
+        oracle,
+        admission=lambda front: (
+            front.shed_queries,
+            front.window_log,
+            front.flight.stats(),
+        ),
     )
     flight_stats = session.flight.stats()
-    cache = manager.cache
-    digest = _front_digest(
-        report,
-        session.shed_queries,
-        session.window_log,
-        flight_stats,
-        fault_counters,
-        int(cache.used_bytes),
-        len(cache),
-    )
     return FrontReport(
-        queries=report.queries,
-        failures=report.failures,
+        **vars(verified),
         shed=session.shed_queries,
         windows=session.window_log,
-        window_size=config.window,
-        queue_limit=config.queue_limit,
-        max_workers=session.max_workers,
-        coalesce=config.coalesce,
         flights=flight_stats["flights"],
         coalesced_chunks=flight_stats["coalesced_chunks"],
         shared_pages=flight_stats["shared_pages"],
-        pages_read=pages,
-        failed_pages=failed,
-        disk_read_delta=delta,
-        deep_checks=deep_checks,
-        checkpoints=report.checkpoints,
-        fault_counters=fault_counters,
-        wrong_answers=wrong,
-        wall_seconds=report.wall_seconds,
-        simulated_worker_seconds=report.simulated_worker_seconds,
-        simulated_makespan=report.simulated_makespan,
-        simulated_throughput=report.simulated_throughput,
-        metrics=report.metrics,
-        per_stream=report.per_stream,
-        contention=report.contention,
-        digest=digest,
     )

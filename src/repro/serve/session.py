@@ -54,6 +54,7 @@ __all__ = [
     "ServeSession",
     "FAIR",
     "FREE",
+    "merge_report",
 ]
 
 FAIR = "fair"
@@ -80,6 +81,25 @@ class QueryFailure:
     kind: str
     message: str
     pages_read: int
+
+    @classmethod
+    def from_error(
+        cls, seq: int, stream: str, error: BaseException
+    ) -> QueryFailure:
+        """Record a tolerated exception as a failure.
+
+        The pages the failed attempts read ride on the exception's
+        attached cost report, so the soak harness can keep global I/O
+        conservation exact.
+        """
+        report = getattr(error, "cost_report", None)
+        return cls(
+            seq=seq,
+            stream=stream,
+            kind=type(error).__name__,
+            message=str(error),
+            pages_read=int(getattr(report, "pages_read", 0) or 0),
+        )
 
 
 @dataclass(frozen=True)
@@ -312,18 +332,9 @@ class ServeSession:
                     result = pipeline.execute(query)
                 except self.tolerate as error:
                     # A tolerated failure still holds its turnstile slot:
-                    # record it, advance, and move on.  The pages its
-                    # failed attempts read are carried on the exception's
-                    # attached cost report so the soak harness can keep
-                    # global I/O conservation exact.
-                    report = getattr(error, "cost_report", None)
-                    pages = int(getattr(report, "pages_read", 0) or 0)
-                    failure = QueryFailure(
-                        seq=seq,
-                        stream=stream_name,
-                        kind=type(error).__name__,
-                        message=str(error),
-                        pages_read=pages,
+                    # record it, advance, and move on.
+                    failure = QueryFailure.from_error(
+                        seq, stream_name, error
                     )
                     with self._cond:
                         self._failures.append(failure)
@@ -397,50 +408,66 @@ class ServeSession:
             backend.lock_wait_recorder = previous_recorder
         wall = time.perf_counter() - started
 
-        # Merge in canonical order.  The sequence numbers come from the
-        # name-sorted interleave, so the merge is a pure function of the
-        # streams — never of thread completion order — and in fair mode
-        # it reproduces the sequential interleaved run record-for-record.
-        metrics = StreamMetrics()
-        ordered = sorted(
-            (part for parts in merged_parts for part in parts),
-            key=lambda item: item[0],
-        )
-        for _, single in ordered:
-            metrics.absorb(single)
-
-        makespan = max(sim_seconds) if sim_seconds else 0.0
-        queries = len(metrics)
-        throughput = queries / makespan if makespan > 0.0 else 0.0
-        return ServeReport(
-            queries=queries,
-            max_workers=self.max_workers,
-            schedule=self.schedule,
-            wall_seconds=wall,
-            simulated_worker_seconds=tuple(sim_seconds),
-            simulated_makespan=makespan,
-            simulated_throughput=throughput,
-            metrics=metrics,
-            per_stream=per_stream,
-            contention=self._contention(),
-            checkpoints=self._checkpoints_fired,
-            failures=tuple(
-                sorted(self._failures, key=lambda f: f.seq)
-            ),
+        # The sequence numbers come from the name-sorted interleave, so
+        # in fair mode the merge reproduces the sequential interleaved
+        # run record-for-record.
+        return merge_report(
+            self.manager,
+            self.schedule,
+            self.max_workers,
+            wall,
+            [part for parts in merged_parts for part in parts],
+            sim_seconds,
+            per_stream,
+            self._checkpoints_fired,
+            self._failures,
         )
 
-    def _contention(self) -> dict[str, object]:
-        """Contention counters from the shared cache and the backend."""
-        out: dict[str, object] = {
-            "backend": {
-                "lock_wait_seconds": self.manager.backend.lock_wait_seconds,
-                "lock_acquisitions": self.manager.backend.lock_acquisitions,
-            }
+
+def merge_report(
+    manager: ChunkCacheManager,
+    schedule: str,
+    max_workers: int,
+    wall_seconds: float,
+    merged: list[tuple[int, StreamMetrics]],
+    sim_seconds: list[float],
+    per_stream: dict[str, StreamMetrics],
+    checkpoints: int,
+    failures: list[QueryFailure],
+) -> ServeReport:
+    """Merge one finished session's per-query results into its report.
+
+    Records and failures are ordered by sequence number — a pure
+    function of (streams, config), never of thread completion order.
+    """
+    metrics = StreamMetrics()
+    for _seq, single in sorted(merged, key=lambda item: item[0]):
+        metrics.absorb(single)
+    makespan = max(sim_seconds) if sim_seconds else 0.0
+    queries = len(metrics)
+    contention: dict[str, object] = {
+        "backend": {
+            "lock_wait_seconds": manager.backend.lock_wait_seconds,
+            "lock_acquisitions": manager.backend.lock_acquisitions,
         }
-        # contention() is a declared ChunkStore member: unsharded stores
-        # return {} ("nothing to report"), which keeps the report's
-        # shape identical to the pre-protocol getattr probe.
-        cache_contention = self.manager.cache.contention()
-        if cache_contention:
-            out["cache"] = cache_contention
-        return out
+    }
+    # contention() is a declared ChunkStore member: unsharded stores
+    # return {} ("nothing to report"), which keeps the report's
+    # shape identical to the pre-protocol getattr probe.
+    cache_contention = manager.cache.contention()
+    if cache_contention:
+        contention["cache"] = cache_contention
+    return ServeReport(
+        queries=queries,
+        max_workers=max_workers,
+        schedule=schedule,
+        wall_seconds=wall_seconds,
+        simulated_worker_seconds=tuple(sim_seconds),
+        simulated_makespan=makespan,
+        simulated_throughput=queries / makespan if makespan > 0.0 else 0.0,
+        metrics=metrics,
+        per_stream=per_stream,
+        contention=contention,
+        checkpoints=checkpoints,
+        failures=tuple(sorted(failures, key=lambda f: f.seq)),
+    )

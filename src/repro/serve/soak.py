@@ -1,22 +1,28 @@
-"""The concurrency soak harness.
+"""The verifying soak harness.
 
-:func:`run_soak` hammers one shared
-:class:`~repro.core.manager.ChunkCacheManager` (whose store must be a
-:class:`~repro.serve.ShardedChunkCache`) with racing multi-user streams
-under the **free** schedule and ``REPRO_INVARIANTS=deep``, and verifies
-the properties that must hold under *any* thread interleaving:
+:func:`verified_run` is the one place a multi-stream run is *proved*
+right; :func:`run_soak` (thread sessions) and
+:func:`repro.serve.front.run_front` (the admission front door) are its
+two entry points.  Under ``REPRO_INVARIANTS=deep`` it checks the
+properties that must hold under *any* thread interleaving and any
+fault schedule:
 
 - no :class:`~repro.exceptions.InvariantViolation` anywhere — every
   cache mutation re-checks byte/benefit conservation shard-locally, and
-  a periodic checkpoint (every ``checkpoint_every`` completed queries)
-  plus a final pass run the cross-shard conservation check
+  a periodic checkpoint plus a final pass run the cross-shard
+  conservation check
   (:meth:`~repro.serve.ShardedChunkCache.check_conservation`);
-- **global I/O conservation**: the sum of ``pages_read`` over every
-  worker's accounting records equals the backend disk's read-counter
-  delta exactly.  The backend's big lock makes every
+- **global I/O conservation**: the pages accounted to answered queries
+  plus the pages carried by failed queries equal the backend disk's
+  read-counter delta exactly.  The backend's big lock makes every
   :func:`~repro.backend.plans.measure_cost` window disjoint, so this
   equality is exact, not approximate — any cross-thread leakage of
-  I/O accounting breaks it.
+  I/O accounting, or wasted I/O of a retried, degraded or failed
+  attempt that goes uncounted, breaks it;
+- **correct or typed**: with an injector, every query either answers
+  or fails with a typed :class:`~repro.exceptions.InjectedFault`; with
+  an oracle, every answer is replayed fault-free afterwards and must
+  match.
 
 The harness composes over a manager and streams built by the caller
 (the experiments layer or a test): the serving layer itself never
@@ -26,10 +32,10 @@ the pipeline (R001).
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,132 +43,31 @@ from repro import invariants
 from repro.core.manager import ChunkCacheManager
 from repro.exceptions import InjectedFault, ServeError
 from repro.query.model import StarQuery
-from repro.serve.session import (
-    FAIR,
-    FREE,
-    QueryFailure,
-    ServeReport,
-    ServeSession,
-)
+from repro.serve.session import FREE, ServeReport, ServeSession
 from repro.workload.stream import QueryStream
 
 __all__ = [
     "SoakConfig",
     "SoakReport",
-    "run_soak",
-    "ChaosConfig",
-    "ChaosReport",
     "FaultSource",
-    "run_chaos_soak",
+    "run_soak",
+    "verified_run",
 ]
 
-
-@dataclass(frozen=True)
-class SoakConfig:
-    """Tuning knobs of one soak run.
-
-    Attributes:
-        checkpoint_every: Queries between cross-shard conservation
-            checkpoints (0 disables mid-run checkpoints; the final check
-            always runs).
-        max_workers: Worker threads (default: one per stream).
-        timeout_seconds: Hard deadline — a deadlocked worker becomes a
-            :class:`~repro.exceptions.ServeError`, never a hung test.
-    """
-
-    checkpoint_every: int = 100
-    max_workers: int | None = None
-    timeout_seconds: float = 300.0
+#: What a front-door session adds to the digest: its sheds, its window
+#: compositions and its flight counters.
+Admission = tuple[Sequence[Any], Sequence[tuple[int, ...]], dict[str, int]]
 
 
-@dataclass(frozen=True)
-class SoakReport:
-    """Everything a soak run verified.
-
-    Attributes:
-        queries: Queries executed across all streams.
-        checkpoints: Mid-run conservation checkpoints that fired.
-        pages_read: Sum of per-record backend pages over all workers.
-        disk_read_delta: The backend disk's read-counter delta over the
-            run (equals ``pages_read`` — asserted).
-        deep_checks: Deep invariant checks executed during the run.
-        serve: The underlying session report (contention, throughput).
-    """
-
-    queries: int
-    checkpoints: int
-    pages_read: int
-    disk_read_delta: int
-    deep_checks: int
-    serve: ServeReport
+class _Runnable(Protocol):
+    def run(self) -> ServeReport: ...
 
 
-def run_soak(
-    manager: ChunkCacheManager,
-    streams: Sequence[QueryStream],
-    config: SoakConfig = SoakConfig(),
-) -> SoakReport:
-    """Race the streams against the manager and verify conservation.
-
-    Forces deep invariant checking for the duration of the run (the
-    previous mode is restored afterwards) and the free schedule — the
-    point is genuine races, not reproducible interleavings.
-
-    Raises:
-        ServeError: If the manager's store has no cross-shard
-            conservation check (i.e. is not sharded), or on deadline.
-        InvariantViolation: On any conservation failure, shard-local,
-            cross-shard, or global.
-    """
-    conserve = getattr(manager.cache, "check_conservation", None)
-    if not callable(conserve):
-        raise ServeError(
-            "soak testing requires a sharded store with a "
-            "check_conservation() method; got "
-            f"{type(manager.cache).__name__}"
-        )
-    previous_mode = invariants.set_mode(invariants.DEEP)
-    checks_before = invariants.counters()["deep"]
-    try:
-        session = ServeSession(
-            manager,
-            streams,
-            max_workers=config.max_workers,
-            schedule=FREE,
-            checkpoint_every=config.checkpoint_every,
-            on_checkpoint=lambda _count: conserve(),
-            timeout_seconds=config.timeout_seconds,
-        )
-        disk = manager.backend.disk
-        reads_before = disk.stats.reads
-        report = session.run()
-        conserve()
-        delta = disk.stats.reads - reads_before
-        pages = report.metrics.total_pages_read()
-        invariants.require(
-            pages == delta,
-            f"global I/O conservation broken: records sum to {pages} "
-            f"pages read but the disk counter advanced by {delta} "
-            "(a cost window leaked across threads)",
-        )
-        deep_checks = invariants.counters()["deep"] - checks_before
-    finally:
-        invariants.set_mode(previous_mode)
-    return SoakReport(
-        queries=report.queries,
-        checkpoints=report.checkpoints,
-        pages_read=pages,
-        disk_read_delta=delta,
-        deep_checks=deep_checks,
-        serve=report,
-    )
+_Session = TypeVar("_Session", bound=_Runnable)
 
 
-# ----------------------------------------------------------------------
-# Chaos soak: the fault-injection variant
-# ----------------------------------------------------------------------
 class FaultSource(Protocol):
-    """What the chaos harness needs from a fault injector.
+    """What the harness needs from a fault injector.
 
     Structural so the serving layer never imports :mod:`repro.faults`
     (reprolint rule R006): the composition root — a test or the
@@ -178,38 +83,41 @@ class FaultSource(Protocol):
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
-    """Tuning knobs of one chaos-soak run.
+class SoakConfig:
+    """Tuning knobs of one soak run.
 
     Attributes:
         checkpoint_every: Queries between cross-shard conservation
             checkpoints (0 disables mid-run checkpoints; the final check
             always runs).
         max_workers: Worker threads (default: one per stream).
-        timeout_seconds: Hard deadline for the serving session.
-        schedule: ``"fair"`` (the default) serializes execution into the
-            canonical order, which is what makes the run digest
-            reproducible and worker-count-independent; ``"free"`` races
-            for real and still checks every conservation property, but
-            its digest is interleaving-dependent.
+        timeout_seconds: Hard deadline — a deadlocked worker becomes a
+            :class:`~repro.exceptions.ServeError`, never a hung test.
+        schedule: ``"free"`` (the default) races for real — the point
+            of a soak is genuine races, not reproducible
+            interleavings — and checks every conservation property, but
+            its digest is interleaving-dependent; ``"fair"`` serializes
+            execution into the canonical order, which is what makes a
+            chaos soak's digest reproducible and
+            worker-count-independent.
     """
 
     checkpoint_every: int = 100
     max_workers: int | None = None
     timeout_seconds: float = 300.0
-    schedule: str = FAIR
+    schedule: str = FREE
 
 
 @dataclass(frozen=True)
-class ChaosReport:
-    """Everything one chaos-soak run verified.
+class SoakReport:
+    """Everything one verified run checked.
 
     Attributes:
         queries: Queries answered successfully.
         failures: Queries that failed with a tolerated
             :class:`~repro.exceptions.InjectedFault` (never a wrong
             answer — asserted via oracle replay when an oracle is
-            given).
+            given; 0 without an injector).
         checkpoints: Mid-run conservation checkpoints that fired.
         pages_read: Backend pages consumed by *answered* queries
             (including pages wasted by retried and degraded attempts —
@@ -219,8 +127,8 @@ class ChaosReport:
         disk_read_delta: The disk read-counter delta over the run.
             Equals ``pages_read + failed_pages`` exactly — asserted.
         deep_checks: Deep invariant checks executed during the run.
-        fault_counters: Injected-fault counts by kind, from the
-            injector.
+        fault_counters: Injected-fault counts by kind (empty without an
+            injector).
         wrong_answers: Answers that disagreed with the fault-free
             oracle (0 — asserted — whenever an oracle was supplied).
         digest: SHA-256 over the run's deterministic outcome (records,
@@ -228,7 +136,8 @@ class ChaosReport:
             Under the fair schedule two runs from cold state with the
             same plan and workload produce the same digest for any
             worker count.
-        serve: The underlying session report.
+        serve: The underlying session report (per-stream metrics, the
+            failures themselves, contention, throughput).
     """
 
     queries: int
@@ -265,18 +174,22 @@ def _canonical_rows(rows: Any) -> tuple[tuple[Any, ...], ...]:
     return tuple(sorted(out, key=repr))
 
 
-def _chaos_digest(
+def run_digest(
     serve: ServeReport,
     fault_counters: dict[str, int],
     cache_bytes: int,
     cache_entries: int,
+    admission: Admission | None = None,
 ) -> str:
-    """Hash the deterministic outcome of a chaos run.
+    """Hash the deterministic outcome of a verified run.
 
     Includes only values that are a pure function of (plan seed,
-    workload, configuration) under the fair schedule: accounting
+    workload, configuration) under a serialized schedule: accounting
     records, failures, fault counters, per-stage trace projections and
-    final cache occupancy.  Wall-clock fields never enter the digest.
+    final cache occupancy.  A front-door session (``admission``) also
+    contributes its admission schedule (sheds, window compositions),
+    its coalescing counters and each stage's modelled coalescing wait.
+    Wall-clock fields never enter the digest.
     """
     parts: list[str] = []
     for record in serve.metrics.records:
@@ -286,112 +199,125 @@ def _chaos_digest(
             f"failure:{failure.seq}:{failure.stream}:"
             f"{failure.kind}:{failure.pages_read}"
         )
+    if admission is not None:
+        for entry in admission[0]:
+            parts.append(f"shed:{entry.seq}:{entry.stream}:{entry.depth}")
+        for seqs in admission[1]:
+            parts.append("window:" + ",".join(str(seq) for seq in seqs))
     for name, count in sorted(fault_counters.items()):
         parts.append(f"fault:{name}:{count}")
+    if admission is not None:
+        for name, count in sorted(admission[2].items()):
+            parts.append(f"flight:{name}:{count}")
     for trace in serve.metrics.traces:
         parts.append(
             f"trace:{sorted(trace.resolved_by.items())!r}:"
             f"{trace.partitions_total}:{trace.backend_pages}"
         )
         for stage in trace.stages:
+            coalesce = (
+                f":{stage.coalesce_seconds!r}"
+                if admission is not None
+                else ""
+            )
             parts.append(
                 f"stage:{stage.name}:{stage.partitions}:"
                 f"{stage.pages_read}:{stage.tuples_scanned}:"
                 f"{stage.faults}:{stage.retries}:{stage.degraded}:"
-                f"{stage.backoff_seconds!r}"
+                f"{stage.backoff_seconds!r}{coalesce}"
             )
     parts.append(f"cache:{cache_bytes}:{cache_entries}")
     return sha256("\n".join(parts).encode()).hexdigest()
 
 
-def _failed_pages(failures: Sequence[QueryFailure]) -> int:
-    return sum(failure.pages_read for failure in failures)
-
-
-def run_chaos_soak(
+def verified_run(
     manager: ChunkCacheManager,
-    streams: Sequence[QueryStream],
-    injector: FaultSource,
-    config: ChaosConfig = ChaosConfig(),
-    oracle: Callable[[StarQuery], Any] | None = None,
-) -> ChaosReport:
-    """Soak the manager under an active fault plan and verify recovery.
+    make_session: Callable[
+        [
+            tuple[type[BaseException], ...],
+            Callable[[int, str, StarQuery, object], None] | None,
+            Callable[[int], None] | None,
+        ],
+        _Session,
+    ],
+    injector: FaultSource | None,
+    oracle: Callable[[StarQuery], Any] | None,
+    admission: Callable[[_Session], Admission] | None = None,
+) -> tuple[_Session, SoakReport]:
+    """Run one session under deep invariants and verify what it did.
 
-    Runs the streams with the injector's hooks installed and
-    :class:`~repro.exceptions.InjectedFault` tolerated per query, under
-    ``REPRO_INVARIANTS=deep``, and asserts the degradation contract:
-
-    - **correct or typed** — every query either answers or fails with a
-      typed :class:`~repro.exceptions.InjectedFault`; when ``oracle`` is
-      given, every answer is replayed fault-free after the run and must
-      match (canonicalized rows), so a wrong answer is impossible, not
-      just unobserved;
-    - **exact conservation** — byte/benefit accounting checkpoints plus
-      ``pages_read + failed_pages == disk read delta`` exactly: wasted
-      I/O from retries, degraded recomputes and failed attempts is all
-      accounted, never leaked;
-    - **reproducibility** — under the fair schedule the report's
-      ``digest`` is a pure function of (plan seed, workload, config).
+    The core of :func:`run_soak` and
+    :func:`~repro.serve.front.run_front`.  ``make_session`` receives
+    the ``tolerate`` / ``on_answer`` / ``on_checkpoint`` hooks the
+    harness needs and returns a session whose ``run()`` yields a
+    :class:`~repro.serve.session.ServeReport`; conservation
+    checkpoints run when the store supports cross-shard checks
+    (``check_conservation``).
 
     The oracle replay runs *after* the injector deactivates and
     *outside* the disk-read bracket, so it neither trips faults nor
     perturbs the conservation equality.
 
     Raises:
-        ServeError: If the store has no cross-shard conservation check,
-            or on deadline.
+        ServeError: On the session's deadline.
         InvariantViolation: On any conservation failure or any wrong
             answer.
     """
     conserve = getattr(manager.cache, "check_conservation", None)
-    if not callable(conserve):
-        raise ServeError(
-            "chaos soak testing requires a sharded store with a "
-            "check_conservation() method; got "
-            f"{type(manager.cache).__name__}"
-        )
     answers: dict[int, tuple[StarQuery, Any]] = {}
 
     def capture(
         seq: int, stream: str, query: StarQuery, rows: Any
     ) -> None:
-        if oracle is not None:
-            answers[seq] = (query, rows)
+        answers[seq] = (query, rows)
+
+    # Chosen by statement rather than by an expression inside the
+    # make_session(...) call: reprolint R010 follows call arguments, and
+    # a cache attribute nested that deep in the session's construction
+    # would reach the digest below as (false) taint.
+    on_checkpoint: Callable[[int], None] | None = None
+    if callable(conserve):
+        checker = conserve
+
+        def _checkpoint(_count: int) -> None:
+            checker()
+
+        on_checkpoint = _checkpoint
 
     previous_mode = invariants.set_mode(invariants.DEEP)
     checks_before = invariants.counters()["deep"]
     try:
-        session = ServeSession(
-            manager,
-            streams,
-            max_workers=config.max_workers,
-            schedule=config.schedule,
-            checkpoint_every=config.checkpoint_every,
-            on_checkpoint=lambda _count: conserve(),
-            timeout_seconds=config.timeout_seconds,
-            tolerate=(InjectedFault,),
-            on_answer=capture,
+        session = make_session(
+            (InjectedFault,) if injector is not None else (),
+            capture if oracle is not None else None,
+            on_checkpoint,
         )
         disk = manager.backend.disk
         reads_before = disk.stats.reads
-        with injector.activate(manager):
-            report = session.run()
-            conserve()
+        activation = (
+            injector.activate(manager)
+            if injector is not None
+            else nullcontext()
+        )
+        with activation:
+            serve = session.run()
+            if callable(conserve):
+                conserve()
             delta = disk.stats.reads - reads_before
-        pages = report.metrics.total_pages_read()
-        failed = _failed_pages(report.failures)
+        pages = serve.metrics.total_pages_read()
+        failed = sum(failure.pages_read for failure in serve.failures)
         invariants.require(
             pages + failed == delta,
-            "chaos I/O conservation broken: answered queries account "
+            "global I/O conservation broken: answered queries account "
             f"for {pages} pages and failed queries for {failed}, but "
-            f"the disk counter advanced by {delta} (wasted I/O leaked)",
+            f"the disk counter advanced by {delta} (a cost window "
+            "leaked across threads, wasted I/O went uncounted, or a "
+            "coalesced fetch was double-counted)",
         )
         deep_checks = invariants.counters()["deep"] - checks_before
     finally:
         invariants.set_mode(previous_mode)
 
-    # Oracle replay: fault-free recomputation of every answered query,
-    # after the hooks are gone and outside the disk bracket above.
     wrong = 0
     if oracle is not None:
         for seq in sorted(answers):
@@ -400,27 +326,80 @@ def run_chaos_soak(
                 wrong += 1
         invariants.require(
             wrong == 0,
-            f"{wrong} answers under fault injection disagreed with the "
-            "fault-free oracle — degradation must never change results",
+            f"{wrong} answers disagreed with the fault-free oracle — "
+            "neither degradation nor coalescing may change results",
         )
 
+    fault_counters = (
+        dict(injector.counters()) if injector is not None else {}
+    )
     cache = manager.cache
-    digest = _chaos_digest(
-        report,
-        injector.counters(),
+    digest = run_digest(
+        serve,
+        fault_counters,
         int(cache.used_bytes),
         len(cache),
+        admission(session) if admission is not None else None,
     )
-    return ChaosReport(
-        queries=report.queries,
-        failures=len(report.failures),
-        checkpoints=report.checkpoints,
+    return session, SoakReport(
+        queries=serve.queries,
+        failures=len(serve.failures),
+        checkpoints=serve.checkpoints,
         pages_read=pages,
         failed_pages=failed,
         disk_read_delta=delta,
         deep_checks=deep_checks,
-        fault_counters=injector.counters(),
+        fault_counters=fault_counters,
         wrong_answers=wrong,
         digest=digest,
-        serve=report,
+        serve=serve,
     )
+
+
+def run_soak(
+    manager: ChunkCacheManager,
+    streams: Sequence[QueryStream],
+    config: SoakConfig = SoakConfig(),
+    injector: FaultSource | None = None,
+    oracle: Callable[[StarQuery], Any] | None = None,
+) -> SoakReport:
+    """Soak the manager with concurrent streams and verify the run.
+
+    By default the streams race (free schedule) with no faults — the
+    concurrency soak.  With an ``injector`` and ``schedule="fair"`` it
+    is the chaos soak: the streams run under the injector's hooks with
+    :class:`~repro.exceptions.InjectedFault` tolerated per query, and
+    the report's ``digest`` is a pure function of (plan seed, workload,
+    config).  Either way :func:`verified_run` asserts deep invariants,
+    exact I/O conservation and — with an ``oracle`` — that no answer
+    is wrong.
+
+    Raises:
+        ServeError: If the manager's store has no cross-shard
+            conservation check (i.e. is not sharded), or on deadline.
+        InvariantViolation: On any conservation failure, shard-local,
+            cross-shard, or global, or any wrong answer.
+    """
+    if not callable(getattr(manager.cache, "check_conservation", None)):
+        raise ServeError(
+            "soak testing requires a sharded store with a "
+            "check_conservation() method; got "
+            f"{type(manager.cache).__name__}"
+        )
+    _session, report = verified_run(
+        manager,
+        lambda tolerate, on_answer, on_checkpoint: ServeSession(
+            manager,
+            streams,
+            max_workers=config.max_workers,
+            schedule=config.schedule,
+            checkpoint_every=config.checkpoint_every,
+            on_checkpoint=on_checkpoint,
+            timeout_seconds=config.timeout_seconds,
+            tolerate=tolerate,
+            on_answer=on_answer,
+        ),
+        injector,
+        oracle,
+    )
+    return report

@@ -12,19 +12,21 @@ import pytest
 
 from repro.experiments.configs import SMOKE_SCALE
 from repro.experiments.harness import get_system, make_chunk_manager
+from repro.experiments.jobs import cache_config, run_chaos_job
 from repro.experiments.multiuser import user_streams
-from repro.experiments.soakjob import run_chaos_job
 from repro.faults import FaultInjector, FaultPlan
-from repro.serve import ChaosConfig
+from repro.serve import FAIR, SoakConfig
 
-CONFIG = ChaosConfig(checkpoint_every=25, timeout_seconds=120.0)
+CONFIG = SoakConfig(
+    checkpoint_every=25, timeout_seconds=120.0, schedule=FAIR
+)
 JOB_ARGS = dict(
     scale=SMOKE_SCALE,
     rate="mid",
     seed=20260806,
     num_users=4,
     per_user=20,
-    num_shards=4,
+    cache=cache_config(SMOKE_SCALE, num_shards=4),
     config=CONFIG,
 )
 

@@ -22,14 +22,16 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.serve import ChaosConfig, ShardedChunkCache, run_chaos_soak
+from repro.serve import FAIR, ShardedChunkCache, SoakConfig, run_soak
 
 #: Kinds that degrade service but can never fail a query outright.
 HARMLESS_KINDS = frozenset({DISK_SLOW, CACHE_POISON, CACHE_PRESSURE})
 
 NUM_USERS = 4
 PER_USER = 10
-CONFIG = ChaosConfig(checkpoint_every=10, timeout_seconds=120.0)
+CONFIG = SoakConfig(
+    checkpoint_every=10, timeout_seconds=120.0, schedule=FAIR
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +60,11 @@ def chaos_run(system, streams, spec, seed=99, **store_kwargs):
     manager = make_chunk_manager(system, cache=cache)
     oracle_manager = make_chunk_manager(system)
     injector = FaultInjector(FaultPlan(seed=seed, specs=(spec,)))
-    report = run_chaos_soak(
+    report = run_soak(
         manager,
         streams,
-        injector,
         CONFIG,
+        injector=injector,
         oracle=lambda query: oracle_manager.pipeline.execute(query).rows,
     )
     return report, manager

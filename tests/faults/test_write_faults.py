@@ -15,7 +15,7 @@ import pytest
 from repro.core.cache import ChunkCache
 from repro.core.tiered import TieredChunkCache, chunk_token
 from repro.experiments.configs import SMOKE_SCALE
-from repro.experiments.soakjob import run_chaos_job
+from repro.experiments.jobs import cache_config, run_chaos_job
 from repro.faults import (
     LOG_COMPACT,
     LOG_PERMANENT,
@@ -27,7 +27,7 @@ from repro.faults import (
     FaultSpec,
     tiered_specs,
 )
-from repro.serve import ChaosConfig
+from repro.serve import FAIR, SoakConfig
 from repro.storage.chunklog import ChunkLog
 from repro.storage.disk import SimulatedDisk
 
@@ -179,10 +179,21 @@ CHAOS_ARGS = dict(
     seed=20260806,
     num_users=4,
     per_user=20,
-    num_shards=4,
     with_oracle=False,
-    cache_tiers=2,
 )
+
+
+def chaos_run(workers, **cache):
+    return run_chaos_job(
+        cache=cache_config(SMOKE_SCALE, num_shards=4, **cache),
+        config=SoakConfig(
+            max_workers=workers,
+            checkpoint_every=25,
+            timeout_seconds=120.0,
+            schedule=FAIR,
+        ),
+        **CHAOS_ARGS,
+    )
 
 
 class TestTieredChaosDigest:
@@ -193,14 +204,8 @@ class TestTieredChaosDigest:
     @pytest.fixture(scope="class", params=["chunklog", "sqlite"])
     def runs(self, request):
         return {
-            workers: run_chaos_job(
-                config=ChaosConfig(
-                    max_workers=workers,
-                    checkpoint_every=25,
-                    timeout_seconds=120.0,
-                ),
-                l2_backend=request.param,
-                **CHAOS_ARGS,
+            workers: chaos_run(
+                workers, cache_tiers=2, l2_backend=request.param
             )
             for workers in (1, 2, 4)
         }
@@ -220,11 +225,6 @@ class TestTieredChaosDigest:
         assert runs[1]["tiers"]["l2"]["spills"] > 0  # the tier saw traffic
 
     def test_one_tier_summary_has_no_tier_keys(self):
-        run = run_chaos_job(
-            config=ChaosConfig(
-                max_workers=2, checkpoint_every=25, timeout_seconds=120.0
-            ),
-            **{**CHAOS_ARGS, "cache_tiers": 1},
-        )
+        run = chaos_run(2, cache_tiers=1)
         assert "tiers" not in run
         assert "cache_tiers" not in run

@@ -23,7 +23,7 @@ from repro.experiments.harness import (
     run_stream,
 )
 from repro.faults import FaultInjector, FaultPlan, standard_specs
-from repro.serve import ChaosConfig, ShardedChunkCache, run_chaos_soak
+from repro.serve import FAIR, ShardedChunkCache, SoakConfig, run_soak
 from repro.workload.stream import interleave_streams
 
 
@@ -102,15 +102,16 @@ class TestChaosDigestIsSeedDeterministic:
             injector = FaultInjector(
                 FaultPlan(seed=seed, specs=standard_specs("mid"))
             )
-            report = run_chaos_soak(
+            report = run_soak(
                 manager,
                 chaos_streams,
-                injector,
-                ChaosConfig(
+                SoakConfig(
                     checkpoint_every=10,
                     max_workers=max_workers,
                     timeout_seconds=120.0,
+                    schedule=FAIR,
                 ),
+                injector=injector,
             )
             digests.append(report.digest)
         assert len(set(digests)) == 1

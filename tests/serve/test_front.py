@@ -20,8 +20,8 @@ import pytest
 
 from repro.exceptions import ServeError
 from repro.experiments.configs import SMOKE_SCALE
-from repro.experiments.frontjob import duplicate_streams
 from repro.experiments.harness import get_system, make_chunk_manager
+from repro.experiments.multiuser import user_streams
 from repro.faults import FaultInjector, FaultPlan, standard_specs
 from repro.serve import FrontConfig, FrontSession, run_front
 
@@ -33,8 +33,8 @@ CHAOS_SEED = 20260807
 
 def _system_and_streams():
     system = get_system(SMOKE_SCALE)
-    streams = duplicate_streams(
-        system, num_users=NUM_STREAMS, per_user=PER_USER
+    streams = user_streams(
+        system, num_users=NUM_STREAMS, per_user=PER_USER, paired=True
     )
     return system, streams
 
@@ -73,12 +73,13 @@ class TestDeterminism:
         system, streams = _system_and_streams()
         report = run_front(make_chunk_manager(system), streams, CONFIG)
         assert report.queries == NUM_STREAMS * PER_USER
-        assert report.window_size == CONFIG.window
-        assert set(report.per_stream) == {s.name for s in streams}
-        assert sum(len(m) for m in report.per_stream.values()) == (
+        serve = report.serve
+        assert serve.schedule == "front"
+        assert set(serve.per_stream) == {s.name for s in streams}
+        assert sum(len(m) for m in serve.per_stream.values()) == (
             report.queries
         )
-        assert len(report.metrics) == report.queries
+        assert len(serve.metrics) == report.queries
         assert report.wrong_answers == 0
 
 
@@ -148,14 +149,14 @@ class TestChaos:
             injector=_injector(),
             oracle=lambda q: oracle_manager.pipeline.execute(q).rows,
         )
-        assert report.failures
+        assert report.failures == len(report.serve.failures) > 0
         assert report.wrong_answers == 0
         # Exact conservation including wasted I/O of failed attempts.
         assert report.pages_read + report.failed_pages == (
             report.disk_read_delta
         )
         by_message = {}
-        for failure in report.failures:
+        for failure in report.serve.failures:
             by_message.setdefault(failure.message, []).append(failure)
         shared = [
             group for group in by_message.values() if len(group) > 1

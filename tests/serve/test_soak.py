@@ -2,10 +2,12 @@
 
 Eight user streams of 250 queries each race on eight worker threads
 against one shared sharded cache with ``REPRO_INVARIANTS=deep`` forced
-on.  The run must produce zero invariant violations and account for
-every disk page exactly, at every 100-query checkpoint and at the end.
-This is the property that must hold under *any* thread interleaving —
-the test is a genuine race, not a reproducible schedule.
+on.  The run must produce zero invariant violations, account for every
+disk page exactly at every 100-query checkpoint and at the end, and
+return — for every one of the racing queries — the rows a fault-free
+oracle replays afterwards.  These are the properties that must hold
+under *any* thread interleaving — the test is a genuine race, not a
+reproducible schedule.
 
 The run also records a lock-order witness (:mod:`repro.lockorder`):
 every nested pair of lock levels actually held by one thread.  The
@@ -25,7 +27,7 @@ from repro.exceptions import ServeError
 from repro.experiments.configs import SMOKE_SCALE
 from repro.experiments.harness import get_system, make_chunk_manager
 from repro.experiments.multiuser import user_streams
-from repro.serve import ShardedChunkCache, SoakConfig, run_soak
+from repro.serve import FREE, ShardedChunkCache, SoakConfig, run_soak
 
 NUM_STREAMS = 8
 PER_USER = 250
@@ -50,6 +52,7 @@ def test_multiuser_soak_conserves_everything():
         system, num_users=NUM_STREAMS, per_user=PER_USER
     )
     cache = ShardedChunkCache(system.cache_bytes, num_shards=8)
+    oracle_manager = make_chunk_manager(system)
     manager = make_chunk_manager(system, cache=cache)
 
     previous_mode = invariants.mode()
@@ -60,10 +63,15 @@ def test_multiuser_soak_conserves_everything():
             SoakConfig(
                 checkpoint_every=CHECKPOINT_EVERY,
                 timeout_seconds=TIMEOUT_SECONDS,
+                schedule=FREE,
             ),
+            oracle=lambda query: oracle_manager.pipeline.execute(query).rows,
         )
 
     assert report.queries == NUM_STREAMS * PER_USER
+    # Every racing answer equals the oracle's fault-free replay.
+    assert report.wrong_answers == 0
+    assert report.failures == 0 and report.fault_counters == {}
     # A checkpoint fired at every 100-query boundary...
     assert report.checkpoints == report.queries // CHECKPOINT_EVERY
     # ...each running the cross-shard conservation check in deep mode.

@@ -1,10 +1,53 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro import __main__ as cli
 from repro.__main__ import main
+
+NIGHTLY = (
+    Path(__file__).resolve().parents[1]
+    / ".github" / "workflows" / "nightly-soak.yml"
+)
+
+#: Command lines ``soak`` and ``front`` both reject (exit status 2, one
+#: line on stderr): (arguments, a fragment of the message).
+REJECTED = [
+    (["--chaos", "--seed"], "--seed needs a value"),
+    (["--smoke", "--users", "0"], "--users must be >= 1, got 0"),
+    (["--smoke", "--per-user", "-3"], "--per-user must be >= 1, got -3"),
+    (["--smoke", "--workers", "0"], "--workers must be >= 1, got 0"),
+    (["--smoke", "--rate", "mid"], "--rate and --seed need --chaos"),
+    (["--smoke", "--seed", "7"], "--rate and --seed need --chaos"),
+    # Configuration the stack / fault plan refuses (StackError,
+    # FaultError) is a usage error too, never a traceback.
+    (["--smoke", "--chaos", "--rate", "bogus"], "unknown fault rate"),
+    (["--smoke", "--tiers", "3"], "cache_tiers must be 1 or 2"),
+    (["--smoke", "--tiers", "2", "--l2-backend", "foo"], "unknown l2_backend"),
+]
+
+
+def nightly_commands():
+    """Every ``python -m repro soak|front ...`` argv in the nightly.
+
+    A command runs (over folded lines, YAML comments dropped) to the
+    next ``&&`` or to the ``- name:`` of the next step.
+    """
+    text = " ".join(
+        line.strip()
+        for line in NIGHTLY.read_text(encoding="utf-8").splitlines()
+        if not line.lstrip().startswith("#")
+    )
+    return [
+        [command, *arguments.split()]
+        for command, arguments in re.findall(
+            r"python -m repro (soak|front)((?: (?!&&|- )\S+)*)", text
+        )
+    ]
 
 
 class TestCLI:
@@ -82,9 +125,30 @@ class TestSoakCommand:
         assert main(["soak", "--bogus"]) == 2
         assert "unknown soak arguments" in capsys.readouterr().err
 
-    def test_soak_flag_missing_value_rejected(self):
-        with pytest.raises(SystemExit, match="--seed needs a value"):
-            main(["soak", "--chaos", "--seed"])
+    def test_soak_flag_missing_value_rejected(self, capsys):
+        assert main(["soak", "--chaos", "--seed"]) == 2
+        assert capsys.readouterr().err == "soak: --seed needs a value\n"
+
+    @pytest.mark.parametrize("command", ["soak", "front"])
+    @pytest.mark.parametrize(
+        "arguments, message",
+        REJECTED,
+        ids=[" ".join(arguments) for arguments, _ in REJECTED],
+    )
+    def test_bad_command_line_exits_2(
+        self, capsys, command, arguments, message
+    ):
+        assert main([command, *arguments]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ") and message in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, flag", [("soak", "--shards"), ("front", "--window")]
+    )
+    def test_own_extra_below_one_rejected(self, capsys, command, flag):
+        assert main([command, "--smoke", flag, "0"]) == 2
+        assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["soak", "front"])
     def test_non_numeric_value_rejected(self, capsys, command):
@@ -98,3 +162,28 @@ class TestSoakCommand:
         assert main([command, "--smoke", "--exec", "processes"]) == 2
         err = capsys.readouterr().err
         assert f"unknown {command} arguments" in err and "--exec" in err
+
+
+class TestNightlyWorkflow:
+    """A CLI change must not be able to break the nightly silently:
+    every soak/front command line in the workflow still parses."""
+
+    def test_workflow_commands_found(self):
+        commands = nightly_commands()
+        assert len(commands) >= 10
+        assert {argv[0] for argv in commands} == {"soak", "front"}
+        assert any("--cache-bytes" in argv for argv in commands)
+
+    @pytest.mark.parametrize(
+        "argv", nightly_commands(), ids=lambda argv: " ".join(argv)
+    )
+    def test_command_parses(self, argv):
+        command, *arguments = argv
+        parse = {"soak": cli._parse_soak, "front": cli._parse_front}
+        flags, config = parse[command](arguments)
+        assert flags.chaos == ("--chaos" in arguments)
+        assert flags.report_path.endswith("-report.json")
+        if "--tiers" in arguments:
+            assert flags.cache["cache_tiers"] == 2
+            assert flags.cache["persist_path"]
+        assert config.max_workers is None

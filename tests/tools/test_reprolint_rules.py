@@ -349,7 +349,7 @@ class TestR006FaultBoundary:
             "def f(specs):\n"
             "    return FaultInjector(FaultPlan(seed=1, specs=specs))\n"
         )
-        assert only(src, "src/repro/experiments/soakjob.py", "R006") == []
+        assert only(src, "src/repro/experiments/jobs.py", "R006") == []
 
     def test_faults_package_may_know_itself(self):
         src = "from repro.faults.plan import FaultPlan\n"

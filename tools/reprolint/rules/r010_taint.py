@@ -1,7 +1,7 @@
 """R010 — whole-program determinism taint.
 
 The repo's reports promise that every digest is a **pure function of
-(workload, seed, config)**: ``ChaosReport.digest`` / ``FrontReport``'s
+(workload, seed, config)**: ``SoakReport.digest`` / ``FrontReport``'s
 digest must not move when worker counts, scheduling, or the wall clock
 do.  This rule makes that promise static:
 
@@ -23,7 +23,7 @@ do.  This rule makes that promise static:
    cross into a digest.  Values passed *into* a call carry
    ``arg:<callee>:``-tagged tokens; when the callee is itself a sink
    (audited internally), the call acts as a taint **barrier** — passing
-   a partly-tainted report into ``_front_digest`` does not taint the
+   a partly-tainted report into ``run_digest`` does not taint the
    hash, because the fields the hash actually reads are checked inside
    the sink's own body.
 
@@ -84,8 +84,8 @@ class _Taint:
     ) -> bool:
         """Audited sink functions stop argument taint at call sites.
 
-        ``digest = _front_digest(report, ...)`` passes the whole (partly
-        wall-clock-tainted) report in, but ``_front_digest`` projects
+        ``digest = run_digest(serve, ...)`` passes the whole (partly
+        wall-clock-tainted) report in, but ``run_digest`` projects
         only deterministic fields out — and because it *is* a sink, any
         tainted field it actually reads is flagged inside its own body
         by :func:`_check_sinks`.  Treating such calls as barriers keeps
