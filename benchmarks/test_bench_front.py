@@ -1,9 +1,9 @@
 """Front-door coalescing benchmark — duplicate-heavy admission windows.
 
 Runs the paired-duplicate multiuser workload (users 2k and 2k+1 issue
-identical query sequences) through the async admission front door,
-once with single-flight coalescing disabled and once enabled, at 1, 2
-and 4 workers per window, and reports:
+identical query sequences) through the admission front door, once
+with single-flight coalescing disabled and once enabled, at 1, 2 and
+4 workers, and reports:
 
 - **pages_read** — physical backend pages; the coalesced run must be
   strictly below the baseline (duplicate chunks in a window are fetched

@@ -7,7 +7,7 @@ Subcommands:
   (all of them when no ids are given);
 - ``soak`` — the concurrency soak; with ``--chaos`` the fault-injected
   chaos soak (the nightly job's entry point);
-- ``front`` — the async admission front door over a duplicate-heavy
+- ``front`` — the admission front door over a duplicate-heavy
   workload; with ``--chaos`` under fault injection (also nightly);
 - ``info`` — print version and the configured default scale.
 """
@@ -48,7 +48,7 @@ commands:
                        --l2-budget N (L2 live-byte budget),
                        --compact-threshold R (dead-space ratio),
                        --report PATH (JSON), --smoke / --paper
-  front                async admission front door with single-flight
+  front                admission front door with single-flight
                        coalescing; --chaos for fault injection,
                        --rate low|mid|high, --seed N, --users N,
                        --per-user N, --window N, --workers N,

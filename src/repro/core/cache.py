@@ -202,7 +202,7 @@ class ChunkCache:
 
         A single pass over the table that touches neither statistics nor
         replacement state — the building block for
-        ``describe_cache()``-style reporting.
+        the managers' ``snapshot()`` reporting.
         """
         return list(self._entries.items())
 

@@ -280,15 +280,6 @@ class ChunkCacheManager:
         """
         return build_chunk_snapshot(self.cache, self.metrics)
 
-    def describe_cache(self) -> dict[str, object]:
-        """Deprecated: the pre-:class:`Snapshot` report dictionary.
-
-        A thin shim over :meth:`snapshot` that reproduces the legacy
-        shape bit-for-bit (same keys, same order, same numeric types).
-        New code should use the typed tree.
-        """
-        return self.snapshot().legacy_dict()
-
     # ------------------------------------------------------------------
     # Invalidation after base-table updates
     # ------------------------------------------------------------------

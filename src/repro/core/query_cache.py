@@ -236,14 +236,6 @@ class QueryCacheManager:
             ),
         )
 
-    def describe_cache(self) -> dict[str, object]:
-        """Deprecated: the pre-:class:`Snapshot` report dictionary.
-
-        A thin shim over :meth:`snapshot` that reproduces the legacy
-        shape bit-for-bit.  New code should use the typed tree.
-        """
-        return self.snapshot().legacy_dict()
-
     def redundancy_ratio(self) -> float:
         """Stored cells over distinct cells across cached results.
 

@@ -1,30 +1,20 @@
 """The typed snapshot tree behind every cache-report surface.
 
-Historically each report surface grew its own ``dict[str, object]``:
-``ChunkCacheManager.describe_cache()``,
-``QueryCacheManager.describe_cache()``,
-``StreamMetrics.stage_summary()`` and the sharded store's
-``contention()`` all returned ad-hoc nested dictionaries whose shapes
-lived only in docstrings.  This module consolidates them behind one
-frozen dataclass tree rooted at :class:`Snapshot`:
+Both managers' composition reports, ``StreamMetrics.stage_summary()``
+and the sharded store's ``contention()`` meet in one frozen dataclass
+tree rooted at :class:`Snapshot`:
 
 - ``manager.snapshot()`` (both schemes) returns a :class:`Snapshot`;
 - :meth:`Snapshot.to_json` renders one canonical JSON-serializable
-  form for tooling;
-- :meth:`Snapshot.legacy_dict` reproduces the exact pre-snapshot
-  dictionary — same keys, same insertion order, same numeric types —
-  so ``describe_cache()`` survives as a thin deprecation shim and
-  every existing consumer (fig9, csr_sim, the fault reports) stays
-  bit-for-bit identical.
+  form for tooling.
 
-The tree is built *from* the same accumulation passes the legacy
-dictionaries used (same iteration order), so even float sums are
-bit-identical, not merely approximately equal.
+The tree is built in one accumulation pass per store, in store
+iteration order, so its float sums are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from repro.core.cache import ChunkStore
@@ -44,8 +34,8 @@ __all__ = [
     "build_chunk_snapshot",
 ]
 
-#: The fixed per-stage bucket key order of the legacy
-#: ``stage_summary()`` dictionaries (and of ``StageStats`` fields).
+#: The fixed per-stage bucket key order of the ``stage_summary()``
+#: dictionaries (and of ``StageStats`` fields).
 _STAGE_FIELDS = (
     "calls",
     "wall_seconds",
@@ -88,11 +78,11 @@ class StageStats:
     def from_bucket(
         cls, name: str, bucket: Mapping[str, float]
     ) -> "StageStats":
-        """Typed view of one legacy ``stage_summary()`` bucket."""
+        """Typed view of one ``stage_summary()`` bucket."""
         return cls(name=name, **{f: bucket[f] for f in _STAGE_FIELDS})
 
-    def legacy_bucket(self) -> dict[str, float]:
-        """The original ``stage_summary()`` bucket, key order included."""
+    def to_json(self) -> dict[str, float]:
+        """The ``stage_summary()`` bucket again, key order included."""
         return {f: getattr(self, f) for f in _STAGE_FIELDS}
 
 
@@ -130,10 +120,9 @@ class FaultStats:
     """Injected-fault outcomes summed over the stream (zeros when
     fault-free).
 
-    The counters mirror the legacy ``describe_cache()["faults"]``
-    entry: cache-level outcomes (``poisoned_puts``,
-    ``pressure_evictions``) come from the store's statistics, the rest
-    are sums over the per-stage totals.
+    Cache-level outcomes (``poisoned_puts``, ``pressure_evictions``)
+    come from the store's statistics, the rest are sums over the
+    per-stage totals.
     """
 
     poisoned_puts: int
@@ -162,22 +151,8 @@ class ShardStats:
     readmissions: int
     quarantine_rejects: int
 
-    def legacy_bucket(self) -> dict[str, object]:
-        return {
-            "shard": self.shard,
-            "capacity_bytes": self.capacity_bytes,
-            "used_bytes": self.used_bytes,
-            "entries": self.entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "lock_wait_seconds": self.lock_wait_seconds,
-            "lock_acquisitions": self.lock_acquisitions,
-            "quarantined": self.quarantined,
-            "quarantines": self.quarantines,
-            "readmissions": self.readmissions,
-            "quarantine_rejects": self.quarantine_rejects,
-        }
+    def to_json(self) -> dict[str, object]:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -242,7 +217,7 @@ class CacheContention:
             per_shard=tuple(shards),
         )
 
-    def legacy_dict(self) -> dict[str, object]:
+    def to_json(self) -> dict[str, object]:
         return {
             "num_shards": self.num_shards,
             "lock_wait_seconds": self.lock_wait_seconds,
@@ -251,7 +226,7 @@ class CacheContention:
             "quarantines": self.quarantines,
             "readmissions": self.readmissions,
             "quarantine_rejects": self.quarantine_rejects,
-            "per_shard": [s.legacy_bucket() for s in self.per_shard],
+            "per_shard": [s.to_json() for s in self.per_shard],
         }
 
 
@@ -278,8 +253,7 @@ class ChunkCacheSnapshot:
     def fault_stats(self) -> FaultStats:
         """The fault summary, derived from the per-stage totals.
 
-        Sums are taken in stage order, exactly as the legacy
-        ``describe_cache()["faults"]`` entry computed them.
+        Sums are taken in stage order.
         """
         return FaultStats(
             poisoned_puts=self.poisoned_puts,
@@ -289,43 +263,6 @@ class ChunkCacheSnapshot:
             degraded=sum(s.degraded for s in self.stages),
             backoff_seconds=sum(s.backoff_seconds for s in self.stages),
         )
-
-    def legacy_dict(self) -> dict[str, object]:
-        """The pre-snapshot ``describe_cache()`` dictionary, exactly."""
-        faults = self.fault_stats()
-        out: dict[str, object] = {
-            "used_bytes": self.used_bytes,
-            "capacity_bytes": self.capacity_bytes,
-            "entries": self.entries,
-            "hit_ratio": self.hit_ratio,
-            "evictions": self.evictions,
-            "per_groupby": {
-                usage.groupby: {
-                    "chunks": usage.chunks,
-                    "bytes": usage.bytes,
-                    "benefit": usage.benefit,
-                }
-                for usage in self.per_groupby
-            },
-            "stages": {
-                stage.name: stage.legacy_bucket()
-                for stage in self.stages
-            },
-            "resolved_by": dict(self.resolved_by),
-        }
-        out["faults"] = {
-            "poisoned_puts": faults.poisoned_puts,
-            "pressure_evictions": faults.pressure_evictions,
-            "faults": faults.faults,
-            "retries": faults.retries,
-            "degraded": faults.degraded,
-            "backoff_seconds": faults.backoff_seconds,
-        }
-        if self.contention is not None:
-            out["shards"] = self.contention.legacy_dict()
-        if self.tiers:
-            out["tiers"] = dict(self.tiers)
-        return out
 
     def to_json(self) -> dict[str, object]:
         faults = self.fault_stats()
@@ -345,7 +282,7 @@ class ChunkCacheSnapshot:
                 for usage in self.per_groupby
             ],
             "stages": {
-                stage.name: stage.legacy_bucket()
+                stage.name: stage.to_json()
                 for stage in self.stages
             },
             "resolved_by": dict(self.resolved_by),
@@ -359,7 +296,7 @@ class ChunkCacheSnapshot:
             },
         }
         if self.contention is not None:
-            out["contention"] = self.contention.legacy_dict()
+            out["contention"] = self.contention.to_json()
         if self.tiers:
             out["tiers"] = dict(self.tiers)
         return out
@@ -377,28 +314,6 @@ class QueryCacheSnapshot:
     stages: tuple[StageStats, ...]
     resolved_by: tuple[tuple[str, int], ...]
 
-    def legacy_dict(self) -> dict[str, object]:
-        """The pre-snapshot ``describe_cache()`` dictionary, exactly."""
-        return {
-            "used_bytes": self.used_bytes,
-            "capacity_bytes": self.capacity_bytes,
-            "entries": self.entries,
-            "redundancy_ratio": self.redundancy_ratio,
-            "per_shape": {
-                usage.key: {
-                    "results": usage.results,
-                    "bytes": usage.bytes,
-                    "benefit": usage.benefit,
-                }
-                for usage in self.per_shape
-            },
-            "stages": {
-                stage.name: stage.legacy_bucket()
-                for stage in self.stages
-            },
-            "resolved_by": dict(self.resolved_by),
-        }
-
     def to_json(self) -> dict[str, object]:
         return {
             "used_bytes": self.used_bytes,
@@ -415,7 +330,7 @@ class QueryCacheSnapshot:
                 for usage in self.per_shape
             ],
             "stages": {
-                stage.name: stage.legacy_bucket()
+                stage.name: stage.to_json()
                 for stage in self.stages
             },
             "resolved_by": dict(self.resolved_by),
@@ -439,14 +354,6 @@ class Snapshot:
         """One canonical JSON-serializable rendering of the tree."""
         return {"kind": self.kind, "cache": self.cache.to_json()}
 
-    def legacy_dict(self) -> dict[str, object]:
-        """The scheme's original ``describe_cache()`` dictionary.
-
-        Bit-for-bit identical to the pre-snapshot code path: same keys,
-        same insertion order, same numeric types and float values.
-        """
-        return self.cache.legacy_dict()
-
 
 def collect_stages(metrics: StreamMetrics) -> tuple[StageStats, ...]:
     """Typed per-stage totals, in first-seen stage order."""
@@ -469,10 +376,10 @@ def build_chunk_snapshot(
 ) -> Snapshot:
     """Snapshot a chunk-scheme cache and its stream aggregates.
 
-    Accumulates the per-group-by breakdown in the same single pass (and
-    order) the legacy ``describe_cache()`` used, so the float benefit
-    sums are bit-identical, then sorts by resident bytes descending
-    (stable, preserving first-seen order among ties).
+    Accumulates the per-group-by breakdown in a single pass in store
+    order (so the float benefit sums are reproducible), then sorts by
+    resident bytes descending (stable, preserving first-seen order
+    among ties).
     """
     per_groupby: dict[GroupBy, dict[str, float]] = {}
     for key, entry in cache.snapshot():

@@ -113,32 +113,6 @@ class ServeError(ReproError):
     """
 
 
-class AdmissionShed(ServeError):
-    """The front door's bounded admission queue rejected a query.
-
-    Part of the graceful-degradation contract: when the admission
-    backlog is full, the offered query is *shed deterministically*
-    rather than queued unboundedly or dropped silently.  The front door
-    records every shed in its :class:`~repro.serve.front.FrontReport`
-    (and the digest), so backpressure is reproducible, not racy.
-
-    Attributes:
-        depth: Backlog depth observed at the rejection (== the
-            configured queue limit).
-        seq: Canonical sequence number the query would have been
-            admitted as.
-        stream: Name of the user stream that offered the query.
-    """
-
-    def __init__(
-        self, message: str, depth: int, seq: int, stream: str
-    ) -> None:
-        super().__init__(message)
-        self.depth = depth
-        self.seq = seq
-        self.stream = stream
-
-
 class FaultError(ReproError):
     """A fault-injection plan or injector was configured incorrectly."""
 

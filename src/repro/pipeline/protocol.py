@@ -46,10 +46,6 @@ class QueryAnswerer(Protocol):
         """A typed snapshot of cache composition and stream aggregates."""
         ...
 
-    def describe_cache(self) -> dict[str, object]:
-        """Deprecated: the legacy report dictionary (see ``snapshot()``)."""
-        ...
-
     def invalidate_base_chunks(self, base_numbers: list[int]) -> int:
         """Drop cached state covering updated base data."""
         ...

@@ -6,17 +6,18 @@ simultaneous users on real threads:
 - :class:`ShardedChunkCache` — a lock-striped, thread-safe
   :class:`~repro.core.cache.ChunkStore` (bit-identical to the plain
   cache at ``num_shards=1``);
-- :class:`ServeSession` — K user streams on a thread pool through the
-  existing staged pipeline, with a deterministic **fair** schedule and a
-  racing **free** schedule;
+- :class:`ServeSession` — the one serving engine: K user streams on a
+  thread pool through the existing staged pipeline, with a
+  deterministic **fair** schedule and a racing **free** schedule;
 - :func:`run_soak` — the invariant-hammering stress harness; given a
   fault injector and the fair schedule it is the chaos soak, asserting
   graceful degradation (correct answer or typed failure, exact I/O
   conservation, reproducible digest);
-- :class:`FrontSession` / :func:`run_front` — the asyncio admission
-  front door: bounded deterministic backpressure (typed
-  :class:`~repro.exceptions.AdmissionShed`), fixed admission windows,
-  and single-flight chunk coalescing through the pipeline's
+- :class:`FrontSession` / :func:`run_front` — the admission front
+  door, a :class:`ServeSession` over a precomputed admission schedule:
+  bounded deterministic backpressure (every shed a recorded
+  :class:`ShedQuery`), fixed admission windows, and single-flight
+  chunk coalescing through the pipeline's
   :class:`~repro.pipeline.flight.FlightTable`.
 
 The layer sits strictly *above* the pipeline: it composes the manager,

@@ -31,6 +31,13 @@ time: each worker's makespan is the sum of the modelled execution times
 of the queries it ran, the session's makespan is the slowest worker, and
 throughput is queries per simulated second — the quantity a real
 multi-core deployment of this architecture would observe.
+
+The session is the layer's one serving engine.  It has two internal
+seams — :meth:`ServeSession._tickets` (who runs which query, and as
+which turn) and :meth:`ServeSession._execute` (how one query is
+answered) — and the admission front door
+(:class:`~repro.serve.front.FrontSession`) is this engine with both
+overridden, not a second one.
 """
 
 from __future__ import annotations
@@ -42,9 +49,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.manager import ChunkCacheManager
-from repro.core.metrics import StreamMetrics
+from repro.core.metrics import QueryRecord, StreamMetrics
 from repro.exceptions import ServeError
-from repro.pipeline.trace import record_blocked_wait
+from repro.pipeline.executor import PipelineResult
+from repro.pipeline.trace import ExecutionTrace, record_blocked_wait
 from repro.query.model import StarQuery
 from repro.workload.stream import QueryStream
 
@@ -54,12 +62,14 @@ __all__ = [
     "ServeSession",
     "FAIR",
     "FREE",
-    "merge_report",
 ]
 
 FAIR = "fair"
 FREE = "free"
 _SCHEDULES = (FAIR, FREE)
+
+#: One unit of work: (sequence number, stream name, query).
+Ticket = tuple[int, str, StarQuery]
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,8 @@ class ServeReport:
     Attributes:
         queries: Queries executed (all streams).
         max_workers: Worker threads used.
-        schedule: ``"fair"`` or ``"free"``.
+        schedule: ``"fair"`` or ``"free"`` (``"front"`` from the
+            front door, which is fair over its admitted tickets).
         wall_seconds: Real elapsed time of the run.
         simulated_worker_seconds: Per-worker sums of modelled query
             times, in worker order.
@@ -219,16 +230,17 @@ class ServeSession:
         self.on_answer = on_answer
         # Turnstile / progress state (rebuilt per run()).
         self._cond = threading.Condition()
-        self._next_seq = 0
+        self._turns: list[int] = []
+        self._next_turn = 0
         self._completed = 0
         self._checkpoints_fired = 0
         self._failure: BaseException | None = None
         self._failures: list[QueryFailure] = []
 
     # ------------------------------------------------------------------
-    # Canonical order
+    # The two seams
     # ------------------------------------------------------------------
-    def _tickets(self) -> list[list[tuple[int, str, StarQuery]]]:
+    def _tickets(self) -> list[list[Ticket]]:
         """Per-worker work lists carrying canonical sequence numbers.
 
         The canonical order is the round-robin interleave of the
@@ -239,8 +251,12 @@ class ServeSession:
         order therefore visits its queries exactly as the canonical
         order does, which is what lets the fair turnstile enforce the
         global canonical order with local-only work lists.
+
+        An override may deal any tickets it likes as long as every
+        worker's list ascends in sequence number; the numbers need not
+        be contiguous (the turnstile walks whatever was dealt, sorted).
         """
-        per_worker: list[list[tuple[int, str, StarQuery]]] = [
+        per_worker: list[list[Ticket]] = [
             [] for _ in range(self.max_workers)
         ]
         owner = {
@@ -262,12 +278,18 @@ class ServeSession:
                     seq += 1
         return per_worker
 
+    def _execute(self, seq: int, query: StarQuery) -> PipelineResult:
+        """Answer one query (under the turnstile when the schedule is
+        serialized).  The pipeline is read off the manager per call, so
+        a caller may swap it between runs."""
+        return self.manager.pipeline.execute(query)
+
     # ------------------------------------------------------------------
     # Turnstile
     # ------------------------------------------------------------------
     def _await_turn(self, seq: int, deadline: float) -> None:
         with self._cond:
-            while self._next_seq != seq:
+            while self._turns[self._next_turn] != seq:
                 if self._failure is not None:
                     raise ServeError(
                         "serving session aborted by another worker"
@@ -280,12 +302,12 @@ class ServeSession:
                     )
                 self._cond.wait(remaining)
 
-    def _finish_query(self, fair: bool) -> None:
+    def _finish_query(self, serialized: bool) -> None:
         """Publish one completed query: advance the turnstile, count
         progress, and fire the checkpoint callback on the boundary."""
         with self._cond:
-            if fair:
-                self._next_seq += 1
+            if serialized:
+                self._next_turn += 1
                 self._cond.notify_all()
             self._completed += 1
             fire = (
@@ -311,25 +333,24 @@ class ServeSession:
     # ------------------------------------------------------------------
     def _run_worker(
         self,
-        tasks: list[tuple[int, str, StarQuery]],
+        tasks: list[Ticket],
         per_stream: dict[str, StreamMetrics],
-        merged: list[tuple[int, StreamMetrics]],
+        answered: list[tuple[int, QueryRecord, ExecutionTrace]],
         sim_seconds: list[float],
         worker_index: int,
         deadline: float,
     ) -> None:
-        fair = self.schedule == FAIR
-        pipeline = self.manager.pipeline
+        serialized = self.schedule != FREE
         try:
             for seq, stream_name, query in tasks:
-                if fair:
+                if serialized:
                     self._await_turn(seq, deadline)
                 elif self._failure is not None:
                     raise ServeError(
                         "serving session aborted by another worker"
                     ) from self._failure
                 try:
-                    result = pipeline.execute(query)
+                    result = self._execute(seq, query)
                 except self.tolerate as error:
                     # A tolerated failure still holds its turnstile slot:
                     # record it, advance, and move on.
@@ -338,19 +359,18 @@ class ServeSession:
                     )
                     with self._cond:
                         self._failures.append(failure)
-                    self._finish_query(fair)
+                    self._finish_query(serialized)
                     continue
                 per_stream[stream_name].record(
                     result.record, result.trace
                 )
-                single = StreamMetrics()
-                single.record(result.record, result.trace)
-                merged.append((seq, single))
+                answered.append((seq, result.record, result.trace))
                 sim_seconds[worker_index] += result.record.time
                 if self.on_answer is not None:
                     self.on_answer(seq, stream_name, query, result.rows)
-                self._finish_query(fair)
+                self._finish_query(serialized)
         except BaseException as error:
+            # Fatal: abort *without* advancing, so no later ticket runs.
             self._abort(error)
             raise
 
@@ -358,19 +378,22 @@ class ServeSession:
     # Public API
     # ------------------------------------------------------------------
     def run(self) -> ServeReport:
-        """Execute every stream to completion and merge the results."""
-        self._next_seq = 0
+        """Execute every ticket to completion and merge the results."""
+        per_worker = self._tickets()
+        self._turns = sorted(
+            seq for tasks in per_worker for seq, _stream, _query in tasks
+        )
+        self._next_turn = 0
         self._completed = 0
         self._checkpoints_fired = 0
         self._failure = None
         self._failures = []
-        per_worker = self._tickets()
         per_stream = {
             stream.name: StreamMetrics() for stream in self.streams
         }
-        merged_parts: list[list[tuple[int, StreamMetrics]]] = [
-            [] for _ in range(self.max_workers)
-        ]
+        answered_parts: list[
+            list[tuple[int, QueryRecord, ExecutionTrace]]
+        ] = [[] for _ in range(self.max_workers)]
         sim_seconds = [0.0] * self.max_workers
         deadline = time.monotonic() + self.timeout_seconds
         backend = self.manager.backend
@@ -387,7 +410,7 @@ class ServeSession:
                         self._run_worker,
                         per_worker[index],
                         per_stream,
-                        merged_parts[index],
+                        answered_parts[index],
                         sim_seconds,
                         index,
                         deadline,
@@ -408,66 +431,43 @@ class ServeSession:
             backend.lock_wait_recorder = previous_recorder
         wall = time.perf_counter() - started
 
-        # The sequence numbers come from the name-sorted interleave, so
-        # in fair mode the merge reproduces the sequential interleaved
-        # run record-for-record.
-        return merge_report(
-            self.manager,
-            self.schedule,
-            self.max_workers,
-            wall,
-            [part for parts in merged_parts for part in parts],
-            sim_seconds,
-            per_stream,
-            self._checkpoints_fired,
-            self._failures,
-        )
-
-
-def merge_report(
-    manager: ChunkCacheManager,
-    schedule: str,
-    max_workers: int,
-    wall_seconds: float,
-    merged: list[tuple[int, StreamMetrics]],
-    sim_seconds: list[float],
-    per_stream: dict[str, StreamMetrics],
-    checkpoints: int,
-    failures: list[QueryFailure],
-) -> ServeReport:
-    """Merge one finished session's per-query results into its report.
-
-    Records and failures are ordered by sequence number — a pure
-    function of (streams, config), never of thread completion order.
-    """
-    metrics = StreamMetrics()
-    for _seq, single in sorted(merged, key=lambda item: item[0]):
-        metrics.absorb(single)
-    makespan = max(sim_seconds) if sim_seconds else 0.0
-    queries = len(metrics)
-    contention: dict[str, object] = {
-        "backend": {
-            "lock_wait_seconds": manager.backend.lock_wait_seconds,
-            "lock_acquisitions": manager.backend.lock_acquisitions,
+        # Records and failures are ordered by sequence number — a pure
+        # function of (streams, config), never of thread completion
+        # order — so a serialized run reproduces the sequential run over
+        # its tickets record-for-record.
+        metrics = StreamMetrics()
+        for _seq, record, trace in sorted(
+            (item for part in answered_parts for item in part),
+            key=lambda item: item[0],
+        ):
+            metrics.record(record, trace)
+        makespan = max(sim_seconds)
+        queries = len(metrics)
+        contention: dict[str, object] = {
+            "backend": {
+                "lock_wait_seconds": backend.lock_wait_seconds,
+                "lock_acquisitions": backend.lock_acquisitions,
+            }
         }
-    }
-    # contention() is a declared ChunkStore member: unsharded stores
-    # return {} ("nothing to report"), which keeps the report's
-    # shape identical to the pre-protocol getattr probe.
-    cache_contention = manager.cache.contention()
-    if cache_contention:
-        contention["cache"] = cache_contention
-    return ServeReport(
-        queries=queries,
-        max_workers=max_workers,
-        schedule=schedule,
-        wall_seconds=wall_seconds,
-        simulated_worker_seconds=tuple(sim_seconds),
-        simulated_makespan=makespan,
-        simulated_throughput=queries / makespan if makespan > 0.0 else 0.0,
-        metrics=metrics,
-        per_stream=per_stream,
-        contention=contention,
-        checkpoints=checkpoints,
-        failures=tuple(sorted(failures, key=lambda f: f.seq)),
-    )
+        # contention() is a declared ChunkStore member: unsharded stores
+        # return {} ("nothing to report"), which keeps the report's
+        # shape identical to the pre-protocol getattr probe.
+        cache_contention = self.manager.cache.contention()
+        if cache_contention:
+            contention["cache"] = cache_contention
+        return ServeReport(
+            queries=queries,
+            max_workers=self.max_workers,
+            schedule=self.schedule,
+            wall_seconds=wall,
+            simulated_worker_seconds=tuple(sim_seconds),
+            simulated_makespan=makespan,
+            simulated_throughput=(
+                queries / makespan if makespan > 0.0 else 0.0
+            ),
+            metrics=metrics,
+            per_stream=per_stream,
+            contention=contention,
+            checkpoints=self._checkpoints_fired,
+            failures=tuple(sorted(self._failures, key=lambda f: f.seq)),
+        )

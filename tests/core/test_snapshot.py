@@ -1,10 +1,9 @@
-"""The typed Snapshot tree and its bit-identical legacy shims.
+"""The typed Snapshot tree and its canonical JSON rendering.
 
-The deprecation contract: ``manager.describe_cache()`` must keep
-returning the *exact* pre-snapshot dictionary — same keys, same
-insertion order, same numeric types, same float values — while
-``manager.snapshot()`` exposes the same facts as a typed frozen tree
-with one canonical JSON rendering.
+``manager.snapshot()`` exposes cache composition and stream aggregates
+as a typed frozen tree; ``to_json()`` renders it with a pinned key
+order and pinned numeric types (the order the pre-snapshot report
+dictionaries used).
 """
 
 import json
@@ -54,21 +53,14 @@ def query_manager(small_schema, small_engine):
 
 
 class TestChunkScheme:
-    def test_shim_is_bit_identical(self, chunk_manager):
-        snapshot = chunk_manager.snapshot()
-        legacy = chunk_manager.describe_cache()
-        assert legacy == snapshot.legacy_dict()
-        assert repr(legacy) == repr(snapshot.legacy_dict())
-        # Insertion order is part of the contract.
-        assert list(legacy) == list(snapshot.legacy_dict())
-
     def test_legacy_key_order_and_types(self, chunk_manager):
-        legacy = chunk_manager.describe_cache()
-        assert list(legacy)[:6] == [
+        rendered = chunk_manager.snapshot().to_json()["cache"]
+        # Insertion order is part of the contract.
+        assert list(rendered) == [
             "used_bytes", "capacity_bytes", "entries", "hit_ratio",
-            "evictions", "per_groupby",
+            "evictions", "per_groupby", "stages", "resolved_by", "faults",
         ]
-        for bucket in legacy["per_groupby"].values():
+        for bucket in rendered["per_groupby"]:
             assert type(bucket["chunks"]) is int
             assert type(bucket["bytes"]) is int
             assert type(bucket["benefit"]) is float
@@ -78,50 +70,45 @@ class TestChunkScheme:
         assert snapshot.kind == "chunk"
         cache = snapshot.cache
         assert isinstance(cache, ChunkCacheSnapshot)
-        legacy = snapshot.legacy_dict()
-        assert cache.used_bytes == legacy["used_bytes"]
-        assert cache.entries == legacy["entries"]
-        assert cache.hit_ratio == legacy["hit_ratio"]
-        assert len(cache.per_groupby) == len(legacy["per_groupby"])
+        rendered = snapshot.to_json()["cache"]
+        assert cache.used_bytes == rendered["used_bytes"]
+        assert cache.entries == rendered["entries"]
+        assert cache.hit_ratio == rendered["hit_ratio"]
+        assert len(cache.per_groupby) == len(rendered["per_groupby"])
         # Stable ordering: descending bytes.
         sizes = [usage.bytes for usage in cache.per_groupby]
         assert sizes == sorted(sizes, reverse=True)
         names = {stage.name for stage in cache.stages}
-        assert names == set(legacy["stages"])
+        assert names == set(rendered["stages"])
+        assert names == set(chunk_manager.metrics.stage_summary())
 
     def test_to_json_is_serializable_and_canonical(self, chunk_manager):
         payload = chunk_manager.snapshot().to_json()
         round_tripped = json.loads(json.dumps(payload, sort_keys=True))
         assert round_tripped["kind"] == "chunk"
-        assert round_tripped["cache"]["entries"] == (
-            chunk_manager.describe_cache()["entries"]
+        assert round_tripped["cache"]["entries"] == len(
+            chunk_manager.cache
         )
 
     def test_fault_stats_match_legacy_faults_entry(self, chunk_manager):
         snapshot = chunk_manager.snapshot()
         faults = snapshot.cache.fault_stats()
-        legacy = chunk_manager.describe_cache()["faults"]
-        assert faults.poisoned_puts == legacy["poisoned_puts"]
-        assert faults.retries == legacy["retries"]
-        assert faults.degraded == legacy["degraded"]
+        rendered = snapshot.to_json()["cache"]["faults"]
+        assert list(rendered) == list(vars(faults))
+        assert faults.poisoned_puts == rendered["poisoned_puts"]
+        assert faults.retries == rendered["retries"]
+        assert faults.degraded == rendered["degraded"]
 
 
 class TestQueryScheme:
-    def test_shim_is_bit_identical(self, query_manager):
-        snapshot = query_manager.snapshot()
-        legacy = query_manager.describe_cache()
-        assert legacy == snapshot.legacy_dict()
-        assert repr(legacy) == repr(snapshot.legacy_dict())
-        assert list(legacy) == list(snapshot.legacy_dict())
-
     def test_typed_tree_shape(self, query_manager):
         snapshot = query_manager.snapshot()
         assert snapshot.kind == "query"
         cache = snapshot.cache
         assert isinstance(cache, QueryCacheSnapshot)
-        legacy = snapshot.legacy_dict()
-        assert cache.redundancy_ratio == legacy["redundancy_ratio"]
-        assert len(cache.per_shape) == len(legacy["per_shape"])
+        rendered = snapshot.to_json()["cache"]
+        assert cache.redundancy_ratio == rendered["redundancy_ratio"]
+        assert len(cache.per_shape) == len(rendered["per_shape"])
         for usage in cache.per_shape:
             assert type(usage.results) is int
             assert type(usage.bytes) is int

@@ -96,5 +96,5 @@ class TestFaultsDisabledBitIdentity:
 
         assert hooked == plain
         assert injector.counters() == {}
-        faults = manager.describe_cache()["faults"]
-        assert all(value == 0 for value in faults.values())
+        faults = manager.snapshot().cache.fault_stats()
+        assert all(value == 0 for value in vars(faults).values())

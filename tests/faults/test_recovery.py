@@ -105,10 +105,10 @@ class TestRetry:
         backend.fault_hook = OneShotFault(transient_fault())
         small_manager.answer(StarQuery.build(small_schema, (1, 1)))
         backend.fault_hook = None
-        faults = small_manager.describe_cache()["faults"]
-        assert faults["faults"] >= 1
-        assert faults["retries"] >= 1
-        assert faults["backoff_seconds"] > 0.0
+        faults = small_manager.snapshot().cache.fault_stats()
+        assert faults.faults >= 1
+        assert faults.retries >= 1
+        assert faults.backoff_seconds > 0.0
 
 
 class TestDegrade:

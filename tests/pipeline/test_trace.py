@@ -112,10 +112,10 @@ class TestStreamAggregation:
     ):
         query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)})
         manager.answer(query)
-        snapshot = manager.describe_cache()
-        assert "stages" in snapshot and "resolved_by" in snapshot
-        assert snapshot["resolved_by"]["backend"] > 0
-        assert snapshot["stages"]["analyze"]["calls"] == 1
+        snapshot = manager.snapshot().cache
+        assert dict(snapshot.resolved_by)["backend"] > 0
+        stages = {stage.name: stage for stage in snapshot.stages}
+        assert stages["analyze"].calls == 1
 
     def test_aggregation_helpers_match_metrics(self, small_schema, manager):
         query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)})

@@ -1,4 +1,4 @@
-"""The async admission front door — tier-1 gate for coalesced serving.
+"""The admission front door — tier-1 gate for coalesced serving.
 
 Pins the front door's three contracts at smoke scale:
 

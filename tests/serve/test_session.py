@@ -138,11 +138,10 @@ class TestFreeSchedule:
         ServeSession(
             manager, streams, schedule=FREE, timeout_seconds=120.0
         ).run()
-        described = manager.describe_cache()
-        shards = described["shards"]
-        assert shards["num_shards"] == 4
-        assert len(shards["per_shard"]) == 4
-        assert shards["lock_acquisitions"] > 0
+        shards = manager.snapshot().cache.contention
+        assert shards.num_shards == 4
+        assert len(shards.per_shard) == 4
+        assert shards.lock_acquisitions > 0
 
     def test_checkpoint_callback_fires(self, system, streams):
         seen = []

@@ -134,16 +134,43 @@ class TestGuardedState:
         )
         assert _r009(source, path="src/repro/core/mod.py") == []
 
-    def test_registered_coordinator_state_passes(self):
-        source = (
+    @staticmethod
+    def _serve_session(attrs):
+        """A ``ServeSession`` whose ``run()`` rebinds ``attrs`` unlocked."""
+        return (
             "import threading\n"
             "class ServeSession:\n"
             "    def __init__(self):\n"
             "        self._lock = threading.Lock()\n"
             "    def run(self):\n"
-            "        self._next_seq = 0\n"
+        ) + "".join(f"        self.{attr} = 0\n" for attr in attrs)
+
+    REGISTERED = tuple(
+        waiver.attr
+        for waiver in r009_lockorder.COORDINATOR_STATE
+        if waiver.cls == "ServeSession"
+    )
+
+    def test_registered_coordinator_state_passes(self):
+        assert _r009(self._serve_session(self.REGISTERED)) == []
+
+    def test_stale_waiver_fires(self):
+        # The class is in the analysed tree but one registered attribute
+        # is no longer written unlocked: its waiver argues about nothing.
+        gone, *kept = self.REGISTERED
+        violations = _r009(self._serve_session(kept))
+        assert _codes(violations) == ["R009"]
+        assert "stale waiver" in violations[0].message
+        assert f"ServeSession.{gone}" in violations[0].message
+
+    def test_waiver_is_stale_once_every_write_holds_the_lock(self):
+        gone, *kept = self.REGISTERED
+        source = self._serve_session(kept) + (
+            "        with self._lock:\n"
+            f"            self.{gone} = 0\n"
         )
-        assert _r009(source) == []
+        messages = [v.message for v in _r009(source)]
+        assert len(messages) == 1 and "stale waiver" in messages[0]
 
     def test_inline_waiver_with_reason_passes(self):
         source = self.LOCKED_CLASS + (

@@ -26,7 +26,11 @@ Three checks, all over the statically derived **lock-order graph**:
    by the single coordinator thread between parallel sections.  Such
    attributes are declared in the typed :data:`COORDINATOR_STATE`
    registry below (each entry carries its reasoning), or waived inline
-   with a reasoned ``# reprolint: ignore[R009]``.
+   with a reasoned ``# reprolint: ignore[R009]``.  A registry entry
+   that no longer waives anything — its class is in the analysed tree
+   but the attribute is gone, or every remaining write holds the lock —
+   is a **stale waiver** and fails too, so the registry cannot outlive
+   the code it argues about.
 
 The derived graph is pinned as a golden artifact
 (``tests/tools/lockorder.txt``) and cross-checked at runtime: the soak
@@ -59,8 +63,6 @@ LOCK_LEVELS: Mapping[tuple[str, str], str] = {
     ("ShardedChunkCache", "_accounting_lock"): "accounting",
     ("BackendEngine", "_lock"): "engine",
     ("ServeSession", "_cond"): "turnstile",
-    ("FrontSession", "_wcond"): "window",
-    ("FrontSession", "_acond"): "admission",
     ("FaultInjector", "_lock"): "faults",
     ("ChunkAdmitter", "_registry_lock"): "admitter",
     ("ChunkWorkEstimator", "_lock"): "estimator",
@@ -142,7 +144,12 @@ class StateWaiver:
 COORDINATOR_STATE: tuple[StateWaiver, ...] = (
     StateWaiver(
         "ServeSession",
-        "_next_seq",
+        "_turns",
+        "rebound by run() before worker threads start; read-only afterwards",
+    ),
+    StateWaiver(
+        "ServeSession",
+        "_next_turn",
         "reset by run() before worker threads start; turnstile-ordered after",
     ),
     StateWaiver(
@@ -167,103 +174,19 @@ COORDINATOR_STATE: tuple[StateWaiver, ...] = (
     ),
     StateWaiver(
         "FrontSession",
-        "_sim_seconds",
-        "per-worker slot indexed by worker_index; window turnstile "
-        "serializes all access to one slot",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_per_stream",
-        "per-stream metrics written under the admission-order turnstile; "
-        "one stream is never in flight twice",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_turn",
-        "asyncio tick-protocol state: mutated only inside coroutines on "
-        "the event-loop thread; window worker threads never touch it",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_phase",
-        "asyncio tick-protocol state: event-loop-thread-confined, "
-        "coroutine interleaving is serialized by _acond",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_seq",
-        "asyncio tick-protocol state: stamped only by the producer whose "
-        "turn it is, on the event-loop thread",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_backlog",
-        "asyncio tick-protocol state: appended/drained only on the "
-        "event-loop thread under the _acond phase protocol",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_active",
-        "asyncio tick-protocol state: event-loop-thread-confined",
+        "_windows",
+        "rebound by _tickets(), which run() calls before worker threads "
+        "start; workers only read it, each key under its own turn",
     ),
     StateWaiver(
         "FrontSession",
         "_shed",
-        "rebound by run() before the event loop starts; appended only "
-        "by producer coroutines on the event-loop thread",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_windows",
-        "rebound by run() before the event loop starts; appended only "
-        "by the dispatcher coroutine on the event-loop thread",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_merged",
-        "rebound by run() before the event loop starts; worker appends "
-        "go through _execute_one under _wcond",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_failures",
-        "rebound by run() before the event loop starts; worker appends "
-        "are under _wcond",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_failure",
-        "reset by run() before the event loop starts; concurrent writes "
-        "go through _abort under _wcond",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_completed",
-        "reset by run() before the event loop starts; worker increments "
-        "are under _wcond, dispatcher reads happen after "
-        "run_in_executor has joined the window workers",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_checkpoints",
-        "dispatcher-coroutine only: _maybe_checkpoint runs after "
-        "run_in_executor has joined the window workers",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_last_boundary",
-        "dispatcher-coroutine only: _maybe_checkpoint runs after "
-        "run_in_executor has joined the window workers",
-    ),
-    StateWaiver(
-        "FrontSession",
-        "_deadline",
-        "written once by run() before any thread starts; read-only "
-        "afterwards",
+        "rebound by _tickets(), which run() calls before worker threads "
+        "start; never touched by a worker",
     ),
 )
 
-_WAIVED_STATE = {(w.cls, w.attr): w.reason for w in COORDINATOR_STATE}
+_WAIVED_STATE = frozenset((w.cls, w.attr) for w in COORDINATOR_STATE)
 
 
 @dataclass(frozen=True)
@@ -606,6 +529,7 @@ def _check_guarded_state(repro: Project, deriver: _Deriver) -> Iterator[Violatio
                 for _cand_path, cand in symbols.classes.get(name, []):
                     if cand.lock_attrs:
                         locked_classes.add(cls.name)
+    used: set[tuple[str, str]] = set()
     for ref in sorted(symbols.functions):
         func = symbols.functions[ref]
         if func.cls is None or func.cls not in locked_classes:
@@ -626,13 +550,16 @@ def _check_guarded_state(repro: Project, deriver: _Deriver) -> Iterator[Violatio
                 continue
             if deriver.held_levels(write.held, func, ref.path):
                 continue
-            waived = _WAIVED_STATE.get((func.cls, write.attr))
-            if waived is None:
-                for base in _base_classes(symbols, func.cls):
-                    waived = _WAIVED_STATE.get((base, write.attr))
-                    if waived is not None:
-                        break
-            if waived is not None:
+            waiver = next(
+                (
+                    (base, write.attr)
+                    for base in _base_classes(symbols, func.cls)
+                    if (base, write.attr) in _WAIVED_STATE
+                ),
+                None,
+            )
+            if waiver is not None:
+                used.add(waiver)
                 continue
             yield Violation(
                 path=ref.path,
@@ -645,6 +572,25 @@ def _check_guarded_state(repro: Project, deriver: _Deriver) -> Iterator[Violatio
                     f"any lock-held region; hold the class lock, register "
                     f"the attribute in COORDINATOR_STATE with a "
                     f"happens-before argument, or waive with a reason"
+                ),
+            )
+
+    for waiver in COORDINATOR_STATE:
+        if (waiver.cls, waiver.attr) in used:
+            continue
+        for path, cls in symbols.classes.get(waiver.cls, []):
+            if cls.name not in locked_classes:
+                continue
+            yield Violation(
+                path=path,
+                line=cls.line,
+                col=0,
+                code=CODE,
+                message=(
+                    f"stale waiver: COORDINATOR_STATE registers "
+                    f"{waiver.cls}.{waiver.attr} but no unlocked write to "
+                    f"it remains in the analysed tree; delete the entry "
+                    f"(tools/reprolint/rules/r009_lockorder.py)"
                 ),
             )
 
