@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: lint lint-cold test coverage smoke
+.PHONY: lint lint-cold test coverage smoke bench-pairs
 
 # Static-analysis gate (see docs/STATIC_ANALYSIS.md).  Warm runs reuse
 # the content-hash fact cache (.reprolint_cache.json); mypy is optional
@@ -30,3 +30,13 @@ coverage:
 
 smoke:
 	PYTHONPATH=src $(PYTHON) -m repro run --smoke
+
+# Interleaved benchmark pairs, BASE revision against the working tree
+# (the procedure every performance claim needs; see tools/benchpairs.py):
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=miss_heavy N=10 [SEED=1998]
+# Without WORKLOAD every workload of BENCHMARK.json runs.
+N ?= 10
+SEED ?= 1998
+bench-pairs:
+	$(PYTHON) -m tools.benchpairs --base $(BASE) --pairs $(N) --seed $(SEED) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))

@@ -44,7 +44,7 @@ from repro.backend.aggregate import (
     partials_format_aggregates,
 )
 from repro.backend.plans import CostReport, measure_cost
-from repro.chunks.closure import source_spans
+from repro.chunks.closure import source_spans_many
 from repro.chunks.grid import ChunkSpace
 from repro.exceptions import BackendError, InjectedFault, QueryError
 from repro.lockorder import witness
@@ -426,17 +426,26 @@ class BackendEngine:
                     rows,
                     tuple(d.name for d in self.schema.dimensions),
                 )
-                wanted = set(numbers)
-                for number in numbers:
-                    results[number] = rows[row_numbers == number]
-                # Rows landing in un-requested chunks can only arise from a
-                # caller bug (source chunks exactly tile the targets).
-                stray = set(np.unique(row_numbers).tolist()) - wanted
-                if stray:
+                # One stable sort groups the rows by chunk and keeps the
+                # row order inside each chunk; every chunk gets an array of
+                # its own (a view would pin the whole batch in the cache).
+                order = np.argsort(row_numbers, kind="stable")
+                sorted_numbers = row_numbers[order]
+                wanted = np.asarray(numbers, dtype=np.int64)
+                los = np.searchsorted(sorted_numbers, wanted, side="left")
+                his = np.searchsorted(sorted_numbers, wanted, side="right")
+                for number, lo, hi in zip(numbers, los.tolist(), his.tolist()):
+                    results[number] = rows[order[lo:hi]]
+                result_tuples = sum(len(r) for r in results.values())
+                if result_tuples != len(rows):
+                    # Rows landing in un-requested chunks can only arise
+                    # from a caller bug (source chunks exactly tile the
+                    # targets).
+                    stray = set(sorted_numbers.tolist()) - set(numbers)
                     raise BackendError(
                         f"aggregated rows fell into unrequested chunks {stray}"
                     )
-                report.result_tuples += sum(len(r) for r in results.values())
+                report.result_tuples += result_tuples
         except InjectedFault as fault:
             # measure_cost.__exit__ already ran, so ``report`` holds the
             # I/O of the failed attempt.  Attach it once (the innermost
@@ -458,10 +467,9 @@ class BackendEngine:
         """Deduplicated, sorted source-chunk numbers covering all targets."""
         source_grid = self.space.grid(source_groupby)
         seen: set[int] = set()
-        for number in numbers:
-            spans = source_spans(
-                self.space, groupby, number, source_groupby
-            )
+        for spans in source_spans_many(
+            self.space, groupby, numbers, source_groupby
+        ):
             seen.update(self._enumerate_spans(source_grid.strides, spans))
         return sorted(seen)
 

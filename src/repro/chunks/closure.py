@@ -9,9 +9,9 @@ missing chunk: aggregate precisely the base-table chunks in that block
 4, 5, 6, 7 of ``(Product, Time)``).
 
 :func:`source_spans` returns the per-dimension chunk-index spans of the
-block, and :func:`source_chunk_numbers` enumerates the source chunk numbers
-— the inverse-``getChNum`` / re-``ComputeChunkNums`` pipeline of
-Section 5.2.3.
+block (:func:`source_spans_many` for a batch of chunks), and
+:func:`source_chunk_numbers` enumerates the source chunk numbers — the
+inverse-``getChNum`` / re-``ComputeChunkNums`` pipeline of Section 5.2.3.
 """
 
 from __future__ import annotations
@@ -23,7 +23,50 @@ from repro.chunks.grid import ChunkGrid, ChunkSpace
 from repro.exceptions import ChunkingError
 from repro.schema.star import GroupBy
 
-__all__ = ["source_spans", "source_chunk_numbers", "source_chunk_count"]
+__all__ = [
+    "source_spans",
+    "source_spans_many",
+    "source_chunk_numbers",
+    "source_chunk_count",
+]
+
+
+def _resolve(
+    space: ChunkSpace,
+    target_groupby: Sequence[int],
+    source_groupby: Sequence[int] | None,
+) -> tuple[GroupBy, GroupBy]:
+    """Validated ``(target, source)`` group-bys; source defaults to base."""
+    schema = space.schema
+    target = schema.validate_groupby(target_groupby)
+    if source_groupby is None:
+        source: GroupBy = schema.base_groupby
+    else:
+        source = schema.validate_groupby(source_groupby)
+    if not schema.is_rollup_of(target, source):
+        raise ChunkingError(
+            f"group-by {target} cannot be computed from {source}: the "
+            "source must be at least as fine on every dimension"
+        )
+    return target, source
+
+
+def _spans(
+    space: ChunkSpace, target: GroupBy, source: GroupBy, coords: Sequence[int]
+) -> list[tuple[int, int]]:
+    spans: list[tuple[int, int]] = []
+    for chunking, t_level, s_level, coord in zip(
+        space.chunkings, target, source, coords
+    ):
+        if s_level == 0:
+            # Source dimension is also aggregated away: single slot.
+            spans.append((0, 1))
+        elif t_level == 0:
+            # Target aggregates the dimension away: need all source chunks.
+            spans.append((0, chunking.num_chunks(s_level)))
+        else:
+            spans.append(chunking.descend_span(t_level, coord, s_level))
+    return spans
 
 
 def source_spans(
@@ -46,32 +89,28 @@ def source_spans(
         For each dimension, the half-open span of chunk indices in the
         source grid whose union covers the target chunk.
     """
-    schema = space.schema
-    target = schema.validate_groupby(target_groupby)
-    if source_groupby is None:
-        source: GroupBy = schema.base_groupby
-    else:
-        source = schema.validate_groupby(source_groupby)
-    if not schema.is_rollup_of(target, source):
-        raise ChunkingError(
-            f"group-by {target} cannot be computed from {source}: the "
-            "source must be at least as fine on every dimension"
-        )
+    target, source = _resolve(space, target_groupby, source_groupby)
+    coords = space.grid(target).coords_of(chunk_number)
+    return _spans(space, target, source, coords)
+
+
+def source_spans_many(
+    space: ChunkSpace,
+    target_groupby: Sequence[int],
+    chunk_numbers: Sequence[int],
+    source_groupby: Sequence[int] | None = None,
+) -> list[list[tuple[int, int]]]:
+    """:func:`source_spans` of several chunks of one group-by.
+
+    The group-bys are validated once for the whole batch, not once per
+    chunk — the form the backend's miss path uses.
+    """
+    target, source = _resolve(space, target_groupby, source_groupby)
     target_grid = space.grid(target)
-    coords = target_grid.coords_of(chunk_number)
-    spans: list[tuple[int, int]] = []
-    for chunking, t_level, s_level, coord in zip(
-        space.chunkings, target, source, coords
-    ):
-        if s_level == 0:
-            # Source dimension is also aggregated away: single slot.
-            spans.append((0, 1))
-        elif t_level == 0:
-            # Target aggregates the dimension away: need all source chunks.
-            spans.append((0, chunking.num_chunks(s_level)))
-        else:
-            spans.append(chunking.descend_span(t_level, coord, s_level))
-    return spans
+    return [
+        _spans(space, target, source, target_grid.coords_of(number))
+        for number in chunk_numbers
+    ]
 
 
 def source_chunk_numbers(

@@ -241,9 +241,12 @@ class ChunkSpace:
     # ------------------------------------------------------------------
     def grid(self, groupby: Sequence[int]) -> ChunkGrid:
         """The (memoized) chunk grid of a group-by."""
-        groupby = self.schema.validate_groupby(groupby)
+        groupby = tuple(groupby)
         grid = self._grids.get(groupby)
         if grid is None:
+            # Only validated group-bys enter the memo, so a hit needs no
+            # second validation.
+            groupby = self.schema.validate_groupby(groupby)
             grid = ChunkGrid(self.chunkings, groupby)
             self._grids[groupby] = grid
         return grid

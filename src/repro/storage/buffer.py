@@ -14,6 +14,7 @@ uses for its cache replacement experiments (Section 5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.exceptions import BufferPoolError
 from repro.storage.disk import SimulatedDisk
@@ -95,6 +96,20 @@ class BufferPool:
         data = self.disk.read_page(page_id)
         self._admit(page_id, data)
         return data
+
+    def request_pages(self, page_ids: Iterable[int]) -> None:
+        """Charge a run of page requests whose data the caller holds.
+
+        :meth:`get_page` once per page, in order, so counters, reference
+        bits, CLOCK hand, evictions and ``disk.read_page`` (with its
+        fault hook) behave exactly as for single requests: a read fault
+        on the k-th page leaves the first k-1 fully accounted and the
+        k-th counted as a miss that served nothing.  The record files
+        keep a decoded image of their pages and call this once per
+        contiguous run — they need the accounting, not the bytes.
+        """
+        for page_id in page_ids:
+            self.get_page(page_id)
 
     def put_page(self, page_id: int, data: bytes) -> None:
         """Write a page through the pool (write-through).

@@ -141,23 +141,34 @@ class ChunkedFile:
                 f"array dtype {records.dtype} does not match file format "
                 f"{self.record_format.dtype}"
             )
+        sorted_records, items = self._cluster(records)
+        self.fact_file.bulk_load(sorted_records)
+        self.chunk_index.bulk_load(items)
+        self._extents = dict(items)
+        self._loaded = True
+
+    def _cluster(
+        self, records: np.ndarray
+    ) -> tuple[np.ndarray, list[tuple[int, tuple[int, int]]]]:
+        """``records`` in chunk order, and one ``(number, (start, count))``
+        chunk-index entry per non-empty chunk.
+
+        A function of its own so that its per-record integer arrays
+        (three, together the size of the table) are freed before the
+        fact file builds its pages and image: the peak of a load is
+        what the process's resident size stays at afterwards.
+        """
         numbers = tuple_chunk_numbers(
             self.grid, records, self.dimension_fields
         )
         order = np.argsort(numbers, kind="stable")
-        sorted_records = records[order]
-        sorted_numbers = numbers[order]
-        self.fact_file.bulk_load(sorted_records)
-        # One chunk-index entry per non-empty chunk: (start, count).
-        present, starts = np.unique(sorted_numbers, return_index=True)
-        counts = np.diff(np.append(starts, len(sorted_numbers)))
+        present, starts = np.unique(numbers[order], return_index=True)
+        counts = np.diff(np.append(starts, len(records)))
         items = [
             (int(number), (int(start), int(count)))
             for number, start, count in zip(present, starts, counts)
         ]
-        self.chunk_index.bulk_load(items)
-        self._extents = dict(items)
-        self._loaded = True
+        return records[order], items
 
     @property
     def num_records(self) -> int:
@@ -210,7 +221,8 @@ class ChunkedFile:
         enumeration in this library produces).  The chunk index is probed
         with one batched traversal and extents that are adjacent in the
         file are merged into single range reads, so boundary pages shared
-        by adjacent chunks are read once.
+        by adjacent chunks are read once.  Each run is one view of the
+        fact file's image; the result is read-only.
         """
         self._require_loaded()
         if not len(numbers):
@@ -229,7 +241,11 @@ class ChunkedFile:
         parts = [
             self.fact_file.read_range(start, count) for start, count in runs
         ]
-        return np.concatenate(parts) if parts else self.record_format.empty()
+        if len(parts) == 1:
+            return parts[0]
+        records = self.record_format.concatenate(parts)
+        records.flags.writeable = False
+        return records
 
     def pages_for_chunk(self, number: int) -> int:
         """Data pages one chunk spans (0 for an empty chunk)."""

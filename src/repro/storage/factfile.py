@@ -34,33 +34,30 @@ class FactFile(HeapFile):
     def read_range(self, start: int, count: int) -> np.ndarray:
         """Read ``count`` records starting at global position ``start``.
 
-        Touches exactly ``ceil`` the spanned pages: for a range lying in
-        ``p`` pages, ``p`` physical page reads (fewer with a warm buffer
-        pool).
+        Requests exactly the spanned pages, in file order: for a range
+        lying in ``p`` pages, ``p`` page requests (fewer physical reads
+        with a warm buffer pool).  The result is a read-only view of the
+        file's image.
         """
+        self._require_dense()
         if count < 0:
             raise FileFormatError(f"negative record count {count}")
         if count == 0:
             return self.record_format.empty()
-        if not 0 <= start or start + count > self._num_records:
+        if not 0 <= start or start + count > len(self._image):
             raise FileFormatError(
                 f"range [{start}, {start + count}) out of file bounds "
-                f"[0, {self._num_records})"
+                f"[0, {len(self._image)})"
             )
         capacity = self.codec.capacity
         first_page = start // capacity
         last_page = (start + count - 1) // capacity
-        parts: list[np.ndarray] = []
-        for page_index in range(first_page, last_page + 1):
-            records = self.read_file_page(page_index)
-            page_start = page_index * capacity
-            lo = max(start - page_start, 0)
-            hi = min(start + count - page_start, len(records))
-            parts.append(records[lo:hi])
-        return np.concatenate(parts)
+        self._charge(self._page_ids[first_page:last_page + 1])
+        return self._image[start:start + count]
 
     def pages_for_range(self, start: int, count: int) -> int:
         """Pages a positional range read would touch, without reading."""
+        self._require_dense()
         if count <= 0:
             return 0
         capacity = self.codec.capacity

@@ -105,6 +105,25 @@ class RecordFormat:
         # Copy so the result does not alias the (immutable) page buffer.
         return array.copy()
 
+    def concatenate(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """Join arrays of this format end to end, as opaque records.
+
+        ``np.concatenate`` on structured arrays re-derives the common
+        dtype once per part in Python and copies field by field; parts
+        that already share this format are fixed-width byte strings to
+        one another, which copy an order of magnitude faster.
+        """
+        for part in parts:
+            if part.dtype != self.dtype:
+                raise FileFormatError(
+                    f"array dtype {part.dtype} does not match format "
+                    f"{self.dtype}"
+                )
+        raw = np.dtype((np.void, self.record_size))
+        return np.concatenate([part.view(raw) for part in parts]).view(
+            self.dtype
+        )
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RecordFormat) and self.fields == other.fields
 

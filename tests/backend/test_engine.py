@@ -135,6 +135,42 @@ class TestComputeChunks:
                     continue
                 assert np.all((rows[name] >= rng.lo) & (rows[name] < rng.hi))
 
+    def test_batch_split_equals_one_chunk_at_a_time(self, small_schema):
+        """Any request order, empty chunks included: each chunk's rows,
+        in their order, are what computing that chunk alone returns."""
+        space = ChunkSpace(small_schema, 0.25)
+        engine = BackendEngine.build(
+            small_schema, space,
+            generate_fact_table(small_schema, 25, seed=3),
+            page_size=1024,
+        )
+        groupby = (2, 2)
+        aggregates = [("v", "sum"), ("v", "count")]
+        numbers = list(range(space.grid(groupby).num_chunks))
+        numbers = numbers[1::2][::-1] + numbers[0::2]
+        batch, report = engine.compute_chunks(groupby, numbers, aggregates)
+        assert list(batch) == numbers
+        assert any(len(rows) == 0 for rows in batch.values())
+        assert report.result_tuples == sum(len(r) for r in batch.values())
+        for number in numbers:
+            alone, _ = engine.compute_chunks(groupby, [number], aggregates)
+            assert batch[number].dtype == alone[number].dtype
+            assert np.array_equal(batch[number], alone[number])
+            assert batch[number].base is None  # not a view of the batch
+
+    def test_rows_outside_requested_chunks_rejected(
+        self, fresh_small_engine, monkeypatch
+    ):
+        """Source chunks that do not tile the targets are a caller bug."""
+        union = fresh_small_engine._union_source_chunks
+        monkeypatch.setattr(
+            fresh_small_engine,
+            "_union_source_chunks",
+            lambda groupby, numbers, source: union(groupby, [0, 1], source),
+        )
+        with pytest.raises(BackendError, match=r"unrequested chunks \{1\}"):
+            fresh_small_engine.compute_chunks((1, 1), [0], [("v", "sum")])
+
     def test_shared_base_chunks_read_once(self, small_schema, fresh_small_engine):
         """Two sibling chunks sharing base chunks cost less than twice one."""
         groupby = (1, 0)

@@ -7,6 +7,7 @@ from repro.chunks.closure import (
     source_chunk_count,
     source_chunk_numbers,
     source_spans,
+    source_spans_many,
 )
 from repro.chunks.grid import ChunkSpace
 from repro.exceptions import ChunkingError
@@ -72,6 +73,17 @@ class TestSourceSpans:
     def test_coarser_source_rejected(self, space):
         with pytest.raises(ChunkingError):
             source_spans(space, (2, 2), 0, (1, 1))
+
+    def test_many_is_one_span_list_per_chunk(self, space):
+        numbers = [3, 0, 3, 1]
+        for source in (None, (2, 1)):
+            assert source_spans_many(space, (1, 1), numbers, source) == [
+                source_spans(space, (1, 1), number, source)
+                for number in numbers
+            ]
+        assert source_spans_many(space, (1, 1), []) == []
+        with pytest.raises(ChunkingError):
+            source_spans_many(space, (2, 2), [0], (1, 1))
 
     def test_partition_of_base_chunks(self, space):
         """Distinct target chunks use disjoint base chunks, covering all."""

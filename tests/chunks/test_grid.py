@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chunks.grid import ChunkGrid, ChunkSpace
 from repro.chunks.ranges import DimensionChunking
-from repro.exceptions import ChunkingError
+from repro.exceptions import ChunkingError, SchemaError
 from repro.schema.builder import build_star_schema
 
 
@@ -110,6 +110,22 @@ class TestComputeChunkNums:
 class TestChunkSpace:
     def test_grid_memoized(self, space):
         assert space.grid((1, 1)) is space.grid((1, 1))
+        assert space.grid([1, 1]) is space.grid((1, 1))
+
+    def test_memo_hit_skips_validation(self, space, monkeypatch):
+        grid = space.grid((1, 1))
+        calls = []
+        validate = space.schema.validate_groupby
+        monkeypatch.setattr(
+            type(space.schema),
+            "validate_groupby",
+            lambda self, groupby: calls.append(groupby) or validate(groupby),
+        )
+        assert space.grid((1, 1)) is grid
+        assert calls == []
+        with pytest.raises(SchemaError):
+            space.grid((1, 99))
+        assert calls == [(1, 99)]
 
     def test_base_grid(self, space):
         assert space.base_grid.groupby == space.schema.base_groupby

@@ -78,6 +78,19 @@ class TestBufferPool:
         pool.get_page(0)
         assert pool.stats.hit_ratio == pytest.approx(2 / 3)
 
+    def test_request_pages_is_get_page_in_order(self, disk):
+        pages = [0, 1, 2, 0, 3, 4, 1, 1, 5]
+        batched = BufferPool(disk, capacity_pages=3)
+        batched.request_pages(pages)
+        reads = disk.stats.reads
+        single = BufferPool(disk, capacity_pages=3)
+        for page_id in pages:
+            single.get_page(page_id)
+        assert disk.stats.reads == 2 * reads
+        assert batched.stats == single.stats
+        assert batched._index == single._index
+        assert batched._hand == single._hand
+
     def test_zero_capacity_rejected(self, disk):
         with pytest.raises(BufferPoolError):
             BufferPool(disk, capacity_pages=0)

@@ -70,6 +70,19 @@ class TestRecordFormat:
         back = fmt.unpack(fmt.pack(array))
         back["a"][0] = 99  # must not raise
 
+    def test_concatenate_matches_numpy(self, fmt):
+        array = fmt.from_tuples([(i, -i, i * 0.5) for i in range(20)])
+        parts = [array[12:], array[:0], array[3:7], array[::2]]
+        joined = fmt.concatenate(parts)
+        assert joined.dtype == fmt.dtype
+        assert np.array_equal(joined, np.concatenate(parts))
+        assert not np.shares_memory(joined, array)
+
+    def test_concatenate_wrong_dtype_rejected(self, fmt):
+        wrong = np.zeros(2, dtype=[("a", "i4"), ("b", "i4"), ("x", "i8")])
+        with pytest.raises(FileFormatError):
+            fmt.concatenate([fmt.empty(2), wrong])
+
     def test_equality_and_hash(self, fmt):
         same = RecordFormat([("a", "i4"), ("b", "i4"), ("x", "f8")])
         other = RecordFormat([("a", "i8")])
