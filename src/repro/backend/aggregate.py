@@ -6,11 +6,16 @@ The backend computes chunks and full query results by aggregating base
 - :class:`LevelMapper` — cached numpy lookup tables mapping ordinals
   between hierarchy levels of each dimension (leaf -> level for base
   tuples, level -> level for re-aggregation);
-- :func:`aggregate_records` — hash aggregation of base tuples to any
+- :func:`aggregate_records` — aggregation of base tuples to any
   group-by, with an optional post-mapping ordinal filter;
 - :func:`reaggregate` — combine already-aggregated rows to a coarser
   group-by (the paper's future-work extension of aggregating chunks in
   the middle tier, Section 7).
+
+Both group through one kernel (:func:`_group`): a group is a cell of the
+target group-by, addressed by its row-major number, and the distinct
+cells are found without sorting while they are dense (DESIGN.md
+section 2.2).
 
 Aggregates supported: ``sum``, ``count``, ``min``, ``max``, ``avg``.
 ``avg`` over base tuples is computed as sum/count; re-aggregating an
@@ -20,6 +25,7 @@ real systems decompose averages.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +51,11 @@ PARTIAL_AGGREGATES = ("sum", "count", "min", "max")
 
 #: Aggregates whose partial results can be merged by re-applying them.
 _SELF_DECOMPOSABLE = {"sum", "min", "max"}
+
+#: Group keys are addressed as dense cells (no sort) while their observed
+#: span is at most this many times their count; beyond it they are
+#: sorted.  Fixed by the measurement in DESIGN.md section 2.2.
+DENSE_SPAN_MULTIPLE = 8
 
 
 class LevelMapper:
@@ -100,6 +111,108 @@ class LevelMapper:
         return table
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending distinct ``keys`` and each key's rank among them.
+
+    Equal, value for value, to ``np.unique(keys, return_inverse=True)``
+    on a non-empty int64 array.  A key is a cell number, so while the
+    observed span is within :data:`DENSE_SPAN_MULTIPLE` times the key
+    count the cells are addressed directly — O(n + span), no sort.
+    ``keys`` is scratch: the dense side rebases it in place.
+    """
+    low = int(keys.min())
+    span = int(keys.max()) - low + 1
+    if span > DENSE_SPAN_MULTIPLE * len(keys):
+        return np.unique(keys, return_inverse=True)
+    keys -= low
+    present = np.zeros(span, dtype=bool)
+    present[keys] = True
+    distinct = np.flatnonzero(present)
+    # Rank table: only the cells that hold a key are ever written or read.
+    ranks = np.empty(span, dtype=np.intp)
+    ranks[distinct] = np.arange(len(distinct), dtype=np.intp)
+    inverse = ranks.take(keys)
+    distinct += low
+    return distinct, inverse
+
+
+def _group(
+    schema: StarSchema,
+    rows: np.ndarray,
+    from_groupby: GroupBy,
+    to_groupby: GroupBy,
+    out_format: RecordFormat,
+    mapper: LevelMapper,
+    selection: Sequence[Interval] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group ``rows`` (ordinals at ``from_groupby``) by ``to_groupby``.
+
+    The one grouping kernel behind :func:`aggregate_records` and
+    :func:`reaggregate`.  A group's key is its row-major cell number
+    over the retained dimensions; each dimension contributes through one
+    lookup table (``from`` ordinal -> ``to`` ordinal times the
+    dimension's stride), so a key column costs one index cast, one
+    gather and one add.  ``selection`` filters at the target level
+    through the same tables.
+
+    Returns:
+        ``(rows, result, inverse)``: the rows that survive ``selection``;
+        a zeroed ``out_format`` array with one row per group, ascending
+        by key, whose dimension columns hold the decoded group ordinals;
+        and the ``result`` row each surviving row belongs to.
+    """
+    retained = [
+        (pos, dim, f_level, t_level, dim.cardinality(t_level))
+        for pos, (dim, f_level, t_level) in enumerate(
+            zip(schema.dimensions, from_groupby, to_groupby)
+        )
+        if t_level > 0
+    ]
+    # Python ints: the check below must not wrap the way int64 keys would.
+    key_space = math.prod(radix for *_, radix in retained)
+    if key_space - 1 > np.iinfo(np.int64).max:
+        raise BackendError(
+            f"group-by {tuple(to_groupby)} has {key_space} cells; group "
+            "keys would overflow int64"
+        )
+
+    keys: np.ndarray | None = None
+    mask: np.ndarray | None = None
+    stride = key_space
+    for pos, dim, f_level, t_level, radix in retained:
+        stride //= radix
+        table = mapper.table(pos, f_level, t_level)
+        index = rows[dim.name].astype(np.intp)
+        contribution = (table * stride).take(index)
+        if keys is None:
+            keys = contribution
+        else:
+            keys += contribution
+        if selection is not None and selection[pos] is not None:
+            lo, hi = selection[pos]  # type: ignore[misc]
+            inside = ((table >= lo) & (table < hi)).take(index)
+            if mask is None:
+                mask = inside
+            else:
+                mask &= inside
+    if mask is not None and keys is not None and not mask.all():
+        rows, keys = rows[mask], keys[mask]
+
+    if len(rows) == 0:
+        return rows, out_format.empty(), np.zeros(0, dtype=np.intp)
+    if keys is None:
+        # Every dimension aggregated away: one group.
+        return rows, out_format.empty(1), np.zeros(len(rows), dtype=np.intp)
+    distinct, inverse = _distinct(keys)
+    result = out_format.empty(len(distinct))
+    # Decode group keys back into per-dimension ordinal columns.
+    remaining = distinct
+    for _, dim, _, _, radix in reversed(retained):
+        remaining, column = np.divmod(remaining, radix)
+        result[dim.name] = column
+    return rows, result, inverse
+
+
 def aggregate_records(
     schema: StarSchema,
     records: np.ndarray,
@@ -147,8 +260,8 @@ def aggregate_records(
     out_format = groupby_record_format(schema, groupby, aggregates)
 
     # Pre-aggregation leaf filters (fold in before anything else).
-    if leaf_filters is not None and any(f is not None for f in leaf_filters):
-        pre_mask = np.ones(len(records), dtype=bool)
+    if leaf_filters is not None:
+        pre_mask: np.ndarray | None = None
         for dim, r_level, leaf_filter in zip(
             schema.dimensions, record_groupby, leaf_filters
         ):
@@ -160,65 +273,21 @@ def aggregate_records(
                     f"records, got level {r_level}"
                 )
             column = records[dim.name]
-            pre_mask &= (column >= leaf_filter[0]) & (
-                column < leaf_filter[1]
-            )
-        if not pre_mask.all():
+            inside = (column >= leaf_filter[0]) & (column < leaf_filter[1])
+            if pre_mask is None:
+                pre_mask = inside
+            else:
+                pre_mask &= inside
+        if pre_mask is not None and not pre_mask.all():
             records = records[pre_mask]
 
-    # Map each retained dimension's ordinals to the target level and apply
-    # the optional target-level filters.
-    mapped: list[np.ndarray] = []
-    radices: list[int] = []
-    names: list[str] = []
-    mask = np.ones(len(records), dtype=bool)
-    for pos, (dim, t_level, r_level) in enumerate(
-        zip(schema.dimensions, groupby, record_groupby)
-    ):
-        if t_level == 0:
-            continue
-        source = records[dim.name].astype(np.int64, copy=False)
-        if t_level == r_level:
-            ordinals = source
-        else:
-            ordinals = mapper.table(pos, r_level, t_level)[source]
-        if selection is not None and selection[pos] is not None:
-            lo, hi = selection[pos]  # type: ignore[misc]
-            mask &= (ordinals >= lo) & (ordinals < hi)
-        mapped.append(ordinals)
-        radices.append(dim.cardinality(t_level))
-        names.append(dim.name)
-
-    if selection is not None and not mask.all():
-        records = records[mask]
-        mapped = [m[mask] for m in mapped]
-
-    if len(records) == 0:
-        return out_format.empty()
-
-    # Combined mixed-radix group key, then one hash-group pass.
-    if mapped:
-        keys = np.zeros(len(records), dtype=np.int64)
-        for ordinals, radix in zip(mapped, radices):
-            keys = keys * radix + ordinals
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-    else:
-        unique_keys = np.zeros(1, dtype=np.int64)
-        inverse = np.zeros(len(records), dtype=np.int64)
-    num_groups = len(unique_keys)
-
-    result = out_format.empty(num_groups)
-    # Decode group keys back into per-dimension ordinal columns.
-    remaining = unique_keys.copy()
-    for name, radix in zip(reversed(names), reversed(radices)):
-        remaining, column = np.divmod(remaining, radix)
-        result[name] = column
-
+    records, result, inverse = _group(
+        schema, records, record_groupby, groupby, out_format, mapper,
+        selection,
+    )
     for measure_name, aggregate in aggregates:
-        column = f"{aggregate}_{measure_name}"
-        values = records[measure_name]
-        result[column] = _apply_aggregate(
-            aggregate, values, inverse, num_groups
+        result[f"{aggregate}_{measure_name}"] = _apply_aggregate(
+            aggregate, records[measure_name], inverse, len(result)
         )
     return result
 
@@ -283,57 +352,16 @@ def reaggregate(
             )
 
     out_format = groupby_record_format(schema, to_groupby, aggregates)
-    mapped: list[np.ndarray] = []
-    radices: list[int] = []
-    names: list[str] = []
-    mask = np.ones(len(rows), dtype=bool)
-    for pos, (dim, t_level, f_level) in enumerate(
-        zip(schema.dimensions, to_groupby, from_groupby)
-    ):
-        if t_level == 0:
-            continue
-        source = rows[dim.name].astype(np.int64, copy=False)
-        ordinals = (
-            source
-            if t_level == f_level
-            else mapper.table(pos, f_level, t_level)[source]
-        )
-        if selection is not None and selection[pos] is not None:
-            lo, hi = selection[pos]  # type: ignore[misc]
-            mask &= (ordinals >= lo) & (ordinals < hi)
-        mapped.append(ordinals)
-        radices.append(dim.cardinality(t_level))
-        names.append(dim.name)
-
-    if selection is not None and not mask.all():
-        rows = rows[mask]
-        mapped = [m[mask] for m in mapped]
-    if len(rows) == 0:
-        return out_format.empty()
-
-    if mapped:
-        keys = np.zeros(len(rows), dtype=np.int64)
-        for ordinals, radix in zip(mapped, radices):
-            keys = keys * radix + ordinals
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-    else:
-        unique_keys = np.zeros(1, dtype=np.int64)
-        inverse = np.zeros(len(rows), dtype=np.int64)
-    num_groups = len(unique_keys)
-
-    result = out_format.empty(num_groups)
-    remaining = unique_keys.copy()
-    for name, radix in zip(reversed(names), reversed(radices)):
-        remaining, column = np.divmod(remaining, radix)
-        result[name] = column
-
+    rows, result, inverse = _group(
+        schema, rows, from_groupby, to_groupby, out_format, mapper, selection
+    )
     for measure_name, aggregate in aggregates:
         column = f"{aggregate}_{measure_name}"
-        partials = rows[column]
         # A count of counts is a sum; sums stay sums; min/max re-apply.
         merge = "sum" if aggregate in ("sum", "count") else aggregate
-        merged = _apply_aggregate(merge, partials, inverse, num_groups)
-        result[column] = merged
+        result[column] = _apply_aggregate(
+            merge, rows[column], inverse, len(result)
+        )
     return result
 
 

@@ -56,7 +56,11 @@ from repro.storage.chunkedfile import ChunkedFile, tuple_chunk_numbers
 from repro.storage.dimtable import DimensionTable
 from repro.storage.disk import SimulatedDisk
 from repro.storage.factfile import FactFile
-from repro.storage.record import fact_record_format, groupby_record_format
+from repro.storage.record import (
+    RecordFormat,
+    fact_record_format,
+    groupby_record_format,
+)
 
 __all__ = ["BackendEngine"]
 
@@ -397,7 +401,7 @@ class BackendEngine:
                 if source is None:
                     delta = self._delta_for_base_chunks(set(source_numbers))
                     if len(delta):
-                        source_records = np.concatenate(
+                        source_records = self.record_format.concatenate(
                             [source_records, delta]
                         )
                 report.tuples_scanned += len(source_records)
@@ -658,7 +662,7 @@ class BackendEngine:
         if self.delta_file is None or not self.delta_file.num_records:
             return
         before = self.disk.stats.copy()
-        combined = np.concatenate(
+        combined = self.record_format.concatenate(
             [self.chunked_file.read_all(), self.delta_file.read_all()]
         )
         self.chunked_file = ChunkedFile(
@@ -721,7 +725,7 @@ class BackendEngine:
         with measure_cost(self.disk, access_path="scan") as report:
             records = self.fact_file.read_all()
             if self.delta_file is not None and self.delta_file.num_records:
-                records = np.concatenate(
+                records = self.record_format.concatenate(
                     [records, self.delta_file.read_all()]
                 )
             report.tuples_scanned += len(records)
@@ -777,7 +781,9 @@ class BackendEngine:
                     keep &= (column >= interval[0]) & (
                         column < interval[1]
                     )
-                records = np.concatenate([records, delta[keep]])
+                records = self.record_format.concatenate(
+                    [records, delta[keep]]
+                )
             report.tuples_scanned += len(records)
             rows = aggregate_records(
                 self.schema,
@@ -799,8 +805,7 @@ class BackendEngine:
             leaf_filters=query.effective_dim_filters(self.schema),
         )
         rows = _concat(
-            [chunks[n] for n in numbers],
-            query.result_format(self.schema).dtype,
+            [chunks[n] for n in numbers], query.result_format(self.schema)
         )
         rows = _filter_rows(self.schema, rows, query)
         report.result_tuples = len(rows)
@@ -894,11 +899,13 @@ class BackendEngine:
         return index_pages + int(round(data_pages))
 
 
-def _concat(parts: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
+def _concat(
+    parts: list[np.ndarray], record_format: RecordFormat
+) -> np.ndarray:
     parts = [p for p in parts if len(p)]
     if not parts:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate(parts)
+        return record_format.empty()
+    return record_format.concatenate(parts)
 
 
 def _filter_rows(

@@ -64,6 +64,7 @@ from repro.pipeline.trace import ExecutionTrace
 from repro.pipeline.work import ChunkWorkEstimator
 from repro.query.model import StarQuery
 from repro.schema.star import GroupBy, StarSchema
+from repro.storage.record import concatenate_records
 
 __all__ = [
     "Answer",
@@ -131,7 +132,7 @@ class ChunkAssembler:
         non_empty = [p for p in parts if len(p)]
         if not non_empty:
             return analyzed.query.result_format(self.schema).empty()
-        rows = np.concatenate(non_empty)
+        rows = concatenate_records(non_empty)
         return select_exact(self.schema, analyzed.query, rows)
 
 

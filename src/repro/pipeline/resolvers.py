@@ -42,6 +42,7 @@ from repro.pipeline.stages import (
 from repro.pipeline.work import ChunkWorkEstimator
 from repro.query.model import StarQuery
 from repro.schema.star import GroupBy, StarSchema
+from repro.storage.record import concatenate_records
 
 if TYPE_CHECKING:  # flight.py imports us; runtime edge stays one-way
     from repro.pipeline.flight import FlightTable
@@ -282,7 +283,7 @@ class DerivationResolver(PartitionResolver):
                 self.cache.get(entry.key)
             source_rows = [e.rows for e in entries if len(e.rows)]
             if source_rows:
-                stacked = np.concatenate(source_rows)
+                stacked = concatenate_records(source_rows)
             else:
                 stacked = entries[0].rows
             merged = reaggregate(
@@ -373,7 +374,7 @@ class PrefetchResolver(PartitionResolver):
                 if len(fine_chunks[src])
             ]
             if chunk_parts:
-                stacked = np.concatenate(chunk_parts)
+                stacked = concatenate_records(chunk_parts)
                 report.tuples_scanned += len(stacked)
                 rows = reaggregate(
                     self.schema,

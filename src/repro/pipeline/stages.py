@@ -228,14 +228,18 @@ def select_exact(
     """
     if len(rows) == 0:
         return rows
-    mask = np.ones(len(rows), dtype=bool)
+    mask: np.ndarray | None = None
     for dim, level, interval in zip(
         schema.dimensions, query.groupby, query.selections
     ):
         if level == 0 or interval is None:
             continue
         column = rows[dim.name]
-        mask &= (column >= interval[0]) & (column < interval[1])
-    if mask.all():
+        inside = (column >= interval[0]) & (column < interval[1])
+        if mask is None:
+            mask = inside
+        else:
+            mask &= inside
+    if mask is None or mask.all():
         return rows.copy() if copy_on_full else rows
     return rows[mask]

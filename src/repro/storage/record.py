@@ -22,7 +22,12 @@ import numpy as np
 from repro.exceptions import FileFormatError
 from repro.schema.star import StarSchema
 
-__all__ = ["RecordFormat", "fact_record_format", "groupby_record_format"]
+__all__ = [
+    "RecordFormat",
+    "concatenate_records",
+    "fact_record_format",
+    "groupby_record_format",
+]
 
 
 class RecordFormat:
@@ -106,23 +111,9 @@ class RecordFormat:
         return array.copy()
 
     def concatenate(self, parts: Sequence[np.ndarray]) -> np.ndarray:
-        """Join arrays of this format end to end, as opaque records.
-
-        ``np.concatenate`` on structured arrays re-derives the common
-        dtype once per part in Python and copies field by field; parts
-        that already share this format are fixed-width byte strings to
-        one another, which copy an order of magnitude faster.
-        """
-        for part in parts:
-            if part.dtype != self.dtype:
-                raise FileFormatError(
-                    f"array dtype {part.dtype} does not match format "
-                    f"{self.dtype}"
-                )
-        raw = np.dtype((np.void, self.record_size))
-        return np.concatenate([part.view(raw) for part in parts]).view(
-            self.dtype
-        )
+        """Join arrays of this format end to end
+        (:func:`concatenate_records` held to this format's dtype)."""
+        return concatenate_records(parts, self.dtype)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RecordFormat) and self.fields == other.fields
@@ -133,6 +124,29 @@ class RecordFormat:
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}:{d}" for n, d in self.fields)
         return f"RecordFormat({parts})"
+
+
+def concatenate_records(
+    parts: Sequence[np.ndarray], dtype: np.dtype | None = None
+) -> np.ndarray:
+    """Join same-dtype structured arrays end to end, as opaque records.
+
+    ``np.concatenate`` on structured arrays re-derives the common dtype
+    once per part in Python and copies field by field; parts that share
+    a dtype are fixed-width byte strings to one another, which copy an
+    order of magnitude faster.  ``dtype`` defaults to the first part's;
+    a part of any other dtype is rejected, never promoted.
+    """
+    if dtype is None:
+        dtype = parts[0].dtype
+    for part in parts:
+        if part.dtype != dtype:
+            raise FileFormatError(
+                f"array dtype {part.dtype} does not match record dtype "
+                f"{dtype}"
+            )
+    raw = np.dtype((np.void, dtype.itemsize))
+    return np.concatenate([part.view(raw) for part in parts]).view(dtype)
 
 
 def fact_record_format(schema: StarSchema, key_dtype: str = "i4") -> RecordFormat:

@@ -1,12 +1,26 @@
-"""Tests for repro.backend.aggregate against a brute-force reference."""
+"""Tests for repro.backend.aggregate against a brute-force reference
+and against the sorted (``np.unique``) grouping the kernel replaced."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend.aggregate import LevelMapper, aggregate_records, reaggregate
+from repro.backend import aggregate
+from repro.backend.aggregate import (
+    DENSE_SPAN_MULTIPLE,
+    PARTIAL_AGGREGATES,
+    LevelMapper,
+    aggregate_records,
+    finalize_partials,
+    partials_format_aggregates,
+    reaggregate,
+)
 from repro.exceptions import BackendError
 from repro.schema.builder import build_star_schema
+from repro.storage.record import fact_record_format, groupby_record_format
 from repro.workload.data import generate_fact_table
 from tests.conftest import brute_force_aggregate, canon_rows
 
@@ -80,8 +94,6 @@ class TestAggregateRecords:
         assert np.all((rows["D0"] >= 1) & (rows["D0"] < 3))
 
     def test_empty_input(self, small_schema, mapper):
-        from repro.storage.record import fact_record_format
-
         empty = fact_record_format(small_schema).empty()
         rows = aggregate_records(
             small_schema, empty, (1, 1), [("v", "sum")], mapper
@@ -173,3 +185,357 @@ def test_aggregation_matches_brute_force_property(n, seed, level0, level1):
     assert canon_rows(rows) == brute_force_aggregate(
         schema, records, (level0, level1), aggregates
     )
+
+
+# ----------------------------------------------------------------------
+# The grouping kernel against the sorted grouping it replaced
+# ----------------------------------------------------------------------
+def reference_grouping(
+    schema, rows, from_groupby, to_groupby, aggregates, mapper,
+    selection=None, leaf_filters=None, merge_partials=False,
+):
+    """The map -> mixed-radix key -> ``np.unique`` -> decode grouping
+    that ``aggregate_records`` and ``reaggregate`` each carried before
+    they shared a kernel, kept verbatim as the reference.  With
+    ``merge_partials`` the inputs are aggregated rows (``reaggregate``),
+    otherwise raw measure columns (``aggregate_records``)."""
+    out_format = groupby_record_format(schema, to_groupby, aggregates)
+    if leaf_filters is not None:
+        pre_mask = np.ones(len(rows), dtype=bool)
+        for dim, leaf_filter in zip(schema.dimensions, leaf_filters):
+            if leaf_filter is not None:
+                column = rows[dim.name]
+                pre_mask &= (column >= leaf_filter[0]) & (
+                    column < leaf_filter[1]
+                )
+        rows = rows[pre_mask]
+    mapped, radices, names = [], [], []
+    mask = np.ones(len(rows), dtype=bool)
+    for pos, (dim, t_level, f_level) in enumerate(
+        zip(schema.dimensions, to_groupby, from_groupby)
+    ):
+        if t_level == 0:
+            continue
+        source = rows[dim.name].astype(np.int64, copy=False)
+        if t_level == f_level:
+            ordinals = source
+        else:
+            ordinals = mapper.table(pos, f_level, t_level)[source]
+        if selection is not None and selection[pos] is not None:
+            lo, hi = selection[pos]
+            mask &= (ordinals >= lo) & (ordinals < hi)
+        mapped.append(ordinals)
+        radices.append(dim.cardinality(t_level))
+        names.append(dim.name)
+    rows = rows[mask]
+    mapped = [m[mask] for m in mapped]
+    if len(rows) == 0:
+        return out_format.empty()
+    if mapped:
+        keys = np.zeros(len(rows), dtype=np.int64)
+        for ordinals, radix in zip(mapped, radices):
+            keys = keys * radix + ordinals
+        unique_keys, inverse = np.unique(keys, return_inverse=True)
+    else:
+        unique_keys = np.zeros(1, dtype=np.int64)
+        inverse = np.zeros(len(rows), dtype=np.int64)
+    result = out_format.empty(len(unique_keys))
+    remaining = unique_keys.copy()
+    for name, radix in zip(reversed(names), reversed(radices)):
+        remaining, column = np.divmod(remaining, radix)
+        result[name] = column
+    for measure_name, agg in aggregates:
+        column = f"{agg}_{measure_name}"
+        if merge_partials:
+            values = rows[column]
+            agg = "sum" if agg in ("sum", "count") else agg
+        else:
+            values = rows[measure_name]
+        result[column] = aggregate._apply_aggregate(
+            agg, values, inverse, len(unique_keys)
+        )
+    return result
+
+
+def identical(actual, expected):
+    """Same dtype, same row order, every float equal to the bit."""
+    return (
+        actual.dtype == expected.dtype
+        and actual.shape == expected.shape
+        and actual.tobytes() == expected.tobytes()
+    )
+
+
+def on_every_side(call):
+    """``call()`` under the shipped constant, with every call forced to
+    the sorted side, and with every call forced to the dense side (so
+    only for key spans small enough to allocate)."""
+    results = [call()]
+    for multiple in (0, 10**12):
+        with mock.patch.object(aggregate, "DENSE_SPAN_MULTIPLE", multiple):
+            results.append(call())
+    return results
+
+
+def intervals(draw, size):
+    """None, or a half-open interval over ``[0, size]`` (maybe empty)."""
+    if draw(st.booleans()):
+        return None
+    lo = draw(st.integers(0, size))
+    return (lo, draw(st.integers(lo, size)))
+
+
+@st.composite
+def grouping_cases(draw, aggregate_names):
+    """A random cube, records at a random ``from`` group-by, a coarser
+    ``to`` group-by, optional filters and a random aggregate list."""
+    num_dims = draw(st.integers(1, 5))
+    cardinalities = [
+        sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+        for _ in range(num_dims)
+    ]
+    schema = build_star_schema(
+        cardinalities,
+        measure_names=("v", "w"),
+        fanout="random",
+        seed=draw(st.integers(0, 10_000)),
+    )
+    from_groupby, to_groupby, selection, leaf_filters = [], [], [], []
+    for dim in schema.dimensions:
+        f_level = draw(st.integers(0, dim.leaf_level))
+        t_level = draw(st.integers(0, f_level))
+        from_groupby.append(f_level)
+        to_groupby.append(t_level)
+        selection.append(
+            intervals(draw, dim.cardinality(t_level)) if t_level else None
+        )
+        leaf_filters.append(
+            intervals(draw, dim.leaf_cardinality)
+            if f_level == dim.leaf_level
+            else None
+        )
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    records = fact_record_format(schema).empty(n)
+    for dim, f_level in zip(schema.dimensions, from_groupby):
+        if f_level:
+            records[dim.name] = rng.integers(0, dim.cardinality(f_level), n)
+    # Values far apart in magnitude: a sum taken in any other order
+    # would differ in its last bits.
+    for measure in ("v", "w"):
+        records[measure] = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(
+            -8, 9, n
+        )
+    aggregates = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("v", "w")), st.sampled_from(aggregate_names)
+            ),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    if draw(st.booleans()):
+        selection = None
+    if draw(st.booleans()):
+        leaf_filters = None
+    return (
+        schema, records, tuple(from_groupby), tuple(to_groupby),
+        aggregates, selection, leaf_filters,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=grouping_cases(("sum", "count", "min", "max", "avg")))
+def test_aggregate_records_identical_to_sorted_grouping(case):
+    schema, records, from_gb, to_gb, aggregates, selection, filters = case
+    mapper = LevelMapper(schema)
+    expected = reference_grouping(
+        schema, records, from_gb, to_gb, aggregates, mapper,
+        selection, filters,
+    )
+    for rows in on_every_side(
+        lambda: aggregate_records(
+            schema, records, to_gb, aggregates, mapper,
+            record_groupby=from_gb, selection=selection,
+            leaf_filters=filters,
+        )
+    ):
+        assert identical(rows, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=grouping_cases(PARTIAL_AGGREGATES))
+def test_reaggregate_identical_to_sorted_grouping(case):
+    schema, records, from_gb, to_gb, aggregates, selection, _ = case
+    mapper = LevelMapper(schema)
+    fine = reference_grouping(
+        schema, records, from_gb, from_gb, aggregates, mapper
+    )
+    expected = reference_grouping(
+        schema, fine, from_gb, to_gb, aggregates, mapper, selection,
+        merge_partials=True,
+    )
+    for rows in on_every_side(
+        lambda: reaggregate(
+            schema, fine, from_gb, to_gb, aggregates, mapper,
+            selection=selection,
+        )
+    ):
+        assert identical(rows, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grouping_cases(("sum", "count", "min", "max", "avg")))
+def test_finalize_partials_identical_to_sorted_grouping(case):
+    schema, records, from_gb, to_gb, requested, _, _ = case
+    mapper = LevelMapper(schema)
+    stored = partials_format_aggregates(schema)
+    partials = reference_grouping(
+        schema, records, from_gb, from_gb, stored, mapper
+    )
+    merged = reference_grouping(
+        schema, partials, from_gb, to_gb, stored, mapper,
+        merge_partials=True,
+    )
+    expected = groupby_record_format(schema, to_gb, requested).empty(
+        len(merged)
+    )
+    for dim, level in zip(schema.dimensions, to_gb):
+        if level:
+            expected[dim.name] = merged[dim.name]
+    for measure, agg in requested:
+        if agg == "avg":
+            expected[f"avg_{measure}"] = (
+                merged[f"sum_{measure}"] / merged[f"count_{measure}"]
+            )
+        else:
+            expected[f"{agg}_{measure}"] = merged[f"{agg}_{measure}"]
+    for rows in on_every_side(
+        lambda: finalize_partials(
+            schema, partials, from_gb, to_gb, requested, mapper
+        )
+    ):
+        assert identical(rows, expected)
+
+
+class TestDenseSortedChoice:
+    """The choice is made from the key span and the record count."""
+
+    @staticmethod
+    def records_spanning(schema, n, span, seed):
+        """``n`` records of a (40 x 25) cube whose group keys run from 0
+        to exactly ``span - 1``."""
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, span, n)
+        keys[0], keys[-1] = 0, span - 1
+        records = fact_record_format(schema).empty(n)
+        records["D0"], records["D1"] = np.divmod(keys, 25)
+        records["v"] = rng.uniform(-1e6, 1e6, n)
+        return records
+
+    @pytest.mark.parametrize("n", [2, 7, 100])
+    @pytest.mark.parametrize("excess", [-1, 0, 1])
+    def test_boundary_is_span_equal_multiple_times_n(self, n, excess):
+        schema = build_star_schema([[40], [25]], measure_names=("v",))
+        mapper = LevelMapper(schema)
+        span = DENSE_SPAN_MULTIPLE * n + excess
+        records = self.records_spanning(schema, n, span, seed=n)
+        aggregates = [("v", "sum"), ("v", "min"), ("v", "count")]
+        expected = reference_grouping(
+            schema, records, (1, 1), (1, 1), aggregates, mapper
+        )
+        with mock.patch.object(
+            aggregate.np, "unique", wraps=np.unique
+        ) as sort:
+            rows = aggregate_records(
+                schema, records, (1, 1), aggregates, mapper
+            )
+        assert identical(rows, expected)
+        # Dense up to and including span == multiple * n, sorted beyond.
+        assert sort.call_count == (1 if excess > 0 else 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        low=st.integers(-(2**40), 2**40),
+        offsets=st.lists(st.integers(0, 5000), min_size=1, max_size=400),
+    )
+    def test_distinct_equals_np_unique(self, low, offsets):
+        keys = low + np.array(offsets, dtype=np.int64)
+        expected_keys, expected_inverse = np.unique(
+            keys, return_inverse=True
+        )
+        for distinct, inverse in on_every_side(
+            lambda: aggregate._distinct(keys.copy())
+        ):
+            assert identical(distinct, expected_keys)
+            assert identical(inverse, expected_inverse)
+
+    def test_dense_scratch_is_bounded_per_cell(self):
+        """The dense side's scratch is a flag byte and a rank per cell of
+        the span; with the per-record key, index and value temporaries
+        that is under 10 bytes per cell plus 48 per record — the bound
+        that keeps it out of ``peak_rss_mb``."""
+        schema = build_star_schema([[400], [1000]], measure_names=("v",))
+        mapper = LevelMapper(schema)
+        n = 50_000
+        span = DENSE_SPAN_MULTIPLE * n
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, span, n)
+        keys[0], keys[-1] = 0, span - 1
+        records = fact_record_format(schema).empty(n)
+        records["D0"], records["D1"] = np.divmod(keys, 1000)
+        records["v"] = 1.0
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            rows = aggregate_records(
+                schema, records, (1, 1), [("v", "sum")], mapper
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == len(np.unique(keys))
+        assert peak - before - rows.nbytes <= 10 * span + 48 * n
+
+
+class TestKeySpaceOverflow:
+    """Five dimensions of 10 000 members: 10**20 cells do not fit int64
+    (the mixed-radix key used to wrap silently)."""
+
+    @pytest.fixture(scope="class")
+    def wide_schema(self):
+        return build_star_schema([[10_000]] * 5, measure_names=("m",))
+
+    def test_aggregate_records_refuses(self, wide_schema):
+        records = fact_record_format(wide_schema).from_tuples(
+            [(1844, 9999, 9999, 9999, 9999, 1.0)]
+        )
+        with pytest.raises(BackendError, match="overflow int64"):
+            aggregate_records(
+                wide_schema, records, wide_schema.base_groupby,
+                [("m", "sum")], LevelMapper(wide_schema),
+            )
+
+    def test_reaggregate_refuses(self, wide_schema):
+        base = wide_schema.base_groupby
+        aggregates = [("m", "sum")]
+        rows = groupby_record_format(wide_schema, base, aggregates).empty(1)
+        with pytest.raises(BackendError, match="overflow int64"):
+            reaggregate(
+                wide_schema, rows, base, base, aggregates,
+                LevelMapper(wide_schema),
+            )
+
+    def test_widest_fitting_group_by_is_exact(self, wide_schema):
+        # Four of the five dimensions: 10**16 cells, strides up to 10**12.
+        records = fact_record_format(wide_schema).from_tuples(
+            [(1844, 9999, 9999, 9999, 7, 1.0), (1844, 9999, 9999, 9999, 8, 2.0)]
+        )
+        rows = aggregate_records(
+            wide_schema, records, (1, 1, 1, 1, 0), [("m", "sum")],
+            LevelMapper(wide_schema),
+        )
+        assert rows.tolist() == [(1844, 9999, 9999, 9999, 3.0)]

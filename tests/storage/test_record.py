@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.exceptions import FileFormatError
 from repro.storage.record import (
     RecordFormat,
+    concatenate_records,
     fact_record_format,
     groupby_record_format,
 )
@@ -82,6 +83,18 @@ class TestRecordFormat:
         wrong = np.zeros(2, dtype=[("a", "i4"), ("b", "i4"), ("x", "i8")])
         with pytest.raises(FileFormatError):
             fmt.concatenate([fmt.empty(2), wrong])
+
+    def test_concatenate_records_takes_the_first_parts_dtype(self, fmt):
+        array = fmt.from_tuples([(i, -i, i * 0.5) for i in range(20)])
+        parts = [array[12:], array[:0], array[3:7], array[::2]]
+        joined = concatenate_records(parts)
+        assert joined.dtype == fmt.dtype
+        assert joined.tobytes() == np.concatenate(parts).tobytes()
+        assert not np.shares_memory(joined, array)
+        # Same width, other meaning: rejected, not reinterpreted.
+        wrong = np.zeros(2, dtype=[("a", "i4"), ("b", "i4"), ("x", "i8")])
+        with pytest.raises(FileFormatError):
+            concatenate_records([array, wrong])
 
     def test_equality_and_hash(self, fmt):
         same = RecordFormat([("a", "i4"), ("b", "i4"), ("x", "f8")])

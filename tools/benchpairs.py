@@ -11,7 +11,15 @@ sides alike — and print, per end-to-end metric, each side's median and
 quartiles and how many pairs the working tree won (ties count for
 neither side).  A gain counts when, over at least ten pairs, the tree
 wins nine tenths of them and the medians differ by more than the base's
-own interquartile distance; the last column says whether all that holds.
+own interquartile distance; the ``gain`` column says whether all that
+holds, and ``regressed`` whether the tree's median is worse than the
+base's by more than the metric's ``bound`` in ``BENCHMARK.json``.
+
+What the program counts from the seed alone (``csr``,
+``backend_pages_per_query``) must be equal on both sides of every pair,
+and the tree may not fail a larger share of its operations than the
+base: the first pair that breaks either rule ends the run with exit
+code 1 and a line naming the workload and the pair.
 
 Run from the repo root.  Nothing is written inside the checkout except
 what the benchmark itself leaves (git-ignored).
@@ -34,6 +42,10 @@ RUN_TIMEOUT_S = 600
 
 #: Fewer pairs than this support no verdict (the gain column prints "-").
 MIN_PAIRS = 10
+
+#: Metrics the program counts from the seed alone: a difference between
+#: the sides is a change of behaviour, never noise.
+EXACT_METRICS = ("csr", "backend_pages_per_query")
 
 
 def export_revision(revision: str, target: Path) -> None:
@@ -93,6 +105,69 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+@dataclasses.dataclass(frozen=True)
+class Verdict:
+    """One metric of one workload, judged over all pairs run."""
+
+    base: tuple[float, float, float]
+    tree: tuple[float, float, float]
+    wins: int
+    ties: int
+    gain: str
+    regressed: str
+
+
+def judge(
+    metric: dict[str, object], base: list[float], tree: list[float]
+) -> Verdict:
+    """Compare the sides' values of one declared end-to-end metric.
+
+    ``gain`` is "yes"/"no" by the nine-tenths-of-pairs and
+    interquartile-distance rule ("-" below :data:`MIN_PAIRS`);
+    ``regressed`` is "yes" when the tree's median is worse than the
+    base's by more than the metric's relative ``bound``.
+    """
+    higher = metric["better"] == "higher"
+    pairs = len(base)
+    b_q1, b_med, b_q3 = quartiles(base)
+    tree_quartiles = quartiles(tree)
+    t_med = tree_quartiles[1]
+    wins = sum((t > b) if higher else (t < b) for b, t in zip(base, tree))
+    ties = sum(t == b for b, t in zip(base, tree))
+    better_by = (t_med - b_med) if higher else (b_med - t_med)
+    if pairs < MIN_PAIRS:
+        gain = "-"
+    elif wins * 10 >= pairs * 9 and better_by > b_q3 - b_q1:
+        gain = "yes"
+    else:
+        gain = "no"
+    bound = float(metric["bound"])  # type: ignore[arg-type]
+    regressed = "yes" if -better_by > bound * abs(b_med) else "no"
+    return Verdict(
+        (b_q1, b_med, b_q3), tree_quartiles, wins, ties, gain, regressed
+    )
+
+
+def pair_problems(
+    workload: str, pair: int, base: Run, tree: Run
+) -> list[str]:
+    """Why pair number ``pair`` (from 1) rules the comparison out."""
+    where = f"{workload}, pair {pair}"
+    problems = [
+        f"{where}: {name} differs at the same seed: base "
+        f"{base.metrics[name]!r}, tree {tree.metrics[name]!r}"
+        for name in EXACT_METRICS
+        if base.metrics[name] != tree.metrics[name]
+    ]
+    # Shares compared as cross products: no division, no zero attempts.
+    if tree.failed * base.attempted > base.failed * tree.attempted:
+        problems.append(
+            f"{where}: the tree failed {tree.failed} of {tree.attempted} "
+            f"operations, the base {base.failed} of {base.attempted}"
+        )
+    return problems
+
+
 def report(
     workload: str,
     declared: list[dict[str, object]],
@@ -108,35 +183,27 @@ def report(
         print(f"{side}: failed {failed} of {attempted} operations")
     header = (
         f"{'metric':<26}{'base median [q1, q3]':>38}"
-        f"{'tree median [q1, q3]':>38}{'ratio':>8}{'wins':>8}  gain"
+        f"{'tree median [q1, q3]':>38}{'ratio':>8}{'wins':>8}"
+        f"{'gain':>6}{'regressed':>11}"
     )
     print(header)
     for metric in declared:
         name = str(metric["name"])
-        higher = metric["better"] == "higher"
-        base = [run.metrics[name] for run in base_runs]
-        tree = [run.metrics[name] for run in tree_runs]
-        b_q1, b_med, b_q3 = quartiles(base)
-        t_q1, t_med, t_q3 = quartiles(tree)
-        wins = sum(
-            (t > b) if higher else (t < b) for b, t in zip(base, tree)
+        verdict = judge(
+            metric,
+            [run.metrics[name] for run in base_runs],
+            [run.metrics[name] for run in tree_runs],
         )
-        ties = sum(t == b for b, t in zip(base, tree))
-        better_by = (t_med - b_med) if higher else (b_med - t_med)
-        if pairs < MIN_PAIRS:
-            verdict = "-"
-        elif wins * 10 >= pairs * 9 and better_by > b_q3 - b_q1:
-            verdict = "yes"
-        else:
-            verdict = "no"
+        b_q1, b_med, b_q3 = verdict.base
+        t_q1, t_med, t_q3 = verdict.tree
         ratio = f"{t_med / b_med:.3f}" if b_med else "-"
         print(
             f"{name:<26}"
             f"{f'{b_med:.6g} [{b_q1:.6g}, {b_q3:.6g}]':>38}"
             f"{f'{t_med:.6g} [{t_q1:.6g}, {t_q3:.6g}]':>38}"
             f"{ratio:>8}"
-            f"{f'{wins}/{pairs - ties}':>8}"
-            f"  {verdict}"
+            f"{f'{verdict.wins}/{pairs - verdict.ties}':>8}"
+            f"{verdict.gain:>6}{verdict.regressed:>11}"
         )
 
 
@@ -183,6 +250,13 @@ def main(argv: list[str] | None = None) -> int:
                 for side in order:
                     checkout = base if side == "base" else tree
                     runs[side].append(run_once(command, checkout))
+                problems = pair_problems(
+                    workload, pair + 1, runs["base"][-1], runs["tree"][-1]
+                )
+                if problems:
+                    for problem in problems:
+                        print(f"benchpairs: {problem}", file=sys.stderr)
+                    return 1
                 print(
                     f"{workload}: pair {pair + 1}/{options.pairs} done",
                     file=sys.stderr,
