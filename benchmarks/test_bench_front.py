@@ -88,7 +88,6 @@ def test_bench_front(benchmark, record_json):
                     "flights": run.flights,
                     "coalesced_chunks": run.coalesced_chunks,
                     "shared_pages": run.shared_pages,
-                    "wall_seconds": run.serve.wall_seconds,
                     "simulated_throughput": run.serve.simulated_throughput,
                 }
                 for workers, run in coalesced.items()

@@ -1,18 +1,12 @@
 """Serving-layer throughput benchmark — 8 user streams, 1..8 workers.
 
-Runs the multiuser Q80 workload through the concurrent serving layer at
-1, 2, 4 and 8 worker threads under the fair schedule and reports, per
-run:
-
-- **wall_qps** — real queries/second of the whole session;
-- **wall_speedup** — wall_qps relative to the 1-worker run.  Worker
-  threads are GIL-bound, so it hovers near (or below) 1.0; it is only
-  emitted for runs with ``workers <= usable_cores`` — on fewer cores
-  the ratio measures time-slicing, not parallelism — and the benchmark
-  warns whenever an emitted value drops below 1.0;
-- **simulated throughput/speedup** — queries per simulated second,
-  what a multi-core deployment of the modelled architecture would
-  observe.
+Runs the multiuser Q80 workload through the serving layer at 1, 2, 4
+and 8 simulated workers under the fair schedule and reports, per run,
+the **simulated throughput/speedup** — queries per simulated second,
+what a multi-core deployment of the modelled architecture would
+observe.  The fair schedule runs on the calling thread at every worker
+count, so there is no wall-clock curve to record here; wall time is
+``benchmarks/e2e``'s business (``serve_fair``).
 
 Shape asserted: every worker count produces bit-identical accounting
 totals (the fair schedule's determinism contract), and 4 workers beat
@@ -26,9 +20,6 @@ counters only, so the fields stay inside the R010 digest-taint fence.
 The full scan is written to ``BENCH_serve.json`` at the repo root.
 """
 
-import os
-import warnings
-
 from repro.api import StackConfig, build_cache
 from repro.experiments.configs import DEFAULT_SCALE
 from repro.experiments.harness import get_system
@@ -36,11 +27,6 @@ from repro.experiments.multiuser import run_shared_concurrent, user_streams
 
 WORKER_COUNTS = (1, 2, 4, 8)
 NUM_STREAMS = 8
-
-#: Real cores available to this process — a wall-clock speedup is only
-#: meaningful for worker counts the hardware can actually run in
-#: parallel.
-USABLE_CORES = len(os.sched_getaffinity(0))
 
 
 def totals(report):
@@ -55,12 +41,9 @@ def totals(report):
     )
 
 
-def run_row(workers, report, base, simulated_speedup):
-    wall_qps = report.queries / report.wall_seconds
-    row = {
+def run_row(workers, report, simulated_speedup):
+    return {
         "workers": workers,
-        "wall_seconds": report.wall_seconds,
-        "wall_qps": wall_qps,
         "simulated_makespan": report.simulated_makespan,
         "simulated_throughput": report.simulated_throughput,
         "simulated_speedup": simulated_speedup,
@@ -70,16 +53,6 @@ def run_row(workers, report, base, simulated_speedup):
             report.contention["backend"]["lock_acquisitions"]
         ),
     }
-    if workers <= USABLE_CORES:
-        wall_speedup = wall_qps / (base.queries / base.wall_seconds)
-        row["wall_speedup"] = wall_speedup
-        if wall_speedup < 1.0:
-            warnings.warn(
-                f"{workers} workers regressed below the 1-worker wall "
-                f"clock: wall_speedup={wall_speedup:.2f}",
-                stacklevel=2,
-            )
-    return row
 
 
 def tier_ratios(tiers):
@@ -176,13 +149,9 @@ def test_bench_serve(benchmark, record_json, tmp_path):
             "streams": NUM_STREAMS,
             "queries": reports[1].queries,
             "schedule": "fair",
-            "usable_cores": USABLE_CORES,
             "totals": baseline,
             "runs": [
-                run_row(
-                    workers, reports[workers], reports[1],
-                    sim_speedups[workers],
-                )
+                run_row(workers, reports[workers], sim_speedups[workers])
                 for workers in WORKER_COUNTS
             ],
             "tiers": tier_split,

@@ -689,6 +689,30 @@ class BackendEngine:
     # ------------------------------------------------------------------
     # Relational interface
     # ------------------------------------------------------------------
+    def _resolve_access_path(self, query: StarQuery, access_path: str) -> str:
+        """The concrete path ``access_path`` means for ``query`` on this
+        engine — what :meth:`answer` runs and :meth:`explain` describes.
+
+        ``"auto"`` is bitmap when any selection exists and bitmaps are
+        built, otherwise scan; an explicit path is checked against what
+        the engine was built with.
+        """
+        if access_path == "auto":
+            has_selection = (
+                any(s is not None for s in query.selections)
+                or query.has_dim_filters()
+            )
+            return "bitmap" if has_selection and self.bitmaps else "scan"
+        if access_path == "bitmap" and not self.bitmaps:
+            raise BackendError("bitmap indexes were not built")
+        if access_path == "chunk" and self.chunked_file is None:
+            raise BackendError(
+                "the chunk interface requires the chunked organization"
+            )
+        if access_path not in ("bitmap", "scan", "chunk"):
+            raise BackendError(f"unknown access path {access_path!r}")
+        return access_path
+
     @_synchronized
     def answer(
         self, query: StarQuery, access_path: str = "auto"
@@ -704,21 +728,12 @@ class BackendEngine:
         self._require_loaded()
         if self.fault_hook is not None:
             self.fault_hook("answer")
-        if access_path == "auto":
-            has_selection = (
-                any(s is not None for s in query.selections)
-                or query.has_dim_filters()
-            )
-            access_path = (
-                "bitmap" if has_selection and self.bitmaps else "scan"
-            )
+        access_path = self._resolve_access_path(query, access_path)
         if access_path == "bitmap":
             return self._answer_bitmap(query)
         if access_path == "scan":
             return self._answer_scan(query)
-        if access_path == "chunk":
-            return self._answer_chunks(query)
-        raise BackendError(f"unknown access path {access_path!r}")
+        return self._answer_chunks(query)
 
     def _answer_scan(self, query: StarQuery) -> tuple[np.ndarray, CostReport]:
         assert self.fact_file is not None
@@ -743,8 +758,6 @@ class BackendEngine:
 
     def _answer_bitmap(self, query: StarQuery) -> tuple[np.ndarray, CostReport]:
         assert self.fact_file is not None
-        if not self.bitmaps:
-            raise BackendError("bitmap indexes were not built")
         try:
             leaf_selection = query.leaf_selection(self.schema)
         except QueryError:
@@ -823,18 +836,11 @@ class BackendEngine:
         inspection surface a query optimizer would log.
         """
         self._require_loaded()
-        if access_path == "auto":
-            has_selection = (
-                any(s is not None for s in query.selections)
-                or query.has_dim_filters()
-            )
-            access_path = (
-                "bitmap" if has_selection and self.bitmaps else "scan"
-            )
+        access_path = self._resolve_access_path(query, access_path)
         plan: dict[str, object] = {
             "access_path": access_path, "groupby": query.groupby,
         }
-        if access_path == "chunk" or self.chunked_file is not None:
+        if self.chunked_file is not None:
             grid = self.space.grid(query.groupby)
             numbers = grid.chunk_numbers_for_selection(query.selections)
             filters = query.effective_dim_filters(self.schema)
@@ -850,7 +856,7 @@ class BackendEngine:
                 "estimated_pages": pages,
                 "estimated_tuples": tuples,
             }
-        if access_path == "bitmap" and self.bitmaps:
+        if access_path == "bitmap":
             plan["estimated_bitmap_pages"] = self.estimate_bitmap_pages(
                 query
             )

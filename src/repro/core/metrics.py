@@ -106,9 +106,9 @@ class StreamMetrics:
     Alongside the paper's aggregate numbers, the stream keeps every
     answer's :class:`~repro.pipeline.trace.ExecutionTrace` (when the
     caller supplies one) and aggregates them into per-stage and
-    per-resolver totals.  Traces are consumed duck-typed — anything with
-    ``.stages`` / ``.resolved_by`` of the right shape works — so this
-    module never imports the pipeline package.
+    per-resolver totals with :mod:`repro.pipeline.trace`'s aggregators.
+    That module is imported where it is used, not at the top: the
+    pipeline package imports this one for :class:`QueryRecord`.
     """
 
     def __init__(self) -> None:
@@ -210,66 +210,19 @@ class StreamMetrics:
         return tuple(self._traces)
 
     def stage_summary(self) -> dict[str, dict[str, float]]:
-        """Per-stage totals over all recorded traces.
+        """Per-stage totals over all recorded traces: ``stage name ->
+        {"calls", *STAGE_FIELDS}`` summed across the stream, in
+        first-seen stage order (see
+        :func:`repro.pipeline.trace.aggregate_stage_traces`)."""
+        from repro.pipeline.trace import aggregate_stage_traces
 
-        Returns ``stage name -> {"calls", "wall_seconds",
-        "modelled_time", "partitions", "pages_read", "tuples_scanned",
-        "lock_wait_seconds", "faults", "retries", "degraded",
-        "backoff_seconds", "coalesce_seconds"}`` summed across the
-        stream, in first-seen stage order.  ``lock_wait_seconds``, the
-        fault counters and ``coalesce_seconds`` are read duck-typed
-        (defaulting to 0) so pre-serving and pre-fault traces aggregate
-        unchanged.
-        """
-        totals: dict[str, dict[str, float]] = {}
-        for trace in self._traces:
-            for entry in trace.stages:
-                bucket = totals.setdefault(
-                    entry.name,
-                    {
-                        "calls": 0.0,
-                        "wall_seconds": 0.0,
-                        "modelled_time": 0.0,
-                        "partitions": 0.0,
-                        "pages_read": 0.0,
-                        "tuples_scanned": 0.0,
-                        "lock_wait_seconds": 0.0,
-                        "faults": 0.0,
-                        "retries": 0.0,
-                        "degraded": 0.0,
-                        "backoff_seconds": 0.0,
-                        "coalesce_seconds": 0.0,
-                    },
-                )
-                bucket["calls"] += 1
-                bucket["wall_seconds"] += entry.wall_seconds
-                bucket["modelled_time"] += entry.modelled_time
-                bucket["partitions"] += entry.partitions
-                bucket["pages_read"] += entry.pages_read
-                bucket["tuples_scanned"] += entry.tuples_scanned
-                bucket["lock_wait_seconds"] += float(
-                    getattr(entry, "lock_wait_seconds", 0.0)
-                )
-                bucket["faults"] += float(getattr(entry, "faults", 0))
-                bucket["retries"] += float(getattr(entry, "retries", 0))
-                bucket["degraded"] += float(
-                    getattr(entry, "degraded", 0)
-                )
-                bucket["backoff_seconds"] += float(
-                    getattr(entry, "backoff_seconds", 0.0)
-                )
-                bucket["coalesce_seconds"] += float(
-                    getattr(entry, "coalesce_seconds", 0.0)
-                )
-        return totals
+        return aggregate_stage_traces(self._traces)
 
     def resolver_summary(self) -> dict[str, int]:
         """Partitions resolved per resolver, summed over the stream."""
-        totals: dict[str, int] = {}
-        for trace in self._traces:
-            for name, count in trace.resolved_by.items():
-                totals[name] = totals.get(name, 0) + count
-        return totals
+        from repro.pipeline.trace import aggregate_resolver_attribution
+
+        return aggregate_resolver_attribution(self._traces)
 
     def summary(self) -> dict[str, float]:
         """All headline numbers in one dictionary (for reports)."""

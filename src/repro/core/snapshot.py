@@ -34,30 +34,14 @@ __all__ = [
     "build_chunk_snapshot",
 ]
 
-#: The fixed per-stage bucket key order of the ``stage_summary()``
-#: dictionaries (and of ``StageStats`` fields).
-_STAGE_FIELDS = (
-    "calls",
-    "wall_seconds",
-    "modelled_time",
-    "partitions",
-    "pages_read",
-    "tuples_scanned",
-    "lock_wait_seconds",
-    "faults",
-    "retries",
-    "degraded",
-    "backoff_seconds",
-    "coalesce_seconds",
-)
-
 
 @dataclass(frozen=True)
 class StageStats:
     """Per-stage totals over a stream's execution traces.
 
     One entry per pipeline stage, in first-seen stage order — the typed
-    form of one ``stage_summary()`` bucket.
+    form of one ``stage_summary()`` bucket: the fields after ``name``
+    are the bucket's keys, in the bucket's order.
     """
 
     name: str
@@ -79,11 +63,13 @@ class StageStats:
         cls, name: str, bucket: Mapping[str, float]
     ) -> "StageStats":
         """Typed view of one ``stage_summary()`` bucket."""
-        return cls(name=name, **{f: bucket[f] for f in _STAGE_FIELDS})
+        return cls(name=name, **bucket)
 
     def to_json(self) -> dict[str, float]:
         """The ``stage_summary()`` bucket again, key order included."""
-        return {f: getattr(self, f) for f in _STAGE_FIELDS}
+        bucket: dict[str, float] = asdict(self)
+        del bucket["name"]
+        return bucket
 
 
 @dataclass(frozen=True)

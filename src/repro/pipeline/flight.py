@@ -37,10 +37,10 @@ The table is driven through three hooks:
   called by :class:`~repro.pipeline.resolvers.BackendChunkResolver`
   after its terminal fetch.
 
-Execution within a window is serialized in canonical sequence order by
-the front door's turnstile, so the table needs no locking of its own;
-the thread-local :meth:`FlightTable.begin` / :meth:`FlightTable.end`
-bracket tells the hooks which admitted query is currently executing.
+The front door runs its admitted queries one at a time, in canonical
+sequence order, on one thread, so the table needs no locking of its own;
+the :meth:`FlightTable.begin` / :meth:`FlightTable.end` bracket tells
+the hooks which admitted query is currently executing.
 With no bracket active every hook is inert, so a pipeline that happens
 to share resolvers with a front door still executes bit-identically
 outside it.
@@ -48,7 +48,6 @@ outside it.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -181,7 +180,7 @@ class FlightTable:
         self.coalesced_chunks = 0
         self.shared_pages = 0
         self._entries: dict[ChunkKey, ChunkFlight] = {}
-        self._local = threading.local()
+        self._current: int | None = None
 
     # ------------------------------------------------------------------
     # Window planning (front-door side)
@@ -229,19 +228,15 @@ class FlightTable:
         return len(self._entries)
 
     # ------------------------------------------------------------------
-    # Execution bracket (worker side)
+    # Execution bracket (session side)
     # ------------------------------------------------------------------
     def begin(self, seq: int) -> None:
-        """Mark the calling thread as executing admitted query ``seq``."""
-        self._local.seq = seq
+        """Mark admitted query ``seq`` as the one now executing."""
+        self._current = seq
 
     def end(self) -> None:
-        """Clear the calling thread's execution bracket."""
-        self._local.seq = None
-
-    def _current(self) -> int | None:
-        seq: int | None = getattr(self._local, "seq", None)
-        return seq
+        """Clear the execution bracket."""
+        self._current = None
 
     # ------------------------------------------------------------------
     # Resolver hooks
@@ -255,7 +250,7 @@ class FlightTable:
         leader and under ``coalesce=False``, through the backend) —
         never resolve as a cache hit, even after the leader admits it.
         """
-        seq = self._current()
+        seq = self._current
         if seq is None or not self._entries:
             return frozenset()
         masked: set[int] = set()
@@ -279,7 +274,7 @@ class FlightTable:
         the leader itself failed on an unrelated chunk, the next
         requester in sequence order inherits the fetch.
         """
-        seq = self._current()
+        seq = self._current
         if seq is None or not self._entries:
             return {}, 0.0
         awaiting: list[tuple[int, ChunkFlight]] = []
@@ -329,7 +324,7 @@ class FlightTable:
             (``<= 0``), to be added to the fetch report's
             ``coalesce_time``.
         """
-        seq = self._current()
+        seq = self._current
         if seq is None or not self.coalesce or not self._entries:
             return 0.0
         pending: dict[int, ChunkFlight] = {}
@@ -382,7 +377,7 @@ class FlightTable:
         claims, so a coalesced failure surfaces the same typed error to
         every query that depended on the fetch.
         """
-        seq = self._current()
+        seq = self._current
         if seq is None or not self.coalesce or not self._entries:
             return
         for number in numbers:
@@ -400,8 +395,8 @@ class FlightTable:
         """Zero the counters and drop any previous window's entries.
 
         The front door calls this at the top of every run so a reused
-        session starts from a clean table (the thread-local execution
-        brackets are per-thread and already cleared by ``end()``).
+        session starts from a clean table (the execution bracket is
+        already cleared by ``end()``).
         """
         self.flights = 0
         self.coalesced_chunks = 0

@@ -8,8 +8,11 @@ partition counts it handled, plus a per-resolver attribution map telling
 which link of the chain answered which share of the query.
 
 Traces are deliberately dependency-free (plain objects over floats and
-ints) so :class:`repro.core.metrics.StreamMetrics` can aggregate them
-without importing the pipeline package.  Both classes are mutable
+ints; this module imports nothing from the package).  The stage record
+is defined once, here: :class:`StageTrace` plus :data:`STAGE_FIELDS`,
+the list its ``repr``, :func:`aggregate_stage_traces` and — through
+that — ``StreamMetrics.stage_summary()`` and the snapshot's
+``StageStats`` all follow.  Both classes are mutable
 accumulators — :class:`StageTimer` fills a :class:`StageTrace` in as the
 stage runs, and the executor appends to an :class:`ExecutionTrace` stage
 by stage — so they are plain classes, not frozen pipeline values (R003).
@@ -30,6 +33,7 @@ import time
 from typing import Iterable
 
 __all__ = [
+    "STAGE_FIELDS",
     "StageTrace",
     "ExecutionTrace",
     "StageTimer",
@@ -118,20 +122,29 @@ class StageTrace:
         self.coalesce_seconds = coalesce_seconds
 
     def __repr__(self) -> str:
-        return (
-            f"StageTrace(name={self.name!r}, "
-            f"wall_seconds={self.wall_seconds!r}, "
-            f"modelled_time={self.modelled_time!r}, "
-            f"partitions={self.partitions!r}, "
-            f"pages_read={self.pages_read!r}, "
-            f"tuples_scanned={self.tuples_scanned!r}, "
-            f"lock_wait_seconds={self.lock_wait_seconds!r}, "
-            f"faults={self.faults!r}, "
-            f"retries={self.retries!r}, "
-            f"degraded={self.degraded!r}, "
-            f"backoff_seconds={self.backoff_seconds!r}, "
-            f"coalesce_seconds={self.coalesce_seconds!r})"
+        fields = ", ".join(
+            f"{field}={getattr(self, field)!r}"
+            for field in ("name", *STAGE_FIELDS)
         )
+        return f"StageTrace({fields})"
+
+
+#: The summable fields of a :class:`StageTrace`, in the order its
+#: ``repr`` prints them and a ``stage_summary()`` bucket keys them
+#: (after ``"calls"``).
+STAGE_FIELDS = (
+    "wall_seconds",
+    "modelled_time",
+    "partitions",
+    "pages_read",
+    "tuples_scanned",
+    "lock_wait_seconds",
+    "faults",
+    "retries",
+    "degraded",
+    "backoff_seconds",
+    "coalesce_seconds",
+)
 
 
 class ExecutionTrace:
@@ -226,44 +239,20 @@ def aggregate_stage_traces(
 ) -> dict[str, dict[str, float]]:
     """Aggregate many traces into per-stage totals.
 
-    Returns a mapping ``stage name -> {"calls", "wall_seconds",
-    "modelled_time", "partitions", "pages_read", "tuples_scanned",
-    "lock_wait_seconds", "faults", "retries", "degraded",
-    "backoff_seconds", "coalesce_seconds"}`` summed over all traces, in
-    first-seen stage order.
+    Returns a mapping ``stage name -> {"calls", *STAGE_FIELDS}`` summed
+    over all traces, in first-seen stage order.
     """
     totals: dict[str, dict[str, float]] = {}
     for trace in traces:
         for entry in trace.stages:
-            bucket = totals.setdefault(
-                entry.name,
-                {
-                    "calls": 0.0,
-                    "wall_seconds": 0.0,
-                    "modelled_time": 0.0,
-                    "partitions": 0.0,
-                    "pages_read": 0.0,
-                    "tuples_scanned": 0.0,
-                    "lock_wait_seconds": 0.0,
-                    "faults": 0.0,
-                    "retries": 0.0,
-                    "degraded": 0.0,
-                    "backoff_seconds": 0.0,
-                    "coalesce_seconds": 0.0,
-                },
-            )
+            bucket = totals.get(entry.name)
+            if bucket is None:
+                bucket = totals[entry.name] = dict.fromkeys(
+                    ("calls", *STAGE_FIELDS), 0.0
+                )
             bucket["calls"] += 1
-            bucket["wall_seconds"] += entry.wall_seconds
-            bucket["modelled_time"] += entry.modelled_time
-            bucket["partitions"] += entry.partitions
-            bucket["pages_read"] += entry.pages_read
-            bucket["tuples_scanned"] += entry.tuples_scanned
-            bucket["lock_wait_seconds"] += entry.lock_wait_seconds
-            bucket["faults"] += entry.faults
-            bucket["retries"] += entry.retries
-            bucket["degraded"] += entry.degraded
-            bucket["backoff_seconds"] += entry.backoff_seconds
-            bucket["coalesce_seconds"] += entry.coalesce_seconds
+            for field in STAGE_FIELDS:
+                bucket[field] += getattr(entry, field)
     return totals
 
 

@@ -6,9 +6,9 @@ rejection — never silent) and is drained in fixed-size **admission
 windows**.  Admission never depends on execution, so the whole schedule
 is computed up front by the pure function :func:`admission_schedule`;
 :class:`FrontSession` then *is* a
-:class:`~repro.serve.session.ServeSession` whose fair turnstile walks
-the admitted sequence numbers — the front door has no threads, locks
-or failure handling of its own.
+:class:`~repro.serve.session.ServeSession` running the admitted
+tickets in sequence order on the calling thread — the front door has no
+threads, locks or failure handling of its own, and starts none.
 
 Determinism is the load-bearing property, as for the fair schedule:
 
@@ -19,9 +19,8 @@ Determinism is the load-bearing property, as for the fair schedule:
   the name-sorted streams — the canonical order.
 - **Backpressure** is part of the protocol, not a race: which queries
   are shed is a pure function of (workload, config).
-- **Execution** is serialized into admission order by the engine's
-  turnstile, so the cache sees one deterministic query sequence at any
-  worker count.
+- **Execution** is the engine's sequential run in admission order, so
+  the cache sees one deterministic query sequence at any worker count.
 
 Within a window, planned-duplicate missing chunks are **coalesced**
 through a :class:`~repro.pipeline.flight.FlightTable`: the first
@@ -80,9 +79,10 @@ class FrontConfig:
             the canonical round-robin interleave; raising it models
             burstier sessions (and, with ``window`` < offered load,
             deterministic shedding).
-        max_workers: Worker threads (default: one per stream).  Never
-            changes results, only wall/simulated attribution — the
-            determinism contract.
+        max_workers: Simulated workers the admitted tickets are dealt
+            to (default: one per stream).  No thread is started: it
+            moves the report's ``simulated_*`` attribution and nothing
+            else — not results, not wall time.
         coalesce: Enable single-flight chunk coalescing.  ``False``
             keeps the same admission and masking behavior but forces
             every planned-duplicate chunk to refetch — the benchmark's
@@ -188,7 +188,7 @@ class FrontSession(ServeSession):
 
     A :class:`~repro.serve.session.ServeSession` whose tickets are the
     :func:`admission_schedule`'s windows and whose queries execute
-    inside the flight table's bracket; turnstile, worker pool, deadline,
+    inside the flight table's bracket; the execution loop, deadline,
     failure handling, checkpoints and report merge are the engine's.
 
     Its pipeline is the manager's with the flight table woven in (see
@@ -245,7 +245,8 @@ class FrontSession(ServeSession):
             tolerate=tolerate,
             on_answer=on_answer,
         )
-        # The report's tag; the engine serializes anything but FREE.
+        # The report's tag; the engine runs anything but FREE
+        # sequentially on the calling thread.
         self.schedule = FRONT
         self.config = config
         self.flight = FlightTable(
@@ -298,10 +299,11 @@ class FrontSession(ServeSession):
     # The engine's two seams
     # ------------------------------------------------------------------
     def _tickets(self) -> list[list[Ticket]]:
-        """Deal the admission schedule to the workers: position ``p``
-        of a window goes to worker ``p % min(max_workers, len(window))``
-        (a window shorter than the pool leaves the high workers idle,
-        which the simulated per-worker seconds report)."""
+        """Deal the admission schedule to the simulated workers:
+        position ``p`` of a window goes to worker
+        ``p % min(max_workers, len(window))`` (a window shorter than
+        ``max_workers`` leaves the high workers idle, which the
+        simulated per-worker seconds report)."""
         # run() starts here: a reused session's table starts clean.
         self.flight.reset()
         windows, self._shed = admission_schedule(self.streams, self.config)
@@ -318,7 +320,8 @@ class FrontSession(ServeSession):
     def _execute(self, seq: int, query: StarQuery) -> PipelineResult:
         """Answer one admitted query inside its flight bracket.  The
         query heading a window first plans it: analysis is pure metadata
-        (no disk I/O), and its turn means the previous window is done."""
+        (no disk I/O), and tickets run in sequence order, so the
+        previous window is done."""
         window = self._windows.get(seq)
         if window is not None:
             analyzer = self.pipeline.analyzer
@@ -362,8 +365,8 @@ def run_front(
     of a failed fetch receives the same typed failure) and a digest
     that is a pure function of (workload, fault seed, config) at any
     worker count.  Unlike the racing soak it accepts a plain
-    single-threaded store: execution is fully serialized, and
-    conservation checkpoints simply do not run without a
+    single-threaded store: execution is sequential on the calling
+    thread, and conservation checkpoints simply do not run without a
     ``check_conservation``.
 
     Args:

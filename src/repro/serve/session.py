@@ -1,43 +1,49 @@
-"""Concurrent multi-stream serving sessions.
+"""Multi-stream serving sessions.
 
 :class:`ServeSession` runs K user :class:`~repro.workload.stream.QueryStream`s
-against one shared :class:`~repro.core.manager.ChunkCacheManager` on a
-thread pool, every worker executing through the manager's existing
-:class:`~repro.pipeline.executor.StagedPipeline`.  Streams are
-partitioned across workers (each stream is wholly owned by one worker),
+against one shared :class:`~repro.core.manager.ChunkCacheManager`, every
+query executing through the manager's existing
+:class:`~repro.pipeline.executor.StagedPipeline`.  Streams are dealt to
+``max_workers`` workers (each stream is wholly owned by one worker),
 each stream accumulates its own
 :class:`~repro.core.metrics.StreamMetrics`, and the per-stream
 accumulators are merged deterministically after the run.
 
 Two schedules:
 
-- ``"fair"`` — a turnstile serializes query execution into the
-  *canonical order*: the round-robin interleave of the name-sorted
-  streams, exactly what :func:`repro.workload.stream.interleave_streams`
-  produces.  Execution is then independent of the worker count — with
-  any ``max_workers`` the cache sees the same query sequence as a
-  sequential run over the interleaved stream, so all accounting totals
-  are identical (and with ``max_workers=1`` the run *is* the sequential
-  run).  This is the determinism contract the regression tests pin.
-- ``"free"`` — workers race unsynchronized; real lock contention on the
-  cache shards and the backend.  Interleaving-dependent values (which
-  query was a hit) vary run to run, but conservation properties
-  (invariants, Σ pages read == backend read delta) must hold under any
-  interleaving — that is what the soak harness hammers.
+- ``"fair"`` — the deterministic schedule: the tickets run one at a time
+  in the *canonical order* — the round-robin interleave of the
+  name-sorted streams, exactly what
+  :func:`repro.workload.stream.interleave_streams` produces — **on the
+  thread that called** :meth:`ServeSession.run`.  No thread is started
+  and nothing waits on anything, so the run *is* the sequential run
+  over the interleaved stream at every ``max_workers``; the worker
+  count only decides which worker's simulated clock each query is
+  charged to.  This is the determinism contract the regression tests
+  pin.
+- ``"free"`` — one pool thread per worker, racing unsynchronized; real
+  lock contention on the cache shards and the backend.
+  Interleaving-dependent values (which query was a hit) vary run to
+  run, but conservation properties (invariants, Σ pages read == backend
+  read delta) must hold under any interleaving — that is what the soak
+  harness hammers, and the only reason this module still owns a thread
+  pool.
 
-Because real threads under the GIL cannot show wall-clock speedup on
-this CPU-bound simulation, throughput is also reported in *simulated*
+CPython threads cannot buy wall time on this CPU-bound simulation (two
+shared-nothing stacks on two threads run at 0.9–1.05× the speed of the
+same two back to back — ``docs/SERVING.md``, "Why the deterministic
+schedules start no thread"), so parallelism is reported in *simulated*
 time: each worker's makespan is the sum of the modelled execution times
-of the queries it ran, the session's makespan is the slowest worker, and
-throughput is queries per simulated second — the quantity a real
-multi-core deployment of this architecture would observe.
+of the queries dealt to it, the session's makespan is the slowest
+worker, and throughput is queries per simulated second — the quantity a
+real multi-core deployment of this architecture would observe.
 
 The session is the layer's one serving engine.  It has two internal
-seams — :meth:`ServeSession._tickets` (who runs which query, and as
-which turn) and :meth:`ServeSession._execute` (how one query is
-answered) — and the admission front door
-(:class:`~repro.serve.front.FrontSession`) is this engine with both
-overridden, not a second one.
+seams — :meth:`ServeSession._tickets` (which worker is charged for
+which query, and in what order they run) and
+:meth:`ServeSession._execute` (how one query is answered) — and the
+admission front door (:class:`~repro.serve.front.FrontSession`) is this
+engine with both overridden, not a second one.
 """
 
 from __future__ import annotations
@@ -114,16 +120,17 @@ class QueryFailure:
 
 @dataclass(frozen=True)
 class ServeReport:
-    """Outcome of one concurrent serving session.
+    """Outcome of one serving session.
 
     Attributes:
         queries: Queries executed (all streams).
-        max_workers: Worker threads used.
+        max_workers: Workers the tickets were dealt to (threads only
+            under ``"free"``).
         schedule: ``"fair"`` or ``"free"`` (``"front"`` from the
             front door, which is fair over its admitted tickets).
         wall_seconds: Real elapsed time of the run.
-        simulated_worker_seconds: Per-worker sums of modelled query
-            times, in worker order.
+        simulated_worker_seconds: Per-worker sums of the modelled times
+            of the queries dealt to each worker, in worker order.
         simulated_makespan: The slowest worker's simulated time — the
             session's modelled completion time.
         simulated_throughput: Queries per simulated second
@@ -152,37 +159,47 @@ class ServeReport:
 
 
 class ServeSession:
-    """Runs several user streams concurrently against one manager.
+    """Runs several user streams against one shared manager.
 
     Args:
         manager: The shared chunk-cache manager.  Its cache should be a
             :class:`~repro.serve.ShardedChunkCache` (any
             :class:`~repro.core.cache.ChunkStore` works, but only a
-            thread-safe store is safe under ``max_workers > 1``).
+            thread-safe store is safe under ``"free"`` with
+            ``max_workers > 1``).
         streams: The user streams; names must be unique.  Streams are
             processed in name order — the canonical order — regardless
             of the order given here.
-        max_workers: Worker threads (default: one per stream; capped at
-            the stream count since streams are not split).
-        schedule: ``"fair"`` (deterministic turnstile) or ``"free"``
-            (unsynchronized racing).
+        max_workers: Workers the streams are dealt to (default: one per
+            stream; capped at the stream count since streams are not
+            split).  Under ``"free"`` each worker is a pool thread;
+            under ``"fair"`` it is a simulated clock only — the tickets
+            run on the calling thread, and the worker count moves
+            ``simulated_*`` and nothing else, wall time included.
+        schedule: ``"fair"`` (deterministic, sequential on the calling
+            thread) or ``"free"`` (one racing thread per worker).
         checkpoint_every: When positive, ``on_checkpoint`` is invoked
             with the completed-query count after every that many
-            queries (globally, under a lock — workers keep running).
+            queries (globally; under ``"free"`` the other workers keep
+            running meanwhile).
         on_checkpoint: Callback for periodic mid-run verification (the
             soak harness passes the cache's conservation check).
-        timeout_seconds: Hard deadline for the whole run; a stuck worker
-            turns into a :class:`~repro.exceptions.ServeError`, never a
-            hang.
+        timeout_seconds: Hard deadline for the whole run: a session
+            that overran raises :class:`~repro.exceptions.ServeError`,
+            never reports success.  Under ``"fair"`` it is checked as
+            each ticket completes (nothing there can deadlock); under
+            ``"free"`` :meth:`run` returns *at* the deadline, leaving a
+            stuck worker behind rather than waiting for it.
         tolerate: Exception types that fail a *query* without failing
             the session: the query is recorded as a
-            :class:`QueryFailure`, the turnstile advances, and the
-            worker moves on.  Empty (the default) tolerates nothing —
-            any exception aborts the session as before.  The chaos-soak
-            harness passes :class:`~repro.exceptions.InjectedFault`.
+            :class:`QueryFailure` and the next ticket runs.  Empty (the
+            default) tolerates nothing — any exception aborts the
+            session, and no later ticket of a fair session runs.  The
+            chaos-soak harness passes
+            :class:`~repro.exceptions.InjectedFault`.
         on_answer: Callback receiving ``(seq, stream, query, rows)`` for
             every successfully answered query (under the fair schedule
-            this is fully serialized in canonical order).  The chaos
+            in canonical order, on the calling thread).  The chaos
             harness uses it to capture answers for oracle replay.
     """
 
@@ -228,10 +245,9 @@ class ServeSession:
         self.timeout_seconds = timeout_seconds
         self.tolerate = tuple(tolerate)
         self.on_answer = on_answer
-        # Turnstile / progress state (rebuilt per run()).
-        self._cond = threading.Condition()
-        self._turns: list[int] = []
-        self._next_turn = 0
+        # Progress state (rebuilt per run()); the lock matters only
+        # under FREE, where the workers are threads.
+        self._lock = threading.Lock()
         self._completed = 0
         self._checkpoints_fired = 0
         self._failure: BaseException | None = None
@@ -249,12 +265,13 @@ class ServeSession:
         Worker ``w`` owns streams ``w, w+W, w+2W, ...`` and receives its
         queries in canonical order — a worker draining its own list in
         order therefore visits its queries exactly as the canonical
-        order does, which is what lets the fair turnstile enforce the
-        global canonical order with local-only work lists.
+        order does.  A serialized schedule runs the lists merged by
+        sequence number; the worker a ticket was dealt to is then only
+        the simulated clock its modelled time is charged to.
 
         An override may deal any tickets it likes as long as every
         worker's list ascends in sequence number; the numbers need not
-        be contiguous (the turnstile walks whatever was dealt, sorted).
+        be contiguous (a serialized run sorts whatever was dealt).
         """
         per_worker: list[list[Ticket]] = [
             [] for _ in range(self.max_workers)
@@ -279,36 +296,17 @@ class ServeSession:
         return per_worker
 
     def _execute(self, seq: int, query: StarQuery) -> PipelineResult:
-        """Answer one query (under the turnstile when the schedule is
-        serialized).  The pipeline is read off the manager per call, so
-        a caller may swap it between runs."""
+        """Answer one query.  The pipeline is read off the manager per
+        call, so a caller may swap it between runs."""
         return self.manager.pipeline.execute(query)
 
     # ------------------------------------------------------------------
-    # Turnstile
+    # Progress
     # ------------------------------------------------------------------
-    def _await_turn(self, seq: int, deadline: float) -> None:
-        with self._cond:
-            while self._turns[self._next_turn] != seq:
-                if self._failure is not None:
-                    raise ServeError(
-                        "serving session aborted by another worker"
-                    ) from self._failure
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise ServeError(
-                        f"worker timed out waiting for turn {seq} "
-                        f"(deadline {self.timeout_seconds}s)"
-                    )
-                self._cond.wait(remaining)
-
-    def _finish_query(self, serialized: bool) -> None:
-        """Publish one completed query: advance the turnstile, count
-        progress, and fire the checkpoint callback on the boundary."""
-        with self._cond:
-            if serialized:
-                self._next_turn += 1
-                self._cond.notify_all()
+    def _finish_query(self) -> None:
+        """Count one completed query and fire the checkpoint callback
+        on the boundary."""
+        with self._lock:
             self._completed += 1
             fire = (
                 self.checkpoint_every > 0
@@ -319,71 +317,123 @@ class ServeSession:
         if fire:
             assert self.on_checkpoint is not None
             self.on_checkpoint(count)
-            with self._cond:
+            with self._lock:
                 self._checkpoints_fired += 1
 
     def _abort(self, error: BaseException) -> None:
-        with self._cond:
+        with self._lock:
             if self._failure is None:
                 self._failure = error
-            self._cond.notify_all()
 
     # ------------------------------------------------------------------
-    # Workers
+    # Execution
     # ------------------------------------------------------------------
-    def _run_worker(
+    def _overrun(self) -> ServeError:
+        return ServeError(
+            f"serving session exceeded its {self.timeout_seconds}s deadline"
+        )
+
+    def _drain(
         self,
-        tasks: list[Ticket],
+        tasks: list[tuple[int, Ticket]],
         per_stream: dict[str, StreamMetrics],
         answered: list[tuple[int, QueryRecord, ExecutionTrace]],
         sim_seconds: list[float],
-        worker_index: int,
         deadline: float,
     ) -> None:
-        serialized = self.schedule != FREE
+        """Run ``(worker index, ticket)`` pairs in the order given.
+
+        The one execution loop: a serialized schedule drains every
+        ticket through it on the calling thread, a FREE worker drains
+        its own list on its pool thread.  A tolerated failure is
+        recorded and the loop moves on; anything else propagates from
+        the ticket that raised it — no later ticket runs, and FREE's
+        other workers stop at their next one.  The deadline is checked
+        as each ticket completes.
+        """
         try:
-            for seq, stream_name, query in tasks:
-                if serialized:
-                    self._await_turn(seq, deadline)
-                elif self._failure is not None:
+            for worker, (seq, stream_name, query) in tasks:
+                if self._failure is not None:
                     raise ServeError(
                         "serving session aborted by another worker"
                     ) from self._failure
                 try:
                     result = self._execute(seq, query)
                 except self.tolerate as error:
-                    # A tolerated failure still holds its turnstile slot:
-                    # record it, advance, and move on.
                     failure = QueryFailure.from_error(
                         seq, stream_name, error
                     )
-                    with self._cond:
+                    with self._lock:
                         self._failures.append(failure)
-                    self._finish_query(serialized)
-                    continue
-                per_stream[stream_name].record(
-                    result.record, result.trace
-                )
-                answered.append((seq, result.record, result.trace))
-                sim_seconds[worker_index] += result.record.time
-                if self.on_answer is not None:
-                    self.on_answer(seq, stream_name, query, result.rows)
-                self._finish_query(serialized)
+                else:
+                    per_stream[stream_name].record(
+                        result.record, result.trace
+                    )
+                    answered.append((seq, result.record, result.trace))
+                    sim_seconds[worker] += result.record.time
+                    if self.on_answer is not None:
+                        self.on_answer(seq, stream_name, query, result.rows)
+                self._finish_query()
+                if time.monotonic() > deadline:
+                    raise self._overrun()
         except BaseException as error:
-            # Fatal: abort *without* advancing, so no later ticket runs.
             self._abort(error)
             raise
+
+    def _race(
+        self,
+        per_worker: list[list[tuple[int, Ticket]]],
+        per_stream: dict[str, StreamMetrics],
+        sim_seconds: list[float],
+        deadline: float,
+    ) -> list[tuple[int, QueryRecord, ExecutionTrace]]:
+        """The FREE schedule: one pool thread per worker list.
+
+        Returns at the deadline or at the first fatal error *without*
+        joining the pool — a stuck worker must not hold the caller —
+        the survivors having been told (``_failure``) to stop at their
+        next ticket.
+        """
+        answered_parts: list[
+            list[tuple[int, QueryRecord, ExecutionTrace]]
+        ] = [[] for _ in per_worker]
+        pool = ThreadPoolExecutor(
+            max_workers=len(per_worker), thread_name_prefix="serve"
+        )
+        try:
+            futures = [
+                pool.submit(
+                    self._drain,
+                    tasks,
+                    per_stream,
+                    answered,
+                    sim_seconds,
+                    deadline,
+                )
+                for tasks, answered in zip(per_worker, answered_parts)
+            ]
+            for future in futures:
+                remaining = deadline - time.monotonic()
+                try:
+                    future.result(timeout=max(remaining, 0.01))
+                except TimeoutError as error:
+                    self._abort(error)
+                    raise self._overrun() from error
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
+        return [item for part in answered_parts for item in part]
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def run(self) -> ServeReport:
         """Execute every ticket to completion and merge the results."""
-        per_worker = self._tickets()
-        self._turns = sorted(
-            seq for tasks in per_worker for seq, _stream, _query in tasks
-        )
-        self._next_turn = 0
+        per_worker = [
+            [(worker, ticket) for ticket in tasks]
+            for worker, tasks in enumerate(self._tickets())
+        ]
         self._completed = 0
         self._checkpoints_fired = 0
         self._failure = None
@@ -391,9 +441,6 @@ class ServeSession:
         per_stream = {
             stream.name: StreamMetrics() for stream in self.streams
         }
-        answered_parts: list[
-            list[tuple[int, QueryRecord, ExecutionTrace]]
-        ] = [[] for _ in range(self.max_workers)]
         sim_seconds = [0.0] * self.max_workers
         deadline = time.monotonic() + self.timeout_seconds
         backend = self.manager.backend
@@ -401,44 +448,34 @@ class ServeSession:
         backend.lock_wait_recorder = record_blocked_wait
         started = time.perf_counter()
         try:
-            with ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="serve",
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        self._run_worker,
-                        per_worker[index],
-                        per_stream,
-                        answered_parts[index],
-                        sim_seconds,
-                        index,
-                        deadline,
-                    )
-                    for index in range(self.max_workers)
-                ]
-                for future in futures:
-                    remaining = deadline - time.monotonic()
-                    try:
-                        future.result(timeout=max(remaining, 0.01))
-                    except TimeoutError as error:
-                        self._abort(error)
-                        raise ServeError(
-                            "serving session exceeded its "
-                            f"{self.timeout_seconds}s deadline"
-                        ) from error
+            if self.schedule == FREE:
+                answered = self._race(
+                    per_worker, per_stream, sim_seconds, deadline
+                )
+            else:
+                # Any other schedule is the sequential run over its
+                # tickets in ascending sequence number, right here.
+                answered = []
+                self._drain(
+                    sorted(
+                        (task for tasks in per_worker for task in tasks),
+                        key=lambda task: task[1][0],
+                    ),
+                    per_stream,
+                    answered,
+                    sim_seconds,
+                    deadline,
+                )
         finally:
             backend.lock_wait_recorder = previous_recorder
         wall = time.perf_counter() - started
 
         # Records and failures are ordered by sequence number — a pure
         # function of (streams, config), never of thread completion
-        # order — so a serialized run reproduces the sequential run over
-        # its tickets record-for-record.
+        # order.
         metrics = StreamMetrics()
         for _seq, record, trace in sorted(
-            (item for part in answered_parts for item in part),
-            key=lambda item: item[0],
+            answered, key=lambda item: item[0]
         ):
             metrics.record(record, trace)
         makespan = max(sim_seconds)

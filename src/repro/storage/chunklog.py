@@ -607,21 +607,6 @@ class ChunkLog:
                 self._file = None
 
     # ------------------------------------------------------------------
-    # Backwards-compatible names (pre-protocol API)
-
-    def append(self, token: str, payload: bytes, benefit: float) -> int:
-        """Alias of :meth:`put` (the pre-``L2Backend`` name)."""
-        return self.put(token, payload, benefit)
-
-    def read(self, token: str) -> bytes:
-        """Alias of :meth:`get` (the pre-``L2Backend`` name)."""
-        return self.get(token)
-
-    def entries(self) -> tuple[tuple[str, float, int], ...]:
-        """Alias of :meth:`scan_keys` (the pre-``L2Backend`` name)."""
-        return self.scan_keys()
-
-    # ------------------------------------------------------------------
     # Internals (lock held)
 
     def _forget_extent(self, token: str) -> bool:

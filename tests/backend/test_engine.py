@@ -234,6 +234,48 @@ class TestExplain:
         plan = fresh_small_engine.explain(query, "chunk")
         assert plan["chunks"]["source"] == "materialized(1, 1)"
 
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            ("chunk", "requires the chunked organization"),
+            ("bitmap", "bitmap indexes were not built"),
+            ("bogus", "unknown access path 'bogus'"),
+        ],
+    )
+    def test_rejects_what_answer_rejects(
+        self, small_schema, small_records, path, message
+    ):
+        # explain resolves the access path exactly as answer does: the
+        # same typed error for a path the engine cannot take, never a
+        # plan for one answer would refuse.
+        engine = BackendEngine.build(
+            small_schema,
+            ChunkSpace(small_schema, 0.25),
+            small_records,
+            organization="random",
+            build_bitmaps=False,
+        )
+        query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
+        with pytest.raises(BackendError, match=message):
+            engine.answer(query, path)
+        with pytest.raises(BackendError, match=message):
+            engine.explain(query, path)
+
+    @pytest.mark.parametrize("build_bitmaps", [True, False])
+    @pytest.mark.parametrize("selections", [None, {"D0": (0, 2)}])
+    def test_auto_names_the_path_answer_takes(
+        self, small_schema, small_records, build_bitmaps, selections
+    ):
+        engine = BackendEngine.build(
+            small_schema,
+            ChunkSpace(small_schema, 0.25),
+            small_records,
+            build_bitmaps=build_bitmaps,
+        )
+        query = StarQuery.build(small_schema, (1, 1), selections)
+        _rows, report = engine.answer(query)
+        assert engine.explain(query)["access_path"] == report.access_path
+
     def test_explain_does_no_io(self, small_schema, fresh_small_engine):
         query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
         before = fresh_small_engine.disk.stats.copy()

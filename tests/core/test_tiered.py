@@ -385,7 +385,7 @@ class TestStoreSurfaces:
 
     def test_unparseable_token_is_quarantined_on_rebuild(self):
         log = ChunkLog(page_size=PAGE)
-        log.append("not-json", b"payload", 1.0)
+        log.put("not-json", b"payload", 1.0)
         tiered = TieredChunkCache(ChunkCache(1_000), log)
         assert tiered.tiers()["l2"]["quarantined"] == 1
         assert len(tiered) == 0
@@ -415,7 +415,7 @@ class TestDegrade:
         tiered = make_tiered()
         key = make_chunk(number=5).key
         token = chunk_token(key)
-        tiered.log.append(token, b"not-a-chunk-payload", 1.0)
+        tiered.log.put(token, b"not-a-chunk-payload", 1.0)
         with tiered._lock:
             tiered._rebuild_keys_locked()
         assert tiered.get(key) is None
@@ -477,7 +477,7 @@ class TestReopen:
         log = ChunkLog(page_size=PAGE)
         for n, benefit in enumerate([0.5, 3.0, 2.0, 1.0]):
             entry = make_chunk(number=n, benefit=benefit, fill=n)
-            log.append(chunk_token(entry.key), encode_chunk(entry), benefit)
+            log.put(chunk_token(entry.key), encode_chunk(entry), benefit)
         fresh = TieredChunkCache(ChunkCache(2 * size), log)
         loaded = fresh.reopen()
         assert loaded == 2
@@ -494,7 +494,7 @@ class TestReopen:
         log = ChunkLog(page_size=PAGE)
         for n in range(4):
             entry = make_chunk(number=n, benefit=1.0 + n)
-            log.append(chunk_token(entry.key), encode_chunk(entry), 1.0 + n)
+            log.put(chunk_token(entry.key), encode_chunk(entry), 1.0 + n)
         fresh = TieredChunkCache(ChunkCache(2 * size), log)
         writes_before = log.disk.stats.writes
         fresh.reopen()

@@ -1,11 +1,16 @@
 """Tests for per-stage execution traces and their aggregation."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.core.cache import ChunkCache
 from repro.core.manager import ChunkCacheManager
 from repro.core.query_cache import QueryCacheManager
+from repro.core.snapshot import StageStats
 from repro.pipeline.trace import (
+    STAGE_FIELDS,
     ExecutionTrace,
     StageTimer,
     StageTrace,
@@ -45,6 +50,29 @@ class TestStageTimer:
         trace.stages.append(StageTrace("resolve:cache", partitions=3))
         assert trace.stage("resolve:cache").partitions == 3
         assert trace.stage("missing") is None
+
+
+class TestStageRecord:
+    def test_one_field_list(self):
+        # The constructor, the repr, a stage_summary() bucket and the
+        # snapshot's typed StageStats all follow STAGE_FIELDS.
+        assert list(inspect.signature(StageTrace).parameters) == [
+            "name",
+            *STAGE_FIELDS,
+        ]
+        assert [f.name for f in dataclasses.fields(StageStats)] == [
+            "name",
+            "calls",
+            *STAGE_FIELDS,
+        ]
+        stage = StageTrace("s", partitions=3, backoff_seconds=0.5)
+        rebuilt = eval(repr(stage), {"StageTrace": StageTrace})
+        assert vars(rebuilt) == vars(stage)
+        bucket = aggregate_stage_traces([ExecutionTrace(stages=[stage])])
+        assert list(bucket["s"]) == ["calls", *STAGE_FIELDS]
+        assert StageStats.from_bucket("s", bucket["s"]).to_json() == (
+            bucket["s"]
+        )
 
 
 class TestAnswerTrace:

@@ -1,5 +1,6 @@
 """Tests for repro.serve.session — the concurrent stream executor."""
 
+import threading
 import time
 from types import SimpleNamespace
 
@@ -197,6 +198,13 @@ class TestValidation:
         assert FREE == "free"
 
 
+def _free_answer():
+    """What a stub pipeline returns: an answer that cost nothing."""
+    return SimpleNamespace(
+        record=SimpleNamespace(full_cost=0.0, time=0.0), trace=None
+    )
+
+
 class _SlowPipeline:
     """A pipeline whose every query takes longer than the deadline."""
 
@@ -205,22 +213,68 @@ class _SlowPipeline:
 
     def execute(self, query):
         time.sleep(self.delay)
-        return SimpleNamespace(
-            record=SimpleNamespace(full_cost=0.0, time=0.0), trace=None
-        )
+        return _free_answer()
+
+
+class _BlockedPipeline:
+    """A pipeline whose queries hang until the test lets them go (or,
+    so a regression fails instead of hanging, for five seconds)."""
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def execute(self, query):
+        self.release.wait(timeout=5.0)
+        return _free_answer()
+
+
+def _stub_manager(pipeline):
+    return SimpleNamespace(
+        pipeline=pipeline,
+        backend=SimpleNamespace(
+            lock_wait_recorder=None,
+            lock_wait_seconds=0.0,
+            lock_acquisitions=0,
+        ),
+        cache=None,
+    )
 
 
 class TestTimeout:
-    def test_deadline_becomes_serve_error(self):
-        manager = SimpleNamespace(
-            pipeline=_SlowPipeline(delay=0.4),
-            backend=SimpleNamespace(
-                lock_wait_recorder=None,
-                lock_wait_seconds=0.0,
-                lock_acquisitions=0,
-            ),
-            cache=None,
+    def test_free_deadline_does_not_wait_for_the_stuck_worker(self):
+        pipeline = _BlockedPipeline()
+        streams = [
+            QueryStream(name=name, queries=(object(), object()))
+            for name in ("a", "b")
+        ]
+        session = ServeSession(
+            _stub_manager(pipeline),
+            streams,
+            schedule=FREE,
+            timeout_seconds=0.2,
         )
+        started = time.perf_counter()
+        try:
+            with pytest.raises(ServeError, match="deadline"):
+                session.run()
+            # run() came back at the deadline with both workers still
+            # inside their first query.
+            assert time.perf_counter() - started < 1.2
+        finally:
+            pipeline.release.set()
+        # Released, each worker finds the session failed at its next
+        # ticket and exits: nothing is left running.
+        workers = [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("serve_")
+        ]
+        for thread in workers:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in workers)
+
+    def test_deadline_becomes_serve_error(self):
+        manager = _stub_manager(_SlowPipeline(delay=0.4))
         stream = QueryStream(name="slow", queries=(object(), object()))
         session = ServeSession(
             manager, [stream], timeout_seconds=0.15

@@ -22,9 +22,9 @@ def make_log(path=None):
 class TestChunkLogBasics:
     def test_append_read_roundtrip(self):
         log = make_log()
-        pages = log.append("a", b"payload-a", 3.5)
+        pages = log.put("a", b"payload-a", 3.5)
         assert pages >= 1
-        assert log.read("a") == b"payload-a"
+        assert log.get("a") == b"payload-a"
         assert log.benefit("a") == 3.5
         assert log.pages_for("a") == pages
         assert "a" in log
@@ -32,21 +32,21 @@ class TestChunkLogBasics:
 
     def test_last_write_wins(self):
         log = make_log()
-        log.append("a", b"old", 1.0)
-        log.append("a", b"new", 2.0)
-        assert log.read("a") == b"new"
+        log.put("a", b"old", 1.0)
+        log.put("a", b"new", 2.0)
+        assert log.get("a") == b"new"
         assert log.benefit("a") == 2.0
         assert len(log) == 1
 
     def test_empty_token_rejected(self):
         log = make_log()
         with pytest.raises(ChunkLogError):
-            log.append("", b"x", 1.0)
+            log.put("", b"x", 1.0)
 
     def test_missing_token_raises(self):
         log = make_log()
         with pytest.raises(ChunkLogError):
-            log.read("ghost")
+            log.get("ghost")
         with pytest.raises(ChunkLogError):
             log.benefit("ghost")
         with pytest.raises(ChunkLogError):
@@ -54,7 +54,7 @@ class TestChunkLogBasics:
 
     def test_delete_tombstones(self):
         log = make_log()
-        log.append("a", b"x", 1.0)
+        log.put("a", b"x", 1.0)
         assert log.delete("a") is True
         assert log.delete("a") is False
         assert "a" not in log
@@ -62,15 +62,15 @@ class TestChunkLogBasics:
 
     def test_clear_drops_everything(self):
         log = make_log()
-        log.append("a", b"x", 1.0)
-        log.append("b", b"y", 2.0)
+        log.put("a", b"x", 1.0)
+        log.put("b", b"y", 2.0)
         assert log.clear() == 2
         assert len(log) == 0
         assert log.stats.clears == 1
 
     def test_drop_is_memory_only(self):
         log = make_log()
-        log.append("a", b"x", 1.0)
+        log.put("a", b"x", 1.0)
         writes_before = log.disk.stats.writes
         assert log.drop("a") is True
         assert log.drop("a") is False
@@ -79,22 +79,22 @@ class TestChunkLogBasics:
 
     def test_tokens_and_entries_in_insertion_order(self):
         log = make_log()
-        log.append("b", b"1", 1.0)
-        log.append("a", b"22", 2.0)
-        log.append("b", b"333", 3.0)  # re-insert moves b last
+        log.put("b", b"1", 1.0)
+        log.put("a", b"22", 2.0)
+        log.put("b", b"333", 3.0)  # re-insert moves b last
         assert log.tokens() == ("a", "b")
-        assert log.entries() == (("a", 2.0, 2), ("b", 3.0, 3))
+        assert log.scan_keys() == (("a", 2.0, 2), ("b", 3.0, 3))
         assert log.live_bytes == 5
 
     def test_close_is_idempotent_and_blocks_writes(self):
         log = make_log()
-        log.append("a", b"x", 1.0)
+        log.put("a", b"x", 1.0)
         log.close()
         log.close()
         with pytest.raises(ChunkLogError):
-            log.append("b", b"y", 1.0)
+            log.put("b", b"y", 1.0)
         with pytest.raises(ChunkLogError):
-            log.read("a")
+            log.get("a")
         # Introspection still works after close (job summaries run then).
         assert len(log) == 1
         assert log.live_bytes == 1
@@ -102,7 +102,7 @@ class TestChunkLogBasics:
     def test_oversized_token_rejected(self):
         log = make_log()
         with pytest.raises(ChunkLogError):
-            log.append("t" * 70_000, b"x", 1.0)
+            log.put("t" * 70_000, b"x", 1.0)
 
     def test_in_memory_log_has_no_recovery(self):
         log = make_log()
@@ -112,9 +112,9 @@ class TestChunkLogBasics:
 class TestChunkLogAccounting:
     def test_page_conservation(self):
         log = make_log()
-        log.append("a", b"x" * (3 * PAGE), 1.0)
-        log.append("b", b"y", 2.0)
-        log.read("a")
+        log.put("a", b"x" * (3 * PAGE), 1.0)
+        log.put("b", b"y", 2.0)
+        log.get("a")
         log.delete("b")
         log.clear()
         stats = log.stats
@@ -125,13 +125,13 @@ class TestChunkLogAccounting:
 
     def test_multi_page_record_charges_ceil(self):
         log = make_log()
-        pages = log.append("a", b"x" * (PAGE + 1), 1.0)
+        pages = log.put("a", b"x" * (PAGE + 1), 1.0)
         assert pages == log.pages_for("a")
         assert pages >= 2
 
     def test_peek_is_uncharged(self):
         log = make_log()
-        log.append("a", b"payload", 1.0)
+        log.put("a", b"payload", 1.0)
         reads_before = log.disk.stats.reads
         assert log.peek("a") == b"payload"
         assert log.disk.stats.reads == reads_before
@@ -139,7 +139,7 @@ class TestChunkLogAccounting:
 
     def test_faulted_append_charges_partial_pages_only(self):
         log = make_log()
-        log.append("warm", b"w", 1.0)
+        log.put("warm", b"w", 1.0)
         fail_on = {log.disk.num_pages + 1}  # second page of next record
 
         def hook(page_id):
@@ -149,7 +149,7 @@ class TestChunkLogAccounting:
 
         log.disk.write_hook = hook
         with pytest.raises(DiskFault):
-            log.append("a", b"x" * (3 * PAGE), 2.0)
+            log.put("a", b"x" * (3 * PAGE), 2.0)
         log.disk.write_hook = None
         # The aborted append reached the manifest and file not at all...
         assert "a" not in log
@@ -163,7 +163,7 @@ class TestChunkLogAccounting:
 
     def test_faulted_read_charges_partial_pages_only(self):
         log = make_log()
-        log.append("a", b"x" * (3 * PAGE), 1.0)
+        log.put("a", b"x" * (3 * PAGE), 1.0)
         seen = []
 
         def hook(page_id):
@@ -174,45 +174,45 @@ class TestChunkLogAccounting:
 
         log.disk.read_hook = hook
         with pytest.raises(DiskFault):
-            log.read("a")
+            log.get("a")
         log.disk.read_hook = None
         stats = log.stats
         assert stats.reads == 0  # the read never completed
         assert log.disk.stats.reads == stats.read_pages + stats.scan_pages
-        assert log.read("a") == b"x" * (3 * PAGE)
+        assert log.get("a") == b"x" * (3 * PAGE)
 
 
 class TestTornWrites:
     def test_torn_hook_corrupts_payload_under_valid_framing(self):
         log = make_log()
         log.torn_hook = lambda token: token == "torn"
-        log.append("clean", b"ok", 1.0)
-        log.append("torn", b"doomed", 2.0)
+        log.put("clean", b"ok", 1.0)
+        log.put("torn", b"doomed", 2.0)
         assert log.stats.torn_writes == 1
-        assert log.read("clean") == b"ok"
+        assert log.get("clean") == b"ok"
         with pytest.raises(ChunkLogCorruption):
-            log.read("torn")
+            log.get("torn")
         assert log.stats.crc_failures == 1
 
     def test_torn_record_survives_restart_until_read(self, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
         log.torn_hook = lambda token: True
-        log.append("torn", b"doomed", 2.0)
+        log.put("torn", b"doomed", 2.0)
         log.close()
         reopened = make_log(path)
         # Valid framing: the scan keeps it; the CRC catches it at read.
         assert "torn" in reopened
         with pytest.raises(ChunkLogCorruption):
-            reopened.read("torn")
+            reopened.get("torn")
 
 
 class TestRestartRecovery:
     def test_clean_replay(self, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
-        log.append("a", b"x" * 10, 1.5)
-        log.append("b", b"y" * 20, 2.5)
+        log.put("a", b"x" * 10, 1.5)
+        log.put("b", b"y" * 20, 2.5)
         log.delete("a")
         log.close()
         reopened = make_log(path)
@@ -220,7 +220,7 @@ class TestRestartRecovery:
         assert reopened.recovery.live_entries == 1
         assert reopened.recovery.truncated_bytes == 0
         assert reopened.tokens() == ("b",)
-        assert reopened.read("b") == b"y" * 20
+        assert reopened.get("b") == b"y" * 20
         assert reopened.benefit("b") == 2.5
         # The scan charged one read per record page; the read("b")
         # above added its own pages on top.
@@ -232,9 +232,9 @@ class TestRestartRecovery:
     def test_clear_survives_restart(self, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
-        log.append("a", b"x", 1.0)
+        log.put("a", b"x", 1.0)
         log.clear()
-        log.append("b", b"y", 2.0)
+        log.put("b", b"y", 2.0)
         log.close()
         reopened = make_log(path)
         assert reopened.tokens() == ("b",)
@@ -242,8 +242,8 @@ class TestRestartRecovery:
     def test_truncated_tail_is_cut(self, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
-        log.append("a", b"x" * 10, 1.0)
-        log.append("b", b"y" * 10, 2.0)
+        log.put("a", b"x" * 10, 1.0)
+        log.put("b", b"y" * 10, 2.0)
         log.close()
         raw = open(path, "rb").read()
         with open(path, "wb") as handle:
@@ -252,7 +252,7 @@ class TestRestartRecovery:
         assert reopened.recovery.truncated_bytes > 0
         assert reopened.recovery.header_reset is False
         assert reopened.tokens() == ("a",)
-        assert reopened.read("a") == b"x" * 10
+        assert reopened.get("a") == b"x" * 10
         # The cut is durable: the next open sees a clean log.
         reopened.close()
         again = make_log(path)
@@ -266,7 +266,7 @@ class TestRestartRecovery:
         log = make_log(path)
         assert log.recovery.header_reset is True
         assert len(log) == 0
-        log.append("a", b"x", 1.0)
+        log.put("a", b"x", 1.0)
         log.close()
         assert make_log(path).tokens() == ("a",)
 
@@ -281,7 +281,7 @@ class TestRestartRecovery:
     def test_unframeable_garbage_cuts_tail(self, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
-        log.append("a", b"x", 1.0)
+        log.put("a", b"x", 1.0)
         log.close()
         with open(path, "ab") as handle:
             handle.write(b"\xff" * 64)
@@ -292,7 +292,7 @@ class TestRestartRecovery:
     def test_non_utf8_token_bytes_cut_tail(self, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
-        log.append("a", b"x", 1.0)
+        log.put("a", b"x", 1.0)
         log.close()
         # A well-framed PUT whose token bytes are not UTF-8: the scan
         # treats it as the start of a corrupt tail.
@@ -349,7 +349,7 @@ class TestSpaceCounters:
         assert log.dead_pages == 0
         assert log.counters()["compactions"] == 1
         assert log.counters()["reclaimed_pages"] == dead
-        assert log.read("a") == b"y" * 4
+        assert log.get("a") == b"y" * 4
 
     def test_space_gauges_are_recomputed_from_durable_bytes(self, tmp_path):
         path = str(tmp_path / "log.bin")
@@ -368,11 +368,11 @@ GOLDEN = __file__.rsplit("/", 1)[0] + "/golden/chunklog_v1.bin"
 def write_golden_sequence(path):
     """The fixed record sequence pinned in ``golden/chunklog_v1.bin``."""
     log = ChunkLog(path, page_size=PAGE)
-    log.append("alpha", b"alpha-payload", 1.5)
-    log.append("beta", bytes(range(64)), 2.25)
-    log.append("alpha", b"alpha-v2", 3.0)
+    log.put("alpha", b"alpha-payload", 1.5)
+    log.put("beta", bytes(range(64)), 2.25)
+    log.put("alpha", b"alpha-v2", 3.0)
     log.delete("beta")
-    log.append("gamma", b"\x00\xff" * 8, 0.5)
+    log.put("gamma", b"\x00\xff" * 8, 0.5)
     log.close()
 
 
@@ -401,9 +401,9 @@ class TestGoldenFormat:
         log = make_log(path)
         assert log.recovery.records == 5
         assert log.tokens() == ("alpha", "gamma")
-        assert log.read("alpha") == b"alpha-v2"
+        assert log.get("alpha") == b"alpha-v2"
         assert log.benefit("alpha") == 3.0
-        assert log.read("gamma") == b"\x00\xff" * 8
+        assert log.get("gamma") == b"\x00\xff" * 8
 
     def test_version_bump_refuses_golden_reinterpretation(self, tmp_path):
         raw = bytearray(open(GOLDEN, "rb").read())

@@ -8,6 +8,7 @@ import pytest
 
 from repro import __main__ as cli
 from repro.__main__ import main
+from tools import benchpairs
 
 NIGHTLY = (
     Path(__file__).resolve().parents[1]
@@ -31,8 +32,9 @@ REJECTED = [
 ]
 
 
-def nightly_commands():
-    """Every ``python -m repro soak|front ...`` argv in the nightly.
+def nightly_commands(module="repro"):
+    """Every ``python -m <module> ...`` argv in the nightly (for
+    ``repro``: the ``soak`` / ``front`` command lines).
 
     A command runs (over folded lines, YAML comments dropped) to the
     next ``&&`` or to the ``- name:`` of the next step.
@@ -43,9 +45,9 @@ def nightly_commands():
         if not line.lstrip().startswith("#")
     )
     return [
-        [command, *arguments.split()]
-        for command, arguments in re.findall(
-            r"python -m repro (soak|front)((?: (?!&&|- )\S+)*)", text
+        arguments.split()
+        for arguments in re.findall(
+            rf"python -m {re.escape(module)}((?: (?!&&|- )\S+)+)", text
         )
     ]
 
@@ -187,3 +189,13 @@ class TestNightlyWorkflow:
             assert flags.cache["cache_tiers"] == 2
             assert flags.cache["persist_path"]
         assert config.max_workers is None
+
+    def test_bench_pairs_step_parses(self):
+        # The exact-metric gate: one short run against the previous
+        # commit, which the checkout must therefore have fetched.
+        (argv,) = nightly_commands("tools.benchpairs")
+        options = benchpairs.build_parser().parse_args(argv)
+        assert options.base == "HEAD~1"
+        assert options.workload == ["serve_fair"]
+        assert 1 <= options.pairs < benchpairs.MIN_PAIRS
+        assert "fetch-depth: 2" in NIGHTLY.read_text(encoding="utf-8")

@@ -207,7 +207,8 @@ def report(
         )
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command line (also parsed by the nightly-workflow test)."""
     parser = argparse.ArgumentParser(
         prog="benchpairs",
         description="interleaved benchmark pairs: base revision vs tree",
@@ -220,6 +221,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1998)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     options = parser.parse_args(argv)
     if options.pairs < 1:
         parser.error("--pairs must be at least 1")

@@ -99,10 +99,6 @@ HOOK_BINDINGS: Mapping[str, tuple[tuple[str, str], ...]] = {
             "reopen", "benefit", "pages_for",
         )
     },
-    # ChunkLog-specific aliases kept for older call sites.
-    "self.log.append": (("ChunkLog", "append"),),
-    "self.log.read": (("ChunkLog", "read"),),
-    "self.log.entries": (("ChunkLog", "entries"),),
     # sqlite3 connection calls inside the SqliteBackend: the receiver
     # is a stdlib object, but ``execute`` collides with the query
     # pipeline's entry point — name resolution would thread the whole

@@ -62,7 +62,7 @@ LOCK_LEVELS: Mapping[tuple[str, str], str] = {
     ("CacheShard", "lock"): "shard",
     ("ShardedChunkCache", "_accounting_lock"): "accounting",
     ("BackendEngine", "_lock"): "engine",
-    ("ServeSession", "_cond"): "turnstile",
+    ("ServeSession", "_lock"): "session",
     ("FaultInjector", "_lock"): "faults",
     ("ChunkAdmitter", "_registry_lock"): "admitter",
     ("ChunkWorkEstimator", "_lock"): "estimator",
@@ -144,16 +144,6 @@ class StateWaiver:
 COORDINATOR_STATE: tuple[StateWaiver, ...] = (
     StateWaiver(
         "ServeSession",
-        "_turns",
-        "rebound by run() before worker threads start; read-only afterwards",
-    ),
-    StateWaiver(
-        "ServeSession",
-        "_next_turn",
-        "reset by run() before worker threads start; turnstile-ordered after",
-    ),
-    StateWaiver(
-        "ServeSession",
         "_completed",
         "reset by run() before worker threads start (pool not yet created)",
     ),
@@ -175,14 +165,14 @@ COORDINATOR_STATE: tuple[StateWaiver, ...] = (
     StateWaiver(
         "FrontSession",
         "_windows",
-        "rebound by _tickets(), which run() calls before worker threads "
-        "start; workers only read it, each key under its own turn",
+        "rebound by _tickets(), which run() calls before the first ticket "
+        "runs; the front door runs its tickets on the calling thread",
     ),
     StateWaiver(
         "FrontSession",
         "_shed",
-        "rebound by _tickets(), which run() calls before worker threads "
-        "start; never touched by a worker",
+        "rebound by _tickets(), which run() calls before the first ticket "
+        "runs; never touched while tickets run",
     ),
 )
 
