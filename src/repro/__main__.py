@@ -44,7 +44,6 @@ commands:
                        --per-user N, --shards N, --workers N,
                        --tiers 1|2, --persist PATH (2-tier chunk log),
                        --cache-bytes N (override the L1 budget),
-                       --l2-backend chunklog|sqlite,
                        --l2-budget N (L2 live-byte budget),
                        --compact-threshold R (dead-space ratio),
                        --report PATH (JSON), --smoke / --paper
@@ -54,7 +53,6 @@ commands:
                        --per-user N, --window N, --workers N,
                        --no-coalesce, --tiers 1|2,
                        --persist PATH (2-tier chunk log),
-                       --l2-backend chunklog|sqlite,
                        --l2-budget N, --compact-threshold R,
                        --report PATH (JSON), --smoke / --paper
   info                 version and default scale
@@ -205,7 +203,6 @@ def _job_flags(command: str, argv: list[str]) -> _JobFlags:
     argv, workers = _number_flag(argv, "--workers", int, minimum=1)
     argv, tiers = _number_flag(argv, "--tiers", int)
     argv, persist = _flag_value(argv, "--persist")
-    argv, l2_backend = _flag_value(argv, "--l2-backend")
     argv, l2_budget = _number_flag(argv, "--l2-budget", int)
     argv, compact_threshold = _number_flag(
         argv, "--compact-threshold", float
@@ -224,7 +221,6 @@ def _job_flags(command: str, argv: list[str]) -> _JobFlags:
         cache=_given(
             cache_tiers=tiers,
             persist_path=persist,
-            l2_backend=l2_backend,
             l2_budget_bytes=l2_budget,
             compact_threshold=compact_threshold,
         ),

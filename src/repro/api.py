@@ -35,8 +35,6 @@ from repro.exceptions import StackError
 from repro.schema.star import StarSchema
 from repro.serve.sharded import ShardedChunkCache
 from repro.storage.chunklog import ChunkLog
-from repro.storage.l2 import L2Backend
-from repro.storage.sqlitelog import SqliteBackend
 
 __all__ = [
     "CHUNK",
@@ -65,7 +63,7 @@ class StackConfig:
             when no pre-built :class:`~repro.chunks.grid.ChunkSpace` is
             supplied).
         organization: Backend file organization (``"chunked"`` or
-            ``"dimension"``); the chunk scheme requires ``"chunked"``.
+            ``"random"``); the chunk scheme requires ``"chunked"``.
         page_size: Backend page size in bytes.
         buffer_pool_pages: Backend buffer-pool capacity in pages.
         build_bitmaps: Build bitmap indexes at load time.
@@ -80,8 +78,6 @@ class StackConfig:
         aggregate_in_cache: Enable in-cache derivation (Section 7).
         prefetch_drilldown: Enable drill-down prefetching (implies
             derivation).  Chunk scheme only.
-        miss_path: Query-scheme miss access path (``"auto"``,
-            ``"bitmap"``, ``"scan"``).
         cache_tiers: ``1`` (the default — the historical in-memory-only
             cache, byte-for-byte unchanged) or ``2`` — the L1 store is
             wrapped in a :class:`~repro.core.tiered.TieredChunkCache`
@@ -95,18 +91,12 @@ class StackConfig:
         demote_min_benefit: Minimum benefit an L1 eviction victim needs
             to be spilled to L2 (2-tier only); lower-value victims are
             dropped exactly as the 1-tier cache drops them.
-        l2_backend: Which :class:`~repro.storage.l2.L2Backend` backs
-            the persistent tier: ``"chunklog"`` (the default append-only
-            :class:`~repro.storage.chunklog.ChunkLog`) or ``"sqlite"``
-            (the stdlib :class:`~repro.storage.sqlitelog.SqliteBackend`,
-            in-place updates, no dead space).  2-tier only.
         l2_budget_bytes: Cap on live payload bytes in the L2 backend;
             over-budget spills evict the lowest-benefit live records
             first (see ``docs/TIERING.md``).  ``None`` = unbounded.
             2-tier only.
-        compact_threshold: Dead-space page ratio at which the tiered
-            cache triggers a backend compaction (``ChunkLog`` only does
-            real work; in-place backends have no dead space).  ``None``
+        compact_threshold: Dead-space page ratio in (0, 1] at which
+            the tiered cache triggers a compaction of the log.  ``None``
             = never compact.  2-tier only.
     """
 
@@ -121,11 +111,9 @@ class StackConfig:
     num_shards: int = 0
     aggregate_in_cache: bool = False
     prefetch_drilldown: bool = False
-    miss_path: str = "auto"
     cache_tiers: int = 1
     persist_path: str | None = None
     demote_min_benefit: float = 0.0
-    l2_backend: str = "chunklog"
     l2_budget_bytes: int | None = None
     compact_threshold: float | None = None
 
@@ -214,6 +202,11 @@ def build_cache(config: StackConfig) -> ChunkStore:
     :class:`~repro.storage.chunklog.ChunkLog`; when the backing file
     already holds live records, L1 is warmed from the L2 manifest
     (benefit-ranked) before the store is returned.
+
+    A negative budget or threshold, or a ``compact_threshold`` outside
+    (0, 1], is a :class:`~repro.exceptions.StackError` raised before
+    anything is constructed, so a bad configuration never creates (or
+    leaves open) the file at ``persist_path``.
     """
     if config.cache_tiers not in (1, 2):
         raise StackError(
@@ -222,11 +215,6 @@ def build_cache(config: StackConfig) -> ChunkStore:
     if config.persist_path is not None and config.cache_tiers != 2:
         raise StackError(
             "persist_path is only meaningful with cache_tiers=2"
-        )
-    if config.l2_backend not in ("chunklog", "sqlite"):
-        raise StackError(
-            f"unknown l2_backend {config.l2_backend!r}; "
-            "expected 'chunklog' or 'sqlite'"
         )
     if config.cache_tiers != 2:
         for name, value in (
@@ -237,6 +225,26 @@ def build_cache(config: StackConfig) -> ChunkStore:
                 raise StackError(
                     f"{name} is only meaningful with cache_tiers=2"
                 )
+    if config.cache_bytes < 0:
+        raise StackError(
+            f"cache_bytes must be >= 0, got {config.cache_bytes}"
+        )
+    if config.demote_min_benefit < 0.0:
+        raise StackError(
+            "demote_min_benefit must be >= 0, "
+            f"got {config.demote_min_benefit}"
+        )
+    if config.l2_budget_bytes is not None and config.l2_budget_bytes < 0:
+        raise StackError(
+            f"l2_budget_bytes must be >= 0, got {config.l2_budget_bytes}"
+        )
+    if config.compact_threshold is not None and not (
+        0.0 < config.compact_threshold <= 1.0
+    ):
+        raise StackError(
+            "compact_threshold must be in (0, 1], "
+            f"got {config.compact_threshold}"
+        )
     l1: ChunkStore
     if config.num_shards > 0:
         l1 = ShardedChunkCache(
@@ -248,20 +256,20 @@ def build_cache(config: StackConfig) -> ChunkStore:
         l1 = ChunkCache(config.cache_bytes, config.policy)
     if config.cache_tiers == 1:
         return l1
-    log: L2Backend
-    if config.l2_backend == "sqlite":
-        log = SqliteBackend(config.persist_path, page_size=config.page_size)
-    else:
-        log = ChunkLog(config.persist_path, page_size=config.page_size)
-    tiered = TieredChunkCache(
-        l1,
-        log,
-        demote_min_benefit=config.demote_min_benefit,
-        l2_budget_bytes=config.l2_budget_bytes,
-        compact_threshold=config.compact_threshold,
-    )
-    if log.recovery is not None and log.recovery.live_entries > 0:
-        tiered.reopen()
+    log = ChunkLog(config.persist_path, page_size=config.page_size)
+    try:
+        tiered = TieredChunkCache(
+            l1,
+            log,
+            demote_min_benefit=config.demote_min_benefit,
+            l2_budget_bytes=config.l2_budget_bytes,
+            compact_threshold=config.compact_threshold,
+        )
+        if log.recovery.live_entries > 0:
+            tiered.reopen()
+    except BaseException:
+        log.close()
+        raise
     return tiered
 
 
@@ -344,7 +352,6 @@ def build_stack(
             config.cache_bytes,
             cost_model=cost_model,
             policy=config.policy,
-            miss_path=config.miss_path,
         )
     return Stack(
         config=config,

@@ -193,12 +193,7 @@ class BackendEngine:
         engine.load(records, build_bitmaps=build_bitmaps)
         return engine
 
-    def load(
-        self,
-        records: np.ndarray,
-        build_bitmaps: bool = True,
-        build_dimension_tables: bool = True,
-    ) -> None:
+    def load(self, records: np.ndarray, build_bitmaps: bool = True) -> None:
         """Bulk-load the fact table, bitmap indexes and dimension tables."""
         if self._loaded:
             raise BackendError("engine is already loaded")
@@ -232,11 +227,10 @@ class BackendEngine:
                     dim.leaf_cardinality,
                     self.buffer_pool,
                 )
-        if build_dimension_tables:
-            for dim in self.schema.dimensions:
-                self.dimension_tables[dim.name] = DimensionTable.build(
-                    self.disk, dim, self.buffer_pool
-                )
+        for dim in self.schema.dimensions:
+            self.dimension_tables[dim.name] = DimensionTable.build(
+                self.disk, dim, self.buffer_pool
+            )
         self._loaded = True
         self.buffer_pool.flush()
         self.buffer_pool.reset_stats()

@@ -149,8 +149,6 @@ class QueryCacheManager:
         cost_model: Converts physical work into modelled time.
         policy: Replacement policy instance or name (default: the same
             benefit-weighted CLOCK the chunk scheme uses).
-        miss_path: Backend access path on a miss (``"auto"`` picks bitmap
-            when selections exist).
     """
 
     def __init__(
@@ -160,7 +158,6 @@ class QueryCacheManager:
         capacity_bytes: int,
         cost_model: CostModel | None = None,
         policy: ReplacementPolicy | str = "benefit",
-        miss_path: str = "auto",
     ) -> None:
         if capacity_bytes < 0:
             raise CacheError(f"negative capacity {capacity_bytes}")
@@ -169,7 +166,6 @@ class QueryCacheManager:
         self.capacity_bytes = capacity_bytes
         self.cost_model = cost_model or CostModel()
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
-        self.miss_path = miss_path
         self.metrics = StreamMetrics()
         self._entries: dict[QueryKey, CachedQuery] = {}
         self._by_shape: dict[QueryKey, list[QueryKey]] = {}
@@ -388,16 +384,19 @@ class QueryCacheManager:
     def admit(
         self, query: StarQuery, rows: np.ndarray, benefit: float
     ) -> None:
-        """Admit a freshly computed whole result (evicting as needed)."""
+        """Admit a freshly computed whole result (evicting as needed).
+
+        Re-admitting a resident exact key refreshes it the way
+        :meth:`repro.core.cache.ChunkCache.put` does: the old entry is
+        retired first, so the refresh takes the one admission path —
+        others are evicted to make room, the policy re-weights it at
+        its current benefit, and an over-budget refresh leaves the key
+        absent.
+        """
         entry = CachedQuery(query=query, rows=rows, benefit=benefit)
-        if entry.size_bytes > self.capacity_bytes:
-            return
         key = query.exact_key()
-        if key in self._entries:
-            self._used_bytes -= self._entries[key].size_bytes
-            self._entries[key] = entry
-            self._used_bytes += entry.size_bytes
-            self.policy.on_access(key)
+        self._drop(key)
+        if entry.size_bytes > self.capacity_bytes:
             return
         while self._used_bytes + entry.size_bytes > self.capacity_bytes:
             self._evict_one(benefit)

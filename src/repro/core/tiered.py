@@ -3,10 +3,9 @@
 :class:`TieredChunkCache` implements the
 :class:`~repro.core.cache.ChunkStore` protocol by layering the existing
 in-memory cache (a :class:`~repro.core.cache.ChunkCache` or the serving
-layer's sharded store) over any durable
-:class:`~repro.storage.l2.L2Backend` — the append-only
-:class:`~repro.storage.chunklog.ChunkLog` by default, or the
-:class:`~repro.storage.sqlitelog.SqliteBackend` (see ``docs/TIERING.md``
+layer's sharded store) over a durable
+:class:`~repro.storage.l2.L2Backend` — in-tree, the append-only
+:class:`~repro.storage.chunklog.ChunkLog` (see ``docs/TIERING.md``
 §Backends):
 
 - **Spill on eviction.**  The L1 store's eviction observer

@@ -203,7 +203,6 @@ def make_query_manager(
     system: System,
     cache_bytes: int | None = None,
     policy: str = "benefit",
-    miss_path: str = "auto",
 ) -> QueryCacheManager:
     """A query-caching (containment) middle tier over the same backend."""
     reset_backend(system)
@@ -216,7 +215,6 @@ def make_query_manager(
                 else system.cache_bytes
             ),
             policy=policy,
-            miss_path=miss_path,
         ),
         space=system.space,
         backend=system.backend,

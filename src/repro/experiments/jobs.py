@@ -76,8 +76,8 @@ def cache_config(scale: Scale, **overrides: Any) -> StackConfig:
     ``cache_tiers=2`` puts the persistent spill tier under the sharded
     store, a constrained ``cache_bytes`` forces evictions (which is how
     the nightly restart arm guarantees the log actually fills), and
-    ``persist_path`` / ``l2_backend`` / ``l2_budget_bytes`` /
-    ``compact_threshold`` configure that tier.
+    ``persist_path`` / ``l2_budget_bytes`` / ``compact_threshold``
+    configure that tier.
     """
     return replace(
         StackConfig(

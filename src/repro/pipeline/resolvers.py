@@ -542,7 +542,6 @@ class QueryResultStore(Protocol):
     """
 
     backend: BackendEngine
-    miss_path: str
 
     def find_containing(self, query: StarQuery) -> CachedQuery | None:
         """A cached entry whose query contains ``query``, if any."""
@@ -601,9 +600,7 @@ class QueryBackendResolver(PartitionResolver):
     def resolve(
         self, analyzed: AnalyzedQuery, outstanding: Sequence[int]
     ) -> ResolverOutcome:
-        rows, report = self.store.backend.answer(
-            analyzed.query, self.store.miss_path
-        )
+        rows, report = self.store.backend.answer(analyzed.query)
         self.store.admit(
             analyzed.query, rows, benefit=analyzed.meta["full_cost"]
         )

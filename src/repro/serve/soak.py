@@ -90,7 +90,9 @@ class SoakConfig:
         checkpoint_every: Queries between cross-shard conservation
             checkpoints (0 disables mid-run checkpoints; the final check
             always runs).
-        max_workers: Worker threads (default: one per stream).
+        max_workers: Workers the streams are dealt to (default: one per
+            stream) — pool threads under ``"free"``, simulated clocks
+            only under ``"fair"``.
         timeout_seconds: Hard deadline — a deadlocked worker becomes a
             :class:`~repro.exceptions.ServeError`, never a hung test.
         schedule: ``"free"`` (the default) races for real — the point

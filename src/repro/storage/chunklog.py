@@ -1,7 +1,7 @@
 """Persistent, checksummed append-only chunk log (an L2 cache backend).
 
-:class:`ChunkLog` is the default durable half of the two-tier chunk
-cache (``docs/TIERING.md``) and the reference implementation of the
+:class:`ChunkLog` is the durable half of the two-tier chunk cache
+(``docs/TIERING.md``) and the in-tree implementation of the
 :class:`~repro.storage.l2.L2Backend` protocol.  It stores opaque
 ``(token, benefit, payload)`` records in an append-only file and
 charges every record read and write through a private
@@ -84,7 +84,7 @@ CHUNKLOG_VERSION = 1
 
 #: Backwards-compatible names: the stats/recovery value objects moved
 #: to :mod:`repro.storage.l2` when the backend contract was extracted;
-#: they are the same classes, shared by every backend.
+#: they are the same classes.
 ChunkLogStats = L2Stats
 LogRecovery = L2Recovery
 
@@ -124,8 +124,8 @@ class ChunkLog:
         page_size: Page size of the private accounting disk.
 
     Thread safety: every public operation holds the log's single
-    internal lock (runtime witness level ``"l2"`` — the tier-boundary
-    level shared by every backend).  The lock is a leaf in the
+    internal lock (runtime witness level ``"l2"`` — the tier
+    boundary).  The lock is a leaf in the
     documented order — ``shard -> l2`` and ``tiered -> l2`` edges are
     pinned in ``tests/tools/lockorder.txt``; no code path acquires
     another lock while holding it.

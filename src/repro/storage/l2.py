@@ -1,35 +1,31 @@
 """The L2 backend contract: what a persistent cache tier must provide.
 
-PR 8 delivered the persistent tier as one concrete store — a
-:class:`~repro.storage.chunklog.ChunkLog` hard-wired under
-:class:`~repro.core.tiered.TieredChunkCache`.  This module turns that
-tier boundary into a *contract*: :class:`L2Backend` is the structural
-protocol any durable record store must satisfy to slot in behind the
-tiered cache, and ``tests/storage/l2_contract.py`` is the executable
-half of the contract — a conformance battery every current and future
-backend must pass (see ``docs/TIERING.md`` §Backends).
+The persistent tier sits behind a *contract*: :class:`L2Backend` is the
+structural protocol a durable record store must satisfy to slot in
+behind :class:`~repro.core.tiered.TieredChunkCache`, and
+``tests/storage/l2_contract.py`` is the executable half of the contract
+— a conformance battery any backend must pass (see ``docs/TIERING.md``
+§Backends).
 
-Two implementations ship in-tree:
+One implementation ships in-tree:
+:class:`~repro.storage.chunklog.ChunkLog`, the checksummed, compactable
+append-only log.  The protocol is the typed seam a substitute goes
+through — today the benchmark's tracing proxy.
 
-- :class:`~repro.storage.chunklog.ChunkLog` — the checksummed
-  append-only log (compactable; the default);
-- :class:`~repro.storage.sqlitelog.SqliteBackend` — the same records
-  in a stdlib :mod:`sqlite3` table (updates in place, no dead space).
-
-The accounting rules every backend must obey:
+The accounting rules a backend must obey:
 
 - **One private accounting disk.**  All backend I/O is charged through
   the backend's own :class:`~repro.storage.disk.SimulatedDisk` at
   ``ceil(record_len / page_size)`` pages per logical record, where
   ``record_len`` is the canonical framed size
-  (:func:`record_length`) — *not* the store's physical layout.  Two
-  backends holding the same records therefore charge identical page
-  counts, so swapping the backend never perturbs the deterministic
-  economics the chaos digests pin.
+  (:func:`record_length`) — stated here, independently of the store,
+  so the conformance kit checks the store's page charges against it
+  and the deterministic economics the chaos digests pin cannot drift
+  with the physical layout.
 - **Exact conservation.**  The backend's logical page counters must
   reconcile with the accounting disk to the page, even across faulted
   partial operations — :func:`check_l2_conservation` states the
-  identity once for every implementation::
+  identity once::
 
       disk.writes == append + tombstone + clear + compact_write pages
       disk.reads  == read + scan + compact_read pages
@@ -42,8 +38,8 @@ The accounting rules every backend must obey:
   so the corruption is *detected* at the next read.  Backends never
   install hooks themselves (reprolint R006).
 
-Construction of any backend is confined to the :mod:`repro.api`
-facade and the defining modules (reprolint R011) — backends own
+Construction of the backend is confined to the :mod:`repro.api`
+facade and its defining module (reprolint R011) — a backend owns
 single-writer durable state.
 """
 
@@ -62,23 +58,18 @@ __all__ = [
     "check_l2_conservation",
     "record_length",
     "RECORD_OVERHEAD",
-    "TOKEN_OVERHEAD",
 ]
 
 #: Fixed framing bytes of one canonical record: type (u8) + token_len
-#: (u16) + payload_len (u32) + benefit (f64) + crc32 (u32).  Both
-#: backends charge pages for this frame plus token plus payload, so
-#: their page economics are identical by construction.
+#: (u16) + payload_len (u32) + benefit (f64) + crc32 (u32).  A backend
+#: charges pages for this frame plus token plus payload.
 RECORD_OVERHEAD = 19
-
-#: Canonical framed size of a token-only record (tombstone, clear).
-TOKEN_OVERHEAD = RECORD_OVERHEAD
 
 
 def record_length(token: str, payload: bytes = b"") -> int:
     """Canonical framed byte length of one record.
 
-    The charging currency shared by every backend: pages per operation
+    The charging currency of the tier: pages per operation
     are ``ceil(record_length(...) / page_size)`` regardless of how the
     store physically lays the record out.
     """

@@ -1,8 +1,11 @@
 """Tests for repro.core.query_cache — the containment baseline."""
 
+import numpy as np
 import pytest
 
+from repro import invariants
 from repro.core.query_cache import QueryCacheManager
+from repro.core.replacement import BenefitClockPolicy
 from repro.exceptions import CacheError, QueryError
 from repro.query.model import StarQuery
 from tests.conftest import canon_rows
@@ -91,6 +94,74 @@ class TestCachingSemantics:
     def test_negative_capacity_rejected(self, small_schema, fresh_small_engine):
         with pytest.raises(CacheError):
             QueryCacheManager(small_schema, fresh_small_engine, -1)
+
+
+class _RecordingPolicy(BenefitClockPolicy):
+    """Benefit-CLOCK that also records what the cache told it."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def on_insert(self, key, weight):
+        self.calls.append(("insert", key, weight))
+        super().on_insert(key, weight)
+
+    def remove(self, key):
+        self.calls.append(("remove", key))
+        super().remove(key)
+
+
+class TestAdmitRefresh:
+    """``admit`` of a resident exact key (the pipeline never does it —
+    a resident key contains itself, so the hit link answers first — but
+    ``admit`` is a public :class:`QueryResultStore` method)."""
+
+    def test_refresh_holds_the_budget_and_reweights(
+        self, small_schema, fresh_small_engine
+    ):
+        policy = _RecordingPolicy()
+        manager = QueryCacheManager(
+            small_schema, fresh_small_engine, 3_000, policy=policy
+        )
+        queries = [
+            q(small_schema, (2, 2), {"D0": (lo, lo + 2)}) for lo in range(8)
+        ]
+        for query in queries:
+            manager.answer(query)
+        resident = manager.find_containing(queries[-1])
+        assert resident is not None and len(manager) > 1
+        # A payload that fits the budget alone but not beside the
+        # other residents: the refresh has to evict.
+        grown = np.concatenate([resident.rows] * 4)
+        slack = manager.capacity_bytes - manager.used_bytes
+        assert grown.nbytes - resident.rows.nbytes > slack
+        assert grown.nbytes <= manager.capacity_bytes
+        policy.calls.clear()
+        previous = invariants.set_mode(invariants.DEEP)
+        try:
+            manager.admit(resident.query, grown, resident.benefit * 2)
+        finally:
+            invariants.set_mode(previous)
+        assert manager.used_bytes <= manager.capacity_bytes
+        refreshed = manager.find_containing(resident.query)
+        assert refreshed is not None and refreshed.rows is grown
+        key = resident.query.exact_key()
+        assert policy.calls[0] == ("remove", key)
+        assert ("insert", key, resident.benefit * 2) in policy.calls
+
+    def test_over_budget_refresh_leaves_the_key_absent(
+        self, small_schema, fresh_small_engine
+    ):
+        manager = QueryCacheManager(small_schema, fresh_small_engine, 3_000)
+        query = q(small_schema, (2, 2), {"D0": (0, 2)})
+        manager.answer(query)
+        resident = manager.find_containing(query)
+        oversized = np.concatenate([resident.rows] * 40)
+        assert oversized.nbytes > manager.capacity_bytes
+        manager.admit(query, oversized, resident.benefit)
+        assert manager.find_containing(query) is None
+        assert manager.used_bytes == 0
 
 
 class TestRedundancy:

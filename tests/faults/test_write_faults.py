@@ -197,16 +197,13 @@ def chaos_run(workers, **cache):
 
 
 class TestTieredChaosDigest:
-    """The 2-tier chaos digest is schedule-independent — for every
-    L2 backend: the digest is a pure function of (workload, seed,
-    config), and the backend is part of the config, not the schedule."""
+    """The 2-tier chaos digest is schedule-independent: the digest is
+    a pure function of (workload, seed, config)."""
 
-    @pytest.fixture(scope="class", params=["chunklog", "sqlite"])
-    def runs(self, request):
+    @pytest.fixture(scope="class")
+    def runs(self):
         return {
-            workers: chaos_run(
-                workers, cache_tiers=2, l2_backend=request.param
-            )
+            workers: chaos_run(workers, cache_tiers=2)
             for workers in (1, 2, 4)
         }
 

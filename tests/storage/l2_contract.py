@@ -8,15 +8,13 @@ retry/degrade behind the tiered cache, and budget eviction order.  It
 is deliberately *not* collected directly: a test module subclasses it,
 provides :meth:`L2ContractBattery.make_backend`, and pytest runs the
 whole battery against that implementation
-(``tests/storage/test_l2_conformance.py`` does so for both in-tree
-backends; ``docs/TIERING.md`` §Backends explains how to add a third).
+(``tests/storage/test_l2_conformance.py`` does so for the in-tree
+:class:`~repro.storage.chunklog.ChunkLog`; ``docs/TIERING.md``
+§Backends explains how another backend would earn a seat).
 
-Every assertion here is backend-agnostic by design.  Where layouts
-legitimately differ — append-only stores accumulate dead space,
-in-place stores never do — the battery branches on the single
-``reclaims_dead_space`` class flag and still pins the shared
-postcondition (after :meth:`~repro.storage.l2.L2Backend.compact`,
-``dead_pages == 0`` and every live payload is intact).
+Every assertion here goes through the protocol only; page charges are
+checked against :func:`~repro.storage.l2.record_length`, the statement
+of the framing that is independent of the store.
 """
 
 from __future__ import annotations
@@ -43,11 +41,6 @@ def always_fault(page_id: int) -> float:
 
 class L2ContractBattery:
     """Subclass me with ``make_backend`` to conformance-test a backend."""
-
-    #: Whether superseded/tombstoned records leave reclaimable dead
-    #: space (append-only layouts).  In-place stores set this False and
-    #: must report ``dead_pages == 0`` at all times.
-    reclaims_dead_space = True
 
     def make_backend(self, path: str | None = None) -> L2Backend:
         raise NotImplementedError("conformance subclasses build the backend")
@@ -157,9 +150,6 @@ class L2ContractBattery:
         assert backend.live_pages == sum(
             backend.pages_for(token) for token in backend.tokens()
         )
-        if not self.reclaims_dead_space:
-            backend.put("a", b"z", 3.0)  # in place: nothing goes dead
-            assert backend.dead_pages == 0
 
     def test_close_is_idempotent_and_blocks_operations(self):
         backend = self.make_backend()
@@ -185,9 +175,9 @@ class L2ContractBattery:
     # Accounting: the canonical charging currency and conservation
 
     def test_pages_charged_match_the_canonical_framing(self):
-        # Every backend charges ceil(record_length / page_size) pages
-        # regardless of its physical layout — the identity that keeps
-        # chaos digests comparable across backends.
+        # A backend charges ceil(record_length / page_size) pages
+        # regardless of its physical layout — record_length states the
+        # framing independently of the store.
         backend = self.make_backend()
         shapes = [("t", b""), ("tok", b"x" * 40),
                   ("long-token", b"y" * PAGE), ("z", b"z" * (3 * PAGE + 1))]
@@ -343,16 +333,11 @@ class L2ContractBattery:
         backend.put("a", b"z" * 4, 3.0)  # supersede
         backend.delete("b")
         counters = backend.counters()
-        if self.reclaims_dead_space:
-            assert counters["dead_pages"] > 0
-            reclaimed = backend.compact()
-            assert reclaimed == counters["dead_pages"]
-            assert backend.stats.compactions == 1
-            assert backend.stats.reclaimed_pages == reclaimed
-        else:
-            # In-place layouts never accumulate dead space.
-            assert counters["dead_pages"] == 0
-            assert backend.compact() == 0
+        assert counters["dead_pages"] > 0
+        reclaimed = backend.compact()
+        assert reclaimed == counters["dead_pages"]
+        assert backend.stats.compactions == 1
+        assert backend.stats.reclaimed_pages == reclaimed
         after = backend.counters()
         assert after["dead_pages"] == 0
         assert backend.tokens() == ("a",)

@@ -1,55 +1,18 @@
-"""Both in-tree L2 backends pass the same conformance battery.
+"""The in-tree L2 backend passes the conformance battery.
 
-The battery itself lives in :mod:`tests.storage.l2_contract`; each
-class below binds it to one implementation.  A third backend earns its
-place the same way: subclass :class:`L2ContractBattery`, implement
-``make_backend``, set ``reclaims_dead_space`` to match the layout.
+The battery itself lives in :mod:`tests.storage.l2_contract`; the
+class below binds it to the one implementation.  Another backend earns
+its place the same way: subclass :class:`L2ContractBattery` and
+implement ``make_backend`` (``docs/TIERING.md`` §Backends).
 """
 
 from repro.storage.chunklog import ChunkLog
-from repro.storage.sqlitelog import SqliteBackend
 
 from tests.storage.l2_contract import PAGE, L2ContractBattery
 
 
 class TestChunkLogConformance(L2ContractBattery):
-    """The append-only checksummed log (the default backend)."""
-
-    reclaims_dead_space = True
+    """The append-only checksummed log."""
 
     def make_backend(self, path=None):
         return ChunkLog(path, page_size=PAGE)
-
-
-class TestSqliteBackendConformance(L2ContractBattery):
-    """The stdlib-sqlite3 in-place store."""
-
-    reclaims_dead_space = False
-
-    def make_backend(self, path=None):
-        return SqliteBackend(path, page_size=PAGE)
-
-
-class TestSqliteQuirks:
-    """Recovery corners specific to the SQLite layout (the battery
-    covers the shared contract; these paths have no log analogue)."""
-
-    def test_valid_header_corrupt_pages_resets(self, tmp_path):
-        path = str(tmp_path / "cache.db")
-        with open(path, "wb") as handle:
-            handle.write(b"SQLite format 3\x00" + b"\xff" * 4096)
-        backend = SqliteBackend(path, page_size=PAGE)
-        assert backend.recovery.header_reset is True
-        assert len(backend) == 0
-        backend.put("a", b"x", 1.0)
-        assert backend.get("a") == b"x"
-        backend.close()
-
-    def test_live_file_backed_reopen_preserves_records(self, tmp_path):
-        path = str(tmp_path / "cache.db")
-        backend = SqliteBackend(path, page_size=PAGE)
-        backend.put("a", b"x", 1.0)
-        recovery = backend.reopen()  # reconnects without an exit
-        assert recovery.live_entries == 1
-        assert backend.get("a") == b"x"
-        backend.close()

@@ -28,7 +28,14 @@ REJECTED = [
     # FaultError) is a usage error too, never a traceback.
     (["--smoke", "--chaos", "--rate", "bogus"], "unknown fault rate"),
     (["--smoke", "--tiers", "3"], "cache_tiers must be 1 or 2"),
-    (["--smoke", "--tiers", "2", "--l2-backend", "foo"], "unknown l2_backend"),
+    (["--smoke", "--chaos", "--tiers", "2", "--compact-threshold", "2.0"],
+     "compact_threshold must be in (0, 1], got 2.0"),
+    (["--smoke", "--chaos", "--tiers", "2", "--l2-budget", "-5"],
+     "l2_budget_bytes must be >= 0, got -5"),
+    # The one L2 store is not an option: the flag is gone, whatever
+    # its value.
+    (["--smoke", "--tiers", "2", "--l2-backend", "foo"],
+     "arguments: ['--l2-backend', 'foo']"),
 ]
 
 
@@ -145,6 +152,12 @@ class TestSoakCommand:
         assert err.startswith(f"{command}: ") and message in err
         assert len(err.splitlines()) == 1
 
+    def test_negative_cache_bytes_rejected(self, capsys):
+        # soak only: front takes no --cache-bytes.
+        assert main(["soak", "--smoke", "--chaos", "--cache-bytes", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "soak: cache_bytes must be >= 0, got -1\n"
+
     @pytest.mark.parametrize(
         "command, flag", [("soak", "--shards"), ("front", "--window")]
     )
@@ -172,7 +185,7 @@ class TestNightlyWorkflow:
 
     def test_workflow_commands_found(self):
         commands = nightly_commands()
-        assert len(commands) >= 10
+        assert len(commands) >= 9
         assert {argv[0] for argv in commands} == {"soak", "front"}
         assert any("--cache-bytes" in argv for argv in commands)
 

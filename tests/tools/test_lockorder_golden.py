@@ -39,8 +39,7 @@ def test_documented_orders_are_pinned():
 def test_tiering_orders_are_pinned():
     # The two-tier cache's locking discipline: an L1 eviction spills
     # under the shard lock (shard -> tiered -> l2), and the transitive
-    # shard -> l2 edge is declared alongside it.  Both L2 backends
-    # share the "l2" level, so one pinned order covers either.
+    # shard -> l2 edge is declared alongside it.
     lines = GOLDEN.read_text().splitlines()
     assert "shard -> tiered" in lines
     assert "tiered -> l2" in lines

@@ -489,20 +489,3 @@ class TestR011ChunkLog:
             "    ChunkLog(str(tmp_path / 'log.bin'), page_size=256)\n"
         )
         assert only(src, "tests/storage/test_chunklog.py", "R011") == []
-
-    def test_experiment_constructing_sqlite_backend_fires(self):
-        src = (
-            "from repro.storage.sqlitelog import SqliteBackend\n"
-            "def f(path):\n"
-            "    return SqliteBackend(path, page_size=4096)\n"
-        )
-        assert only(src, "src/repro/experiments/fig9.py", "R011") == [
-            "R011"
-        ]
-
-    def test_sqlitelog_module_is_exempt(self):
-        src = (
-            "def reopen_backend(self, path):\n"
-            "    return SqliteBackend(path, page_size=self.page_size)\n"
-        )
-        assert only(src, "src/repro/storage/sqlitelog.py", "R011") == []

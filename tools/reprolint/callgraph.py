@@ -76,35 +76,24 @@ AMBIGUOUS_METHOD_NAMES = frozenset(
 #:   spill path acquires the ``tiered`` and ``l2`` locks (the whole
 #:   point of deriving the shard → tiered → l2 order);
 #: - ``self.log.<m>`` in the tiered cache denotes its owned
-#:   :class:`~repro.storage.l2.L2Backend`, but several of the method
-#:   names (``put``, ``get``, ``clear``, ``close``) are in
-#:   :data:`AMBIGUOUS_METHOD_NAMES` (resolve to nothing) or collide
-#:   with the sharded store's methods (resolve to a *false*
-#:   ``tiered -> shard`` edge, i.e. a fabricated cycle).
+#:   :class:`~repro.storage.l2.L2Backend` — the :class:`ChunkLog` —
+#:   but several of the method names (``put``, ``get``, ``clear``,
+#:   ``close``) are in :data:`AMBIGUOUS_METHOD_NAMES` (resolve to
+#:   nothing) or collide with the sharded store's methods (resolve to
+#:   a *false* ``tiered -> shard`` edge, i.e. a fabricated cycle).
 #:
-#: Each text maps to *every* implementation it may denote at runtime —
-#: for ``self.log`` that is both L2 backends (:class:`ChunkLog` and
-#: :class:`SqliteBackend`), so the derived lock graph covers whichever
-#: one the stack composes.  R009's DECLARED_EDGES covers the hops the
-#: callgraph still cannot see (hook *installation* sites).
-_L2_IMPLS = ("ChunkLog", "SqliteBackend")
-
+#: R009's DECLARED_EDGES covers the hops the callgraph still cannot
+#: see (hook *installation* sites).
 HOOK_BINDINGS: Mapping[str, tuple[tuple[str, str], ...]] = {
     "self.evict_hook": (("TieredChunkCache", "_on_evict"),),
     **{
-        f"self.log.{method}": tuple((cls, method) for cls in _L2_IMPLS)
+        f"self.log.{method}": (("ChunkLog", method),)
         for method in (
             "put", "get", "peek", "delete", "drop", "clear",
             "scan_keys", "tokens", "counters", "compact", "close",
             "reopen", "benefit", "pages_for",
         )
     },
-    # sqlite3 connection calls inside the SqliteBackend: the receiver
-    # is a stdlib object, but ``execute`` collides with the query
-    # pipeline's entry point — name resolution would thread the whole
-    # engine lock graph under the ``l2`` lock.  Bind to nothing.
-    "conn.execute": (),
-    "self._conn.execute": (),
 }
 
 

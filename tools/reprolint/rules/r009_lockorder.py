@@ -67,10 +67,8 @@ LOCK_LEVELS: Mapping[tuple[str, str], str] = {
     ("ChunkAdmitter", "_registry_lock"): "admitter",
     ("ChunkWorkEstimator", "_lock"): "estimator",
     ("TieredChunkCache", "_lock"): "tiered",
-    # Every L2 backend's internal lock shares one level: the tier
-    # boundary is the contract, not the concrete store.
+    # Named for the tier boundary, not the concrete store.
     ("ChunkLog", "_lock"): "l2",
-    ("SqliteBackend", "_lock"): "l2",
 }
 
 #: Decorators that acquire a level around the wrapped function.  The

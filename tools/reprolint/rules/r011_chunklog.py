@@ -1,22 +1,21 @@
 """R011 — the persistent tier is wired through the ``repro.api`` facade.
 
-An L2 backend (:class:`ChunkLog`, :class:`SqliteBackend`) owns a file
-on disk, and a :class:`TieredChunkCache` owns a backend.  Constructing
-any of them outside a composition root invites two quiet failure
-modes:
+The L2 backend (:class:`ChunkLog`) owns a file on disk, and a
+:class:`TieredChunkCache` owns a backend.  Constructing either outside
+a composition root invites two quiet failure modes:
 
-- two backends opened on the same path corrupt each other's state —
-  both are single-writer by design and have no cross-process locking;
+- two logs opened on the same path corrupt each other's state — the
+  log is single-writer by design and has no cross-process locking;
 - a hand-rolled tier skips the facade's validation (``cache_tiers``,
-  ``persist_path`` coupling, ``l2_backend`` dispatch, the warm-start
+  ``persist_path`` coupling, the tier option ranges, the warm-start
   ``reopen()`` call), so the stack silently diverges from what
   :class:`repro.api.StackConfig` describes and what the API-manifest
   test pins.
 
-Concretely: inside ``src/repro``, calls to ``ChunkLog(...)``,
-``SqliteBackend(...)`` and ``TieredChunkCache(...)`` are allowed only
-in ``repro.api`` and in the modules that define them.  Tests and tools
-are exempt — they exercise the storage layer directly by design.
+Concretely: inside ``src/repro``, calls to ``ChunkLog(...)`` and
+``TieredChunkCache(...)`` are allowed only in ``repro.api`` and in the
+modules that define them.  Tests and tools are exempt — they exercise
+the storage layer directly by design.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ CODE = "R011"
 SUMMARY = (
     "the persistent tier is wired through the repro.api facade: only "
     "the facade and the defining modules may call ChunkLog/"
-    "SqliteBackend/TieredChunkCache"
+    "TieredChunkCache"
 )
 
 #: Modules allowed to call the tier constructors: the facade plus the
@@ -38,12 +37,11 @@ SUMMARY = (
 COMPOSITION_ROOTS = (
     "repro.api",
     "repro.storage.chunklog",
-    "repro.storage.sqlitelog",
     "repro.core.tiered",
 )
 
 #: Constructor names whose direct call marks a hand-rolled tier.
-_TIER_TYPES = frozenset({"ChunkLog", "SqliteBackend", "TieredChunkCache"})
+_TIER_TYPES = frozenset({"ChunkLog", "TieredChunkCache"})
 
 
 def check(ctx: FileContext) -> Iterator[Violation]:
