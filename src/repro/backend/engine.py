@@ -468,7 +468,7 @@ class BackendEngine:
         for spans in source_spans_many(
             self.space, groupby, numbers, source_groupby
         ):
-            seen.update(self._enumerate_spans(source_grid.strides, spans))
+            seen.update(source_grid.numbers_in_spans(spans))
         return sorted(seen)
 
     def _union_base_chunks(
@@ -478,19 +478,6 @@ class BackendEngine:
         return self._union_source_chunks(
             groupby, numbers, self.schema.base_groupby
         )
-
-    @staticmethod
-    def _enumerate_spans(
-        strides: Sequence[int], spans: Sequence[tuple[int, int]]
-    ) -> list[int]:
-        numbers = [0]
-        for stride, (lo, hi) in zip(strides, spans):
-            numbers = [
-                base + coord * stride
-                for base in numbers
-                for coord in range(lo, hi)
-            ]
-        return numbers
 
     def _estimation_source(
         self, groupby: GroupBy

@@ -21,7 +21,7 @@ chunk of a group-by represents.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.chunks.ranges import ChunkRange, DimensionChunking, desired_sizes_for_ratio
 from repro.exceptions import ChunkingError
@@ -165,22 +165,44 @@ class ChunkGrid:
         maps each coordinate tuple through :meth:`chunk_number`.  The result
         is sorted ascending (row-major enumeration order).
         """
-        spans = self.selection_spans(selection)
-        return list(self._enumerate_spans(spans))
+        return self.numbers_in_spans(self.selection_spans(selection))
 
-    def _enumerate_spans(
-        self, spans: Sequence[tuple[int, int]]
-    ) -> Iterator[int]:
-        def recurse(dim: int, base: int) -> Iterator[int]:
-            if dim == len(spans):
-                yield base
-                return
-            lo, hi = spans[dim]
-            stride = self.strides[dim]
-            for coord in range(lo, hi):
-                yield from recurse(dim + 1, base + coord * stride)
+    def numbers_in_spans(self, spans: Sequence[tuple[int, int]]) -> list[int]:
+        """Chunk numbers of the block ``spans`` describes, ascending.
 
-        yield from recurse(0, 0)
+        One pass per dimension over the numbers so far; a dimension the
+        block does not extend along (the usual case) only shifts them.
+        """
+        offset = 0
+        numbers = [0]
+        for (lo, hi), stride in zip(spans, self.strides):
+            if hi - lo == 1:
+                offset += lo * stride
+            else:
+                steps = range(lo * stride, hi * stride, stride)
+                numbers = [base + step for base in numbers for step in steps]
+        if offset:
+            numbers = [offset + number for number in numbers]
+        return numbers
+
+    def cut_dimensions(
+        self, selection: Selection, spans: Sequence[tuple[int, int]]
+    ) -> tuple[int, ...]:
+        """Positions of the dimensions on which ``selection`` ends inside
+        a chunk of ``spans`` (its :meth:`selection_spans`).
+
+        On every other dimension the selection coincides with chunk-range
+        boundaries, so no row of the block's chunks lies outside it there
+        and the bounding envelope needs no trimming.
+        """
+        return tuple(
+            position
+            for position, interval in enumerate(selection)
+            if interval is not None
+            and not self.chunkings[position].span_is_exact(
+                self.groupby[position], interval, spans[position]
+            )
+        )
 
     def count_for_selection(self, selection: Selection) -> int:
         """Number of chunks a selection touches, without enumerating them."""

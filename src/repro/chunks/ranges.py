@@ -176,6 +176,12 @@ class DimensionChunking:
             level: [r.lo for r in level_ranges]
             for level, level_ranges in self._ranges.items()
         }
+        # Level sizes, held here so the per-query range check of
+        # chunk_span_for_interval is one probe, not a walk through
+        # dimension -> hierarchy -> level.
+        self._cardinalities: dict[int, int] = {
+            level: dimension.cardinality(level) for level in self._ranges
+        }
         self._child_spans = self._compute_child_spans()
         if invariants.deep():
             invariants.check_closure(self)
@@ -255,7 +261,7 @@ class DimensionChunking:
         This is the paper's ``x / c_i`` map generalized to hierarchy-aware
         (non-uniform) ranges via binary search.
         """
-        if not 0 <= ordinal < self.dimension.cardinality(level):
+        if not 0 <= ordinal < self._cardinality(level):
             raise ChunkingError(
                 f"ordinal {ordinal} out of range at level {level} of "
                 f"{self.dimension.name!r}"
@@ -273,9 +279,23 @@ class DimensionChunking:
         lo, hi = interval
         if hi <= lo:
             raise ChunkingError(f"empty ordinal interval [{lo}, {hi})")
+        if lo < 0 or hi > self._cardinality(level):
+            # Let chunk_index_of name the offending bound.
+            self.chunk_index_of(level, lo)
+            self.chunk_index_of(level, hi - 1)
+        starts = self._starts[level]
+        return (bisect_right(starts, lo) - 1, bisect_right(starts, hi - 1))
+
+    def span_is_exact(
+        self, level: int, interval: tuple[int, int], span: tuple[int, int]
+    ) -> bool:
+        """Whether ordinal ``interval`` is exactly the union of the chunk
+        ranges ``span`` (its :meth:`chunk_span_for_interval`), i.e. the
+        bounding envelope holds no ordinal outside the interval."""
+        level_ranges = self._ranges[level]
         return (
-            self.chunk_index_of(level, lo),
-            self.chunk_index_of(level, hi - 1) + 1,
+            level_ranges[span[0]].lo == interval[0]
+            and level_ranges[span[1] - 1].hi == interval[1]
         )
 
     def child_span(self, level: int, index: int) -> tuple[int, int]:
@@ -318,6 +338,13 @@ class DimensionChunking:
     def leaf_span(self, level: int, index: int) -> tuple[int, int]:
         """Range-index span at the leaf level under one range at ``level``."""
         return self.descend_span(level, index, self.dimension.leaf_level)
+
+    def _cardinality(self, level: int) -> int:
+        cardinality = self._cardinalities.get(level)
+        if cardinality is None:
+            # Not a level of this dimension: the schema names the error.
+            return self.dimension.cardinality(level)
+        return cardinality
 
     def _level_ranges(self, level: int) -> list[ChunkRange]:
         try:

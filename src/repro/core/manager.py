@@ -107,10 +107,15 @@ class ChunkAnalyzer:
         self.estimator = estimator
 
     def analyze(self, query: StarQuery) -> AnalyzedQuery:
-        grid = self.space.grid(query.groupby)
-        numbers = grid.chunk_numbers_for_selection(query.selections)
-        self.estimator.ensure(query.groupby, numbers)
-        analyzed = AnalyzedQuery.from_query(query, tuple(numbers))
+        groupby = query.groupby
+        selections = query.selections
+        grid = self.space.grid(groupby)
+        spans = grid.selection_spans(selections)
+        numbers = grid.numbers_in_spans(spans)
+        self.estimator.ensure(groupby, numbers)
+        analyzed = AnalyzedQuery.from_query(
+            query, numbers, grid.cut_dimensions(selections, spans)
+        )
         if invariants.deep():
             invariants.check_partition(analyzed, grid)
         return analyzed
@@ -125,15 +130,25 @@ class ChunkAssembler:
     def assemble(
         self, analyzed: AnalyzedQuery, resolution: Resolution
     ) -> np.ndarray:
-        parts = [
-            resolution.parts[number].rows
+        parts = resolution.parts
+        non_empty = [
+            rows
             for number in analyzed.partitions
+            if len(rows := parts[number].rows)
         ]
-        non_empty = [p for p in parts if len(p)]
         if not non_empty:
             return analyzed.query.result_format(self.schema).empty()
-        rows = concatenate_records(non_empty)
-        return select_exact(self.schema, analyzed.query, rows)
+        if len(non_empty) == 1:
+            # The trim copies what it keeps; only an untrimmed chunk
+            # needs a copy of its own (the payload is never handed out).
+            return select_exact(
+                self.schema, analyzed.query, non_empty[0],
+                copy_on_full=True, cut=analyzed.cut,
+            )
+        return select_exact(
+            self.schema, analyzed.query, concatenate_records(non_empty),
+            cut=analyzed.cut,
+        )
 
 
 class ChunkAccountant:
@@ -152,26 +167,30 @@ class ChunkAccountant:
         plan: ChunkPlan,
         result_rows: int,
     ) -> QueryRecord:
-        work = self.estimator.ensure(
-            analyzed.groupby, analyzed.partitions
-        )
+        partitions = analyzed.partitions
+        work = self.estimator.ensure(analyzed.groupby, partitions)
+        parts = resolution.parts
+        backend_time = self.cost_model.backend_time
         full_cost = 0.0
         saved_cost = 0.0
-        for number in analyzed.partitions:
+        tuples_from_cache = 0
+        for number in partitions:
             pages, tuples = work[number]
-            chunk_cost = self.cost_model.backend_time(pages, tuples)
+            chunk_cost = backend_time(pages, tuples)
             full_cost += chunk_cost
-            if resolution.parts[number].saved:
+            part = parts[number]
+            if part.saved:
                 saved_cost += chunk_cost
+            tuples_from_cache += part.tuples_from_cache
         return account_answer(
             self.cost_model,
             resolution.report,
             full_cost=full_cost,
             saved_cost=saved_cost,
-            chunks_total=len(analyzed.partitions),
+            chunks_total=len(partitions),
             chunks_hit=len(plan.present),
             chunks_derived=len(plan.derived),
-            tuples_from_cache=resolution.tuples_from_cache(),
+            tuples_from_cache=tuples_from_cache,
             result_rows=result_rows,
         )
 
@@ -261,9 +280,7 @@ class ChunkCacheManager:
         """Answer a query, reusing and updating the chunk cache."""
         result = self.pipeline.execute(query)
         self.metrics.record(result.record, result.trace)
-        return Answer(
-            rows=result.rows, record=result.record, trace=result.trace
-        )
+        return Answer(result.rows, result.record, result.trace)
 
     # ------------------------------------------------------------------
     # Observability

@@ -361,9 +361,7 @@ class QueryCacheManager:
         """Answer a query, reusing and updating the query cache."""
         result = self.pipeline.execute(query)
         self.metrics.record(result.record, result.trace)
-        return Answer(
-            rows=result.rows, record=result.record, trace=result.trace
-        )
+        return Answer(result.rows, result.record, result.trace)
 
     # ------------------------------------------------------------------
     # The QueryResultStore protocol (consumed by the resolver links)

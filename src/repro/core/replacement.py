@@ -111,11 +111,8 @@ class _ClockRing:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._nodes
-
-    def node(self, key: Hashable) -> _Node:
-        return self._nodes[key]
+    def node(self, key: Hashable) -> _Node | None:
+        return self._nodes.get(key)
 
     def insert_behind_hand(self, node: _Node) -> None:
         """Insert just behind the hand (will be swept last)."""
@@ -173,8 +170,9 @@ class ClockPolicy(ReplacementPolicy):
         self._ring.insert_behind_hand(_Node(key, 1.0))
 
     def on_access(self, key: Hashable) -> None:
-        if key in self._ring:
-            self._ring.node(key).weight = 1.0
+        node = self._ring.node(key)
+        if node is not None:
+            node.weight = 1.0
 
     def remove(self, key: Hashable) -> None:
         self._ring.unlink(key)
@@ -212,8 +210,8 @@ class BenefitClockPolicy(ReplacementPolicy):
         self._ring.insert_behind_hand(_Node(key, weight))
 
     def on_access(self, key: Hashable) -> None:
-        if key in self._ring:
-            node = self._ring.node(key)
+        node = self._ring.node(key)
+        if node is not None:
             node.weight = node.initial_weight
 
     def remove(self, key: Hashable) -> None:

@@ -371,37 +371,41 @@ def check_trace_conservation(
     (tolerating float-summation rounding only).
     """
     _counters["cheap"] += 1
-    stage_pages = sum(entry.pages_read for entry in trace.stages)
-    require(
-        stage_pages == trace.backend_pages,
-        f"stage pages_read sum {stage_pages} != trace backend_pages "
-        f"{trace.backend_pages}",
-    )
-    require(
-        trace.backend_pages == record.pages_read,
-        f"trace backend_pages {trace.backend_pages} != record "
-        f"pages_read {record.pages_read}",
-    )
+    # One check per answered query: the messages are only formatted on
+    # the failing branch.
+    stage_pages = 0
+    for entry in trace.stages:
+        stage_pages += entry.pages_read
+    if stage_pages != trace.backend_pages:
+        raise InvariantViolation(
+            f"stage pages_read sum {stage_pages} != trace backend_pages "
+            f"{trace.backend_pages}"
+        )
+    if trace.backend_pages != record.pages_read:
+        raise InvariantViolation(
+            f"trace backend_pages {trace.backend_pages} != record "
+            f"pages_read {record.pages_read}"
+        )
     resolved = sum(trace.resolved_by.values())
-    require(
-        resolved == trace.partitions_total,  # reprolint: ignore[R002] ints
-        f"resolver attribution sums to {resolved} of "
-        f"{trace.partitions_total} partitions",
-    )
-    require(
-        # integer partition counts, not float cost values
-        trace.partitions_total == record.chunks_total,  # reprolint: ignore[R002] int counts
-        f"trace partitions_total {trace.partitions_total} != record "
-        f"chunks_total {record.chunks_total}",
-    )
-    require(
-        record.time >= 0.0 and record.full_cost >= 0.0,
-        f"record has negative cost (time={record.time!r}, "
-        f"full_cost={record.full_cost!r})",
-    )
+    if resolved != trace.partitions_total:  # reprolint: ignore[R002] ints
+        raise InvariantViolation(
+            f"resolver attribution sums to {resolved} of "
+            f"{trace.partitions_total} partitions"
+        )
+    # integer partition counts, not float cost values
+    if trace.partitions_total != record.chunks_total:  # reprolint: ignore[R002] int counts
+        raise InvariantViolation(
+            f"trace partitions_total {trace.partitions_total} != record "
+            f"chunks_total {record.chunks_total}"
+        )
+    if not (record.time >= 0.0 and record.full_cost >= 0.0):
+        raise InvariantViolation(
+            f"record has negative cost (time={record.time!r}, "
+            f"full_cost={record.full_cost!r})"
+        )
     slack = 1e-9 * record.full_cost + 1e-12
-    require(
-        record.saved_cost <= record.full_cost + slack,
-        f"record saved_cost {record.saved_cost!r} exceeds full_cost "
-        f"{record.full_cost!r}",
-    )
+    if not record.saved_cost <= record.full_cost + slack:
+        raise InvariantViolation(
+            f"record saved_cost {record.saved_cost!r} exceeds full_cost "
+            f"{record.full_cost!r}"
+        )

@@ -47,7 +47,6 @@ from repro.pipeline.stages import (
 )
 from repro.pipeline.trace import (
     ExecutionTrace,
-    StageTimer,
     StageTrace,
     aggregate_resolver_attribution,
     aggregate_stage_traces,
@@ -63,7 +62,6 @@ __all__ = [
     "select_exact",
     "ExecutionTrace",
     "StageTrace",
-    "StageTimer",
     "aggregate_stage_traces",
     "aggregate_resolver_attribution",
     "ChunkWorkEstimator",

@@ -17,6 +17,7 @@ and a two-link chain.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -34,8 +35,8 @@ from repro.pipeline.stages import (
 )
 from repro.pipeline.trace import (
     ExecutionTrace,
-    StageTimer,
-    drain_blocked_wait,
+    StageTrace,
+    blocked_clock,
 )
 from repro.query.model import StarQuery
 
@@ -130,79 +131,99 @@ class StagedPipeline:
     def execute(self, query: StarQuery) -> PipelineResult:
         """Run one query through all stages.
 
-        ``execute`` is reentrant and safe to call from several threads at
-        once *provided the stage objects are*: every accumulator here
-        (trace, resolution, outstanding list) is local to the call, so
-        concurrency safety reduces to the safety of the shared cache,
-        estimator and backend the stages close over — exactly what the
-        :mod:`repro.serve` layer provides.
+        Straight-line: a clock mark before and after each stage gives
+        that stage's :class:`~repro.pipeline.trace.StageTrace`; the
+        chain bookkeeping narrows one outstanding sequence; one pass
+        over the partitions classifies them.  The four stage attributes
+        are read here, at call time, so a stage swapped in after
+        construction (a wrapper, a test double) is the one that runs.
         """
+        clock = time.perf_counter
+        blocked = blocked_clock
+        stages: list[StageTrace] = []
         # A fresh query must not inherit lock waits a previous query on
-        # this thread left unattributed (see the blocked clock in
-        # :mod:`repro.pipeline.trace`).
-        drain_blocked_wait()
-        trace = ExecutionTrace()
+        # this thread left unattributed.
+        blocked.seconds = 0.0
 
-        with StageTimer(trace, "analyze") as stage:
-            analyzed = self.analyzer.analyze(query)
-            stage.partitions = len(analyzed.partitions)
-        trace.partitions_total = len(analyzed.partitions)
+        start = clock()
+        analyzed = self.analyzer.analyze(query)
+        end = clock()
+        partitions = analyzed.partitions
+        total = len(partitions)
+        stages.append(
+            StageTrace("analyze", end - start, 0.0, total, 0, 0,
+                       blocked.seconds)
+        )
 
         resolution = Resolution()
-        outstanding: list[int] = list(analyzed.partitions)
+        resolved_by: dict[str, int] = {}
+        outstanding: Sequence[int] = partitions
         for resolver in self.resolvers:
             if not outstanding:
                 break
-            with StageTimer(trace, f"resolve:{resolver.name}") as stage:
-                outcome = resolver.resolve(analyzed, tuple(outstanding))
-                unknown = set(outcome.parts) - set(outstanding)
-                if unknown:
-                    raise PipelineError(
-                        f"resolver {resolver.name!r} returned partitions "
-                        f"it was not offered: {sorted(unknown)}"
-                    )
-                resolution.absorb(outcome)
-                outstanding = [
-                    n for n in outstanding if n not in outcome.parts
-                ]
-                stage.partitions = len(outcome.parts)
-                if outcome.report is not None:
-                    stage.pages_read = outcome.report.pages_read
-                    stage.tuples_scanned = outcome.report.tuples_scanned
-                    stage.modelled_time = self.cost_model.time(
-                        outcome.report
-                    )
-                    stage.faults = outcome.report.faults
-                    stage.retries = outcome.report.retries
-                    stage.degraded = outcome.report.degraded
-                    stage.backoff_seconds = outcome.report.backoff_time
-                    stage.coalesce_seconds = outcome.report.coalesce_time
-            trace.resolved_by[resolver.name] = len(outcome.parts)
+            name = resolver.name
+            blocked.seconds = 0.0
+            start = clock()
+            outcome = resolver.resolve(analyzed, outstanding)
+            parts = outcome.parts
+            resolved = len(parts)
+            if resolved:
+                left = [n for n in outstanding if n not in parts]
+                if len(left) + resolved != len(outstanding):
+                    unknown = set(parts) - set(outstanding)
+                    if unknown:
+                        raise PipelineError(
+                            f"resolver {name!r} returned partitions "
+                            f"it was not offered: {sorted(unknown)}"
+                        )
+                outstanding = tuple(left)
+            resolution.absorb(outcome)
+            stage = StageTrace(f"resolve:{name}", 0.0, 0.0, resolved)
+            report = outcome.report
+            if report is not None:
+                stage.pages_read = report.pages_read
+                stage.tuples_scanned = report.tuples_scanned
+                stage.modelled_time = self.cost_model.time(report)
+                stage.faults = report.faults
+                stage.retries = report.retries
+                stage.degraded = report.degraded
+                stage.backoff_seconds = report.backoff_time
+                stage.coalesce_seconds = report.coalesce_time
+            stage.wall_seconds = clock() - start
+            stage.lock_wait_seconds = blocked.seconds
+            stages.append(stage)
+            resolved_by[name] = resolved
         if outstanding:
             raise PipelineError(
                 f"resolver chain left partitions unresolved: "
-                f"{outstanding} (terminal resolver must be total)"
+                f"{list(outstanding)} (terminal resolver must be total)"
             )
         plan = ChunkPlan.from_resolution(analyzed, resolution)
 
-        with StageTimer(trace, "assemble") as stage:
-            rows = self.assembler.assemble(analyzed, resolution)
-            stage.partitions = len(analyzed.partitions)
+        blocked.seconds = 0.0
+        start = clock()
+        rows = self.assembler.assemble(analyzed, resolution)
+        end = clock()
+        stages.append(
+            StageTrace("assemble", end - start, 0.0, total, 0, 0,
+                       blocked.seconds)
+        )
 
-        with StageTimer(trace, "account"):
-            record = self.accountant.account(
-                analyzed, resolution, plan, len(rows)
-            )
+        blocked.seconds = 0.0
+        record = self.accountant.account(
+            analyzed, resolution, plan, len(rows)
+        )
+        stages.append(
+            StageTrace("account", clock() - end, 0.0, 0, 0, 0,
+                       blocked.seconds)
+        )
 
-        trace.backend_pages = resolution.report.pages_read
-        trace.modelled_time = record.time
+        trace = ExecutionTrace(
+            stages, resolved_by, total, resolution.report.pages_read,
+            record.time,
+        )
         if invariants.enabled():
             invariants.check_trace_conservation(trace, record)
         return PipelineResult(
-            rows=rows,
-            record=record,
-            trace=trace,
-            analyzed=analyzed,
-            plan=plan,
-            resolution=resolution,
+            rows, record, trace, analyzed, plan, resolution
         )

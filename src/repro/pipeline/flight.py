@@ -341,8 +341,8 @@ class FlightTable:
         total_time = self.cost_model.time(report)
         work = self.estimator.ensure(analyzed.groupby, computed.keys())
         weights = {
-            number: self.cost_model.backend_time(pages, tuples)
-            for number, (pages, tuples) in work.items()
+            number: self.cost_model.backend_time(*work[number])
+            for number in computed
         }
         weight_sum = sum(weights.values())
         credit = 0.0

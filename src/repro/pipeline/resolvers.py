@@ -32,7 +32,7 @@ from repro.backend.plans import CostReport
 from repro.chunks.closure import source_chunk_numbers
 from repro.chunks.grid import ChunkSpace
 from repro.core.cache import ChunkStore
-from repro.core.chunk import CachedChunk, CachedQuery
+from repro.core.chunk import CachedChunk, CachedQuery, ChunkKey
 from repro.exceptions import InjectedFault, PipelineError
 from repro.pipeline.stages import (
     AnalyzedQuery,
@@ -123,11 +123,13 @@ class ChunkAdmitter:
         if not chunks:
             return
         benefit = self.space.chunk_benefit(query.groupby)
-        work = self.estimator.ensure(query.groupby, chunks.keys())
-        keyed = AnalyzedQuery.from_query(query, ())
+        groupby = query.groupby
+        work = self.estimator.ensure(groupby, chunks.keys())
         for number, rows in chunks.items():
             pages, _ = work[number]
-            key = keyed.chunk_key(number)
+            key = ChunkKey(
+                groupby, number, query.aggregates, query.fixed_predicates
+            )
             self.cache.put(
                 CachedChunk(
                     key=key, rows=rows, benefit=benefit,
@@ -174,19 +176,19 @@ class CacheHitResolver(PartitionResolver):
         masked: frozenset[int] = frozenset()
         if self.flight is not None:
             masked = self.flight.masked(analyzed, outstanding)
+        get = self.cache.get
+        chunk_key = analyzed.chunk_key
+        name = self.name
         for number in outstanding:
             if number in masked:
                 continue
-            entry = self.cache.get(analyzed.chunk_key(number))
+            entry = get(chunk_key(number))
             if entry is not None:
+                rows = entry.rows
                 parts[number] = ResolvedPart(
-                    number=number,
-                    rows=entry.rows,
-                    resolver=self.name,
-                    tuples_from_cache=entry.num_rows,
-                    saved=True,
+                    number, rows, name, len(rows), True
                 )
-        return ResolverOutcome(parts=parts)
+        return ResolverOutcome(parts)
 
 
 class DerivationResolver(PartitionResolver):
@@ -601,8 +603,10 @@ class QueryBackendResolver(PartitionResolver):
         self, analyzed: AnalyzedQuery, outstanding: Sequence[int]
     ) -> ResolverOutcome:
         rows, report = self.store.backend.answer(analyzed.query)
+        # The store keeps a copy: ``rows`` itself goes on to the client
+        # as this query's answer.
         self.store.admit(
-            analyzed.query, rows, benefit=analyzed.meta["full_cost"]
+            analyzed.query, rows.copy(), benefit=analyzed.meta["full_cost"]
         )
         part = ResolvedPart(
             number=WHOLE_RESULT, rows=rows, resolver=self.name

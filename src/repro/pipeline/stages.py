@@ -25,7 +25,7 @@ live in :mod:`repro.pipeline.resolvers` and the managers; the executor in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -60,6 +60,11 @@ class AnalyzedQuery:
             (e.g. the query-caching analyzer stashes the estimated full
             cost here so resolver and accountant price admission and
             savings consistently).
+        cut: Positions of the dimensions on which the selection ends
+            inside a partition — the only ones assembly has to compare
+            rows against (:meth:`repro.chunks.grid.ChunkGrid.cut_dimensions`).
+            None, from an analyzer that does not know, means every
+            selected dimension.
     """
 
     query: StarQuery
@@ -68,22 +73,25 @@ class AnalyzedQuery:
     fixed_predicates: frozenset[str]
     partitions: tuple[int, ...]
     meta: dict[str, Any] = field(default_factory=dict)
+    cut: tuple[int, ...] | None = None
 
     @classmethod
     def from_query(
         cls,
         query: StarQuery,
         partitions: tuple[int, ...],
+        cut: tuple[int, ...] | None = None,
         **meta: Any,
     ) -> "AnalyzedQuery":
         """Build from a query, lifting the three key components."""
         return cls(
-            query=query,
-            groupby=query.groupby,
-            aggregates=query.aggregates,
-            fixed_predicates=query.fixed_predicates,
-            partitions=tuple(partitions),
-            meta=dict(meta),
+            query,
+            query.groupby,
+            query.aggregates,
+            query.fixed_predicates,
+            tuple(partitions),
+            meta,
+            cut,
         )
 
     def chunk_key(self, number: int) -> ChunkKey:
@@ -143,12 +151,16 @@ class Resolution:
         report: Merged physical-work report across all resolvers.
     """
 
+    __slots__ = ("parts", "report")
+
     def __init__(
         self,
         parts: dict[int, ResolvedPart] | None = None,
         report: CostReport | None = None,
     ) -> None:
-        self.parts: dict[int, ResolvedPart] = dict(parts or {})
+        self.parts: dict[int, ResolvedPart] = (
+            {} if parts is None else dict(parts)
+        )
         self.report: CostReport = (
             report if report is not None else CostReport(access_path="chunk")
         )
@@ -158,17 +170,6 @@ class Resolution:
         self.parts.update(outcome.parts)
         if outcome.report is not None:
             self.report = self.report + outcome.report
-
-    def attribution(self) -> dict[str, int]:
-        """Resolver name -> number of partitions it resolved."""
-        counts: dict[str, int] = {}
-        for part in self.parts.values():
-            counts[part.resolver] = counts.get(part.resolver, 0) + 1
-        return counts
-
-    def tuples_from_cache(self) -> int:
-        """Total cache-resident tuples consumed across partitions."""
-        return sum(p.tuples_from_cache for p in self.parts.values())
 
 
 @dataclass(frozen=True)
@@ -198,19 +199,17 @@ class ChunkPlan:
         present: list[int] = []
         derived: list[int] = []
         missing: list[int] = []
+        parts = resolution.parts
         for number in analyzed.partitions:
-            part = resolution.parts.get(number)
-            if part is None or part.resolver not in ("cache", "derive"):
-                missing.append(number)
-            elif part.resolver == "cache":
+            part = parts.get(number)
+            resolver = None if part is None else part.resolver
+            if resolver == "cache":
                 present.append(number)
-            else:
+            elif resolver == "derive":
                 derived.append(number)
-        return cls(
-            present=tuple(present),
-            derived=tuple(derived),
-            missing=tuple(missing),
-        )
+            else:
+                missing.append(number)
+        return cls(tuple(present), tuple(derived), tuple(missing))
 
 
 def select_exact(
@@ -218,6 +217,7 @@ def select_exact(
     query: StarQuery,
     rows: np.ndarray,
     copy_on_full: bool = False,
+    cut: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Trim rows to the query's exact group-by selections.
 
@@ -225,21 +225,26 @@ def select_exact(
     selection (Section 5.2.3); this drops the boundary rows outside it.
     With ``copy_on_full`` the rows are copied even when nothing is
     trimmed, so cached payloads are never handed out by reference.
+    ``cut`` (:attr:`AnalyzedQuery.cut`) names the only dimensions that
+    can hold such rows; without it every selected dimension is compared.
     """
     if len(rows) == 0:
         return rows
+    if cut is None:
+        cut = range(len(query.selections))
     mask: np.ndarray | None = None
-    for dim, level, interval in zip(
-        schema.dimensions, query.groupby, query.selections
-    ):
-        if level == 0 or interval is None:
+    for position in cut:
+        interval = query.selections[position]
+        if interval is None or query.groupby[position] == 0:
             continue
-        column = rows[dim.name]
+        column = rows[schema.dimensions[position].name]
         inside = (column >= interval[0]) & (column < interval[1])
         if mask is None:
             mask = inside
         else:
             mask &= inside
-    if mask is None or mask.all():
+    if mask is None or np.count_nonzero(mask) == len(rows):
         return rows.copy() if copy_on_full else rows
-    return rows[mask]
+    # Same rows as ``rows[mask]``; boolean indexing goes field by field
+    # on a structured array and costs several times as much.
+    return rows.compress(mask)

@@ -12,56 +12,58 @@ ints; this module imports nothing from the package).  The stage record
 is defined once, here: :class:`StageTrace` plus :data:`STAGE_FIELDS`,
 the list its ``repr``, :func:`aggregate_stage_traces` and — through
 that — ``StreamMetrics.stage_summary()`` and the snapshot's
-``StageStats`` all follow.  Both classes are mutable
-accumulators — :class:`StageTimer` fills a :class:`StageTrace` in as the
-stage runs, and the executor appends to an :class:`ExecutionTrace` stage
-by stage — so they are plain classes, not frozen pipeline values (R003).
+``StageStats`` all follow.  Both classes are mutable records — the
+executor builds one :class:`StageTrace` per stage from its clock marks
+and hands the list to an :class:`ExecutionTrace` — so they are plain
+(slotted: a stream keeps one trace per query) classes, not frozen
+pipeline values (R003).
 
 Under the concurrent serving layer (:mod:`repro.serve`) a stage's wall
 time includes time spent *blocked* on shared locks (cache shards, the
 backend).  Lock owners report their waits through the **blocked clock**
-(:func:`record_blocked_wait`), a thread-local accumulator that
-:class:`StageTimer` drains into the enclosing stage's
-``lock_wait_seconds`` — so contention is attributed to the exact stage
-that paid it, without the locking code knowing anything about traces.
+(:func:`record_blocked_wait` adds to :data:`blocked_clock`, a
+thread-local accumulator), which the executor reads and zeroes at every
+stage boundary into that stage's ``lock_wait_seconds`` — so contention
+is attributed to the exact stage that paid it, without the locking code
+knowing anything about traces.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Iterable
 
 __all__ = [
     "STAGE_FIELDS",
     "StageTrace",
     "ExecutionTrace",
-    "StageTimer",
+    "blocked_clock",
     "record_blocked_wait",
-    "drain_blocked_wait",
     "aggregate_stage_traces",
     "aggregate_resolver_attribution",
 ]
 
 
-_blocked = threading.local()
+class _BlockedClock(threading.local):
+    """Per-thread lock-wait seconds not yet attributed to a stage."""
+
+    seconds = 0.0
+
+
+#: The calling thread's blocked clock.  Lock owners add to it through
+#: :func:`record_blocked_wait`; the executor moves ``seconds`` into the
+#: stage that just ended and sets it back to zero.
+blocked_clock = _BlockedClock()
 
 
 def record_blocked_wait(seconds: float) -> None:
     """Credit lock-wait seconds to the calling thread's blocked clock.
 
     Called by lock owners (e.g. the sharded cache) after a contended
-    acquisition; the running :class:`StageTimer`, if any, drains the
-    clock into its stage when the stage closes.
+    acquisition; the executor drains the clock into the stage that was
+    running when that stage ends.
     """
-    _blocked.seconds = getattr(_blocked, "seconds", 0.0) + seconds
-
-
-def drain_blocked_wait() -> float:
-    """Return and zero the calling thread's accumulated blocked time."""
-    seconds: float = getattr(_blocked, "seconds", 0.0)
-    _blocked.seconds = 0.0
-    return seconds
+    blocked_clock.seconds += seconds
 
 
 class StageTrace:
@@ -92,6 +94,12 @@ class StageTrace:
             coalescing (waiter fair-share charges, leader credits; 0.0
             outside the front door).
     """
+
+    __slots__ = (
+        "name", "wall_seconds", "modelled_time", "partitions",
+        "pages_read", "tuples_scanned", "lock_wait_seconds", "faults",
+        "retries", "degraded", "backoff_seconds", "coalesce_seconds",
+    )
 
     def __init__(
         self,
@@ -160,6 +168,11 @@ class ExecutionTrace:
         modelled_time: The answer's total modelled execution time.
     """
 
+    __slots__ = (
+        "stages", "resolved_by", "partitions_total", "backend_pages",
+        "modelled_time",
+    )
+
     def __init__(
         self,
         stages: list[StageTrace] | None = None,
@@ -168,8 +181,11 @@ class ExecutionTrace:
         backend_pages: int = 0,
         modelled_time: float = 0.0,
     ) -> None:
-        self.stages: list[StageTrace] = list(stages or [])
-        self.resolved_by: dict[str, int] = dict(resolved_by or {})
+        # Adopted, not copied: the executor builds both per query.
+        self.stages: list[StageTrace] = [] if stages is None else stages
+        self.resolved_by: dict[str, int] = (
+            {} if resolved_by is None else resolved_by
+        )
         self.partitions_total = partitions_total
         self.backend_pages = backend_pages
         self.modelled_time = modelled_time
@@ -203,35 +219,6 @@ class ExecutionTrace:
                 entry.name: entry.wall_seconds for entry in self.stages
             },
         }
-
-
-class StageTimer:
-    """Context manager appending a timed :class:`StageTrace`.
-
-    Example:
-        >>> trace = ExecutionTrace()
-        >>> with StageTimer(trace, "analyze") as stage:
-        ...     stage.partitions = 4
-        >>> trace.stages[0].name
-        'analyze'
-    """
-
-    def __init__(self, trace: ExecutionTrace, name: str) -> None:
-        self._trace = trace
-        self.stage = StageTrace(name=name)
-        self._start = 0.0
-
-    def __enter__(self) -> StageTrace:
-        # Waits accumulated between stages belong to no stage; zero the
-        # blocked clock so this stage only absorbs its own waits.
-        drain_blocked_wait()
-        self._start = time.perf_counter()
-        return self.stage
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stage.wall_seconds = time.perf_counter() - self._start
-        self.stage.lock_wait_seconds = drain_blocked_wait()
-        self._trace.stages.append(self.stage)
 
 
 def aggregate_stage_traces(

@@ -14,7 +14,7 @@ re-validated the group-by once per chunk.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Collection, Mapping
 
 from repro.backend.engine import BackendEngine
 from repro.schema.star import GroupBy
@@ -65,32 +65,33 @@ class ChunkWorkEstimator:
 
     def __init__(self, backend: BackendEngine) -> None:
         self._backend = backend
-        self._memo: dict[tuple[GroupBy, int], tuple[int, int]] = {}
+        self._memo: dict[GroupBy, dict[int, tuple[int, int]]] = {}
         self._lock = threading.Lock()
 
     def ensure(
-        self, groupby: GroupBy, numbers: Iterable[int]
-    ) -> dict[int, tuple[int, int]]:
+        self, groupby: GroupBy, numbers: Collection[int]
+    ) -> Mapping[int, tuple[int, int]]:
         """Memoize work for the given chunks; at most one backend call.
 
-        Returns ``{number: (pages, tuples)}`` for every requested chunk.
+        Returns the group-by's memo, ``{number: (pages, tuples)}``: it
+        holds every requested chunk (and whatever else of that group-by
+        was asked for before), so index it, do not iterate it.
         """
-        numbers = list(numbers)
+        memo = self._memo.get(groupby)
+        if memo is not None:
+            for number in numbers:
+                if number not in memo:
+                    break
+            else:
+                return memo
         with self._lock:
-            missing = [
-                number for number in numbers
-                if (groupby, number) not in self._memo
-            ]
+            memo = self._memo.setdefault(groupby, {})
+            missing = [number for number in numbers if number not in memo]
             if missing:
-                batch = self._backend.estimate_chunk_work_batch(
-                    groupby, missing
+                memo.update(
+                    self._backend.estimate_chunk_work_batch(groupby, missing)
                 )
-                for number, work in batch.items():
-                    self._memo[(groupby, number)] = work
-            return {
-                number: self._memo[(groupby, number)]
-                for number in numbers
-            }
+            return memo
 
     def work(self, groupby: GroupBy, number: int) -> tuple[int, int]:
         """``(pages, tuples)`` for one chunk (memoized)."""
@@ -103,4 +104,4 @@ class ChunkWorkEstimator:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._memo)
+            return sum(len(memo) for memo in self._memo.values())

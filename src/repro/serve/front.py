@@ -41,13 +41,18 @@ from typing import Any, Callable, Sequence
 
 from repro.core.manager import ChunkCacheManager
 from repro.exceptions import ServeError
-from repro.pipeline.executor import PipelineResult, StagedPipeline
+from repro.pipeline.executor import (
+    PipelineResult,
+    QueryAnalyzer,
+    StagedPipeline,
+)
 from repro.pipeline.flight import FlightResolver, FlightTable
 from repro.pipeline.resolvers import (
     BackendChunkResolver,
     CacheHitResolver,
     PartitionResolver,
 )
+from repro.pipeline.stages import AnalyzedQuery
 from repro.query.model import StarQuery
 from repro.serve.session import FAIR, ServeSession, Ticket
 from repro.serve.soak import FaultSource, SoakReport, verified_run
@@ -183,6 +188,32 @@ def admission_schedule(
     return windows, shed
 
 
+class _WindowAnalyzer:
+    """Analysis stage of the front door's pipeline: each admitted query
+    is analysed once.
+
+    Planning a window analyses its queries; ``execute`` then asks for
+    the same analysis again.  This stage keeps the analyses of the
+    window being executed, by query object (each analysis keeps its
+    query alive, so an ``id`` cannot be reused while it is held), and
+    hands them back; the next window forgets them.
+    """
+
+    def __init__(self, inner: QueryAnalyzer) -> None:
+        self.inner = inner
+        self._window: dict[int, AnalyzedQuery] = {}
+
+    def open_window(self) -> None:
+        """Forget the previous window's analyses."""
+        self._window = {}
+
+    def analyze(self, query: StarQuery) -> AnalyzedQuery:
+        analyzed = self._window.get(id(query))
+        if analyzed is None:
+            analyzed = self._window[id(query)] = self.inner.analyze(query)
+        return analyzed
+
+
 class FrontSession(ServeSession):
     """Admits K user streams through the front door.
 
@@ -252,6 +283,7 @@ class FrontSession(ServeSession):
         self.flight = FlightTable(
             manager.cost_model, manager.estimator, coalesce=config.coalesce
         )
+        self._analyses = _WindowAnalyzer(manager.pipeline.analyzer)
         self.pipeline = self._build_pipeline()
         # The last run's admission schedule: the windows in admission
         # order, keyed by their head's sequence number, and the sheds.
@@ -288,7 +320,7 @@ class FrontSession(ServeSession):
             ),
         ]
         return StagedPipeline(
-            analyzer=base.analyzer,
+            analyzer=self._analyses,
             resolvers=resolvers,
             assembler=base.assembler,
             accountant=base.accountant,
@@ -321,9 +353,11 @@ class FrontSession(ServeSession):
         """Answer one admitted query inside its flight bracket.  The
         query heading a window first plans it: analysis is pure metadata
         (no disk I/O), and tickets run in sequence order, so the
-        previous window is done."""
+        previous window is done.  ``execute`` gets the window's analyses
+        back from the analysis stage instead of repeating them."""
         window = self._windows.get(seq)
         if window is not None:
+            self._analyses.open_window()
             analyzer = self.pipeline.analyzer
             self.flight.plan_window(
                 self.manager.cache,

@@ -9,6 +9,7 @@ from repro.chunks.grid import ChunkSpace
 from repro.core.cache import ChunkCache
 from repro.core.chunk import ChunkKey
 from repro.core.manager import ChunkCacheManager
+from repro.core.query_cache import QueryCacheManager
 from repro.exceptions import CacheError
 from repro.query.model import StarQuery
 from tests.conftest import canon_rows
@@ -58,6 +59,44 @@ class TestAnswerCorrectness:
         answer = manager.answer(overlapping)
         expected, _ = manager.backend.answer(overlapping, "scan")
         assert canon_rows(answer.rows) == canon_rows(expected)
+
+
+#: (group-by, selections, dim_filters) whose warm answer is assembled
+#: from: one chunk as it is, one chunk trimmed, twelve chunks, no row.
+OWNERSHIP_CASES = {
+    "one chunk": ((1, 1), {"D0": (0, 1), "D1": (0, 1)}, None),
+    "one chunk trimmed": ((2, 2), {"D0": (0, 1), "D1": (0, 1)}, None),
+    "many chunks": ((2, 2), {"D0": (0, 5)}, None),
+    "empty": ((2, 2), {"D0": (0, 2)}, {"D0": (5, 6)}),
+}
+
+
+class TestAnswersOwnTheirRows:
+    @pytest.mark.parametrize("scheme", ["chunk", "query"])
+    @pytest.mark.parametrize("case", OWNERSHIP_CASES)
+    def test_rows_never_alias_a_cached_payload(
+        self, small_schema, fresh_small_engine, manager, scheme, case
+    ):
+        if scheme == "query":
+            manager = QueryCacheManager(
+                small_schema, fresh_small_engine, 2_000_000
+            )
+        groupby, selections, filters = OWNERSHIP_CASES[case]
+        query = q(small_schema, groupby, selections, dim_filters=filters)
+        cold, warm = manager.answer(query), manager.answer(query)
+        assert warm.record.is_full_hit
+        expected = warm.rows.tobytes()
+        assert (len(warm.rows) == 0) == (case == "empty")
+        if scheme == "query":
+            payloads = [e.rows for e in manager._entries.values()]
+        else:
+            payloads = [e.rows for _, e in manager.cache.snapshot()]
+        for answer in (cold, warm):
+            assert not any(
+                np.shares_memory(answer.rows, rows) for rows in payloads
+            )
+            answer.rows.view(np.uint8).fill(0xFF)
+        assert manager.answer(query).rows.tobytes() == expected
 
 
 class TestCachingBehaviour:

@@ -83,7 +83,30 @@ class TestDeterminism:
         assert report.wrong_answers == 0
 
 
+class _CountingAnalyzer:
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def analyze(self, query):
+        self.calls += 1
+        return self.inner.analyze(query)
+
+
 class TestCoalescing:
+    def test_admitted_query_is_analysed_once(self):
+        system, streams = _system_and_streams()
+        manager = make_chunk_manager(system)
+        analyses = _CountingAnalyzer(manager.pipeline.analyzer)
+        manager.pipeline.analyzer = analyses
+        front = FrontSession(manager, streams, CONFIG)
+        # Wrapped after construction, as benchmarks/e2e's proxy is.
+        asked = _CountingAnalyzer(front.pipeline.analyzer)
+        front.pipeline.analyzer = asked
+        queries = len(front.run().metrics)
+        # Window planning and execute both ask the stage; it analyses
+        # once and execute gets the window's analysis back.
+        assert (asked.calls, analyses.calls) == (2 * queries, queries)
+
     def test_coalescing_cuts_physical_pages(self):
         system, streams = _system_and_streams()
         baseline = run_front(

@@ -15,12 +15,23 @@ from repro.storage.chunklog import (
 PAGE = 256
 
 
-def make_log(path=None):
-    return ChunkLog(path, page_size=PAGE)
+@pytest.fixture()
+def make_log():
+    """``make_log(path=None)`` opens a log that is closed (file handle
+    released) when the test ends, however the test left it."""
+    opened = []
+
+    def open_log(path=None):
+        opened.append(ChunkLog(path, page_size=PAGE))
+        return opened[-1]
+
+    yield open_log
+    for log in opened:
+        log.close()
 
 
 class TestChunkLogBasics:
-    def test_append_read_roundtrip(self):
+    def test_append_read_roundtrip(self, make_log):
         log = make_log()
         pages = log.put("a", b"payload-a", 3.5)
         assert pages >= 1
@@ -30,7 +41,7 @@ class TestChunkLogBasics:
         assert "a" in log
         assert len(log) == 1
 
-    def test_last_write_wins(self):
+    def test_last_write_wins(self, make_log):
         log = make_log()
         log.put("a", b"old", 1.0)
         log.put("a", b"new", 2.0)
@@ -38,12 +49,12 @@ class TestChunkLogBasics:
         assert log.benefit("a") == 2.0
         assert len(log) == 1
 
-    def test_empty_token_rejected(self):
+    def test_empty_token_rejected(self, make_log):
         log = make_log()
         with pytest.raises(ChunkLogError):
             log.put("", b"x", 1.0)
 
-    def test_missing_token_raises(self):
+    def test_missing_token_raises(self, make_log):
         log = make_log()
         with pytest.raises(ChunkLogError):
             log.get("ghost")
@@ -52,7 +63,7 @@ class TestChunkLogBasics:
         with pytest.raises(ChunkLogError):
             log.pages_for("ghost")
 
-    def test_delete_tombstones(self):
+    def test_delete_tombstones(self, make_log):
         log = make_log()
         log.put("a", b"x", 1.0)
         assert log.delete("a") is True
@@ -60,7 +71,7 @@ class TestChunkLogBasics:
         assert "a" not in log
         assert log.stats.tombstones == 1
 
-    def test_clear_drops_everything(self):
+    def test_clear_drops_everything(self, make_log):
         log = make_log()
         log.put("a", b"x", 1.0)
         log.put("b", b"y", 2.0)
@@ -68,7 +79,7 @@ class TestChunkLogBasics:
         assert len(log) == 0
         assert log.stats.clears == 1
 
-    def test_drop_is_memory_only(self):
+    def test_drop_is_memory_only(self, make_log):
         log = make_log()
         log.put("a", b"x", 1.0)
         writes_before = log.disk.stats.writes
@@ -77,7 +88,7 @@ class TestChunkLogBasics:
         assert "a" not in log
         assert log.disk.stats.writes == writes_before
 
-    def test_tokens_and_entries_in_insertion_order(self):
+    def test_tokens_and_entries_in_insertion_order(self, make_log):
         log = make_log()
         log.put("b", b"1", 1.0)
         log.put("a", b"22", 2.0)
@@ -86,7 +97,7 @@ class TestChunkLogBasics:
         assert log.scan_keys() == (("a", 2.0, 2), ("b", 3.0, 3))
         assert log.live_bytes == 5
 
-    def test_close_is_idempotent_and_blocks_writes(self):
+    def test_close_is_idempotent_and_blocks_writes(self, make_log):
         log = make_log()
         log.put("a", b"x", 1.0)
         log.close()
@@ -99,18 +110,18 @@ class TestChunkLogBasics:
         assert len(log) == 1
         assert log.live_bytes == 1
 
-    def test_oversized_token_rejected(self):
+    def test_oversized_token_rejected(self, make_log):
         log = make_log()
         with pytest.raises(ChunkLogError):
             log.put("t" * 70_000, b"x", 1.0)
 
-    def test_in_memory_log_has_no_recovery(self):
+    def test_in_memory_log_has_no_recovery(self, make_log):
         log = make_log()
         assert log.recovery == LogRecovery()
 
 
 class TestChunkLogAccounting:
-    def test_page_conservation(self):
+    def test_page_conservation(self, make_log):
         log = make_log()
         log.put("a", b"x" * (3 * PAGE), 1.0)
         log.put("b", b"y", 2.0)
@@ -123,13 +134,13 @@ class TestChunkLogAccounting:
         )
         assert log.disk.stats.reads == stats.read_pages + stats.scan_pages
 
-    def test_multi_page_record_charges_ceil(self):
+    def test_multi_page_record_charges_ceil(self, make_log):
         log = make_log()
         pages = log.put("a", b"x" * (PAGE + 1), 1.0)
         assert pages == log.pages_for("a")
         assert pages >= 2
 
-    def test_peek_is_uncharged(self):
+    def test_peek_is_uncharged(self, make_log):
         log = make_log()
         log.put("a", b"payload", 1.0)
         reads_before = log.disk.stats.reads
@@ -137,7 +148,7 @@ class TestChunkLogAccounting:
         assert log.disk.stats.reads == reads_before
         assert log.stats.reads == 0
 
-    def test_faulted_append_charges_partial_pages_only(self):
+    def test_faulted_append_charges_partial_pages_only(self, make_log):
         log = make_log()
         log.put("warm", b"w", 1.0)
         fail_on = {log.disk.num_pages + 1}  # second page of next record
@@ -161,7 +172,7 @@ class TestChunkLogAccounting:
         )
         assert stats.appends == 1  # only the pre-fault record completed
 
-    def test_faulted_read_charges_partial_pages_only(self):
+    def test_faulted_read_charges_partial_pages_only(self, make_log):
         log = make_log()
         log.put("a", b"x" * (3 * PAGE), 1.0)
         seen = []
@@ -183,7 +194,7 @@ class TestChunkLogAccounting:
 
 
 class TestTornWrites:
-    def test_torn_hook_corrupts_payload_under_valid_framing(self):
+    def test_torn_hook_corrupts_payload_under_valid_framing(self, make_log):
         log = make_log()
         log.torn_hook = lambda token: token == "torn"
         log.put("clean", b"ok", 1.0)
@@ -194,7 +205,7 @@ class TestTornWrites:
             log.get("torn")
         assert log.stats.crc_failures == 1
 
-    def test_torn_record_survives_restart_until_read(self, tmp_path):
+    def test_torn_record_survives_restart_until_read(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
         log.torn_hook = lambda token: True
@@ -208,7 +219,7 @@ class TestTornWrites:
 
 
 class TestRestartRecovery:
-    def test_clean_replay(self, tmp_path):
+    def test_clean_replay(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
         log.put("a", b"x" * 10, 1.5)
@@ -229,7 +240,7 @@ class TestRestartRecovery:
             reopened.stats.read_pages + reopened.stats.scan_pages
         )
 
-    def test_clear_survives_restart(self, tmp_path):
+    def test_clear_survives_restart(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
         log.put("a", b"x", 1.0)
@@ -239,13 +250,14 @@ class TestRestartRecovery:
         reopened = make_log(path)
         assert reopened.tokens() == ("b",)
 
-    def test_truncated_tail_is_cut(self, tmp_path):
+    def test_truncated_tail_is_cut(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
         log.put("a", b"x" * 10, 1.0)
         log.put("b", b"y" * 10, 2.0)
         log.close()
-        raw = open(path, "rb").read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
         with open(path, "wb") as handle:
             handle.write(raw[:-4])  # tear the last record's tail
         reopened = make_log(path)
@@ -259,7 +271,7 @@ class TestRestartRecovery:
         assert again.recovery.truncated_bytes == 0
         assert again.tokens() == ("a",)
 
-    def test_corrupt_header_resets_to_fresh_log(self, tmp_path):
+    def test_corrupt_header_resets_to_fresh_log(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         with open(path, "wb") as handle:
             handle.write(b"NOPE" + b"\x00" * 40)
@@ -270,7 +282,7 @@ class TestRestartRecovery:
         log.close()
         assert make_log(path).tokens() == ("a",)
 
-    def test_short_file_resets(self, tmp_path):
+    def test_short_file_resets(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         with open(path, "wb") as handle:
             handle.write(b"RC")
@@ -278,7 +290,7 @@ class TestRestartRecovery:
         assert log.recovery.header_reset is True
         assert len(log) == 0
 
-    def test_unframeable_garbage_cuts_tail(self, tmp_path):
+    def test_unframeable_garbage_cuts_tail(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
         log.put("a", b"x", 1.0)
@@ -289,7 +301,7 @@ class TestRestartRecovery:
         assert reopened.recovery.truncated_bytes == 64
         assert reopened.tokens() == ("a",)
 
-    def test_non_utf8_token_bytes_cut_tail(self, tmp_path):
+    def test_non_utf8_token_bytes_cut_tail(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
         log.put("a", b"x", 1.0)
@@ -303,7 +315,7 @@ class TestRestartRecovery:
         assert reopened.recovery.truncated_bytes == len(bogus)
         assert reopened.tokens() == ("a",)
 
-    def test_newer_version_refused(self, tmp_path):
+    def test_newer_version_refused(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         header = struct.Struct("<4sHI6x").pack(
             CHUNKLOG_MAGIC, CHUNKLOG_VERSION + 1, PAGE
@@ -313,7 +325,7 @@ class TestRestartRecovery:
         with pytest.raises(ChunkLogError, match="not supported"):
             make_log(path)
 
-    def test_page_size_mismatch_refused(self, tmp_path):
+    def test_page_size_mismatch_refused(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         make_log(path).close()
         with pytest.raises(ChunkLogError, match="page_size"):
@@ -321,7 +333,7 @@ class TestRestartRecovery:
 
 
 class TestSpaceCounters:
-    def test_supersede_and_tombstone_grow_dead_pages(self):
+    def test_supersede_and_tombstone_grow_dead_pages(self, make_log):
         log = make_log()
         assert (log.live_pages, log.dead_pages) == (0, 0)
         first = log.put("a", b"x" * PAGE, 1.0)
@@ -339,7 +351,7 @@ class TestSpaceCounters:
         assert counters["live_pages"] == log.live_pages
         assert counters["dead_pages"] == log.dead_pages
 
-    def test_compact_resets_dead_space_and_reports_reclaimed(self):
+    def test_compact_resets_dead_space_and_reports_reclaimed(self, make_log):
         log = make_log()
         log.put("a", b"x" * PAGE, 1.0)
         log.put("a", b"y" * 4, 2.0)
@@ -351,7 +363,9 @@ class TestSpaceCounters:
         assert log.counters()["reclaimed_pages"] == dead
         assert log.get("a") == b"y" * 4
 
-    def test_space_gauges_are_recomputed_from_durable_bytes(self, tmp_path):
+    def test_space_gauges_are_recomputed_from_durable_bytes(
+        self, make_log, tmp_path
+    ):
         path = str(tmp_path / "log.bin")
         log = make_log(path)
         log.put("a", b"x" * PAGE, 1.0)
@@ -394,7 +408,7 @@ class TestGoldenFormat:
             golden = handle.read()
         assert produced == golden
 
-    def test_reader_replays_golden_bytes(self, tmp_path):
+    def test_reader_replays_golden_bytes(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
         with open(GOLDEN, "rb") as src, open(path, "wb") as dst:
             dst.write(src.read())
@@ -405,8 +419,11 @@ class TestGoldenFormat:
         assert log.benefit("alpha") == 3.0
         assert log.get("gamma") == b"\x00\xff" * 8
 
-    def test_version_bump_refuses_golden_reinterpretation(self, tmp_path):
-        raw = bytearray(open(GOLDEN, "rb").read())
+    def test_version_bump_refuses_golden_reinterpretation(
+        self, make_log, tmp_path
+    ):
+        with open(GOLDEN, "rb") as handle:
+            raw = bytearray(handle.read())
         struct.Struct("<H").pack_into(raw, 4, CHUNKLOG_VERSION + 1)
         path = str(tmp_path / "log.bin")
         with open(path, "wb") as handle:

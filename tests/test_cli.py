@@ -10,10 +10,8 @@ from repro import __main__ as cli
 from repro.__main__ import main
 from tools import benchpairs
 
-NIGHTLY = (
-    Path(__file__).resolve().parents[1]
-    / ".github" / "workflows" / "nightly-soak.yml"
-)
+WORKFLOWS = Path(__file__).resolve().parents[1] / ".github" / "workflows"
+NIGHTLY = WORKFLOWS / "nightly-soak.yml"
 
 #: Command lines ``soak`` and ``front`` both reject (exit status 2, one
 #: line on stderr): (arguments, a fragment of the message).
@@ -39,16 +37,16 @@ REJECTED = [
 ]
 
 
-def nightly_commands(module="repro"):
-    """Every ``python -m <module> ...`` argv in the nightly (for
-    ``repro``: the ``soak`` / ``front`` command lines).
+def nightly_commands(module="repro", workflow=NIGHTLY):
+    """Every ``python -m <module> ...`` argv in a workflow (the nightly;
+    for ``repro``: its ``soak`` / ``front`` command lines).
 
     A command runs (over folded lines, YAML comments dropped) to the
     next ``&&`` or to the ``- name:`` of the next step.
     """
     text = " ".join(
         line.strip()
-        for line in NIGHTLY.read_text(encoding="utf-8").splitlines()
+        for line in workflow.read_text(encoding="utf-8").splitlines()
         if not line.lstrip().startswith("#")
     )
     return [
@@ -203,12 +201,22 @@ class TestNightlyWorkflow:
             assert flags.cache["persist_path"]
         assert config.max_workers is None
 
-    def test_bench_pairs_step_parses(self):
-        # The exact-metric gate: one short run against the previous
+    @pytest.mark.parametrize(
+        "workflow,base,workloads,depth",
+        [
+            ("nightly-soak.yml", "HEAD~1", ["serve_fair"], 2),
+            # Per push: every workload, against the merge base.
+            ("ci.yml", '"$MERGE_BASE"', None, 0),
+        ],
+        ids=["nightly", "ci"],
+    )
+    def test_bench_pairs_step_parses(self, workflow, base, workloads, depth):
+        # The exact-metric gate: one short run against an earlier
         # commit, which the checkout must therefore have fetched.
-        (argv,) = nightly_commands("tools.benchpairs")
+        (argv,) = nightly_commands("tools.benchpairs", WORKFLOWS / workflow)
         options = benchpairs.build_parser().parse_args(argv)
-        assert options.base == "HEAD~1"
-        assert options.workload == ["serve_fair"]
+        assert options.base == base
+        assert options.workload == workloads
         assert 1 <= options.pairs < benchpairs.MIN_PAIRS
-        assert "fetch-depth: 2" in NIGHTLY.read_text(encoding="utf-8")
+        text = (WORKFLOWS / workflow).read_text(encoding="utf-8")
+        assert f"fetch-depth: {depth}" in text

@@ -7,6 +7,7 @@ from repro import invariants
 from repro.chunks.ranges import DimensionChunking, desired_sizes_for_ratio
 from repro.core.cache import ChunkCache
 from repro.core.chunk import CachedChunk, ChunkKey
+from repro.core.manager import ChunkCacheManager
 from repro.core.query_cache import QueryCacheManager
 from repro.exceptions import InvariantViolation
 from repro.pipeline.trace import ExecutionTrace, StageTrace
@@ -163,6 +164,12 @@ class TestTraceConservationCheck:
         with pytest.raises(InvariantViolation, match="pages"):
             invariants.check_trace_conservation(trace, record)
 
+    def test_stage_page_mismatch_caught(self):
+        trace, record = self.make_pair()
+        trace.stages[0].pages_read = 4
+        with pytest.raises(InvariantViolation, match="stage pages_read"):
+            invariants.check_trace_conservation(trace, record)
+
     def test_attribution_mismatch_caught(self):
         trace, record = self.make_pair()
         trace.resolved_by["backend"] = 1
@@ -207,6 +214,29 @@ class TestWiring:
         counts = invariants.counters()
         assert counts["deep"] >= 1  # admit triggered deep accounting
         assert counts["cheap"] >= 1  # trace conservation in the executor
+
+    def test_one_conservation_check_per_query(
+        self, small_schema, fresh_small_engine
+    ):
+        # Default (cheap) mode: a warm query runs exactly the executor's
+        # trace-conservation check; a cold one adds one accounting check
+        # per admitted chunk.
+        previous = invariants.set_mode("cheap")
+        try:
+            manager = ChunkCacheManager(
+                small_schema,
+                fresh_small_engine.space,
+                fresh_small_engine,
+                ChunkCache(2_000_000),
+            )
+            query = StarQuery.build(small_schema, (2, 2), {"D0": (0, 5)})
+            invariants.reset_counters()
+            chunks = manager.answer(query).record.chunks_total
+            assert invariants.counters()["cheap"] == 1 + chunks
+            manager.answer(query)
+            assert invariants.counters()["cheap"] == 2 + chunks
+        finally:
+            invariants.set_mode(previous)
 
     def test_off_mode_skips_everything(self, small_schema):
         previous = invariants.set_mode("off")
