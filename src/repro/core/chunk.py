@@ -72,6 +72,12 @@ class CachedChunk:
             recomputation cost.
         compute_pages: Estimated backend data pages to recompute this chunk
             (used in cost-saving accounting).
+
+    A ``CachedChunk``'s rows are immutable once admitted to a store:
+    readers trim and concatenate into arrays of their own, never write
+    through ``rows``.  A chunk promoted from L2 enforces it — its rows
+    are a read-only view of the verified log record
+    (:func:`repro.core.tiered.decode_chunk`).
     """
 
     key: ChunkKey

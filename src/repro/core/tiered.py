@@ -60,7 +60,8 @@ from __future__ import annotations
 import json
 import struct
 import threading
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -86,7 +87,25 @@ __all__ = [
     "decode_chunk",
 ]
 
-_META_LEN = struct.Struct("<I")
+#: Payload format tag.  Read as the little-endian u32 "meta length" an
+#: older build expects in this position it is ~4.28e9 — larger than any
+#: record the log can frame — so that build rejects the payload too
+#: instead of reinterpreting it (docs/TIERING.md §Payload).
+_PAYLOAD_TAG = b"PK1\xff"
+#: tag | benefit f64 | compute_pages f64 | row count u32 | descriptor len u16
+_HEADER = struct.Struct("<4sddIH")
+_DTYPE_MEMO = 64
+
+
+class _Live(NamedTuple):
+    """One chunk live in L2: its log token (built once per residency),
+    the benefit and payload bytes the budget ranks by, and the spill
+    sequence number that breaks benefit ties in (re-)insertion order."""
+
+    token: str
+    benefit: float
+    size: int
+    seq: int
 
 
 def chunk_token(key: ChunkKey) -> str:
@@ -121,78 +140,94 @@ def token_key(token: str) -> ChunkKey:
     )
 
 
-def _dtype_to_json(dtype: np.dtype) -> object:
-    if dtype.names is None:
-        return dtype.str
-    return [list(field) for field in dtype.descr]
+@lru_cache(maxsize=_DTYPE_MEMO)
+def _describe(dtype: np.dtype) -> bytes:
+    """The descriptor bytes of a row dtype: canonical JSON of its
+    ``descr`` (explicit byte order per field).  Serialised once per
+    dtype — a process sees a handful of row dtypes."""
+    spec = dtype.str if dtype.names is None else dtype.descr
+    descriptor = json.dumps(spec, separators=(",", ":")).encode("utf-8")
+    if len(descriptor) > 0xFFFF or _dtype_of(descriptor) != dtype:
+        raise ChunkLogError(f"row dtype {dtype!r} has no exact descriptor")
+    return descriptor
 
 
-def _dtype_from_json(spec: object) -> np.dtype:
-    if isinstance(spec, str):
+@lru_cache(maxsize=_DTYPE_MEMO)
+def _dtype_of(descriptor: bytes) -> np.dtype:
+    """Inverse of :func:`_describe`, parsed once per descriptor."""
+    try:
+        spec = json.loads(descriptor)
+        if isinstance(spec, list):
+            spec = [
+                (str(field[0]), str(field[1]), *map(tuple, field[2:]))
+                for field in spec
+            ]
+        elif not isinstance(spec, str):
+            raise TypeError(f"dtype spec is a {type(spec).__name__}")
         return np.dtype(spec)
-    if not isinstance(spec, list):
-        raise ChunkLogError(f"malformed dtype spec {spec!r}")
-    fields: list[tuple[str, str] | tuple[str, str, tuple[int, ...]]] = []
-    for field in spec:
-        if len(field) == 2:
-            fields.append((str(field[0]), str(field[1])))
-        else:
-            fields.append(
-                (
-                    str(field[0]),
-                    str(field[1]),
-                    tuple(int(n) for n in field[2]),
-                )
-            )
-    return np.dtype(fields)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ChunkLogError(f"malformed dtype descriptor: {exc}") from exc
 
 
 def encode_chunk(entry: CachedChunk) -> bytes:
     """Serialize a cached chunk's value into a chunk-log payload.
 
-    Layout: meta length (u32) + canonical-JSON meta + raw row bytes.
-    Floats travel as ``float.hex()`` so the round trip is exact, and
-    the dtype spec carries explicit byte order — the payload is a pure
-    function of the entry, suitable for golden-file pinning.
+    One packed record (``docs/TIERING.md`` §Payload): format tag +
+    fixed header (benefit f64, compute_pages f64, row count u32,
+    descriptor length u16) + dtype descriptor + contiguous row bytes,
+    little-endian, assembled with one copy of the rows.  Floats travel
+    as IEEE doubles and the descriptor carries explicit byte order, so
+    the payload is an exact, self-describing, pure function of the
+    entry — suitable for golden pinning.
     """
-    rows = np.ascontiguousarray(entry.rows)
-    meta = json.dumps(
-        {
-            "b": entry.benefit.hex(),
-            "c": entry.compute_pages.hex(),
-            "d": _dtype_to_json(rows.dtype),
-            "s": list(rows.shape),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    return _META_LEN.pack(len(meta)) + meta + rows.tobytes()
+    rows = entry.rows
+    if rows.ndim != 1:
+        raise ChunkLogError(
+            f"chunk rows must be one-dimensional, got shape {rows.shape}"
+        )
+    descriptor = _describe(rows.dtype)
+    header = _HEADER.pack(
+        _PAYLOAD_TAG,
+        entry.benefit,
+        entry.compute_pages,
+        len(rows),
+        len(descriptor),
+    )
+    return b"".join((header, descriptor, np.ascontiguousarray(rows).data))
 
 
-def decode_chunk(key: ChunkKey, payload: bytes) -> CachedChunk:
+def decode_chunk(key: ChunkKey, payload: bytes | memoryview) -> CachedChunk:
     """Inverse of :func:`encode_chunk` for a known key.
 
-    Raises :class:`~repro.exceptions.ChunkLogError` on a malformed
-    payload — callers treat that like a corrupt record (quarantine).
+    The returned chunk's ``rows`` are a **read-only view** of
+    ``payload`` (no copy) — the caller hands over an immutable buffer,
+    which the chunk keeps alive.  Raises
+    :class:`~repro.exceptions.ChunkLogError` on a payload this build
+    did not write (foreign tag, e.g. an older build's layout) or whose
+    lengths disagree — callers treat that like a corrupt record
+    (quarantine), never reinterpret it.
     """
-    if len(payload) < _META_LEN.size:
-        raise ChunkLogError("chunk payload too short for its meta header")
-    (meta_len,) = _META_LEN.unpack_from(payload, 0)
-    meta_end = _META_LEN.size + meta_len
-    if meta_end > len(payload):
-        raise ChunkLogError("chunk payload meta extends past the record")
-    try:
-        meta = json.loads(payload[_META_LEN.size : meta_end])
-        dtype = _dtype_from_json(meta["d"])
-        shape = tuple(int(n) for n in meta["s"])
-        rows = (
-            np.frombuffer(payload[meta_end:], dtype=dtype)
-            .reshape(shape)
-            .copy()
+    if len(payload) < _HEADER.size:
+        raise ChunkLogError("chunk payload too short for its header")
+    tag, benefit, compute_pages, count, descriptor_len = _HEADER.unpack_from(
+        payload, 0
+    )
+    if tag != _PAYLOAD_TAG:
+        raise ChunkLogError(
+            f"chunk payload tag {tag!r} was not written by this build"
         )
-        benefit = float.fromhex(meta["b"])
-        compute_pages = float.fromhex(meta["c"])
-    except (KeyError, ValueError, TypeError) as exc:
+    rows_at = _HEADER.size + descriptor_len
+    if rows_at > len(payload):
+        raise ChunkLogError("chunk payload descriptor extends past the record")
+    dtype = _dtype_of(bytes(payload[_HEADER.size : rows_at]))
+    if count * dtype.itemsize != len(payload) - rows_at:
+        raise ChunkLogError(
+            f"chunk payload holds {len(payload) - rows_at} row bytes, "
+            f"its header promises {count} x {dtype.itemsize}"
+        )
+    try:
+        rows = np.frombuffer(payload, dtype=dtype, count=count, offset=rows_at)
+    except ValueError as exc:
         raise ChunkLogError(f"malformed chunk payload: {exc}") from exc
     return CachedChunk(
         key=key, rows=rows, benefit=benefit, compute_pages=compute_pages
@@ -262,9 +297,11 @@ class TieredChunkCache:
         self.compact_threshold = compact_threshold
         self._lock = threading.Lock()
         # All fields below are guarded by _lock.
-        self._l2_keys: dict[str, ChunkKey] = {}
-        self._l2_meta: dict[str, tuple[float, int]] = {}
+        # The one L2 table: every chunk live in the log, in first-spill
+        # order (a re-spill updates in place; only ``seq`` moves).
+        self._l2: dict[ChunkKey, _Live] = {}
         self._l2_bytes = 0
+        self._spill_seq = 0
         self._l2_enabled = True
         self._failure_streak = 0
         self._warming = False
@@ -325,7 +362,7 @@ class TieredChunkCache:
         if key in self._l1:
             return True
         with self._lock, witness("tiered"):
-            return self._l2_enabled and chunk_token(key) in self._l2_keys
+            return self._l2_enabled and key in self._l2
 
     def get(self, key: ChunkKey) -> CachedChunk | None:
         """L1 lookup, falling back to a charged L2 promote on miss."""
@@ -339,11 +376,11 @@ class TieredChunkCache:
         entry = self._l1.peek(key)
         if entry is not None:
             return entry
-        token = chunk_token(key)
         with self._lock, witness("tiered"):
-            if not self._l2_enabled or token not in self._l2_keys:
+            live = self._l2.get(key) if self._l2_enabled else None
+            if live is None:
                 return None
-            return self._decode_locked(token, key, self.log.peek(token))
+            return self._decode_locked(key, self.log.peek(live.token))
 
     def put(self, entry: CachedChunk) -> bool:
         """Insert into L1; demotion happens via the eviction spill hook."""
@@ -352,12 +389,11 @@ class TieredChunkCache:
     def invalidate(self, key: ChunkKey) -> bool:
         """Drop a key from both tiers (the L2 drop is a charged tombstone)."""
         removed = self._l1.invalidate(key)
-        token = chunk_token(key)
         with self._lock, witness("tiered"):
-            if self._l2_keys.pop(token, None) is not None:
-                self._forget_meta_locked(token)
+            live = self._forget_locked(key)
+            if live is not None:
                 try:
-                    removed = self.log.delete(token) or removed
+                    removed = self.log.delete(live.token) or removed
                 except DiskFault:
                     # The tombstone write faulted: the record stays on
                     # disk but is dead to this process; a restart scan
@@ -373,8 +409,7 @@ class TieredChunkCache:
         """Drop both tiers (one charged clear-all record in the log)."""
         self._l1.clear()
         with self._lock, witness("tiered"):
-            self._l2_keys.clear()
-            self._l2_meta.clear()
+            self._l2.clear()
             self._l2_bytes = 0
             try:
                 self.log.clear()
@@ -396,12 +431,12 @@ class TieredChunkCache:
         with self._lock, witness("tiered"):
             if not self._l2_enabled:
                 return pairs
-            for token, key in list(self._l2_keys.items()):
+            for key, live in list(self._l2.items()):
                 if key in resident:
                     continue
                 try:
-                    payload = self.log.peek(token)
-                    entry = self._decode_locked(token, key, payload)
+                    payload = self.log.peek(live.token)
+                    entry = self._decode_locked(key, payload)
                 except (ChunkLogCorruption, ChunkLogError):
                     entry = None
                 if entry is not None:
@@ -430,7 +465,7 @@ class TieredChunkCache:
         with self._lock, witness("tiered"):
             lookups = self._l2_hits + self._l2_misses
             l2: dict[str, object] = {
-                "entries": len(self._l2_keys),
+                "entries": len(self._l2),
                 "live_bytes": self.log.live_bytes,
                 "hits": self._l2_hits,
                 "misses": self._l2_misses,
@@ -506,25 +541,20 @@ class TieredChunkCache:
             self._rebuild_keys_locked()
             self._enforce_budget_on_reopen_locked()
             candidates = sorted(
-                (
-                    (-benefit, index, token)
-                    for index, (token, benefit, _size) in enumerate(
-                        self.log.scan_keys()
-                    )
-                    if token in self._l2_keys
-                ),
+                (-live.benefit, live.seq, key)
+                for key, live in self._l2.items()
             )
             self._warming = True
         loaded = 0
         try:
-            for _neg_benefit, _index, token in candidates:
+            for _neg_benefit, _seq, key in candidates:
                 with self._lock, witness("tiered"):
-                    key = self._l2_keys.get(token)
-                    if key is None:
+                    live = self._l2.get(key)
+                    if live is None:
                         continue
                     try:
-                        payload = self.log.peek(token)
-                        entry = self._decode_locked(token, key, payload)
+                        payload = self.log.peek(live.token)
+                        entry = self._decode_locked(key, payload)
                     except (ChunkLogCorruption, ChunkLogError):
                         entry = None
                     if entry is None:
@@ -560,16 +590,16 @@ class TieredChunkCache:
         """Charged L2 read on an L1 miss; releases the tier lock before
         re-inserting into L1 (no path holds ``tiered`` around a shard
         lock)."""
-        token = chunk_token(key)
         entry: CachedChunk | None = None
         with self._lock, witness("tiered"):
-            if not self._l2_enabled or token not in self._l2_keys:
+            live = self._l2.get(key) if self._l2_enabled else None
+            if live is None:
                 self._l2_misses += 1
                 return None
             try:
-                payload = self._read_with_retry(token)
+                payload = self._read_with_retry(live.token)
             except ChunkLogCorruption:
-                self._quarantine_locked(token)
+                self._quarantine_locked(key)
                 self._l2_misses += 1
                 return None
             except DiskFault:
@@ -578,11 +608,11 @@ class TieredChunkCache:
                 self._note_failure_locked()
                 return None
             except ChunkLogError:
-                self._l2_keys.pop(token, None)
+                self._forget_locked(key)
                 self._l2_misses += 1
                 return None
             self._failure_streak = 0
-            entry = self._decode_locked(token, key, payload)
+            entry = self._decode_locked(key, payload)
             if entry is None:
                 self._l2_misses += 1
                 return None
@@ -601,9 +631,13 @@ class TieredChunkCache:
             if victim.benefit < self.demote_min_benefit:
                 self._spill_skipped += 1
                 return
-            token = chunk_token(victim.key)
+            key = victim.key
+            live = self._l2.get(key)
+            # The token is built once per L2 residency: a re-spill of a
+            # live key reuses the one its first spill made.
+            token = live.token if live is not None else chunk_token(key)
             payload = encode_chunk(victim)
-            if not self._make_room_locked(token, len(payload)):
+            if not self._make_room_locked(live, len(payload)):
                 self._budget_skipped += 1
                 return
             try:
@@ -614,13 +648,10 @@ class TieredChunkCache:
                 return
             self._failure_streak = 0
             self._spills += 1
-            self._l2_keys[token] = victim.key
-            self._forget_meta_locked(token)
-            self._l2_meta[token] = (victim.benefit, len(payload))
-            self._l2_bytes += len(payload)
+            self._admit_locked(key, token, victim.benefit, len(payload))
             self._maybe_compact_locked()
 
-    def _make_room_locked(self, token: str, need: int) -> bool:
+    def _make_room_locked(self, existing: _Live | None, need: int) -> bool:
         """Evict lowest-benefit live records until ``need`` payload
         bytes fit the L2 budget.  Returns False when the record alone
         exceeds the budget (never spilled).  Evictions are charged
@@ -629,33 +660,33 @@ class TieredChunkCache:
             return True
         if need > self.l2_budget_bytes:
             return False
-        # A re-spill of a live token replaces it: its current bytes
-        # come back before the new payload is charged.
+        # A re-spill of a live key (``existing``) replaces it: its
+        # current bytes come back before the new payload is charged.
         current = self._l2_bytes
-        existing = self._l2_meta.get(token)
         if existing is not None:
-            current -= existing[1]
+            current -= existing.size
         while current + need > self.l2_budget_bytes:
-            victim_token: str | None = None
-            victim_benefit = 0.0
-            for candidate, (benefit, _size) in self._l2_meta.items():
-                if candidate == token:
-                    continue
-                if victim_token is None or benefit < victim_benefit:
-                    victim_token = candidate
-                    victim_benefit = benefit
-            if victim_token is None:
+            lowest = min(
+                (
+                    (live.benefit, live.seq, key)
+                    for key, live in self._l2.items()
+                    if live is not existing
+                ),
+                default=None,
+            )
+            if lowest is None:
                 break
-            current -= self._l2_meta[victim_token][1]
-            self._evict_l2_locked(victim_token)
+            _benefit, _seq, victim = lowest
+            current -= self._l2[victim].size
+            self._evict_l2_locked(victim)
         return True
 
-    def _evict_l2_locked(self, token: str) -> None:
+    def _evict_l2_locked(self, key: ChunkKey) -> None:
         """Budget eviction: charged tombstone + manifest removal."""
-        self._l2_keys.pop(token, None)
-        self._forget_meta_locked(token)
+        live = self._forget_locked(key)
+        assert live is not None  # callers pass keys out of the table
         try:
-            self.log.delete(token)
+            self.log.delete(live.token)
         except DiskFault:
             # The tombstone faulted: the record is dead to this process
             # either way (a restart resurrects it — cache semantics
@@ -687,22 +718,20 @@ class TieredChunkCache:
         if self.l2_budget_bytes is None:
             return
         ranked = sorted(
-            (-benefit, index, token, size)
-            for index, (token, (benefit, size)) in enumerate(
-                self._l2_meta.items()
-            )
+            (-live.benefit, live.seq, key, live.size)
+            for key, live in self._l2.items()
         )
         kept = 0
         fits = True
-        for _neg_benefit, _index, token, size in ranked:
+        for _neg_benefit, _seq, key, size in ranked:
             if fits and kept + size <= self.l2_budget_bytes:
                 kept += size
                 continue
             fits = False
-            self._evict_l2_locked(token)
+            self._evict_l2_locked(key)
         self._maybe_compact_locked()
 
-    def _read_with_retry(self, token: str) -> bytes:
+    def _read_with_retry(self, token: str) -> bytes | memoryview:
         try:
             return self.log.get(token)
         except DiskFault as fault:
@@ -721,25 +750,36 @@ class TieredChunkCache:
             return self.log.put(token, payload, benefit)
 
     def _decode_locked(
-        self, token: str, key: ChunkKey, payload: bytes
+        self, key: ChunkKey, payload: bytes | memoryview
     ) -> CachedChunk | None:
         """Decode a record, quarantining it on a malformed payload."""
         try:
             return decode_chunk(key, payload)
         except ChunkLogError:
-            self._quarantine_locked(token)
+            self._quarantine_locked(key)
             return None
 
-    def _quarantine_locked(self, token: str) -> None:
-        self.log.drop(token)
-        self._l2_keys.pop(token, None)
-        self._forget_meta_locked(token)
+    def _quarantine_locked(self, key: ChunkKey) -> None:
+        live = self._forget_locked(key)
+        assert live is not None  # callers hold the key's live entry
+        self.log.drop(live.token)
         self._quarantined += 1
 
-    def _forget_meta_locked(self, token: str) -> None:
-        meta = self._l2_meta.pop(token, None)
-        if meta is not None:
-            self._l2_bytes -= meta[1]
+    def _admit_locked(
+        self, key: ChunkKey, token: str, benefit: float, size: int
+    ) -> None:
+        """Record a chunk as live in L2, replacing any earlier record
+        of the key in place (its bytes come back first)."""
+        previous = self._l2.get(key)
+        self._l2[key] = _Live(token, benefit, size, self._spill_seq)
+        self._spill_seq += 1
+        self._l2_bytes += size - (previous.size if previous is not None else 0)
+
+    def _forget_locked(self, key: ChunkKey) -> _Live | None:
+        live = self._l2.pop(key, None)
+        if live is not None:
+            self._l2_bytes -= live.size
+        return live
 
     def _note_failure_locked(self) -> None:
         self._failure_streak += 1
@@ -747,26 +787,24 @@ class TieredChunkCache:
             self._l2_enabled = False
 
     def _rebuild_keys_locked(self) -> None:
-        """Regenerate token -> key from the log manifest (lock held,
+        """Regenerate the L2 table from the log manifest (lock held,
         or construction-exclusive from ``__init__``)."""
-        self._l2_keys.clear()
-        self._l2_meta.clear()
+        self._l2.clear()
         self._l2_bytes = 0
         for token, benefit, size in self.log.scan_keys():
             try:
-                self._l2_keys[token] = token_key(token)
+                key = token_key(token)
             except (ValueError, KeyError, TypeError):
                 # A token this build cannot parse is quarantined: the
                 # record may belong to a future key schema.
                 self.log.drop(token)
                 self._quarantined += 1
                 continue
-            self._l2_meta[token] = (benefit, size)
-            self._l2_bytes += size
+            self._admit_locked(key, token, benefit, size)
 
     def _l2_only_keys(self) -> list[ChunkKey]:
         with self._lock, witness("tiered"):
             if not self._l2_enabled:
                 return []
-            keys = list(self._l2_keys.values())
+            keys = list(self._l2)
         return [key for key in keys if key not in self._l1]

@@ -149,6 +149,7 @@ class ChunkLog:
         self.torn_hook: Callable[[str], bool] | None = None
         self.compact_hook: Callable[[int], bool] | None = None
         self._live_pages = 0
+        self._live_bytes = 0
         self._total_record_pages = 0
         self._file: io.BufferedRandom | None = None
         # A sidecar left behind by a compaction the process died inside
@@ -187,6 +188,7 @@ class ChunkLog:
         self._logical_end = 0
         self._manifest.clear()
         self._live_pages = 0
+        self._live_bytes = 0
         self._total_record_pages = 0
         if not existing:
             return L2Recovery()
@@ -251,11 +253,13 @@ class ChunkLog:
                     pages=pages,
                 )
                 self._live_pages += pages
+                self._live_bytes += payload_len
             elif rtype == _TOMBSTONE:
                 self._forget_extent(token)
             else:
                 self._manifest.clear()
                 self._live_pages = 0
+                self._live_bytes = 0
             offset = end
         self._logical_end = offset
         return L2Recovery(
@@ -323,6 +327,7 @@ class ChunkLog:
                 pages=pages,
             )
             self._live_pages += pages
+            self._live_bytes += len(payload)
             self._total_record_pages += pages
             return pages
 
@@ -349,6 +354,7 @@ class ChunkLog:
             self._persist(stored)
             self._manifest.clear()
             self._live_pages = 0
+            self._live_bytes = 0
             self._total_record_pages += pages
             return dropped
 
@@ -474,8 +480,13 @@ class ChunkLog:
     # ------------------------------------------------------------------
     # Reads
 
-    def get(self, token: str) -> bytes:
+    def get(self, token: str) -> memoryview:
         """Charged, verified read of a live record's payload.
+
+        Returns a read-only view of the payload inside one private copy
+        of the record — the log's own buffer is never exported, so the
+        view stays valid (and the log appendable) for as long as the
+        caller holds it.  The CRC is verified on every call.
 
         Raises :class:`~repro.exceptions.ChunkLogError` for a token that
         is not live, :class:`~repro.exceptions.ChunkLogCorruption` when
@@ -494,7 +505,7 @@ class ChunkLog:
             self.stats.reads += 1
             return self._verified_payload(token, extent)
 
-    def peek(self, token: str) -> bytes:
+    def peek(self, token: str) -> memoryview:
         """Uncharged, verified read (no disk counters, no fault hooks).
 
         Used by snapshot/warm-start paths that must not perturb the
@@ -550,7 +561,7 @@ class ChunkLog:
     def live_bytes(self) -> int:
         """Total payload bytes across live records."""
         with self._lock, witness("l2"):
-            return sum(e.payload_len for e in self._manifest.values())
+            return self._live_bytes
 
     @property
     def live_pages(self) -> int:
@@ -611,11 +622,12 @@ class ChunkLog:
 
     def _forget_extent(self, token: str) -> bool:
         """Drop a token's extent from the manifest, keeping the live
-        page gauge exact (lock held)."""
+        page and byte gauges exact (lock held)."""
         extent = self._manifest.pop(token, None)
         if extent is None:
             return False
         self._live_pages -= extent.pages
+        self._live_bytes -= extent.payload_len
         return True
 
     def _encode(
@@ -630,11 +642,11 @@ class ChunkLog:
                 "format limit"
             )
         fields = _CRC_FIELDS.pack(rtype, len(token_bytes), len(payload), benefit)
-        crc = crc32(fields + token_bytes + payload) & 0xFFFFFFFF
+        crc = crc32(payload, crc32(token_bytes, crc32(fields)))
         prefix = _PREFIX.pack(
             rtype, len(token_bytes), len(payload), benefit, crc
         )
-        record = prefix + token_bytes + payload
+        record = b"".join((prefix, token_bytes, payload))
         stored = record
         if (
             rtype == _PUT
@@ -690,13 +702,21 @@ class ChunkLog:
             self._file.write(stored)
             self._file.flush()
 
-    def _verified_payload(self, token: str, extent: _Extent) -> bytes:
-        record = bytes(self._buf[extent.offset : extent.offset + extent.length])
-        rtype, token_len, payload_len, benefit, crc = _PREFIX.unpack_from(
+    def _verified_payload(self, token: str, extent: _Extent) -> memoryview:
+        # One copy of the record out of the log; the export on ``_buf``
+        # is released before returning (a held one would make the next
+        # append's ``extend`` raise BufferError).
+        with memoryview(self._buf) as buf:
+            record = memoryview(
+                bytes(buf[extent.offset : extent.offset + extent.length])
+            )
+        _rtype, token_len, _payload_len, _benefit, crc = _PREFIX.unpack_from(
             record, 0
         )
-        fields = _CRC_FIELDS.pack(rtype, token_len, payload_len, benefit)
-        if crc32(fields + record[_PREFIX.size :]) & 0xFFFFFFFF != crc:
+        if (
+            crc32(record[_PREFIX.size :], crc32(record[: _CRC_FIELDS.size]))
+            != crc
+        ):
             self.stats.crc_failures += 1
             raise ChunkLogCorruption(
                 f"chunk log record {token!r} failed its CRC-32 check "

@@ -29,6 +29,7 @@ The accounting rules a backend must obey:
 
       disk.writes == append + tombstone + clear + compact_write pages
       disk.reads  == read + scan + compact_read pages
+      live_bytes  == sum of the live records' payload lengths
 
 - **Fault points.**  ``write_hook`` / ``read_hook`` run before each
   page transfer is counted and may raise
@@ -135,7 +136,10 @@ class L2Backend(Protocol):
       :class:`~repro.exceptions.DiskFault` from ``write_hook`` aborts
       the put with the manifest unchanged (charged pages stay charged).
     - :meth:`get` is a charged, CRC-verified read of a live token;
-      :meth:`peek` is the uncharged, hook-free variant.  Corrupt bytes
+      :meth:`peek` is the uncharged, hook-free variant.  Both return
+      the payload as an immutable bytes-like object (``bytes`` or a
+      read-only ``memoryview``) that stays valid across later writes.
+      Corrupt bytes
       raise :class:`~repro.exceptions.ChunkLogCorruption`, a token
       that is not live :class:`~repro.exceptions.ChunkLogError`.
     - :meth:`delete` durably drops a live token (charged);
@@ -175,9 +179,9 @@ class L2Backend(Protocol):
 
     def put(self, token: str, payload: bytes, benefit: float) -> int: ...
 
-    def get(self, token: str) -> bytes: ...
+    def get(self, token: str) -> bytes | memoryview: ...
 
-    def peek(self, token: str) -> bytes: ...
+    def peek(self, token: str) -> bytes | memoryview: ...
 
     def delete(self, token: str) -> bool: ...
 
@@ -215,7 +219,8 @@ def check_l2_conservation(backend: L2Backend) -> None:
     The one conservation identity every backend must satisfy at every
     quiescent point — spills, promotions, tombstones, restart scans
     and compactions account for every page, including pages charged by
-    operations a fault later aborted.
+    operations a fault later aborted — plus the running ``live_bytes``
+    gauge against the manifest it summarises.
     """
     stats = backend.stats
     disk = backend.disk.stats
@@ -235,4 +240,10 @@ def check_l2_conservation(backend: L2Backend) -> None:
         raise InvariantViolation(
             f"L2 read pages diverged: ops account for {read} pages, "
             f"disk counted {disk.reads}"
+        )
+    live = sum(size for _token, _benefit, size in backend.scan_keys())
+    if live != backend.live_bytes:
+        raise InvariantViolation(
+            f"L2 live-byte gauge diverged: the manifest holds {live} "
+            f"payload bytes, the gauge reads {backend.live_bytes}"
         )

@@ -10,8 +10,10 @@ from repro.core.cache import ChunkCache
 from repro.core.chunk import ChunkKey
 from repro.core.manager import ChunkCacheManager
 from repro.core.query_cache import QueryCacheManager
+from repro.core.tiered import TieredChunkCache, chunk_token, encode_chunk
 from repro.exceptions import CacheError
 from repro.query.model import StarQuery
+from repro.storage.chunklog import ChunkLog
 from tests.conftest import canon_rows
 
 
@@ -72,7 +74,7 @@ OWNERSHIP_CASES = {
 
 
 class TestAnswersOwnTheirRows:
-    @pytest.mark.parametrize("scheme", ["chunk", "query"])
+    @pytest.mark.parametrize("scheme", ["chunk", "query", "promoted"])
     @pytest.mark.parametrize("case", OWNERSHIP_CASES)
     def test_rows_never_alias_a_cached_payload(
         self, small_schema, fresh_small_engine, manager, scheme, case
@@ -83,6 +85,18 @@ class TestAnswersOwnTheirRows:
             )
         groupby, selections, filters = OWNERSHIP_CASES[case]
         query = q(small_schema, groupby, selections, dim_filters=filters)
+        if scheme == "promoted":
+            # Every chunk of the answer starts in L2: ``cold`` below is
+            # assembled from chunks promoted there and then, ``warm``
+            # from the same read-only rows now resident in L1.
+            manager.answer(query)
+            log = ChunkLog()
+            for key, entry in manager.cache.snapshot():
+                log.put(chunk_token(key), encode_chunk(entry), entry.benefit)
+            manager = ChunkCacheManager(
+                small_schema, manager.space, fresh_small_engine,
+                TieredChunkCache(ChunkCache(2_000_000, "benefit"), log),
+            )
         cold, warm = manager.answer(query), manager.answer(query)
         assert warm.record.is_full_hit
         expected = warm.rows.tobytes()
@@ -91,6 +105,13 @@ class TestAnswersOwnTheirRows:
             payloads = [e.rows for e in manager._entries.values()]
         else:
             payloads = [e.rows for _, e in manager.cache.snapshot()]
+        if scheme == "promoted":
+            assert cold.record.is_full_hit
+            assert manager.cache.tiers()["l2"]["promotes"] == len(payloads) > 0
+            # Immutable once admitted: a view of the verified record copy.
+            assert not any(
+                rows.flags.writeable or rows.flags.owndata for rows in payloads
+            )
         for answer in (cold, warm):
             assert not any(
                 np.shares_memory(answer.rows, rows) for rows in payloads

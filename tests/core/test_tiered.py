@@ -2,6 +2,7 @@
 
 import json
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cache import ChunkCache
 from repro.core.chunk import CachedChunk, ChunkKey
+from repro.core import tiered as tiered_module
 from repro.core.tiered import (
     TieredChunkCache,
     chunk_token,
@@ -23,6 +25,7 @@ from repro.exceptions import (
     InvariantViolation,
 )
 from repro.storage.chunklog import ChunkLog
+from repro.storage.record import groupby_record_format
 
 PAGE = 256
 
@@ -35,6 +38,10 @@ def make_chunk(number=0, rows=4, benefit=1.0, groupby=(1, 1), fill=0):
     return CachedChunk(
         key=key, rows=data, benefit=benefit, compute_pages=float(rows)
     )
+
+
+def wedged(page_id):
+    raise DiskFault("wedged", page_id=page_id, transient=False)
 
 
 def make_tiered(capacity=1_000, demote_min_benefit=0.0, failure_limit=8):
@@ -58,27 +65,76 @@ class TestTokenCodec:
         b = ChunkKey((1, 1), 0, (("v", "sum"),), frozenset({"y", "x"}))
         assert chunk_token(a) == chunk_token(b)
 
-    def test_chunk_roundtrip_is_exact(self):
-        entry = make_chunk(number=3, rows=7, benefit=0.1 + 0.2, fill=9)
+    @given(
+        groupby=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        aggregates=st.lists(
+            st.sampled_from(["sum", "count", "min", "max", "avg"]),
+            min_size=1, max_size=5, unique=True,
+        ),
+        swapped=st.booleans(),
+        strided=st.booleans(),
+        fill=st.binary(min_size=0, max_size=400),
+        benefit=st.floats(allow_nan=False),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunk_roundtrip_is_exact(
+        self, small_schema, groupby, aggregates, swapped, strided, fill,
+        benefit,
+    ):
+        dtype = groupby_record_format(
+            small_schema, groupby, [("v", agg) for agg in aggregates]
+        ).dtype
+        if swapped:
+            dtype = dtype.newbyteorder(">")
+        count = len(fill) // dtype.itemsize  # 0 rows included
+        rows = np.frombuffer(fill[: count * dtype.itemsize], dtype=dtype)
+        if strided:
+            rows = np.repeat(rows, 2)[::2]  # same rows, not contiguous
+        entry = CachedChunk(make_chunk().key, rows, benefit, 0.1)
         restored = decode_chunk(entry.key, encode_chunk(entry))
         assert restored.key == entry.key
-        assert restored.benefit == entry.benefit  # hex round trip, not repr
-        assert restored.compute_pages == entry.compute_pages
-        assert restored.rows.dtype == entry.rows.dtype
-        assert restored.rows.tobytes() == entry.rows.tobytes()
+        assert (restored.benefit, restored.compute_pages) == (benefit, 0.1)
+        assert restored.rows.dtype == dtype
+        assert restored.rows.tobytes() == rows.tobytes()
+        assert not restored.rows.flags.writeable
+
+
+def raw_payload(descriptor=b'"<f8"', count=2, descriptor_len=None):
+    """A payload assembled by hand, field by field (docs/TIERING.md),
+    around two all-zero ``<f8`` rows."""
+    if descriptor_len is None:
+        descriptor_len = len(descriptor)
+    header = struct.pack(
+        "<4sddIH", b"PK1\xff", 1.0, 1.0, count, descriptor_len
+    )
+    return header + descriptor + bytes(16)
+
+
+#: What a build before the packed payload wrote: u32 meta length +
+#: canonical-JSON meta (hex floats, dtype spec, shape) + row bytes.
+OLD_LAYOUT_META = b'{"b":"0x1p+0","c":"0x1p+0","d":"<f8","s":[2]}'
+OLD_LAYOUT = (
+    struct.pack("<I", len(OLD_LAYOUT_META)) + OLD_LAYOUT_META + bytes(16)
+)
 
 
 class TestPayloadCodecEdges:
-    def test_plain_dtype_roundtrip(self):
-        entry = CachedChunk(
-            key=make_chunk().key,
-            rows=np.arange(6, dtype="<f8"),
-            benefit=1.5,
-            compute_pages=2.0,
+    def test_layout_is_pinned(self):
+        # tag | benefit | compute_pages | row count | descriptor len |
+        # descriptor | rows
+        entry = make_chunk(rows=2, benefit=0.1 + 0.2, fill=3)
+        assert encode_chunk(entry) == (
+            b"PK1\xff" b"433333\xd3?" b"\x00\x00\x00\x00\x00\x00\x00@"
+            b"\x02\x00\x00\x00" b"\x1e\x00"
+            b'[["D0","<i4"],["sum_v","<f8"]]'
+            b"\x03\x00\x00\x00" b"\x00\x00\x00\x00\x00\x00\xf8?"
+            b"\x03\x00\x00\x00" b"\x00\x00\x00\x00\x00\x00\xf8?"
         )
-        restored = decode_chunk(entry.key, encode_chunk(entry))
+
+    def test_plain_dtype_roundtrip(self):
+        restored = decode_chunk(make_chunk().key, raw_payload())
         assert restored.rows.dtype == np.dtype("<f8")
-        assert restored.rows.tobytes() == entry.rows.tobytes()
+        assert encode_chunk(restored) == raw_payload()
 
     def test_subarray_field_roundtrip(self):
         rows = np.zeros(3, dtype=[("v", "<f8", (2,)), ("n", "<i4")])
@@ -92,27 +148,72 @@ class TestPayloadCodecEdges:
 
     def test_truncated_payload_rejected(self):
         with pytest.raises(ChunkLogError):
-            decode_chunk(make_chunk().key, b"\x01")
+            decode_chunk(make_chunk().key, raw_payload()[:25])
 
-    def test_meta_extending_past_the_record_rejected(self):
+    def test_descriptor_extending_past_the_record_rejected(self):
         with pytest.raises(ChunkLogError):
-            decode_chunk(make_chunk().key, struct.pack("<I", 100) + b"{}")
+            decode_chunk(make_chunk().key, raw_payload(descriptor_len=100))
 
-    def test_unparseable_meta_rejected(self):
-        meta = b"not json at all"
+    def test_unparseable_descriptor_rejected(self):
         with pytest.raises(ChunkLogError):
-            decode_chunk(
-                make_chunk().key, struct.pack("<I", len(meta)) + meta
-            )
+            decode_chunk(make_chunk().key, raw_payload(b"not json at all"))
 
     def test_malformed_dtype_spec_rejected(self):
-        meta = json.dumps(
-            {"b": "0x1p+0", "c": "0x1p+0", "d": 5, "s": [1]}
-        ).encode("utf-8")
         with pytest.raises(ChunkLogError):
-            decode_chunk(
-                make_chunk().key, struct.pack("<I", len(meta)) + meta
-            )
+            decode_chunk(make_chunk().key, raw_payload(b"5"))
+
+    def test_row_bytes_must_match_the_row_count(self):
+        with pytest.raises(ChunkLogError):
+            decode_chunk(make_chunk().key, raw_payload(count=3))
+
+    def test_older_layout_is_rejected_not_reinterpreted(self):
+        with pytest.raises(ChunkLogError):
+            decode_chunk(make_chunk().key, OLD_LAYOUT)
+        # ... and an older decoder, reading this build's tag as its
+        # meta length, finds it past the end of any record.
+        (as_meta_len,) = struct.unpack_from("<I", raw_payload())
+        assert as_meta_len > 0xFFFFFFFF - 2**24
+
+
+class TestJsonIsPaidOncePerKeyAndDtype:
+    """Deterministic cost guard: which tier operations serialise JSON."""
+
+    def test_steady_state_cycle_makes_no_json_call(self, monkeypatch):
+        calls = []
+        counted = types.SimpleNamespace(
+            dumps=lambda *a, **k: calls.append("dumps") or json.dumps(*a, **k),
+            loads=lambda *a, **k: calls.append("loads") or json.loads(*a, **k),
+        )
+        monkeypatch.setattr(tiered_module, "json", counted)
+
+        def spent():
+            made = sorted(calls)
+            calls.clear()
+            return made
+
+        tiered = make_tiered(capacity=make_chunk().size_bytes)
+        first, second = make_chunk(number=0), make_chunk(number=1, fill=1)
+        tiered.put(first)
+        tiered.put(second)  # first spill of 0
+        assert tiered.get(first.key) is not None  # first spill of 1
+        spent()
+        for key in (second.key, first.key, second.key):
+            assert tiered.get(key) is not None  # promote, spill the other back
+        assert spent() == []
+        tiered.put(make_chunk(number=2, fill=2))
+        assert tiered.get(first.key) is not None  # first spill of a new key
+        assert spent() == ["dumps"]
+        odd = np.zeros(2, dtype=[("D0", "<i4"), ("only_in_this_test", "<f8")])
+        tiered.put(CachedChunk(make_chunk(number=3).key, odd, 1.0))
+        assert tiered.get(first.key) is not None  # new key *and* new dtype:
+        # token + descriptor, and the descriptor vetted by parsing it back
+        assert spent() == ["dumps", "dumps", "loads"]
+        tiered_module._dtype_of.cache_clear()  # what a restart forgets
+        for expected in (["loads", "loads"], []):  # two dtypes, seen once
+            assert tiered.get(make_chunk(number=3).key).rows.dtype == odd.dtype
+            assert tiered.get(first.key) is not None
+            assert spent() == expected
+        assert tiered.tiers()["l2"]["quarantined"] == 0
 
 
 class TestSpillAndPromote:
@@ -133,10 +234,7 @@ class TestSpillAndPromote:
         chunks = [make_chunk(number=n, fill=n) for n in range(3)]
         for chunk in chunks:
             tiered.put(chunk)
-        (victim_key,) = [
-            key for key, _, in [(c.key, c) for c in chunks]
-            if tiered._l1.peek(key) is None
-        ]
+        (victim_key,) = tiered._l2_only_keys()
         victim = next(c for c in chunks if c.key == victim_key)
         got = tiered.get(victim_key)
         assert got is not None
@@ -150,10 +248,7 @@ class TestSpillAndPromote:
         tiered = make_tiered(capacity=2 * make_chunk().size_bytes)
         for n in range(3):
             tiered.put(make_chunk(number=n, fill=n))
-        victim_key = next(
-            key for key in [make_chunk(number=n).key for n in range(3)]
-            if tiered._l1.peek(key) is None
-        )
+        (victim_key,) = tiered._l2_only_keys()
         before = tiered.stats
         assert tiered.get(victim_key) is not None
         after = tiered.stats
@@ -172,10 +267,7 @@ class TestSpillAndPromote:
         tiered = make_tiered(capacity=2 * make_chunk().size_bytes)
         for n in range(3):
             tiered.put(make_chunk(number=n, fill=n))
-        victim_key = next(
-            key for key in [make_chunk(number=n).key for n in range(3)]
-            if tiered._l1.peek(key) is None
-        )
+        (victim_key,) = tiered._l2_only_keys()
         reads_before = tiered.log.disk.stats.reads
         assert tiered.peek(victim_key) is not None
         assert tiered._l1.peek(victim_key) is None  # still L2-only
@@ -210,10 +302,7 @@ class TestCostAttribution:
         tiered = make_tiered(capacity=2 * make_chunk(rows=64).size_bytes)
         for n in range(3):
             tiered.put(make_chunk(number=n, fill=n, rows=64))
-        victim_key = next(
-            key for key in [make_chunk(number=n).key for n in range(3)]
-            if tiered._l1.peek(key) is None
-        )
+        (victim_key,) = tiered._l2_only_keys()
         assert tiered.get(victim_key) is not None
         l2 = tiered.tiers()["l2"]
         stats = tiered.log.stats
@@ -240,10 +329,12 @@ class TestCostAttribution:
         tiered.check_conservation()  # the invariant checker agrees
 
     def test_conservation_violation_raises(self):
-        tiered = make_tiered()
-        tiered.log.stats.append_pages += 1  # fabricate a phantom page
-        with pytest.raises(InvariantViolation):
-            tiered.check_conservation()
+        phantom_page, phantom_byte = make_tiered(), make_tiered()
+        phantom_page.log.stats.append_pages += 1
+        phantom_byte.log._live_bytes += 1
+        for tiered in (phantom_page, phantom_byte):
+            with pytest.raises(InvariantViolation):
+                tiered.check_conservation()
 
 
 class TestInvalidateAndClear:
@@ -271,11 +362,7 @@ class TestInvalidateAndClear:
         tiered.put(make_chunk(number=0))
         tiered.put(make_chunk(number=1))  # 0 spilled
         key = make_chunk(number=0).key
-
-        def hook(page_id):
-            raise DiskFault("wedged", page_id=page_id, transient=False)
-
-        tiered.log.disk.write_hook = hook
+        tiered.log.disk.write_hook = wedged
         assert tiered.invalidate(key) is True
         tiered.log.disk.write_hook = None
         # The tombstone never landed, but the key is dead to this
@@ -288,11 +375,7 @@ class TestInvalidateAndClear:
         tiered = make_tiered(capacity=make_chunk().size_bytes)
         tiered.put(make_chunk(number=0))
         tiered.put(make_chunk(number=1))
-
-        def hook(page_id):
-            raise DiskFault("wedged", page_id=page_id, transient=False)
-
-        tiered.log.disk.write_hook = hook
+        tiered.log.disk.write_hook = wedged
         tiered.clear()
         tiered.log.disk.write_hook = None
         assert len(tiered) == 0
@@ -371,11 +454,7 @@ class TestStoreSurfaces:
         first, second = make_chunk(number=0), make_chunk(number=1, fill=1)
         tiered.put(first)
         tiered.put(second)  # spill 0, exactly filling the budget
-
-        def hook(page_id):
-            raise DiskFault("wedged", page_id=page_id, transient=False)
-
-        tiered.log.disk.write_hook = hook
+        tiered.log.disk.write_hook = wedged
         tiered.put(first)  # spill 1: budget-evicts 0 (tombstone faults),
         tiered.log.disk.write_hook = None  # then its own append faults
         l2 = tiered.tiers()["l2"]
@@ -397,11 +476,7 @@ class TestStoreSurfaces:
         )
         tiered.put(make_chunk(number=0))
         tiered.put(make_chunk(number=1))  # 0 spilled cleanly
-
-        def hook(page_id):
-            raise DiskFault("wedged", page_id=page_id, transient=False)
-
-        tiered.log.disk.write_hook = hook
+        tiered.log.disk.write_hook = wedged
         tiered.put(make_chunk(number=2))  # faulted spill degrades the tier
         tiered.log.disk.write_hook = None
         assert tiered.tiers()["l2"]["degraded"] is True
@@ -412,16 +487,19 @@ class TestStoreSurfaces:
 
 class TestDegrade:
     def test_corrupt_payload_quarantines(self):
+        # Garbage, and a healthy record of an older build's layout: both
+        # are misses that are counted, never decoded.
         tiered = make_tiered()
-        key = make_chunk(number=5).key
-        token = chunk_token(key)
-        tiered.log.put(token, b"not-a-chunk-payload", 1.0)
+        keys = [make_chunk(number=n).key for n in (5, 6)]
+        for key, payload in zip(keys, (b"not-a-chunk-payload", OLD_LAYOUT)):
+            tiered.log.put(chunk_token(key), payload, 1.0)
         with tiered._lock:
             tiered._rebuild_keys_locked()
-        assert tiered.get(key) is None
+        assert tiered.get(keys[0]) is None
+        assert tiered.peek(keys[1]) is None
         l2 = tiered.tiers()["l2"]
-        assert l2["quarantined"] == 1
-        assert token not in tiered.log  # dropped from the manifest
+        assert (l2["quarantined"], l2["entries"], l2["hits"]) == (2, 0, 0)
+        assert len(tiered.log) == 0  # dropped from the manifest
 
     def test_failure_streak_disables_l2(self):
         tiered = make_tiered(

@@ -8,9 +8,12 @@ uninterrupted run, and a damaged log never takes the stack down: it
 degrades to a clean cold start.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.api import StackConfig, build_stack
+from repro.core import tiered
 from repro.workload.generator import EQPR, QueryGenerator
 from tests.conftest import canon_rows
 
@@ -96,6 +99,36 @@ class TestWarmRestart:
             assert answers == cold_run["answers"]
         finally:
             stack.close()
+
+    def test_healthy_records_promote_and_are_never_quarantined(
+        self, small_schema, small_records, tmp_path
+    ):
+        """A decode that failed would be quarantined, fall back to the
+        backend and still answer correctly — so count it: spill ->
+        promote -> close -> reopen -> promote, against a 1-tier stack."""
+        generator = QueryGenerator(small_schema, seed=SEED)
+        queries = list(generator.stream(QUERIES, EQPR))
+        config = config_for(str(tmp_path / "chunklog.bin"))
+        plain = build_stack(
+            small_schema, small_records,
+            dataclasses.replace(config, cache_tiers=1, persist_path=None),
+        )
+        expected = [plain.manager.answer(q).rows.tobytes() for q in queries]
+        plain.close()
+        for restarted in (False, True):
+            # A restarted process has met no row dtype yet.
+            tiered._describe.cache_clear()
+            tiered._dtype_of.cache_clear()
+            stack = build_stack(small_schema, small_records, config)
+            try:
+                got = [stack.manager.answer(q).rows.tobytes() for q in queries]
+                l2 = stack.cache.tiers()["l2"]
+            finally:
+                stack.close()
+            assert got == expected
+            assert l2["quarantined"] == 0
+            assert l2["promotes"] == l2["hits"] > 0
+            assert (l2["warm_loaded"] > 0) == restarted
 
 
 class TestDamagedLogDegrades:

@@ -138,6 +138,16 @@ class L2ContractBattery:
         assert backend.disk.stats.reads == reads_before
         assert backend.stats.reads == 0
 
+    def test_a_held_payload_outlives_later_writes(self):
+        backend = self.make_backend()
+        backend.put("a", b"payload", 1.0)
+        held = [backend.get("a"), backend.peek("a")]
+        backend.put("a", b"superseded", 1.0)  # a pinned buffer would raise
+        backend.clear()
+        for payload in held:
+            assert bytes(payload) == b"payload"
+            assert isinstance(payload, bytes) or payload.readonly
+
     def test_peek_missing_token_raises(self):
         backend = self.make_backend()
         with pytest.raises(ChunkLogError):

@@ -204,7 +204,7 @@ class TestNightlyWorkflow:
     @pytest.mark.parametrize(
         "workflow,base,workloads,depth",
         [
-            ("nightly-soak.yml", "HEAD~1", ["serve_fair"], 2),
+            ("nightly-soak.yml", "HEAD~1", ["serve_fair", "tiered_hot"], 2),
             # Per push: every workload, against the merge base.
             ("ci.yml", '"$MERGE_BASE"', None, 0),
         ],
