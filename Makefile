@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: lint lint-cold test coverage smoke bench-pairs
+.PHONY: lint lint-cold test coverage smoke bench-pairs profile
 
 # Static-analysis gate (see docs/STATIC_ANALYSIS.md).  Warm runs reuse
 # the content-hash fact cache (.reprolint_cache.json); mypy is optional
@@ -40,3 +40,12 @@ SEED ?= 1998
 bench-pairs:
 	$(PYTHON) -m tools.benchpairs --base $(BASE) --pairs $(N) --seed $(SEED) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
+
+# Where one benchmark workload spends its time: its driver under cProfile,
+# with the untraced qps beside the table (see tools/benchprofile.py):
+#   make profile WORKLOAD=miss_heavy [SORT=cumulative] [TOP=40] [SEED=1998]
+SORT ?= tottime
+TOP ?= 25
+profile:
+	$(PYTHON) -m tools.benchprofile --workload $(WORKLOAD) --sort $(SORT) \
+		--top $(TOP) --seed $(SEED)

@@ -493,22 +493,6 @@ class BackendEngine:
             return self.schema.base_groupby, self.chunked_file
         return source
 
-    @staticmethod
-    def _source_chunk_work(
-        source_file: ChunkedFile, source_numbers: Sequence[int]
-    ) -> tuple[int, int]:
-        """Sum ``(pages, tuples)`` over the given source chunks."""
-        pages = 0
-        tuples = 0
-        for number in source_numbers:
-            extent = source_file.chunk_extent_estimate(number)
-            if extent is None:
-                continue
-            start, count = extent
-            pages += source_file.fact_file.pages_for_range(start, count)
-            tuples += count
-        return pages, tuples
-
     @_synchronized
     def estimate_chunk_work(
         self, groupby: Sequence[int], numbers: Sequence[int]
@@ -526,7 +510,7 @@ class BackendEngine:
         source_numbers = self._union_source_chunks(
             groupby, list(numbers), source_groupby
         )
-        return self._source_chunk_work(source_file, source_numbers)
+        return source_file.chunk_work_estimate(source_numbers)
 
     @_synchronized
     def estimate_chunk_work_batch(
@@ -544,15 +528,16 @@ class BackendEngine:
         """
         groupby = self.schema.validate_groupby(groupby)
         source_groupby, source_file = self._estimation_source(groupby)
-        result: dict[int, tuple[int, int]] = {}
-        for number in numbers:
-            source_numbers = self._union_source_chunks(
-                groupby, [number], source_groupby
+        source_grid = self.space.grid(source_groupby)
+        all_spans = source_spans_many(
+            self.space, groupby, numbers, source_groupby
+        )
+        return {
+            number: source_file.chunk_work_estimate(
+                source_grid.numbers_in_spans(spans)
             )
-            result[number] = self._source_chunk_work(
-                source_file, source_numbers
-            )
-        return result
+            for number, spans in zip(numbers, all_spans)
+        }
 
     def estimate_chunk_pages(
         self, groupby: Sequence[int], numbers: Sequence[int]

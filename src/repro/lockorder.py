@@ -15,8 +15,9 @@ Design constraints:
 - **Leaf module.**  Imports nothing from the package, so every layer
   (backend, serve) may use it without bending the R001 layering DAG.
 - **Near-zero cost when idle.**  Outside a ``capture()`` block,
-  :func:`witness` checks one module global and yields; no per-thread
-  state is touched.  Production paths pay one branch.
+  :func:`witness` checks one module global and returns one shared
+  no-op context; nothing is allocated and no per-thread state is
+  touched.  Production paths pay one branch.
 - **No locks of its own.**  Edge recording appends to a plain list
   (atomic under the GIL) and deduplicates at read time, so the witness
   cannot introduce ordering edges of its own into the graph it checks.
@@ -28,7 +29,7 @@ the soak harness is the only intended user.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from typing import Iterator
 
 __all__ = ["WitnessLog", "capture", "witness"]
@@ -70,8 +71,33 @@ def capture() -> Iterator[WitnessLog]:
         _active = None
 
 
-@contextmanager
-def witness(level: str) -> Iterator[None]:
+class _Held:
+    """One witnessed critical section of an active capture."""
+
+    __slots__ = ("_log", "_level", "_stack")
+
+    def __init__(self, log: WitnessLog, level: str) -> None:
+        self._log = log
+        self._level = level
+
+    def __enter__(self) -> None:
+        stack: list[str] | None = getattr(_tls, "stack", None)
+        if stack is None:
+            stack = []
+            _tls.stack = stack
+        for outer in stack:
+            self._log.record(outer, self._level)
+        stack.append(self._level)
+        self._stack = stack
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._stack.pop()
+
+
+_IDLE: AbstractContextManager[None] = nullcontext()
+
+
+def witness(level: str) -> AbstractContextManager[None]:
     """Note that the calling thread holds lock level ``level``.
 
     Wrap the critical section *after* the lock is acquired.  While a
@@ -81,16 +107,5 @@ def witness(level: str) -> Iterator[None]:
     """
     log = _active
     if log is None:
-        yield
-        return
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    for outer in stack:
-        log.record(outer, level)
-    stack.append(level)
-    try:
-        yield
-    finally:
-        stack.pop()
+        return _IDLE
+    return _Held(log, level)

@@ -91,6 +91,8 @@ class StarSchema:
         self.measures: tuple[Measure, ...] = tuple(measures)
         self._dim_index = {d.name: i for i, d in enumerate(self.dimensions)}
         self._measure_index = {m.name: i for i, m in enumerate(self.measures)}
+        # Group-bys validate_groupby has accepted (at most the lattice).
+        self._valid_groupbys: set[GroupBy] = set()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -147,6 +149,8 @@ class StarSchema:
             SchemaError: On wrong arity or out-of-range levels.
         """
         groupby = tuple(groupby)
+        if groupby in self._valid_groupbys:
+            return groupby
         if len(groupby) != self.num_dimensions:
             raise SchemaError(
                 f"group-by {groupby} has {len(groupby)} entries; schema has "
@@ -158,6 +162,7 @@ class StarSchema:
                     f"level {level} out of range 0..{dim.leaf_level} for "
                     f"dimension {dim.name!r}"
                 )
+        self._valid_groupbys.add(groupby)
         return groupby
 
     def all_groupbys(self) -> Iterator[GroupBy]:

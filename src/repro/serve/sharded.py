@@ -35,11 +35,11 @@ up, attributed to the right stage, in execution traces.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 import zlib
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro import invariants
 from repro.core.cache import ChunkCache, ChunkCacheStats, EvictHook, FaultHook
@@ -48,28 +48,76 @@ from repro.core.replacement import ReplacementPolicy
 from repro.exceptions import ServeError
 from repro.lockorder import witness
 from repro.pipeline.trace import record_blocked_wait
+from repro.schema.star import GroupBy
 
 __all__ = ["stable_key_hash", "CacheShard", "ShardedChunkCache"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _groupby_crc(groupby: GroupBy) -> int:
+    """CRC-32 of the canonical rendering up to the chunk number."""
+    return zlib.crc32(f"({tuple(groupby)!r}, ".encode("utf-8"))
+
+
+@functools.lru_cache(maxsize=1024)
+def _tail_bytes(
+    aggregates: tuple[tuple[str, str], ...], fixed_predicates: frozenset[str]
+) -> bytes:
+    """The canonical rendering after the chunk number."""
+    predicates = tuple(sorted(fixed_predicates))
+    return f", {aggregates!r}, {predicates!r})".encode("utf-8")
 
 
 def stable_key_hash(key: ChunkKey) -> int:
     """A process-independent hash of a chunk key for shard routing.
 
     CRC-32 over the canonical textual rendering of the key's components,
-    with the (unordered) predicate set sorted first.  Deterministic
-    across runs, processes and ``PYTHONHASHSEED`` values — required so
-    that shard placement, and everything downstream of it (eviction
-    order, per-shard stats), reproduces exactly.
+    ``repr((groupby, number, aggregates, sorted predicates))``.
+    Deterministic across runs, processes and ``PYTHONHASHSEED`` values —
+    required so that shard placement, and everything downstream of it
+    (eviction order, per-shard stats), reproduces exactly.
+
+    CRC-32 is incremental, so the text is never built per key: the
+    checksum of everything before the number is kept per group-by, the
+    bytes after it per (aggregates, predicates), and a key costs two
+    short ``crc32`` calls.
     """
-    canonical = repr(
-        (
-            tuple(key.groupby),
-            key.number,
-            key.aggregates,
-            tuple(sorted(key.fixed_predicates)),
-        )
+    return zlib.crc32(
+        _tail_bytes(key.aggregates, key.fixed_predicates),
+        zlib.crc32(b"%d" % key.number, _groupby_crc(key.groupby)),
     )
-    return zlib.crc32(canonical.encode("utf-8"))
+
+
+class _HeldShard:
+    """``with shard.held() as cache``: one critical section of a shard."""
+
+    __slots__ = ("_shard", "_witness")
+
+    def __init__(self, shard: CacheShard) -> None:
+        self._shard = shard
+
+    def __enter__(self) -> ChunkCache:
+        shard = self._shard
+        start = time.perf_counter()
+        shard.lock.acquire()
+        try:
+            waited = time.perf_counter() - start
+            shard.lock_acquisitions += 1
+            shard.lock_wait_seconds += waited
+            if waited > 0.0:
+                record_blocked_wait(waited)
+            self._witness = witness("shard")
+            self._witness.__enter__()
+        except BaseException:
+            shard.lock.release()
+            raise
+        return shard.cache
+
+    def __exit__(self, *exc_info: object) -> None:
+        try:
+            self._witness.__exit__(None, None, None)
+        finally:
+            self._shard.lock.release()
 
 
 class CacheShard:
@@ -105,26 +153,14 @@ class CacheShard:
         self.readmissions = 0
         self.quarantine_rejects = 0
 
-    @contextmanager
-    def held(self) -> Iterator[ChunkCache]:
+    def held(self) -> _HeldShard:
         """Acquire the shard lock, yielding the guarded cache.
 
         Contended waits are added to this shard's counters and credited
         to the calling thread's blocked clock, so the enclosing pipeline
         stage's ``lock_wait_seconds`` reflects them.
         """
-        start = time.perf_counter()
-        self.lock.acquire()
-        try:
-            waited = time.perf_counter() - start
-            self.lock_acquisitions += 1
-            self.lock_wait_seconds += waited
-            if waited > 0.0:
-                record_blocked_wait(waited)
-            with witness("shard"):
-                yield self.cache
-        finally:
-            self.lock.release()
+        return _HeldShard(self)
 
 
 class ShardedChunkCache:

@@ -14,7 +14,7 @@ uses for its cache replacement experiments (Section 5.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 from repro.exceptions import BufferPoolError
 from repro.storage.disk import SimulatedDisk
@@ -84,32 +84,77 @@ class BufferPool:
         """Read a page through the pool.
 
         A hit returns the buffered copy; a miss reads from disk (one
-        physical I/O), possibly evicting another frame via CLOCK.
+        physical I/O), possibly evicting another frame via CLOCK.  The
+        one-page case of :meth:`request_pages`.
         """
-        pos = self._index.get(page_id)
-        if pos is not None:
-            self.stats.hits += 1
-            frame = self._frames[pos]
-            frame.referenced = True
-            return frame.data
-        self.stats.misses += 1
-        data = self.disk.read_page(page_id)
-        self._admit(page_id, data)
-        return data
+        self.request_pages((page_id,))
+        return self._frames[self._index[page_id]].data
 
-    def request_pages(self, page_ids: Iterable[int]) -> None:
-        """Charge a run of page requests whose data the caller holds.
+    def request_pages(self, page_ids: Sequence[int]) -> None:
+        """Request a run of pages, in order; the caller needs no bytes.
 
-        :meth:`get_page` once per page, in order, so counters, reference
-        bits, CLOCK hand, evictions and ``disk.read_page`` (with its
-        fault hook) behave exactly as for single requests: a read fault
-        on the k-th page leaves the first k-1 fully accounted and the
-        k-th counted as a miss that served nothing.  The record files
-        keep a decoded image of their pages and call this once per
-        contiguous run — they need the accounting, not the bytes.
+        Page by page this does what a buffer pool does — a hit sets the
+        frame's reference bit, a miss is one physical read and takes a
+        free frame or the CLOCK victim's — but the run is one loop over
+        local names, and the state it moves (counters, CLOCK hand) is
+        written back once, in a ``finally``: a read fault on the k-th
+        page leaves the first k-1 fully accounted and the k-th counted
+        as a miss that served nothing.  The record files keep a decoded
+        image of their pages and call this once per contiguous run.
+
+        A miss takes its bytes from :meth:`SimulatedDisk.unhooked_pages`
+        and counts the read here; when that declines — a ``read_hook``
+        is installed, or an id is out of range — every miss is a
+        ``disk.read_page`` call, so fault injection and the range error
+        stay per page.
         """
-        for page_id in page_ids:
-            self.get_page(page_id)
+        disk = self.disk
+        pages = disk.unhooked_pages(page_ids)
+        index = self._index
+        frames = self._frames
+        capacity = self.capacity
+        hand = self._hand
+        hits = misses = evictions = reads = 0
+        try:
+            for page_id in page_ids:
+                pos = index.get(page_id)
+                if pos is not None:
+                    hits += 1
+                    frames[pos].referenced = True
+                    continue
+                misses += 1
+                if pages is None:
+                    data = disk.read_page(page_id)
+                else:
+                    stored = pages[page_id]
+                    data = bytes(disk.page_size) if stored is None else stored
+                    reads += 1
+                if len(frames) < capacity:
+                    index[page_id] = len(frames)
+                    frames.append(_Frame(page_id, data))
+                    continue
+                # Second-chance sweep: clear reference bits up to the
+                # first unreferenced frame (at most two turns), whose
+                # frame object the new page takes over.
+                frame = frames[hand]
+                while frame.referenced:
+                    frame.referenced = False
+                    hand = (hand + 1) % capacity
+                    frame = frames[hand]
+                del index[frame.page_id]
+                evictions += 1
+                frame.page_id = page_id
+                frame.data = data
+                frame.referenced = True
+                index[page_id] = hand
+                hand = (hand + 1) % capacity
+        finally:
+            self._hand = hand
+            stats = self.stats
+            stats.hits += hits
+            stats.misses += misses
+            stats.evictions += evictions
+            disk.stats.reads += reads
 
     def put_page(self, page_id: int, data: bytes) -> None:
         """Write a page through the pool (write-through).
@@ -133,29 +178,3 @@ class BufferPool:
     def reset_stats(self) -> None:
         """Zero the hit/miss counters."""
         self.stats = BufferPoolStats()
-
-    # ------------------------------------------------------------------
-    def _admit(self, page_id: int, data: bytes) -> None:
-        if len(self._frames) < self.capacity:
-            self._index[page_id] = len(self._frames)
-            self._frames.append(_Frame(page_id, data))
-            return
-        pos = self._clock_victim()
-        victim = self._frames[pos]
-        del self._index[victim.page_id]
-        self.stats.evictions += 1
-        self._frames[pos] = _Frame(page_id, data)
-        self._index[page_id] = pos
-
-    def _clock_victim(self) -> int:
-        # Second-chance sweep: clear reference bits until an unreferenced
-        # frame is found.  Terminates within two sweeps.
-        while True:
-            frame = self._frames[self._hand]
-            if frame.referenced:
-                frame.referenced = False
-                self._hand = (self._hand + 1) % self.capacity
-            else:
-                victim = self._hand
-                self._hand = (self._hand + 1) % self.capacity
-                return victim

@@ -21,7 +21,7 @@ with one entry per non-empty chunk.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -117,6 +117,8 @@ class ChunkedFile:
         # can consult extents without incurring (or rolling back) B-tree
         # I/O; the data path always goes through the real index.
         self._extents: dict[int, tuple[int, int]] = {}
+        # (data pages, tuples) of each non-empty chunk, fixed at load.
+        self._work: dict[int, tuple[int, int]] = {}
         self._loaded = False
 
     @property
@@ -145,6 +147,11 @@ class ChunkedFile:
         self.fact_file.bulk_load(sorted_records)
         self.chunk_index.bulk_load(items)
         self._extents = dict(items)
+        pages_for_range = self.fact_file.pages_for_range
+        self._work = {
+            number: (pages_for_range(start, count), count)
+            for number, (start, count) in items
+        }
         self._loaded = True
 
     def _cluster(
@@ -206,6 +213,24 @@ class ChunkedFile:
         self._require_loaded()
         return self._extents.get(number)
 
+    def chunk_work_estimate(self, numbers: Iterable[int]) -> tuple[int, int]:
+        """``(data pages, tuples)`` summed over ``numbers``, chunk by chunk.
+
+        Free of simulated I/O, like :meth:`chunk_extent_estimate`; a
+        page shared by two of the chunks is counted for both, and empty
+        chunks count nothing.
+        """
+        self._require_loaded()
+        work = self._work
+        pages = 0
+        tuples = 0
+        for number in numbers:
+            chunk = work.get(number)
+            if chunk is not None:
+                pages += chunk[0]
+                tuples += chunk[1]
+        return pages, tuples
+
     def read_chunk(self, number: int) -> np.ndarray:
         """All tuples of one chunk (empty array for an empty chunk)."""
         extent = self.chunk_extent(number)
@@ -221,8 +246,9 @@ class ChunkedFile:
         enumeration in this library produces).  The chunk index is probed
         with one batched traversal and extents that are adjacent in the
         file are merged into single range reads, so boundary pages shared
-        by adjacent chunks are read once.  Each run is one view of the
-        fact file's image; the result is read-only.
+        by adjacent chunks are read once.  The pages of all runs are
+        requested in one go, in file order; each run is one view of the
+        fact file's image, and the result is read-only.
         """
         self._require_loaded()
         if not len(numbers):
@@ -232,15 +258,13 @@ class ChunkedFile:
             return self.record_format.empty()
         # Extents arrive keyed by chunk number; chunk order == file order,
         # so sorting by start and merging adjacency is safe.
-        runs: list[list[int]] = []
+        runs: list[tuple[int, int]] = []
         for start, count in sorted(extents.values()):
             if runs and runs[-1][0] + runs[-1][1] == start:
-                runs[-1][1] += count
+                runs[-1] = (runs[-1][0], runs[-1][1] + count)
             else:
-                runs.append([start, count])
-        parts = [
-            self.fact_file.read_range(start, count) for start, count in runs
-        ]
+                runs.append((start, count))
+        parts = self.fact_file.read_ranges(runs)
         if len(parts) == 1:
             return parts[0]
         records = self.record_format.concatenate(parts)

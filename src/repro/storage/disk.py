@@ -17,7 +17,7 @@ single counter captures the whole backend's I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.exceptions import PageError
 
@@ -114,6 +114,30 @@ class SimulatedDisk:
         if data is None:
             return bytes(self.page_size)
         return data
+
+    def unhooked_pages(
+        self, page_ids: Sequence[int]
+    ) -> list[bytes | None] | None:
+        """The page table, for a reader that counts its own reads.
+
+        For :class:`~repro.storage.buffer.BufferPool`, which requests
+        pages a run at a time: when no ``read_hook`` is installed and
+        every id of the run is in range, reading ``table[page_id]``
+        (``None`` stands for a never-written, zero-filled page) and
+        adding one to ``stats.reads`` per page read is all that
+        :meth:`read_page` would do, without a call per page.  Otherwise
+        — and for an empty run — returns ``None``, and the reader calls
+        :meth:`read_page` page by page.  The table is the disk's own:
+        index it, never change it.
+        """
+        if (
+            self.read_hook is not None
+            or not page_ids
+            or min(page_ids) < 0
+            or max(page_ids) >= len(self._pages)
+        ):
+            return None
+        return self._pages
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write one page (counted as one I/O).

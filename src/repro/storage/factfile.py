@@ -14,6 +14,8 @@ accessors used when building bitmap indexes.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.exceptions import FileFormatError
@@ -39,21 +41,39 @@ class FactFile(HeapFile):
         with a warm buffer pool).  The result is a read-only view of the
         file's image.
         """
+        return self.read_ranges([(start, count)])[0]
+
+    def read_ranges(
+        self, ranges: Sequence[tuple[int, int]]
+    ) -> list[np.ndarray]:
+        """:meth:`read_range` of each ``(start, count)``, in order.
+
+        The page requests are the ones the single reads would make, in
+        the same order, handed to the buffer pool as one run; a range
+        the file cannot serve raises before any page is requested.
+        """
         self._require_dense()
-        if count < 0:
-            raise FileFormatError(f"negative record count {count}")
-        if count == 0:
-            return self.record_format.empty()
-        if not 0 <= start or start + count > len(self._image):
-            raise FileFormatError(
-                f"range [{start}, {start + count}) out of file bounds "
-                f"[0, {len(self._image)})"
-            )
         capacity = self.codec.capacity
-        first_page = start // capacity
-        last_page = (start + count - 1) // capacity
-        self._charge(self._page_ids[first_page:last_page + 1])
-        return self._image[start:start + count]
+        image = self._image
+        page_ids: list[int] = []
+        for start, count in ranges:
+            if count < 0:
+                raise FileFormatError(f"negative record count {count}")
+            if count == 0:
+                continue
+            if not 0 <= start or start + count > len(image):
+                raise FileFormatError(
+                    f"range [{start}, {start + count}) out of file bounds "
+                    f"[0, {len(image)})"
+                )
+            first_page = start // capacity
+            last_page = (start + count - 1) // capacity
+            page_ids += self._page_ids[first_page:last_page + 1]
+        self._charge(page_ids)
+        return [
+            image[start:start + count] if count else self.record_format.empty()
+            for start, count in ranges
+        ]
 
     def pages_for_range(self, start: int, count: int) -> int:
         """Pages a positional range read would touch, without reading."""

@@ -7,6 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import invariants
 from repro.core.cache import ChunkCache, ChunkStore
@@ -26,6 +27,24 @@ class TestStableKeyHash:
     def test_is_crc32_of_canonical_rendering(self):
         key = ChunkKey((2, 1), 7, (("v", "sum"),), frozenset({"b", "a"}))
         canonical = repr(((2, 1), 7, (("v", "sum"),), ("a", "b")))
+        assert stable_key_hash(key) == zlib.crc32(canonical.encode("utf-8"))
+
+    @given(
+        groupby=st.lists(st.integers(0, 9), max_size=5).map(tuple),
+        number=st.integers(-(10**12), 10**12),
+        aggregates=st.lists(
+            st.tuples(st.text(max_size=4), st.text(max_size=4)), max_size=3
+        ).map(tuple),
+        predicates=st.frozensets(st.text(max_size=6), max_size=4),
+    )
+    def test_incremental_form_equals_the_repr_form(
+        self, groupby, number, aggregates, predicates
+    ):
+        # The reference: render the whole key, encode it, checksum it.
+        key = ChunkKey(groupby, number, aggregates, predicates)
+        canonical = repr(
+            (groupby, number, aggregates, tuple(sorted(predicates)))
+        )
         assert stable_key_hash(key) == zlib.crc32(canonical.encode("utf-8"))
 
     def test_predicate_set_order_does_not_matter(self):

@@ -129,6 +129,23 @@ class TestFactFile:
         with pytest.raises(FileFormatError):
             fact.read_range(0, -1)
 
+    def test_read_ranges_is_read_range_of_each(self, fmt):
+        disk = SimulatedDisk(page_size=128)
+        fact = FactFile(disk, fmt)
+        fact.bulk_load(make_records(fmt, 100))
+        disk.reset_stats()
+        ranges = [(37, 20), (3, 0), (90, 10)]
+        got = [part["k"].tolist() for part in fact.read_ranges(ranges)]
+        assert got == [list(range(37, 57)), [], list(range(90, 100))]
+        assert disk.stats.reads == sum(
+            fact.pages_for_range(*one) for one in ranges
+        )
+        with pytest.raises(FileFormatError):  # before any page is requested
+            fact.read_ranges([(0, 5), (95, 6)])
+        assert disk.stats.reads == sum(
+            fact.pages_for_range(*one) for one in ranges
+        )
+
     def test_range_io_proportional_to_span(self, fmt):
         disk = SimulatedDisk(page_size=128)
         fact = FactFile(disk, fmt)

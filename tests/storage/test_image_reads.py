@@ -5,8 +5,8 @@ one decoded image and charge their pages to the buffer pool in runs.
 The reference here is the reader they replaced — ``get_page`` + decode
 one page at a time, slice, concatenate — run on a twin disk and pool.
 Both must return equal records and leave *identical* accounting: disk
-reads, pool hits/misses/evictions, the resident page set and the CLOCK
-hand.
+reads, pool hits/misses/evictions, the resident page set, the CLOCK
+hand and every frame's reference bit.
 """
 
 import numpy as np
@@ -46,6 +46,7 @@ def accounting(disk, pool):
         pool.stats.evictions,
         frozenset(pool._index),
         pool._hand,
+        [(frame.page_id, frame.referenced) for frame in pool._frames],
     )
 
 

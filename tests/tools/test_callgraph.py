@@ -25,6 +25,11 @@ B_PY = (
     "    return cache.lookup()\n"
     "def local_call():\n"
     "    return helper()\n"
+    "class Hold:\n"
+    "    def __init__(self):\n"
+    "        self.depth = 0\n"
+    "    def __enter__(self):\n"
+    "        return self\n"
 )
 
 
@@ -72,6 +77,16 @@ class TestResolveCall:
             FuncRef("src/repro/a.py", "Cache.lookup"),
             FuncRef("src/repro/b.py", "Backend.lookup"),
         }
+
+    def test_instantiation_reaches_init_and_enter(self):
+        # A context-manager object is built to be entered: whoever
+        # builds one (``return Hold()``) owns what ``__enter__`` does.
+        symbols = _symbols()
+        _, caller = _func(symbols, "src/repro/b.py", "driver")
+        assert symbols.resolve_call("Hold", caller, "src/repro/b.py") == (
+            FuncRef("src/repro/b.py", "Hold.__init__"),
+            FuncRef("src/repro/b.py", "Hold.__enter__"),
+        )
 
     def test_stdlib_colliding_names_are_denied(self):
         symbols = _symbols()

@@ -1,0 +1,122 @@
+"""Where one benchmark workload spends its time: ``cProfile`` over its driver.
+
+``python -m tools.benchprofile --workload NAME [--sort tottime|cumulative]
+[--top N] [--seed S] [--smoke]`` (``make profile WORKLOAD=NAME``).
+
+Sets the workload up exactly as ``benchmarks/e2e`` does (its ``setup``
+and driver are imported, not copied), runs the driver once untraced for
+the queries per second it reaches here, then once more on a fresh
+set-up under ``cProfile``, and prints the top-N table with that qps
+beside it.  ``cProfile`` charges every Python call and no native code,
+so the table shifts weight towards call-heavy Python: it finds
+candidates, and ``tools.benchpairs`` measures them.
+
+Run from the repo root.  Leaves nothing behind but the benchmark's own
+git-ignored scratch directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import io
+import os
+import pstats
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _on_path() -> None:
+    """Make ``benchmarks.e2e`` and ``repro`` importable from the root."""
+    for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
+        if entry not in sys.path:
+            sys.path.insert(0, entry)
+
+
+def drive(
+    name: str, seed: int, smoke: bool, profile: cProfile.Profile | None
+) -> float:
+    """Set ``name`` up, run its driver (under ``profile`` when given)
+    and return the best round's queries per second."""
+    _on_path()
+    from benchmarks.e2e import workloads
+    from benchmarks.e2e.metrics import load_declaration
+    from benchmarks.e2e.worker import WORK_DIR
+    from repro.experiments.configs import PAPER_SCALE, SMOKE_SCALE
+
+    run_seconds = load_declaration()["run_seconds"]
+    counts = workloads.counts_for(name, run_seconds, run_seconds, smoke)
+    WORK_DIR.mkdir(exist_ok=True)
+    workdir = tempfile.mkdtemp(dir=WORK_DIR)
+    scale = SMOKE_SCALE if smoke else PAPER_SCALE
+    env = workloads.setup(name, scale, seed, counts, None, workdir)
+    try:
+        driver = workloads.WORKLOADS[name]
+        if profile is None:
+            out = driver(env)
+        else:
+            out = profile.runcall(driver, env)
+        if out.problems:
+            raise SystemExit(f"benchprofile: {name}: {out.problems[0]}")
+        return float(out.best_qps())
+    finally:
+        env.close()
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def table(profile: cProfile.Profile, sort: str, top: int) -> str:
+    """The ``pstats`` top-``top`` table of ``profile``, sorted by ``sort``."""
+    text = io.StringIO()
+    stats = pstats.Stats(profile, stream=text)
+    stats.strip_dirs().sort_stats(sort).print_stats(top)
+    return text.getvalue()
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="python -m tools.benchprofile")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--sort", choices=("tottime", "cumulative"), default="tottime"
+    )
+    parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--seed", type=int, default=1998)
+    parser.add_argument("--smoke", action="store_true")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    options = parser.parse_args(argv)
+    _on_path()
+    from benchmarks.e2e import workloads
+
+    if options.workload not in workloads.WORKLOADS:
+        parser.error(
+            f"unknown workload {options.workload!r} "
+            f"(one of {', '.join(workloads.WORKLOADS)})"
+        )
+    if options.top < 1:
+        parser.error("--top must be at least 1")
+    name: str = options.workload
+    profile = cProfile.Profile()
+    affinity = os.sched_getaffinity(0)
+    workloads.pin_to_one_core()  # as the benchmark's worker runs
+    try:
+        untraced = drive(name, options.seed, options.smoke, None)
+        profiled = drive(name, options.seed, options.smoke, profile)
+    finally:
+        os.sched_setaffinity(0, affinity)
+    print(table(profile, options.sort, options.top), end="")
+    print(
+        f"{name} seed {options.seed}: {untraced:.1f} qps untraced, "
+        f"{profiled:.1f} qps under cProfile"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -164,9 +164,16 @@ class SymbolTable:
                 return tuple(local)
             if refs:
                 return tuple(refs)
-            # Class instantiation: route to __init__ when defined.
+            # Class instantiation: route to __init__ when defined, and
+            # to __enter__ — a context-manager object is built to be
+            # entered (``with shard.held()`` runs both), so what its
+            # __enter__ acquires belongs to whoever builds it.
             if terminal in self.classes:
-                return tuple(self._by_class_method.get((terminal, "__init__"), ()))
+                return tuple(
+                    ref
+                    for method in ("__init__", "__enter__")
+                    for ref in self._by_class_method.get((terminal, method), ())
+                )
             return ()
         if callee == f"self.{terminal}" and caller.cls is not None:
             own = self._by_class_method.get((caller.cls, terminal), [])
