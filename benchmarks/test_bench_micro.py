@@ -104,7 +104,7 @@ def test_bench_aggregation(benchmark, system):
 
 def test_bench_btree_search(benchmark):
     """Point lookups on a bulk-loaded B-tree of 100k keys."""
-    tree = BTree(SimulatedDisk(4096), value_arity=2)
+    tree = BTree(SimulatedDisk(4096))
     tree.bulk_load([(i, (i, i + 1)) for i in range(100_000)])
     keys = list(range(0, 100_000, 997))
 
@@ -117,7 +117,7 @@ def test_bench_btree_search(benchmark):
 
 def test_bench_btree_search_many(benchmark):
     """Batched lookups (the chunk-read path) on the same tree."""
-    tree = BTree(SimulatedDisk(4096), value_arity=2)
+    tree = BTree(SimulatedDisk(4096))
     tree.bulk_load([(i, (i, i + 1)) for i in range(100_000)])
     keys = list(range(0, 100_000, 13))
     found = benchmark(tree.search_many, keys)

@@ -66,7 +66,6 @@ class StackConfig:
             ``"random"``); the chunk scheme requires ``"chunked"``.
         page_size: Backend page size in bytes.
         buffer_pool_pages: Backend buffer-pool capacity in pages.
-        build_bitmaps: Build bitmap indexes at load time.
         cache_bytes: Cache byte budget.
         policy: Replacement policy name (``"lru"``, ``"clock"``,
             ``"benefit"``).
@@ -105,7 +104,6 @@ class StackConfig:
     organization: str = "chunked"
     page_size: int = 4096
     buffer_pool_pages: int = 256
-    build_bitmaps: bool = True
     cache_bytes: int = 1 << 20
     policy: str = "benefit"
     num_shards: int = 0
@@ -174,7 +172,6 @@ def build_backend(
     organization: str = "chunked",
     page_size: int = 4096,
     buffer_pool_pages: int = 256,
-    build_bitmaps: bool = True,
 ) -> BackendEngine:
     """Build and bulk-load a backend engine from raw fact records.
 
@@ -190,7 +187,6 @@ def build_backend(
         organization=organization,
         page_size=page_size,
         buffer_pool_pages=buffer_pool_pages,
-        build_bitmaps=build_bitmaps,
     )
 
 
@@ -325,7 +321,6 @@ def build_stack(
             organization=config.organization,
             page_size=config.page_size,
             buffer_pool_pages=config.buffer_pool_pages,
-            build_bitmaps=config.build_bitmaps,
         )
     manager: ChunkCacheManager | QueryCacheManager
     if config.scheme == CHUNK:

@@ -53,7 +53,6 @@ from repro.schema.star import GroupBy, StarSchema
 from repro.storage.bitmap import BitmapIndex, combine_and
 from repro.storage.buffer import BufferPool
 from repro.storage.chunkedfile import ChunkedFile, tuple_chunk_numbers
-from repro.storage.dimtable import DimensionTable
 from repro.storage.disk import SimulatedDisk
 from repro.storage.factfile import FactFile
 from repro.storage.record import (
@@ -147,8 +146,6 @@ class BackendEngine:
         # Precomputed aggregate tables, chunk-organized (Section 2.4:
         # "These tables will also be stored in a chunked format").
         self.materialized: dict[GroupBy, ChunkedFile] = {}
-        # Relational dimension tables (slotted pages), built at load.
-        self.dimension_tables: dict[str, DimensionTable] = {}
         # Unclustered delta region holding appended tuples until the next
         # reorganize() — the functional stand-in for the paper's
         # "extra space kept in each chunk" for updates.
@@ -179,7 +176,6 @@ class BackendEngine:
         organization: str = "chunked",
         page_size: int = 4096,
         buffer_pool_pages: int = 256,
-        build_bitmaps: bool = True,
     ) -> "BackendEngine":
         """Build and load an engine from raw fact records.
 
@@ -190,11 +186,11 @@ class BackendEngine:
         engine = cls(
             schema, space, organization, page_size, buffer_pool_pages
         )
-        engine.load(records, build_bitmaps=build_bitmaps)
+        engine.load(records)
         return engine
 
-    def load(self, records: np.ndarray, build_bitmaps: bool = True) -> None:
-        """Bulk-load the fact table, bitmap indexes and dimension tables."""
+    def load(self, records: np.ndarray) -> None:
+        """Bulk-load the fact table and its bitmap indexes."""
         if self._loaded:
             raise BackendError("engine is already loaded")
         if records.dtype != self.record_format.dtype:
@@ -216,25 +212,32 @@ class BackendEngine:
             )
             self.fact_file.bulk_load(records)
             stored = records
-        if build_bitmaps and len(stored):
-            # Bitmap positions refer to the *stored* record order, so the
-            # index is built from the file's physical layout.  An empty
-            # table has nothing to index (bitmaps need >= 1 bit).
-            for dim in self.schema.dimensions:
-                self.bitmaps[dim.name] = BitmapIndex.build(
-                    self.disk,
-                    stored[dim.name],
-                    dim.leaf_cardinality,
-                    self.buffer_pool,
-                )
-        for dim in self.schema.dimensions:
-            self.dimension_tables[dim.name] = DimensionTable.build(
-                self.disk, dim, self.buffer_pool
-            )
+        self._build_bitmaps(stored)
         self._loaded = True
         self.buffer_pool.flush()
         self.buffer_pool.reset_stats()
         self.disk.reset_stats()
+
+    def _build_bitmaps(self, stored: np.ndarray) -> None:
+        """One bitmap index per dimension over the stored fact table.
+
+        Bitmap positions refer to the *stored* record order, so the
+        indexes are built from the file's physical layout.  An empty
+        table has nothing to index (bitmaps need >= 1 bit): bitmaps
+        exist exactly when the stored table is non-empty.
+        """
+        if not len(stored):
+            self.bitmaps = {}
+            return
+        self.bitmaps = {
+            dim.name: BitmapIndex.build(
+                self.disk,
+                stored[dim.name],
+                dim.leaf_cardinality,
+                self.buffer_pool,
+            )
+            for dim in self.schema.dimensions
+        }
 
     def _require_loaded(self) -> None:
         if not self._loaded:
@@ -471,14 +474,6 @@ class BackendEngine:
             seen.update(source_grid.numbers_in_spans(spans))
         return sorted(seen)
 
-    def _union_base_chunks(
-        self, groupby: GroupBy, numbers: Sequence[int]
-    ) -> list[int]:
-        """Deduplicated, sorted base-chunk numbers covering all targets."""
-        return self._union_source_chunks(
-            groupby, numbers, self.schema.base_groupby
-        )
-
     def _estimation_source(
         self, groupby: GroupBy
     ) -> tuple[GroupBy, ChunkedFile]:
@@ -538,13 +533,6 @@ class BackendEngine:
             )
             for number, spans in zip(numbers, all_spans)
         }
-
-    def estimate_chunk_pages(
-        self, groupby: Sequence[int], numbers: Sequence[int]
-    ) -> int:
-        """Data pages computing these chunks would touch (no I/O done)."""
-        pages, _ = self.estimate_chunk_work(groupby, numbers)
-        return pages
 
     # ------------------------------------------------------------------
     # Updates (Section 5.3: "To allow for updates, some extra space can
@@ -637,15 +625,7 @@ class BackendEngine:
         self.chunked_file.bulk_load(combined)
         self.fact_file = self.chunked_file.fact_file
         self.delta_file = None
-        if self.bitmaps:
-            stored = self.chunked_file.read_all()
-            for dim in self.schema.dimensions:
-                self.bitmaps[dim.name] = BitmapIndex.build(
-                    self.disk,
-                    stored[dim.name],
-                    dim.leaf_cardinality,
-                    self.buffer_pool,
-                )
+        self._build_bitmaps(self.chunked_file.read_all())
         delta = self.disk.stats.delta(before)
         self.disk.stats.reads -= delta.reads
         self.disk.stats.writes -= delta.writes
@@ -659,9 +639,9 @@ class BackendEngine:
         """The concrete path ``access_path`` means for ``query`` on this
         engine — what :meth:`answer` runs and :meth:`explain` describes.
 
-        ``"auto"`` is bitmap when any selection exists and bitmaps are
-        built, otherwise scan; an explicit path is checked against what
-        the engine was built with.
+        ``"auto"`` is bitmap when any selection exists and bitmaps exist
+        (the stored table is non-empty), otherwise scan; an explicit path
+        is checked against what the engine holds.
         """
         if access_path == "auto":
             has_selection = (
@@ -689,7 +669,7 @@ class BackendEngine:
             query: The analyzed query.
             access_path: ``"bitmap"``, ``"scan"``, ``"chunk"`` or
                 ``"auto"`` (bitmap when any selection exists and bitmaps
-                are built; otherwise scan).
+                exist; otherwise scan).
         """
         self._require_loaded()
         if self.fault_hook is not None:

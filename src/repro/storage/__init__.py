@@ -1,26 +1,18 @@
 """Simulated relational storage engine (the paper's PARADISE substitute).
 
-Page-addressed disk with exact I/O accounting, buffer pool, heap/fact
-files, B+-tree, bitmap indexes, and the paper's chunked file organization.
-See DESIGN.md §2 for the substitution rationale.
+Page-addressed disk with exact I/O accounting, buffer pool, fact files,
+B+-tree chunk index, bitmap indexes, and the paper's chunked file
+organization.  See DESIGN.md §2 for the substitution rationale.
 """
 
 from repro.storage.bitmap import BitmapIndex, combine_and
 from repro.storage.btree import BTree
 from repro.storage.buffer import BufferPool, BufferPoolStats
 from repro.storage.chunkedfile import ChunkedFile, tuple_chunk_numbers
-from repro.storage.chunklog import (
-    CHUNKLOG_MAGIC,
-    CHUNKLOG_VERSION,
-    ChunkLog,
-    ChunkLogStats,
-    LogRecovery,
-)
-from repro.storage.dimtable import DimensionTable
-from repro.storage.disk import DiskStats, IOTracker, SimulatedDisk
+from repro.storage.chunklog import CHUNKLOG_MAGIC, CHUNKLOG_VERSION, ChunkLog
+from repro.storage.disk import DiskStats, SimulatedDisk
 from repro.storage.factfile import FactFile
-from repro.storage.heapfile import HeapFile
-from repro.storage.page import PackedPage, SlottedPage
+from repro.storage.page import PackedPage
 from repro.storage.record import (
     RecordFormat,
     fact_record_format,
@@ -30,16 +22,12 @@ from repro.storage.record import (
 __all__ = [
     "SimulatedDisk",
     "DiskStats",
-    "IOTracker",
     "BufferPool",
     "BufferPoolStats",
     "PackedPage",
-    "SlottedPage",
     "RecordFormat",
     "fact_record_format",
     "groupby_record_format",
-    "HeapFile",
-    "DimensionTable",
     "FactFile",
     "BTree",
     "BitmapIndex",
@@ -47,8 +35,6 @@ __all__ = [
     "ChunkedFile",
     "tuple_chunk_numbers",
     "ChunkLog",
-    "ChunkLogStats",
-    "LogRecovery",
     "CHUNKLOG_MAGIC",
     "CHUNKLOG_VERSION",
 ]

@@ -1,19 +1,23 @@
-"""A page-based B+-tree over the simulated disk.
+"""A page-based B+-tree over the simulated disk: the chunk index.
 
 The paper's chunked file uses a B-tree as its *chunk index*: one entry per
-chunk mapping the chunk number to the chunk's position in the fact file
-(Section 5.3).  This module implements a genuine B+-tree whose nodes are
-disk pages, so index traversals cost real (simulated) I/O:
+chunk mapping the chunk number to the chunk's ``(start position, record
+count)`` in the fact file (Section 5.3).  This module implements a
+genuine B+-tree whose nodes are disk pages, so index traversals cost real
+(simulated) I/O:
 
-- integer keys, fixed-arity integer tuple values;
-- bottom-up **bulk load** from sorted items (how chunk indexes are built);
-- **search**, **range scan** over linked leaves, and **insert** with node
-  splits (the "extra space for updates" the paper mentions).
+- integer keys, values of two integers;
+- bottom-up **bulk load** from sorted items into full nodes (how chunk
+  indexes are built — the file is never updated in place: appended
+  tuples go to the engine's delta region, and ``reorganize`` bulk-loads
+  a fresh file and index);
+- **search** of one key, and **search_many** of a sorted batch along
+  the linked leaves.
 
 Node layout (little endian)::
 
     header:  [is_leaf: u8] [count: u16] [next_leaf: i64]
-    leaf:    [keys: i64 x count] [values: i64 x count*arity]
+    leaf:    [keys: i64 x count] [values: i64 x count*2]
     internal:[keys: i64 x count] [children: i64 x (count+1)]
 """
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +37,8 @@ __all__ = ["BTree"]
 
 _HEADER = struct.Struct("<BHq")
 _INT = struct.Struct("<q")
+#: i64 components per value: a chunk's start position and record count.
+VALUE_ARITY = 2
 
 
 class _Node:
@@ -50,38 +56,25 @@ class _Node:
 
 
 class BTree:
-    """A B+-tree index from integer keys to fixed-arity integer tuples.
+    """A B+-tree index from integer keys to pairs of integers.
 
     Args:
         disk: Backing disk for node pages.
-        value_arity: Number of i64 components per value (chunk indexes use
-            2: start position and record count).
         buffer_pool: Optional pool node reads go through.
-        fill_factor: Target node occupancy for bulk load, in ``(0, 1]``.
     """
 
     def __init__(
         self,
         disk: SimulatedDisk,
-        value_arity: int = 2,
         buffer_pool: BufferPool | None = None,
-        fill_factor: float = 1.0,
     ) -> None:
-        if value_arity < 1:
-            raise IndexError_(f"value arity must be >= 1, got {value_arity}")
-        if not 0 < fill_factor <= 1:
-            raise IndexError_(f"fill factor must be in (0, 1], got {fill_factor}")
         self.disk = disk
         self.buffer_pool = buffer_pool
-        self.value_arity = value_arity
-        self.fill_factor = fill_factor
+        # The disk's smallest page (64 bytes) holds two entries of either
+        # node kind, the least a B+-tree node needs.
         body = disk.page_size - _HEADER.size
-        self.leaf_capacity = body // (8 + 8 * value_arity)
+        self.leaf_capacity = body // (8 + 8 * VALUE_ARITY)
         self.internal_capacity = (body - 8) // 16  # k keys + (k+1) children
-        if self.leaf_capacity < 2 or self.internal_capacity < 2:
-            raise IndexError_(
-                f"page size {disk.page_size} too small for a B-tree node"
-            )
         self._root_id = -1
         self._height = 0
         self._num_keys = 0
@@ -101,11 +94,6 @@ class BTree:
     def height(self) -> int:
         """Number of levels (0 for an empty tree, 1 for a lone leaf)."""
         return self._height
-
-    @property
-    def root_page_id(self) -> int:
-        """Disk page id of the root node (-1 when empty)."""
-        return self._root_id
 
     # ------------------------------------------------------------------
     # Node I/O
@@ -138,12 +126,12 @@ class BTree:
             flat = np.frombuffer(
                 payload,
                 dtype="<i8",
-                count=count * self.value_arity,
+                count=count * VALUE_ARITY,
                 offset=offset,
             )
             node.values = [
                 tuple(row)
-                for row in flat.reshape(count, self.value_arity).tolist()
+                for row in flat.reshape(count, VALUE_ARITY).tolist()
             ]
         else:
             node.children = np.frombuffer(
@@ -191,12 +179,12 @@ class BTree:
                     f"({k1} then {k2})"
                 )
         for _, value in items:
-            if len(value) != self.value_arity:
+            if len(value) != VALUE_ARITY:
                 raise IndexError_(
                     f"value {value} has arity {len(value)}, "
-                    f"expected {self.value_arity}"
+                    f"expected {VALUE_ARITY}"
                 )
-        per_leaf = max(2, int(self.leaf_capacity * self.fill_factor))
+        per_leaf = self.leaf_capacity
         leaves: list[_Node] = []
         for start in range(0, len(items), per_leaf):
             node = self._new_node(is_leaf=True)
@@ -211,7 +199,7 @@ class BTree:
 
         level = leaves
         self._height = 1
-        per_internal = max(2, int(self.internal_capacity * self.fill_factor))
+        per_internal = self.internal_capacity
         while len(level) > 1:
             parents: list[_Node] = []
             for start in range(0, len(level), per_internal + 1):
@@ -237,7 +225,11 @@ class BTree:
     # Search
     # ------------------------------------------------------------------
     def search(self, key: int) -> tuple[int, ...] | None:
-        """Value stored under ``key``, or None."""
+        """Value stored under ``key``, or None.
+
+        The chunked file probes with :meth:`search_many`; this one-key
+        descent is the reference that batch is tested against.
+        """
         if self._root_id == -1:
             return None
         node = self._read_node(self._root_id)
@@ -247,9 +239,6 @@ class BTree:
         if pos < len(node.keys) and node.keys[pos] == key:
             return node.values[pos]
         return None
-
-    def __contains__(self, key: int) -> bool:
-        return self.search(key) is not None
 
     def search_many(
         self, keys: Sequence[int]
@@ -296,119 +285,3 @@ class BTree:
         while node.keys and key > node.keys[-1] and node.next_leaf != -1:
             node = self._read_node(node.next_leaf)
         return node
-
-    def range_scan(
-        self, lo: int, hi: int
-    ) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """All ``(key, value)`` pairs with ``lo <= key < hi``, ascending."""
-        if self._root_id == -1 or hi <= lo:
-            return
-        node = self._read_node(self._root_id)
-        while not node.is_leaf:
-            node = self._read_node(node.children[bisect_right(node.keys, lo)])
-        while True:
-            for pos in range(bisect_left(node.keys, lo), len(node.keys)):
-                if node.keys[pos] >= hi:
-                    return
-                yield node.keys[pos], node.values[pos]
-            if node.next_leaf == -1:
-                return
-            node = self._read_node(node.next_leaf)
-            lo = node.keys[0] if node.keys else lo
-
-    def items(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """All entries in key order."""
-        if self._root_id == -1:
-            return
-        yield from self.range_scan(self._leftmost_key(), 2**62)
-
-    def _leftmost_key(self) -> int:
-        node = self._read_node(self._root_id)
-        while not node.is_leaf:
-            node = self._read_node(node.children[0])
-        return node.keys[0]
-
-    # ------------------------------------------------------------------
-    # Insert
-    # ------------------------------------------------------------------
-    def insert(self, key: int, value: tuple[int, ...]) -> None:
-        """Insert or overwrite one entry, splitting full nodes as needed."""
-        if len(value) != self.value_arity:
-            raise IndexError_(
-                f"value {value} has arity {len(value)}, "
-                f"expected {self.value_arity}"
-            )
-        value = tuple(value)
-        if self._root_id == -1:
-            root = self._new_node(is_leaf=True)
-            root.keys.append(key)
-            root.values.append(value)
-            self._write_node(root)
-            self._root_id = root.page_id
-            self._height = 1
-            self._num_keys = 1
-            return
-        split = self._insert_into(self._read_node(self._root_id), key, value)
-        if split is not None:
-            separator, right_id = split
-            new_root = self._new_node(is_leaf=False)
-            new_root.children = [self._root_id, right_id]
-            new_root.keys = [separator]
-            self._write_node(new_root)
-            self._root_id = new_root.page_id
-            self._height += 1
-
-    def _insert_into(
-        self, node: _Node, key: int, value: tuple[int, ...]
-    ) -> tuple[int, int] | None:
-        """Insert under ``node``; returns ``(separator, new_page)`` on split."""
-        if node.is_leaf:
-            pos = bisect_left(node.keys, key)
-            if pos < len(node.keys) and node.keys[pos] == key:
-                node.values[pos] = value  # overwrite
-                self._write_node(node)
-                return None
-            node.keys.insert(pos, key)
-            node.values.insert(pos, value)
-            self._num_keys += 1
-            if len(node.keys) <= self.leaf_capacity:
-                self._write_node(node)
-                return None
-            return self._split_leaf(node)
-        pos = bisect_right(node.keys, key)
-        child = self._read_node(node.children[pos])
-        split = self._insert_into(child, key, value)
-        if split is None:
-            return None
-        separator, right_id = split
-        node.keys.insert(pos, separator)
-        node.children.insert(pos + 1, right_id)
-        if len(node.keys) <= self.internal_capacity:
-            self._write_node(node)
-            return None
-        return self._split_internal(node)
-
-    def _split_leaf(self, node: _Node) -> tuple[int, int]:
-        mid = len(node.keys) // 2
-        right = self._new_node(is_leaf=True)
-        right.keys = node.keys[mid:]
-        right.values = node.values[mid:]
-        right.next_leaf = node.next_leaf
-        node.keys = node.keys[:mid]
-        node.values = node.values[:mid]
-        node.next_leaf = right.page_id
-        self._write_node(right)
-        self._write_node(node)
-        return right.keys[0], right.page_id
-
-    def _split_internal(self, node: _Node) -> tuple[int, int]:
-        mid = len(node.keys) // 2
-        separator = node.keys[mid]
-        right = self._new_node(is_leaf=False)
-        right.keys = node.keys[mid + 1:]
-        right.children = node.children[mid + 1:]
-        node.keys = node.keys[:mid]
-        node.children = node.children[:mid + 1]
-        self._write_node(right)
-        self._write_node(node)
-        return separator, right.page_id

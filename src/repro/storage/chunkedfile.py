@@ -8,10 +8,11 @@ proportional to the chunk's size rather than the table's.
 
 The file keeps both of the paper's interfaces:
 
-- the **relational interface** (:meth:`scan`, :meth:`read_all`) — it is
-  still an ordinary table of tuples; and
-- the **chunk interface** (:meth:`read_chunk`, :meth:`read_chunks`) — direct
-  access to one chunk through the chunk index.
+- the **relational interface** — it is still an ordinary table of tuples,
+  read whole (:meth:`read_all`) or by position through its
+  :attr:`fact_file` (bitmap-driven selections); and
+- the **chunk interface** (:meth:`read_chunks`) — direct access to chunks
+  through the chunk index.
 
 Clustering is achieved at bulk-load time, exactly as in the paper's
 PARADISE implementation: tuples are sorted by chunk number and loaded into
@@ -21,7 +22,7 @@ with one entry per non-empty chunk.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,14 +111,10 @@ class ChunkedFile:
             groupby if groupby is not None else space.schema.base_groupby
         )
         self.fact_file = FactFile(disk, record_format, buffer_pool)
-        self.chunk_index = BTree(
-            disk, value_arity=2, buffer_pool=buffer_pool
-        )
-        # Shadow copy of the chunk index used by cost *estimators* so they
-        # can consult extents without incurring (or rolling back) B-tree
-        # I/O; the data path always goes through the real index.
-        self._extents: dict[int, tuple[int, int]] = {}
-        # (data pages, tuples) of each non-empty chunk, fixed at load.
+        self.chunk_index = BTree(disk, buffer_pool)
+        # (data pages, tuples) of each non-empty chunk, fixed at load: what
+        # cost *estimators* consult, without incurring (or rolling back)
+        # B-tree I/O; the data path always goes through the real index.
         self._work: dict[int, tuple[int, int]] = {}
         self._loaded = False
 
@@ -146,7 +143,6 @@ class ChunkedFile:
         sorted_records, items = self._cluster(records)
         self.fact_file.bulk_load(sorted_records)
         self.chunk_index.bulk_load(items)
-        self._extents = dict(items)
         pages_for_range = self.fact_file.pages_for_range
         self._work = {
             number: (pages_for_range(start, count), count)
@@ -195,30 +191,12 @@ class ChunkedFile:
     # ------------------------------------------------------------------
     # Chunk interface
     # ------------------------------------------------------------------
-    def chunk_extent(self, number: int) -> tuple[int, int] | None:
-        """``(start_position, count)`` of a chunk, or None if it is empty.
-
-        Goes through the chunk index, costing (simulated) I/O per node on
-        the root-to-leaf path.
-        """
-        self._require_loaded()
-        return self.chunk_index.search(number)
-
-    def chunk_extent_estimate(self, number: int) -> tuple[int, int] | None:
-        """Like :meth:`chunk_extent` but free of simulated I/O.
-
-        For cost estimation only — uses the in-memory shadow of the chunk
-        index instead of traversing the B-tree.
-        """
-        self._require_loaded()
-        return self._extents.get(number)
-
     def chunk_work_estimate(self, numbers: Iterable[int]) -> tuple[int, int]:
         """``(data pages, tuples)`` summed over ``numbers``, chunk by chunk.
 
-        Free of simulated I/O, like :meth:`chunk_extent_estimate`; a
-        page shared by two of the chunks is counted for both, and empty
-        chunks count nothing.
+        Free of simulated I/O (no chunk-index traversal); a page shared
+        by two of the chunks is counted for both, and empty chunks count
+        nothing.
         """
         self._require_loaded()
         work = self._work
@@ -230,14 +208,6 @@ class ChunkedFile:
                 pages += chunk[0]
                 tuples += chunk[1]
         return pages, tuples
-
-    def read_chunk(self, number: int) -> np.ndarray:
-        """All tuples of one chunk (empty array for an empty chunk)."""
-        extent = self.chunk_extent(number)
-        if extent is None:
-            return self.record_format.empty()
-        start, count = extent
-        return self.fact_file.read_range(start, count)
 
     def read_chunks(self, numbers: Sequence[int]) -> np.ndarray:
         """Tuples of several chunks, concatenated in chunk-number order.
@@ -271,30 +241,13 @@ class ChunkedFile:
         records.flags.writeable = False
         return records
 
-    def pages_for_chunk(self, number: int) -> int:
-        """Data pages one chunk spans (0 for an empty chunk)."""
-        extent = self.chunk_extent(number)
-        if extent is None:
-            return 0
-        return self.fact_file.pages_for_range(*extent)
-
     # ------------------------------------------------------------------
     # Relational interface
     # ------------------------------------------------------------------
-    def scan(self) -> Iterator[np.ndarray]:
-        """Full relational scan, one structured array per page."""
-        self._require_loaded()
-        return self.fact_file.scan()
-
     def read_all(self) -> np.ndarray:
         """The whole table as one structured array (chunk order)."""
         self._require_loaded()
         return self.fact_file.read_all()
-
-    def read_positions(self, positions: np.ndarray) -> np.ndarray:
-        """Positional fetch (used by bitmap-driven selections)."""
-        self._require_loaded()
-        return self.fact_file.read_positions(positions)
 
     def _require_loaded(self) -> None:
         if not self._loaded:

@@ -75,18 +75,10 @@ __all__ = [
     "CHUNKLOG_MAGIC",
     "CHUNKLOG_VERSION",
     "ChunkLog",
-    "ChunkLogStats",
-    "LogRecovery",
 ]
 
 CHUNKLOG_MAGIC = b"RCLG"
 CHUNKLOG_VERSION = 1
-
-#: Backwards-compatible names: the stats/recovery value objects moved
-#: to :mod:`repro.storage.l2` when the backend contract was extracted;
-#: they are the same classes.
-ChunkLogStats = L2Stats
-LogRecovery = L2Recovery
 
 _HEADER = struct.Struct("<4sHI6x")  # magic, version, page_size
 _PREFIX = struct.Struct("<BHIdI")  # type, token_len, payload_len, benefit, crc

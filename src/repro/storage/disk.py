@@ -8,7 +8,7 @@ allocation.  Experiments measure cost as a function of these counters via
 :class:`~repro.analysis.cost.CostModel` instead of wall-clock time, which
 makes runs deterministic and hardware-independent (see DESIGN.md §2).
 
-All file types (:mod:`repro.storage.heapfile`, :mod:`repro.storage.factfile`,
+All record files (:mod:`repro.storage.factfile`,
 :mod:`repro.storage.chunkedfile`) and indexes (:mod:`repro.storage.btree`,
 :mod:`repro.storage.bitmap`) allocate their pages from one shared disk, so a
 single counter captures the whole backend's I/O.
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from repro.exceptions import PageError
 
-__all__ = ["DiskStats", "SimulatedDisk", "IOTracker"]
+__all__ = ["DiskStats", "SimulatedDisk"]
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -176,34 +176,3 @@ class SimulatedDisk:
                 f"page id {page_id} out of range 0..{len(self._pages) - 1}"
             )
 
-
-class IOTracker:
-    """Context manager measuring disk I/O across a code block.
-
-    Example:
-        >>> disk = SimulatedDisk()
-        >>> disk.allocate(1)
-        0
-        >>> with IOTracker(disk) as io:
-        ...     _ = disk.read_page(0)
-        >>> io.reads
-        1
-    """
-
-    def __init__(self, disk: SimulatedDisk) -> None:
-        self._disk = disk
-        self._before: DiskStats | None = None
-        self.reads = 0
-        self.writes = 0
-        self.allocations = 0
-
-    def __enter__(self) -> "IOTracker":
-        self._before = self._disk.stats.copy()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self._before is not None
-        delta = self._disk.stats.delta(self._before)
-        self.reads = delta.reads
-        self.writes = delta.writes
-        self.allocations = delta.allocations

@@ -1,31 +1,25 @@
-"""Page codecs: packed fixed-length pages and slotted pages.
+"""The page codec of the record files.
 
-Two on-page layouts are provided:
+:class:`PackedPage` is the layout of the paper's *fact file* [RJZN97]:
+fixed-length records stored back to back after a 4-byte record count.
+There is no slot array, so the number of records per page is maximal and
+deterministic, which is what makes chunk -> page-range arithmetic exact.
 
-- :class:`PackedPage` — the layout of the paper's *fact file* [RJZN97]:
-  fixed-length records stored back to back after a 4-byte record count.
-  There is no slot array, so the number of records per page is maximal and
-  deterministic, which is what makes chunk -> page-range arithmetic exact.
-
-- :class:`SlottedPage` — the classic variable-length layout (slot directory
-  growing from the back).  Used for dimension tables and B-tree nodes whose
-  entries are not fixed length.
-
-Both codecs are pure functions over ``bytes``; persistence and I/O counting
-live in :class:`~repro.storage.disk.SimulatedDisk`.
+The codec is a pure function over ``bytes``; persistence and I/O counting
+live in :class:`~repro.storage.disk.SimulatedDisk`.  (B-tree nodes have a
+fixed layout of their own, in :mod:`repro.storage.btree`.)
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import PageError
 from repro.storage.record import RecordFormat
 
-__all__ = ["PackedPage", "SlottedPage"]
+__all__ = ["PackedPage"]
 
 _COUNT = struct.Struct("<I")
 
@@ -57,7 +51,11 @@ class PackedPage:
         return _COUNT.pack(len(records)) + body
 
     def decode(self, payload: bytes) -> np.ndarray:
-        """Deserialize a page payload into a structured array."""
+        """Deserialize a page payload into a structured array.
+
+        Reads go through the files' decoded image instead; this is the
+        per-page decoder the image is tested against.
+        """
         if len(payload) < self.HEADER_SIZE:
             raise PageError("page payload shorter than its header")
         (count,) = _COUNT.unpack_from(payload)
@@ -66,86 +64,3 @@ class PackedPage:
                 f"page claims {count} records, capacity is {self.capacity}"
             )
         return self.record_format.unpack(payload[self.HEADER_SIZE:], count)
-
-    def count(self, payload: bytes) -> int:
-        """Record count of a page payload without decoding the records."""
-        if len(payload) < self.HEADER_SIZE:
-            raise PageError("page payload shorter than its header")
-        (count,) = _COUNT.unpack_from(payload)
-        return count
-
-
-class SlottedPage:
-    """Codec for pages of variable-length records with a slot directory.
-
-    Layout::
-
-        [num_slots: u32][free_offset: u32][record data ...→][...← slots]
-
-    Each slot is ``(offset: u32, length: u32)`` stored from the page end
-    backwards.  Deletion is not needed by this library, so the codec only
-    supports append-and-read, which keeps it simple and fully testable.
-    """
-
-    HEADER = struct.Struct("<II")
-    SLOT = struct.Struct("<II")
-
-    def __init__(self, page_size: int) -> None:
-        if page_size < self.HEADER.size + self.SLOT.size + 1:
-            raise PageError(f"page size {page_size} too small for slotted page")
-        self.page_size = page_size
-
-    def empty(self) -> bytearray:
-        """A fresh empty page buffer."""
-        buf = bytearray(self.page_size)
-        self.HEADER.pack_into(buf, 0, 0, self.HEADER.size)
-        return buf
-
-    def free_space(self, buf: bytes | bytearray) -> int:
-        """Bytes available for one more record (including its slot)."""
-        num_slots, free_offset = self.HEADER.unpack_from(buf)
-        slots_start = self.page_size - num_slots * self.SLOT.size
-        return max(0, slots_start - free_offset - self.SLOT.size)
-
-    def append(self, buf: bytearray, record: bytes) -> int:
-        """Append ``record``; returns its slot index.
-
-        Raises:
-            PageError: If the record (plus slot) does not fit.
-        """
-        if self.free_space(buf) < len(record):
-            raise PageError(
-                f"record of {len(record)} bytes does not fit "
-                f"({self.free_space(buf)} free)"
-            )
-        num_slots, free_offset = self.HEADER.unpack_from(buf)
-        buf[free_offset:free_offset + len(record)] = record
-        slot_pos = self.page_size - (num_slots + 1) * self.SLOT.size
-        self.SLOT.pack_into(buf, slot_pos, free_offset, len(record))
-        self.HEADER.pack_into(buf, 0, num_slots + 1, free_offset + len(record))
-        return num_slots
-
-    def num_records(self, buf: bytes | bytearray) -> int:
-        """Number of records on the page."""
-        num_slots, _ = self.HEADER.unpack_from(buf)
-        return num_slots
-
-    def read(self, buf: bytes | bytearray, slot: int) -> bytes:
-        """Record bytes at ``slot``."""
-        num_slots, _ = self.HEADER.unpack_from(buf)
-        if not 0 <= slot < num_slots:
-            raise PageError(f"slot {slot} out of range 0..{num_slots - 1}")
-        slot_pos = self.page_size - (slot + 1) * self.SLOT.size
-        offset, length = self.SLOT.unpack_from(buf, slot_pos)
-        return bytes(buf[offset:offset + length])
-
-    def records(self, buf: bytes | bytearray) -> list[bytes]:
-        """All records on the page, in slot order."""
-        return [self.read(buf, slot) for slot in range(self.num_records(buf))]
-
-    def build(self, records: Sequence[bytes]) -> bytearray:
-        """A page holding exactly ``records`` (must all fit)."""
-        buf = self.empty()
-        for record in records:
-            self.append(buf, record)
-        return buf

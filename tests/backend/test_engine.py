@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import build_backend
 from repro.backend.engine import BackendEngine
 from repro.chunks.grid import ChunkSpace
 from repro.exceptions import BackendError
@@ -57,6 +58,30 @@ class TestConstruction:
             engine.compute_chunks((1, 1), [0], [("v", "sum")])
         with pytest.raises(BackendError):
             engine.estimate_chunk_work((1, 1), [0])
+
+    @pytest.mark.parametrize("organization", ["chunked", "random"])
+    def test_every_page_is_read_by_a_read_path(
+        self, small_schema, small_records, organization
+    ):
+        """A load allocates no page that no read path ever reads."""
+        space = ChunkSpace(small_schema, 0.25)
+        engine = build_backend(
+            small_schema, space, small_records,
+            organization=organization, page_size=256,
+        )
+        read = set()
+        engine.disk.read_hook = lambda page_id: read.add(page_id) or 0.0
+        if engine.chunked_file is not None:
+            engine.chunked_file.read_all()
+            # One descent per chunk reaches every node at any height.
+            for number in range(space.base_grid.num_chunks):
+                engine.chunked_file.chunk_index.search(number)
+        else:
+            engine.fact_file.read_all()
+        assert engine.bitmaps
+        for bitmap in engine.bitmaps.values():
+            bitmap.select_range(0, bitmap.cardinality)
+        assert read == set(range(engine.disk.num_pages))
 
 
 class TestAccessPathsAgree:
@@ -201,7 +226,7 @@ class TestEstimates:
         assert tuples == fresh_small_engine.num_records
 
     def test_estimate_pages_positive(self, fresh_small_engine):
-        pages = fresh_small_engine.estimate_chunk_pages((1, 1), [0])
+        pages, _ = fresh_small_engine.estimate_chunk_work((1, 1), [0])
         assert pages > 0
 
     def test_bitmap_estimate_reasonable(self, small_schema, fresh_small_engine):
@@ -247,13 +272,13 @@ class TestExplain:
     ):
         # explain resolves the access path exactly as answer does: the
         # same typed error for a path the engine cannot take, never a
-        # plan for one answer would refuse.
+        # plan for one answer would refuse.  An empty table has no
+        # bitmaps.
         engine = BackendEngine.build(
             small_schema,
             ChunkSpace(small_schema, 0.25),
-            small_records,
+            small_records[:0],
             organization="random",
-            build_bitmaps=False,
         )
         query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
         with pytest.raises(BackendError, match=message):
@@ -261,16 +286,16 @@ class TestExplain:
         with pytest.raises(BackendError, match=message):
             engine.explain(query, path)
 
-    @pytest.mark.parametrize("build_bitmaps", [True, False])
+    @pytest.mark.parametrize("has_records", [True, False])
     @pytest.mark.parametrize("selections", [None, {"D0": (0, 2)}])
     def test_auto_names_the_path_answer_takes(
-        self, small_schema, small_records, build_bitmaps, selections
+        self, small_schema, small_records, has_records, selections
     ):
+        # Without records there are no bitmaps, so auto must scan.
         engine = BackendEngine.build(
             small_schema,
             ChunkSpace(small_schema, 0.25),
-            small_records,
-            build_bitmaps=build_bitmaps,
+            small_records if has_records else small_records[:0],
         )
         query = StarQuery.build(small_schema, (1, 1), selections)
         _rows, report = engine.answer(query)

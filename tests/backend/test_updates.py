@@ -113,6 +113,24 @@ class TestReorganize:
     def test_reorganize_without_delta_noop(self, small_schema, engine):
         engine.reorganize()  # must not raise
 
+    def test_reorganize_builds_bitmaps_after_an_empty_load(
+        self, small_schema, small_records
+    ):
+        engine = BackendEngine.build(
+            small_schema, ChunkSpace(small_schema, 0.25), small_records[:0],
+            page_size=1024,
+        )
+        assert not engine.bitmaps
+        engine.append_records(new_tuples(small_schema))
+        engine.reorganize()
+        query = StarQuery.build(small_schema, (2, 1), {"D0": (2, 7)})
+        scan_rows, _ = engine.answer(query, "scan")
+        bitmap_rows, _ = engine.answer(query, "bitmap")
+        assert len(scan_rows)
+        assert canon_rows(bitmap_rows) == canon_rows(scan_rows)
+        _, auto = engine.answer(query)
+        assert auto.access_path == "bitmap"
+
 
 class TestChunkCacheInvalidation:
     def test_stale_chunks_dropped_and_answers_correct(

@@ -1,33 +1,39 @@
 """Tests for repro.storage.btree — model-based and structural."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import IndexError_
+from repro.exceptions import IndexError_, PageError
 from repro.storage.btree import BTree
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 
 
-def make_tree(page_size=256, value_arity=1, **kwargs):
-    return BTree(SimulatedDisk(page_size), value_arity=value_arity, **kwargs)
+def make_tree(page_size=256):
+    return BTree(SimulatedDisk(page_size))
+
+
+def pairs(keys):
+    """Chunk-index style items: ``(key, (key * 10, key + 1))``."""
+    return [(k, (k * 10, k + 1)) for k in keys]
 
 
 class TestBulkLoad:
     def test_small(self):
         tree = make_tree()
-        tree.bulk_load([(i, (i * 10,)) for i in range(5)])
+        tree.bulk_load(pairs(range(5)))
         assert len(tree) == 5
         assert tree.height == 1
         for i in range(5):
-            assert tree.search(i) == (i * 10,)
+            assert tree.search(i) == (i * 10, i + 1)
 
     def test_multi_level(self):
         tree = make_tree(page_size=128)
-        items = [(i, (i,)) for i in range(0, 2000, 2)]
-        tree.bulk_load(items)
+        tree.bulk_load(pairs(range(0, 2000, 2)))
         assert tree.height >= 2
-        assert tree.search(998) == (998,)
+        assert tree.search(998) == (9980, 999)
         assert tree.search(999) is None
         assert tree.search(-5) is None
         assert tree.search(99999) is None
@@ -36,67 +42,45 @@ class TestBulkLoad:
         tree = make_tree()
         tree.bulk_load([])
         assert len(tree) == 0
+        assert tree.height == 0
         assert tree.search(1) is None
-        assert list(tree.items()) == []
+        assert tree.search_many([1, 2]) == {}
 
     def test_unsorted_rejected(self):
         tree = make_tree()
         with pytest.raises(IndexError_):
-            tree.bulk_load([(2, (0,)), (1, (0,))])
+            tree.bulk_load([(2, (0, 0)), (1, (0, 0))])
 
     def test_duplicates_rejected(self):
         tree = make_tree()
         with pytest.raises(IndexError_):
-            tree.bulk_load([(1, (0,)), (1, (0,))])
+            tree.bulk_load([(1, (0, 0)), (1, (0, 0))])
 
     def test_wrong_arity_rejected(self):
-        tree = make_tree(value_arity=2)
+        tree = make_tree()
         with pytest.raises(IndexError_):
             tree.bulk_load([(1, (0,))])
 
     def test_double_load_rejected(self):
         tree = make_tree()
-        tree.bulk_load([(1, (1,))])
+        tree.bulk_load(pairs([1]))
         with pytest.raises(IndexError_):
-            tree.bulk_load([(2, (2,))])
+            tree.bulk_load(pairs([2]))
 
     def test_fill_factor(self):
-        loose = make_tree(page_size=256, fill_factor=0.5)
-        loose.bulk_load([(i, (i,)) for i in range(100)])
-        tight = make_tree(page_size=256, fill_factor=1.0)
-        tight.bulk_load([(i, (i,)) for i in range(100)])
-        assert loose.disk.num_pages > tight.disk.num_pages
-
-
-class TestRangeScan:
-    @pytest.fixture()
-    def tree(self):
-        tree = make_tree(page_size=128)
-        tree.bulk_load([(i * 3, (i,)) for i in range(300)])
-        return tree
-
-    def test_middle(self, tree):
-        got = list(tree.range_scan(10, 31))
-        assert [k for k, _ in got] == [12, 15, 18, 21, 24, 27, 30]
-
-    def test_empty_range(self, tree):
-        assert list(tree.range_scan(10, 10)) == []
-        assert list(tree.range_scan(10, 5)) == []
-
-    def test_beyond_ends(self, tree):
-        assert [k for k, _ in tree.range_scan(-100, 4)] == [0, 3]
-        assert [k for k, _ in tree.range_scan(895, 10_000)] == [897]
-
-    def test_items_sorted(self, tree):
-        keys = [k for k, _ in tree.items()]
-        assert keys == sorted(keys)
-        assert len(keys) == 300
+        """Bulk load packs every node but the last of a level full."""
+        tree = make_tree(page_size=256)
+        tree.bulk_load(pairs(range(100)))
+        leaves = math.ceil(100 / tree.leaf_capacity)
+        assert leaves <= tree.internal_capacity + 1  # one root suffices
+        assert tree.disk.num_pages == leaves + 1
+        assert tree.height == 2
 
 
 class TestSearchMany:
     @pytest.fixture()
     def tree(self):
-        tree = make_tree(page_size=128, value_arity=2)
+        tree = make_tree(page_size=128)
         tree.bulk_load([(i * 2, (i, i + 1)) for i in range(500)])
         return tree
 
@@ -129,61 +113,22 @@ class TestSearchMany:
         assert batch_reads < naive_reads
 
 
-class TestInsert:
-    def test_insert_into_empty(self):
-        tree = make_tree()
-        tree.insert(5, (50,))
-        assert tree.search(5) == (50,)
-        assert len(tree) == 1
-
-    def test_overwrite(self):
-        tree = make_tree()
-        tree.insert(5, (50,))
-        tree.insert(5, (51,))
-        assert tree.search(5) == (51,)
-        assert len(tree) == 1
-
-    def test_inserts_with_splits(self):
-        tree = make_tree(page_size=128)
-        for i in range(500):
-            tree.insert(i * 7 % 500, (i,))
-        assert len(tree) == 500
-        keys = [k for k, _ in tree.items()]
-        assert keys == sorted(set(keys))
-        assert len(keys) == 500
-
-    def test_insert_after_bulk_load(self):
-        tree = make_tree(page_size=128)
-        tree.bulk_load([(i, (i,)) for i in range(0, 100, 2)])
-        tree.insert(51, (510,))
-        assert tree.search(51) == (510,)
-        assert tree.search(50) == (50,)
-        assert len(tree) == 51
-
-    def test_wrong_arity_rejected(self):
-        tree = make_tree(value_arity=2)
-        with pytest.raises(IndexError_):
-            tree.insert(1, (1,))
-
-
 class TestConstruction:
     def test_tiny_page_rejected(self):
-        with pytest.raises(IndexError_):
-            BTree(SimulatedDisk(page_size=64), value_arity=200)
-
-    def test_bad_arity_rejected(self):
-        with pytest.raises(IndexError_):
-            make_tree(value_arity=0)
-
-    def test_bad_fill_factor_rejected(self):
-        with pytest.raises(IndexError_):
-            make_tree(fill_factor=0.0)
+        with pytest.raises(PageError):  # refused by the disk itself
+            BTree(SimulatedDisk(page_size=32))
+        # The smallest page the disk accepts holds two entries per node.
+        tree = make_tree(page_size=64)
+        assert tree.leaf_capacity == tree.internal_capacity == 2
+        tree.bulk_load(pairs(range(20)))
+        assert tree.height > 2
+        assert tree.search_many(list(range(20))) == dict(pairs(range(20)))
 
     def test_with_buffer_pool(self):
         disk = SimulatedDisk(page_size=128)
         pool = BufferPool(disk, 8)
-        tree = BTree(disk, value_arity=1, buffer_pool=pool)
-        tree.bulk_load([(i, (i,)) for i in range(200)])
+        tree = BTree(disk, buffer_pool=pool)
+        tree.bulk_load(pairs(range(200)))
         disk.reset_stats()
         tree.search(100)
         tree.search(100)
@@ -196,21 +141,17 @@ class TestConstruction:
     initial=st.dictionaries(
         st.integers(0, 3000), st.integers(0, 100), max_size=300
     ),
-    inserts=st.lists(
-        st.tuples(st.integers(0, 3000), st.integers(0, 100)), max_size=80
-    ),
-    probes=st.lists(st.integers(0, 3000), max_size=40),
+    probes=st.lists(st.integers(-10, 3010), max_size=40),
 )
-def test_model_based(initial, inserts, probes):
-    """BTree behaves exactly like a sorted dict under load+insert+search."""
+def test_model_based(initial, probes):
+    """BTree behaves exactly like a sorted dict under load + search."""
     tree = make_tree(page_size=128)
-    model = dict(initial)
-    tree.bulk_load(sorted((k, (v,)) for k, v in initial.items()))
-    for key, value in inserts:
-        tree.insert(key, (value,))
-        model[key] = value
-    assert len(tree) == len(model)
+    tree.bulk_load(sorted((k, (v, k)) for k, v in initial.items()))
+    assert len(tree) == len(initial)
     for key in probes:
-        expected = (model[key],) if key in model else None
+        expected = (initial[key], key) if key in initial else None
         assert tree.search(key) == expected
-    assert [k for k, _ in tree.items()] == sorted(model)
+    wanted = sorted(set(probes))
+    assert tree.search_many(wanted) == {
+        key: (initial[key], key) for key in wanted if key in initial
+    }

@@ -92,7 +92,7 @@ class TestChunkedFile:
         )
         expected = collections.Counter(numbers.tolist())
         for chunk in range(space.base_grid.num_chunks):
-            got = loaded.read_chunk(chunk)
+            got = loaded.read_chunks([chunk])
             assert len(got) == expected.get(chunk, 0)
             if len(got):
                 got_numbers = tuple_chunk_numbers(
@@ -101,10 +101,14 @@ class TestChunkedFile:
                 assert np.all(got_numbers == chunk)
 
     def test_chunk_extent_and_estimate_agree(self, loaded, space):
+        """The I/O-free work estimate is the chunk index's extent."""
         for chunk in range(space.base_grid.num_chunks):
-            assert loaded.chunk_extent(chunk) == loaded.chunk_extent_estimate(
-                chunk
+            extent = loaded.chunk_index.search(chunk)
+            expected = (
+                (0, 0) if extent is None
+                else (loaded.fact_file.pages_for_range(*extent), extent[1])
             )
+            assert loaded.chunk_work_estimate([chunk]) == expected
 
     def test_read_chunks_merges(self, loaded, space):
         all_numbers = list(range(space.base_grid.num_chunks))
@@ -124,16 +128,16 @@ class TestChunkedFile:
         cfile.bulk_load(sparse)
         assert cfile.num_nonempty_chunks == 1
         last = space.base_grid.num_chunks - 1
-        assert len(cfile.read_chunk(last)) == 0
-        assert cfile.pages_for_chunk(last) == 0
+        assert len(cfile.read_chunks([last])) == 0
+        assert cfile.chunk_work_estimate([last]) == (0, 0)
 
     def test_chunk_io_proportional_to_chunk(self, loaded):
         """Reading one chunk costs ~its pages, not the whole file."""
         loaded.buffer_pool.flush()
         loaded.disk.reset_stats()
         chunk = 0
-        loaded.read_chunk(chunk)
-        data_pages = loaded.pages_for_chunk(chunk)
+        loaded.read_chunks([chunk])
+        data_pages, _ = loaded.chunk_work_estimate([chunk])
         # B-tree height extra pages on top of the data pages.
         assert loaded.disk.stats.reads <= data_pages * 2 + 2 * loaded.chunk_index.height + 2
         assert loaded.disk.stats.reads < loaded.num_pages
@@ -147,9 +151,9 @@ class TestChunkedFile:
             SimulatedDisk(256), fact_record_format(schema), space
         )
         with pytest.raises(FileFormatError):
-            cfile.read_chunk(0)
+            cfile.read_chunks([0])
         with pytest.raises(FileFormatError):
-            list(cfile.scan())
+            cfile.read_all()
 
     def test_wrong_dtype_rejected(self, schema, space):
         cfile = ChunkedFile(
@@ -165,8 +169,9 @@ class TestChunkedFile:
         )
 
     def test_read_positions(self, loaded):
-        got = loaded.read_positions(np.array([0, 10, 100]))
-        assert len(got) == 3
+        positions = np.array([0, 10, 100])
+        got = loaded.fact_file.read_positions(positions)
+        assert np.array_equal(got, loaded.read_all()[positions])
 
 
 @settings(max_examples=15, deadline=None)
@@ -189,6 +194,6 @@ def test_multiset_preserved_property(n, seed, ratio):
         map(tuple, records.tolist())
     )
     per_chunk = sum(
-        len(cfile.read_chunk(c)) for c in range(space.base_grid.num_chunks)
+        len(cfile.read_chunks([c])) for c in range(space.base_grid.num_chunks)
     )
     assert per_chunk == n

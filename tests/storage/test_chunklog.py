@@ -5,12 +5,8 @@ import struct
 import pytest
 
 from repro.exceptions import ChunkLogCorruption, ChunkLogError, DiskFault
-from repro.storage.chunklog import (
-    CHUNKLOG_MAGIC,
-    CHUNKLOG_VERSION,
-    ChunkLog,
-    LogRecovery,
-)
+from repro.storage.chunklog import CHUNKLOG_MAGIC, CHUNKLOG_VERSION, ChunkLog
+from repro.storage.l2 import L2Recovery
 
 PAGE = 256
 
@@ -117,7 +113,7 @@ class TestChunkLogBasics:
 
     def test_in_memory_log_has_no_recovery(self, make_log):
         log = make_log()
-        assert log.recovery == LogRecovery()
+        assert log.recovery == L2Recovery()
 
 
 class TestChunkLogAccounting:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import PageError
-from repro.storage.disk import DiskStats, IOTracker, SimulatedDisk
+from repro.storage.disk import DiskStats, SimulatedDisk
 
 
 class TestSimulatedDisk:
@@ -113,16 +113,3 @@ class TestDiskStats:
         delta = after.delta(before)
         assert (delta.reads, delta.writes, delta.allocations) == (3, 0, 3)
 
-
-class TestIOTracker:
-    def test_measures_block(self):
-        disk = SimulatedDisk(page_size=64)
-        pid = disk.allocate()
-        disk.write_page(pid, b"a")
-        with IOTracker(disk) as io:
-            disk.read_page(pid)
-            disk.read_page(pid)
-            disk.write_page(pid, b"b")
-        assert io.reads == 2
-        assert io.writes == 1
-        assert io.allocations == 0

@@ -1,4 +1,8 @@
-"""Tests for repro.storage.heapfile and factfile."""
+"""Tests for repro.storage.factfile.
+
+``TestHeapFile`` covers the file as the unordered baseline of Figure 14
+(records in arrival order), ``TestFactFile`` its positional range reads.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +11,6 @@ from repro.exceptions import FileFormatError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.factfile import FactFile
-from repro.storage.heapfile import HeapFile
 from repro.storage.record import RecordFormat
 
 
@@ -26,36 +29,41 @@ def make_records(fmt, n):
 class TestHeapFile:
     def test_bulk_load_and_scan(self, fmt):
         disk = SimulatedDisk(page_size=128)
-        heap = HeapFile(disk, fmt)
+        heap = FactFile(disk, fmt)
         records = make_records(fmt, 50)
         heap.bulk_load(records)
         assert heap.num_records == 50
         assert heap.records_per_page == (128 - 4) // 12
-        scanned = np.concatenate(list(heap.scan()))
-        assert np.array_equal(scanned, records)
+        assert heap.num_pages == -(-50 // heap.records_per_page)
+        disk.reset_stats()
+        assert np.array_equal(heap.read_all(), records)
+        assert disk.stats.reads == heap.num_pages
 
     def test_read_all_empty(self, fmt):
-        heap = HeapFile(SimulatedDisk(128), fmt)
+        heap = FactFile(SimulatedDisk(128), fmt)
         assert len(heap.read_all()) == 0
 
     def test_wrong_dtype_rejected(self, fmt):
-        heap = HeapFile(SimulatedDisk(128), fmt)
+        heap = FactFile(SimulatedDisk(128), fmt)
         with pytest.raises(FileFormatError):
             heap.bulk_load(np.zeros(3, dtype=[("z", "i8")]))
 
     def test_page_of_record(self, fmt):
+        """Record ``position`` lives on file page ``position // rpp``."""
         disk = SimulatedDisk(page_size=128)
-        heap = HeapFile(disk, fmt)
+        heap = FactFile(disk, fmt)
         heap.bulk_load(make_records(fmt, 30))
         rpp = heap.records_per_page
-        assert heap.page_of_record(0) == 0
-        assert heap.page_of_record(rpp) == 1
-        with pytest.raises(FileFormatError):
-            heap.page_of_record(30)
+        pages = heap.page_ids
+        read = []
+        disk.read_hook = lambda page_id: read.append(page_id) or 0.0
+        heap.read_positions(np.array([0, rpp - 1]))
+        heap.read_positions(np.array([rpp]))
+        assert read == [pages[0], pages[1]]
 
     def test_read_positions(self, fmt):
         disk = SimulatedDisk(page_size=128)
-        heap = HeapFile(disk, fmt)
+        heap = FactFile(disk, fmt)
         records = make_records(fmt, 100)
         heap.bulk_load(records)
         positions = np.array([0, 5, 50, 99])
@@ -63,18 +71,18 @@ class TestHeapFile:
         assert got["k"].tolist() == [0, 5, 50, 99]
 
     def test_read_positions_empty(self, fmt):
-        heap = HeapFile(SimulatedDisk(128), fmt)
+        heap = FactFile(SimulatedDisk(128), fmt)
         heap.bulk_load(make_records(fmt, 10))
         assert len(heap.read_positions(np.array([], dtype=np.int64))) == 0
 
     def test_read_positions_unsorted_rejected(self, fmt):
-        heap = HeapFile(SimulatedDisk(128), fmt)
+        heap = FactFile(SimulatedDisk(128), fmt)
         heap.bulk_load(make_records(fmt, 10))
         with pytest.raises(FileFormatError):
             heap.read_positions(np.array([5, 2]))
 
     def test_read_positions_out_of_range(self, fmt):
-        heap = HeapFile(SimulatedDisk(128), fmt)
+        heap = FactFile(SimulatedDisk(128), fmt)
         heap.bulk_load(make_records(fmt, 10))
         with pytest.raises(FileFormatError):
             heap.read_positions(np.array([10]))
@@ -82,7 +90,7 @@ class TestHeapFile:
     def test_skipped_sequential_io(self, fmt):
         """read_positions reads each distinct page exactly once."""
         disk = SimulatedDisk(page_size=128)
-        heap = HeapFile(disk, fmt)
+        heap = FactFile(disk, fmt)
         heap.bulk_load(make_records(fmt, 100))
         rpp = heap.records_per_page
         disk.reset_stats()
@@ -94,15 +102,15 @@ class TestHeapFile:
     def test_reads_through_buffer_pool(self, fmt):
         disk = SimulatedDisk(page_size=128)
         pool = BufferPool(disk, 4)
-        heap = HeapFile(disk, fmt, buffer_pool=pool)
+        heap = FactFile(disk, fmt, buffer_pool=pool)
         heap.bulk_load(make_records(fmt, 20))
         disk.reset_stats()
-        heap.read_file_page(0)
-        heap.read_file_page(0)
+        heap.read_range(0, 1)
+        heap.read_range(1, 1)
         assert disk.stats.reads == 1  # second read was a pool hit
 
     def test_multiple_bulk_loads_append(self, fmt):
-        heap = HeapFile(SimulatedDisk(128), fmt)
+        heap = FactFile(SimulatedDisk(128), fmt)
         heap.bulk_load(make_records(fmt, 10))
         heap.bulk_load(make_records(fmt, 10))
         assert heap.num_records == 20
@@ -157,11 +165,3 @@ class TestFactFile:
         assert fact.pages_for_range(0, rpp) == 1
         assert fact.pages_for_range(rpp - 1, 2) == 2
         assert fact.pages_for_range(0, 0) == 0
-
-    def test_column(self, fmt):
-        fact = FactFile(SimulatedDisk(128), fmt)
-        records = make_records(fmt, 25)
-        fact.bulk_load(records)
-        assert np.array_equal(fact.column("k"), records["k"])
-        with pytest.raises(FileFormatError):
-            fact.column("nope")

@@ -1,6 +1,6 @@
 """The contiguous file image against a per-page reference reader.
 
-``HeapFile`` / ``FactFile`` / ``ChunkedFile`` serve reads as views of
+``FactFile`` / ``ChunkedFile`` serve reads as views of
 one decoded image and charge their pages to the buffer pool in runs.
 The reference here is the reader they replaced — ``get_page`` + decode
 one page at a time, slice, concatenate — run on a twin disk and pool.
@@ -116,7 +116,7 @@ def fact_file_cases(draw):
     pool_pages = draw(st.sampled_from([0, 1, 2, 3, 7, 64]))
     requests = []
     for _ in range(draw(st.integers(1, 12))):
-        kind = draw(st.sampled_from(["range", "positions", "page", "all"]))
+        kind = draw(st.sampled_from(["range", "positions", "all"]))
         if kind == "range":
             start = draw(st.integers(0, count - 1))
             requests.append((kind, start, draw(st.integers(1, count - start))))
@@ -145,10 +145,6 @@ class TestImageAgainstPagedReference:
             elif kind == "positions":
                 got = fact.read_positions(np.array(request[1]))
                 want = reference.read_positions(request[1])
-            elif kind == "page":
-                index = (count - 1) // fact.records_per_page // 2
-                got = fact.read_file_page(index)
-                want = reference.page(index)
             else:
                 got = fact.read_all()
                 want = reference.read_all()
@@ -241,16 +237,15 @@ class TestImageOwnership:
         first = fact.read_all()
         assert fact.read_all() is first
         assert np.shares_memory(fact.read_range(10, 30), first)
-        assert np.shares_memory(fact.read_file_page(1), first)
+        for part in fact.read_ranges([(0, 5), (50, 10)]):
+            assert np.shares_memory(part, first)
 
     def test_reads_cannot_write_through(self):
         fact, _ = twin_fact_files(100, 128, 4)
         for records in (
             fact.read_all(),
             fact.read_range(10, 30),
-            fact.read_file_page(0),
             fact.read_positions(np.array([1, 50])),
-            next(fact.scan()),
         ):
             assert records.flags.writeable is False
             with pytest.raises(ValueError):
@@ -280,17 +275,14 @@ class TestPartialInteriorPage:
 
     def test_scans_still_see_every_record_page_by_page(self, fact):
         assert fact.num_pages == 2 and fact.num_records == 10
-        assert [len(page) for page in fact.scan()] == [5, 5]
         assert fact.read_all()["k"].tolist() == [0, 1, 2, 3, 4] * 2
-        assert fact.disk.stats.reads == 4
+        assert fact.disk.stats.reads == 2
 
     def test_positional_access_is_refused(self, fact):
         with pytest.raises(FileFormatError, match="partial interior page"):
             fact.read_range(3, 4)
         with pytest.raises(FileFormatError, match="partial interior page"):
             fact.read_positions(np.array([6]))
-        with pytest.raises(FileFormatError, match="partial interior page"):
-            fact.page_of_record(6)
         with pytest.raises(FileFormatError, match="partial interior page"):
             fact.pages_for_range(3, 4)
         with pytest.raises(FileFormatError, match="partial interior page"):
@@ -302,4 +294,4 @@ class TestPartialInteriorPage:
         fact.bulk_load(make_records(20))
         fact.bulk_load(make_records(7))
         assert fact.read_range(18, 5)["k"].tolist() == [18, 19, 0, 1, 2]
-        assert fact.page_of_record(26) == 2
+        assert fact.pages_for_range(18, 5) == 2

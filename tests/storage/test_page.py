@@ -1,11 +1,10 @@
-"""Tests for repro.storage.page codecs."""
+"""Tests for repro.storage.page — the packed fact-file page codec."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.exceptions import PageError
-from repro.storage.page import PackedPage, SlottedPage
+from repro.storage.page import PackedPage
 from repro.storage.record import RecordFormat
 
 
@@ -24,11 +23,11 @@ class TestPackedPage:
         payload = codec.encode(records)
         back = codec.decode(payload)
         assert np.array_equal(back, records)
-        assert codec.count(payload) == 2
+        assert payload[:4] == (2).to_bytes(4, "little")  # record count
 
     def test_empty_page(self, codec):
         payload = codec.encode(codec.record_format.empty())
-        assert codec.count(payload) == 0
+        assert payload == bytes(4)
         assert len(codec.decode(payload)) == 0
 
     def test_overfull_rejected(self, codec):
@@ -44,54 +43,3 @@ class TestPackedPage:
         with pytest.raises(PageError):
             codec.decode(b"\x01")
 
-
-class TestSlottedPage:
-    def test_append_and_read(self):
-        codec = SlottedPage(page_size=128)
-        buf = codec.empty()
-        assert codec.append(buf, b"alpha") == 0
-        assert codec.append(buf, b"bb") == 1
-        assert codec.read(buf, 0) == b"alpha"
-        assert codec.read(buf, 1) == b"bb"
-        assert codec.num_records(buf) == 2
-        assert codec.records(buf) == [b"alpha", b"bb"]
-
-    def test_variable_lengths(self):
-        codec = SlottedPage(page_size=256)
-        records = [b"x" * n for n in (0, 1, 7, 30)]
-        buf = codec.build(records)
-        assert codec.records(buf) == records
-
-    def test_full_page_rejected(self):
-        codec = SlottedPage(page_size=64)
-        buf = codec.empty()
-        with pytest.raises(PageError):
-            codec.append(buf, b"z" * 64)
-
-    def test_free_space_decreases(self):
-        codec = SlottedPage(page_size=128)
-        buf = codec.empty()
-        before = codec.free_space(buf)
-        codec.append(buf, b"12345")
-        assert codec.free_space(buf) == before - 5 - codec.SLOT.size
-
-    def test_bad_slot_rejected(self):
-        codec = SlottedPage(page_size=64)
-        buf = codec.empty()
-        with pytest.raises(PageError):
-            codec.read(buf, 0)
-
-    def test_tiny_page_rejected(self):
-        with pytest.raises(PageError):
-            SlottedPage(page_size=8)
-
-    @given(st.lists(st.binary(max_size=20), max_size=10))
-    def test_roundtrip_property(self, records):
-        codec = SlottedPage(page_size=512)
-        buf = codec.empty()
-        kept = []
-        for record in records:
-            if codec.free_space(buf) >= len(record):
-                codec.append(buf, record)
-                kept.append(record)
-        assert codec.records(buf) == kept
