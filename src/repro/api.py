@@ -31,7 +31,7 @@ from repro.core.cache import ChunkCache, ChunkStore
 from repro.core.manager import ChunkCacheManager
 from repro.core.tiered import TieredChunkCache
 from repro.core.query_cache import QueryCacheManager
-from repro.exceptions import StackError
+from repro.exceptions import ChunkLogError, StackError
 from repro.schema.star import StarSchema
 from repro.serve.sharded import ShardedChunkCache
 from repro.storage.chunklog import ChunkLog
@@ -202,7 +202,9 @@ def build_cache(config: StackConfig) -> ChunkStore:
     A negative budget or threshold, or a ``compact_threshold`` outside
     (0, 1], is a :class:`~repro.exceptions.StackError` raised before
     anything is constructed, so a bad configuration never creates (or
-    leaves open) the file at ``persist_path``.
+    leaves open) the file at ``persist_path``.  So is a file at
+    ``persist_path`` the log refuses to open (another format version or
+    page size); the refusal leaves the file byte-identical.
     """
     if config.cache_tiers not in (1, 2):
         raise StackError(
@@ -252,7 +254,12 @@ def build_cache(config: StackConfig) -> ChunkStore:
         l1 = ChunkCache(config.cache_bytes, config.policy)
     if config.cache_tiers == 1:
         return l1
-    log = ChunkLog(config.persist_path, page_size=config.page_size)
+    try:
+        log = ChunkLog(config.persist_path, page_size=config.page_size)
+    except ChunkLogError as error:
+        raise StackError(
+            f"persist_path {config.persist_path!r} cannot be opened: {error}"
+        ) from error
     try:
         tiered = TieredChunkCache(
             l1,

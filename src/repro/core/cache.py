@@ -72,7 +72,18 @@ class ChunkStore(Protocol):
     one.  The pipeline layers are typed against this protocol so either
     store plugs into :class:`~repro.core.manager.ChunkCacheManager`
     unchanged — the serving layer stays above, never inside, the core.
+
+    Every store carries the same two hook attributes; assigning one
+    installs it store-wide and ``None`` detaches it:
+
+    - ``evict_hook`` observes each eviction (see :data:`EvictHook`) —
+      the tiered cache installs its spill path on its L1 store here;
+    - ``fault_hook`` is consulted by each put (see :data:`FaultHook`) —
+      only :mod:`repro.faults` installs one.
     """
+
+    evict_hook: EvictHook | None
+    fault_hook: FaultHook | None
 
     @property
     def capacity_bytes(self) -> int:

@@ -1,12 +1,10 @@
-"""The two-tier chunk cache: in-memory L1 over a persistent L2 backend.
+"""The two-tier chunk cache: in-memory L1 over the persistent chunk log.
 
 :class:`TieredChunkCache` implements the
 :class:`~repro.core.cache.ChunkStore` protocol by layering the existing
 in-memory cache (a :class:`~repro.core.cache.ChunkCache` or the serving
-layer's sharded store) over a durable
-:class:`~repro.storage.l2.L2Backend` — in-tree, the append-only
-:class:`~repro.storage.chunklog.ChunkLog` (see ``docs/TIERING.md``
-§Backends):
+layer's sharded store) over the durable, append-only
+:class:`~repro.storage.chunklog.ChunkLog` (see ``docs/TIERING.md``):
 
 - **Spill on eviction.**  The L1 store's eviction observer
   (``evict_hook``) fires for every victim; victims whose CLOCK benefit
@@ -25,27 +23,27 @@ layer's sharded store) over a durable
   highest-benefit-first until the budget is reached, so a restarted
   stack starts warm instead of cold.
 - **L2 byte budget.**  ``l2_budget_bytes`` caps live payload bytes in
-  the backend: a spill that would overflow first evicts the
+  the log: a spill that would overflow first evicts the
   lowest-benefit live records (charged tombstones; ties broken by
   insertion order), and a single record larger than the whole budget
   is never spilled (``budget_skipped``).  ``None`` (the default)
   leaves the tier unbounded, exactly as before.
 - **Compaction trigger.**  With ``compact_threshold`` set, any
   operation that grows dead space (spill supersede, invalidate,
-  budget eviction, clear) checks the backend's dead/total page ratio
-  and runs :meth:`~repro.storage.l2.L2Backend.compact` once it crosses
+  budget eviction, clear) checks the log's dead/total page ratio and
+  runs :meth:`~repro.storage.chunklog.ChunkLog.compact` once it crosses
   the threshold.  ``None`` (the default) never compacts — existing
   digests cannot move.
 - **Degrade, never corrupt.**  Spill/promote I/O faults are retried
   once when transient and otherwise dropped (a failed spill loses a
   *copy*, never the truth; a failed promote is an L2 miss).  A CRC
-  mismatch quarantines the record.  A streak of ``failure_limit``
+  mismatch quarantines the record.  A streak of :data:`FAILURE_LIMIT`
   consecutive L2 I/O failures disables the tier entirely — the cache
   degrades to plain L1 behaviour rather than hammering a poisoned log.
 
 Locking: the tier's own bookkeeping lock (witness level ``"tiered"``)
 nests inside L1 shard locks (the spill hook fires under the victim's
-shard lock) and outside the backend lock — the documented order is
+shard lock) and outside the log's lock — the documented order is
 ``shard -> tiered -> l2`` (``tests/tools/lockorder.txt``).  The
 promote path releases the tier lock *before* re-inserting into L1, so
 no path ever takes a shard lock while holding ``tiered``.
@@ -61,11 +59,16 @@ import json
 import struct
 import threading
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.cache import ChunkCacheStats, ChunkStore
+from repro.core.cache import (
+    ChunkCacheStats,
+    ChunkStore,
+    EvictHook,
+    FaultHook,
+)
 from repro.core.chunk import CachedChunk, ChunkKey
 from repro.exceptions import (
     CacheError,
@@ -74,12 +77,10 @@ from repro.exceptions import (
     DiskFault,
 )
 from repro.lockorder import witness
-from repro.storage.l2 import L2Backend, check_l2_conservation
-
-if TYPE_CHECKING:
-    from repro.core.cache import FaultHook
+from repro.storage.chunklog import ChunkLog
 
 __all__ = [
+    "FAILURE_LIMIT",
     "TieredChunkCache",
     "chunk_token",
     "token_key",
@@ -95,6 +96,10 @@ _PAYLOAD_TAG = b"PK1\xff"
 #: tag | benefit f64 | compute_pages f64 | row count u32 | descriptor len u16
 _HEADER = struct.Struct("<4sddIH")
 _DTYPE_MEMO = 64
+
+#: Consecutive L2 I/O failures (spill or promote) after which the tier
+#: disables itself and the cache degrades to L1-only.
+FAILURE_LIMIT = 8
 
 
 class _Live(NamedTuple):
@@ -235,41 +240,37 @@ def decode_chunk(key: ChunkKey, payload: bytes | memoryview) -> CachedChunk:
 
 
 class TieredChunkCache:
-    """A :class:`ChunkStore` layering an in-memory L1 over an L2 backend.
+    """A :class:`ChunkStore` layering an in-memory L1 over a chunk log.
 
     Args:
-        l1: The in-memory tier — any ``ChunkStore`` exposing either a
-            ``set_evict_hook`` method (the sharded store) or an
-            ``evict_hook`` attribute (the plain cache).
-        log: The persistent tier — any
-            :class:`~repro.storage.l2.L2Backend`.  The tiered cache
-            owns it from here on (:meth:`close` closes it).
+        l1: The in-memory tier — any ``ChunkStore``; the tiered cache
+            installs its spill path as the store's ``evict_hook``.
+        log: The persistent tier.  The tiered cache owns it from here
+            on (:meth:`close` closes it).
         demote_min_benefit: Spill threshold — victims whose benefit is
             below it are dropped, not demoted.  ``0.0`` demotes every
             victim (all real benefits are positive).
-        failure_limit: Consecutive L2 I/O failures (spill or promote)
-            before the tier disables itself and degrades to L1-only.
-        l2_budget_bytes: Cap on live payload bytes in the backend.
+        l2_budget_bytes: Cap on live payload bytes in the log.
             Spills evict the lowest-benefit live records to make room
             (charged tombstones); a record larger than the whole
             budget is never spilled.  ``None`` = unbounded (the PR 8
             behaviour, bit-identical).
         compact_threshold: Dead-space ratio (``dead / (dead + live)``
             pages) at which dead-space-growing operations trigger a
-            backend compaction.  ``None`` = never compact.
+            log compaction.  ``None`` = never compact.
 
     ``capacity_bytes``/``used_bytes`` are the L1 budget.  ``stats``
     folds L2 hits into the combined hit/miss counters: a lookup served
     by promotion counts as a hit of the store, not a miss, which is
-    what the cost model should see.
+    what the cost model should see.  ``evict_hook`` observes every L1
+    eviction (after its spill), ``fault_hook`` is L1's.
     """
 
     def __init__(
         self,
         l1: ChunkStore,
-        log: L2Backend,
+        log: ChunkLog,
         demote_min_benefit: float = 0.0,
-        failure_limit: int = 8,
         l2_budget_bytes: int | None = None,
         compact_threshold: float | None = None,
     ) -> None:
@@ -277,8 +278,6 @@ class TieredChunkCache:
             raise CacheError(
                 f"negative demotion threshold {demote_min_benefit}"
             )
-        if failure_limit < 1:
-            raise CacheError(f"failure_limit must be >= 1, got {failure_limit}")
         if l2_budget_bytes is not None and l2_budget_bytes < 0:
             raise CacheError(
                 f"negative L2 byte budget {l2_budget_bytes}"
@@ -292,9 +291,9 @@ class TieredChunkCache:
         self._l1 = l1
         self.log = log
         self.demote_min_benefit = demote_min_benefit
-        self.failure_limit = failure_limit
         self.l2_budget_bytes = l2_budget_bytes
         self.compact_threshold = compact_threshold
+        self.evict_hook: EvictHook | None = None
         self._lock = threading.Lock()
         # All fields below are guarded by _lock.
         # The one L2 table: every chunk live in the log, in first-spill
@@ -317,11 +316,7 @@ class TieredChunkCache:
         self._l2_evictions = 0
         self._budget_skipped = 0
         self._compact_faults = 0
-        hook_setter = getattr(l1, "set_evict_hook", None)
-        if callable(hook_setter):
-            hook_setter(self._on_evict)
-        else:
-            setattr(l1, "evict_hook", self._on_evict)
+        l1.evict_hook = self._on_evict
         # No lock: the object is not published until __init__ returns,
         # so construction has the exclusive access _locked helpers need.
         self._rebuild_keys_locked()
@@ -499,13 +494,15 @@ class TieredChunkCache:
     # ------------------------------------------------------------------
     # Tier plumbing
     # ------------------------------------------------------------------
-    def set_fault_hook(self, hook: "FaultHook | None") -> None:
-        """Forward the cache-put fault hook to the L1 store."""
-        setter = getattr(self._l1, "set_fault_hook", None)
-        if callable(setter):
-            setter(hook)
-        else:
-            setattr(self._l1, "fault_hook", hook)
+    @property
+    def fault_hook(self) -> FaultHook | None:
+        """The cache-put fault hook, which is L1's: assigning it
+        installs it on the L1 store."""
+        return self._l1.fault_hook
+
+    @fault_hook.setter
+    def fault_hook(self, hook: FaultHook | None) -> None:
+        self._l1.fault_hook = hook
 
     def check_conservation(self) -> None:
         """L1 conservation plus exact L2 page reconciliation.
@@ -518,7 +515,7 @@ class TieredChunkCache:
         checker = getattr(self._l1, "check_conservation", None)
         if callable(checker):
             checker()
-        check_l2_conservation(self.log)
+        self.log.check_conservation()
 
     def reopen(self) -> int:
         """Warm-start: rebuild the L2 key map and refill L1 from the log.
@@ -576,11 +573,7 @@ class TieredChunkCache:
 
     def close(self) -> None:
         """Detach the spill hook and close the log (idempotent)."""
-        hook_setter = getattr(self._l1, "set_evict_hook", None)
-        if callable(hook_setter):
-            hook_setter(None)
-        else:
-            setattr(self._l1, "evict_hook", None)
+        self._l1.evict_hook = None
         self.log.close()
 
     # ------------------------------------------------------------------
@@ -622,34 +615,41 @@ class TieredChunkCache:
         return entry
 
     def _on_evict(self, victim: CachedChunk) -> None:
-        """Eviction observer: demote the victim when its benefit clears
-        the threshold.  Fires under the evicting L1 shard's lock and
-        never raises — a failed spill loses a copy, not the truth."""
+        """L1's eviction observer: spill the victim, then hand it to
+        this store's own ``evict_hook``.  Fires under the evicting L1
+        shard's lock."""
         with self._lock, witness("tiered"):
-            if self._warming or not self._l2_enabled:
-                return
-            if victim.benefit < self.demote_min_benefit:
-                self._spill_skipped += 1
-                return
-            key = victim.key
-            live = self._l2.get(key)
-            # The token is built once per L2 residency: a re-spill of a
-            # live key reuses the one its first spill made.
-            token = live.token if live is not None else chunk_token(key)
-            payload = encode_chunk(victim)
-            if not self._make_room_locked(live, len(payload)):
-                self._budget_skipped += 1
-                return
-            try:
-                self._append_with_retry(token, payload, victim.benefit)
-            except DiskFault:
-                self._spill_faults += 1
-                self._note_failure_locked()
-                return
-            self._failure_streak = 0
-            self._spills += 1
-            self._admit_locked(key, token, victim.benefit, len(payload))
-            self._maybe_compact_locked()
+            self._spill_locked(victim)
+        if self.evict_hook is not None:
+            self.evict_hook(victim)
+
+    def _spill_locked(self, victim: CachedChunk) -> None:
+        """Demote the victim when its benefit clears the threshold.
+        Never raises — a failed spill loses a copy, not the truth."""
+        if self._warming or not self._l2_enabled:
+            return
+        if victim.benefit < self.demote_min_benefit:
+            self._spill_skipped += 1
+            return
+        key = victim.key
+        live = self._l2.get(key)
+        # The token is built once per L2 residency: a re-spill of a
+        # live key reuses the one its first spill made.
+        token = live.token if live is not None else chunk_token(key)
+        payload = encode_chunk(victim)
+        if not self._make_room_locked(live, len(payload)):
+            self._budget_skipped += 1
+            return
+        try:
+            self._append_with_retry(token, payload, victim.benefit)
+        except DiskFault:
+            self._spill_faults += 1
+            self._note_failure_locked()
+            return
+        self._failure_streak = 0
+        self._spills += 1
+        self._admit_locked(key, token, victim.benefit, len(payload))
+        self._maybe_compact_locked()
 
     def _make_room_locked(self, existing: _Live | None, need: int) -> bool:
         """Evict lowest-benefit live records until ``need`` payload
@@ -696,8 +696,8 @@ class TieredChunkCache:
         self._l2_evictions += 1
 
     def _maybe_compact_locked(self) -> None:
-        """Run a backend compaction once dead space crosses the
-        configured ratio.  A faulted compaction leaves the backend
+        """Run a log compaction once dead space crosses the
+        configured ratio.  A faulted compaction leaves the log
         unchanged (its contract) — count it and move on; no degrade,
         nothing was lost."""
         if self.compact_threshold is None:
@@ -783,7 +783,7 @@ class TieredChunkCache:
 
     def _note_failure_locked(self) -> None:
         self._failure_streak += 1
-        if self._failure_streak >= self.failure_limit:
+        if self._failure_streak >= FAILURE_LIMIT:
             self._l2_enabled = False
 
     def _rebuild_keys_locked(self) -> None:

@@ -219,13 +219,12 @@ class FaultInjector:
         """Install the hooks on a chunk-cache manager's stack.
 
         Duck-typed on purpose: ``manager`` needs ``.backend`` (with
-        ``.disk``) and ``.cache``; the cache is reached through
-        ``set_fault_hook`` when it has one (the sharded cache
-        distributes the hook to every shard) or a plain ``fault_hook``
-        attribute otherwise.  A cache exposing a ``.log`` (the tiered
-        cache's persistent tier — any L2 backend) additionally gets the
+        ``.disk``) and ``.cache``; every chunk store takes the put hook
+        as its ``fault_hook`` attribute (the sharded cache installs it
+        in every shard, the tiered cache on its L1).  A cache exposing
+        a ``.log`` (the tiered cache's chunk log) additionally gets the
         write-path hooks: spill-write and promote-read faults through
-        the backend's ``write_hook``/``read_hook`` fault points, the
+        the log's ``write_hook``/``read_hook`` fault points, the
         torn-write hook, and the compaction-abort hook.  Previous hooks
         are restored on exit even when the body raises.
         """
@@ -238,20 +237,14 @@ class FaultInjector:
         disk = backend.disk
         previous_read = disk.read_hook
         previous_backend = backend.fault_hook
-        set_hook = getattr(cache, "set_fault_hook", None)
-        previous_cache = None
-        if not callable(set_hook):
-            previous_cache = getattr(cache, "fault_hook", None)
+        previous_cache = cache.fault_hook
         log = getattr(cache, "log", None)
         previous_log_hooks: (
             tuple[object, object, object, object] | None
         ) = None
         disk.read_hook = self.disk_read
         backend.fault_hook = self.backend_op
-        if callable(set_hook):
-            set_hook(self.cache_put)
-        else:
-            cache.fault_hook = self.cache_put
+        cache.fault_hook = self.cache_put
         if log is not None:
             previous_log_hooks = (
                 log.write_hook,
@@ -268,10 +261,7 @@ class FaultInjector:
         finally:
             disk.read_hook = previous_read
             backend.fault_hook = previous_backend
-            if callable(set_hook):
-                set_hook(None)
-            else:
-                cache.fault_hook = previous_cache
+            cache.fault_hook = previous_cache
             if log is not None and previous_log_hooks is not None:
                 log.write_hook = previous_log_hooks[0]
                 log.read_hook = previous_log_hooks[1]

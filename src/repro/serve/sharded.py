@@ -387,24 +387,38 @@ class ShardedChunkCache:
                 finally:
                     self._publish_delta(cache.used_bytes - before)
 
-    def set_fault_hook(self, hook: FaultHook | None) -> None:
-        """Install (or remove, with None) the put fault hook shard-wide.
+    @property
+    def fault_hook(self) -> FaultHook | None:
+        """The put fault hook; assigning it (``None`` removes it)
+        installs it in each shard's inner cache under that shard's
+        lock.  Only :mod:`repro.faults` installs one.
 
-        Each shard's inner cache gets the hook under that shard's lock;
-        only :mod:`repro.faults` calls this (reprolint R006).
+        Reading it takes no lock (and so moves no contention counter):
+        every shard holds the same hook, and a reference read is atomic.
         """
+        return self._shards[0].cache.fault_hook
+
+    @fault_hook.setter
+    def fault_hook(self, hook: FaultHook | None) -> None:
         for shard in self._shards:
             with shard.held() as cache:
                 cache.fault_hook = hook
 
-    def set_evict_hook(self, hook: EvictHook | None) -> None:
-        """Install (or remove, with None) the eviction observer shard-wide.
+    @property
+    def evict_hook(self) -> EvictHook | None:
+        """The eviction observer; assigning it (``None`` removes it)
+        installs it in each shard's inner cache under that shard's lock.
 
         The tiered cache installs its spill path here.  The hook fires
         with the evicting shard's lock held, so it may take only locks
         that nest inside ``shard`` in the documented order
-        (``tiered``/``chunklog``), never another shard's lock.
+        (``tiered``/``l2``), never another shard's lock.  Reading it
+        takes no lock, like :attr:`fault_hook`.
         """
+        return self._shards[0].cache.evict_hook
+
+    @evict_hook.setter
+    def evict_hook(self, hook: EvictHook | None) -> None:
         for shard in self._shards:
             with shard.held() as cache:
                 cache.evict_hook = hook

@@ -1,9 +1,9 @@
-"""Persistent, checksummed append-only chunk log (an L2 cache backend).
+"""Persistent, checksummed append-only chunk log (the L2 cache tier).
 
 :class:`ChunkLog` is the durable half of the two-tier chunk cache
-(``docs/TIERING.md``) and the in-tree implementation of the
-:class:`~repro.storage.l2.L2Backend` protocol.  It stores opaque
-``(token, benefit, payload)`` records in an append-only file and
+(``docs/TIERING.md``): the one store of the persistent tier, used
+directly by :class:`~repro.core.tiered.TieredChunkCache`.  It stores
+opaque ``(token, benefit, payload)`` records in an append-only file and
 charges every record read and write through a private
 :class:`~repro.storage.disk.SimulatedDisk`, so L2 traffic lands in the
 same page-accounting currency as the backend's I/O — spills and
@@ -30,11 +30,11 @@ kill leaves at worst one torn tail record.
 
 Because the log is append-only, superseded puts, tombstones, clear
 records and the extents they killed all remain in the file as **dead
-space**.  The log tracks the split exactly (:attr:`ChunkLog.live_pages`
-/ :attr:`ChunkLog.dead_pages`) and :meth:`ChunkLog.compact` reclaims
-it: live records are rewritten verbatim into a sidecar file
-(``<path>.compact``) which atomically replaces the log via
-``os.replace``.  A crash at *any* write boundary leaves either the
+space**.  The log tracks the split exactly (``live_pages`` /
+``dead_pages`` in :meth:`ChunkLog.counters`) and
+:meth:`ChunkLog.compact` reclaims it: live records are rewritten
+verbatim into a sidecar file (``<path>.compact``) which atomically
+replaces the log via ``os.replace``.  A crash at *any* write boundary leaves either the
 complete old file or the complete new file — a partial sidecar is
 removed on the next open, never replayed.
 
@@ -66,15 +66,21 @@ from dataclasses import dataclass
 from typing import Callable
 from zlib import crc32
 
-from repro.exceptions import ChunkLogCorruption, ChunkLogError, DiskFault
+from repro.exceptions import (
+    ChunkLogCorruption,
+    ChunkLogError,
+    DiskFault,
+    InvariantViolation,
+)
 from repro.lockorder import witness
 from repro.storage.disk import DEFAULT_PAGE_SIZE, SimulatedDisk
-from repro.storage.l2 import L2Recovery, L2Stats
 
 __all__ = [
     "CHUNKLOG_MAGIC",
     "CHUNKLOG_VERSION",
     "ChunkLog",
+    "L2Recovery",
+    "L2Stats",
 ]
 
 CHUNKLOG_MAGIC = b"RCLG"
@@ -91,6 +97,53 @@ _RECORD_TYPES = frozenset({_PUT, _TOMBSTONE, _CLEAR})
 
 #: Sidecar suffix compaction rewrites into before the atomic swap.
 COMPACT_SUFFIX = ".compact"
+
+
+@dataclass
+class L2Stats:
+    """Cumulative logical counters of one L2 backend.
+
+    Page counters count *successful* page transfers only, one per
+    accounting-disk page actually charged — so they reconcile exactly
+    with the disk even when a fault hook aborts an operation partway
+    through a multi-page record (see :meth:`ChunkLog.check_conservation`).
+    """
+
+    appends: int = 0
+    append_pages: int = 0
+    reads: int = 0
+    read_pages: int = 0
+    tombstones: int = 0
+    tombstone_pages: int = 0
+    clears: int = 0
+    clear_pages: int = 0
+    scan_records: int = 0
+    scan_pages: int = 0
+    crc_failures: int = 0
+    torn_writes: int = 0
+    compactions: int = 0
+    compact_read_pages: int = 0
+    compact_write_pages: int = 0
+    reclaimed_pages: int = 0
+
+
+@dataclass(frozen=True)
+class L2Recovery:
+    """What a backend found (and discarded) while opening.
+
+    Attributes:
+        records: Well-framed records replayed from durable state.
+        live_entries: Tokens live in the manifest after replay.
+        truncated_bytes: Tail bytes discarded as torn/unframeable
+            (always ``0`` for transactional stores).
+        header_reset: Durable state was unreadable and the backend
+            reset itself to a fresh empty store.
+    """
+
+    records: int = 0
+    live_entries: int = 0
+    truncated_bytes: int = 0
+    header_reset: bool = False
 
 
 @dataclass(frozen=True)
@@ -521,33 +574,14 @@ class ChunkLog:
         with self._lock, witness("l2"):
             return len(self._manifest)
 
-    def tokens(self) -> tuple[str, ...]:
-        """Live tokens in (re-)insertion order — deterministic."""
-        with self._lock, witness("l2"):
-            return tuple(self._manifest)
-
     def scan_keys(self) -> tuple[tuple[str, float, int], ...]:
-        """Live ``(token, benefit, payload_len)`` in insertion order."""
+        """Live ``(token, benefit, payload_len)`` in (re-)insertion
+        order — deterministic."""
         with self._lock, witness("l2"):
             return tuple(
                 (token, extent.benefit, extent.payload_len)
                 for token, extent in self._manifest.items()
             )
-
-    def benefit(self, token: str) -> float:
-        with self._lock, witness("l2"):
-            extent = self._manifest.get(token)
-            if extent is None:
-                raise ChunkLogError(f"token {token!r} is not live in the log")
-            return extent.benefit
-
-    def pages_for(self, token: str) -> int:
-        """Pages one charged read of a live token will cost."""
-        with self._lock, witness("l2"):
-            extent = self._manifest.get(token)
-            if extent is None:
-                raise ChunkLogError(f"token {token!r} is not live in the log")
-            return extent.pages
 
     @property
     def live_bytes(self) -> int:
@@ -555,20 +589,10 @@ class ChunkLog:
         with self._lock, witness("l2"):
             return self._live_bytes
 
-    @property
-    def live_pages(self) -> int:
-        """File pages occupied by live (manifest) records."""
-        with self._lock, witness("l2"):
-            return self._live_pages
-
-    @property
-    def dead_pages(self) -> int:
-        """File pages occupied by superseded/tombstone/clear records."""
-        with self._lock, witness("l2"):
-            return self._total_record_pages - self._live_pages
-
     def counters(self) -> dict[str, int]:
-        """Space gauges the tiered cache surfaces per tier."""
+        """Space gauges the tiered cache surfaces per tier: file pages
+        of live (manifest) records, of superseded / tombstone / clear
+        records, and the compaction totals."""
         with self._lock, witness("l2"):
             return {
                 "live_pages": self._live_pages,
@@ -576,6 +600,49 @@ class ChunkLog:
                 "compactions": self.stats.compactions,
                 "reclaimed_pages": self.stats.reclaimed_pages,
             }
+
+    def check_conservation(self) -> None:
+        """Exact page reconciliation between the log and its disk.
+
+        Spills, promotions, tombstones, restart scans and compactions
+        account for every page, including pages charged by operations a
+        fault later aborted, and the running ``live_bytes`` gauge equals
+        the manifest it summarises::
+
+            disk.writes == append + tombstone + clear + compact_write pages
+            disk.reads  == read + scan + compact_read pages
+            live_bytes  == sum of the live records' payload lengths
+        """
+        with self._lock, witness("l2"):
+            stats = self.stats
+            disk = self.disk.stats
+            written = (
+                stats.append_pages
+                + stats.tombstone_pages
+                + stats.clear_pages
+                + stats.compact_write_pages
+            )
+            if written != disk.writes:
+                raise InvariantViolation(
+                    f"L2 write pages diverged: ops account for {written} "
+                    f"pages, disk counted {disk.writes}"
+                )
+            read = (
+                stats.read_pages + stats.scan_pages + stats.compact_read_pages
+            )
+            if read != disk.reads:
+                raise InvariantViolation(
+                    f"L2 read pages diverged: ops account for {read} pages, "
+                    f"disk counted {disk.reads}"
+                )
+            live = sum(
+                extent.payload_len for extent in self._manifest.values()
+            )
+            if live != self._live_bytes:
+                raise InvariantViolation(
+                    f"L2 live-byte gauge diverged: the manifest holds {live} "
+                    f"payload bytes, the gauge reads {self._live_bytes}"
+                )
 
     # ------------------------------------------------------------------
     # Fault points (the injector sets these; see docs/FAULTS.md)

@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import gc
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -22,7 +23,7 @@ from repro.api import StackConfig, build_cache, build_stack
 from repro.core.chunk import ChunkKey
 from repro.core.tiered import TieredChunkCache, chunk_token
 from repro.exceptions import StackError
-from repro.storage.chunklog import ChunkLog
+from repro.storage.chunklog import CHUNKLOG_MAGIC, ChunkLog
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -64,6 +65,23 @@ class TestRejectedTierConfig:
         with no_unclosed_files(), pytest.raises(StackError, match=name):
             build_cache(config)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "version, page_size, refusal",
+        [(2, 4096, "format v2"), (1, 512, "page_size=512")],
+    )
+    def test_a_log_the_store_refuses_is_a_stack_error(
+        self, tmp_path, version, page_size, refusal
+    ):
+        path = tmp_path / "chunklog.bin"
+        header = struct.pack("<4sHI6x", CHUNKLOG_MAGIC, version, page_size)
+        path.write_bytes(header)
+        config = StackConfig(cache_tiers=2, persist_path=str(path))
+        with no_unclosed_files(), pytest.raises(StackError) as refused:
+            build_cache(config)
+        assert str(path) in str(refused.value)
+        assert refusal in str(refused.value)
+        assert path.read_bytes() == header
 
     def test_failed_warm_start_closes_the_log(self, tmp_path, monkeypatch):
         path = str(tmp_path / "chunklog.bin")

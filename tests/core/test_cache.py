@@ -11,7 +11,10 @@ from repro.core.chunk import (
     ChunkKey,
     entry_size_bytes,
 )
+from repro.core.tiered import TieredChunkCache
 from repro.exceptions import CacheError
+from repro.serve import ShardedChunkCache
+from repro.storage.chunklog import ChunkLog
 
 
 def make_chunk(number=0, rows=4, benefit=1.0, groupby=(1, 1)):
@@ -221,3 +224,32 @@ def test_cache_invariants_under_churn(capacity, ops, policy):
         )
         assert cache.used_bytes == expected
         assert len(cache.policy) == len(cache)
+
+
+#: One factory per chunk store, each over a byte budget.
+STORES = {
+    "plain": ChunkCache,
+    "sharded": lambda capacity: ShardedChunkCache(capacity, num_shards=3),
+    "tiered": lambda capacity: TieredChunkCache(
+        ChunkCache(capacity), ChunkLog(page_size=256)
+    ),
+}
+
+
+@pytest.mark.parametrize("make_store", STORES.values(), ids=list(STORES))
+def test_every_store_takes_its_hooks_as_attributes(make_store):
+    store = make_store(4 * make_chunk().size_bytes)
+    evicted = []
+    store.evict_hook = evicted.append
+    store.fault_hook = lambda entry: ("poison", 0)
+    assert store.put(make_chunk(number=0)) is False
+    assert store.stats.poisoned == 1
+    store.fault_hook = None
+    for number in range(20):
+        assert store.put(make_chunk(number=number)) is True
+    assert 0 < len(evicted) == store.stats.evictions
+    seen = len(evicted)
+    store.evict_hook = None
+    for number in range(20, 40):
+        store.put(make_chunk(number=number))
+    assert store.stats.evictions > seen == len(evicted)

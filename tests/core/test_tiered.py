@@ -12,6 +12,7 @@ from repro.core.cache import ChunkCache
 from repro.core.chunk import CachedChunk, ChunkKey
 from repro.core import tiered as tiered_module
 from repro.core.tiered import (
+    FAILURE_LIMIT,
     TieredChunkCache,
     chunk_token,
     decode_chunk,
@@ -44,14 +45,10 @@ def wedged(page_id):
     raise DiskFault("wedged", page_id=page_id, transient=False)
 
 
-def make_tiered(capacity=1_000, demote_min_benefit=0.0, failure_limit=8):
+def make_tiered(capacity=1_000, demote_min_benefit=0.0):
     l1 = ChunkCache(capacity)
     log = ChunkLog(page_size=PAGE)
-    return TieredChunkCache(
-        l1, log,
-        demote_min_benefit=demote_min_benefit,
-        failure_limit=failure_limit,
-    )
+    return TieredChunkCache(l1, log, demote_min_benefit=demote_min_benefit)
 
 
 class TestTokenCodec:
@@ -291,8 +288,6 @@ class TestDemotionThreshold:
             assert (l2["spills"], l2["spill_skipped"]) == (0, 1)
 
     def test_negative_threshold_rejected(self):
-        from repro.exceptions import CacheError
-
         with pytest.raises(CacheError):
             make_tiered(demote_min_benefit=-1.0)
 
@@ -385,12 +380,6 @@ class TestInvalidateAndClear:
 
 
 class TestStoreSurfaces:
-    def test_failure_limit_validated(self):
-        with pytest.raises(CacheError):
-            TieredChunkCache(
-                ChunkCache(100), ChunkLog(page_size=PAGE), failure_limit=0
-            )
-
     def test_capacity_is_the_l1_budget(self):
         assert make_tiered(capacity=4_096).capacity_bytes == 4_096
 
@@ -443,13 +432,48 @@ class TestStoreSurfaces:
         assert l2["budget_skipped"] == 0
         tiered.check_conservation()
 
+    def test_budget_evicts_lowest_benefit_first(self):
+        size = len(encode_chunk(make_chunk(number=0, benefit=5.0)))
+        tiered = TieredChunkCache(
+            ChunkCache(make_chunk().size_bytes),
+            ChunkLog(page_size=PAGE),
+            l2_budget_bytes=2 * size,
+        )
+        chunks = [
+            make_chunk(number=n, benefit=benefit, fill=n)
+            for n, benefit in enumerate([5.0, 1.0, 3.0, 4.0])
+        ]
+        for chunk in chunks:  # 1-chunk L1: each put spills its elder
+            tiered.put(chunk)
+        # Spilled in order: benefits 5.0, 1.0, then 3.0 — which needs
+        # room, so the lowest-benefit resident (1.0) is evicted.
+        assert chunk_token(chunks[0].key) in tiered.log
+        assert chunk_token(chunks[1].key) not in tiered.log
+        assert chunk_token(chunks[2].key) in tiered.log
+        assert tiered.tiers()["l2"]["evictions"] == 1
+        assert tiered.log.live_bytes <= 2 * size
+        tiered.check_conservation()
+
+    def test_oversized_record_is_skipped_not_wedged(self):
+        size = len(encode_chunk(make_chunk(number=0)))
+        tiered = TieredChunkCache(
+            ChunkCache(make_chunk().size_bytes),
+            ChunkLog(page_size=PAGE),
+            l2_budget_bytes=size - 1,
+        )
+        tiered.put(make_chunk(number=0, fill=0))
+        tiered.put(make_chunk(number=1, fill=1))  # spill cannot ever fit
+        l2 = tiered.tiers()["l2"]
+        assert (l2["budget_skipped"], l2["evictions"]) == (1, 0)
+        assert len(tiered.log) == 0
+        tiered.check_conservation()
+
     def test_budget_eviction_survives_a_faulted_tombstone(self):
         size = len(encode_chunk(make_chunk()))
         tiered = TieredChunkCache(
             ChunkCache(make_chunk().size_bytes),
             ChunkLog(page_size=PAGE),
             l2_budget_bytes=size,
-            failure_limit=8,
         )
         first, second = make_chunk(number=0), make_chunk(number=1, fill=1)
         tiered.put(first)
@@ -471,13 +495,12 @@ class TestStoreSurfaces:
         assert "not-json" not in log
 
     def test_degraded_tier_hides_l2_keys(self):
-        tiered = make_tiered(
-            capacity=make_chunk().size_bytes, failure_limit=1
-        )
+        tiered = make_tiered(capacity=make_chunk().size_bytes)
         tiered.put(make_chunk(number=0))
         tiered.put(make_chunk(number=1))  # 0 spilled cleanly
         tiered.log.disk.write_hook = wedged
-        tiered.put(make_chunk(number=2))  # faulted spill degrades the tier
+        for n in range(2, 2 + FAILURE_LIMIT):
+            tiered.put(make_chunk(number=n))  # each spill faults
         tiered.log.disk.write_hook = None
         assert tiered.tiers()["l2"]["degraded"] is True
         # The spilled key survives in the log but is invisible now.
@@ -502,9 +525,7 @@ class TestDegrade:
         assert len(tiered.log) == 0  # dropped from the manifest
 
     def test_failure_streak_disables_l2(self):
-        tiered = make_tiered(
-            capacity=make_chunk().size_bytes, failure_limit=2
-        )
+        tiered = make_tiered(capacity=make_chunk().size_bytes)
         tiered.put(make_chunk(number=0))
         tiered.put(make_chunk(number=1))  # 0 spilled
         key = make_chunk(number=0).key
@@ -513,13 +534,14 @@ class TestDegrade:
             raise DiskFault("dead", page_id=page_id, transient=False)
 
         tiered.log.disk.read_hook = hook
-        assert tiered.get(key) is None
+        for _strike in range(FAILURE_LIMIT - 1):
+            assert tiered.get(key) is None
         assert tiered.tiers()["l2"]["degraded"] is False
-        assert tiered.get(key) is None  # second strike
+        assert tiered.get(key) is None  # the last strike
         tiered.log.disk.read_hook = None
         l2 = tiered.tiers()["l2"]
         assert l2["degraded"] is True
-        assert l2["promote_faults"] == 2
+        assert l2["promote_faults"] == FAILURE_LIMIT
         # Degraded tier is invisible: membership and lookups are L1-only.
         assert key not in tiered
         assert tiered.get(key) is None
@@ -671,7 +693,9 @@ class TestBudgetReopen:
             ChunkCache(1 << 20), log, l2_budget_bytes=sizes[0] + sizes[2]
         )
         tiered.reopen()
-        assert log.tokens() == (chunk_token(make_chunk(number=0).key),)
+        assert [token for token, _, _ in log.scan_keys()] == [
+            chunk_token(make_chunk(number=0).key)
+        ]
         assert tiered.tiers()["l2"]["evictions"] == 2
         tiered.check_conservation()
 

@@ -194,10 +194,10 @@ class TestCachePutHook:
     def test_sharded_cache_distributes_hook(self):
         store = ShardedChunkCache(1_000_000, num_shards=4)
         injector = injector_for(FaultSpec(CACHE_POISON, 1.0))
-        store.set_fault_hook(injector.cache_put)
+        store.fault_hook = injector.cache_put
         assert store.put(make_chunk()) is False
         assert store.stats.poisoned == 1
-        store.set_fault_hook(None)
+        store.fault_hook = None
         assert store.put(make_chunk()) is True
         store.check_conservation()
 

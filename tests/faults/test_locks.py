@@ -105,10 +105,10 @@ class TestShardLock:
     def test_shard_lock_released_after_hook_error(self):
         store = ShardedChunkCache(1_000_000, num_shards=2)
         store.put(make_chunk(number=0))
-        store.set_fault_hook(lambda entry: ("bogus", 0))
+        store.fault_hook = lambda entry: ("bogus", 0)
         with pytest.raises(CacheError, match="unknown cache fault"):
             store.put(make_chunk(number=1))
-        store.set_fault_hook(None)
+        store.fault_hook = None
 
         # The shard lock the failing put held is free again: another
         # thread gets and puts through the same shard set.
@@ -124,11 +124,11 @@ class TestShardLock:
         store = ShardedChunkCache(1_000_000, num_shards=4)
         for number in range(8):
             store.put(make_chunk(number=number))
-        store.set_fault_hook(lambda entry: ("bogus", 0))
+        store.fault_hook = lambda entry: ("bogus", 0)
         for number in range(8, 12):
             with pytest.raises(CacheError):
                 store.put(make_chunk(number=number))
-        store.set_fault_hook(None)
+        store.fault_hook = None
         # The failed puts changed nothing and corrupted nothing.
         assert len(store) == 8
         store.check_conservation()

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.cache import ChunkCache
-from repro.core.tiered import TieredChunkCache, chunk_token
+from repro.core.tiered import FAILURE_LIMIT, TieredChunkCache, chunk_token
 from repro.experiments.configs import SMOKE_SCALE
 from repro.experiments.jobs import cache_config, run_chaos_job
 from repro.faults import (
@@ -82,13 +82,14 @@ class TestSpillWriteFaults:
         tiered.check_conservation()
 
     def test_spill_faults_eventually_degrade_the_tier(self):
-        tiered = make_tiered(make_chunk().size_bytes, failure_limit=3)
+        tiered = make_tiered(make_chunk().size_bytes)
         injector = injector_for(FaultSpec(SPILL_WRITE, 1.0))
         with activate_on(injector, tiered):
-            force_spill(tiered, numbers=range(5))
+            force_spill(tiered, numbers=range(FAILURE_LIMIT + 2))
         l2 = tiered.tiers()["l2"]
         assert l2["degraded"] is True
-        assert l2["spill_faults"] == 3  # strikes stop once disabled
+        # Strikes stop once disabled.
+        assert l2["spill_faults"] == FAILURE_LIMIT
 
 
 class TestPromoteReadFaults:

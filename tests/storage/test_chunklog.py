@@ -5,8 +5,12 @@ import struct
 import pytest
 
 from repro.exceptions import ChunkLogCorruption, ChunkLogError, DiskFault
-from repro.storage.chunklog import CHUNKLOG_MAGIC, CHUNKLOG_VERSION, ChunkLog
-from repro.storage.l2 import L2Recovery
+from repro.storage.chunklog import (
+    CHUNKLOG_MAGIC,
+    CHUNKLOG_VERSION,
+    ChunkLog,
+    L2Recovery,
+)
 
 PAGE = 256
 
@@ -26,14 +30,24 @@ def make_log():
         log.close()
 
 
+def tokens(log):
+    """Live tokens in (re-)insertion order."""
+    return [token for token, _benefit, _size in log.scan_keys()]
+
+
+def space(log):
+    """``(live_pages, dead_pages)`` of a log."""
+    counters = log.counters()
+    return counters["live_pages"], counters["dead_pages"]
+
+
 class TestChunkLogBasics:
     def test_append_read_roundtrip(self, make_log):
         log = make_log()
         pages = log.put("a", b"payload-a", 3.5)
         assert pages >= 1
         assert log.get("a") == b"payload-a"
-        assert log.benefit("a") == 3.5
-        assert log.pages_for("a") == pages
+        assert log.scan_keys() == (("a", 3.5, 9),)
         assert "a" in log
         assert len(log) == 1
 
@@ -42,8 +56,7 @@ class TestChunkLogBasics:
         log.put("a", b"old", 1.0)
         log.put("a", b"new", 2.0)
         assert log.get("a") == b"new"
-        assert log.benefit("a") == 2.0
-        assert len(log) == 1
+        assert log.scan_keys() == (("a", 2.0, 3),)
 
     def test_empty_token_rejected(self, make_log):
         log = make_log()
@@ -55,9 +68,7 @@ class TestChunkLogBasics:
         with pytest.raises(ChunkLogError):
             log.get("ghost")
         with pytest.raises(ChunkLogError):
-            log.benefit("ghost")
-        with pytest.raises(ChunkLogError):
-            log.pages_for("ghost")
+            log.peek("ghost")
 
     def test_delete_tombstones(self, make_log):
         log = make_log()
@@ -89,9 +100,18 @@ class TestChunkLogBasics:
         log.put("b", b"1", 1.0)
         log.put("a", b"22", 2.0)
         log.put("b", b"333", 3.0)  # re-insert moves b last
-        assert log.tokens() == ("a", "b")
         assert log.scan_keys() == (("a", 2.0, 2), ("b", 3.0, 3))
         assert log.live_bytes == 5
+
+    def test_a_held_payload_outlives_later_writes(self, make_log):
+        log = make_log()
+        log.put("a", b"payload", 1.0)
+        held = [log.get("a"), log.peek("a")]
+        log.put("a", b"superseded", 1.0)  # a pinned buffer would raise
+        log.clear()
+        for payload in held:
+            assert bytes(payload) == b"payload"
+            assert payload.readonly
 
     def test_close_is_idempotent_and_blocks_writes(self, make_log):
         log = make_log()
@@ -114,6 +134,7 @@ class TestChunkLogBasics:
     def test_in_memory_log_has_no_recovery(self, make_log):
         log = make_log()
         assert log.recovery == L2Recovery()
+        assert len(log) == 0
 
 
 class TestChunkLogAccounting:
@@ -123,17 +144,19 @@ class TestChunkLogAccounting:
         log.put("b", b"y", 2.0)
         log.get("a")
         log.delete("b")
+        log.put("a", b"x" * 2, 3.0)
         log.clear()
         stats = log.stats
         assert log.disk.stats.writes == (
             stats.append_pages + stats.tombstone_pages + stats.clear_pages
         )
         assert log.disk.stats.reads == stats.read_pages + stats.scan_pages
+        log.check_conservation()
 
     def test_multi_page_record_charges_ceil(self, make_log):
         log = make_log()
         pages = log.put("a", b"x" * (PAGE + 1), 1.0)
-        assert pages == log.pages_for("a")
+        assert pages == log.counters()["live_pages"]
         assert pages >= 2
 
     def test_peek_is_uncharged(self, make_log):
@@ -167,6 +190,10 @@ class TestChunkLogAccounting:
             stats.append_pages + stats.tombstone_pages + stats.clear_pages
         )
         assert stats.appends == 1  # only the pre-fault record completed
+        log.check_conservation()
+        # The log is fully usable afterwards.
+        log.put("a", b"x" * (3 * PAGE), 2.0)
+        assert log.get("a") == b"x" * (3 * PAGE)
 
     def test_faulted_read_charges_partial_pages_only(self, make_log):
         log = make_log()
@@ -226,9 +253,8 @@ class TestRestartRecovery:
         assert reopened.recovery.records == 3
         assert reopened.recovery.live_entries == 1
         assert reopened.recovery.truncated_bytes == 0
-        assert reopened.tokens() == ("b",)
+        assert reopened.scan_keys() == (("b", 2.5, 20),)
         assert reopened.get("b") == b"y" * 20
-        assert reopened.benefit("b") == 2.5
         # The scan charged one read per record page; the read("b")
         # above added its own pages on top.
         assert reopened.stats.scan_records == 3
@@ -244,7 +270,17 @@ class TestRestartRecovery:
         log.put("b", b"y", 2.0)
         log.close()
         reopened = make_log(path)
-        assert reopened.tokens() == ("b",)
+        assert tokens(reopened) == ["b"]
+
+    def test_reopen_revives_a_closed_log(self, make_log):
+        log = make_log()
+        log.put("a", b"x", 1.0)
+        log.close()
+        recovery = log.reopen()
+        assert recovery.live_entries == 1
+        assert log.get("a") == b"x"
+        log.put("b", b"y", 2.0)
+        assert len(log) == 2
 
     def test_truncated_tail_is_cut(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
@@ -259,13 +295,13 @@ class TestRestartRecovery:
         reopened = make_log(path)
         assert reopened.recovery.truncated_bytes > 0
         assert reopened.recovery.header_reset is False
-        assert reopened.tokens() == ("a",)
+        assert tokens(reopened) == ["a"]
         assert reopened.get("a") == b"x" * 10
         # The cut is durable: the next open sees a clean log.
         reopened.close()
         again = make_log(path)
         assert again.recovery.truncated_bytes == 0
-        assert again.tokens() == ("a",)
+        assert tokens(again) == ["a"]
 
     def test_corrupt_header_resets_to_fresh_log(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
@@ -276,7 +312,7 @@ class TestRestartRecovery:
         assert len(log) == 0
         log.put("a", b"x", 1.0)
         log.close()
-        assert make_log(path).tokens() == ("a",)
+        assert tokens(make_log(path)) == ["a"]
 
     def test_short_file_resets(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
@@ -295,7 +331,7 @@ class TestRestartRecovery:
             handle.write(b"\xff" * 64)
         reopened = make_log(path)
         assert reopened.recovery.truncated_bytes == 64
-        assert reopened.tokens() == ("a",)
+        assert tokens(reopened) == ["a"]
 
     def test_non_utf8_token_bytes_cut_tail(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
@@ -309,7 +345,7 @@ class TestRestartRecovery:
             handle.write(bogus)
         reopened = make_log(path)
         assert reopened.recovery.truncated_bytes == len(bogus)
-        assert reopened.tokens() == ("a",)
+        assert tokens(reopened) == ["a"]
 
     def test_newer_version_refused(self, make_log, tmp_path):
         path = str(tmp_path / "log.bin")
@@ -331,33 +367,33 @@ class TestRestartRecovery:
 class TestSpaceCounters:
     def test_supersede_and_tombstone_grow_dead_pages(self, make_log):
         log = make_log()
-        assert (log.live_pages, log.dead_pages) == (0, 0)
+        assert space(log) == (0, 0)
         first = log.put("a", b"x" * PAGE, 1.0)
-        assert log.live_pages == first
-        assert log.dead_pages == 0
+        assert space(log) == (first, 0)
         second = log.put("a", b"y" * 4, 2.0)  # supersedes the old record
-        assert log.live_pages == second
-        assert log.dead_pages == first
+        assert space(log) == (second, first)
         log.delete("a")  # the record and its tombstone are both dead
-        assert log.live_pages == 0
-        assert log.dead_pages == (
-            first + second + log.stats.tombstone_pages
+        assert space(log) == (
+            0, first + second + log.stats.tombstone_pages
         )
-        counters = log.counters()
-        assert counters["live_pages"] == log.live_pages
-        assert counters["dead_pages"] == log.dead_pages
 
     def test_compact_resets_dead_space_and_reports_reclaimed(self, make_log):
         log = make_log()
         log.put("a", b"x" * PAGE, 1.0)
         log.put("a", b"y" * 4, 2.0)
-        dead = log.dead_pages
+        _live, dead = space(log)
         assert dead > 0
         assert log.compact() == dead
-        assert log.dead_pages == 0
+        assert space(log)[1] == 0
         assert log.counters()["compactions"] == 1
         assert log.counters()["reclaimed_pages"] == dead
         assert log.get("a") == b"y" * 4
+        log.check_conservation()
+
+    def test_compact_on_empty_log_is_a_noop(self, make_log):
+        log = make_log()
+        assert log.compact() == 0
+        assert set(log.counters().values()) == {0}
 
     def test_space_gauges_are_recomputed_from_durable_bytes(
         self, make_log, tmp_path
@@ -366,13 +402,22 @@ class TestSpaceCounters:
         log = make_log(path)
         log.put("a", b"x" * PAGE, 1.0)
         log.put("a", b"y" * 4, 2.0)
-        gauges = (log.live_pages, log.dead_pages)
+        gauges = space(log)
         log.close()
-        reopened = make_log(path)
-        assert (reopened.live_pages, reopened.dead_pages) == gauges
+        assert space(make_log(path)) == gauges
 
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/golden/chunklog_v1.bin"
+
+#: The v1 record frame, stated independently of the log: type u8 +
+#: token_len u16 + payload_len u32 + benefit f64 + crc32 u32.  A record
+#: charges ``ceil((frame + token + payload) / page_size)`` pages.
+FRAME_BYTES = 19
+
+
+def framed_pages(token, payload):
+    length = FRAME_BYTES + len(token.encode("utf-8")) + len(payload)
+    return max(1, -(-length // PAGE))
 
 
 def write_golden_sequence(path):
@@ -410,10 +455,18 @@ class TestGoldenFormat:
             dst.write(src.read())
         log = make_log(path)
         assert log.recovery.records == 5
-        assert log.tokens() == ("alpha", "gamma")
+        assert log.scan_keys() == (("alpha", 3.0, 8), ("gamma", 0.5, 16))
         assert log.get("alpha") == b"alpha-v2"
-        assert log.benefit("alpha") == 3.0
         assert log.get("gamma") == b"\x00\xff" * 8
+
+    def test_pages_charged_match_the_canonical_framing(self, make_log):
+        log = make_log()
+        shapes = [("t", b""), ("tok", b"x" * 40),
+                  ("long-token", b"y" * PAGE), ("z", b"z" * (3 * PAGE + 1))]
+        for token, payload in shapes:
+            assert log.put(token, payload, 1.0) == framed_pages(
+                token, payload
+            ), (token, len(payload))
 
     def test_version_bump_refuses_golden_reinterpretation(
         self, make_log, tmp_path

@@ -14,13 +14,13 @@ at every write boundary" is a universal claim, not a sampled one.
 
 import os
 import tempfile
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ChunkLogCorruption, DiskFault
 from repro.storage.chunklog import COMPACT_SUFFIX, ChunkLog
-from repro.storage.l2 import check_l2_conservation
 
 PAGE = 256
 
@@ -44,7 +44,7 @@ def apply_ops(log, ops):
 
 
 def live_set(log):
-    return {token: log.peek(token) for token in log.tokens()}
+    return {token: log.peek(token) for token, _, _ in log.scan_keys()}
 
 
 def fault_on_nth_write(n):
@@ -67,68 +67,68 @@ class TestCompactionCrashPoints:
     def test_abort_at_every_record_index_recovers_the_live_set(self, ops):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "log.bin")
-            log = ChunkLog(path, page_size=PAGE)
-            apply_ops(log, ops)
-            expected = live_set(log)
-            # Kill the compaction at record 0, then 1, ... until it
-            # finally runs to completion: every abort must leave the
-            # log byte-identical and reconciled.
-            index = 0
-            while True:
-                log.compact_hook = lambda i, k=index: i == k
-                try:
-                    reclaimed = log.compact()
-                except DiskFault:
-                    log.compact_hook = None
-                    assert not os.path.exists(path + COMPACT_SUFFIX)
-                    assert live_set(log) == expected
-                    check_l2_conservation(log)
-                    # The durable state is untouched too: a restart
-                    # recovers the same live set.
-                    log.reopen()
-                    assert live_set(log) == expected
-                    check_l2_conservation(log)
-                    index += 1
-                    continue
-                break
-            log.compact_hook = None
-            assert log.counters()["dead_pages"] == 0
-            if reclaimed > 0:
-                assert log.stats.compactions == 1
-            assert live_set(log) == expected
-            check_l2_conservation(log)
-            # The compacted file is itself a valid, complete log.
-            log.reopen()
-            assert live_set(log) == expected
-            check_l2_conservation(log)
+            with closing(ChunkLog(path, page_size=PAGE)) as log:
+                apply_ops(log, ops)
+                expected = live_set(log)
+                # Kill the compaction at record 0, then 1, ... until it
+                # finally runs to completion: every abort must leave the
+                # log byte-identical and reconciled.
+                index = 0
+                while True:
+                    log.compact_hook = lambda i, k=index: i == k
+                    try:
+                        reclaimed = log.compact()
+                    except DiskFault:
+                        log.compact_hook = None
+                        assert not os.path.exists(path + COMPACT_SUFFIX)
+                        assert live_set(log) == expected
+                        log.check_conservation()
+                        # The durable state is untouched too: a restart
+                        # recovers the same live set.
+                        log.reopen()
+                        assert live_set(log) == expected
+                        log.check_conservation()
+                        index += 1
+                        continue
+                    break
+                log.compact_hook = None
+                assert log.counters()["dead_pages"] == 0
+                if reclaimed > 0:
+                    assert log.stats.compactions == 1
+                assert live_set(log) == expected
+                log.check_conservation()
+                # The compacted file is itself a valid, complete log.
+                log.reopen()
+                assert live_set(log) == expected
+                log.check_conservation()
 
     @settings(max_examples=25, deadline=None)
     @given(ops=ops_strategy)
     def test_fault_at_every_compact_write_page_recovers(self, ops):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "log.bin")
-            log = ChunkLog(path, page_size=PAGE)
-            apply_ops(log, ops)
-            expected = live_set(log)
-            page = 0
-            while True:
-                log.write_hook = fault_on_nth_write(page)
-                try:
-                    log.compact()
-                except DiskFault:
-                    log.write_hook = None
-                    assert not os.path.exists(path + COMPACT_SUFFIX)
-                    assert live_set(log) == expected
-                    check_l2_conservation(log)
-                    log.reopen()
-                    assert live_set(log) == expected
-                    page += 1
-                    continue
-                break
-            log.write_hook = None
-            assert log.counters()["dead_pages"] == 0
-            assert live_set(log) == expected
-            check_l2_conservation(log)
+            with closing(ChunkLog(path, page_size=PAGE)) as log:
+                apply_ops(log, ops)
+                expected = live_set(log)
+                page = 0
+                while True:
+                    log.write_hook = fault_on_nth_write(page)
+                    try:
+                        log.compact()
+                    except DiskFault:
+                        log.write_hook = None
+                        assert not os.path.exists(path + COMPACT_SUFFIX)
+                        assert live_set(log) == expected
+                        log.check_conservation()
+                        log.reopen()
+                        assert live_set(log) == expected
+                        page += 1
+                        continue
+                    break
+                log.write_hook = None
+                assert log.counters()["dead_pages"] == 0
+                assert live_set(log) == expected
+                log.check_conservation()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -138,26 +138,26 @@ class TestCompactionCrashPoints:
     def test_fault_at_every_append_page_recovers(self, ops, pages):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "log.bin")
-            log = ChunkLog(path, page_size=PAGE)
-            apply_ops(log, ops)
-            expected = live_set(log)
-            payload = b"\xab" * (pages * PAGE - 64)
-            for page in range(pages):
-                log.write_hook = fault_on_nth_write(page)
-                with pytest.raises(DiskFault):
-                    log.put("victim", payload, 9.0)
-                log.write_hook = None
-                assert "victim" not in log
-                assert live_set(log) == expected
-                check_l2_conservation(log)
-                # A crash here recovers the pre-put live set exactly.
-                log.reopen()
-                assert live_set(log) == expected
-                check_l2_conservation(log)
-            # With the fault gone the same put lands cleanly.
-            log.put("victim", payload, 9.0)
-            assert log.peek("victim") == payload
-            check_l2_conservation(log)
+            with closing(ChunkLog(path, page_size=PAGE)) as log:
+                apply_ops(log, ops)
+                expected = live_set(log)
+                payload = b"\xab" * (pages * PAGE - 64)
+                for page in range(pages):
+                    log.write_hook = fault_on_nth_write(page)
+                    with pytest.raises(DiskFault):
+                        log.put("victim", payload, 9.0)
+                    log.write_hook = None
+                    assert "victim" not in log
+                    assert live_set(log) == expected
+                    log.check_conservation()
+                    # A crash here recovers the pre-put live set exactly.
+                    log.reopen()
+                    assert live_set(log) == expected
+                    log.check_conservation()
+                # With the fault gone the same put lands cleanly.
+                log.put("victim", payload, 9.0)
+                assert log.peek("victim") == payload
+                log.check_conservation()
 
 
 class TestCompactionCrashArtifacts:
@@ -172,10 +172,9 @@ class TestCompactionCrashArtifacts:
         log.close()
         with open(path + COMPACT_SUFFIX, "wb") as handle:
             handle.write(b"RCLG\x01\x00")  # torn mid-header
-        reopened = ChunkLog(path, page_size=PAGE)
-        assert not os.path.exists(path + COMPACT_SUFFIX)
-        assert reopened.tokens() == ("a", "b")
-        assert reopened.peek("a") == b"x" * 10
+        with closing(ChunkLog(path, page_size=PAGE)) as reopened:
+            assert not os.path.exists(path + COMPACT_SUFFIX)
+            assert live_set(reopened) == {"a": b"x" * 10, "b": b"y" * 10}
 
     def test_torn_record_stays_torn_through_compaction(self, tmp_path):
         # Compaction copies records verbatim: a torn-but-framed record
@@ -192,11 +191,11 @@ class TestCompactionCrashArtifacts:
         with pytest.raises(ChunkLogCorruption):
             log.get("torn")
         log.close()
-        reopened = ChunkLog(path, page_size=PAGE)
-        assert "torn" in reopened
-        with pytest.raises(ChunkLogCorruption):
-            reopened.get("torn")
-        assert reopened.peek("stale") == b"new"
+        with closing(ChunkLog(path, page_size=PAGE)) as reopened:
+            assert "torn" in reopened
+            with pytest.raises(ChunkLogCorruption):
+                reopened.get("torn")
+            assert reopened.peek("stale") == b"new"
 
     def test_in_memory_log_compacts_without_a_sidecar(self):
         log = ChunkLog(page_size=PAGE)
@@ -207,4 +206,4 @@ class TestCompactionCrashArtifacts:
         assert log.peek("a") == b"y" * 4
         log.reopen()
         assert log.peek("a") == b"y" * 4
-        check_l2_conservation(log)
+        log.check_conservation()

@@ -2,6 +2,7 @@
 
 import json
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,23 @@ class TestSoakCommand:
         err = capsys.readouterr().err
         assert "--workers needs a number, got 'x'" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "version, page_size, refusal",
+        [(2, 4096, "format v2"), (1, 512, "page_size=512")],
+    )
+    def test_a_persist_file_the_log_refuses_exits_2(
+        self, capsys, tmp_path, version, page_size, refusal
+    ):
+        path = tmp_path / "chunklog.bin"
+        header = struct.pack("<4sHI6x", b"RCLG", version, page_size)
+        path.write_bytes(header)
+        argv = ["soak", "--smoke", "--tiers", "2", "--persist", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("soak: ") and refusal in err and str(path) in err
+        assert len(err.splitlines()) == 1
+        assert path.read_bytes() == header
 
     @pytest.mark.parametrize("command", ["soak", "front"])
     def test_exec_flag_is_gone(self, capsys, command):

@@ -3,9 +3,20 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
+from pathlib import Path
 
-from tools.reprolint.callgraph import CallGraph, FuncRef, SymbolTable
+from tools.reprolint.callgraph import (
+    HOOK_BINDINGS,
+    CallGraph,
+    FuncRef,
+    SymbolTable,
+)
+from tools.reprolint.engine import run_lint
 from tools.reprolint.facts import extract_facts
+from tools.reprolint.project import Project
+
+REPO = Path(__file__).resolve().parents[2]
 
 A_PY = (
     "class Cache:\n"
@@ -109,3 +120,18 @@ class TestCallGraph:
         ref, _ = _func(symbols, "src/repro/a.py", "Cache.lookup")
         closure = graph.transitive_closure([ref])
         assert FuncRef("src/repro/a.py", "helper") in closure
+
+
+
+def test_every_hook_binding_names_one_definition_in_src():
+    # A binding that outlived its method would bind to nothing without
+    # a word; one whose name two classes define would bind twice.
+    symbols = Project(run_lint([REPO / "src"]).files).symbols
+    defined = Counter(
+        tuple(ref.qualname.split(".")) for ref in symbols.functions
+    )
+    targets = [pair for bound in HOOK_BINDINGS.values() for pair in bound]
+    assert targets
+    assert {pair: defined[pair] for pair in targets} == {
+        pair: 1 for pair in targets
+    }

@@ -76,22 +76,30 @@ AMBIGUOUS_METHOD_NAMES = frozenset(
 #:   spill path acquires the ``tiered`` and ``l2`` locks (the whole
 #:   point of deriving the shard → tiered → l2 order);
 #: - ``self.log.<m>`` in the tiered cache denotes its owned
-#:   :class:`~repro.storage.l2.L2Backend` — the :class:`ChunkLog` —
-#:   but several of the method names (``put``, ``get``, ``clear``,
-#:   ``close``) are in :data:`AMBIGUOUS_METHOD_NAMES` (resolve to
-#:   nothing) or collide with the sharded store's methods (resolve to
-#:   a *false* ``tiered -> shard`` edge, i.e. a fabricated cycle).
+#:   :class:`ChunkLog`, but several of the method names (``put``,
+#:   ``get``, ``clear``, ``close``) are in :data:`AMBIGUOUS_METHOD_NAMES`
+#:   (resolve to nothing) or collide with the sharded store's methods
+#:   (resolve to a *false* ``tiered -> shard`` edge, i.e. a fabricated
+#:   cycle);
+#: - ``self.fault_hook(...)`` (``BackendEngine``, ``ChunkCache``) is a
+#:   stored callable too, and the chunk stores' ``fault_hook``
+#:   properties share its name.  A call never runs a property setter,
+#:   so it binds to nothing: what is installed there is the fault
+#:   injector's, outside the derived lock order.
 #:
-#: R009's DECLARED_EDGES covers the hops the callgraph still cannot
-#: see (hook *installation* sites).
+#: Every target must name exactly one method defined in ``src/``
+#: (``tests/tools/test_callgraph.py`` checks it), so a binding cannot
+#: outlive the method it binds.  R009's DECLARED_EDGES covers the hops
+#: the callgraph still cannot see.
 HOOK_BINDINGS: Mapping[str, tuple[tuple[str, str], ...]] = {
     "self.evict_hook": (("TieredChunkCache", "_on_evict"),),
+    "self.fault_hook": (),
     **{
         f"self.log.{method}": (("ChunkLog", method),)
         for method in (
             "put", "get", "peek", "delete", "drop", "clear",
-            "scan_keys", "tokens", "counters", "compact", "close",
-            "reopen", "benefit", "pages_for",
+            "scan_keys", "counters", "check_conservation", "compact",
+            "close", "reopen",
         )
     },
 }

@@ -108,9 +108,10 @@ DECLARED_EDGES: tuple[DeclaredEdge, ...] = (
         "shard",
         "tiered",
         "the tiered cache installs _on_evict as the L1 evict_hook; the "
-        "hook fires inside CacheShard.held() but the installation is a "
-        "set_evict_hook() call the callgraph cannot trace to the "
-        "ChunkCache._evict_one call site",
+        "hook fires inside CacheShard.held(), but only through the "
+        "shard's cache.put() — an ambiguous name the callgraph leaves "
+        "unresolved — so the ChunkCache._evict_one call site is never "
+        "reached from the shard's critical section",
     ),
     DeclaredEdge(
         "shard",
