@@ -22,8 +22,8 @@ measured simulated times (including buffer-pool effects) are recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 from repro.exceptions import ExperimentError
 
@@ -34,8 +34,7 @@ if TYPE_CHECKING:
 __all__ = ["QueryRecord", "StreamMetrics", "account_answer"]
 
 
-@dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(NamedTuple):
     """Outcome of one query through a cache manager.
 
     Attributes:
@@ -89,15 +88,19 @@ def account_answer(
     """
     time = cost_model.time(report, tuples_from_cache=tuples_from_cache)
     return QueryRecord(
-        time=time,
-        full_cost=full_cost,
-        saved_cost=saved_cost,
-        chunks_total=chunks_total,
-        chunks_hit=chunks_hit,
-        chunks_derived=chunks_derived,
-        pages_read=report.pages_read,
-        result_rows=result_rows,
+        time,
+        full_cost,
+        saved_cost,
+        chunks_total,
+        chunks_hit,
+        chunks_derived,
+        report.pages_read,
+        result_rows,
     )
+
+
+#: A stored record's field positions, by name.
+_AT = {name: at for at, name in enumerate(QueryRecord._fields)}
 
 
 class StreamMetrics:
@@ -109,19 +112,39 @@ class StreamMetrics:
     per-resolver totals with :mod:`repro.pipeline.trace`'s aggregators.
     That module is imported where it is used, not at the top: the
     pipeline package imports this one for :class:`QueryRecord`.
+
+    History is kept in three lists of flat, exact tuples of numbers and
+    strings: one per record (its fields), one per stage (its fields; a
+    trace's stages are consecutive), and one per trace (its stage count,
+    its three totals, then its attribution as resolver, partitions,
+    resolver, partitions, ...).  CPython stops tracking such a tuple at
+    the first garbage collection that sees it, so a long stream leaves
+    the cyclic collector nothing to walk — a tuple holding tuples would
+    stay tracked until a collection of its own generation.
+    :attr:`records` and :attr:`traces` rebuild the objects on demand.
     """
 
     def __init__(self) -> None:
-        self._records: list[QueryRecord] = []
-        self._traces: list[Any] = []
+        self._records: list[tuple[Any, ...]] = []
+        self._stages: list[tuple[Any, ...]] = []
+        self._traces: list[tuple[Any, ...]] = []
 
     def record(self, record: QueryRecord, trace: Any = None) -> None:
         """Append one query outcome (and its execution trace, if any)."""
-        if record.full_cost < 0 or record.time < 0:
+        # Written so that a NaN cost fails too.
+        if not (record.full_cost >= 0.0 and record.time >= 0.0):
             raise ExperimentError("costs must be non-negative")
-        self._records.append(record)
+        self._records.append(tuple(record))
         if trace is not None:
-            self._traces.append(trace)
+            stages = trace.stages
+            self._stages.extend(map(tuple, stages))
+            self._traces.append((
+                len(stages),
+                trace.partitions_total,
+                trace.backend_pages,
+                trace.modelled_time,
+                *chain.from_iterable(trace.resolved_by.items()),
+            ))
 
     def absorb(self, other: "StreamMetrics") -> None:
         """Append another stream's records and traces, preserving order.
@@ -134,6 +157,7 @@ class StreamMetrics:
         sequential interleaved run's totals exactly.
         """
         self._records.extend(other._records)
+        self._stages.extend(other._stages)
         self._traces.extend(other._traces)
 
     def __len__(self) -> int:
@@ -142,7 +166,17 @@ class StreamMetrics:
     @property
     def records(self) -> Sequence[QueryRecord]:
         """All records in arrival order."""
-        return tuple(self._records)
+        return tuple(map(QueryRecord._make, self._records))
+
+    def _column(
+        self, field: str, records: Sequence[tuple[Any, ...]] | None = None
+    ) -> Iterator[Any]:
+        """One record field over ``records`` (default: the stream)."""
+        at = _AT[field]
+        return (
+            record[at]
+            for record in (self._records if records is None else records)
+        )
 
     # ------------------------------------------------------------------
     # The paper's metrics
@@ -154,10 +188,10 @@ class StreamMetrics:
         the float sum is compared by ordering rather than ``==`` (R002):
         a zero-cost stream has no savings to express, not a 0/0.
         """
-        total = sum(r.full_cost for r in self._records)
+        total = sum(self._column("full_cost"))
         if total <= 0.0:
             return 0.0
-        saved = sum(r.saved_cost for r in self._records)
+        saved = sum(self._column("saved_cost"))
         return saved / total
 
     def mean_time_last(self, n: int = 100) -> float:
@@ -167,39 +201,49 @@ class StreamMetrics:
         tail = self._records[-n:]
         if not tail:
             return 0.0
-        return sum(r.time for r in tail) / len(tail)
+        return sum(self._column("time", tail)) / len(tail)
 
     def mean_time(self) -> float:
         """Mean modelled execution time over the whole stream."""
         if not self._records:
             return 0.0
-        return sum(r.time for r in self._records) / len(self._records)
+        return self.total_time() / len(self._records)
 
     def total_time(self) -> float:
         """Total modelled execution time."""
-        return sum(r.time for r in self._records)
+        return sum(self._column("time"))
 
     # ------------------------------------------------------------------
     # Secondary statistics
     # ------------------------------------------------------------------
     def chunk_hit_ratio(self) -> float:
         """Chunks served from cache over chunks requested."""
-        total = sum(r.chunks_total for r in self._records)
+        total = sum(self._column("chunks_total"))
         if not total:
             return 0.0
-        hit = sum(r.chunks_hit + r.chunks_derived for r in self._records)
+        hit = sum(self._column("chunks_hit")) + sum(
+            self._column("chunks_derived")
+        )
         return hit / total
 
     def full_hit_ratio(self) -> float:
         """Queries answered without touching the backend."""
         if not self._records:
             return 0.0
-        hits = sum(1 for r in self._records if r.is_full_hit)
+        hits = sum(
+            1
+            for hit, derived, total in zip(
+                self._column("chunks_hit"),
+                self._column("chunks_derived"),
+                self._column("chunks_total"),
+            )
+            if hit + derived >= total
+        )
         return hits / len(self._records)
 
     def total_pages_read(self) -> int:
         """Total physical backend pages read."""
-        return sum(r.pages_read for r in self._records)
+        return sum(self._column("pages_read"))
 
     # ------------------------------------------------------------------
     # Per-stage instrumentation
@@ -207,22 +251,41 @@ class StreamMetrics:
     @property
     def traces(self) -> Sequence[Any]:
         """All recorded execution traces, in arrival order."""
-        return tuple(self._traces)
+        from repro.pipeline.trace import ExecutionTrace, StageTrace
+
+        stages = iter(self._stages)
+        return tuple(
+            ExecutionTrace(
+                [StageTrace._make(next(stages)) for _ in range(count)],
+                dict(zip(attribution[::2], attribution[1::2])),
+                partitions_total,
+                backend_pages,
+                modelled_time,
+            )
+            for (
+                count, partitions_total, backend_pages, modelled_time,
+                *attribution,
+            ) in self._traces
+        )
 
     def stage_summary(self) -> dict[str, dict[str, float]]:
         """Per-stage totals over all recorded traces: ``stage name ->
         {"calls", *STAGE_FIELDS}`` summed across the stream, in
         first-seen stage order (see
         :func:`repro.pipeline.trace.aggregate_stage_traces`)."""
-        from repro.pipeline.trace import aggregate_stage_traces
+        from repro.pipeline.trace import sum_stages
 
-        return aggregate_stage_traces(self._traces)
+        return sum_stages(self._stages)
 
     def resolver_summary(self) -> dict[str, int]:
         """Partitions resolved per resolver, summed over the stream."""
-        from repro.pipeline.trace import aggregate_resolver_attribution
+        from repro.pipeline.trace import sum_attribution
 
-        return aggregate_resolver_attribution(self._traces)
+        return sum_attribution(
+            chain.from_iterable(
+                zip(trace[4::2], trace[5::2]) for trace in self._traces
+            )
+        )
 
     def summary(self) -> dict[str, float]:
         """All headline numbers in one dictionary (for reports)."""

@@ -200,7 +200,7 @@ class QueryCacheManager:
         per_shape: dict[QueryKey, dict[str, float]] = {}
         for entry in self._entries.values():
             bucket = per_shape.setdefault(
-                entry.query.cache_compatible_key(),
+                entry.query.shape_key(),
                 {"results": 0, "bytes": 0, "benefit": 0.0},
             )
             bucket["results"] += 1
@@ -339,7 +339,7 @@ class QueryCacheManager:
             return
         self._used_bytes -= entry.size_bytes
         self.policy.remove(key)
-        keys = self._by_shape.get(entry.query.cache_compatible_key())
+        keys = self._by_shape.get(entry.query.shape_key())
         if keys is not None and key in keys:
             keys.remove(key)
         self._check_accounting()
@@ -368,7 +368,7 @@ class QueryCacheManager:
     # ------------------------------------------------------------------
     def find_containing(self, query: StarQuery) -> CachedQuery | None:
         """A cached entry whose query contains ``query``, if any."""
-        shape = query.cache_compatible_key()
+        shape = query.shape_key()
         for key in self._by_shape.get(shape, ()):  # insertion order
             entry = self._entries.get(key)
             if entry is not None and query_contains(entry.query, query):
@@ -400,7 +400,7 @@ class QueryCacheManager:
             self._evict_one(benefit)
         self._entries[key] = entry
         self._used_bytes += entry.size_bytes
-        shape = query.cache_compatible_key()
+        shape = query.shape_key()
         self._by_shape.setdefault(shape, []).append(key)
         self.policy.on_insert(key, benefit)
         self._check_accounting()
@@ -418,7 +418,7 @@ class QueryCacheManager:
                 "policy evicted unknown query key (state diverged)"
             )
         self._used_bytes -= victim.size_bytes
-        shape = victim.query.cache_compatible_key()
+        shape = victim.query.shape_key()
         keys = self._by_shape.get(shape)
         if keys is not None:
             try:

@@ -203,6 +203,8 @@ class BenefitClockPolicy(ReplacementPolicy):
 
     def __init__(self) -> None:
         self._ring = _ClockRing()
+        # The ring's node table, probed directly on every cache hit.
+        self._nodes = self._ring._nodes
 
     def on_insert(self, key: Hashable, weight: float) -> None:
         if weight < 0:
@@ -210,7 +212,7 @@ class BenefitClockPolicy(ReplacementPolicy):
         self._ring.insert_behind_hand(_Node(key, weight))
 
     def on_access(self, key: Hashable) -> None:
-        node = self._ring.node(key)
+        node = self._nodes.get(key)
         if node is not None:
             node.weight = node.initial_weight
 

@@ -118,18 +118,13 @@ def chunk_token(key: ChunkKey) -> str:
 
     Used as the chunk-log record token; :func:`token_key` inverts it.
     Canonical JSON (sorted keys, no whitespace, sorted predicate set) so
-    equal keys always map to byte-equal tokens across processes.
+    equal keys always map to byte-equal tokens across processes:
+    ``{"a":[[measure,aggregate],...],"g":[levels],"n":number,"p":[tags]}``.
+    The text around the number is serialised once per shape
+    (:attr:`~repro.core.chunk.ChunkShape.token_prefix` / ``_suffix``).
     """
-    return json.dumps(
-        {
-            "a": [list(pair) for pair in key.aggregates],
-            "g": list(key.groupby),
-            "n": key.number,
-            "p": sorted(key.fixed_predicates),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    shape, number = key
+    return f"{shape.token_prefix}{number:d}{shape.token_suffix}"
 
 
 def token_key(token: str) -> ChunkKey:

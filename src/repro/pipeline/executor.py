@@ -18,8 +18,7 @@ and a two-link chain.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -75,8 +74,7 @@ class CostAccountant(Protocol):
     ) -> QueryRecord: ...
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Everything one pipeline execution produced.
 
     Attributes:
@@ -178,20 +176,22 @@ class StagedPipeline:
                         )
                 outstanding = tuple(left)
             resolution.absorb(outcome)
-            stage = StageTrace(f"resolve:{name}", 0.0, 0.0, resolved)
             report = outcome.report
-            if report is not None:
-                stage.pages_read = report.pages_read
-                stage.tuples_scanned = report.tuples_scanned
-                stage.modelled_time = self.cost_model.time(report)
-                stage.faults = report.faults
-                stage.retries = report.retries
-                stage.degraded = report.degraded
-                stage.backoff_seconds = report.backoff_time
-                stage.coalesce_seconds = report.coalesce_time
-            stage.wall_seconds = clock() - start
-            stage.lock_wait_seconds = blocked.seconds
-            stages.append(stage)
+            if report is None:
+                stages.append(
+                    StageTrace(f"resolve:{name}", clock() - start, 0.0,
+                               resolved, 0, 0, blocked.seconds)
+                )
+            else:
+                modelled = self.cost_model.time(report)
+                stages.append(
+                    StageTrace(f"resolve:{name}", clock() - start, modelled,
+                               resolved, report.pages_read,
+                               report.tuples_scanned, blocked.seconds,
+                               report.faults, report.retries,
+                               report.degraded, report.backoff_time,
+                               report.coalesce_time)
+                )
             resolved_by[name] = resolved
         if outstanding:
             raise PipelineError(

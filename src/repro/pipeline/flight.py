@@ -107,7 +107,7 @@ class ChunkFlight:
 
     A mutable accumulator (leader publishes into it, waiters mark
     themselves served), so a plain class rather than a frozen pipeline
-    value (R003) — like :class:`~repro.pipeline.trace.StageTrace`.
+    value (R003) — like :class:`~repro.pipeline.stages.Resolution`.
 
     Attributes:
         key: The chunk's cache key.
@@ -205,7 +205,7 @@ class FlightTable:
         info: dict[ChunkKey, tuple[GroupBy, int]] = {}
         for seq, analyzed in requests:
             for number in analyzed.partitions:
-                key = analyzed.chunk_key(number)
+                key = analyzed.shape.key(number)
                 seqs = wanted.get(key)
                 if seqs is not None:
                     if seq not in seqs:
@@ -255,7 +255,7 @@ class FlightTable:
             return frozenset()
         masked: set[int] = set()
         for number in outstanding:
-            entry = self._entries.get(analyzed.chunk_key(number))
+            entry = self._entries.get(analyzed.shape.key(number))
             if entry is not None and seq in entry.requesters:
                 masked.add(number)
         return frozenset(masked)
@@ -279,7 +279,7 @@ class FlightTable:
             return {}, 0.0
         awaiting: list[tuple[int, ChunkFlight]] = []
         for number in outstanding:
-            entry = self._entries.get(analyzed.chunk_key(number))
+            entry = self._entries.get(analyzed.shape.key(number))
             if entry is None or seq not in entry.requesters:
                 continue
             if seq in entry.served:
@@ -329,7 +329,7 @@ class FlightTable:
             return 0.0
         pending: dict[int, ChunkFlight] = {}
         for number in computed:
-            entry = self._entries.get(analyzed.chunk_key(number))
+            entry = self._entries.get(analyzed.shape.key(number))
             if (
                 entry is not None
                 and seq in entry.requesters
@@ -381,7 +381,7 @@ class FlightTable:
         if seq is None or not self.coalesce or not self._entries:
             return
         for number in numbers:
-            entry = self._entries.get(analyzed.chunk_key(number))
+            entry = self._entries.get(analyzed.shape.key(number))
             if (
                 entry is not None
                 and seq in entry.requesters

@@ -14,7 +14,7 @@ extensions and can be toggled per experiment.  The backend link is total
 Resolvers share a :class:`ChunkAdmitter`, which owns admission control:
 pricing newly produced chunks (via the batched work estimator), entering
 them into the cache, and maintaining the registry of group-bys ever
-cached per compatibility shape that derivation searches.
+cached per aggregate / predicate family that derivation searches.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.backend.plans import CostReport
 from repro.chunks.closure import source_chunk_numbers
 from repro.chunks.grid import ChunkSpace
 from repro.core.cache import ChunkStore
-from repro.core.chunk import CachedChunk, CachedQuery, ChunkKey
+from repro.core.chunk import CachedChunk, CachedQuery, ChunkShape
 from repro.exceptions import InjectedFault, PipelineError
 from repro.pipeline.stages import (
     AnalyzedQuery,
@@ -93,10 +93,12 @@ class ChunkAdmitter:
 
     Prices each new chunk with the batched work estimator, inserts it
     under the benefit-weighted policy, and records the group-by in the
-    per-shape registry that in-cache derivation searches.  The registry
-    is guarded by its own lock so concurrent serving workers can admit
-    chunks of the same shape simultaneously; cache insertion itself is
-    delegated to the store, which owns its own synchronization.
+    registry that in-cache derivation searches: group-bys ever cached
+    per *family*, the ``(aggregates, fixed_predicates)`` pair a chunk
+    shape has apart from its group-by.  The registry is guarded by its
+    own lock so concurrent serving workers can admit chunks of one
+    family simultaneously; cache insertion itself is delegated to the
+    store, which owns its own synchronization.
 
     Args:
         space: Shared chunk geometry (for benefit weights).
@@ -117,35 +119,31 @@ class ChunkAdmitter:
         self._registry_lock = threading.Lock()
 
     def admit(
-        self, query: StarQuery, chunks: Mapping[int, np.ndarray]
+        self, shape: ChunkShape, chunks: Mapping[int, np.ndarray]
     ) -> None:
-        """Admit freshly produced chunks of ``query``'s shape."""
+        """Admit freshly produced chunks of one shape, by number."""
         if not chunks:
             return
-        benefit = self.space.chunk_benefit(query.groupby)
-        groupby = query.groupby
+        groupby = shape.groupby
+        benefit = self.space.chunk_benefit(groupby)
         work = self.estimator.ensure(groupby, chunks.keys())
         for number, rows in chunks.items():
             pages, _ = work[number]
-            key = ChunkKey(
-                groupby, number, query.aggregates, query.fixed_predicates
-            )
             self.cache.put(
                 CachedChunk(
-                    key=key, rows=rows, benefit=benefit,
+                    key=shape.key(number), rows=rows, benefit=benefit,
                     compute_pages=float(pages),
                 )
             )
-        shape = (query.aggregates, query.fixed_predicates)
+        family = (shape.aggregates, shape.fixed_predicates)
         with self._registry_lock:
-            self._seen_groupbys.setdefault(shape, set()).add(
-                query.groupby
-            )
+            self._seen_groupbys.setdefault(family, set()).add(groupby)
 
-    def seen_groupbys(self, shape: tuple[object, ...]) -> Iterable[GroupBy]:
-        """Group-bys ever cached under a compatibility shape (snapshot)."""
+    def seen_groupbys(self, family: tuple[object, ...]) -> Iterable[GroupBy]:
+        """Group-bys ever cached under an ``(aggregates,
+        fixed_predicates)`` family (snapshot)."""
         with self._registry_lock:
-            return tuple(self._seen_groupbys.get(shape, ()))
+            return tuple(self._seen_groupbys.get(family, ()))
 
 
 class CacheHitResolver(PartitionResolver):
@@ -177,12 +175,12 @@ class CacheHitResolver(PartitionResolver):
         if self.flight is not None:
             masked = self.flight.masked(analyzed, outstanding)
         get = self.cache.get
-        chunk_key = analyzed.chunk_key
+        key = analyzed.shape.key
         name = self.name
         for number in outstanding:
             if number in masked:
                 continue
-            entry = get(chunk_key(number))
+            entry = get(key(number))
             if entry is not None:
                 rows = entry.rows
                 parts[number] = ResolvedPart(
@@ -219,15 +217,14 @@ class DerivationResolver(PartitionResolver):
     def resolve(
         self, analyzed: AnalyzedQuery, outstanding: Sequence[int]
     ) -> ResolverOutcome:
-        query = analyzed.query
         if not all(
             a in DERIVABLE_AGGREGATES for _, a in analyzed.aggregates
         ):
             return ResolverOutcome()
-        shape = (analyzed.aggregates, analyzed.fixed_predicates)
+        family = (analyzed.aggregates, analyzed.fixed_predicates)
         candidates = [
             groupby
-            for groupby in self.admitter.seen_groupbys(shape)
+            for groupby in self.admitter.seen_groupbys(family)
             if groupby != analyzed.groupby
             and self.schema.is_rollup_of(analyzed.groupby, groupby)
         ]
@@ -247,9 +244,9 @@ class DerivationResolver(PartitionResolver):
                 )
         if parts:
             self.admitter.admit(
-                query, {n: p.rows for n, p in parts.items()}
+                analyzed.shape, {n: p.rows for n, p in parts.items()}
             )
-        return ResolverOutcome(parts=parts)
+        return ResolverOutcome(parts)
 
     def _derive_one(
         self,
@@ -261,18 +258,12 @@ class DerivationResolver(PartitionResolver):
             source_numbers = source_chunk_numbers(
                 self.space, analyzed.groupby, number, source_groupby
             )
-            source_analyzed = AnalyzedQuery(
-                query=analyzed.query,
-                groupby=source_groupby,
-                aggregates=analyzed.aggregates,
-                fixed_predicates=analyzed.fixed_predicates,
-                partitions=(),
+            source_shape = ChunkShape(
+                source_groupby, analyzed.aggregates, analyzed.fixed_predicates
             )
             entries = []
             for source_number in source_numbers:
-                entry = self.cache.peek(
-                    source_analyzed.chunk_key(source_number)
-                )
+                entry = self.cache.peek(source_shape.key(source_number))
                 if entry is None:
                     entries = None
                     break
@@ -360,14 +351,10 @@ class PrefetchResolver(PartitionResolver):
             leaf_filters=query.effective_dim_filters(self.schema),
         )
         # Cache the detailed chunks (the aggressive part).
-        fine_query = StarQuery(
-            groupby=finer,
-            selections=(None,) * self.schema.num_dimensions,
-            aggregates=analyzed.aggregates,
-            dim_filters=query.dim_filters,
-            fixed_predicates=analyzed.fixed_predicates,
+        self.admitter.admit(
+            ChunkShape(finer, analyzed.aggregates, analyzed.fixed_predicates),
+            fine_chunks,
         )
-        self.admitter.admit(fine_query, fine_chunks)
         # Derive the requested chunks in the middle tier.
         parts: dict[int, ResolvedPart] = {}
         for number in outstanding:
@@ -391,8 +378,10 @@ class PrefetchResolver(PartitionResolver):
             parts[number] = ResolvedPart(
                 number=number, rows=rows, resolver=self.name
             )
-        self.admitter.admit(query, {n: p.rows for n, p in parts.items()})
-        return ResolverOutcome(parts=parts, report=report)
+        self.admitter.admit(
+            analyzed.shape, {n: p.rows for n, p in parts.items()}
+        )
+        return ResolverOutcome(parts, report)
 
 
 @dataclass(frozen=True)
@@ -518,7 +507,7 @@ class BackendChunkResolver(PartitionResolver):
                 raise
             break
         total.merge(report)
-        self.admitter.admit(query, computed)
+        self.admitter.admit(analyzed.shape, computed)
         if self.flight is not None:
             # Publish to waiting flights; the returned credit (<= 0)
             # hands the waiters' fair shares back to this fetch.

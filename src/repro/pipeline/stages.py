@@ -2,7 +2,9 @@
 
 The paper's Section 5.2 pipeline (query analysis → ComputeChunkNums →
 query splitting → missing-chunk computation → assembly) is modelled as
-explicit value objects flowing between small single-purpose stages:
+explicit value objects flowing between small single-purpose stages.
+The values are ``NamedTuple``s: immutable, and built at tuple speed on
+the hit path, where every query makes several of them:
 
 - :class:`AnalyzedQuery` — the output of *query analysis*: the three key
   components of conditions 1–3 (group-by, aggregate list, non-group-by
@@ -24,13 +26,13 @@ live in :mod:`repro.pipeline.resolvers` and the managers; the executor in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.backend.plans import CostReport
-from repro.core.chunk import ChunkKey
+from repro.core.chunk import ChunkShape
 from repro.query.model import StarQuery
 from repro.schema.star import GroupBy, StarSchema
 
@@ -43,9 +45,11 @@ __all__ = [
     "select_exact",
 ]
 
+#: The default of a mapping field: read-only, so sharing it is safe.
+_EMPTY: Mapping[Any, Any] = MappingProxyType({})
 
-@dataclass(frozen=True)
-class AnalyzedQuery:
+
+class AnalyzedQuery(NamedTuple):
     """Output of the analysis stage: reuse key plus partition list.
 
     Attributes:
@@ -53,6 +57,9 @@ class AnalyzedQuery:
         groupby: Condition 1 — level of aggregation.
         aggregates: Condition 2 — the aggregate list.
         fixed_predicates: Condition 3 — non-group-by predicate tags.
+        shape: Conditions 1–3 interned as one
+            :class:`~repro.core.chunk.ChunkShape`; a partition's cache
+            key is ``shape.key(number)``.
         partitions: The units the query splits into, in assembly order
             (chunk numbers for chunk caching; ``(0,)`` for whole-query
             caching).
@@ -71,8 +78,9 @@ class AnalyzedQuery:
     groupby: GroupBy
     aggregates: tuple[tuple[str, str], ...]
     fixed_predicates: frozenset[str]
+    shape: ChunkShape
     partitions: tuple[int, ...]
-    meta: dict[str, Any] = field(default_factory=dict)
+    meta: Mapping[str, Any] = _EMPTY
     cut: tuple[int, ...] | None = None
 
     @classmethod
@@ -83,26 +91,23 @@ class AnalyzedQuery:
         cut: tuple[int, ...] | None = None,
         **meta: Any,
     ) -> "AnalyzedQuery":
-        """Build from a query, lifting the three key components."""
+        """Build from a query, lifting (and interning) the key components."""
+        groupby = query.groupby
+        aggregates = query.aggregates
+        fixed_predicates = query.fixed_predicates
         return cls(
             query,
-            query.groupby,
-            query.aggregates,
-            query.fixed_predicates,
+            groupby,
+            aggregates,
+            fixed_predicates,
+            ChunkShape(groupby, aggregates, fixed_predicates),
             tuple(partitions),
             meta,
             cut,
         )
 
-    def chunk_key(self, number: int) -> ChunkKey:
-        """The cache key of one partition under conditions 1–3."""
-        return ChunkKey(
-            self.groupby, number, self.aggregates, self.fixed_predicates
-        )
 
-
-@dataclass(frozen=True)
-class ResolvedPart:
+class ResolvedPart(NamedTuple):
     """One partition's rows, attributed to the resolver that produced it.
 
     Attributes:
@@ -125,17 +130,17 @@ class ResolvedPart:
     saved: bool = False
 
 
-@dataclass(frozen=True)
-class ResolverOutcome:
+class ResolverOutcome(NamedTuple):
     """What one resolver returned for the partitions it was offered.
 
     Attributes:
-        parts: Partition -> resolved part, for the subset it resolved.
+        parts: Partition -> resolved part, for the subset it resolved
+            (by default an empty read-only mapping).
         report: Physical work the resolver performed at the backend
             (None for purely in-tier resolvers).
     """
 
-    parts: dict[int, ResolvedPart] = field(default_factory=dict)
+    parts: Mapping[int, ResolvedPart] = _EMPTY
     report: CostReport | None = None
 
 
@@ -144,7 +149,7 @@ class Resolution:
 
     The one mutable object in the stage flow: the executor folds every
     :class:`ResolverOutcome` into it as the chain runs, so it is a plain
-    accumulator class, not a (frozen) dataclass value (R003).
+    accumulator class, not a (frozen) pipeline value (R003).
 
     Attributes:
         parts: Every partition's resolved part.
@@ -172,8 +177,7 @@ class Resolution:
             self.report = self.report + outcome.report
 
 
-@dataclass(frozen=True)
-class ChunkPlan:
+class ChunkPlan(NamedTuple):
     """Partition classification: who served what.
 
     Attributes:

@@ -12,11 +12,9 @@ ints; this module imports nothing from the package).  The stage record
 is defined once, here: :class:`StageTrace` plus :data:`STAGE_FIELDS`,
 the list its ``repr``, :func:`aggregate_stage_traces` and — through
 that — ``StreamMetrics.stage_summary()`` and the snapshot's
-``StageStats`` all follow.  Both classes are mutable records — the
-executor builds one :class:`StageTrace` per stage from its clock marks
-and hands the list to an :class:`ExecutionTrace` — so they are plain
-(slotted: a stream keeps one trace per query) classes, not frozen
-pipeline values (R003).
+``StageStats`` all follow.  A :class:`StageTrace` is a ``NamedTuple``
+the executor builds in one call when the stage ends; an
+:class:`ExecutionTrace` is a plain slotted class that holds the list.
 
 Under the concurrent serving layer (:mod:`repro.serve`) a stage's wall
 time includes time spent *blocked* on shared locks (cache shards, the
@@ -31,7 +29,8 @@ knowing anything about traces.
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from itertools import chain
+from typing import Any, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "STAGE_FIELDS",
@@ -41,6 +40,8 @@ __all__ = [
     "record_blocked_wait",
     "aggregate_stage_traces",
     "aggregate_resolver_attribution",
+    "sum_stages",
+    "sum_attribution",
 ]
 
 
@@ -66,7 +67,7 @@ def record_blocked_wait(seconds: float) -> None:
     blocked_clock.seconds += seconds
 
 
-class StageTrace:
+class StageTrace(NamedTuple):
     """Instrumentation of one pipeline stage for one query.
 
     Attributes:
@@ -95,64 +96,24 @@ class StageTrace:
             outside the front door).
     """
 
-    __slots__ = (
-        "name", "wall_seconds", "modelled_time", "partitions",
-        "pages_read", "tuples_scanned", "lock_wait_seconds", "faults",
-        "retries", "degraded", "backoff_seconds", "coalesce_seconds",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        wall_seconds: float = 0.0,
-        modelled_time: float = 0.0,
-        partitions: int = 0,
-        pages_read: int = 0,
-        tuples_scanned: int = 0,
-        lock_wait_seconds: float = 0.0,
-        faults: int = 0,
-        retries: int = 0,
-        degraded: int = 0,
-        backoff_seconds: float = 0.0,
-        coalesce_seconds: float = 0.0,
-    ) -> None:
-        self.name = name
-        self.wall_seconds = wall_seconds
-        self.modelled_time = modelled_time
-        self.partitions = partitions
-        self.pages_read = pages_read
-        self.tuples_scanned = tuples_scanned
-        self.lock_wait_seconds = lock_wait_seconds
-        self.faults = faults
-        self.retries = retries
-        self.degraded = degraded
-        self.backoff_seconds = backoff_seconds
-        self.coalesce_seconds = coalesce_seconds
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{field}={getattr(self, field)!r}"
-            for field in ("name", *STAGE_FIELDS)
-        )
-        return f"StageTrace({fields})"
+    name: str
+    wall_seconds: float = 0.0
+    modelled_time: float = 0.0
+    partitions: int = 0
+    pages_read: int = 0
+    tuples_scanned: int = 0
+    lock_wait_seconds: float = 0.0
+    faults: int = 0
+    retries: int = 0
+    degraded: int = 0
+    backoff_seconds: float = 0.0
+    coalesce_seconds: float = 0.0
 
 
 #: The summable fields of a :class:`StageTrace`, in the order its
 #: ``repr`` prints them and a ``stage_summary()`` bucket keys them
 #: (after ``"calls"``).
-STAGE_FIELDS = (
-    "wall_seconds",
-    "modelled_time",
-    "partitions",
-    "pages_read",
-    "tuples_scanned",
-    "lock_wait_seconds",
-    "faults",
-    "retries",
-    "degraded",
-    "backoff_seconds",
-    "coalesce_seconds",
-)
+STAGE_FIELDS: tuple[str, ...] = StageTrace._fields[1:]
 
 
 class ExecutionTrace:
@@ -229,17 +190,23 @@ def aggregate_stage_traces(
     Returns a mapping ``stage name -> {"calls", *STAGE_FIELDS}`` summed
     over all traces, in first-seen stage order.
     """
+    return sum_stages(chain.from_iterable(trace.stages for trace in traces))
+
+
+def sum_stages(stages: Iterable[Sequence[Any]]) -> dict[str, dict[str, float]]:
+    """:func:`aggregate_stage_traces` over the stages themselves, in
+    order.  A stage may be a :class:`StageTrace` or the plain tuple of
+    its fields, which is how ``StreamMetrics`` keeps them."""
     totals: dict[str, dict[str, float]] = {}
-    for trace in traces:
-        for entry in trace.stages:
-            bucket = totals.get(entry.name)
-            if bucket is None:
-                bucket = totals[entry.name] = dict.fromkeys(
-                    ("calls", *STAGE_FIELDS), 0.0
-                )
-            bucket["calls"] += 1
-            for field in STAGE_FIELDS:
-                bucket[field] += getattr(entry, field)
+    for name, *values in stages:
+        bucket = totals.get(name)
+        if bucket is None:
+            bucket = totals[name] = dict.fromkeys(
+                ("calls", *STAGE_FIELDS), 0.0
+            )
+        bucket["calls"] += 1
+        for field, value in zip(STAGE_FIELDS, values):
+            bucket[field] += value
     return totals
 
 
@@ -247,8 +214,15 @@ def aggregate_resolver_attribution(
     traces: Iterable[ExecutionTrace],
 ) -> dict[str, int]:
     """Sum resolver attribution maps over many traces."""
+    return sum_attribution(
+        chain.from_iterable(trace.resolved_by.items() for trace in traces)
+    )
+
+
+def sum_attribution(pairs: Iterable[tuple[str, int]]) -> dict[str, int]:
+    """:func:`aggregate_resolver_attribution` over ``(resolver,
+    partitions)`` pairs, in order."""
     totals: dict[str, int] = {}
-    for trace in traces:
-        for name, count in trace.resolved_by.items():
-            totals[name] = totals.get(name, 0) + count
+    for name, count in pairs:
+        totals[name] = totals.get(name, 0) + count
     return totals

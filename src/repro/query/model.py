@@ -244,7 +244,7 @@ class StarQuery:
     # ------------------------------------------------------------------
     # Derived properties
     # ------------------------------------------------------------------
-    def cache_compatible_key(self) -> QueryKey:
+    def shape_key(self) -> QueryKey:
         """Key under which cached results of this *shape* are reusable.
 
         Two queries can share cached data iff group-by, aggregate list and

@@ -35,7 +35,6 @@ up, attributed to the right stage, in execution traces.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 import zlib
@@ -48,24 +47,8 @@ from repro.core.replacement import ReplacementPolicy
 from repro.exceptions import ServeError
 from repro.lockorder import witness
 from repro.pipeline.trace import record_blocked_wait
-from repro.schema.star import GroupBy
 
 __all__ = ["stable_key_hash", "CacheShard", "ShardedChunkCache"]
-
-
-@functools.lru_cache(maxsize=1024)
-def _groupby_crc(groupby: GroupBy) -> int:
-    """CRC-32 of the canonical rendering up to the chunk number."""
-    return zlib.crc32(f"({tuple(groupby)!r}, ".encode("utf-8"))
-
-
-@functools.lru_cache(maxsize=1024)
-def _tail_bytes(
-    aggregates: tuple[tuple[str, str], ...], fixed_predicates: frozenset[str]
-) -> bytes:
-    """The canonical rendering after the chunk number."""
-    predicates = tuple(sorted(fixed_predicates))
-    return f", {aggregates!r}, {predicates!r})".encode("utf-8")
 
 
 def stable_key_hash(key: ChunkKey) -> int:
@@ -78,13 +61,14 @@ def stable_key_hash(key: ChunkKey) -> int:
     (eviction order, per-shard stats), reproduces exactly.
 
     CRC-32 is incremental, so the text is never built per key: the
-    checksum of everything before the number is kept per group-by, the
-    bytes after it per (aggregates, predicates), and a key costs two
-    short ``crc32`` calls.
+    key's shape holds the checksum of everything before the number and
+    the bytes after it
+    (:attr:`~repro.core.chunk.ChunkShape.crc_prefix` / ``crc_suffix``),
+    and a key costs two short ``crc32`` calls.
     """
+    shape, number = key
     return zlib.crc32(
-        _tail_bytes(key.aggregates, key.fixed_predicates),
-        zlib.crc32(b"%d" % key.number, _groupby_crc(key.groupby)),
+        shape.crc_suffix, zlib.crc32(b"%d" % number, shape.crc_prefix)
     )
 
 

@@ -1,5 +1,10 @@
 """Tests for repro.core.cache and repro.core.chunk."""
 
+import json
+import pickle
+import zlib
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +16,9 @@ from repro.core.chunk import (
     ChunkKey,
     entry_size_bytes,
 )
-from repro.core.tiered import TieredChunkCache
+from repro.core.tiered import TieredChunkCache, chunk_token, token_key
 from repro.exceptions import CacheError
-from repro.serve import ShardedChunkCache
+from repro.serve import ShardedChunkCache, stable_key_hash
 from repro.storage.chunklog import ChunkLog
 
 
@@ -23,12 +28,112 @@ def make_chunk(number=0, rows=4, benefit=1.0, groupby=(1, 1)):
     return CachedChunk(key=key, rows=data, benefit=benefit)
 
 
+@dataclass(frozen=True)
+class DataclassChunkKey:
+    """The reference: ``ChunkKey`` as it was before keys became
+    ``(shape, number)`` tuples, copied verbatim but for its name and its
+    one method, which ``ChunkKey.shape`` replaced."""
+
+    groupby: tuple[int, ...]
+    number: int
+    aggregates: tuple[tuple[str, str], ...]
+    fixed_predicates: frozenset[str] = frozenset()
+
+
+def reference_token(key):
+    """``chunk_token`` as it was: one JSON document per key."""
+    return json.dumps(
+        {
+            "a": [list(pair) for pair in key.aggregates],
+            "g": list(key.groupby),
+            "n": key.number,
+            "p": sorted(key.fixed_predicates),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
+def reference_hash(key):
+    """``stable_key_hash`` as it was: CRC-32 of the whole rendering."""
+    canonical = (
+        key.groupby, key.number, key.aggregates,
+        tuple(sorted(key.fixed_predicates)),
+    )
+    return zlib.crc32(repr(canonical).encode("utf-8"))
+
+
+#: Small alphabets, so two drawn keys often share components.
+_NAMES = st.sampled_from(["v", "w", "é"]) | st.text(max_size=3)
+KEY_PARTS = st.tuples(
+    st.lists(st.integers(0, 3), max_size=3).map(tuple),
+    st.integers(-2, 2) | st.integers(-(10**12), 10**12),
+    st.lists(
+        st.tuples(_NAMES, st.sampled_from(["sum", "count"])), max_size=2
+    ).map(tuple),
+    st.frozensets(st.sampled_from(["p", "q=1"]) | st.text(max_size=3),
+                  max_size=3),
+)
+
+
 class TestChunkKey:
-    def test_compatible_key_excludes_number(self):
-        a = ChunkKey((1, 1), 0, (("v", "sum"),))
-        b = ChunkKey((1, 1), 7, (("v", "sum"),))
-        assert a.compatible_key() == b.compatible_key()
-        assert a != b
+    @settings(max_examples=300, deadline=None)
+    @given(a=KEY_PARTS, b=KEY_PARTS)
+    def test_identity_is_the_dataclass_identity(self, a, b):
+        key, other = ChunkKey(*a), ChunkKey(*b)
+        reference = DataclassChunkKey(*a)
+        assert (key == other) == (reference == DataclassChunkKey(*b))
+        assert (key.shape is other.shape) == (
+            (a[0], a[2], a[3]) == (b[0], b[2], b[3])
+        )
+        if key == other:
+            assert hash(key) == hash(other)
+        parts = (key.groupby, key.number, key.aggregates,
+                 key.fixed_predicates)
+        assert parts == a
+        # The components are the interned ones: equal to the arguments,
+        # but a predicate set equal to one interned earlier may iterate
+        # (and print) in that set's order.
+        assert repr(key) == repr(DataclassChunkKey(*parts)).replace(
+            "DataclassChunkKey(", "ChunkKey(", 1
+        )
+        clone = pickle.loads(pickle.dumps(key))
+        assert type(clone) is ChunkKey and clone == key
+        assert clone.shape is key.shape
+        assert chunk_token(key) == reference_token(reference)
+        assert token_key(chunk_token(key)) == key
+        assert stable_key_hash(key) == reference_hash(reference)
+
+    def test_nothing_orders_keys(self):
+        # Keys of two shapes do not compare at all.  The tiered store's
+        # benefit rankings (L2 budget eviction, reopen) break ties on
+        # spill sequence numbers, which are unique, so they never reach
+        # the key: equal benefits across shapes rank without a TypeError.
+        with pytest.raises(TypeError):
+            ChunkKey((1, 1), 0, (("v", "sum"),)) < ChunkKey(
+                (1, 0), 0, (("v", "sum"),)
+            )
+        chunks = [
+            make_chunk(number=n, groupby=groupby)
+            for n in range(4)
+            for groupby in ((1, 1), (1, 0), (0, 1))
+        ]
+        size = chunks[0].size_bytes
+        log = ChunkLog(page_size=256)
+        tiered = TieredChunkCache(
+            ChunkCache(size), log, l2_budget_bytes=6 * size
+        )
+        for chunk in chunks:
+            tiered.put(chunk)
+        seqs = [live.seq for live in tiered._l2.values()]
+        assert len(seqs) > 1 and len(set(seqs)) == len(seqs)
+        assert tiered.tiers()["l2"]["evictions"] > 0
+        reopened = TieredChunkCache(
+            ChunkCache(2 * size), log, l2_budget_bytes=3 * size
+        )
+        assert reopened.reopen() > 0
+        seqs = [live.seq for live in reopened._l2.values()]
+        assert len(set(seqs)) == len(seqs)
 
     def test_hashable(self):
         key = ChunkKey((1, 0), 3, (("v", "sum"),), frozenset({"p"}))

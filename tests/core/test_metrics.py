@@ -1,10 +1,21 @@
 """Tests for repro.core.metrics — CSR and stream summaries."""
 
+import gc
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import invariants
+from repro.core.cache import ChunkCache
+from repro.core.manager import ChunkCacheManager
 from repro.core.metrics import QueryRecord, StreamMetrics
 from repro.exceptions import ExperimentError
+from repro.pipeline.trace import (
+    aggregate_resolver_attribution,
+    aggregate_stage_traces,
+)
+from repro.workload.generator import EQPR, QueryGenerator
 
 
 def record(time=1.0, full=10.0, saved=0.0, total=4, hit=0, derived=0,
@@ -83,6 +94,22 @@ class TestStreamMetrics:
         with pytest.raises(ExperimentError):
             m.record(record(full=-1.0))
 
+    @pytest.mark.parametrize("costs", [
+        dict(time=math.nan), dict(full=math.nan),
+        dict(time=math.nan, full=math.nan),
+    ])
+    def test_nan_costs_rejected(self, costs):
+        # With the invariant checks off nothing upstream stops a NaN, and
+        # one accepted NaN turns the stream's CSR and mean time into NaN.
+        previous = invariants.set_mode(invariants.OFF)
+        try:
+            m = StreamMetrics()
+            with pytest.raises(ExperimentError):
+                m.record(record(**costs))
+            assert len(m) == 0
+        finally:
+            invariants.set_mode(previous)
+
     def test_total_pages(self):
         m = StreamMetrics()
         m.record(record(pages=3))
@@ -114,3 +141,50 @@ def test_csr_always_in_unit_interval(pairs):
     for full, fraction in pairs:
         m.record(record(full=full, saved=full * fraction))
     assert 0.0 <= m.cost_saving_ratio() <= 1.0
+
+
+def test_answered_history_is_invisible_to_the_collector(
+    small_schema, fresh_small_engine
+):
+    manager = ChunkCacheManager(
+        small_schema, fresh_small_engine.space, fresh_small_engine,
+        ChunkCache(4_000_000),
+    )
+    hot = QueryGenerator(small_schema, seed=5).stream(25, EQPR)
+    for query in hot:  # misses, then every later pass only hits
+        manager.answer(query)
+    answered = [repr(manager.answer(query).record) for query in hot]
+    gc.collect()
+    before = len(gc.get_objects())
+    for _ in range(20):
+        for query in hot:
+            manager.answer(query)
+    gc.collect()
+    # Measured at the parent, which kept records and traces as objects:
+    # ~3 500 more tracked objects after these 500 answers.
+    assert len(gc.get_objects()) - before < 50
+
+    metrics = manager.metrics
+    records = metrics.records
+    assert len(records) == len(metrics) == 22 * len(hot)
+    assert all(type(record) is QueryRecord for record in records)
+    assert [repr(r) for r in records[len(hot):2 * len(hot)]] == answered
+    traces = metrics.traces
+    assert len(traces) == len(records)
+    assert metrics.stage_summary() == aggregate_stage_traces(traces)
+    assert metrics.resolver_summary() == aggregate_resolver_attribution(
+        traces
+    )
+    full = sum(r.full_cost for r in records)
+    tail = records[-100:]
+    assert metrics.summary() == {
+        "queries": float(len(records)),
+        "csr": sum(r.saved_cost for r in records) / full,
+        "mean_time": sum(r.time for r in records) / len(records),
+        "mean_time_last_100": sum(r.time for r in tail) / len(tail),
+        "chunk_hit_ratio": sum(
+            r.chunks_hit + r.chunks_derived for r in records
+        ) / sum(r.chunks_total for r in records),
+        "full_hit_ratio": sum(r.is_full_hit for r in records) / len(records),
+        "pages_read": float(sum(r.pages_read for r in records)),
+    }

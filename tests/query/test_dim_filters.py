@@ -50,7 +50,7 @@ class TestStarQueryFilters:
     def test_filters_affect_compatibility(self, small_schema):
         a = StarQuery.build(small_schema, (1, 0), dim_filters={"D1": (2, 6)})
         b = StarQuery.build(small_schema, (1, 0))
-        assert a.cache_compatible_key() != b.cache_compatible_key()
+        assert a.shape_key() != b.shape_key()
 
     def test_leaf_selection_intersects(self, small_schema):
         q = StarQuery.build(

@@ -76,13 +76,13 @@ class TestDerived:
     def test_keys(self, small_schema):
         q1 = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
         q2 = StarQuery.build(small_schema, (1, 1), {"D0": (2, 4)})
-        assert q1.cache_compatible_key() == q2.cache_compatible_key()
+        assert q1.shape_key() == q2.shape_key()
         assert q1.exact_key() != q2.exact_key()
 
     def test_fixed_predicates_in_keys(self, small_schema):
         q1 = StarQuery.build(small_schema, (1, 1), fixed_predicates=["p=1"])
         q2 = StarQuery.build(small_schema, (1, 1))
-        assert q1.cache_compatible_key() != q2.cache_compatible_key()
+        assert q1.shape_key() != q2.shape_key()
 
     def test_result_format(self, small_schema):
         q = StarQuery.build(small_schema, (1, 0))

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.metrics import QueryRecord
 from repro.exceptions import ServeError
 from repro.experiments.configs import SMOKE_SCALE
 from repro.experiments.harness import (
@@ -201,7 +202,11 @@ class TestValidation:
 def _free_answer():
     """What a stub pipeline returns: an answer that cost nothing."""
     return SimpleNamespace(
-        record=SimpleNamespace(full_cost=0.0, time=0.0), trace=None
+        record=QueryRecord(
+            time=0.0, full_cost=0.0, saved_cost=0.0, chunks_total=0,
+            chunks_hit=0,
+        ),
+        trace=None,
     )
 
 

@@ -166,7 +166,7 @@ class TestTraceConservationCheck:
 
     def test_stage_page_mismatch_caught(self):
         trace, record = self.make_pair()
-        trace.stages[0].pages_read = 4
+        trace.stages[0] = trace.stages[0]._replace(pages_read=4)
         with pytest.raises(InvariantViolation, match="stage pages_read"):
             invariants.check_trace_conservation(trace, record)
 

@@ -1,5 +1,6 @@
 """tools.benchprofile end to end, at the benchmark's smoke scale."""
 
+import gc
 import os
 
 from tools import benchprofile
@@ -16,5 +17,22 @@ def test_prints_the_table_and_the_untraced_qps(capsys):
     assert os.sched_getaffinity(0) == affinity
     assert "Ordered by: cumulative time" in out
     assert "(request_pages)" in out and "(_drive_miss_heavy)" in out
-    assert out.splitlines()[-1].startswith("miss_heavy seed 1998: ")
-    assert "qps untraced" in out.splitlines()[-1]
+    lines = out.splitlines()
+    assert lines[-1].startswith("miss_heavy seed 1998: ")
+    assert "qps untraced" in lines[-1]
+    # The collector's cost during each drive, per generation.
+    for line, label in zip(lines[-3:-1], ("untraced", "under cProfile")):
+        assert line.startswith(f"gc {label}: gen0 ")
+        assert ", gen1 " in line and ", gen2 " in line
+        assert line.endswith(" s")
+
+
+def test_gc_clock_counts_collections_per_generation():
+    installed = list(gc.callbacks)
+    clock = benchprofile.GcClock()
+    with clock:
+        gc.collect(0)
+        gc.collect(2)
+    assert clock.collections[0] >= 1 and clock.collections[2] >= 1
+    assert all(seconds >= 0.0 for seconds in clock.seconds)
+    assert gc.callbacks == installed

@@ -205,6 +205,23 @@ class TestR003FrozenDataclasses:
         )
         assert only(src, "src/repro/pipeline/stages.py", "R003") == []
 
+    def test_namedtuple_is_a_frozen_value_and_dataclasses_still_checked(
+        self,
+    ):
+        src = (
+            "from dataclasses import dataclass\n"
+            "from typing import NamedTuple\n"
+            "class StageOutput(NamedTuple):\n"
+            "    rows: int\n"
+            "    name: str = 'stage'\n"
+            "@dataclass\n"
+            "class Accumulator:\n"
+            "    rows: int\n"
+        )
+        rule = RULES_BY_CODE["R003"]
+        found = lint_source(src, "src/repro/pipeline/stages.py", rules=[rule])
+        assert [(v.code, v.line) for v in found] == [("R003", 7)]
+
     def test_plain_accumulator_class_is_fine(self):
         src = (
             "class Resolution:\n"

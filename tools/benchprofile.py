@@ -11,6 +11,11 @@ beside it.  ``cProfile`` charges every Python call and no native code,
 so the table shifts weight towards call-heavy Python: it finds
 candidates, and ``tools.benchpairs`` measures them.
 
+Beside the table it prints, for each of the two drives, the cyclic
+garbage collector's collections and seconds per generation while the
+driver ran (``gc.callbacks``): time no profiler row shows, paid in
+pauses wherever a collection happens to trigger.
+
 Run from the repo root.  Leaves nothing behind but the benchmark's own
 git-ignored scratch directory.
 """
@@ -19,13 +24,16 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import os
 import pstats
 import shutil
 import sys
 import tempfile
+import time
 from pathlib import Path
+from typing import Any
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,11 +45,50 @@ def _on_path() -> None:
             sys.path.insert(0, entry)
 
 
+class GcClock:
+    """Cyclic-GC collections and seconds per generation while installed
+    (``with GcClock() as clock: ...``), read from ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._started = 0.0
+
+    def _observe(self, phase: str, info: dict[str, Any]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] += 1
+        self.seconds[generation] += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcClock":
+        gc.callbacks.append(self._observe)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        gc.callbacks.remove(self._observe)
+
+    def summary(self) -> str:
+        """``gen0 N collections X s, gen1 ..., gen2 ...``."""
+        return ", ".join(
+            f"gen{generation} {count} collections {seconds:.3f} s"
+            for generation, (count, seconds) in enumerate(
+                zip(self.collections, self.seconds)
+            )
+        )
+
+
 def drive(
-    name: str, seed: int, smoke: bool, profile: cProfile.Profile | None
+    name: str,
+    seed: int,
+    smoke: bool,
+    profile: cProfile.Profile | None,
+    gc_clock: GcClock,
 ) -> float:
     """Set ``name`` up, run its driver (under ``profile`` when given)
-    and return the best round's queries per second."""
+    with ``gc_clock`` installed, and return the best round's queries per
+    second."""
     _on_path()
     from benchmarks.e2e import workloads
     from benchmarks.e2e.metrics import load_declaration
@@ -56,10 +103,11 @@ def drive(
     env = workloads.setup(name, scale, seed, counts, None, workdir)
     try:
         driver = workloads.WORKLOADS[name]
-        if profile is None:
-            out = driver(env)
-        else:
-            out = profile.runcall(driver, env)
+        with gc_clock:
+            if profile is None:
+                out = driver(env)
+            else:
+                out = profile.runcall(driver, env)
         if out.problems:
             raise SystemExit(f"benchprofile: {name}: {out.problems[0]}")
         return float(out.best_qps())
@@ -103,14 +151,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--top must be at least 1")
     name: str = options.workload
     profile = cProfile.Profile()
+    gc_untraced, gc_profiled = GcClock(), GcClock()
     affinity = os.sched_getaffinity(0)
     workloads.pin_to_one_core()  # as the benchmark's worker runs
     try:
-        untraced = drive(name, options.seed, options.smoke, None)
-        profiled = drive(name, options.seed, options.smoke, profile)
+        untraced = drive(name, options.seed, options.smoke, None, gc_untraced)
+        profiled = drive(
+            name, options.seed, options.smoke, profile, gc_profiled
+        )
     finally:
         os.sched_setaffinity(0, affinity)
     print(table(profile, options.sort, options.top), end="")
+    print(f"gc untraced: {gc_untraced.summary()}")
+    print(f"gc under cProfile: {gc_profiled.summary()}")
     print(
         f"{name} seed {options.seed}: {untraced:.1f} qps untraced, "
         f"{profiled:.1f} qps under cProfile"

@@ -3,9 +3,13 @@
 The staged pipeline passes value objects between stages
 (:mod:`repro.pipeline.stages`, :mod:`repro.pipeline.trace`,
 :mod:`repro.pipeline.executor`).  A stage mutating another stage's
-output is exactly the layer-boundary drift this PR's motivation warns
+output is exactly the layer-boundary drift the pipeline's design warns
 about, so the convention is machine-enforced:
 
+- a ``typing.NamedTuple`` subclass is a frozen value by construction
+  (a tuple), which is why the hit-path values (``AnalyzedQuery``,
+  ``ResolvedPart``, ``StageTrace`` …) are NamedTuples; the rule has
+  nothing to check there;
 - every ``@dataclass`` under ``repro.pipeline`` must declare
   ``frozen=True`` (accumulators that *must* mutate — ``Resolution``,
   ``ExecutionTrace`` — are plain classes with explicit methods, not
@@ -25,7 +29,8 @@ from tools.reprolint.engine import FileContext, Violation
 CODE = "R003"
 SUMMARY = (
     "pipeline/trace dataclasses must be frozen=True and fully annotated "
-    "(mutable accumulators are plain classes, not dataclasses)"
+    "(NamedTuples are frozen values; mutable accumulators are plain "
+    "classes, not dataclasses)"
 )
 
 #: Packages whose dataclasses are required to be frozen value objects.
