@@ -5,8 +5,8 @@ Subcommands:
 - ``list`` — show the reproducible experiments;
 - ``run [ids...] [--smoke|--paper]`` — regenerate tables/figures
   (all of them when no ids are given);
-- ``soak`` — the concurrency soak; with ``--chaos`` the fault-injected
-  chaos soak (the nightly job's entry point);
+- ``soak`` — the verified multi-user soak; with ``--chaos`` the
+  fault-injected chaos soak (the nightly job's entry point);
 - ``front`` — the admission front door over a duplicate-heavy
   workload; with ``--chaos`` under fault injection (also nightly);
 - ``info`` — print version and the configured default scale.
@@ -28,7 +28,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.reporting import ExperimentResult
-from repro.serve import FAIR, FREE, FrontConfig, SoakConfig
+from repro.serve import FrontConfig, SoakConfig
 
 _Number = TypeVar("_Number", int, float)
 
@@ -39,9 +39,10 @@ commands:
   list                 list reproducible experiments
   run [ids...]         run experiments (default: all); --smoke / --paper
   report [path]        run everything and write a Markdown report
-  soak                 concurrency soak; --chaos for fault injection,
-                       --rate low|mid|high, --seed N, --users N,
-                       --per-user N, --shards N, --workers N,
+  soak                 verified multi-user soak; --chaos for fault
+                       injection, --rate low|mid|high, --seed N,
+                       --users N, --per-user N, --shards N,
+                       --workers N (simulated clocks, not threads),
                        --tiers 1|2, --persist PATH (2-tier chunk log),
                        --cache-bytes N (override the L1 budget),
                        --l2-budget N (L2 live-byte budget),
@@ -50,7 +51,8 @@ commands:
   front                admission front door with single-flight
                        coalescing; --chaos for fault injection,
                        --rate low|mid|high, --seed N, --users N,
-                       --per-user N, --window N, --workers N,
+                       --per-user N, --window N,
+                       --workers N (simulated clocks, not threads),
                        --no-coalesce, --tiers 1|2,
                        --persist PATH (2-tier chunk log),
                        --l2-budget N, --compact-threshold R,
@@ -234,10 +236,7 @@ def _parse_soak(argv: list[str]) -> tuple[_JobFlags, SoakConfig]:
     argv, cache_bytes = _number_flag(argv, "--cache-bytes", int)
     flags = _job_flags("soak", argv)
     flags.cache.update(_given(num_shards=shards, cache_bytes=cache_bytes))
-    return flags, SoakConfig(
-        max_workers=flags.workers,
-        schedule=FAIR if flags.chaos else FREE,
-    )
+    return flags, SoakConfig(max_workers=flags.workers)
 
 
 def _parse_front(argv: list[str]) -> tuple[_JobFlags, FrontConfig]:

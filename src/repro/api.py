@@ -69,11 +69,10 @@ class StackConfig:
         cache_bytes: Cache byte budget.
         policy: Replacement policy name (``"lru"``, ``"clock"``,
             ``"benefit"``).
-        num_shards: ``0`` builds a plain single-threaded
+        num_shards: ``0`` builds a plain
             :class:`~repro.core.cache.ChunkCache`; ``>= 1`` builds a
-            lock-striped :class:`~repro.serve.ShardedChunkCache` with
-            that many shards (required for the concurrent serving
-            layer).  Chunk scheme only.
+            :class:`~repro.serve.ShardedChunkCache` with that many
+            shards.  Chunk scheme only.
         aggregate_in_cache: Enable in-cache derivation (Section 7).
         prefetch_drilldown: Enable drill-down prefetching (implies
             derivation).  Chunk scheme only.

@@ -15,17 +15,13 @@ indexes, and the buffer pool, and evaluates star-join requests:
 Every method returns the result together with a
 :class:`~repro.backend.plans.CostReport` of the physical work performed.
 
-Thread safety
--------------
-The engine's public entry points are serialized on one re-entrant lock
-(:func:`_synchronized`): :func:`~repro.backend.plans.measure_cost`
-brackets *global* disk counters, so two interleaved evaluations would
-cross-charge each other's I/O.  The lock makes every cost window
-disjoint — under the concurrent serving layer the sum of per-query
-``pages_read`` equals the disk's total read delta exactly, which the
-soak harness asserts.  Lock waits accumulate in ``lock_wait_seconds``
-and are forwarded to ``lock_wait_recorder`` when a caller (the serving
-layer) installs one; the backend itself knows nothing about traces.
+Threads
+-------
+The engine is not thread-safe, and neither is any stack built over it:
+use one stack per thread or process.  Its public entry points still
+pass through one counted critical section (:func:`_synchronized`),
+whose ``lock_wait_seconds`` / ``lock_acquisitions`` the end-to-end
+benchmark reads.  It is a counter, not a thread-safety guarantee.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from repro.backend.plans import CostReport, measure_cost
 from repro.chunks.closure import source_spans_many
 from repro.chunks.grid import ChunkSpace
 from repro.exceptions import BackendError, InjectedFault, QueryError
-from repro.lockorder import witness
 from repro.query.model import StarQuery
 from repro.schema.star import GroupBy, StarSchema
 from repro.storage.bitmap import BitmapIndex, combine_and
@@ -73,13 +68,13 @@ _R = TypeVar("_R")
 def _synchronized(
     method: Callable[Concatenate["BackendEngine", _P], _R],
 ) -> Callable[Concatenate["BackendEngine", _P], _R]:
-    """Serialize one public entry point on the engine's big lock.
+    """Run one public entry point inside the engine's counted section.
 
     The lock is re-entrant: ``answer(access_path="chunk")`` calls
     :meth:`~BackendEngine.compute_chunks` and ``explain`` calls the
-    estimators, all under the outer acquisition.  Contended waits are
-    counted and forwarded to the installed recorder (if any) so callers
-    can attribute them.
+    estimators, all under the outer acquisition.  Every acquisition and
+    its wait are counted; that is all the lock is for (see the module
+    docstring).
     """
 
     @functools.wraps(method)
@@ -89,14 +84,9 @@ def _synchronized(
         start = time.perf_counter()
         self._lock.acquire()
         try:
-            waited = time.perf_counter() - start
             self.lock_acquisitions += 1
-            self.lock_wait_seconds += waited
-            recorder = self.lock_wait_recorder
-            if recorder is not None and waited > 0.0:
-                recorder(waited)
-            with witness("engine"):
-                return method(self, *args, **kwargs)
+            self.lock_wait_seconds += time.perf_counter() - start
+            return method(self, *args, **kwargs)
         finally:
             self._lock.release()
 
@@ -151,14 +141,11 @@ class BackendEngine:
         # "extra space kept in each chunk" for updates.
         self.delta_file: FactFile | None = None
         self._loaded = False
-        # Big engine lock (see the module docstring).  Re-entrant so the
-        # relational interface can route through the chunk interface.
+        # The counted section (see the module docstring).  Re-entrant so
+        # the relational interface can route through the chunk interface.
         self._lock = threading.RLock()
         self.lock_wait_seconds = 0.0
         self.lock_acquisitions = 0
-        # Optional hook (installed by the serving layer) receiving each
-        # contended wait, e.g. the pipeline trace's blocked clock.
-        self.lock_wait_recorder: Callable[[float], None] | None = None
         # Fault-injection hook (repro.faults installs it; production code
         # never does).  Called with the entry-point name; may raise a
         # BackendFault to simulate a query-level failure.

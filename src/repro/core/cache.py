@@ -67,9 +67,10 @@ class ChunkCacheStats:
 class ChunkStore(Protocol):
     """What the manager and resolver chain need from a chunk cache.
 
-    :class:`ChunkCache` is the canonical single-threaded implementation;
-    :class:`repro.serve.ShardedChunkCache` is the lock-striped concurrent
-    one.  The pipeline layers are typed against this protocol so either
+    :class:`ChunkCache` is the canonical implementation;
+    :class:`repro.serve.ShardedChunkCache` stripes it over shards.  No
+    store is thread-safe: use one stack per thread or process.  The
+    pipeline layers are typed against this protocol so either
     store plugs into :class:`~repro.core.manager.ChunkCacheManager`
     unchanged — the serving layer stays above, never inside, the core.
 
@@ -218,7 +219,7 @@ class ChunkCache:
         return list(self._entries.items())
 
     def contention(self) -> dict[str, object]:
-        """No contention counters: this store is single-threaded."""
+        """No contention counters: this store has no counted lock."""
         return {}
 
     def tiers(self) -> dict[str, object]:

@@ -149,12 +149,11 @@ class StreamMetrics:
     def absorb(self, other: "StreamMetrics") -> None:
         """Append another stream's records and traces, preserving order.
 
-        The concurrent serving layer accumulates one ``StreamMetrics``
-        per user stream and merges them in *stream-name* order (never
-        completion order), so a merged session is deterministic however
-        the workers were scheduled.  All headline metrics here are
-        order-independent sums or ratios of sums, so a merge equals the
-        sequential interleaved run's totals exactly.
+        The serving layer accumulates one ``StreamMetrics`` per user
+        stream and merges them in *stream-name* order, so a merged
+        session is deterministic at any worker count.  All headline
+        metrics here are order-independent sums or ratios of sums, so a
+        merge equals the sequential interleaved run's totals exactly.
         """
         self._records.extend(other._records)
         self._stages.extend(other._stages)

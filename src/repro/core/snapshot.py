@@ -51,7 +51,6 @@ class StageStats:
     partitions: float
     pages_read: float
     tuples_scanned: float
-    lock_wait_seconds: float
     faults: float
     retries: float
     degraded: float

@@ -41,13 +41,6 @@ layer's sharded store) over the durable, append-only
   consecutive L2 I/O failures disables the tier entirely — the cache
   degrades to plain L1 behaviour rather than hammering a poisoned log.
 
-Locking: the tier's own bookkeeping lock (witness level ``"tiered"``)
-nests inside L1 shard locks (the spill hook fires under the victim's
-shard lock) and outside the log's lock — the documented order is
-``shard -> tiered -> l2`` (``tests/tools/lockorder.txt``).  The
-promote path releases the tier lock *before* re-inserting into L1, so
-no path ever takes a shard lock while holding ``tiered``.
-
 With ``evict_hook`` left uninstalled (single-tier stacks) none of this
 module is on any code path — 1-tier behaviour is bit-identical to a
 build without it.
@@ -57,7 +50,6 @@ from __future__ import annotations
 
 import json
 import struct
-import threading
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -76,7 +68,6 @@ from repro.exceptions import (
     ChunkLogError,
     DiskFault,
 )
-from repro.lockorder import witness
 from repro.storage.chunklog import ChunkLog
 
 __all__ = [
@@ -289,8 +280,6 @@ class TieredChunkCache:
         self.l2_budget_bytes = l2_budget_bytes
         self.compact_threshold = compact_threshold
         self.evict_hook: EvictHook | None = None
-        self._lock = threading.Lock()
-        # All fields below are guarded by _lock.
         # The one L2 table: every chunk live in the log, in first-spill
         # order (a re-spill updates in place; only ``seq`` moves).
         self._l2: dict[ChunkKey, _Live] = {}
@@ -312,9 +301,7 @@ class TieredChunkCache:
         self._budget_skipped = 0
         self._compact_faults = 0
         l1.evict_hook = self._on_evict
-        # No lock: the object is not published until __init__ returns,
-        # so construction has the exclusive access _locked helpers need.
-        self._rebuild_keys_locked()
+        self._rebuild_keys()
 
     # ------------------------------------------------------------------
     # ChunkStore protocol
@@ -333,8 +320,7 @@ class TieredChunkCache:
     def stats(self) -> ChunkCacheStats:
         """Combined counters: L2 promotions count as hits, not misses."""
         base = self._l1.stats
-        with self._lock, witness("tiered"):
-            l2_hits = self._l2_hits
+        l2_hits = self._l2_hits
         return ChunkCacheStats(
             hits=base.hits + l2_hits,
             misses=base.misses - l2_hits,
@@ -351,8 +337,7 @@ class TieredChunkCache:
     def __contains__(self, key: ChunkKey) -> bool:
         if key in self._l1:
             return True
-        with self._lock, witness("tiered"):
-            return self._l2_enabled and key in self._l2
+        return self._l2_enabled and key in self._l2
 
     def get(self, key: ChunkKey) -> CachedChunk | None:
         """L1 lookup, falling back to a charged L2 promote on miss."""
@@ -366,11 +351,10 @@ class TieredChunkCache:
         entry = self._l1.peek(key)
         if entry is not None:
             return entry
-        with self._lock, witness("tiered"):
-            live = self._l2.get(key) if self._l2_enabled else None
-            if live is None:
-                return None
-            return self._decode_locked(key, self.log.peek(live.token))
+        live = self._l2.get(key) if self._l2_enabled else None
+        if live is None:
+            return None
+        return self._decode(key, self.log.peek(live.token))
 
     def put(self, entry: CachedChunk) -> bool:
         """Insert into L1; demotion happens via the eviction spill hook."""
@@ -379,34 +363,32 @@ class TieredChunkCache:
     def invalidate(self, key: ChunkKey) -> bool:
         """Drop a key from both tiers (the L2 drop is a charged tombstone)."""
         removed = self._l1.invalidate(key)
-        with self._lock, witness("tiered"):
-            live = self._forget_locked(key)
-            if live is not None:
-                try:
-                    removed = self.log.delete(live.token) or removed
-                except DiskFault:
-                    # The tombstone write faulted: the record stays on
-                    # disk but is dead to this process; a restart scan
-                    # resurrects it, which invalidation semantics accept
-                    # for a *cache* (the base data re-derives the truth).
-                    self._spill_faults += 1
-                    self._note_failure_locked()
-                removed = True
-                self._maybe_compact_locked()
+        live = self._forget(key)
+        if live is not None:
+            try:
+                removed = self.log.delete(live.token) or removed
+            except DiskFault:
+                # The tombstone write faulted: the record stays on
+                # disk but is dead to this process; a restart scan
+                # resurrects it, which invalidation semantics accept
+                # for a *cache* (the base data re-derives the truth).
+                self._spill_faults += 1
+                self._note_failure()
+            removed = True
+            self._maybe_compact()
         return removed
 
     def clear(self) -> None:
         """Drop both tiers (one charged clear-all record in the log)."""
         self._l1.clear()
-        with self._lock, witness("tiered"):
-            self._l2.clear()
-            self._l2_bytes = 0
-            try:
-                self.log.clear()
-            except DiskFault:
-                self._spill_faults += 1
-                self._note_failure_locked()
-            self._maybe_compact_locked()
+        self._l2.clear()
+        self._l2_bytes = 0
+        try:
+            self.log.clear()
+        except DiskFault:
+            self._spill_faults += 1
+            self._note_failure()
+        self._maybe_compact()
 
     def keys(self) -> list[ChunkKey]:
         """L1 keys, then L2-only keys in manifest order (snapshot)."""
@@ -418,23 +400,22 @@ class TieredChunkCache:
         """Point-in-time pairs across both tiers (L2 decodes uncharged)."""
         pairs = self._l1.snapshot()
         resident = {key for key, _ in pairs}
-        with self._lock, witness("tiered"):
-            if not self._l2_enabled:
-                return pairs
-            for key, live in list(self._l2.items()):
-                if key in resident:
-                    continue
-                try:
-                    payload = self.log.peek(live.token)
-                    entry = self._decode_locked(key, payload)
-                except (ChunkLogCorruption, ChunkLogError):
-                    entry = None
-                if entry is not None:
-                    pairs.append((key, entry))
+        if not self._l2_enabled:
+            return pairs
+        for key, live in list(self._l2.items()):
+            if key in resident:
+                continue
+            try:
+                payload = self.log.peek(live.token)
+                entry = self._decode(key, payload)
+            except (ChunkLogCorruption, ChunkLogError):
+                entry = None
+            if entry is not None:
+                pairs.append((key, entry))
         return pairs
 
     def contention(self) -> dict[str, object]:
-        """The L1 store's contention counters (the log is lock-serial)."""
+        """The L1 store's contention counters (the log has none)."""
         return self._l1.contention()
 
     def tiers(self) -> dict[str, object]:
@@ -452,34 +433,33 @@ class TieredChunkCache:
         log_stats = self.log.stats
         disk_stats = self.log.disk.stats
         space = self.log.counters()
-        with self._lock, witness("tiered"):
-            lookups = self._l2_hits + self._l2_misses
-            l2: dict[str, object] = {
-                "entries": len(self._l2),
-                "live_bytes": self.log.live_bytes,
-                "hits": self._l2_hits,
-                "misses": self._l2_misses,
-                "hit_ratio": self._l2_hits / lookups if lookups else 0.0,
-                "spills": self._spills,
-                "spill_skipped": self._spill_skipped,
-                "spill_faults": self._spill_faults,
-                "promotes": self._promotes,
-                "promote_faults": self._promote_faults,
-                "quarantined": self._quarantined,
-                "warm_loaded": self._warm_loaded,
-                "degraded": not self._l2_enabled,
-                "pages_written": disk_stats.writes,
-                "pages_read": disk_stats.reads,
-                "scan_pages": log_stats.scan_pages,
-                "live_pages": space["live_pages"],
-                "dead_pages": space["dead_pages"],
-                "compactions": space["compactions"],
-                "reclaimed_pages": space["reclaimed_pages"],
-                "compact_faults": self._compact_faults,
-                "evictions": self._l2_evictions,
-                "budget_skipped": self._budget_skipped,
-                "budget_bytes": self.l2_budget_bytes,
-            }
+        lookups = self._l2_hits + self._l2_misses
+        l2: dict[str, object] = {
+            "entries": len(self._l2),
+            "live_bytes": self.log.live_bytes,
+            "hits": self._l2_hits,
+            "misses": self._l2_misses,
+            "hit_ratio": self._l2_hits / lookups if lookups else 0.0,
+            "spills": self._spills,
+            "spill_skipped": self._spill_skipped,
+            "spill_faults": self._spill_faults,
+            "promotes": self._promotes,
+            "promote_faults": self._promote_faults,
+            "quarantined": self._quarantined,
+            "warm_loaded": self._warm_loaded,
+            "degraded": not self._l2_enabled,
+            "pages_written": disk_stats.writes,
+            "pages_read": disk_stats.reads,
+            "scan_pages": log_stats.scan_pages,
+            "live_pages": space["live_pages"],
+            "dead_pages": space["dead_pages"],
+            "compactions": space["compactions"],
+            "reclaimed_pages": space["reclaimed_pages"],
+            "compact_faults": self._compact_faults,
+            "evictions": self._l2_evictions,
+            "budget_skipped": self._budget_skipped,
+            "budget_bytes": self.l2_budget_bytes,
+        }
         return {
             "l1": l1,
             "l2": l2,
@@ -529,28 +509,26 @@ class TieredChunkCache:
         open scan's already-charged reads (no double charge); corrupt
         records are quarantined, not fatal.  Returns entries loaded.
         """
-        with self._lock, witness("tiered"):
-            self._rebuild_keys_locked()
-            self._enforce_budget_on_reopen_locked()
-            candidates = sorted(
-                (-live.benefit, live.seq, key)
-                for key, live in self._l2.items()
-            )
-            self._warming = True
+        self._rebuild_keys()
+        self._enforce_budget_on_reopen()
+        candidates = sorted(
+            (-live.benefit, live.seq, key)
+            for key, live in self._l2.items()
+        )
+        self._warming = True
         loaded = 0
         try:
             for _neg_benefit, _seq, key in candidates:
-                with self._lock, witness("tiered"):
-                    live = self._l2.get(key)
-                    if live is None:
-                        continue
-                    try:
-                        payload = self.log.peek(live.token)
-                        entry = self._decode_locked(key, payload)
-                    except (ChunkLogCorruption, ChunkLogError):
-                        entry = None
-                    if entry is None:
-                        continue
+                live = self._l2.get(key)
+                if live is None:
+                    continue
+                try:
+                    payload = self.log.peek(live.token)
+                    entry = self._decode(key, payload)
+                except (ChunkLogCorruption, ChunkLogError):
+                    entry = None
+                if entry is None:
+                    continue
                 if key in self._l1:
                     continue
                 if (
@@ -561,9 +539,8 @@ class TieredChunkCache:
                 if self._l1.put(entry):
                     loaded += 1
         finally:
-            with self._lock, witness("tiered"):
-                self._warming = False
-                self._warm_loaded += loaded
+            self._warming = False
+            self._warm_loaded += loaded
         return loaded
 
     def close(self) -> None:
@@ -575,50 +552,45 @@ class TieredChunkCache:
     # Internals
     # ------------------------------------------------------------------
     def _promote(self, key: ChunkKey) -> CachedChunk | None:
-        """Charged L2 read on an L1 miss; releases the tier lock before
-        re-inserting into L1 (no path holds ``tiered`` around a shard
-        lock)."""
-        entry: CachedChunk | None = None
-        with self._lock, witness("tiered"):
-            live = self._l2.get(key) if self._l2_enabled else None
-            if live is None:
-                self._l2_misses += 1
-                return None
-            try:
-                payload = self._read_with_retry(live.token)
-            except ChunkLogCorruption:
-                self._quarantine_locked(key)
-                self._l2_misses += 1
-                return None
-            except DiskFault:
-                self._promote_faults += 1
-                self._l2_misses += 1
-                self._note_failure_locked()
-                return None
-            except ChunkLogError:
-                self._forget_locked(key)
-                self._l2_misses += 1
-                return None
-            self._failure_streak = 0
-            entry = self._decode_locked(key, payload)
-            if entry is None:
-                self._l2_misses += 1
-                return None
-            self._l2_hits += 1
-            self._promotes += 1
+        """Charged L2 read on an L1 miss, re-inserting the chunk into
+        L1."""
+        live = self._l2.get(key) if self._l2_enabled else None
+        if live is None:
+            self._l2_misses += 1
+            return None
+        try:
+            payload = self._read_with_retry(live.token)
+        except ChunkLogCorruption:
+            self._quarantine(key)
+            self._l2_misses += 1
+            return None
+        except DiskFault:
+            self._promote_faults += 1
+            self._l2_misses += 1
+            self._note_failure()
+            return None
+        except ChunkLogError:
+            self._forget(key)
+            self._l2_misses += 1
+            return None
+        self._failure_streak = 0
+        entry = self._decode(key, payload)
+        if entry is None:
+            self._l2_misses += 1
+            return None
+        self._l2_hits += 1
+        self._promotes += 1
         self._l1.put(entry)
         return entry
 
     def _on_evict(self, victim: CachedChunk) -> None:
         """L1's eviction observer: spill the victim, then hand it to
-        this store's own ``evict_hook``.  Fires under the evicting L1
-        shard's lock."""
-        with self._lock, witness("tiered"):
-            self._spill_locked(victim)
+        this store's own ``evict_hook``."""
+        self._spill(victim)
         if self.evict_hook is not None:
             self.evict_hook(victim)
 
-    def _spill_locked(self, victim: CachedChunk) -> None:
+    def _spill(self, victim: CachedChunk) -> None:
         """Demote the victim when its benefit clears the threshold.
         Never raises — a failed spill loses a copy, not the truth."""
         if self._warming or not self._l2_enabled:
@@ -632,21 +604,21 @@ class TieredChunkCache:
         # live key reuses the one its first spill made.
         token = live.token if live is not None else chunk_token(key)
         payload = encode_chunk(victim)
-        if not self._make_room_locked(live, len(payload)):
+        if not self._make_room(live, len(payload)):
             self._budget_skipped += 1
             return
         try:
             self._append_with_retry(token, payload, victim.benefit)
         except DiskFault:
             self._spill_faults += 1
-            self._note_failure_locked()
+            self._note_failure()
             return
         self._failure_streak = 0
         self._spills += 1
-        self._admit_locked(key, token, victim.benefit, len(payload))
-        self._maybe_compact_locked()
+        self._admit(key, token, victim.benefit, len(payload))
+        self._maybe_compact()
 
-    def _make_room_locked(self, existing: _Live | None, need: int) -> bool:
+    def _make_room(self, existing: _Live | None, need: int) -> bool:
         """Evict lowest-benefit live records until ``need`` payload
         bytes fit the L2 budget.  Returns False when the record alone
         exceeds the budget (never spilled).  Evictions are charged
@@ -673,12 +645,12 @@ class TieredChunkCache:
                 break
             _benefit, _seq, victim = lowest
             current -= self._l2[victim].size
-            self._evict_l2_locked(victim)
+            self._evict_l2(victim)
         return True
 
-    def _evict_l2_locked(self, key: ChunkKey) -> None:
+    def _evict_l2(self, key: ChunkKey) -> None:
         """Budget eviction: charged tombstone + manifest removal."""
-        live = self._forget_locked(key)
+        live = self._forget(key)
         assert live is not None  # callers pass keys out of the table
         try:
             self.log.delete(live.token)
@@ -687,10 +659,10 @@ class TieredChunkCache:
             # either way (a restart resurrects it — cache semantics
             # accept that, the base data re-derives the truth).
             self._spill_faults += 1
-            self._note_failure_locked()
+            self._note_failure()
         self._l2_evictions += 1
 
-    def _maybe_compact_locked(self) -> None:
+    def _maybe_compact(self) -> None:
         """Run a log compaction once dead space crosses the
         configured ratio.  A faulted compaction leaves the log
         unchanged (its contract) — count it and move on; no degrade,
@@ -706,7 +678,7 @@ class TieredChunkCache:
         except DiskFault:
             self._compact_faults += 1
 
-    def _enforce_budget_on_reopen_locked(self) -> None:
+    def _enforce_budget_on_reopen(self) -> None:
         """Trim the recovered live set to the benefit-ranked prefix
         that fits ``l2_budget_bytes`` (strict prefix: ranking stops at
         the first record that does not fit)."""
@@ -723,8 +695,8 @@ class TieredChunkCache:
                 kept += size
                 continue
             fits = False
-            self._evict_l2_locked(key)
-        self._maybe_compact_locked()
+            self._evict_l2(key)
+        self._maybe_compact()
 
     def _read_with_retry(self, token: str) -> bytes | memoryview:
         try:
@@ -744,23 +716,23 @@ class TieredChunkCache:
                 raise
             return self.log.put(token, payload, benefit)
 
-    def _decode_locked(
+    def _decode(
         self, key: ChunkKey, payload: bytes | memoryview
     ) -> CachedChunk | None:
         """Decode a record, quarantining it on a malformed payload."""
         try:
             return decode_chunk(key, payload)
         except ChunkLogError:
-            self._quarantine_locked(key)
+            self._quarantine(key)
             return None
 
-    def _quarantine_locked(self, key: ChunkKey) -> None:
-        live = self._forget_locked(key)
+    def _quarantine(self, key: ChunkKey) -> None:
+        live = self._forget(key)
         assert live is not None  # callers hold the key's live entry
         self.log.drop(live.token)
         self._quarantined += 1
 
-    def _admit_locked(
+    def _admit(
         self, key: ChunkKey, token: str, benefit: float, size: int
     ) -> None:
         """Record a chunk as live in L2, replacing any earlier record
@@ -770,20 +742,19 @@ class TieredChunkCache:
         self._spill_seq += 1
         self._l2_bytes += size - (previous.size if previous is not None else 0)
 
-    def _forget_locked(self, key: ChunkKey) -> _Live | None:
+    def _forget(self, key: ChunkKey) -> _Live | None:
         live = self._l2.pop(key, None)
         if live is not None:
             self._l2_bytes -= live.size
         return live
 
-    def _note_failure_locked(self) -> None:
+    def _note_failure(self) -> None:
         self._failure_streak += 1
         if self._failure_streak >= FAILURE_LIMIT:
             self._l2_enabled = False
 
-    def _rebuild_keys_locked(self) -> None:
-        """Regenerate the L2 table from the log manifest (lock held,
-        or construction-exclusive from ``__init__``)."""
+    def _rebuild_keys(self) -> None:
+        """Regenerate the L2 table from the log manifest."""
         self._l2.clear()
         self._l2_bytes = 0
         for token, benefit, size in self.log.scan_keys():
@@ -795,11 +766,9 @@ class TieredChunkCache:
                 self.log.drop(token)
                 self._quarantined += 1
                 continue
-            self._admit_locked(key, token, benefit, size)
+            self._admit(key, token, benefit, size)
 
     def _l2_only_keys(self) -> list[ChunkKey]:
-        with self._lock, witness("tiered"):
-            if not self._l2_enabled:
-                return []
-            keys = list(self._l2)
-        return [key for key in keys if key not in self._l1]
+        if not self._l2_enabled:
+            return []
+        return [key for key in self._l2 if key not in self._l1]

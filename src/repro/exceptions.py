@@ -104,7 +104,7 @@ class StackError(ReproError):
 
 
 class ServeError(ReproError):
-    """The concurrent serving layer was misconfigured or a run failed.
+    """The serving layer was misconfigured or a run failed.
 
     Raised for invalid :mod:`repro.serve` configurations (bad worker or
     shard counts, duplicate stream names) and for runs that exceed their

@@ -164,8 +164,8 @@ def make_chunk_stack(
     Args:
         cache: Pre-built chunk store to use instead of a fresh
             :class:`~repro.core.cache.ChunkCache` (e.g. a
-            :class:`repro.serve.ShardedChunkCache` for concurrent
-            serving); ``cache_bytes`` and ``policy`` are ignored then.
+            :class:`repro.serve.ShardedChunkCache` for the serving
+            layer); ``cache_bytes`` and ``policy`` are ignored then.
     """
     reset_backend(system)
     return build_stack(

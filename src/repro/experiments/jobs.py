@@ -45,7 +45,6 @@ from repro.faults import (
 )
 from repro.query.model import StarQuery
 from repro.serve import (
-    FAIR,
     FrontConfig,
     FrontReport,
     SoakConfig,
@@ -199,10 +198,10 @@ def run_soak_job(
     cache: StackConfig | None = None,
     config: SoakConfig = SoakConfig(),
 ) -> dict[str, Any]:
-    """Run the fault-free concurrency soak and summarize it.
+    """Run the fault-free soak and summarize it.
 
-    Builds K user streams over one hot region, races them under the
-    free schedule with deep invariants, and returns the verified
+    Builds K user streams over one hot region, runs them under the
+    fair schedule with deep invariants, and returns the verified
     totals as a JSON-able dictionary.  ``cache`` defaults to
     :func:`cache_config` of the scale.
     """
@@ -230,7 +229,7 @@ def run_chaos_job(
     num_users: int = NUM_USERS,
     per_user: int | None = None,
     cache: StackConfig | None = None,
-    config: SoakConfig = SoakConfig(schedule=FAIR),
+    config: SoakConfig = SoakConfig(),
     with_oracle: bool = True,
 ) -> dict[str, Any]:
     """Run the chaos soak under a standard fault plan and summarize it.
@@ -247,8 +246,7 @@ def run_chaos_job(
             the persistent spill tier *and* arms the write-path fault
             kinds; arming ``compact_threshold`` puts the
             ``log-compact`` fault kind on a live code path.
-        config: Harness knobs (schedule, checkpoints, deadline); the
-            fair schedule is what makes the digest reproducible.
+        config: Harness knobs (checkpoints, workers, deadline).
         with_oracle: When true (the default), every answered query is
             replayed fault-free after the run and must match — the
             "never a wrong answer" half of the degradation contract.
@@ -262,7 +260,7 @@ def run_chaos_job(
     body = {
         "rate": rate,
         "seed": seed,
-        "schedule": config.schedule,
+        "schedule": report.serve.schedule,
         "oracle_replayed": with_oracle,
         **_verified_summary(report),
         "contention": report.serve.contention,

@@ -12,7 +12,7 @@ popular data everyone analyses) interleaved round-robin, and compares:
 - **shared** — one chunk cache of budget B serving all users; versus
 - **shared-concurrent** — the same shared budget behind the
   :mod:`repro.serve` layer: a single-shard
-  :class:`~repro.serve.ShardedChunkCache` driven by one worker thread
+  :class:`~repro.serve.ShardedChunkCache` with one simulated worker
   per user under the fair schedule, which must reproduce the shared
   arm's totals exactly (the serving layer's determinism contract);
 - **partitioned** — K independent chunk caches of budget B/K, one per
@@ -35,7 +35,7 @@ from repro.experiments.harness import (
     run_stream,
 )
 from repro.experiments.reporting import ExperimentResult
-from repro.serve import FAIR, ServeReport, ServeSession
+from repro.serve import ServeReport, ServeSession
 from repro.workload.generator import Q80, QueryGenerator
 from repro.workload.stream import QueryStream, interleave_streams
 
@@ -88,14 +88,13 @@ def run_shared_concurrent(
     streams: list[QueryStream],
     max_workers: int | None = None,
     num_shards: int = 1,
-    schedule: str = FAIR,
     cache: ChunkStore | None = None,
 ) -> ServeReport:
-    """The shared cache behind the concurrent serving layer.
+    """The shared cache behind the serving layer.
 
-    Defaults (single shard, fair schedule) pin the determinism
-    contract: the report's totals equal the sequential shared arm's for
-    any worker count.  Tests also call this with ``max_workers=1`` to
+    The default single shard pins the determinism contract: the
+    report's totals equal the sequential shared arm's for any worker
+    count.  Tests also call this with ``max_workers=1`` to
     pin bit-identical equality, and with more shards for stress runs.
     Pass a prebuilt ``cache`` (e.g. a 2-tier store from
     :func:`repro.api.build_cache`) to inspect its counters afterwards;
@@ -108,13 +107,7 @@ def run_shared_concurrent(
             )
         )
     manager = make_chunk_manager(system, cache=cache)
-    session = ServeSession(
-        manager,
-        streams,
-        max_workers=max_workers,
-        schedule=schedule,
-    )
-    return session.run()
+    return ServeSession(manager, streams, max_workers=max_workers).run()
 
 
 def run(scale: Scale = DEFAULT_SCALE) -> ExperimentResult:
@@ -147,7 +140,7 @@ def run(scale: Scale = DEFAULT_SCALE) -> ExperimentResult:
         pages_read=metrics.total_pages_read(),
     )
 
-    # Shared budget behind the serving layer: one worker thread per
+    # Shared budget behind the serving layer: one simulated worker per
     # user, fair schedule — must reproduce the shared row exactly.
     report = run_shared_concurrent(
         system, streams, max_workers=NUM_USERS

@@ -10,15 +10,13 @@ themselves — reprolint R006 gates that):
   :class:`~repro.exceptions.BackendFault` at query level;
 - the chunk cache's put hook — poisons or pressures an insertion.
 
-Sequence numbers are per decision *site* and advance under one injector
-lock, so under the serving layer's fair schedule (which fully
-serializes query execution in canonical order) the same workload rolls
-the same decisions regardless of worker count.
+Sequence numbers are per decision *site*, and the serving layer runs
+its queries one at a time in canonical order, so the same workload
+rolls the same decisions regardless of worker count.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -45,37 +43,32 @@ class FaultInjector:
     """Stateful driver of one :class:`FaultPlan`.
 
     The only mutable state is the per-site sequence counters and the
-    fired-fault counters, both behind one lock; all fault *decisions*
+    fired-fault counters; all fault *decisions*
     are pure plan rolls.  ``reset()`` returns the injector to its
     initial state, making back-to-back runs byte-for-byte identical.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._lock = threading.Lock()
         self._sequences: dict[str, int] = {}
         self._counters: dict[str, int] = {}
 
     def _next(self, site: str) -> int:
-        with self._lock:
-            sequence = self._sequences.get(site, 0)
-            self._sequences[site] = sequence + 1
-            return sequence
+        sequence = self._sequences.get(site, 0)
+        self._sequences[site] = sequence + 1
+        return sequence
 
     def _count(self, kind: str) -> None:
-        with self._lock:
-            self._counters[kind] = self._counters.get(kind, 0) + 1
+        self._counters[kind] = self._counters.get(kind, 0) + 1
 
     def reset(self) -> None:
         """Forget all sequence and fault counters."""
-        with self._lock:
-            self._sequences.clear()
-            self._counters.clear()
+        self._sequences.clear()
+        self._counters.clear()
 
     def counters(self) -> dict[str, int]:
         """Fired faults by kind (sorted copy)."""
-        with self._lock:
-            return {k: self._counters[k] for k in sorted(self._counters)}
+        return {k: self._counters[k] for k in sorted(self._counters)}
 
     # ------------------------------------------------------------------
     # The three hooks

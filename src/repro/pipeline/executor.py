@@ -35,7 +35,6 @@ from repro.pipeline.stages import (
 from repro.pipeline.trace import (
     ExecutionTrace,
     StageTrace,
-    blocked_clock,
 )
 from repro.query.model import StarQuery
 
@@ -137,11 +136,7 @@ class StagedPipeline:
         construction (a wrapper, a test double) is the one that runs.
         """
         clock = time.perf_counter
-        blocked = blocked_clock
         stages: list[StageTrace] = []
-        # A fresh query must not inherit lock waits a previous query on
-        # this thread left unattributed.
-        blocked.seconds = 0.0
 
         start = clock()
         analyzed = self.analyzer.analyze(query)
@@ -149,8 +144,7 @@ class StagedPipeline:
         partitions = analyzed.partitions
         total = len(partitions)
         stages.append(
-            StageTrace("analyze", end - start, 0.0, total, 0, 0,
-                       blocked.seconds)
+            StageTrace("analyze", end - start, 0.0, total)
         )
 
         resolution = Resolution()
@@ -160,7 +154,6 @@ class StagedPipeline:
             if not outstanding:
                 break
             name = resolver.name
-            blocked.seconds = 0.0
             start = clock()
             outcome = resolver.resolve(analyzed, outstanding)
             parts = outcome.parts
@@ -180,17 +173,16 @@ class StagedPipeline:
             if report is None:
                 stages.append(
                     StageTrace(f"resolve:{name}", clock() - start, 0.0,
-                               resolved, 0, 0, blocked.seconds)
+                               resolved)
                 )
             else:
                 modelled = self.cost_model.time(report)
                 stages.append(
                     StageTrace(f"resolve:{name}", clock() - start, modelled,
                                resolved, report.pages_read,
-                               report.tuples_scanned, blocked.seconds,
-                               report.faults, report.retries,
-                               report.degraded, report.backoff_time,
-                               report.coalesce_time)
+                               report.tuples_scanned, report.faults,
+                               report.retries, report.degraded,
+                               report.backoff_time, report.coalesce_time)
                 )
             resolved_by[name] = resolved
         if outstanding:
@@ -200,22 +192,18 @@ class StagedPipeline:
             )
         plan = ChunkPlan.from_resolution(analyzed, resolution)
 
-        blocked.seconds = 0.0
         start = clock()
         rows = self.assembler.assemble(analyzed, resolution)
         end = clock()
         stages.append(
-            StageTrace("assemble", end - start, 0.0, total, 0, 0,
-                       blocked.seconds)
+            StageTrace("assemble", end - start, 0.0, total)
         )
 
-        blocked.seconds = 0.0
         record = self.accountant.account(
             analyzed, resolution, plan, len(rows)
         )
         stages.append(
-            StageTrace("account", clock() - end, 0.0, 0, 0, 0,
-                       blocked.seconds)
+            StageTrace("account", clock() - end)
         )
 
         trace = ExecutionTrace(

@@ -19,7 +19,6 @@ cached per aggregate / predicate family that derivation searches.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, Sequence
@@ -95,10 +94,7 @@ class ChunkAdmitter:
     under the benefit-weighted policy, and records the group-by in the
     registry that in-cache derivation searches: group-bys ever cached
     per *family*, the ``(aggregates, fixed_predicates)`` pair a chunk
-    shape has apart from its group-by.  The registry is guarded by its
-    own lock so concurrent serving workers can admit chunks of one
-    family simultaneously; cache insertion itself is delegated to the
-    store, which owns its own synchronization.
+    shape has apart from its group-by.
 
     Args:
         space: Shared chunk geometry (for benefit weights).
@@ -116,7 +112,6 @@ class ChunkAdmitter:
         self.cache = cache
         self.estimator = estimator
         self._seen_groupbys: dict[tuple[object, ...], set[GroupBy]] = {}
-        self._registry_lock = threading.Lock()
 
     def admit(
         self, shape: ChunkShape, chunks: Mapping[int, np.ndarray]
@@ -136,14 +131,12 @@ class ChunkAdmitter:
                 )
             )
         family = (shape.aggregates, shape.fixed_predicates)
-        with self._registry_lock:
-            self._seen_groupbys.setdefault(family, set()).add(groupby)
+        self._seen_groupbys.setdefault(family, set()).add(groupby)
 
     def seen_groupbys(self, family: tuple[object, ...]) -> Iterable[GroupBy]:
         """Group-bys ever cached under an ``(aggregates,
         fixed_predicates)`` family (snapshot)."""
-        with self._registry_lock:
-            return tuple(self._seen_groupbys.get(family, ()))
+        return tuple(self._seen_groupbys.get(family, ()))
 
 
 class CacheHitResolver(PartitionResolver):

@@ -15,20 +15,10 @@ that — ``StreamMetrics.stage_summary()`` and the snapshot's
 ``StageStats`` all follow.  A :class:`StageTrace` is a ``NamedTuple``
 the executor builds in one call when the stage ends; an
 :class:`ExecutionTrace` is a plain slotted class that holds the list.
-
-Under the concurrent serving layer (:mod:`repro.serve`) a stage's wall
-time includes time spent *blocked* on shared locks (cache shards, the
-backend).  Lock owners report their waits through the **blocked clock**
-(:func:`record_blocked_wait` adds to :data:`blocked_clock`, a
-thread-local accumulator), which the executor reads and zeroes at every
-stage boundary into that stage's ``lock_wait_seconds`` — so contention
-is attributed to the exact stage that paid it, without the locking code
-knowing anything about traces.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import chain
 from typing import Any, Iterable, NamedTuple, Sequence
 
@@ -36,35 +26,11 @@ __all__ = [
     "STAGE_FIELDS",
     "StageTrace",
     "ExecutionTrace",
-    "blocked_clock",
-    "record_blocked_wait",
     "aggregate_stage_traces",
     "aggregate_resolver_attribution",
     "sum_stages",
     "sum_attribution",
 ]
-
-
-class _BlockedClock(threading.local):
-    """Per-thread lock-wait seconds not yet attributed to a stage."""
-
-    seconds = 0.0
-
-
-#: The calling thread's blocked clock.  Lock owners add to it through
-#: :func:`record_blocked_wait`; the executor moves ``seconds`` into the
-#: stage that just ended and sets it back to zero.
-blocked_clock = _BlockedClock()
-
-
-def record_blocked_wait(seconds: float) -> None:
-    """Credit lock-wait seconds to the calling thread's blocked clock.
-
-    Called by lock owners (e.g. the sharded cache) after a contended
-    acquisition; the executor drains the clock into the stage that was
-    running when that stage ends.
-    """
-    blocked_clock.seconds += seconds
 
 
 class StageTrace(NamedTuple):
@@ -81,9 +47,6 @@ class StageTrace(NamedTuple):
             resolver, the number it *resolved*.
         pages_read: Physical backend pages the stage caused to be read.
         tuples_scanned: Backend tuples the stage pushed through operators.
-        lock_wait_seconds: Portion of ``wall_seconds`` spent blocked on
-            shared locks (drained from the thread's blocked clock; 0.0
-            outside the concurrent serving layer).
         faults: Injected faults the stage absorbed (0 outside
             :mod:`repro.faults` injection, like the three below).
         retries: Retry attempts the stage's recovery policy made.
@@ -102,7 +65,6 @@ class StageTrace(NamedTuple):
     partitions: int = 0
     pages_read: int = 0
     tuples_scanned: int = 0
-    lock_wait_seconds: float = 0.0
     faults: int = 0
     retries: int = 0
     degraded: int = 0
@@ -162,11 +124,6 @@ class ExecutionTrace:
     def wall_seconds(self) -> float:
         """Total wall time across all stages."""
         return sum(entry.wall_seconds for entry in self.stages)
-
-    @property
-    def lock_wait_seconds(self) -> float:
-        """Total time this query spent blocked on shared locks."""
-        return sum(entry.lock_wait_seconds for entry in self.stages)
 
     def summary(self) -> dict[str, object]:
         """Compact dictionary form (for logs and reports)."""

@@ -13,7 +13,6 @@ re-validated the group-by once per chunk.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Collection, Mapping
 
 from repro.backend.engine import BackendEngine
@@ -51,14 +50,6 @@ def estimate_query_full_cost(
 class ChunkWorkEstimator:
     """Memoized facade over the backend's batched chunk-work estimator.
 
-    The memo is guarded by a lock so concurrent serving workers share
-    one estimator: estimates are deterministic functions of the stored
-    data, so a racing double-probe would be wasted backend work, not a
-    correctness bug — the lock turns it into a single probe.  The lock
-    is held across the backend call; the backend's own lock is always
-    acquired *inside* estimator or resolver calls, never the reverse, so
-    the ordering is acyclic.
-
     Args:
         backend: The engine whose stored data the estimates describe.
     """
@@ -66,7 +57,6 @@ class ChunkWorkEstimator:
     def __init__(self, backend: BackendEngine) -> None:
         self._backend = backend
         self._memo: dict[GroupBy, dict[int, tuple[int, int]]] = {}
-        self._lock = threading.Lock()
 
     def ensure(
         self, groupby: GroupBy, numbers: Collection[int]
@@ -78,20 +68,14 @@ class ChunkWorkEstimator:
         was asked for before), so index it, do not iterate it.
         """
         memo = self._memo.get(groupby)
-        if memo is not None:
-            for number in numbers:
-                if number not in memo:
-                    break
-            else:
-                return memo
-        with self._lock:
-            memo = self._memo.setdefault(groupby, {})
-            missing = [number for number in numbers if number not in memo]
-            if missing:
-                memo.update(
-                    self._backend.estimate_chunk_work_batch(groupby, missing)
-                )
-            return memo
+        if memo is None:
+            memo = self._memo[groupby] = {}
+        missing = [number for number in numbers if number not in memo]
+        if missing:
+            memo.update(
+                self._backend.estimate_chunk_work_batch(groupby, missing)
+            )
+        return memo
 
     def work(self, groupby: GroupBy, number: int) -> tuple[int, int]:
         """``(pages, tuples)`` for one chunk (memoized)."""
@@ -99,9 +83,7 @@ class ChunkWorkEstimator:
 
     def clear(self) -> None:
         """Drop all memoized estimates (after base-table updates)."""
-        with self._lock:
-            self._memo.clear()
+        self._memo.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return sum(len(memo) for memo in self._memo.values())
+        return sum(len(memo) for memo in self._memo.values())

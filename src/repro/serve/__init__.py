@@ -1,16 +1,18 @@
-"""The concurrent serving layer.
+"""The multi-user serving layer.
 
-Everything needed to run the chunk-caching middle tier under multiple
-simultaneous users on real threads:
+Everything needed to run the chunk-caching middle tier for several
+users' query streams.  A stack is not thread-safe: use one stack per
+thread or process.  Every session runs its queries one at a time on
+the calling thread.
 
-- :class:`ShardedChunkCache` — a lock-striped, thread-safe
-  :class:`~repro.core.cache.ChunkStore` (bit-identical to the plain
-  cache at ``num_shards=1``);
-- :class:`ServeSession` — the one serving engine: K user streams on a
-  thread pool through the existing staged pipeline, with a
-  deterministic **fair** schedule and a racing **free** schedule;
-- :func:`run_soak` — the invariant-hammering stress harness; given a
-  fault injector and the fair schedule it is the chaos soak, asserting
+- :class:`ShardedChunkCache` — a :class:`~repro.core.cache.ChunkStore`
+  striped over shards (bit-identical to the plain cache at
+  ``num_shards=1``);
+- :class:`ServeSession` — the one serving engine: K user streams
+  through the existing staged pipeline under the deterministic
+  **fair** schedule, with simulated workers;
+- :func:`run_soak` — the invariant-hammering stress harness over any
+  store; given a fault injector it is the chaos soak, asserting
   graceful degradation (correct answer or typed failure, exact I/O
   conservation, reproducible digest);
 - :class:`FrontSession` / :func:`run_front` — the admission front
@@ -36,7 +38,6 @@ from repro.serve.front import (
 )
 from repro.serve.session import (
     FAIR,
-    FREE,
     QueryFailure,
     ServeReport,
     ServeSession,
@@ -55,7 +56,6 @@ from repro.serve.soak import (
 
 __all__ = [
     "FAIR",
-    "FREE",
     "CacheShard",
     "FaultSource",
     "FrontConfig",

@@ -8,7 +8,7 @@ is computed up front by the pure function :func:`admission_schedule`;
 :class:`FrontSession` then *is* a
 :class:`~repro.serve.session.ServeSession` running the admitted
 tickets in sequence order on the calling thread — the front door has no
-threads, locks or failure handling of its own, and starts none.
+failure handling of its own.
 
 Determinism is the load-bearing property, as for the fair schedule:
 
@@ -276,8 +276,7 @@ class FrontSession(ServeSession):
             tolerate=tolerate,
             on_answer=on_answer,
         )
-        # The report's tag; the engine runs anything but FREE
-        # sequentially on the calling thread.
+        # The report's tag; the engine runs fair.
         self.schedule = FRONT
         self.config = config
         self.flight = FlightTable(
@@ -398,10 +397,8 @@ def run_front(
     carries them all), correct-or-typed answers (every coalesced waiter
     of a failed fetch receives the same typed failure) and a digest
     that is a pure function of (workload, fault seed, config) at any
-    worker count.  Unlike the racing soak it accepts a plain
-    single-threaded store: execution is sequential on the calling
-    thread, and conservation checkpoints simply do not run without a
-    ``check_conservation``.
+    worker count.  Like the soak it accepts any store: conservation
+    checkpoints simply do not run without a ``check_conservation``.
 
     Args:
         manager: The shared chunk-cache manager.

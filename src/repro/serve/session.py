@@ -4,39 +4,30 @@
 against one shared :class:`~repro.core.manager.ChunkCacheManager`, every
 query executing through the manager's existing
 :class:`~repro.pipeline.executor.StagedPipeline`.  Streams are dealt to
-``max_workers`` workers (each stream is wholly owned by one worker),
-each stream accumulates its own
+``max_workers`` simulated workers (each stream is wholly owned by one
+worker), each stream accumulates its own
 :class:`~repro.core.metrics.StreamMetrics`, and the per-stream
 accumulators are merged deterministically after the run.
 
-Two schedules:
+There is one schedule, ``"fair"``: the tickets run one at a time in the
+*canonical order* — the round-robin interleave of the name-sorted
+streams, exactly what :func:`repro.workload.stream.interleave_streams`
+produces — **on the thread that called** :meth:`ServeSession.run`.  No
+thread is started and nothing waits on anything, so the run *is* the
+sequential run over the interleaved stream at every ``max_workers``;
+the worker count only decides which worker's simulated clock each query
+is charged to.  This is the determinism contract the regression tests
+pin.
 
-- ``"fair"`` — the deterministic schedule: the tickets run one at a time
-  in the *canonical order* — the round-robin interleave of the
-  name-sorted streams, exactly what
-  :func:`repro.workload.stream.interleave_streams` produces — **on the
-  thread that called** :meth:`ServeSession.run`.  No thread is started
-  and nothing waits on anything, so the run *is* the sequential run
-  over the interleaved stream at every ``max_workers``; the worker
-  count only decides which worker's simulated clock each query is
-  charged to.  This is the determinism contract the regression tests
-  pin.
-- ``"free"`` — one pool thread per worker, racing unsynchronized; real
-  lock contention on the cache shards and the backend.
-  Interleaving-dependent values (which query was a hit) vary run to
-  run, but conservation properties (invariants, Σ pages read == backend
-  read delta) must hold under any interleaving — that is what the soak
-  harness hammers, and the only reason this module still owns a thread
-  pool.
-
+A stack is not thread-safe: use one stack per thread or process.
 CPython threads cannot buy wall time on this CPU-bound simulation (two
 shared-nothing stacks on two threads run at 0.9–1.05× the speed of the
-same two back to back — ``docs/SERVING.md``, "Why the deterministic
-schedules start no thread"), so parallelism is reported in *simulated*
-time: each worker's makespan is the sum of the modelled execution times
-of the queries dealt to it, the session's makespan is the slowest
-worker, and throughput is queries per simulated second — the quantity a
-real multi-core deployment of this architecture would observe.
+same two back to back — ``docs/DECISIONS.md``), so parallelism is
+reported in *simulated* time: each worker's makespan is the sum of the
+modelled execution times of the queries dealt to it, the session's
+makespan is the slowest worker, and throughput is queries per simulated
+second — the quantity a real multi-core deployment of this architecture
+would observe.
 
 The session is the layer's one serving engine.  It has two internal
 seams — :meth:`ServeSession._tickets` (which worker is charged for
@@ -48,9 +39,7 @@ engine with both overridden, not a second one.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,7 +47,7 @@ from repro.core.manager import ChunkCacheManager
 from repro.core.metrics import QueryRecord, StreamMetrics
 from repro.exceptions import ServeError
 from repro.pipeline.executor import PipelineResult
-from repro.pipeline.trace import ExecutionTrace, record_blocked_wait
+from repro.pipeline.trace import ExecutionTrace
 from repro.query.model import StarQuery
 from repro.workload.stream import QueryStream
 
@@ -67,12 +56,9 @@ __all__ = [
     "ServeReport",
     "ServeSession",
     "FAIR",
-    "FREE",
 ]
 
 FAIR = "fair"
-FREE = "free"
-_SCHEDULES = (FAIR, FREE)
 
 #: One unit of work: (sequence number, stream name, query).
 Ticket = tuple[int, str, StarQuery]
@@ -124,10 +110,9 @@ class ServeReport:
 
     Attributes:
         queries: Queries executed (all streams).
-        max_workers: Workers the tickets were dealt to (threads only
-            under ``"free"``).
-        schedule: ``"fair"`` or ``"free"`` (``"front"`` from the
-            front door, which is fair over its admitted tickets).
+        max_workers: Simulated workers the tickets were dealt to.
+        schedule: ``"fair"`` (``"front"`` from the front door, which is
+            fair over its admitted tickets).
         wall_seconds: Real elapsed time of the run.
         simulated_worker_seconds: Per-worker sums of the modelled times
             of the queries dealt to each worker, in worker order.
@@ -162,45 +147,37 @@ class ServeSession:
     """Runs several user streams against one shared manager.
 
     Args:
-        manager: The shared chunk-cache manager.  Its cache should be a
-            :class:`~repro.serve.ShardedChunkCache` (any
-            :class:`~repro.core.cache.ChunkStore` works, but only a
-            thread-safe store is safe under ``"free"`` with
-            ``max_workers > 1``).
+        manager: The shared chunk-cache manager.  Any
+            :class:`~repro.core.cache.ChunkStore` works as its cache.
         streams: The user streams; names must be unique.  Streams are
             processed in name order — the canonical order — regardless
             of the order given here.
-        max_workers: Workers the streams are dealt to (default: one per
-            stream; capped at the stream count since streams are not
-            split).  Under ``"free"`` each worker is a pool thread;
-            under ``"fair"`` it is a simulated clock only — the tickets
-            run on the calling thread, and the worker count moves
-            ``simulated_*`` and nothing else, wall time included.
-        schedule: ``"fair"`` (deterministic, sequential on the calling
-            thread) or ``"free"`` (one racing thread per worker).
+        max_workers: Simulated workers the streams are dealt to
+            (default: one per stream; capped at the stream count since
+            streams are not split).  The tickets run on the calling
+            thread, and the worker count moves ``simulated_*`` and
+            nothing else, wall time included.
+        schedule: ``"fair"``, the only schedule.  Anything else raises
+            :class:`~repro.exceptions.ServeError`: a stack is not
+            thread-safe, so no schedule races threads over one.
         checkpoint_every: When positive, ``on_checkpoint`` is invoked
             with the completed-query count after every that many
-            queries (globally; under ``"free"`` the other workers keep
-            running meanwhile).
+            queries.
         on_checkpoint: Callback for periodic mid-run verification (the
             soak harness passes the cache's conservation check).
-        timeout_seconds: Hard deadline for the whole run: a session
-            that overran raises :class:`~repro.exceptions.ServeError`,
-            never reports success.  Under ``"fair"`` it is checked as
-            each ticket completes (nothing there can deadlock); under
-            ``"free"`` :meth:`run` returns *at* the deadline, leaving a
-            stuck worker behind rather than waiting for it.
+        timeout_seconds: Hard deadline for the whole run, checked as
+            each ticket completes: a session that overran raises
+            :class:`~repro.exceptions.ServeError`, never reports
+            success.
         tolerate: Exception types that fail a *query* without failing
             the session: the query is recorded as a
             :class:`QueryFailure` and the next ticket runs.  Empty (the
             default) tolerates nothing — any exception aborts the
-            session, and no later ticket of a fair session runs.  The
-            chaos-soak harness passes
-            :class:`~repro.exceptions.InjectedFault`.
+            session, and no later ticket runs.  The chaos-soak harness
+            passes :class:`~repro.exceptions.InjectedFault`.
         on_answer: Callback receiving ``(seq, stream, query, rows)`` for
-            every successfully answered query (under the fair schedule
-            in canonical order, on the calling thread).  The chaos
-            harness uses it to capture answers for oracle replay.
+            every successfully answered query, in canonical order.  The
+            chaos harness uses it to capture answers for oracle replay.
     """
 
     def __init__(
@@ -222,10 +199,11 @@ class ServeSession:
         names = [stream.name for stream in streams]
         if len(set(names)) != len(names):
             raise ServeError(f"duplicate stream names in {sorted(names)}")
-        if schedule not in _SCHEDULES:
+        if schedule != FAIR:
             raise ServeError(
-                f"unknown schedule {schedule!r}; expected one of "
-                f"{_SCHEDULES}"
+                f"unknown schedule {schedule!r}; the only schedule is "
+                f"{FAIR!r}: a stack is not thread-safe, use one stack per "
+                "thread or process"
             )
         if timeout_seconds <= 0:
             raise ServeError(
@@ -245,13 +223,6 @@ class ServeSession:
         self.timeout_seconds = timeout_seconds
         self.tolerate = tuple(tolerate)
         self.on_answer = on_answer
-        # Progress state (rebuilt per run()); the lock matters only
-        # under FREE, where the workers are threads.
-        self._lock = threading.Lock()
-        self._completed = 0
-        self._checkpoints_fired = 0
-        self._failure: BaseException | None = None
-        self._failures: list[QueryFailure] = []
 
     # ------------------------------------------------------------------
     # The two seams
@@ -263,15 +234,12 @@ class ServeSession:
         name-sorted streams (identical to
         :func:`repro.workload.stream.interleave_streams` over them).
         Worker ``w`` owns streams ``w, w+W, w+2W, ...`` and receives its
-        queries in canonical order — a worker draining its own list in
-        order therefore visits its queries exactly as the canonical
-        order does.  A serialized schedule runs the lists merged by
-        sequence number; the worker a ticket was dealt to is then only
-        the simulated clock its modelled time is charged to.
+        queries in canonical order.  :meth:`run` executes the lists
+        merged by sequence number; the worker a ticket was dealt to is
+        only the simulated clock its modelled time is charged to.
 
-        An override may deal any tickets it likes as long as every
-        worker's list ascends in sequence number; the numbers need not
-        be contiguous (a serialized run sorts whatever was dealt).
+        An override may deal any tickets it likes; the sequence numbers
+        need not be contiguous (the run sorts whatever was dealt).
         """
         per_worker: list[list[Ticket]] = [
             [] for _ in range(self.max_workers)
@@ -301,183 +269,67 @@ class ServeSession:
         return self.manager.pipeline.execute(query)
 
     # ------------------------------------------------------------------
-    # Progress
-    # ------------------------------------------------------------------
-    def _finish_query(self) -> None:
-        """Count one completed query and fire the checkpoint callback
-        on the boundary."""
-        with self._lock:
-            self._completed += 1
-            fire = (
-                self.checkpoint_every > 0
-                and self.on_checkpoint is not None
-                and self._completed % self.checkpoint_every == 0
-            )
-            count = self._completed
-        if fire:
-            assert self.on_checkpoint is not None
-            self.on_checkpoint(count)
-            with self._lock:
-                self._checkpoints_fired += 1
-
-    def _abort(self, error: BaseException) -> None:
-        with self._lock:
-            if self._failure is None:
-                self._failure = error
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _overrun(self) -> ServeError:
-        return ServeError(
-            f"serving session exceeded its {self.timeout_seconds}s deadline"
-        )
-
-    def _drain(
-        self,
-        tasks: list[tuple[int, Ticket]],
-        per_stream: dict[str, StreamMetrics],
-        answered: list[tuple[int, QueryRecord, ExecutionTrace]],
-        sim_seconds: list[float],
-        deadline: float,
-    ) -> None:
-        """Run ``(worker index, ticket)`` pairs in the order given.
-
-        The one execution loop: a serialized schedule drains every
-        ticket through it on the calling thread, a FREE worker drains
-        its own list on its pool thread.  A tolerated failure is
-        recorded and the loop moves on; anything else propagates from
-        the ticket that raised it — no later ticket runs, and FREE's
-        other workers stop at their next one.  The deadline is checked
-        as each ticket completes.
-        """
-        try:
-            for worker, (seq, stream_name, query) in tasks:
-                if self._failure is not None:
-                    raise ServeError(
-                        "serving session aborted by another worker"
-                    ) from self._failure
-                try:
-                    result = self._execute(seq, query)
-                except self.tolerate as error:
-                    failure = QueryFailure.from_error(
-                        seq, stream_name, error
-                    )
-                    with self._lock:
-                        self._failures.append(failure)
-                else:
-                    per_stream[stream_name].record(
-                        result.record, result.trace
-                    )
-                    answered.append((seq, result.record, result.trace))
-                    sim_seconds[worker] += result.record.time
-                    if self.on_answer is not None:
-                        self.on_answer(seq, stream_name, query, result.rows)
-                self._finish_query()
-                if time.monotonic() > deadline:
-                    raise self._overrun()
-        except BaseException as error:
-            self._abort(error)
-            raise
-
-    def _race(
-        self,
-        per_worker: list[list[tuple[int, Ticket]]],
-        per_stream: dict[str, StreamMetrics],
-        sim_seconds: list[float],
-        deadline: float,
-    ) -> list[tuple[int, QueryRecord, ExecutionTrace]]:
-        """The FREE schedule: one pool thread per worker list.
-
-        Returns at the deadline or at the first fatal error *without*
-        joining the pool — a stuck worker must not hold the caller —
-        the survivors having been told (``_failure``) to stop at their
-        next ticket.
-        """
-        answered_parts: list[
-            list[tuple[int, QueryRecord, ExecutionTrace]]
-        ] = [[] for _ in per_worker]
-        pool = ThreadPoolExecutor(
-            max_workers=len(per_worker), thread_name_prefix="serve"
-        )
-        try:
-            futures = [
-                pool.submit(
-                    self._drain,
-                    tasks,
-                    per_stream,
-                    answered,
-                    sim_seconds,
-                    deadline,
-                )
-                for tasks, answered in zip(per_worker, answered_parts)
-            ]
-            for future in futures:
-                remaining = deadline - time.monotonic()
-                try:
-                    future.result(timeout=max(remaining, 0.01))
-                except TimeoutError as error:
-                    self._abort(error)
-                    raise self._overrun() from error
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        pool.shutdown()
-        return [item for part in answered_parts for item in part]
-
-    # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
     def run(self) -> ServeReport:
-        """Execute every ticket to completion and merge the results."""
-        per_worker = [
-            [(worker, ticket) for ticket in tasks]
-            for worker, tasks in enumerate(self._tickets())
-        ]
-        self._completed = 0
-        self._checkpoints_fired = 0
-        self._failure = None
-        self._failures = []
+        """Execute every ticket in sequence-number order, on the calling
+        thread, and merge the results.
+
+        A tolerated failure is recorded and the next ticket runs;
+        anything else propagates from the ticket that raised it, and no
+        later ticket runs.
+        """
+        tickets = sorted(
+            (
+                (worker, ticket)
+                for worker, tasks in enumerate(self._tickets())
+                for ticket in tasks
+            ),
+            key=lambda task: task[1][0],
+        )
         per_stream = {
             stream.name: StreamMetrics() for stream in self.streams
         }
+        answered: list[tuple[QueryRecord, ExecutionTrace]] = []
+        failures: list[QueryFailure] = []
         sim_seconds = [0.0] * self.max_workers
+        completed = checkpoints = 0
         deadline = time.monotonic() + self.timeout_seconds
-        backend = self.manager.backend
-        previous_recorder = backend.lock_wait_recorder
-        backend.lock_wait_recorder = record_blocked_wait
         started = time.perf_counter()
-        try:
-            if self.schedule == FREE:
-                answered = self._race(
-                    per_worker, per_stream, sim_seconds, deadline
+        for worker, (seq, stream_name, query) in tickets:
+            try:
+                result = self._execute(seq, query)
+            except self.tolerate as error:
+                failures.append(
+                    QueryFailure.from_error(seq, stream_name, error)
                 )
             else:
-                # Any other schedule is the sequential run over its
-                # tickets in ascending sequence number, right here.
-                answered = []
-                self._drain(
-                    sorted(
-                        (task for tasks in per_worker for task in tasks),
-                        key=lambda task: task[1][0],
-                    ),
-                    per_stream,
-                    answered,
-                    sim_seconds,
-                    deadline,
+                per_stream[stream_name].record(result.record, result.trace)
+                answered.append((result.record, result.trace))
+                sim_seconds[worker] += result.record.time
+                if self.on_answer is not None:
+                    self.on_answer(seq, stream_name, query, result.rows)
+            completed += 1
+            if (
+                self.checkpoint_every > 0
+                and self.on_checkpoint is not None
+                and completed % self.checkpoint_every == 0
+            ):
+                self.on_checkpoint(completed)
+                checkpoints += 1
+            if time.monotonic() > deadline:
+                raise ServeError(
+                    "serving session exceeded its "
+                    f"{self.timeout_seconds}s deadline"
                 )
-        finally:
-            backend.lock_wait_recorder = previous_recorder
         wall = time.perf_counter() - started
 
-        # Records and failures are ordered by sequence number — a pure
-        # function of (streams, config), never of thread completion
-        # order.
+        # Records and failures are in sequence-number order, the order
+        # the tickets ran in: a pure function of (streams, config).
         metrics = StreamMetrics()
-        for _seq, record, trace in sorted(
-            answered, key=lambda item: item[0]
-        ):
+        for record, trace in answered:
             metrics.record(record, trace)
+        backend = self.manager.backend
         makespan = max(sim_seconds)
         queries = len(metrics)
         contention: dict[str, object] = {
@@ -505,6 +357,6 @@ class ServeSession:
             metrics=metrics,
             per_stream=per_stream,
             contention=contention,
-            checkpoints=self._checkpoints_fired,
-            failures=tuple(sorted(self._failures, key=lambda f: f.seq)),
+            checkpoints=checkpoints,
+            failures=tuple(failures),
         )

@@ -1,36 +1,26 @@
-"""The lock-striped sharded chunk cache.
+"""The sharded chunk cache.
 
 :class:`ShardedChunkCache` implements the
 :class:`~repro.core.cache.ChunkStore` protocol by striping the key space
 over N independent :class:`~repro.core.cache.ChunkCache` shards, each
-guarded by its own lock and carrying its own slice of the byte budget
-and its own benefit-CLOCK replacement state.  Concurrent serving workers
-touching different shards never contend; a single shard behaves exactly
-like today's single-threaded cache (``num_shards=1`` is bit-identical to
-a plain :class:`~repro.core.cache.ChunkCache` of the same budget).
+carrying its own slice of the byte budget and its own benefit-CLOCK
+replacement state.  A single shard behaves exactly like the unsharded
+cache (``num_shards=1`` is bit-identical to a plain
+:class:`~repro.core.cache.ChunkCache` of the same budget).
 
 Routing uses :func:`stable_key_hash`, a CRC-32 over a canonical
 rendering of the key — **not** the builtin ``hash()``, whose string
 hashing is randomized per process (``PYTHONHASHSEED``) and would make
 shard placement, and therefore eviction behaviour, unreproducible.
 
-Locking discipline
-------------------
-Two lock levels, always acquired in the same order:
-
-1. a **shard lock** (one per shard) serializes all access to that
-   shard's ``ChunkCache`` and replacement state;
-2. the **accounting lock** guards the global byte counter; mutators
-   take it *nested inside* their shard lock to publish the shard's byte
-   delta.
-
-:meth:`ShardedChunkCache.check_conservation` — the only multi-shard
-critical section — acquires *all* shard locks in ascending index order
-and then the accounting lock, matching the mutator order, so the
-hierarchy is acyclic and deadlock-free.  Contended shard acquisitions
-are counted per shard and credited to the pipeline's blocked clock
-(:func:`repro.pipeline.trace.record_blocked_wait`) so lock waits show
-up, attributed to the right stage, in execution traces.
+Threads
+-------
+The store is not thread-safe: use one stack per thread or process.
+Each shard keeps one lock, and :meth:`CacheShard.held` takes it around
+every access so that its ``lock_acquisitions`` / ``lock_wait_seconds``
+counters (reported by :meth:`ShardedChunkCache.contention`) count the
+critical sections the end-to-end benchmark reads.  They are counters,
+not a thread-safety guarantee.
 """
 
 from __future__ import annotations
@@ -45,8 +35,6 @@ from repro.core.cache import ChunkCache, ChunkCacheStats, EvictHook, FaultHook
 from repro.core.chunk import CachedChunk, ChunkKey
 from repro.core.replacement import ReplacementPolicy
 from repro.exceptions import ServeError
-from repro.lockorder import witness
-from repro.pipeline.trace import record_blocked_wait
 
 __all__ = ["stable_key_hash", "CacheShard", "ShardedChunkCache"]
 
@@ -73,9 +61,9 @@ def stable_key_hash(key: ChunkKey) -> int:
 
 
 class _HeldShard:
-    """``with shard.held() as cache``: one critical section of a shard."""
+    """``with shard.held() as cache``: one counted critical section."""
 
-    __slots__ = ("_shard", "_witness")
+    __slots__ = ("_shard",)
 
     def __init__(self, shard: CacheShard) -> None:
         self._shard = shard
@@ -84,38 +72,25 @@ class _HeldShard:
         shard = self._shard
         start = time.perf_counter()
         shard.lock.acquire()
-        try:
-            waited = time.perf_counter() - start
-            shard.lock_acquisitions += 1
-            shard.lock_wait_seconds += waited
-            if waited > 0.0:
-                record_blocked_wait(waited)
-            self._witness = witness("shard")
-            self._witness.__enter__()
-        except BaseException:
-            shard.lock.release()
-            raise
+        shard.lock_acquisitions += 1
+        shard.lock_wait_seconds += time.perf_counter() - start
         return shard.cache
 
     def __exit__(self, *exc_info: object) -> None:
-        try:
-            self._witness.__exit__(None, None, None)
-        finally:
-            self._shard.lock.release()
+        self._shard.lock.release()
 
 
 class CacheShard:
-    """One lock-striped slice of a sharded cache.
+    """One slice of a sharded cache.
 
-    Pairs a private :class:`~repro.core.cache.ChunkCache` with its lock
-    and contention counters.  All access to the wrapped cache must go
-    through :meth:`held`.
+    Pairs a private :class:`~repro.core.cache.ChunkCache` with its
+    counted lock.  All access to the wrapped cache goes through
+    :meth:`held`.
 
     A shard can be **quarantined** after a streak of poisoned puts: its
     entries are dropped (bytes published back to the global counter, so
     totals conserve exactly), further puts are rejected, and after a
-    fixed number of operations the shard is re-admitted.  All quarantine
-    state is guarded by the shard lock.
+    fixed number of operations the shard is re-admitted.
     """
 
     def __init__(
@@ -129,7 +104,7 @@ class CacheShard:
         self.lock = threading.Lock()
         self.lock_wait_seconds = 0.0
         self.lock_acquisitions = 0
-        # Quarantine state (shard lock held for all access).
+        # Quarantine state.
         self.quarantined = False
         self.poison_streak = 0
         self.readmit_countdown = 0
@@ -138,17 +113,12 @@ class CacheShard:
         self.quarantine_rejects = 0
 
     def held(self) -> _HeldShard:
-        """Acquire the shard lock, yielding the guarded cache.
-
-        Contended waits are added to this shard's counters and credited
-        to the calling thread's blocked clock, so the enclosing pipeline
-        stage's ``lock_wait_seconds`` reflects them.
-        """
+        """Enter the shard's counted section, yielding its cache."""
         return _HeldShard(self)
 
 
 class ShardedChunkCache:
-    """A thread-safe chunk store striped over independent shards.
+    """A chunk store striped over independent shards.
 
     Args:
         capacity_bytes: Total byte budget, split across shards as evenly
@@ -160,7 +130,7 @@ class ShardedChunkCache:
             policy per shard.  A ready-made policy instance is accepted
             only for ``num_shards=1`` — sharing one policy's mutable
             state across shards would corrupt it.
-        num_shards: Number of lock stripes (>= 1).
+        num_shards: Number of shards (>= 1).
         quarantine_after: Consecutive poisoned puts on one shard before
             it is quarantined (cleared and closed to writes).
         quarantine_ops: Operations routed at a quarantined shard before
@@ -211,7 +181,6 @@ class ShardedChunkCache:
             )
             for index in range(num_shards)
         )
-        self._accounting_lock = threading.Lock()
         self._used_bytes = 0
 
     # ------------------------------------------------------------------
@@ -221,18 +190,11 @@ class ShardedChunkCache:
         return self._shards[stable_key_hash(key) % self.num_shards]
 
     def _publish_delta(self, delta: int) -> None:
-        """Apply a shard's byte delta to the global counter.
-
-        Called with the mutating shard's lock held — the accounting lock
-        nests inside shard locks, never the reverse.
-        """
-        if delta == 0:
-            return
-        with self._accounting_lock, witness("accounting"):
-            self._used_bytes += delta
+        """Apply a shard's byte delta to the global counter."""
+        self._used_bytes += delta
 
     def _note_op(self, shard: CacheShard) -> None:
-        """Advance a quarantined shard toward re-admission (lock held)."""
+        """Advance a quarantined shard toward re-admission."""
         if not shard.quarantined:
             return
         shard.readmit_countdown -= 1
@@ -241,13 +203,12 @@ class ShardedChunkCache:
             shard.poison_streak = 0
             shard.readmissions += 1
 
-    def _quarantine_locked(self, shard: CacheShard, cache: ChunkCache) -> None:
+    def _quarantine(self, shard: CacheShard, cache: ChunkCache) -> None:
         """Quarantine a shard: drop its entries, close it to writes.
 
-        The shard lock is held.  Dropped bytes are published back to the
-        global counter (in a ``finally`` — a mid-clear invariant failure
-        must not strand the accounting), so cross-shard conservation
-        holds throughout.
+        Dropped bytes are published back to the global counter (in a
+        ``finally`` — a mid-clear invariant failure must not strand the
+        accounting), so cross-shard conservation holds throughout.
         """
         before = cache.used_bytes
         try:
@@ -270,8 +231,7 @@ class ShardedChunkCache:
     @property
     def used_bytes(self) -> int:
         """Bytes currently charged, from the global counter."""
-        with self._accounting_lock, witness("accounting"):
-            return self._used_bytes
+        return self._used_bytes
 
     @property
     def stats(self) -> ChunkCacheStats:
@@ -346,7 +306,7 @@ class ShardedChunkCache:
             if cache.stats.poisoned > poisoned_before:
                 shard.poison_streak += 1
                 if shard.poison_streak >= self.quarantine_after:
-                    self._quarantine_locked(shard, cache)
+                    self._quarantine(shard, cache)
             elif admitted:
                 shard.poison_streak = 0
             return admitted
@@ -374,11 +334,11 @@ class ShardedChunkCache:
     @property
     def fault_hook(self) -> FaultHook | None:
         """The put fault hook; assigning it (``None`` removes it)
-        installs it in each shard's inner cache under that shard's
-        lock.  Only :mod:`repro.faults` installs one.
+        installs it in each shard's inner cache.  Only
+        :mod:`repro.faults` installs one.
 
-        Reading it takes no lock (and so moves no contention counter):
-        every shard holds the same hook, and a reference read is atomic.
+        Reading it moves no contention counter: every shard holds the
+        same hook.
         """
         return self._shards[0].cache.fault_hook
 
@@ -391,13 +351,10 @@ class ShardedChunkCache:
     @property
     def evict_hook(self) -> EvictHook | None:
         """The eviction observer; assigning it (``None`` removes it)
-        installs it in each shard's inner cache under that shard's lock.
+        installs it in each shard's inner cache.
 
-        The tiered cache installs its spill path here.  The hook fires
-        with the evicting shard's lock held, so it may take only locks
-        that nest inside ``shard`` in the documented order
-        (``tiered``/``l2``), never another shard's lock.  Reading it
-        takes no lock, like :attr:`fault_hook`.
+        The tiered cache installs its spill path here.  Reading it moves
+        no contention counter, like :attr:`fault_hook`.
         """
         return self._shards[0].cache.evict_hook
 
@@ -428,10 +385,10 @@ class ShardedChunkCache:
         return {}
 
     # ------------------------------------------------------------------
-    # Concurrency observability
+    # Observability
     # ------------------------------------------------------------------
     def contention(self) -> dict[str, object]:
-        """Lock-contention and skew metrics for reports.
+        """Per-shard counters and skew metrics for reports.
 
         ``hit_skew`` is the ratio of the busiest shard's lookup count to
         the mean across shards (1.0 = perfectly even; meaningful only
@@ -490,39 +447,28 @@ class ShardedChunkCache:
     # Cross-shard conservation
     # ------------------------------------------------------------------
     def check_conservation(self) -> None:
-        """Verify shard-local and global byte conservation atomically.
+        """Verify shard-local and global byte conservation.
 
-        Takes every shard lock in ascending index order, then the
-        accounting lock (the same order mutators use, so this cannot
-        deadlock against them), and checks each shard's accounting
-        (per-entry in deep mode) plus the cross-shard sum against the
-        global counter.  Raises
+        Checks each shard's accounting (per-entry in deep mode) plus the
+        cross-shard sum against the global counter, without entering
+        the counted sections.  Raises
         :class:`~repro.exceptions.InvariantViolation` on any mismatch.
         """
-        acquired = 0
-        try:
-            for shard in self._shards:
-                shard.lock.acquire()
-                acquired += 1
-            with self._accounting_lock, witness("accounting"):
-                for shard in self._shards:
-                    cache = shard.cache
-                    invariants.check_cache_accounting(
-                        cache.used_bytes,
-                        cache.capacity_bytes,
-                        (
-                            [entry for _, entry in cache.snapshot()]
-                            if invariants.deep()
-                            else None
-                        ),
-                        owner=f"cache shard {shard.index}",
-                    )
-                invariants.check_shard_accounting(
-                    [s.cache.used_bytes for s in self._shards],
-                    [s.cache.capacity_bytes for s in self._shards],
-                    self._used_bytes,
-                    self._capacity_bytes,
-                )
-        finally:
-            for shard in reversed(self._shards[:acquired]):
-                shard.lock.release()
+        for shard in self._shards:
+            cache = shard.cache
+            invariants.check_cache_accounting(
+                cache.used_bytes,
+                cache.capacity_bytes,
+                (
+                    [entry for _, entry in cache.snapshot()]
+                    if invariants.deep()
+                    else None
+                ),
+                owner=f"cache shard {shard.index}",
+            )
+        invariants.check_shard_accounting(
+            [s.cache.used_bytes for s in self._shards],
+            [s.cache.capacity_bytes for s in self._shards],
+            self._used_bytes,
+            self._capacity_bytes,
+        )

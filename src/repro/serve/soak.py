@@ -1,24 +1,20 @@
 """The verifying soak harness.
 
 :func:`verified_run` is the one place a multi-stream run is *proved*
-right; :func:`run_soak` (thread sessions) and
+right; :func:`run_soak` (serving sessions) and
 :func:`repro.serve.front.run_front` (the admission front door) are its
 two entry points.  Under ``REPRO_INVARIANTS=deep`` it checks the
-properties that must hold under *any* thread interleaving and any
-fault schedule:
+properties that must hold under any fault schedule:
 
 - no :class:`~repro.exceptions.InvariantViolation` anywhere — every
-  cache mutation re-checks byte/benefit conservation shard-locally, and
-  a periodic checkpoint plus a final pass run the cross-shard
-  conservation check
+  cache mutation re-checks byte/benefit conservation, and when the
+  store has a ``check_conservation`` (the sharded and tiered stores) a
+  periodic checkpoint plus a final pass run it
   (:meth:`~repro.serve.ShardedChunkCache.check_conservation`);
 - **global I/O conservation**: the pages accounted to answered queries
   plus the pages carried by failed queries equal the backend disk's
-  read-counter delta exactly.  The backend's big lock makes every
-  :func:`~repro.backend.plans.measure_cost` window disjoint, so this
-  equality is exact, not approximate — any cross-thread leakage of
-  I/O accounting, or wasted I/O of a retried, degraded or failed
-  attempt that goes uncounted, breaks it;
+  read-counter delta exactly — any wasted I/O of a retried, degraded
+  or failed attempt that goes uncounted breaks it;
 - **correct or typed**: with an injector, every query either answers
   or fails with a typed :class:`~repro.exceptions.InjectedFault`; with
   an oracle, every answer is replayed fault-free afterwards and must
@@ -41,9 +37,9 @@ import numpy as np
 
 from repro import invariants
 from repro.core.manager import ChunkCacheManager
-from repro.exceptions import InjectedFault, ServeError
+from repro.exceptions import InjectedFault
 from repro.query.model import StarQuery
-from repro.serve.session import FREE, ServeReport, ServeSession
+from repro.serve.session import ServeReport, ServeSession
 from repro.workload.stream import QueryStream
 
 __all__ = [
@@ -87,27 +83,18 @@ class SoakConfig:
     """Tuning knobs of one soak run.
 
     Attributes:
-        checkpoint_every: Queries between cross-shard conservation
-            checkpoints (0 disables mid-run checkpoints; the final check
-            always runs).
-        max_workers: Workers the streams are dealt to (default: one per
-            stream) — pool threads under ``"free"``, simulated clocks
-            only under ``"fair"``.
-        timeout_seconds: Hard deadline — a deadlocked worker becomes a
+        checkpoint_every: Queries between conservation checkpoints (0
+            disables mid-run checkpoints; the final check always runs
+            when the store has one).
+        max_workers: Simulated workers the streams are dealt to
+            (default: one per stream).
+        timeout_seconds: Hard deadline — an overrun becomes a
             :class:`~repro.exceptions.ServeError`, never a hung test.
-        schedule: ``"free"`` (the default) races for real — the point
-            of a soak is genuine races, not reproducible
-            interleavings — and checks every conservation property, but
-            its digest is interleaving-dependent; ``"fair"`` serializes
-            execution into the canonical order, which is what makes a
-            chaos soak's digest reproducible and
-            worker-count-independent.
     """
 
     checkpoint_every: int = 100
     max_workers: int | None = None
     timeout_seconds: float = 300.0
-    schedule: str = FREE
 
 
 @dataclass(frozen=True)
@@ -135,9 +122,8 @@ class SoakReport:
             oracle (0 — asserted — whenever an oracle was supplied).
         digest: SHA-256 over the run's deterministic outcome (records,
             failures, fault counters, traces, final cache occupancy).
-            Under the fair schedule two runs from cold state with the
-            same plan and workload produce the same digest for any
-            worker count.
+            Two runs from cold state with the same plan and workload
+            produce the same digest for any worker count.
         serve: The underlying session report (per-stream metrics, the
             failures themselves, contention, throughput).
     """
@@ -186,7 +172,7 @@ def run_digest(
     """Hash the deterministic outcome of a verified run.
 
     Includes only values that are a pure function of (plan seed,
-    workload, configuration) under a serialized schedule: accounting
+    workload, configuration): accounting
     records, failures, fault counters, per-stage trace projections and
     final cache occupancy.  A front-door session (``admission``) also
     contributes its admission schedule (sheds, window compositions),
@@ -253,8 +239,7 @@ def verified_run(
     the ``tolerate`` / ``on_answer`` / ``on_checkpoint`` hooks the
     harness needs and returns a session whose ``run()`` yields a
     :class:`~repro.serve.session.ServeReport`; conservation
-    checkpoints run when the store supports cross-shard checks
-    (``check_conservation``).
+    checkpoints run when the store has a ``check_conservation``.
 
     The oracle replay runs *after* the injector deactivates and
     *outside* the disk-read bracket, so it neither trips faults nor
@@ -312,9 +297,8 @@ def verified_run(
             pages + failed == delta,
             "global I/O conservation broken: answered queries account "
             f"for {pages} pages and failed queries for {failed}, but "
-            f"the disk counter advanced by {delta} (a cost window "
-            "leaked across threads, wasted I/O went uncounted, or a "
-            "coalesced fetch was double-counted)",
+            f"the disk counter advanced by {delta} (wasted I/O went "
+            "uncounted, or a coalesced fetch was double-counted)",
         )
         deep_checks = invariants.counters()["deep"] - checks_before
     finally:
@@ -365,36 +349,29 @@ def run_soak(
     injector: FaultSource | None = None,
     oracle: Callable[[StarQuery], Any] | None = None,
 ) -> SoakReport:
-    """Soak the manager with concurrent streams and verify the run.
+    """Soak the manager with several streams and verify the run.
 
-    By default the streams race (free schedule) with no faults — the
-    concurrency soak.  With an ``injector`` and ``schedule="fair"`` it
-    is the chaos soak: the streams run under the injector's hooks with
-    :class:`~repro.exceptions.InjectedFault` tolerated per query, and
-    the report's ``digest`` is a pure function of (plan seed, workload,
-    config).  Either way :func:`verified_run` asserts deep invariants,
-    exact I/O conservation and — with an ``oracle`` — that no answer
-    is wrong.
+    The streams run under the fair schedule over any
+    :class:`~repro.core.cache.ChunkStore`.  Without an ``injector`` it
+    is the fault-free soak; with one it is the chaos soak: the streams
+    run under the injector's hooks with
+    :class:`~repro.exceptions.InjectedFault` tolerated per query.
+    Either way the report's ``digest`` is a pure function of (plan
+    seed, workload, config), and :func:`verified_run` asserts deep
+    invariants, exact I/O conservation and — with an ``oracle`` — that
+    no answer is wrong.
 
     Raises:
-        ServeError: If the manager's store has no cross-shard
-            conservation check (i.e. is not sharded), or on deadline.
-        InvariantViolation: On any conservation failure, shard-local,
-            cross-shard, or global, or any wrong answer.
+        ServeError: On the session's deadline.
+        InvariantViolation: On any conservation failure, or any wrong
+            answer.
     """
-    if not callable(getattr(manager.cache, "check_conservation", None)):
-        raise ServeError(
-            "soak testing requires a sharded store with a "
-            "check_conservation() method; got "
-            f"{type(manager.cache).__name__}"
-        )
     _session, report = verified_run(
         manager,
         lambda tolerate, on_answer, on_checkpoint: ServeSession(
             manager,
             streams,
             max_workers=config.max_workers,
-            schedule=config.schedule,
             checkpoint_every=config.checkpoint_every,
             on_checkpoint=on_checkpoint,
             timeout_seconds=config.timeout_seconds,

@@ -61,7 +61,6 @@ from __future__ import annotations
 import io
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Callable
 from zlib import crc32
@@ -72,7 +71,6 @@ from repro.exceptions import (
     DiskFault,
     InvariantViolation,
 )
-from repro.lockorder import witness
 from repro.storage.disk import DEFAULT_PAGE_SIZE, SimulatedDisk
 
 __all__ = [
@@ -167,13 +165,6 @@ class ChunkLog:
             tests and by 2-tier stacks that want spill/promote
             economics without a persist path.
         page_size: Page size of the private accounting disk.
-
-    Thread safety: every public operation holds the log's single
-    internal lock (runtime witness level ``"l2"`` — the tier
-    boundary).  The lock is a leaf in the
-    documented order — ``shard -> l2`` and ``tiered -> l2`` edges are
-    pinned in ``tests/tools/lockorder.txt``; no code path acquires
-    another lock while holding it.
     """
 
     def __init__(
@@ -182,7 +173,6 @@ class ChunkLog:
         self.path = path
         self.disk = SimulatedDisk(page_size=page_size)
         self.stats = L2Stats()
-        self._lock = threading.Lock()
         self._manifest: dict[str, _Extent] = {}
         self._closed = False
         # Fault-injection hooks (repro.faults installs them).
@@ -205,16 +195,13 @@ class ChunkLog:
         if path is not None and os.path.exists(path):
             with open(path, "rb") as handle:
                 existing = handle.read()
-        # No lock here: the object is not published until __init__
-        # returns, so construction has exclusive access by definition.
         self.recovery = self._open_from(existing)
 
     # ------------------------------------------------------------------
     # Open/replay
 
     def _open_from(self, existing: bytes) -> L2Recovery:
-        """(Re)build all in-memory state from durable bytes (lock held,
-        or construction-exclusive)."""
+        """(Re)build all in-memory state from durable bytes."""
         recovery = self._replay(existing)
         self._buf = bytearray(existing[: self._logical_end])
         if not self._buf:
@@ -323,20 +310,19 @@ class ChunkLog:
         page like the constructor does.  Also reopens a :meth:`close`-d
         log.  Returns what the replay found.
         """
-        with self._lock, witness("l2"):
-            if self._file is not None:
-                self._file.flush()
-                self._file.close()
-                self._file = None
-            if self.path is not None:
-                existing = b""
-                if os.path.exists(self.path):
-                    with open(self.path, "rb") as handle:
-                        existing = handle.read()
-            else:
-                existing = bytes(self._buf)
-            self.recovery = self._open_from(existing)
-            return self.recovery
+        if self._file is not None:
+            self._file.flush()
+            self._file.close()
+            self._file = None
+        if self.path is not None:
+            existing = b""
+            if os.path.exists(self.path):
+                with open(self.path, "rb") as handle:
+                    existing = handle.read()
+        else:
+            existing = bytes(self._buf)
+        self.recovery = self._open_from(existing)
+        return self.recovery
 
     # ------------------------------------------------------------------
     # Writes
@@ -355,53 +341,50 @@ class ChunkLog:
         if not token:
             raise ChunkLogError("chunk log token must be non-empty")
         record, stored = self._encode(_PUT, token, payload, benefit)
-        with self._lock, witness("l2"):
-            self._ensure_open()
-            pages = self._charge_write(record, kind="append")
-            if stored is not record:
-                self.stats.torn_writes += 1
-            offset = len(self._buf)
-            self._persist(stored)
-            self._forget_extent(token)
-            self._manifest[token] = _Extent(
-                offset=offset,
-                length=len(record),
-                payload_len=len(payload),
-                benefit=benefit,
-                page_start=self.disk.num_pages - pages,
-                pages=pages,
-            )
-            self._live_pages += pages
-            self._live_bytes += len(payload)
-            self._total_record_pages += pages
-            return pages
+        self._ensure_open()
+        pages = self._charge_write(record, kind="append")
+        if stored is not record:
+            self.stats.torn_writes += 1
+        offset = len(self._buf)
+        self._persist(stored)
+        self._forget_extent(token)
+        self._manifest[token] = _Extent(
+            offset=offset,
+            length=len(record),
+            payload_len=len(payload),
+            benefit=benefit,
+            page_start=self.disk.num_pages - pages,
+            pages=pages,
+        )
+        self._live_pages += pages
+        self._live_bytes += len(payload)
+        self._total_record_pages += pages
+        return pages
 
     def delete(self, token: str) -> bool:
         """Tombstone a live record (charged); returns whether it was live."""
-        with self._lock, witness("l2"):
-            self._ensure_open()
-            if token not in self._manifest:
-                return False
-            record, stored = self._encode(_TOMBSTONE, token, b"", 0.0)
-            pages = self._charge_write(record, kind="tombstone")
-            self._persist(stored)
-            self._forget_extent(token)
-            self._total_record_pages += pages
-            return True
+        self._ensure_open()
+        if token not in self._manifest:
+            return False
+        record, stored = self._encode(_TOMBSTONE, token, b"", 0.0)
+        pages = self._charge_write(record, kind="tombstone")
+        self._persist(stored)
+        self._forget_extent(token)
+        self._total_record_pages += pages
+        return True
 
     def clear(self) -> int:
         """Drop every live record via one clear-all record (charged)."""
-        with self._lock, witness("l2"):
-            self._ensure_open()
-            dropped = len(self._manifest)
-            record, stored = self._encode(_CLEAR, "", b"", 0.0)
-            pages = self._charge_write(record, kind="clear")
-            self._persist(stored)
-            self._manifest.clear()
-            self._live_pages = 0
-            self._live_bytes = 0
-            self._total_record_pages += pages
-            return dropped
+        self._ensure_open()
+        dropped = len(self._manifest)
+        record, stored = self._encode(_CLEAR, "", b"", 0.0)
+        pages = self._charge_write(record, kind="clear")
+        self._persist(stored)
+        self._manifest.clear()
+        self._live_pages = 0
+        self._live_bytes = 0
+        self._total_record_pages += pages
+        return dropped
 
     def drop(self, token: str) -> bool:
         """Quarantine: remove a token from the manifest, memory only.
@@ -412,8 +395,7 @@ class ChunkLog:
         quarantined makes the quarantine durable: only manifest records
         are copied.)
         """
-        with self._lock, witness("l2"):
-            return self._forget_extent(token)
+        return self._forget_extent(token)
 
     # ------------------------------------------------------------------
     # Compaction
@@ -438,89 +420,88 @@ class ChunkLog:
 
         No-op (returns 0) when the log has no dead pages.
         """
-        with self._lock, witness("l2"):
-            self._ensure_open()
-            reclaimed = self._total_record_pages - self._live_pages
-            if reclaimed <= 0:
-                return 0
-            sidecar_path = (
-                self.path + COMPACT_SUFFIX if self.path is not None else None
-            )
-            header = _HEADER.pack(
-                CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size
-            )
-            new_buf = bytearray(header)
-            new_manifest: dict[str, _Extent] = {}
-            sidecar: io.BufferedRandom | None = None
-            try:
-                if sidecar_path is not None:
-                    sidecar = open(sidecar_path, "w+b")
-                    sidecar.write(header)
-                    sidecar.flush()
-                for index, (token, extent) in enumerate(
-                    self._manifest.items()
-                ):
-                    if self.compact_hook is not None and self.compact_hook(
-                        index
-                    ):
-                        raise DiskFault(
-                            "injected compaction abort at record "
-                            f"{index} ({token!r})",
-                            page_id=extent.page_start,
-                            transient=True,
-                            site="compact",
-                        )
-                    for page in range(
-                        extent.page_start, extent.page_start + extent.pages
-                    ):
-                        self.disk.read_page(page)
-                        self.stats.compact_read_pages += 1
-                    record = bytes(
-                        self._buf[extent.offset : extent.offset + extent.length]
-                    )
-                    pages = self._charge_compact_write(record)
-                    offset = len(new_buf)
-                    new_buf.extend(record)
-                    if sidecar is not None:
-                        sidecar.write(record)
-                        sidecar.flush()
-                    new_manifest[token] = _Extent(
-                        offset=offset,
-                        length=extent.length,
-                        payload_len=extent.payload_len,
-                        benefit=extent.benefit,
-                        page_start=self.disk.num_pages - pages,
-                        pages=pages,
-                    )
-            except BaseException:
-                if sidecar is not None:
-                    sidecar.close()
-                    assert sidecar_path is not None
-                    os.remove(sidecar_path)
-                raise
-            if sidecar is not None:
-                assert sidecar_path is not None and self.path is not None
+        self._ensure_open()
+        reclaimed = self._total_record_pages - self._live_pages
+        if reclaimed <= 0:
+            return 0
+        sidecar_path = (
+            self.path + COMPACT_SUFFIX if self.path is not None else None
+        )
+        header = _HEADER.pack(
+            CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size
+        )
+        new_buf = bytearray(header)
+        new_manifest: dict[str, _Extent] = {}
+        sidecar: io.BufferedRandom | None = None
+        try:
+            if sidecar_path is not None:
+                sidecar = open(sidecar_path, "w+b")
+                sidecar.write(header)
                 sidecar.flush()
-                os.fsync(sidecar.fileno())
+            for index, (token, extent) in enumerate(
+                self._manifest.items()
+            ):
+                if self.compact_hook is not None and self.compact_hook(
+                    index
+                ):
+                    raise DiskFault(
+                        "injected compaction abort at record "
+                        f"{index} ({token!r})",
+                        page_id=extent.page_start,
+                        transient=True,
+                        site="compact",
+                    )
+                for page in range(
+                    extent.page_start, extent.page_start + extent.pages
+                ):
+                    self.disk.read_page(page)
+                    self.stats.compact_read_pages += 1
+                record = bytes(
+                    self._buf[extent.offset : extent.offset + extent.length]
+                )
+                pages = self._charge_compact_write(record)
+                offset = len(new_buf)
+                new_buf.extend(record)
+                if sidecar is not None:
+                    sidecar.write(record)
+                    sidecar.flush()
+                new_manifest[token] = _Extent(
+                    offset=offset,
+                    length=extent.length,
+                    payload_len=extent.payload_len,
+                    benefit=extent.benefit,
+                    page_start=self.disk.num_pages - pages,
+                    pages=pages,
+                )
+        except BaseException:
+            if sidecar is not None:
                 sidecar.close()
-                try:
-                    os.replace(sidecar_path, self.path)
-                except OSError as exc:
-                    os.remove(sidecar_path)
-                    raise ChunkLogError(
-                        f"compaction swap failed: {exc}"
-                    ) from exc
-                if self._file is not None:
-                    self._file.close()
-                self._file = open(self.path, "r+b")
-                self._file.seek(0, os.SEEK_END)
-            self._buf = new_buf
-            self._logical_end = len(new_buf)
-            self._manifest = new_manifest
-            self._total_record_pages = self._live_pages
-            self.stats.compactions += 1
-            self.stats.reclaimed_pages += reclaimed
-            return reclaimed
+                assert sidecar_path is not None
+                os.remove(sidecar_path)
+            raise
+        if sidecar is not None:
+            assert sidecar_path is not None and self.path is not None
+            sidecar.flush()
+            os.fsync(sidecar.fileno())
+            sidecar.close()
+            try:
+                os.replace(sidecar_path, self.path)
+            except OSError as exc:
+                os.remove(sidecar_path)
+                raise ChunkLogError(
+                    f"compaction swap failed: {exc}"
+                ) from exc
+            if self._file is not None:
+                self._file.close()
+            self._file = open(self.path, "r+b")
+            self._file.seek(0, os.SEEK_END)
+        self._buf = new_buf
+        self._logical_end = len(new_buf)
+        self._manifest = new_manifest
+        self._total_record_pages = self._live_pages
+        self.stats.compactions += 1
+        self.stats.reclaimed_pages += reclaimed
+        return reclaimed
 
     # ------------------------------------------------------------------
     # Reads
@@ -539,16 +520,15 @@ class ChunkLog:
         any :class:`~repro.exceptions.DiskFault` from the accounting
         disk's read hook (pages read before the fault stay charged).
         """
-        with self._lock, witness("l2"):
-            self._ensure_open()
-            extent = self._manifest.get(token)
-            if extent is None:
-                raise ChunkLogError(f"token {token!r} is not live in the log")
-            for page in range(extent.page_start, extent.page_start + extent.pages):
-                self.disk.read_page(page)
-                self.stats.read_pages += 1
-            self.stats.reads += 1
-            return self._verified_payload(token, extent)
+        self._ensure_open()
+        extent = self._manifest.get(token)
+        if extent is None:
+            raise ChunkLogError(f"token {token!r} is not live in the log")
+        for page in range(extent.page_start, extent.page_start + extent.pages):
+            self.disk.read_page(page)
+            self.stats.read_pages += 1
+        self.stats.reads += 1
+        return self._verified_payload(token, extent)
 
     def peek(self, token: str) -> memoryview:
         """Uncharged, verified read (no disk counters, no fault hooks).
@@ -557,49 +537,43 @@ class ChunkLog:
         deterministic I/O accounting; still CRC-verified so corruption
         never decodes.
         """
-        with self._lock, witness("l2"):
-            extent = self._manifest.get(token)
-            if extent is None:
-                raise ChunkLogError(f"token {token!r} is not live in the log")
-            return self._verified_payload(token, extent)
+        extent = self._manifest.get(token)
+        if extent is None:
+            raise ChunkLogError(f"token {token!r} is not live in the log")
+        return self._verified_payload(token, extent)
 
     # ------------------------------------------------------------------
     # Introspection
 
     def __contains__(self, token: str) -> bool:
-        with self._lock, witness("l2"):
-            return token in self._manifest
+        return token in self._manifest
 
     def __len__(self) -> int:
-        with self._lock, witness("l2"):
-            return len(self._manifest)
+        return len(self._manifest)
 
     def scan_keys(self) -> tuple[tuple[str, float, int], ...]:
         """Live ``(token, benefit, payload_len)`` in (re-)insertion
         order — deterministic."""
-        with self._lock, witness("l2"):
-            return tuple(
-                (token, extent.benefit, extent.payload_len)
-                for token, extent in self._manifest.items()
-            )
+        return tuple(
+            (token, extent.benefit, extent.payload_len)
+            for token, extent in self._manifest.items()
+        )
 
     @property
     def live_bytes(self) -> int:
         """Total payload bytes across live records."""
-        with self._lock, witness("l2"):
-            return self._live_bytes
+        return self._live_bytes
 
     def counters(self) -> dict[str, int]:
         """Space gauges the tiered cache surfaces per tier: file pages
         of live (manifest) records, of superseded / tombstone / clear
         records, and the compaction totals."""
-        with self._lock, witness("l2"):
-            return {
-                "live_pages": self._live_pages,
-                "dead_pages": self._total_record_pages - self._live_pages,
-                "compactions": self.stats.compactions,
-                "reclaimed_pages": self.stats.reclaimed_pages,
-            }
+        return {
+            "live_pages": self._live_pages,
+            "dead_pages": self._total_record_pages - self._live_pages,
+            "compactions": self.stats.compactions,
+            "reclaimed_pages": self.stats.reclaimed_pages,
+        }
 
     def check_conservation(self) -> None:
         """Exact page reconciliation between the log and its disk.
@@ -613,36 +587,35 @@ class ChunkLog:
             disk.reads  == read + scan + compact_read pages
             live_bytes  == sum of the live records' payload lengths
         """
-        with self._lock, witness("l2"):
-            stats = self.stats
-            disk = self.disk.stats
-            written = (
-                stats.append_pages
-                + stats.tombstone_pages
-                + stats.clear_pages
-                + stats.compact_write_pages
+        stats = self.stats
+        disk = self.disk.stats
+        written = (
+            stats.append_pages
+            + stats.tombstone_pages
+            + stats.clear_pages
+            + stats.compact_write_pages
+        )
+        if written != disk.writes:
+            raise InvariantViolation(
+                f"L2 write pages diverged: ops account for {written} "
+                f"pages, disk counted {disk.writes}"
             )
-            if written != disk.writes:
-                raise InvariantViolation(
-                    f"L2 write pages diverged: ops account for {written} "
-                    f"pages, disk counted {disk.writes}"
-                )
-            read = (
-                stats.read_pages + stats.scan_pages + stats.compact_read_pages
+        read = (
+            stats.read_pages + stats.scan_pages + stats.compact_read_pages
+        )
+        if read != disk.reads:
+            raise InvariantViolation(
+                f"L2 read pages diverged: ops account for {read} pages, "
+                f"disk counted {disk.reads}"
             )
-            if read != disk.reads:
-                raise InvariantViolation(
-                    f"L2 read pages diverged: ops account for {read} pages, "
-                    f"disk counted {disk.reads}"
-                )
-            live = sum(
-                extent.payload_len for extent in self._manifest.values()
+        live = sum(
+            extent.payload_len for extent in self._manifest.values()
+        )
+        if live != self._live_bytes:
+            raise InvariantViolation(
+                f"L2 live-byte gauge diverged: the manifest holds {live} "
+                f"payload bytes, the gauge reads {self._live_bytes}"
             )
-            if live != self._live_bytes:
-                raise InvariantViolation(
-                    f"L2 live-byte gauge diverged: the manifest holds {live} "
-                    f"payload bytes, the gauge reads {self._live_bytes}"
-                )
 
     # ------------------------------------------------------------------
     # Fault points (the injector sets these; see docs/FAULTS.md)
@@ -667,21 +640,20 @@ class ChunkLog:
 
     def close(self) -> None:
         """Flush and close the backing file (idempotent)."""
-        with self._lock, witness("l2"):
-            if self._closed:
-                return
-            self._closed = True
-            if self._file is not None:
-                self._file.flush()
-                self._file.close()
-                self._file = None
+        if self._closed:
+            return
+        self._closed = True
+        if self._file is not None:
+            self._file.flush()
+            self._file.close()
+            self._file = None
 
     # ------------------------------------------------------------------
-    # Internals (lock held)
+    # Internals
 
     def _forget_extent(self, token: str) -> bool:
         """Drop a token's extent from the manifest, keeping the live
-        page and byte gauges exact (lock held)."""
+        page and byte gauges exact."""
         extent = self._manifest.pop(token, None)
         if extent is None:
             return False

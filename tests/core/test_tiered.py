@@ -521,8 +521,7 @@ class TestDegrade:
         keys = [make_chunk(number=n).key for n in (5, 6)]
         for key, payload in zip(keys, (b"not-a-chunk-payload", OLD_LAYOUT)):
             tiered.log.put(chunk_token(key), payload, 1.0)
-        with tiered._lock:
-            tiered._rebuild_keys_locked()
+        tiered._rebuild_keys()
         assert tiered.get(keys[0]) is None
         assert tiered.peek(keys[1]) is None
         l2 = tiered.tiers()["l2"]

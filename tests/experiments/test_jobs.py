@@ -12,11 +12,11 @@ import pytest
 from repro.api import StackConfig
 from repro.experiments import jobs
 from repro.experiments.configs import SMOKE_SCALE
-from repro.serve import FAIR, FrontConfig, SoakConfig
+from repro.serve import FrontConfig, SoakConfig
 
 WORKLOAD = dict(scale=SMOKE_SCALE, num_users=4, per_user=8)
 SOAK = SoakConfig(checkpoint_every=10, timeout_seconds=120.0)
-CHAOS = SoakConfig(checkpoint_every=10, timeout_seconds=120.0, schedule=FAIR)
+CHAOS = SoakConfig(checkpoint_every=10, timeout_seconds=120.0)
 FRONT = FrontConfig(window=4, timeout_seconds=120.0)
 
 #: kind -> (job function, harness config, does an oracle replay?)

@@ -15,10 +15,10 @@ from repro.experiments.harness import get_system, make_chunk_manager
 from repro.experiments.jobs import cache_config, run_chaos_job
 from repro.experiments.multiuser import user_streams
 from repro.faults import FaultInjector, FaultPlan
-from repro.serve import FAIR, SoakConfig
+from repro.serve import SoakConfig
 
 CONFIG = SoakConfig(
-    checkpoint_every=25, timeout_seconds=120.0, schedule=FAIR
+    checkpoint_every=25, timeout_seconds=120.0
 )
 JOB_ARGS = dict(
     scale=SMOKE_SCALE,

@@ -22,7 +22,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
-from repro.serve import FAIR, ShardedChunkCache, SoakConfig, run_soak
+from repro.serve import ShardedChunkCache, SoakConfig, run_soak
 
 #: Kinds that degrade service but can never fail a query outright.
 HARMLESS_KINDS = frozenset({DISK_SLOW, CACHE_POISON, CACHE_PRESSURE})
@@ -30,7 +30,7 @@ HARMLESS_KINDS = frozenset({DISK_SLOW, CACHE_POISON, CACHE_PRESSURE})
 NUM_USERS = 4
 PER_USER = 10
 CONFIG = SoakConfig(
-    checkpoint_every=10, timeout_seconds=120.0, schedule=FAIR
+    checkpoint_every=10, timeout_seconds=120.0
 )
 
 

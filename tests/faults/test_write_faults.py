@@ -27,7 +27,7 @@ from repro.faults import (
     FaultSpec,
     tiered_specs,
 )
-from repro.serve import FAIR, SoakConfig
+from repro.serve import SoakConfig
 from repro.storage.chunklog import ChunkLog
 from repro.storage.disk import SimulatedDisk
 
@@ -191,7 +191,6 @@ def chaos_run(workers, **cache):
             max_workers=workers,
             checkpoint_every=25,
             timeout_seconds=120.0,
-            schedule=FAIR,
         ),
         **CHAOS_ARGS,
     )

@@ -15,8 +15,6 @@ from repro.experiments.configs import SMOKE_SCALE
 from repro.experiments.harness import get_system, make_chunk_manager
 from repro.experiments.multiuser import user_streams
 from repro.serve import (
-    FAIR,
-    FREE,
     FrontConfig,
     FrontSession,
     ServeSession,
@@ -76,10 +74,9 @@ def _session(
     timeout_seconds=60.0,
     **hooks,
 ):
-    """A session of ``kind`` (``"serve"`` and ``"free"`` are a
-    ``ServeSession`` under that schedule, ``"front"`` a
-    ``FrontSession``) over a pipeline running ``probe`` ahead of every
-    ``execute``; returns ``(session, pipeline)``."""
+    """A session of ``kind`` (``"serve"`` a ``ServeSession``,
+    ``"front"`` a ``FrontSession``) over a pipeline running ``probe``
+    ahead of every ``execute``; returns ``(session, pipeline)``."""
     cache = ShardedChunkCache(system.cache_bytes, num_shards=2)
     manager = make_chunk_manager(system, cache=cache)
     if kind == "front":
@@ -101,7 +98,6 @@ def _session(
             manager,
             streams,
             max_workers=max_workers,
-            schedule=FREE if kind == "free" else FAIR,
             checkpoint_every=CHECKPOINT_EVERY,
             timeout_seconds=timeout_seconds,
             **hooks,
@@ -144,19 +140,9 @@ def test_deterministic_schedules_run_on_the_calling_thread(
     assert log.most_alive <= alive_before
 
 
-def test_free_schedule_runs_on_pool_threads(system, streams):
-    log = ThreadLog()
-    session, pipeline = _session("free", system, streams, log.note)
-    session.run()
-    assert pipeline.calls == NUM_STREAMS * PER_USER
-    assert log.names and all(
-        name.startswith("serve_") for name in log.names
-    )
-
-
 class TestWorkerCountOnlyMovesSimulatedTime:
-    """``max_workers`` under ``fair`` deals tickets to simulated clocks
-    and changes nothing else."""
+    """``max_workers`` deals tickets to simulated clocks and changes
+    nothing else."""
 
     STREAMS = 8
     FAILING = {3, 17}

@@ -1,6 +1,5 @@
-"""Tests for repro.serve.session — the concurrent stream executor."""
+"""Tests for repro.serve.session — the multi-stream executor."""
 
-import threading
 import time
 from types import SimpleNamespace
 
@@ -15,7 +14,8 @@ from repro.experiments.harness import (
     run_stream,
 )
 from repro.experiments.multiuser import user_streams
-from repro.serve import FAIR, FREE, ServeSession, ShardedChunkCache
+import repro.serve
+from repro.serve import FAIR, ServeSession, ShardedChunkCache
 from repro.workload.stream import QueryStream, interleave_streams
 
 
@@ -103,12 +103,14 @@ class TestReportShape:
         assert cache["num_shards"] == 1
         assert cache["lock_acquisitions"] > 0
 
-    def test_lock_wait_bucket_in_stage_summary(self, report):
-        summary = report.metrics.stage_summary()
-        assert summary  # the pipeline traced its stages
-        for stage in summary.values():
-            assert "lock_wait_seconds" in stage
-            assert stage["lock_wait_seconds"] >= 0.0
+    def test_snapshot_surfaces_shard_contention(self, system, streams):
+        cache = ShardedChunkCache(system.cache_bytes, num_shards=4)
+        manager = make_chunk_manager(system, cache=cache)
+        ServeSession(manager, streams).run()
+        shards = manager.snapshot().cache.contention
+        assert shards.num_shards == 4
+        assert len(shards.per_shard) == 4
+        assert shards.lock_acquisitions > 0
 
     def test_simulated_worker_seconds_per_worker(self, report):
         assert len(report.simulated_worker_seconds) == 2
@@ -116,51 +118,6 @@ class TestReportShape:
             report.simulated_worker_seconds
         )
         assert report.wall_seconds > 0.0
-
-
-class TestFreeSchedule:
-    def test_completes_and_conserves(self, system, streams):
-        cache = ShardedChunkCache(system.cache_bytes, num_shards=4)
-        manager = make_chunk_manager(system, cache=cache)
-        reads_before = system.backend.disk.stats.reads
-        session = ServeSession(
-            manager, streams, schedule=FREE, timeout_seconds=120.0
-        )
-        report = session.run()
-        assert report.queries == sum(len(s) for s in streams)
-        # Conservation holds under any interleaving: records account
-        # for every page the disk served, exactly.
-        delta = system.backend.disk.stats.reads - reads_before
-        assert report.metrics.total_pages_read() == delta
-        cache.check_conservation()
-
-    def test_describe_cache_surfaces_shard_contention(self, system, streams):
-        cache = ShardedChunkCache(system.cache_bytes, num_shards=4)
-        manager = make_chunk_manager(system, cache=cache)
-        ServeSession(
-            manager, streams, schedule=FREE, timeout_seconds=120.0
-        ).run()
-        shards = manager.snapshot().cache.contention
-        assert shards.num_shards == 4
-        assert len(shards.per_shard) == 4
-        assert shards.lock_acquisitions > 0
-
-    def test_checkpoint_callback_fires(self, system, streams):
-        seen = []
-        cache = ShardedChunkCache(system.cache_bytes, num_shards=2)
-        manager = make_chunk_manager(system, cache=cache)
-        session = ServeSession(
-            manager,
-            streams,
-            schedule=FREE,
-            checkpoint_every=25,
-            on_checkpoint=seen.append,
-            timeout_seconds=120.0,
-        )
-        report = session.run()
-        assert report.checkpoints == report.queries // 25
-        assert len(seen) == report.checkpoints
-        assert all(count % 25 == 0 for count in seen)
 
 
 class TestValidation:
@@ -186,6 +143,10 @@ class TestValidation:
         with pytest.raises(ServeError):
             self.make(schedule="chaotic")
 
+    def test_rejects_the_racing_schedule_with_the_contract(self):
+        with pytest.raises(ServeError, match="not thread-safe"):
+            self.make(schedule="free")
+
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ServeError):
             self.make(timeout_seconds=0.0)
@@ -194,9 +155,10 @@ class TestValidation:
         with pytest.raises(ServeError):
             self.make(max_workers=0)
 
-    def test_schedules_are_fair_and_free(self):
+    def test_the_only_schedule_is_fair(self):
         assert FAIR == "fair"
-        assert FREE == "free"
+        constants = [name for name in repro.serve.__all__ if name.isupper()]
+        assert constants == ["FAIR"]
 
 
 def _free_answer():
@@ -221,23 +183,10 @@ class _SlowPipeline:
         return _free_answer()
 
 
-class _BlockedPipeline:
-    """A pipeline whose queries hang until the test lets them go (or,
-    so a regression fails instead of hanging, for five seconds)."""
-
-    def __init__(self):
-        self.release = threading.Event()
-
-    def execute(self, query):
-        self.release.wait(timeout=5.0)
-        return _free_answer()
-
-
 def _stub_manager(pipeline):
     return SimpleNamespace(
         pipeline=pipeline,
         backend=SimpleNamespace(
-            lock_wait_recorder=None,
             lock_wait_seconds=0.0,
             lock_acquisitions=0,
         ),
@@ -246,38 +195,6 @@ def _stub_manager(pipeline):
 
 
 class TestTimeout:
-    def test_free_deadline_does_not_wait_for_the_stuck_worker(self):
-        pipeline = _BlockedPipeline()
-        streams = [
-            QueryStream(name=name, queries=(object(), object()))
-            for name in ("a", "b")
-        ]
-        session = ServeSession(
-            _stub_manager(pipeline),
-            streams,
-            schedule=FREE,
-            timeout_seconds=0.2,
-        )
-        started = time.perf_counter()
-        try:
-            with pytest.raises(ServeError, match="deadline"):
-                session.run()
-            # run() came back at the deadline with both workers still
-            # inside their first query.
-            assert time.perf_counter() - started < 1.2
-        finally:
-            pipeline.release.set()
-        # Released, each worker finds the session failed at its next
-        # ticket and exits: nothing is left running.
-        workers = [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("serve_")
-        ]
-        for thread in workers:
-            thread.join(timeout=10.0)
-        assert not any(thread.is_alive() for thread in workers)
-
     def test_deadline_becomes_serve_error(self):
         manager = _stub_manager(_SlowPipeline(delay=0.4))
         stream = QueryStream(name="slow", queries=(object(), object()))

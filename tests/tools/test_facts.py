@@ -1,4 +1,4 @@
-"""Phase-1 fact extraction: locks, writes, nondet sources, taint tokens."""
+"""Phase-1 fact extraction: calls, nondet sources, taint tokens."""
 
 from __future__ import annotations
 
@@ -23,47 +23,6 @@ def _func(facts, qualname):
         if func.qualname == qualname:
             return func
     raise AssertionError(f"{qualname} not extracted: {[f.qualname for f in facts.functions]}")
-
-
-class TestLockRegions:
-    SOURCE = (
-        "import threading\n"
-        "class C:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "    def locked_write(self):\n"
-        "        with self._lock:\n"
-        "            self._x = 1\n"
-        "    def unlocked_write(self):\n"
-        "        self._x = 2\n"
-        "    def explicit(self):\n"
-        "        self._lock.acquire()\n"
-        "        self._y = 3\n"
-        "        self._lock.release()\n"
-        "        self._z = 4\n"
-    )
-
-    def test_with_region_marks_writes_held(self):
-        func = _func(_facts(self.SOURCE), "C.locked_write")
-        (write,) = func.attr_writes
-        assert write.attr == "_x"
-        assert write.held == ("self._lock",)
-
-    def test_write_outside_region_is_unheld(self):
-        func = _func(_facts(self.SOURCE), "C.unlocked_write")
-        (write,) = func.attr_writes
-        assert write.held == ()
-
-    def test_explicit_acquire_release_brackets_statements(self):
-        func = _func(_facts(self.SOURCE), "C.explicit")
-        held = {w.attr: w.held for w in func.attr_writes}
-        assert held["_y"] == ("self._lock",)
-        assert held["_z"] == ()
-
-    def test_class_lock_attrs_detected(self):
-        facts = _facts(self.SOURCE)
-        (cls,) = facts.classes
-        assert cls.lock_attrs == (("_lock", "Lock"),)
 
 
 class TestNondetSources:
@@ -165,6 +124,17 @@ class TestTaintTokens:
 
 
 class TestRoundTrip:
+    SOURCE = (
+        "import time\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self._x = 0\n"
+        "    def tick(self):\n"
+        "        with open('f') as handle:\n"
+        "            self._x = time.perf_counter()\n"
+        "        return {'wall_seconds': self._x, 'n': len(handle.name)}\n"
+    )
+
     def test_facts_survive_json_round_trip(self):
-        facts = _facts(TestLockRegions.SOURCE)
+        facts = _facts(self.SOURCE)
         assert facts_from_dict(facts_to_dict(facts)) == facts

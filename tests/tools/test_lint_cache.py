@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from tools.reprolint.cache import CACHE_VERSION
 from tools.reprolint.engine import run_lint
 from tools.reprolint.rules import r002_float_eq, r004_hygiene
 
@@ -41,21 +42,38 @@ class TestCache:
         src = tmp_path / "src" / "repro" / "serve"
         src.mkdir(parents=True)
         (src / "mod.py").write_text(
-            "import threading\n"
-            "class Session:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "    def bump(self):\n"
-            "        self._count = 1\n"
+            "import time\n"
+            "def wall():\n"
+            "    return time.perf_counter()\n"
+            "def compute_digest():\n"
+            "    return str(wall())\n"
         )
         cache = tmp_path / "cache.json"
         cold = run_lint([tmp_path / "src"], cache_path=cache)
         warm = run_lint([tmp_path / "src"], cache_path=cache)
         assert warm.cache_hits == 1
-        # R009 is a whole-program rule: it must fire identically from
+        # R010 is a whole-program rule: it must fire identically from
         # cached facts, not just on the parse path.
-        assert [v.code for v in cold.violations] == ["R009"]
+        assert [v.code for v in cold.violations] == ["R010"]
         assert warm.violations == cold.violations
+
+    def test_an_older_cache_version_is_never_read(self, tmp_path):
+        # A version-1 cache still holds lock facts; its entries must be
+        # rebuilt, not decoded under the current schema.
+        target = _write(tmp_path, "mod.py", DIRTY)
+        cache = tmp_path / "cache.json"
+        run_lint([tmp_path], cache_path=cache)
+        payload = json.loads(cache.read_text())
+        assert payload["version"] == CACHE_VERSION > 1
+        entry = payload["files"][str(target)]
+        entry["facts"]["functions"][0]["lock_events"] = []
+        entry["violations"] = []
+        payload["version"] = 1
+        cache.write_text(json.dumps(payload))
+        rerun = run_lint([tmp_path], cache_path=cache)
+        assert rerun.cache_misses == 1 and rerun.cache_hits == 0
+        assert [v.code for v in rerun.violations] == ["R004"]
+        assert json.loads(cache.read_text())["version"] == CACHE_VERSION
 
     def test_cache_entry_requires_code_superset(self, tmp_path):
         # R002 only applies to src/repro modules, so give the file a

@@ -60,7 +60,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert sorted(RULES_BY_CODE) == [
             "R000", "R001", "R002", "R003", "R004", "R005", "R006",
-            "R007", "R009", "R010", "R011",
+            "R007", "R010", "R011",
         ]
 
     def test_rules_have_summaries(self):
@@ -116,7 +116,7 @@ class TestPathsAndCli:
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("R000", "R001", "R002", "R009", "R010"):
+        for code in ("R000", "R001", "R002", "R010"):
             assert code in out
 
     def test_cli_select_unknown_code_errors(self):

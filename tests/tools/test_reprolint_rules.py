@@ -100,7 +100,7 @@ class TestR001Layering:
     def test_serve_importing_pipeline_and_core_is_fine(self):
         src = (
             "from repro.core.manager import ChunkCacheManager\n"
-            "from repro.pipeline.trace import record_blocked_wait\n"
+            "from repro.pipeline.trace import ExecutionTrace\n"
             "from repro.workload.stream import QueryStream\n"
         )
         assert only(src, "src/repro/serve/session.py", "R001") == []

@@ -8,10 +8,6 @@ formats:
 - ``json`` — a machine-readable object with violations and stats;
 - ``github`` — GitHub Actions workflow commands, rendered as inline
   annotations on the PR diff.
-
-``--dump-lockorder`` prints the statically derived lock-order graph
-(one ``outer -> inner`` line per edge) — the same lines pinned in
-``tests/tools/lockorder.txt``.
 """
 
 from __future__ import annotations
@@ -23,8 +19,7 @@ from typing import Sequence
 
 from tools.reprolint.cache import DEFAULT_CACHE_PATH
 from tools.reprolint.engine import run_lint
-from tools.reprolint.project import Project
-from tools.reprolint.rules import ALL_RULES, RULES_BY_CODE, r009_lockorder
+from tools.reprolint.rules import ALL_RULES, RULES_BY_CODE
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -60,10 +55,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--jobs", type=int, default=None, metavar="N",
         help="worker threads for fact extraction (default: auto)",
     )
-    parser.add_argument(
-        "--dump-lockorder", action="store_true",
-        help="print the derived static lock-order graph and exit",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -83,12 +74,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     result = run_lint(
         args.paths, rules=rules, cache_path=cache_path, jobs=args.jobs
     )
-
-    if args.dump_lockorder:
-        graph = r009_lockorder.derive_lock_graph(Project(result.files))
-        for line in graph.edge_lines():
-            print(line)
-        return 0
 
     if args.format == "json":
         payload = {

@@ -11,7 +11,7 @@ they are cached under the SHA-256 of the source:
   the rule codes they were computed under (a run selecting codes the
   entry doesn't cover recomputes).
 
-Phase 2 (symbol table, call graph, R009/R010) is recomputed every run
+Phase 2 (symbol table, call graph, R010) is recomputed every run
 from the cached facts — it is cross-file by nature and cheap once
 parsing is skipped.
 
@@ -33,7 +33,9 @@ from tools.reprolint.facts import FileFacts, facts_from_dict, facts_to_dict
 __all__ = ["CACHE_VERSION", "DEFAULT_CACHE_PATH", "FactCache"]
 
 #: Bump on any change to fact extraction or per-file rule behavior.
-CACHE_VERSION = 1
+#: Version 2 dropped the lock facts (lock events, held stacks, attribute
+#: writes, class lock attributes): a version-1 entry is never read.
+CACHE_VERSION = 2
 
 DEFAULT_CACHE_PATH = ".reprolint_cache.json"
 

@@ -5,10 +5,10 @@ linted file and builds the two structures the whole-program rules share:
 
 - :class:`SymbolTable` — every class and function in the project,
   indexed so a raw callee text from phase 1 (``"self._publish_delta"``,
-  ``"shard.held"``, ``"record_blocked_wait"``) can be resolved to the
-  candidate definitions it may denote;
+  ``"shard.held"``, ``"run_digest"``) can be resolved to the candidate
+  definitions it may denote;
 - :class:`CallGraph` — resolved caller → callee edges, the substrate
-  for transitive lock acquisition (R009) and taint propagation (R010).
+  for taint propagation (R010).
 
 Resolution is deliberately *name-based and optimistic about precision*:
 
@@ -19,7 +19,7 @@ Resolution is deliberately *name-based and optimistic about precision*:
   exists, else to every module-level ``f`` in the project.
 
 Unresolvable callees (stdlib, numpy, builtins) resolve to nothing —
-phase-2 rules treat them as lock-free and taint-free, and compensate
+phase-2 rules treat them as taint-free, and compensate
 with explicit source/sink checks.  The trade-offs are documented in
 ``docs/STATIC_ANALYSIS.md``.
 """
@@ -43,7 +43,7 @@ __all__ = [
 #: non-``self`` call to one of these (``self._memo.get(k)``) is far more
 #: likely a ``dict``/``list``/``Lock`` operation than a project method,
 #: and resolving it to every project class defining the name fabricates
-#: call edges (and through them lock edges and taint) out of thin air.
+#: call edges (and through them taint) out of thin air.
 #: ``self.m`` calls still resolve — the enclosing class is known.
 AMBIGUOUS_METHOD_NAMES = frozenset(
     {
@@ -60,8 +60,7 @@ AMBIGUOUS_METHOD_NAMES = frozenset(
         "getvalue", "total_seconds", "timestamp",
         # Shared with *every* class: a dotted ``super().__init__(...)``
         # chain would otherwise resolve to each project constructor,
-        # fabricating lock edges out of any ``raise`` under a lock once
-        # any constructor (transitively) acquires one.  Direct
+        # fabricating call edges into all of them.  Direct
         # instantiation (``ChunkLog(...)``) is unaffected — bare names
         # route through the class table, not this fallback.
         "__init__",
@@ -73,24 +72,21 @@ AMBIGUOUS_METHOD_NAMES = frozenset(
 #:
 #: - ``self.evict_hook(...)`` is a stored callable, so name resolution
 #:   sees nothing — but the only installer is the tiered cache, whose
-#:   spill path acquires the ``tiered`` and ``l2`` locks (the whole
-#:   point of deriving the shard → tiered → l2 order);
+#:   spill path it runs;
 #: - ``self.log.<m>`` in the tiered cache denotes its owned
 #:   :class:`ChunkLog`, but several of the method names (``put``,
 #:   ``get``, ``clear``, ``close``) are in :data:`AMBIGUOUS_METHOD_NAMES`
 #:   (resolve to nothing) or collide with the sharded store's methods
-#:   (resolve to a *false* ``tiered -> shard`` edge, i.e. a fabricated
-#:   cycle);
+#:   (resolve to a *false* edge back into the store);
 #: - ``self.fault_hook(...)`` (``BackendEngine``, ``ChunkCache``) is a
 #:   stored callable too, and the chunk stores' ``fault_hook``
 #:   properties share its name.  A call never runs a property setter,
 #:   so it binds to nothing: what is installed there is the fault
-#:   injector's, outside the derived lock order.
+#:   injector's.
 #:
 #: Every target must name exactly one method defined in ``src/``
 #: (``tests/tools/test_callgraph.py`` checks it), so a binding cannot
-#: outlive the method it binds.  R009's DECLARED_EDGES covers the hops
-#: the callgraph still cannot see.
+#: outlive the method it binds.
 HOOK_BINDINGS: Mapping[str, tuple[tuple[str, str], ...]] = {
     "self.evict_hook": (("TieredChunkCache", "_on_evict"),),
     "self.fault_hook": (),
@@ -142,15 +138,6 @@ class SymbolTable:
     def iter_functions(self) -> Iterator[tuple[FuncRef, FunctionFacts]]:
         yield from self.functions.items()
 
-    def class_lock_attrs(self) -> Mapping[tuple[str, str], str]:
-        """``(class, attr) -> kind`` for every lock-object attribute."""
-        out: dict[tuple[str, str], str] = {}
-        for entries in self.classes.values():
-            for _, cls in entries:
-                for attr, kind in cls.lock_attrs:
-                    out[(cls.name, attr)] = kind
-        return out
-
     def resolve_call(
         self, callee: str, caller: FunctionFacts, caller_path: str
     ) -> tuple[FuncRef, ...]:
@@ -175,7 +162,7 @@ class SymbolTable:
             # Class instantiation: route to __init__ when defined, and
             # to __enter__ — a context-manager object is built to be
             # entered (``with shard.held()`` runs both), so what its
-            # __enter__ acquires belongs to whoever builds it.
+            # __enter__ returns belongs to whoever builds it.
             if terminal in self.classes:
                 return tuple(
                     ref

@@ -269,7 +269,7 @@ def lint_source(
     """Lint a source string as if it lived at ``path`` (for tests).
 
     Runs per-file rules *and* whole-program rules over the single-file
-    project, so fire/no-fire tests for R009/R010 work on one snippet.
+    project, so fire/no-fire tests for R010 work on one snippet.
     """
     from tools.reprolint.rules import ALL_RULES
 

@@ -3,8 +3,8 @@
 The two-phase engine (see ``docs/STATIC_ANALYSIS.md``) splits analysis
 into *fact extraction* — one pass over each file's AST producing a
 JSON-serializable :class:`FileFacts` — and *whole-program rules* that
-consume the facts of every file at once (lock-order derivation, taint
-propagation over the call graph).  Facts are deliberately plain data:
+consume the facts of every file at once (taint propagation over the
+call graph).  Facts are deliberately plain data:
 
 - they can be cached by content hash (:mod:`tools.reprolint.cache`), so
   a warm ``make lint`` never re-parses an unchanged file;
@@ -13,16 +13,11 @@ propagation over the call graph).  Facts are deliberately plain data:
 
 What is recorded per function (:class:`FunctionFacts`):
 
-- **lock activity** — every ``with``-item and explicit ``.acquire()`` /
-  ``.release()`` call, each with the stack of regions lexically held at
-  that point.  Items are recorded *raw* (the receiver's dotted text);
-  phase 2 decides which receivers denote locks.
-- **calls** — every call site with its callee text and held stack, the
-  edges the project call graph is built from.
-- **attribute writes** — ``self.X = ...`` / ``self.X += ...`` /
-  ``self.X[...] = ...`` with the held stack (the R009 shared-state
-  check) and, separately, taint tokens for *any* terminal attribute
-  assignment (the R010 field-taint seed).
+- **calls** — every call site with its callee text, the edges the
+  project call graph is built from.
+- **attribute reads and writes** — the attribute names a function reads
+  and the taint tokens of *any* terminal attribute assignment (the
+  R010 field-taint seed).
 - **nondeterminism sources** — wall-clock reads, unseeded RNG calls,
   ``os.environ`` reads, ``id()`` / builtin ``hash()``, unordered-set
   iteration.
@@ -43,9 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 __all__ = [
-    "LockEvent",
     "CallSite",
-    "AttrWrite",
     "NondetUse",
     "KwTaint",
     "DictKeyTaint",
@@ -79,54 +72,12 @@ CLOCK_CALLS = frozenset(
 #: ``random``-module calls that are *seeded constructors*, not sources.
 SEEDED_CONSTRUCTORS = frozenset({"Random"})
 
-#: ``threading`` / ``asyncio`` constructors that create a lock object.
-LOCK_CONSTRUCTORS = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
-)
-
-
-@dataclass(frozen=True)
-class LockEvent:
-    """One lock-shaped event: a with-item, ``.acquire()`` or ``.release()``.
-
-    Attributes:
-        kind: ``"with"`` | ``"acquire"`` | ``"release"``.
-        target: Raw dotted receiver text (``"self._accounting_lock"``,
-            ``"shard.lock"``, ``"shard.held()"``).
-        line: 1-based source line.
-        held: Raw region texts lexically held at this event, outermost
-            first.
-    """
-
-    kind: str
-    target: str
-    line: int
-    held: tuple[str, ...]
-
-
 @dataclass(frozen=True)
 class CallSite:
-    """One call expression with its lock context."""
+    """One call expression: its raw callee text and line."""
 
     callee: str
     line: int
-    held: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class AttrWrite:
-    """One write to a ``self`` attribute (R009's unit of analysis).
-
-    ``attr`` is the terminal attribute name; ``via_subscript`` marks
-    item assignment through the attribute (``self.xs[i] = v``) rather
-    than rebinding the attribute itself.
-    """
-
-    attr: str
-    line: int
-    held: tuple[str, ...]
-    augmented: bool
-    via_subscript: bool
 
 
 @dataclass(frozen=True)
@@ -174,10 +125,7 @@ class FunctionFacts:
     qualname: str
     cls: str | None
     line: int
-    decorators: tuple[str, ...]
-    lock_events: tuple[LockEvent, ...]
     calls: tuple[CallSite, ...]
-    attr_writes: tuple[AttrWrite, ...]
     attr_reads: tuple[tuple[str, int], ...]
     nondet: tuple[NondetUse, ...]
     return_tokens: tuple[str, ...]
@@ -188,19 +136,12 @@ class FunctionFacts:
 
 @dataclass(frozen=True)
 class ClassFacts:
-    """One class definition: its methods and the lock objects it owns.
-
-    ``lock_attrs`` maps attribute name to the constructor kind
-    (``"Lock"``, ``"RLock"``, ``"Condition"``, …) for every
-    ``self.X = threading.Lock()``-shaped assignment anywhere in the
-    class body.
-    """
+    """One class definition and its methods."""
 
     name: str
     line: int
     bases: tuple[str, ...]
     methods: tuple[str, ...]
-    lock_attrs: tuple[tuple[str, str], ...]
 
 
 @dataclass(frozen=True)
@@ -237,7 +178,7 @@ class FileFacts:
 def expr_text(node: ast.expr) -> str:
     """Best-effort dotted rendering of a receiver expression.
 
-    ``self._accounting_lock`` -> ``"self._accounting_lock"``;
+    ``self.log.put`` -> ``"self.log.put"``;
     ``shard.held()`` -> ``"shard.held()"``; anything unrenderable
     collapses to ``"?"`` segments rather than failing.
     """
@@ -426,23 +367,12 @@ def _expr_tokens(
 # Per-function extraction
 # ----------------------------------------------------------------------
 class _FunctionVisitor:
-    """Walks one function body in statement order, tracking lock regions.
-
-    Statement-order traversal is what makes explicit
-    ``lock.acquire()`` / ``lock.release()`` bracketing meaningful: an
-    acquire adds its receiver to the held stack for the statements that
-    follow it (in the traversal order body → handlers → orelse →
-    finalbody), a release removes it.
-    """
+    """Walks one function body in statement order."""
 
     def __init__(self, func: ast.FunctionDef | ast.AsyncFunctionDef, cls: str | None) -> None:
         self.func = func
         self.cls = cls
-        self.with_stack: list[str] = []
-        self.explicit: list[str] = []
-        self.lock_events: list[LockEvent] = []
         self.calls: list[CallSite] = []
-        self.attr_writes: list[AttrWrite] = []
         self.attr_reads: list[tuple[str, int]] = []
         self.nondet: list[NondetUse] = []
         self.return_exprs: list[ast.expr] = []
@@ -453,50 +383,17 @@ class _FunctionVisitor:
         self.set_locals: set[str] = set()
 
     # -- helpers --------------------------------------------------------
-    def _held(self) -> tuple[str, ...]:
-        return tuple(self.with_stack + self.explicit)
-
     def _note_expr(self, node: ast.expr) -> None:
         """Record calls, reads and sources inside one expression."""
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 callee = expr_text(sub.func)
-                self.calls.append(
-                    CallSite(callee=callee, line=sub.lineno, held=self._held())
-                )
+                self.calls.append(CallSite(callee=callee, line=sub.lineno))
                 detail = _call_detail(sub)
                 if detail is not None:
                     self.nondet.append(
                         NondetUse(kind=detail[0], detail=detail[1], line=sub.lineno)
                     )
-                if (
-                    isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "acquire"
-                ):
-                    self.lock_events.append(
-                        LockEvent(
-                            kind="acquire",
-                            target=expr_text(sub.func.value),
-                            line=sub.lineno,
-                            held=self._held(),
-                        )
-                    )
-                    self.explicit.append(expr_text(sub.func.value))
-                elif (
-                    isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "release"
-                ):
-                    target = expr_text(sub.func.value)
-                    self.lock_events.append(
-                        LockEvent(
-                            kind="release",
-                            target=target,
-                            line=sub.lineno,
-                            held=self._held(),
-                        )
-                    )
-                    if target in self.explicit:
-                        self.explicit.remove(target)
                 for kw in sub.keywords:
                     if kw.arg is not None:
                         self.kw_taints.append(
@@ -554,21 +451,11 @@ class _FunctionVisitor:
                 NondetUse(kind="set-iter", detail="set iteration", line=line)
             )
 
-    def _note_target(self, target: ast.expr, tokens: frozenset[str], augmented: bool) -> None:
+    def _note_target(self, target: ast.expr, tokens: frozenset[str]) -> None:
         if isinstance(target, ast.Name):
             self.assigns.append((target.id, tokens))
         elif isinstance(target, ast.Attribute):
             self.attr_assigns.append((target.attr, tokens))
-            if isinstance(target.value, ast.Name) and target.value.id == "self":
-                self.attr_writes.append(
-                    AttrWrite(
-                        attr=target.attr,
-                        line=target.lineno,
-                        held=self._held(),
-                        augmented=augmented,
-                        via_subscript=False,
-                    )
-                )
         elif isinstance(target, ast.Subscript):
             inner = target.value
             if (
@@ -576,19 +463,10 @@ class _FunctionVisitor:
                 and isinstance(inner.value, ast.Name)
                 and inner.value.id == "self"
             ):
-                self.attr_writes.append(
-                    AttrWrite(
-                        attr=inner.attr,
-                        line=target.lineno,
-                        held=self._held(),
-                        augmented=augmented,
-                        via_subscript=True,
-                    )
-                )
                 self.attr_assigns.append((inner.attr, tokens))
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._note_target(element, tokens, augmented)
+                self._note_target(element, tokens)
 
     # -- statement traversal -------------------------------------------
     def run(self) -> None:
@@ -603,22 +481,9 @@ class _FunctionVisitor:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return  # nested defs analyzed separately
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            pushed = 0
             for item in stmt.items:
-                target = expr_text(item.context_expr)
-                self.lock_events.append(
-                    LockEvent(
-                        kind="with",
-                        target=target,
-                        line=stmt.lineno,
-                        held=self._held(),
-                    )
-                )
                 self._note_expr(item.context_expr)
-                self.with_stack.append(target)
-                pushed += 1
             self._visit_block(stmt.body)
-            del self.with_stack[-pushed:]
             return
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._note_iteration(stmt.iter, stmt.lineno)
@@ -652,7 +517,7 @@ class _FunctionVisitor:
             tokens = _expr_tokens(stmt.value)
             self._note_expr(stmt.value)
             for target in stmt.targets:
-                self._note_target(target, tokens, augmented=False)
+                self._note_target(target, tokens)
                 if isinstance(target, ast.Name) and self._is_set_expr(stmt.value):
                     self.set_locals.add(target.id)
             for target in stmt.targets:
@@ -665,13 +530,13 @@ class _FunctionVisitor:
         if isinstance(stmt, ast.AugAssign):
             tokens = _expr_tokens(stmt.value)
             self._note_expr(stmt.value)
-            self._note_target(stmt.target, tokens, augmented=True)
+            self._note_target(stmt.target, tokens)
             return
         if isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
                 tokens = _expr_tokens(stmt.value)
                 self._note_expr(stmt.value)
-                self._note_target(stmt.target, tokens, augmented=False)
+                self._note_target(stmt.target, tokens)
             return
         if isinstance(stmt, ast.Expr):
             self._note_expr(stmt.value)
@@ -748,9 +613,6 @@ class _FunctionVisitor:
             attr_taints.setdefault(attr, set()).update(
                 self._substitute(tokens, resolved)
             )
-        decorators = tuple(
-            expr_text(dec) for dec in self.func.decorator_list
-        )
         qualname = (
             f"{self.cls}.{self.func.name}" if self.cls else self.func.name
         )
@@ -759,10 +621,7 @@ class _FunctionVisitor:
             qualname=qualname,
             cls=self.cls,
             line=self.func.lineno,
-            decorators=decorators,
-            lock_events=tuple(self.lock_events),
             calls=tuple(self.calls),
-            attr_writes=tuple(self.attr_writes),
             attr_reads=tuple(self.attr_reads),
             nondet=tuple(self.nondet),
             return_tokens=tuple(sorted(return_tokens)),
@@ -795,21 +654,8 @@ class _FunctionVisitor:
 # ----------------------------------------------------------------------
 # Per-file extraction
 # ----------------------------------------------------------------------
-def _lock_attr_kind(node: ast.expr) -> str | None:
-    """``threading.Lock()`` / ``asyncio.Condition()`` -> its kind."""
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in LOCK_CONSTRUCTORS:
-        receiver = expr_text(func.value)
-        if receiver in ("threading", "asyncio", "multiprocessing"):
-            return func.attr
-    return None
-
-
 def _extract_class(node: ast.ClassDef) -> tuple[ClassFacts, list[FunctionFacts]]:
     methods: list[str] = []
-    lock_attrs: dict[str, str] = {}
     functions: list[FunctionFacts] = []
     for stmt in node.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -817,24 +663,11 @@ def _extract_class(node: ast.ClassDef) -> tuple[ClassFacts, list[FunctionFacts]]
             visitor = _FunctionVisitor(stmt, node.name)
             visitor.run()
             functions.append(visitor.summarize())
-            for body_stmt in ast.walk(stmt):
-                if isinstance(body_stmt, ast.Assign):
-                    kind = _lock_attr_kind(body_stmt.value)
-                    if kind is None:
-                        continue
-                    for target in body_stmt.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            lock_attrs[target.attr] = kind
     facts = ClassFacts(
         name=node.name,
         line=node.lineno,
         bases=tuple(expr_text(base) for base in node.bases),
         methods=tuple(methods),
-        lock_attrs=tuple(sorted(lock_attrs.items())),
     )
     return facts, functions
 
@@ -865,8 +698,8 @@ def extract_facts(
             visitor = _FunctionVisitor(node, None)
             visitor.run()
             functions.append(visitor.summarize())
-            # Nested defs (decorator wrappers): analyze one level down so
-            # patterns like _synchronized's wrapper() are visible.
+            # Nested defs (decorator wrappers, closures): analyze one
+            # level down so their calls and taint are visible.
             for stmt in node.body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     nested = _FunctionVisitor(stmt, None)
@@ -878,10 +711,7 @@ def extract_facts(
                             qualname=f"{node.name}.{inner.name}",
                             cls=None,
                             line=inner.line,
-                            decorators=inner.decorators,
-                            lock_events=inner.lock_events,
                             calls=inner.calls,
-                            attr_writes=inner.attr_writes,
                             attr_reads=inner.attr_reads,
                             nondet=inner.nondet,
                             return_tokens=inner.return_tokens,
@@ -928,31 +758,13 @@ def _tup(items: Any) -> tuple[Any, ...]:
 def facts_from_dict(data: dict[str, Any]) -> FileFacts:
     """Rebuild :class:`FileFacts` from :func:`facts_to_dict` output."""
 
-    def _pairs(items: Any) -> tuple[tuple[str, Any], ...]:
-        return tuple((a, tuple(b) if isinstance(b, list) else b) for a, b in items)
-
     functions = tuple(
         FunctionFacts(
             name=f["name"],
             qualname=f["qualname"],
             cls=f["cls"],
             line=f["line"],
-            decorators=_tup(f["decorators"]),
-            lock_events=tuple(
-                LockEvent(e["kind"], e["target"], e["line"], _tup(e["held"]))
-                for e in f["lock_events"]
-            ),
-            calls=tuple(
-                CallSite(c["callee"], c["line"], _tup(c["held"]))
-                for c in f["calls"]
-            ),
-            attr_writes=tuple(
-                AttrWrite(
-                    w["attr"], w["line"], _tup(w["held"]),
-                    w["augmented"], w["via_subscript"],
-                )
-                for w in f["attr_writes"]
-            ),
+            calls=tuple(CallSite(c["callee"], c["line"]) for c in f["calls"]),
             attr_reads=tuple((a, b) for a, b in f["attr_reads"]),
             nondet=tuple(
                 NondetUse(n["kind"], n["detail"], n["line"]) for n in f["nondet"]
@@ -978,7 +790,6 @@ def facts_from_dict(data: dict[str, Any]) -> FileFacts:
             line=c["line"],
             bases=_tup(c["bases"]),
             methods=_tup(c["methods"]),
-            lock_attrs=_pairs(c["lock_attrs"]),
         )
         for c in data["classes"]
     )

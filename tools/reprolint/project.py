@@ -36,9 +36,9 @@ class Project:
         """The sub-project of ``src/repro`` files (whole-program scope).
 
         Phase-2 rules analyze library modules only: test files and tool
-        files have no importable module path, and synthetic lock/taint
+        files have no importable module path, and synthetic taint
         patterns in *tests of the linter itself* must not leak into the
-        production lock-order graph.
+        production analysis.
         """
         if self._repro_only is None:
             if all(

@@ -88,7 +88,6 @@ SERVE_ALLOWED_IMPORTS = (
     "repro.analysis",
     "repro.exceptions",
     "repro.invariants",
-    "repro.lockorder",
 )
 
 #: Layers that must not know about the serving layer (facet 5).

@@ -19,7 +19,7 @@ do.  This rule makes that promise static:
    or passed as its constructor keyword.  Both run to a joint fixpoint
    over the project call graph.  Fields are tracked by bare attribute
    name — coarse, but exactly right for the handful of wall-clock
-   fields (``wall_seconds``, ``lock_wait_seconds``) that must never
+   fields (``wall_seconds``) that must never
    cross into a digest.  Values passed *into* a call carry
    ``arg:<callee>:``-tagged tokens; when the callee is itself a sink
    (audited internally), the call acts as a taint **barrier** — passing
