@@ -42,10 +42,15 @@ bench-pairs:
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # Where one benchmark workload spends its time: its driver under cProfile,
-# with the untraced qps beside the table (see tools/benchprofile.py):
-#   make profile WORKLOAD=miss_heavy [SORT=cumulative] [TOP=40] [SEED=1998]
+# with the untraced qps beside the table, or (PHASE=setup) RUNS calls of
+# its set-up, with the median set-up wall beside the table (see
+# tools/benchprofile.py):
+#   make profile WORKLOAD=miss_heavy [PHASE=setup] [RUNS=5] [SORT=cumulative]
+#       [TOP=40] [SEED=1998]
 SORT ?= tottime
 TOP ?= 25
+PHASE ?= driver
+RUNS ?= 5
 profile:
-	$(PYTHON) -m tools.benchprofile --workload $(WORKLOAD) --sort $(SORT) \
-		--top $(TOP) --seed $(SEED)
+	$(PYTHON) -m tools.benchprofile --workload $(WORKLOAD) --phase $(PHASE) \
+		--runs $(RUNS) --sort $(SORT) --top $(TOP) --seed $(SEED)

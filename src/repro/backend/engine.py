@@ -185,6 +185,7 @@ class BackendEngine:
                 f"records dtype {records.dtype} does not match fact format "
                 f"{self.record_format.dtype}"
             )
+        self._check_ordinals(records)
         self.space.set_base_tuples(len(records))
         if self.organization == "chunked":
             self.chunked_file = ChunkedFile(
@@ -204,6 +205,23 @@ class BackendEngine:
         self.buffer_pool.flush()
         self.buffer_pool.reset_stats()
         self.disk.reset_stats()
+
+    def _check_ordinals(self, records: np.ndarray) -> None:
+        """Refuse a dimension column with an ordinal outside its leaf
+        level, whatever the organization, before anything is stored:
+        each access path would treat it differently (no bitmap holds
+        it, the scan would wrap -1)."""
+        if not len(records):
+            return
+        for dim in self.schema.dimensions:
+            column = records[dim.name]
+            low, high = int(column.min()), int(column.max())
+            if low < 0 or high >= dim.leaf_cardinality:
+                raise BackendError(
+                    f"column {dim.name!r} holds ordinal "
+                    f"{low if low < 0 else high}, outside its leaf level "
+                    f"0..{dim.leaf_cardinality - 1}"
+                )
 
     def _build_bitmaps(self, stored: np.ndarray) -> None:
         """One bitmap index per dimension over the stored fact table.
@@ -553,6 +571,7 @@ class BackendEngine:
             )
         if len(records) == 0:
             return []
+        self._check_ordinals(records)
         if self.delta_file is None:
             self.delta_file = FactFile(
                 self.disk, self.record_format, self.buffer_pool

@@ -249,8 +249,8 @@ class DimensionChunking:
     def range_starts(self, level: int) -> tuple[int, ...]:
         """The ``lo`` boundary of every range at ``level``, ascending.
 
-        Useful for vectorized ordinal -> chunk-index mapping via
-        ``numpy.searchsorted(starts, ordinals, side="right") - 1``.
+        The chunked file builds its ordinal -> chunk-index table from
+        these (``repro.storage.chunkedfile._ordinal_table``).
         """
         self._level_ranges(level)  # existence check
         return tuple(self._starts[level])

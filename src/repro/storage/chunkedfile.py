@@ -22,6 +22,7 @@ with one entry per non-empty chunk.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +42,10 @@ def tuple_chunk_numbers(
     grid: ChunkGrid, records: np.ndarray, field_names: Sequence[str]
 ) -> np.ndarray:
     """Vectorized chunk number of every record under ``grid``.
+
+    Each column is mapped by one gather through its level's ordinal ->
+    ``chunk index * stride`` table (:func:`_ordinal_table`), so a record
+    costs one lookup per dimension, not a binary search.
 
     Args:
         grid: The chunk grid the records belong to (dimension levels must
@@ -62,18 +67,31 @@ def tuple_chunk_numbers(
     ):
         if level == 0:
             continue
-        starts = np.asarray(chunking.range_starts(level), dtype=np.int64)
-        ordinals = records[name].astype(np.int64, copy=False)
+        cardinality = chunking.dimension.cardinality(level)
+        ordinals = records[name]
         if len(ordinals) and (
-            ordinals.min() < 0
-            or ordinals.max() >= chunking.dimension.cardinality(level)
+            ordinals.min() < 0 or ordinals.max() >= cardinality
         ):
             raise FileFormatError(
                 f"ordinals in column {name!r} out of range for level {level}"
             )
-        indices = np.searchsorted(starts, ordinals, side="right") - 1
-        numbers += indices * stride
+        starts = chunking.range_starts(level)
+        numbers += _ordinal_table(starts, cardinality, stride)[ordinals]
     return numbers
+
+
+@lru_cache(maxsize=256)
+def _ordinal_table(
+    starts: tuple[int, ...], cardinality: int, stride: int
+) -> np.ndarray:
+    """``chunk index * stride`` of every ordinal ``0 .. cardinality - 1``
+    of a level whose chunk ranges begin at ``starts`` (read-only)."""
+    bounds = np.append(np.asarray(starts, dtype=np.int64), cardinality)
+    table = np.repeat(
+        np.arange(len(starts), dtype=np.int64) * stride, np.diff(bounds)
+    )
+    table.flags.writeable = False
+    return table
 
 
 class ChunkedFile:
@@ -157,21 +175,33 @@ class ChunkedFile:
         chunk-index entry per non-empty chunk.
 
         A function of its own so that its per-record integer arrays
-        (three, together the size of the table) are freed before the
-        fact file builds its pages and image: the peak of a load is
-        what the process's resident size stays at afterwards.
+        are freed before the fact file builds its pages and image: the
+        peak of a load is what the process's resident size stays at
+        afterwards.
         """
         numbers = tuple_chunk_numbers(
             self.grid, records, self.dimension_fields
         )
+        # The same stable permutation as an int64 argsort, in linear
+        # time: numpy sorts 16-bit keys stably by radix.
+        if len(numbers) and numbers.max() <= np.iinfo(np.uint16).max:
+            numbers = numbers.astype(np.uint16)
         order = np.argsort(numbers, kind="stable")
-        present, starts = np.unique(numbers[order], return_index=True)
-        counts = np.diff(np.append(starts, len(records)))
+        ordered = numbers[order]
+        del numbers
+        starts = np.flatnonzero(np.diff(ordered)) + 1
+        if len(ordered):
+            starts = np.concatenate(([0], starts))
+        counts = np.diff(np.append(starts, len(ordered)))
         items = [
-            (int(number), (int(start), int(count)))
-            for number, start, count in zip(present, starts, counts)
+            (number, (start, count))
+            for number, start, count in zip(
+                ordered[starts].tolist(), starts.tolist(), counts.tolist()
+            )
         ]
-        return records[order], items
+        # ``take`` copies whole records, ~10x faster than ``records[order]``
+        # copies a structured array field by field.
+        return records.take(order), items
 
     @property
     def num_records(self) -> int:

@@ -139,6 +139,23 @@ class SimulatedDisk:
             return None
         return self._pages
 
+    def stored_bytes(self, page_ids: Sequence[int]) -> bytes:
+        """The stored contents of pages, joined in order, uncounted.
+
+        For a reader that has already charged these pages (through a
+        :class:`~repro.storage.buffer.BufferPool` run, which counted
+        every physical read): a page holds exactly what was last written
+        to it, so its bytes are taken from the page table instead of
+        being copied out page by page.  A never-written page reads as
+        ``page_size`` zero bytes, like :meth:`read_page`.
+        """
+        pages = self._pages
+        zero = bytes(self.page_size)
+        return b"".join([
+            zero if (data := pages[page_id]) is None else data
+            for page_id in page_ids
+        ])
+
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write one page (counted as one I/O).
 

@@ -52,7 +52,9 @@ class FactFile:
         self.record_format = record_format
         self.buffer_pool = buffer_pool
         self.codec = PackedPage(record_format, disk.page_size)
-        self._page_ids: list[int] = []
+        # Disk page ids in file order, as an array so page numbers map to
+        # page ids with one ``take``.
+        self._page_ids = np.zeros(0, dtype=np.int64)
         # Whether every page but the last is full, i.e. whether
         # ``position // capacity`` is the page of a record.
         self._dense = True
@@ -85,7 +87,7 @@ class FactFile:
     @property
     def page_ids(self) -> tuple[int, ...]:
         """Disk page ids in file order."""
-        return tuple(self._page_ids)
+        return tuple(self._page_ids.tolist())
 
     def _require_dense(self) -> None:
         """Refuse position -> page arithmetic on a file it is wrong for."""
@@ -129,7 +131,9 @@ class FactFile:
         # Commit only once every page is written (a write may fault).
         if base % capacity:
             self._dense = False
-        self._page_ids.extend(page_ids)
+        self._page_ids = np.concatenate(
+            [self._page_ids, np.asarray(page_ids, dtype=np.int64)]
+        )
         self._image = image
 
     # ------------------------------------------------------------------
@@ -149,7 +153,7 @@ class FactFile:
         Like every read of this file, the result is read-only (here the
         file's image itself); callers must copy before mutating.
         """
-        self._charge(self._page_ids)
+        self._charge(self._page_ids.tolist())
         return self._image
 
     def read_positions(self, positions: np.ndarray) -> np.ndarray:
@@ -170,12 +174,11 @@ class FactFile:
             raise FileFormatError(
                 f"positions out of range 0..{len(self._image) - 1}"
             )
-        page_ids = self._page_ids
-        self._charge([
-            page_ids[index]
-            for index in np.unique(positions // self.codec.capacity).tolist()
-        ])
-        records = self._image[positions]
+        pages = positions // self.codec.capacity
+        self._charge(self._page_ids.take(_distinct(pages)).tolist())
+        # ``take`` copies whole records; indexing a structured array
+        # with ``image[positions]`` copies field by field, ~10x slower.
+        records = self._image.take(positions)
         records.flags.writeable = False
         return records
 
@@ -185,7 +188,10 @@ class FactFile:
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) == 0:
             return 0
-        return int(len(np.unique(positions // self.codec.capacity)))
+        pages = positions // self.codec.capacity
+        if np.any(pages[1:] < pages[:-1]):
+            pages = np.sort(pages)
+        return len(_distinct(pages))
 
     def read_range(self, start: int, count: int) -> np.ndarray:
         """Read ``count`` records starting at global position ``start``.
@@ -222,7 +228,7 @@ class FactFile:
                 )
             first_page = start // capacity
             last_page = (start + count - 1) // capacity
-            page_ids += self._page_ids[first_page:last_page + 1]
+            page_ids += self._page_ids[first_page:last_page + 1].tolist()
         self._charge(page_ids)
         return [
             image[start:start + count] if count else self.record_format.empty()
@@ -238,3 +244,11 @@ class FactFile:
         first_page = start // capacity
         last_page = (start + count - 1) // capacity
         return last_page - first_page + 1
+
+
+def _distinct(pages: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty ascending array, in order."""
+    first = np.empty(len(pages), dtype=bool)
+    first[0] = True
+    np.not_equal(pages[1:], pages[:-1], out=first[1:])
+    return pages[first]

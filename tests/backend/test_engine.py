@@ -47,6 +47,24 @@ class TestConstruction:
         with pytest.raises(BackendError):
             engine.load(np.zeros(2, dtype=[("x", "i8")]))
 
+    @pytest.mark.parametrize("organization", ["chunked", "random"])
+    @pytest.mark.parametrize("bad", [-1, "cardinality"])
+    def test_out_of_range_ordinals_rejected(
+        self, small_schema, small_records, organization, bad
+    ):
+        """No organization loads a record that no bitmap would hold."""
+        dim = small_schema.dimensions[1]
+        records = small_records.copy()
+        records[dim.name][7] = (
+            dim.leaf_cardinality if bad == "cardinality" else bad
+        )
+        engine = BackendEngine(
+            small_schema, ChunkSpace(small_schema, 0.25), organization
+        )
+        with pytest.raises(BackendError, match=repr(dim.name)):
+            engine.load(records)
+        assert engine.disk.num_pages == 0
+
     def test_random_organization_has_no_chunk_interface(
         self, small_schema, small_records
     ):

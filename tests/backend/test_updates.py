@@ -67,6 +67,17 @@ class TestAppend:
         with pytest.raises(BackendError):
             engine.append_records(np.zeros(1, dtype=[("x", "i8")]))
 
+    def test_out_of_range_ordinal_rejected_before_anything_is_stored(
+        self, small_schema, engine
+    ):
+        extra = new_tuples(small_schema)
+        extra["D0"][3] = -1
+        pages = engine.disk.num_pages
+        with pytest.raises(BackendError, match="'D0'"):
+            engine.append_records(extra)
+        assert engine.delta_file is None
+        assert engine.disk.num_pages == pages
+
     def test_random_organization_rejected(self, small_schema, small_records):
         space = ChunkSpace(small_schema, 0.25)
         random_engine = BackendEngine.build(

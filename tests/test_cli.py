@@ -40,10 +40,11 @@ REJECTED = [
 
 def nightly_commands(module="repro", workflow=NIGHTLY):
     """Every ``python -m <module> ...`` argv in a workflow (the nightly;
-    for ``repro``: its ``soak`` / ``front`` command lines).
+    for ``repro``: its ``soak`` / ``front`` / ``run`` command lines).
 
     A command runs (over folded lines, YAML comments dropped) to the
-    next ``&&`` or to the ``- name:`` of the next step.
+    next ``&&``, to a ``>`` redirection or to the ``- name:`` of the
+    next step.
     """
     text = " ".join(
         line.strip()
@@ -53,7 +54,7 @@ def nightly_commands(module="repro", workflow=NIGHTLY):
     return [
         arguments.split()
         for arguments in re.findall(
-            rf"python -m {re.escape(module)}((?: (?!&&|- )\S+)+)", text
+            rf"python -m {re.escape(module)}((?: (?!&&|- |>)\S+)+)", text
         )
     ]
 
@@ -202,7 +203,7 @@ class TestNightlyWorkflow:
     def test_workflow_commands_found(self):
         commands = nightly_commands()
         assert len(commands) >= 9
-        assert {argv[0] for argv in commands} == {"soak", "front"}
+        assert {argv[0] for argv in commands} == {"soak", "front", "run"}
         assert any("--cache-bytes" in argv for argv in commands)
 
     @pytest.mark.parametrize(
@@ -210,6 +211,17 @@ class TestNightlyWorkflow:
     )
     def test_command_parses(self, argv):
         command, *arguments = argv
+        if command == "run":
+            # The paper-scale figures diffed against their golden.
+            ids, scale = cli._pop_scale(arguments)
+            assert scale is cli.PAPER_SCALE
+            assert ids and set(ids) <= set(cli.EXPERIMENTS)
+            (golden,) = re.findall(
+                r"diff -u (\S+)", NIGHTLY.read_text(encoding="utf-8")
+            )
+            text = (NIGHTLY.parents[2] / golden).read_text(encoding="utf-8")
+            assert re.findall(r"^\[(\w+)\] ", text, re.M) == ids
+            return
         parse = {"soak": cli._parse_soak, "front": cli._parse_front}
         flags, config = parse[command](arguments)
         assert flags.chaos == ("--chaos" in arguments)

@@ -36,3 +36,20 @@ def test_gc_clock_counts_collections_per_generation():
     assert clock.collections[0] >= 1 and clock.collections[2] >= 1
     assert all(seconds >= 0.0 for seconds in clock.seconds)
     assert gc.callbacks == installed
+
+
+def test_setup_phase_profiles_the_setups_beside_their_median(capsys):
+    affinity = os.sched_getaffinity(0)
+    code = benchprofile.main(
+        ["--workload", "miss_heavy", "--smoke", "--phase", "setup",
+         "--runs", "2", "--sort", "cumulative", "--top", "30"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert os.sched_getaffinity(0) == affinity
+    assert "Ordered by: cumulative time" in out
+    assert "(setup)" in out and "(load)" in out
+    assert "(_drive_miss_heavy)" not in out
+    last = out.splitlines()[-1]
+    assert last.startswith("miss_heavy seed 1998: setup median ")
+    assert last.endswith(" s under cProfile (2 runs each)")

@@ -1,13 +1,23 @@
-"""Where one benchmark workload spends its time: ``cProfile`` over its driver.
+"""Where one benchmark workload spends its time: ``cProfile`` over its
+driver, or over its set-up.
 
-``python -m tools.benchprofile --workload NAME [--sort tottime|cumulative]
-[--top N] [--seed S] [--smoke]`` (``make profile WORKLOAD=NAME``).
+``python -m tools.benchprofile --workload NAME [--phase driver|setup]
+[--runs N] [--sort tottime|cumulative] [--top N] [--seed S] [--smoke]``
+(``make profile WORKLOAD=NAME [PHASE=setup]``).
 
-Sets the workload up exactly as ``benchmarks/e2e`` does (its ``setup``
-and driver are imported, not copied), runs the driver once untraced for
-the queries per second it reaches here, then once more on a fresh
-set-up under ``cProfile``, and prints the top-N table with that qps
-beside it.  ``cProfile`` charges every Python call and no native code,
+``--phase driver`` (the default) sets the workload up exactly as
+``benchmarks/e2e`` does (its ``setup`` and driver are imported, not
+copied), runs the driver once untraced for the queries per second it
+reaches here, then once more on a fresh set-up under ``cProfile``, and
+prints the top-N table with that qps beside it.
+
+``--phase setup`` profiles what the benchmark's ``setup_s`` times: it
+calls the workload's ``setup`` ``--runs`` times untraced, then as many
+times under ``cProfile``, and prints the table of the profiled calls
+with both medians beside it (the benchmark reports the median of its
+set-ups too).
+
+``cProfile`` charges every Python call and no native code,
 so the table shifts weight towards call-heavy Python: it finds
 candidates, and ``tools.benchpairs`` measures them.
 
@@ -23,17 +33,19 @@ git-ignored scratch directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
 import gc
 import io
 import os
 import pstats
 import shutil
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -79,6 +91,30 @@ class GcClock:
         )
 
 
+@contextlib.contextmanager
+def setup_args(
+    name: str, seed: int, smoke: bool
+) -> Iterator[tuple[Any, tuple[Any, ...]]]:
+    """``benchmarks.e2e.workloads`` and the arguments of its ``setup``
+    for ``name`` as the benchmark passes them, with a scratch directory
+    that is removed on exit."""
+    _on_path()
+    from benchmarks.e2e import workloads
+    from benchmarks.e2e.metrics import load_declaration
+    from benchmarks.e2e.worker import WORK_DIR
+    from repro.experiments.configs import PAPER_SCALE, SMOKE_SCALE
+
+    run_seconds = load_declaration()["run_seconds"]
+    counts = workloads.counts_for(name, run_seconds, run_seconds, smoke)
+    scale = SMOKE_SCALE if smoke else PAPER_SCALE
+    WORK_DIR.mkdir(exist_ok=True)
+    workdir = tempfile.mkdtemp(dir=WORK_DIR)
+    try:
+        yield workloads, (name, scale, seed, counts, None, workdir)
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 def drive(
     name: str,
     seed: int,
@@ -89,31 +125,40 @@ def drive(
     """Set ``name`` up, run its driver (under ``profile`` when given)
     with ``gc_clock`` installed, and return the best round's queries per
     second."""
-    _on_path()
-    from benchmarks.e2e import workloads
-    from benchmarks.e2e.metrics import load_declaration
-    from benchmarks.e2e.worker import WORK_DIR
-    from repro.experiments.configs import PAPER_SCALE, SMOKE_SCALE
+    with setup_args(name, seed, smoke) as (workloads, args):
+        env = workloads.setup(*args)
+        try:
+            driver = workloads.WORKLOADS[name]
+            with gc_clock:
+                if profile is None:
+                    out = driver(env)
+                else:
+                    out = profile.runcall(driver, env)
+            if out.problems:
+                raise SystemExit(f"benchprofile: {name}: {out.problems[0]}")
+            return float(out.best_qps())
+        finally:
+            env.close()
 
-    run_seconds = load_declaration()["run_seconds"]
-    counts = workloads.counts_for(name, run_seconds, run_seconds, smoke)
-    WORK_DIR.mkdir(exist_ok=True)
-    workdir = tempfile.mkdtemp(dir=WORK_DIR)
-    scale = SMOKE_SCALE if smoke else PAPER_SCALE
-    env = workloads.setup(name, scale, seed, counts, None, workdir)
-    try:
-        driver = workloads.WORKLOADS[name]
-        with gc_clock:
+
+def setup_walls(
+    name: str, seed: int, smoke: bool, runs: int,
+    profile: cProfile.Profile | None,
+) -> list[float]:
+    """Seconds of each of ``runs`` calls of ``name``'s ``setup`` (each
+    under ``profile`` when given); every environment is closed before
+    the next is built."""
+    walls = []
+    with setup_args(name, seed, smoke) as (workloads, args):
+        for _ in range(runs):
+            started = time.perf_counter()
             if profile is None:
-                out = driver(env)
+                env = workloads.setup(*args)
             else:
-                out = profile.runcall(driver, env)
-        if out.problems:
-            raise SystemExit(f"benchprofile: {name}: {out.problems[0]}")
-        return float(out.best_qps())
-    finally:
-        env.close()
-        shutil.rmtree(workdir, ignore_errors=True)
+                env = profile.runcall(workloads.setup, *args)
+            walls.append(time.perf_counter() - started)
+            env.close()
+    return walls
 
 
 def table(profile: cProfile.Profile, sort: str, top: int) -> str:
@@ -127,6 +172,10 @@ def table(profile: cProfile.Profile, sort: str, top: int) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="python -m tools.benchprofile")
     parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--phase", choices=("driver", "setup"), default="driver"
+    )
+    parser.add_argument("--runs", type=int, default=5)
     parser.add_argument(
         "--sort", choices=("tottime", "cumulative"), default="tottime"
     )
@@ -149,14 +198,36 @@ def main(argv: list[str] | None = None) -> int:
         )
     if options.top < 1:
         parser.error("--top must be at least 1")
+    if options.runs < 1:
+        parser.error("--runs must be at least 1")
     name: str = options.workload
     profile = cProfile.Profile()
-    gc_untraced, gc_profiled = GcClock(), GcClock()
     affinity = os.sched_getaffinity(0)
     workloads.pin_to_one_core()  # as the benchmark's worker runs
+    if options.phase == "setup":
+        try:
+            untraced = setup_walls(
+                name, options.seed, options.smoke, options.runs, None
+            )
+            profiled = setup_walls(
+                name, options.seed, options.smoke, options.runs, profile
+            )
+        finally:
+            os.sched_setaffinity(0, affinity)
+        print(table(profile, options.sort, options.top), end="")
+        print(
+            f"{name} seed {options.seed}: setup median "
+            f"{statistics.median(untraced):.3f} s untraced, "
+            f"{statistics.median(profiled):.3f} s under cProfile "
+            f"({options.runs} runs each)"
+        )
+        return 0
+    gc_untraced, gc_profiled = GcClock(), GcClock()
     try:
-        untraced = drive(name, options.seed, options.smoke, None, gc_untraced)
-        profiled = drive(
+        untraced_qps = drive(
+            name, options.seed, options.smoke, None, gc_untraced
+        )
+        profiled_qps = drive(
             name, options.seed, options.smoke, profile, gc_profiled
         )
     finally:
@@ -165,8 +236,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"gc untraced: {gc_untraced.summary()}")
     print(f"gc under cProfile: {gc_profiled.summary()}")
     print(
-        f"{name} seed {options.seed}: {untraced:.1f} qps untraced, "
-        f"{profiled:.1f} qps under cProfile"
+        f"{name} seed {options.seed}: {untraced_qps:.1f} qps untraced, "
+        f"{profiled_qps:.1f} qps under cProfile"
     )
     return 0
 
