@@ -1,9 +1,8 @@
 PYTHON ?= python
 
-.PHONY: lint lint-cold test coverage smoke bench-pairs profile
+.PHONY: lint test coverage smoke bench-pairs profile
 
-# Static-analysis gate (see docs/STATIC_ANALYSIS.md).  Warm runs reuse
-# the content-hash fact cache (.reprolint_cache.json); mypy is optional
+# Static-analysis gate (see docs/STATIC_ANALYSIS.md).  mypy is optional
 # locally — CI always runs it; here it is skipped when not installed.
 lint:
 	$(PYTHON) -m compileall -q src tools
@@ -14,11 +13,6 @@ lint:
 	else \
 		echo "mypy not installed; skipping strict type check (CI runs it)"; \
 	fi
-
-# The same gate from a cold cache — what CI pays on every run.
-lint-cold:
-	rm -f .reprolint_cache.json
-	$(MAKE) lint
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q

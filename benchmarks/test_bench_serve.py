@@ -15,7 +15,7 @@ totals (the fair schedule's determinism contract), and 4 workers beat
 A second arm runs the same workload once with the persistent second
 tier enabled (``cache_tiers=2``, ``docs/TIERING.md``) and records the
 per-tier hit ratios and spill/promote page counts — deterministic
-counters only, so the fields stay inside the R010 digest-taint fence.
+counters only.
 
 The full scan is written to ``BENCH_serve.json`` at the repo root.
 """
@@ -49,7 +49,7 @@ def run_row(workers, report, simulated_speedup):
         "simulated_speedup": simulated_speedup,
         # The contention dict mixes wall-clock waits with deterministic
         # counters; this entry reads only the acquisition count.
-        "backend_lock_acquisitions": (  # reprolint: ignore[R010] count, not wall time
+        "backend_lock_acquisitions": (
             report.contention["backend"]["lock_acquisitions"]
         ),
     }

@@ -258,10 +258,6 @@ def verified_run(
     ) -> None:
         answers[seq] = (query, rows)
 
-    # Chosen by statement rather than by an expression inside the
-    # make_session(...) call: reprolint R010 follows call arguments, and
-    # a cache attribute nested that deep in the session's construction
-    # would reach the digest below as (false) taint.
     on_checkpoint: Callable[[int], None] | None = None
     if callable(conserve):
         checker = conserve

@@ -1,14 +1,22 @@
 """Determinism regression gates for the serving layer.
 
-Two contracts pinned bit-for-bit (all comparisons are on ``repr``
-strings, so any last-ulp drift fails loudly):
+Three contracts pinned bit-for-bit (all comparisons are on ``repr``
+strings or exact JSON values, so any last-ulp drift fails loudly):
 
 1. the multiuser experiment's shared-concurrent arm reproduces the
    sequential shared arm exactly — serving the streams must not change
    a single accounting number, at any worker count;
 2. pre-existing experiments (Figure 9) are repeatable run to run —
-   the serving layer must not have perturbed the plain paths.
+   the serving layer must not have perturbed the plain paths;
+3. no clock, global RNG or hash seed reaches a digest or a
+   deterministic summary field (the time-warp test).
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -130,3 +138,89 @@ class TestExistingExperimentsUnperturbed:
         first = multiuser.run(SMOKE_SCALE)
         second = multiuser.run(SMOKE_SCALE)
         assert repr(first.rows) == repr(second.rows)
+
+
+#: The arm script of the time-warp test, and the tree it imports.
+TIMEWARP = Path(__file__).with_name("timewarp.py")
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Summary fields that hold wall-clock time, as (enclosing key, key):
+#: the counted locks' waits of the backend, of the sharded cache and of
+#: each shard, under ``contention``.  They are the only fields the
+#: comparison skips; they leave with the counted locks, which the
+#: end-to-end benchmark still reads.
+WALL_CLOCK_FIELDS = frozenset(
+    {
+        ("backend", "lock_wait_seconds"),
+        ("cache", "lock_wait_seconds"),
+        ("per_shard", "lock_wait_seconds"),
+    }
+)
+
+
+def _leaves(value, path=()):
+    """Every scalar of a JSON value, keyed by its path of keys/indices."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _leaves(item, path + (index,))
+    else:
+        yield path, value
+
+
+def _field(path):
+    """A leaf's last two keys, list indices skipped."""
+    return tuple(part for part in path if isinstance(part, str))[-2:]
+
+
+class TestTimeWarp:
+    """Digests are pure functions of (workload, seed, configuration).
+
+    Two subprocesses run every digest-producing job (the soak, chaos,
+    2-tier chaos, front and front-chaos jobs, and the multiuser
+    shared-concurrent summary): one with every clock scaled and
+    offset, one with every clock jittered per call, each with its own
+    global RNG seeds and ``PYTHONHASHSEED``.  Any clock, unseeded RNG
+    or ``hash()`` order that reached a digest or a counter shows up as
+    a field that differs.  What it cannot see is a code path no job
+    runs.
+    """
+
+    def test_clocks_rngs_and_hash_seed_reach_no_summary_field(self):
+        pythonpath = os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+        )
+        outputs = []
+        for arm, hash_seed in (("A", "1"), ("B", "2")):
+            done = subprocess.run(
+                [sys.executable, str(TIMEWARP), arm],
+                env=dict(
+                    os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath
+                ),
+                capture_output=True,
+                text=True,
+                timeout=600,
+                check=False,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(json.loads(done.stdout))
+        warped, jittered = outputs
+        assert warped["clock_reads"] > 0 and jittered["clock_reads"] > 0
+
+        first = dict(_leaves(warped["jobs"]))
+        second = dict(_leaves(jittered["jobs"]))
+        assert first.keys() == second.keys()
+        skipped = {
+            path
+            for path in first
+            if path[1] == "contention" and _field(path) in WALL_CLOCK_FIELDS
+        }
+        assert {_field(path) for path in skipped} == WALL_CLOCK_FIELDS
+        differing = [
+            f"{path}: {first[path]!r} != {second[path]!r}"
+            for path in first
+            if path not in skipped and first[path] != second[path]
+        ]
+        assert not differing, "\n".join(differing)

@@ -60,7 +60,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert sorted(RULES_BY_CODE) == [
             "R000", "R001", "R002", "R003", "R004", "R005", "R006",
-            "R007", "R010", "R011",
+            "R007", "R011",
         ]
 
     def test_rules_have_summaries(self):
@@ -88,10 +88,10 @@ class TestPathsAndCli:
     def test_cli_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        assert main(["--no-cache", str(clean)]) == 0
+        assert main([str(clean)]) == 0
         dirty = tmp_path / "dirty.py"
         dirty.write_text("try:\n    pass\nexcept:\n    pass\n")
-        assert main(["--no-cache", str(dirty)]) == 1
+        assert main([str(dirty)]) == 1
         out = capsys.readouterr().out
         assert "R004" in out
 
@@ -100,7 +100,7 @@ class TestPathsAndCli:
 
         dirty = tmp_path / "dirty.py"
         dirty.write_text("try:\n    pass\nexcept:\n    pass\n")
-        assert main(["--no-cache", "--format", "json", str(dirty)]) == 1
+        assert main(["--format", "json", str(dirty)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["files"] == 1
         assert payload["violations"][0]["code"] == "R004"
@@ -108,7 +108,7 @@ class TestPathsAndCli:
     def test_cli_github_format(self, tmp_path, capsys):
         dirty = tmp_path / "dirty.py"
         dirty.write_text("try:\n    pass\nexcept:\n    pass\n")
-        assert main(["--no-cache", "--format", "github", str(dirty)]) == 1
+        assert main(["--format", "github", str(dirty)]) == 1
         out = capsys.readouterr().out
         assert out.startswith("::error file=")
         assert "title=reprolint R004" in out
@@ -116,7 +116,7 @@ class TestPathsAndCli:
     def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("R000", "R001", "R002", "R010"):
+        for code in ("R000", "R001", "R002", "R011"):
             assert code in out
 
     def test_cli_select_unknown_code_errors(self):

@@ -16,6 +16,14 @@ def only(source: str, path: str, code: str) -> list[str]:
     return [v.code for v in lint_source(source, path, rules=[rule])]
 
 
+class TestR000Waiver:
+    def test_waiver_for_a_retired_or_unknown_code_fires(self):
+        src = "x = 1  # reprolint: ignore[R009] reason\n"
+        assert only(src, "src/repro/core/cache.py", "R000") == ["R000"]
+        src = "x = 1  # reprolint: ignore[R004, R099] reason\n"
+        assert only(src, "tests/test_x.py", "R000") == ["R000"]
+
+
 class TestR001Layering:
     def test_chunks_importing_core_fires(self):
         src = "from repro.core.cache import ChunkCache\n"

@@ -1,8 +1,7 @@
 """CLI: ``python -m tools.reprolint [options] [paths...]``.
 
-Runs the two-phase analyzer (per-file rules from the content-hash
-cache, whole-program rules recomputed) and reports in one of three
-formats:
+Parses every file, runs the per-file rules and reports in one of
+three formats:
 
 - ``text`` (default) — ``path:line:col: CODE message`` lines;
 - ``json`` — a machine-readable object with violations and stats;
@@ -17,8 +16,7 @@ import json
 import sys
 from typing import Sequence
 
-from tools.reprolint.cache import DEFAULT_CACHE_PATH
-from tools.reprolint.engine import run_lint
+from tools.reprolint.engine import iter_python_files, lint_paths
 from tools.reprolint.rules import ALL_RULES, RULES_BY_CODE
 
 
@@ -43,18 +41,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--format", choices=("text", "json", "github"), default="text",
         help="violation output format (default: text)",
     )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore and do not write the fact cache (cold run)",
-    )
-    parser.add_argument(
-        "--cache-file", default=DEFAULT_CACHE_PATH, metavar="PATH",
-        help=f"fact cache location (default: {DEFAULT_CACHE_PATH})",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker threads for fact extraction (default: auto)",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -70,9 +56,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"unknown rule codes: {', '.join(unknown)}")
         rules = tuple(RULES_BY_CODE[c] for c in codes)
 
-    cache_path = None if args.no_cache else args.cache_file
-    result = run_lint(
-        args.paths, rules=rules, cache_path=cache_path, jobs=args.jobs
+    parse_errors: list[tuple[str, SyntaxError]] = []
+    violations = lint_paths(
+        args.paths,
+        rules=rules,
+        on_error=lambda path, exc: parse_errors.append((path, exc)),
     )
 
     if args.format == "json":
@@ -85,37 +73,35 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "code": v.code,
                     "message": v.message,
                 }
-                for v in result.violations
+                for v in violations
             ],
             "parse_errors": [
                 {"path": path, "message": str(exc)}
-                for path, exc in result.parse_errors
+                for path, exc in parse_errors
             ],
-            "files": len(result.files),
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
+            "files": sum(1 for _ in iter_python_files(args.paths)),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "github":
-        for v in result.violations:
+        for v in violations:
             # Workflow command; GitHub renders it as a file annotation.
             message = v.message.replace("%", "%25").replace("\n", "%0A")
             print(
                 f"::error file={v.path},line={v.line},col={v.col},"
                 f"title=reprolint {v.code}::{message}"
             )
-        for path, exc in result.parse_errors:
+        for path, exc in parse_errors:
             print(f"::error file={path},title=reprolint parse::{exc}")
     else:
-        for v in result.violations:
+        for v in violations:
             print(v.render())
-        for path, exc in result.parse_errors:
+        for path, exc in parse_errors:
             print(f"{path}: syntax error: {exc}", file=sys.stderr)
 
-    if result.violations or result.parse_errors:
+    if violations or parse_errors:
         print(
-            f"reprolint: {len(result.violations)} violation(s), "
-            f"{len(result.parse_errors)} unparsable file(s)",
+            f"reprolint: {len(violations)} violation(s), "
+            f"{len(parse_errors)} unparsable file(s)",
             file=sys.stderr,
         )
         return 1

@@ -1,11 +1,10 @@
 """The reprolint rule registry.
 
-Per-file rule modules expose ``CODE``, ``SUMMARY`` and ``check(ctx)``;
-whole-program rules expose ``check_project(project)`` instead (the
-engine dispatches on the attribute).  This package collects them into
-:data:`ALL_RULES` (sorted by code) for the engine and the CLI.  Adding
-a rule = adding a module here and listing it in
-``docs/STATIC_ANALYSIS.md``.
+Rule modules expose ``CODE``, ``SUMMARY`` and ``check(ctx)``.  This
+package collects them into :data:`ALL_RULES` (sorted by code) for the
+engine and the CLI.  Adding a rule = adding a module here and listing
+it in ``docs/STATIC_ANALYSIS.md``.  R008–R010 are retired; a waiver
+naming a code that is not registered here is an R000 finding.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from tools.reprolint.rules import (
     r005_metrics,
     r006_faults,
     r007_facade,
-    r010_taint,
     r011_chunklog,
 )
 
@@ -32,7 +30,6 @@ ALL_RULES = (
     r005_metrics,
     r006_faults,
     r007_facade,
-    r010_taint,
     r011_chunklog,
 )
 

@@ -7,13 +7,16 @@ This rule makes the reason mandatory::
 
     total == used  # reprolint: ignore[R002] exact byte counts
 
-Two findings:
+Three findings:
 
 - **bare waiver** — a well-formed ``ignore[...]`` with nothing after
   the closing bracket;
 - **malformed waiver** — a comment that mentions ``reprolint`` and
   ``ignore`` but does not parse as ``# reprolint: ignore[CODES]``; it
-  suppresses nothing, which is almost never what the author meant.
+  suppresses nothing, which is almost never what the author meant;
+- **unknown code** — a waiver naming a code that is not a registered
+  rule (a typo, or a retired rule such as R010); it suppresses nothing
+  either.
 
 Comments are found with :mod:`tokenize`, so prose or string literals
 that merely mention the waiver syntax (this docstring, the engine's
@@ -42,6 +45,13 @@ _WAIVER_RE = re.compile(r"#\s*reprolint:\s*ignore\[([A-Z0-9,\s]+)\](.*)$")
 
 def check(ctx: FileContext) -> Iterator[Violation]:
     source = "\n".join(ctx.source_lines) + "\n"
+    # Only a comment that mentions reprolint can be a finding, and most
+    # files have none: skip their tokenization.
+    if "reprolint" not in source:
+        return
+    # Imported here: the registry imports this module.
+    from tools.reprolint.rules import RULES_BY_CODE
+
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError):
@@ -68,17 +78,28 @@ def check(ctx: FileContext) -> Iterator[Violation]:
                     ),
                 )
             continue
-        if not match.group(2).strip():
-            codes = ",".join(
-                c.strip() for c in match.group(1).split(",") if c.strip()
-            )
+        codes = [c.strip() for c in match.group(1).split(",") if c.strip()]
+        unknown = [c for c in codes if c not in RULES_BY_CODE]
+        if unknown:
             yield Violation(
                 path=ctx.path,
                 line=line,
                 col=col,
                 code=CODE,
                 message=(
-                    f"bare waiver ignore[{codes}] without a reason; state "
-                    f"why the finding is safe after the closing bracket"
+                    f"waiver names unknown rule code(s) {', '.join(unknown)} "
+                    f"(see --list-rules); it suppresses nothing"
+                ),
+            )
+        if not match.group(2).strip():
+            yield Violation(
+                path=ctx.path,
+                line=line,
+                col=col,
+                code=CODE,
+                message=(
+                    f"bare waiver ignore[{','.join(codes)}] without a "
+                    f"reason; state why the finding is safe after the "
+                    f"closing bracket"
                 ),
             )
