@@ -28,6 +28,7 @@ from repro.analysis.cost import CostModel
 from repro.backend.engine import BackendEngine
 from repro.chunks.grid import ChunkSpace
 from repro.core.cache import ChunkCache, ChunkStore
+from repro.core.chunk import CachedChunk, ChunkKey
 from repro.core.manager import ChunkCacheManager
 from repro.core.tiered import TieredChunkCache
 from repro.core.query_cache import QueryCacheManager
@@ -250,7 +251,10 @@ def build_cache(config: StackConfig) -> ChunkStore:
             num_shards=config.num_shards,
         )
     else:
-        l1 = ChunkCache(config.cache_bytes, config.policy)
+        chunks: ChunkCache[ChunkKey, CachedChunk] = ChunkCache(
+            config.cache_bytes, config.policy
+        )
+        l1 = chunks
     if config.cache_tiers == 1:
         return l1
     try:

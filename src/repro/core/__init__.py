@@ -34,15 +34,12 @@ from repro.core.replacement import (
     make_policy,
 )
 from repro.core.snapshot import (
-    CacheContention,
     ChunkCacheSnapshot,
     FaultStats,
     GroupByUsage,
     QueryCacheSnapshot,
     ShapeUsage,
-    ShardStats,
     Snapshot,
-    StageStats,
 )
 
 __all__ = [
@@ -71,13 +68,10 @@ __all__ = [
     "QueryCacheManager",
     "QueryRecord",
     "StreamMetrics",
-    "CacheContention",
     "ChunkCacheSnapshot",
     "FaultStats",
     "GroupByUsage",
     "QueryCacheSnapshot",
     "ShapeUsage",
-    "ShardStats",
     "Snapshot",
-    "StageStats",
 ]

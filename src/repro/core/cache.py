@@ -6,19 +6,38 @@ victim selection to a pluggable
 :class:`~repro.core.replacement.ReplacementPolicy`.  It knows nothing about
 queries — the split of a query into present and missing chunks lives in
 :class:`~repro.core.manager.ChunkCacheManager`.
+
+It reads an entry only through :class:`CacheEntry` (key, charged size,
+benefit), so it is the package's one byte-budgeted replacement store:
+the query-caching baseline keeps its whole results in a private one
+(:class:`~repro.core.query_cache.QueryCacheManager`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import (
+    Any,
+    Callable,
+    Generic,
+    Hashable,
+    Protocol,
+    TypeVar,
+    runtime_checkable,
+)
 
 from repro import invariants
 from repro.core.chunk import CachedChunk, ChunkKey
 from repro.core.replacement import ReplacementPolicy, make_policy
 from repro.exceptions import CacheError
 
-__all__ = ["ChunkCacheStats", "ChunkStore", "ChunkCache", "EvictHook"]
+__all__ = [
+    "CacheEntry",
+    "ChunkCacheStats",
+    "ChunkStore",
+    "ChunkCache",
+    "EvictHook",
+]
 
 #: A cache fault hook inspects a put and returns None (no fault),
 #: ``("poison", 0)`` (reject the put, cache unchanged) or
@@ -31,6 +50,26 @@ FaultHook = Callable[[CachedChunk], "tuple[str, int] | None"]
 #: hook must never raise (spill failures are the observer's problem,
 #: not the evicting cache's).
 EvictHook = Callable[[CachedChunk], None]
+
+KeyT = TypeVar("KeyT", bound=Hashable)
+KeyT_co = TypeVar("KeyT_co", bound=Hashable, covariant=True)
+
+
+class CacheEntry(Protocol[KeyT_co]):
+    """All a :class:`ChunkCache` reads of an entry: its identity, the
+    bytes it is charged and its replacement weight."""
+
+    @property
+    def key(self) -> KeyT_co: ...
+
+    @property
+    def size_bytes(self) -> int: ...
+
+    @property
+    def benefit(self) -> float: ...
+
+
+EntryT = TypeVar("EntryT", bound=CacheEntry[Any])
 
 
 @dataclass
@@ -156,8 +195,12 @@ class ChunkStore(Protocol):
         ...
 
 
-class ChunkCache:
+class ChunkCache(Generic[KeyT, EntryT]):
     """A byte-budgeted cache of chunks with pluggable replacement.
+
+    Typed over its key and entry types: the chunk stores are
+    ``ChunkCache[ChunkKey, CachedChunk]``, the query-caching baseline's
+    is ``ChunkCache[QueryKey, CachedQuery]``.
 
     Args:
         capacity_bytes: Total budget; entries are charged their payload
@@ -176,16 +219,18 @@ class ChunkCache:
         self.capacity_bytes = capacity_bytes
         self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.stats = ChunkCacheStats()
-        self._entries: dict[ChunkKey, CachedChunk] = {}
+        self._entries: dict[KeyT, EntryT] = {}
         self._used_bytes = 0
         # Fault-injection hook (repro.faults installs it; production
         # code never does).  Consulted at the top of put().
-        self.fault_hook: FaultHook | None = None
+        self.fault_hook: Callable[[EntryT], tuple[str, int] | None] | None = (
+            None
+        )
         # Eviction observer (the tiered cache installs it to spill
         # victims to L2).  Called after each eviction settles; must not
         # raise.  None on single-tier stacks — behaviour is then
         # bit-identical to a hook-free cache.
-        self.evict_hook: EvictHook | None = None
+        self.evict_hook: Callable[[EntryT], None] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -193,7 +238,7 @@ class ChunkCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: ChunkKey) -> bool:
+    def __contains__(self, key: KeyT) -> bool:
         return key in self._entries
 
     @property
@@ -201,15 +246,15 @@ class ChunkCache:
         """Bytes currently charged against the budget."""
         return self._used_bytes
 
-    def keys(self) -> list[ChunkKey]:
+    def keys(self) -> list[KeyT]:
         """All resident chunk keys (snapshot)."""
         return list(self._entries)
 
-    def peek(self, key: ChunkKey) -> CachedChunk | None:
+    def peek(self, key: KeyT) -> EntryT | None:
         """Entry lookup without touching stats or replacement state."""
         return self._entries.get(key)
 
-    def snapshot(self) -> list[tuple[ChunkKey, CachedChunk]]:
+    def snapshot(self) -> list[tuple[KeyT, EntryT]]:
         """Point-in-time ``(key, entry)`` pairs in insertion order.
 
         A single pass over the table that touches neither statistics nor
@@ -229,7 +274,7 @@ class ChunkCache:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def get(self, key: ChunkKey) -> CachedChunk | None:
+    def get(self, key: KeyT) -> EntryT | None:
         """Lookup one chunk; hits refresh its replacement state."""
         entry = self._entries.get(key)
         if entry is None:
@@ -239,7 +284,7 @@ class ChunkCache:
         self.policy.on_access(key)
         return entry
 
-    def put(self, entry: CachedChunk) -> bool:
+    def put(self, entry: EntryT) -> bool:
         """Insert a chunk, evicting as needed; False if it was rejected.
 
         An entry larger than the whole budget is rejected (admission
@@ -284,7 +329,7 @@ class ChunkCache:
         self._check_accounting()
         return True
 
-    def invalidate(self, key: ChunkKey) -> bool:
+    def invalidate(self, key: KeyT) -> bool:
         """Drop one entry (e.g. after a base-table update); False if absent."""
         entry = self._entries.pop(key, None)
         if entry is None:

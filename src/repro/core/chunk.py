@@ -12,8 +12,9 @@ process holds one shape object per distinct triple, so a key is the
 pair ``(shape, number)`` and hashes and compares as a tuple, in C.
 
 The same module defines :class:`CachedQuery`, the entry type of the
-query-level caching baseline, so both cache managers share the accounting
-fields (size, benefit) the replacement policies consume.
+query-level caching baseline.  Both entry types carry what a
+:class:`~repro.core.cache.ChunkCache` reads (key, size, benefit), so
+both cache managers keep their entries in one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from repro.schema.star import GroupBy
 
 if TYPE_CHECKING:
-    from repro.query.model import StarQuery
+    from repro.query.model import QueryKey, StarQuery
 
 __all__ = [
     "ChunkShape",
@@ -274,6 +275,11 @@ class CachedQuery:
     query: "StarQuery"
     rows: np.ndarray
     benefit: float
+
+    @property
+    def key(self) -> "QueryKey":
+        """The entry's identity: the query's exact key."""
+        return self.query.exact_key()
 
     @property
     def size_bytes(self) -> int:

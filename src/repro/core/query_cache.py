@@ -12,10 +12,12 @@ The scheme executes through the same staged pipeline as chunk caching
 whole-result partition, and the resolver chain has two links — the
 containment lookup and the backend.  Replacement is benefit-based like
 the chunk scheme's ("the replacement policy is benefit based, as
-described for chunks"): an entry's weight is the estimated backend cost
-of recomputing it, run through the same benefit-weighted CLOCK.  This
-isolates the experiment's variable — the *unit* of caching — from both
-the replacement policy and the execution machinery.
+described for chunks"): the whole results live in a private
+:class:`~repro.core.cache.ChunkCache`, the chunk scheme's own store, and
+an entry's weight is the estimated backend cost of recomputing it.  The
+manager adds only its containment index.  This isolates the
+experiment's variable — the *unit* of caching — from the store, the
+replacement policy and the execution machinery.
 
 The two structural drawbacks the paper attributes to this scheme emerge
 naturally here:
@@ -29,25 +31,24 @@ naturally here:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro import invariants
 from repro.analysis.cost import CostModel
 from repro.backend.engine import BackendEngine
+from repro.core.cache import ChunkCache
 from repro.core.chunk import CachedQuery
 from repro.core.manager import Answer
 from repro.core.metrics import QueryRecord, StreamMetrics, account_answer
-from repro.core.replacement import ReplacementPolicy, make_policy
+from repro.core.replacement import ReplacementPolicy
 from repro.core.snapshot import (
     QueryCacheSnapshot,
     ShapeUsage,
     Snapshot,
-    collect_resolved,
-    collect_stages,
+    residency,
 )
-from repro.exceptions import CacheError, QueryError
+from repro.exceptions import QueryError
 from repro.pipeline.executor import StagedPipeline
 from repro.pipeline.resolvers import (
     WHOLE_RESULT,
@@ -159,17 +160,17 @@ class QueryCacheManager:
         cost_model: CostModel | None = None,
         policy: ReplacementPolicy | str = "benefit",
     ) -> None:
-        if capacity_bytes < 0:
-            raise CacheError(f"negative capacity {capacity_bytes}")
         self.schema = schema
         self.backend = backend
-        self.capacity_bytes = capacity_bytes
         self.cost_model = cost_model or CostModel()
-        self.policy = make_policy(policy) if isinstance(policy, str) else policy
         self.metrics = StreamMetrics()
-        self._entries: dict[QueryKey, CachedQuery] = {}
+        self._store: ChunkCache[QueryKey, CachedQuery] = ChunkCache(
+            capacity_bytes, policy
+        )
+        self._store.evict_hook = self._unindex
+        # The containment index: shape key -> resident exact keys, in
+        # admission order (the order find_containing tries them).
         self._by_shape: dict[QueryKey, list[QueryKey]] = {}
-        self._used_bytes = 0
         self.pipeline = StagedPipeline(
             analyzer=_QueryAnalyzer(self),
             resolvers=[QueryHitResolver(self), QueryBackendResolver(self)],
@@ -182,12 +183,17 @@ class QueryCacheManager:
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store)
+
+    @property
+    def capacity_bytes(self) -> int:
+        """The cache budget."""
+        return self._store.capacity_bytes
 
     @property
     def used_bytes(self) -> int:
         """Bytes currently charged against the budget."""
-        return self._used_bytes
+        return self._store.used_bytes
 
     def snapshot(self) -> Snapshot:
         """A typed snapshot of cache composition and stream aggregates.
@@ -197,38 +203,20 @@ class QueryCacheManager:
         redundancy ratio, and the stream's per-stage / per-resolver
         trace aggregates — as a :class:`repro.core.snapshot.Snapshot`.
         """
-        per_shape: dict[QueryKey, dict[str, float]] = {}
-        for entry in self._entries.values():
-            bucket = per_shape.setdefault(
-                entry.query.shape_key(),
-                {"results": 0, "bytes": 0, "benefit": 0.0},
-            )
-            bucket["results"] += 1
-            bucket["bytes"] += entry.size_bytes
-            bucket["benefit"] += entry.benefit
-        usages = tuple(
-            ShapeUsage(
-                key=key,
-                results=int(bucket["results"]),
-                bytes=int(bucket["bytes"]),
-                benefit=bucket["benefit"],
-            )
-            for key, bucket in sorted(
-                per_shape.items(),
-                key=lambda item: item[1]["bytes"],
-                reverse=True,
-            )
+        per_shape = residency(
+            (entry.query.shape_key(), entry)
+            for _, entry in self._store.snapshot()
         )
         return Snapshot(
             kind="query",
             cache=QueryCacheSnapshot(
-                used_bytes=self._used_bytes,
+                used_bytes=self.used_bytes,
                 capacity_bytes=self.capacity_bytes,
-                entries=len(self._entries),
+                entries=len(self._store),
                 redundancy_ratio=self.redundancy_ratio(),
-                per_shape=usages,
-                stages=collect_stages(self.metrics),
-                resolved_by=collect_resolved(self.metrics),
+                per_shape=tuple(ShapeUsage(*row) for row in per_shape),
+                stages=self.metrics.stage_summary(),
+                resolved_by=self.metrics.resolver_summary(),
             ),
         )
 
@@ -242,8 +230,8 @@ class QueryCacheManager:
         """
         stored = 0
         distinct = 0
-        for shape, keys in self._by_shape.items():
-            entries = [self._entries[k] for k in keys if k in self._entries]
+        for shape in self._by_shape:
+            entries = list(self._shape_entries(shape))
             if not entries:
                 continue
             domain_sizes = [
@@ -302,9 +290,9 @@ class QueryCacheManager:
         )
         if base_grid is None:
             # Without chunk geometry the safe answer is "drop everything".
-            removed = len(self._entries)
-            for key in list(self._entries):
-                self._drop(key)
+            removed = len(self._store)
+            self._store.clear()
+            self._by_shape.clear()
             return removed
         blocks = []
         for number in base_numbers:
@@ -313,8 +301,7 @@ class QueryCacheManager:
                 tuple((r.lo, r.hi) for r in ranges if r is not None)
             )
         removed = 0
-        for key in list(self._entries):
-            entry = self._entries[key]
+        for key, entry in self._store.snapshot():
             try:
                 region = entry.query.leaf_selection(self.schema)
             except QueryError:
@@ -334,25 +321,22 @@ class QueryCacheManager:
         return removed
 
     def _drop(self, key: QueryKey) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        self._used_bytes -= entry.size_bytes
-        self.policy.remove(key)
-        keys = self._by_shape.get(entry.query.shape_key())
-        if keys is not None and key in keys:
-            keys.remove(key)
-        self._check_accounting()
+        entry = self._store.peek(key)
+        if entry is not None:
+            self._store.invalidate(key)
+            self._unindex(entry)
 
-    def _check_accounting(self) -> None:
-        """Byte/benefit conservation after a mutation (see invariants)."""
-        if invariants.enabled():
-            invariants.check_cache_accounting(
-                self._used_bytes,
-                self.capacity_bytes,
-                self._entries.values() if invariants.deep() else None,
-                owner="query cache",
-            )
+    def _unindex(self, entry: CachedQuery) -> None:
+        """Take a retired entry out of the containment index (also the
+        store's eviction hook)."""
+        self._by_shape[entry.query.shape_key()].remove(entry.key)
+
+    def _shape_entries(self, shape: QueryKey) -> Iterator[CachedQuery]:
+        """The resident entries of one shape, in admission order."""
+        for key in self._by_shape.get(shape, ()):
+            entry = self._store.peek(key)
+            if entry is not None:
+                yield entry
 
     # ------------------------------------------------------------------
     # Public API
@@ -367,61 +351,29 @@ class QueryCacheManager:
     # The QueryResultStore protocol (consumed by the resolver links)
     # ------------------------------------------------------------------
     def find_containing(self, query: StarQuery) -> CachedQuery | None:
-        """A cached entry whose query contains ``query``, if any."""
-        shape = query.shape_key()
-        for key in self._by_shape.get(shape, ()):  # insertion order
-            entry = self._entries.get(key)
-            if entry is not None and query_contains(entry.query, query):
+        """The first indexed entry whose query contains ``query``."""
+        for entry in self._shape_entries(query.shape_key()):
+            if query_contains(entry.query, query):
                 return entry
         return None
 
     def note_hit(self, entry: CachedQuery) -> None:
         """Tell the replacement policy ``entry`` was referenced."""
-        self.policy.on_access(entry.query.exact_key())
+        self._store.get(entry.key)
 
     def admit(
         self, query: StarQuery, rows: np.ndarray, benefit: float
     ) -> None:
         """Admit a freshly computed whole result (evicting as needed).
 
-        Re-admitting a resident exact key refreshes it the way
-        :meth:`repro.core.cache.ChunkCache.put` does: the old entry is
-        retired first, so the refresh takes the one admission path —
-        others are evicted to make room, the policy re-weights it at
-        its current benefit, and an over-budget refresh leaves the key
-        absent.
+        Re-admitting a resident exact key retires the old entry first,
+        so the refresh takes the store's one admission path: others are
+        evicted to make room, the policy re-weights it at its current
+        benefit, and an over-budget result is not admitted.
         """
         entry = CachedQuery(query=query, rows=rows, benefit=benefit)
-        key = query.exact_key()
-        self._drop(key)
-        if entry.size_bytes > self.capacity_bytes:
-            return
-        while self._used_bytes + entry.size_bytes > self.capacity_bytes:
-            self._evict_one(benefit)
-        self._entries[key] = entry
-        self._used_bytes += entry.size_bytes
-        shape = query.shape_key()
-        self._by_shape.setdefault(shape, []).append(key)
-        self.policy.on_insert(key, benefit)
-        self._check_accounting()
-
-    def _evict_one(self, incoming_benefit: float) -> None:
-        if not self._entries:
-            raise CacheError(
-                "eviction requested but the query cache holds no entries "
-                "(budget cannot be satisfied)"
+        self._drop(entry.key)
+        if self._store.put(entry):
+            self._by_shape.setdefault(query.shape_key(), []).append(
+                entry.key
             )
-        victim_key = self.policy.victim(incoming_benefit)
-        victim = self._entries.pop(victim_key, None)
-        if victim is None:
-            raise CacheError(
-                "policy evicted unknown query key (state diverged)"
-            )
-        self._used_bytes -= victim.size_bytes
-        shape = victim.query.shape_key()
-        keys = self._by_shape.get(shape)
-        if keys is not None:
-            try:
-                keys.remove(victim_key)
-            except ValueError:
-                pass

@@ -10,13 +10,8 @@ overlaps.
 from __future__ import annotations
 
 from repro.experiments.configs import DEFAULT_SCALE, Scale
-from repro.experiments.harness import (
-    get_system,
-    make_chunk_manager,
-    make_mix_stream,
-    make_query_manager,
-    run_stream,
-)
+from repro.experiments.fig9 import COLUMNS, run_arms
+from repro.experiments.harness import get_system
 from repro.experiments.reporting import ExperimentResult
 from repro.workload.generator import Q60, Q80, Q100
 
@@ -26,37 +21,19 @@ MIXES = (Q60, Q80, Q100)
 
 
 def run(scale: Scale = DEFAULT_SCALE) -> ExperimentResult:
-    """Reproduce Figure 10 at the given scale."""
-    system = get_system(scale)
+    """Reproduce Figure 10 at the given scale (Figure 9's experiment
+    over the hot-region mixes)."""
     result = ExperimentResult(
         experiment_id="fig10",
         title="Figure 10: Percentage of Locality (hot region)",
-        columns=[
-            "stream", "scheme", "mean_time_last", "csr",
-            "chunk_hit_ratio", "pages_read",
-        ],
+        columns=COLUMNS,
         expectation=(
             "chunk caching beats query caching at 60/80/100% locality; "
             "both schemes improve with locality, chunk more steeply"
         ),
         notes=f"hot region = 20% of the cube; {scale.num_queries} queries",
     )
-    for mix in MIXES:
-        stream = make_mix_stream(system, mix)
-        for scheme, manager in (
-            ("chunk", make_chunk_manager(system)),
-            ("query", make_query_manager(system)),
-        ):
-            metrics = run_stream(manager, stream)
-            result.add(
-                stream=mix.name,
-                scheme=scheme,
-                mean_time_last=metrics.mean_time_last(scale.tail_queries),
-                csr=metrics.cost_saving_ratio(),
-                chunk_hit_ratio=metrics.chunk_hit_ratio(),
-                pages_read=metrics.total_pages_read(),
-            )
-    return result
+    return run_arms(result, get_system(scale), MIXES, scale)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,11 @@ improvement factor ≈ 2).
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 from repro.experiments.configs import DEFAULT_SCALE, Scale
 from repro.experiments.harness import (
+    System,
     get_system,
     make_chunk_manager,
     make_mix_stream,
@@ -19,52 +22,65 @@ from repro.experiments.harness import (
     run_stream,
 )
 from repro.experiments.reporting import ExperimentResult
-from repro.workload.generator import EQPR, PROXIMITY, RANDOM
+from repro.pipeline.protocol import QueryAnswerer
+from repro.workload.generator import EQPR, PROXIMITY, RANDOM, LocalityMix
 
-__all__ = ["run"]
+__all__ = ["run", "run_arms"]
 
 MIXES = (RANDOM, EQPR, PROXIMITY)
+
+#: The two arms of Figures 9 and 10, in row order.
+SCHEMES: tuple[tuple[str, Callable[[System], QueryAnswerer]], ...] = (
+    ("chunk", make_chunk_manager),
+    ("query", make_query_manager),
+)
+
+COLUMNS = (
+    "stream", "scheme", "mean_time_last", "csr", "chunk_hit_ratio",
+    "pages_read",
+)
+
+
+def run_arms(
+    result: ExperimentResult,
+    system: System,
+    mixes: Sequence[LocalityMix],
+    scale: Scale,
+) -> ExperimentResult:
+    """One row per mix and scheme, each stream through both schemes.
+
+    Each arm's manager is built right before its run: building one
+    resets the backend's buffer pool and counters, so every arm starts
+    from the same cold state.
+    """
+    for mix in mixes:
+        stream = make_mix_stream(system, mix)
+        for scheme, make_manager in SCHEMES:
+            metrics = run_stream(make_manager(system), stream)
+            result.add(
+                stream=mix.name,
+                scheme=scheme,
+                mean_time_last=metrics.mean_time_last(scale.tail_queries),
+                csr=metrics.cost_saving_ratio(),
+                chunk_hit_ratio=metrics.chunk_hit_ratio(),
+                pages_read=metrics.total_pages_read(),
+            )
+    return result
 
 
 def run(scale: Scale = DEFAULT_SCALE) -> ExperimentResult:
     """Reproduce Figure 9 at the given scale."""
-    system = get_system(scale)
     result = ExperimentResult(
         experiment_id="fig9",
         title="Figure 9: Different Types of Locality",
-        columns=[
-            "stream", "scheme", "mean_time_last", "csr",
-            "chunk_hit_ratio", "pages_read",
-        ],
+        columns=COLUMNS,
         expectation=(
             "chunk caching beats query caching on every stream; the gap "
             "widens with locality (paper: ~2x on average)"
         ),
         notes=f"{scale.num_queries} queries/stream, {scale.num_tuples} tuples",
     )
-    for mix in MIXES:
-        stream = make_mix_stream(system, mix)
-        chunk_manager = make_chunk_manager(system)
-        chunk_metrics = run_stream(chunk_manager, stream)
-        result.add(
-            stream=mix.name,
-            scheme="chunk",
-            mean_time_last=chunk_metrics.mean_time_last(scale.tail_queries),
-            csr=chunk_metrics.cost_saving_ratio(),
-            chunk_hit_ratio=chunk_metrics.chunk_hit_ratio(),
-            pages_read=chunk_metrics.total_pages_read(),
-        )
-        query_manager = make_query_manager(system)
-        query_metrics = run_stream(query_manager, stream)
-        result.add(
-            stream=mix.name,
-            scheme="query",
-            mean_time_last=query_metrics.mean_time_last(scale.tail_queries),
-            csr=query_metrics.cost_saving_ratio(),
-            chunk_hit_ratio=query_metrics.chunk_hit_ratio(),
-            pages_read=query_metrics.total_pages_read(),
-        )
-    return result
+    return run_arms(result, get_system(scale), MIXES, scale)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ Traces are deliberately dependency-free (plain objects over floats and
 ints; this module imports nothing from the package).  The stage record
 is defined once, here: :class:`StageTrace` plus :data:`STAGE_FIELDS`,
 the list its ``repr``, :func:`aggregate_stage_traces` and — through
-that — ``StreamMetrics.stage_summary()`` and the snapshot's
-``StageStats`` all follow.  A :class:`StageTrace` is a ``NamedTuple``
+that — ``StreamMetrics.stage_summary()``, which the snapshot keeps as
+it is, all follow.  A :class:`StageTrace` is a ``NamedTuple``
 the executor builds in one call when the stage ends; an
 :class:`ExecutionTrace` is a plain slotted class that holds the list.
 """

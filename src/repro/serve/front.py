@@ -96,6 +96,10 @@ class FrontConfig:
             checkpoints (0 disables; used by :func:`run_front` when the
             store supports cross-shard checks).
         timeout_seconds: Hard deadline for the whole session.
+
+    Raises:
+        ServeError: ``window``, ``queue_limit`` or ``arrivals_per_tick``
+            is below 1.
     """
 
     window: int = 8
@@ -105,6 +109,14 @@ class FrontConfig:
     coalesce: bool = True
     checkpoint_every: int = 0
     timeout_seconds: float = 300.0
+
+    def __post_init__(self) -> None:
+        # Checked here, not by the session: admission_schedule never
+        # returns for a zero window or arrival rate.
+        for name in ("window", "queue_limit", "arrivals_per_tick"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ServeError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -254,17 +266,6 @@ class FrontSession(ServeSession):
         ) = None,
         on_checkpoint: Callable[[int], None] | None = None,
     ) -> None:
-        if config.window < 1:
-            raise ServeError(f"window must be >= 1, got {config.window}")
-        if config.queue_limit < 1:
-            raise ServeError(
-                f"queue_limit must be >= 1, got {config.queue_limit}"
-            )
-        if config.arrivals_per_tick < 1:
-            raise ServeError(
-                "arrivals_per_tick must be >= 1, got "
-                f"{config.arrivals_per_tick}"
-            )
         super().__init__(
             manager,
             streams,

@@ -68,7 +68,7 @@ class _HeldShard:
     def __init__(self, shard: CacheShard) -> None:
         self._shard = shard
 
-    def __enter__(self) -> ChunkCache:
+    def __enter__(self) -> ChunkCache[ChunkKey, CachedChunk]:
         shard = self._shard
         start = time.perf_counter()
         shard.lock.acquire()
@@ -100,7 +100,9 @@ class CacheShard:
         policy: ReplacementPolicy | str,
     ) -> None:
         self.index = index
-        self.cache = ChunkCache(capacity_bytes, policy)
+        self.cache: ChunkCache[ChunkKey, CachedChunk] = ChunkCache(
+            capacity_bytes, policy
+        )
         self.lock = threading.Lock()
         self.lock_wait_seconds = 0.0
         self.lock_acquisitions = 0
@@ -203,7 +205,9 @@ class ShardedChunkCache:
             shard.poison_streak = 0
             shard.readmissions += 1
 
-    def _quarantine(self, shard: CacheShard, cache: ChunkCache) -> None:
+    def _quarantine(
+        self, shard: CacheShard, cache: ChunkCache[ChunkKey, CachedChunk]
+    ) -> None:
         """Quarantine a shard: drop its entries, close it to writes.
 
         Dropped bytes are published back to the global counter (in a

@@ -102,7 +102,7 @@ class TestAnswersOwnTheirRows:
         expected = warm.rows.tobytes()
         assert (len(warm.rows) == 0) == (case == "empty")
         if scheme == "query":
-            payloads = [e.rows for e in manager._entries.values()]
+            payloads = [e.rows for _, e in manager._store.snapshot()]
         else:
             payloads = [e.rows for _, e in manager.cache.snapshot()]
         if scheme == "promoted":

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import invariants
 from repro.core.query_cache import QueryCacheManager
 from repro.core.replacement import BenefitClockPolicy
 from repro.exceptions import CacheError, QueryError
+from repro.query.containment import query_contains
 from repro.query.model import StarQuery
 from tests.conftest import canon_rows
 
@@ -213,3 +216,86 @@ class TestInvalidationExceptionNarrowing:
         monkeypatch.setattr(StarQuery, "leaf_selection", boom)
         with pytest.raises(RuntimeError):
             manager.invalidate_base_chunks([0])
+
+
+#: Group-bys of the small schema (D0 levels 5/10, D1 levels 4/8).
+_GROUPBYS = [(1, 1), (2, 2), (2, 1), (1, 0)]
+
+
+@st.composite
+def _queries(draw):
+    groupby = draw(st.sampled_from(_GROUPBYS))
+    selections = {}
+    for name, sizes, level in zip(("D0", "D1"), ((5, 10), (4, 8)), groupby):
+        if level and draw(st.booleans()):
+            size = sizes[level - 1]
+            lo = draw(st.integers(0, size - 1))
+            selections[name] = (lo, draw(st.integers(lo + 1, size)))
+    return groupby, selections
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("answer"), _queries()),
+        st.tuples(st.just("readmit"), st.integers(0, 50)),
+        st.tuples(
+            st.just("invalidate"),
+            st.lists(st.integers(0, 19), min_size=1, max_size=3),
+        ),
+    ),
+    min_size=5,
+    max_size=30,
+)
+
+
+class TestContainmentIndexProperty:
+    """The manager's containment index against its store, after every
+    admission, containment hit, re-admission and invalidation, under a
+    budget small enough to evict."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(steps=_STEPS, probe=_queries())
+    def test_index_tracks_the_store(
+        self, small_schema, fresh_small_engine, steps, probe
+    ):
+        manager = QueryCacheManager(small_schema, fresh_small_engine, 700)
+        answered = []
+        for step, arg in steps:
+            if step == "answer":
+                query = q(small_schema, *arg)
+                answered.append((query, manager.answer(query).rows))
+            elif step == "readmit" and answered:
+                query, rows = answered[arg % len(answered)]
+                manager.admit(query, rows, float(len(rows)))
+            elif step == "invalidate":
+                manager.invalidate_base_chunks(arg)
+            resident = manager._store.snapshot()
+            # Each resident key is indexed once, under its shape, in
+            # admission order (the store's insertion order).
+            index = {}
+            for key, entry in resident:
+                index.setdefault(entry.query.shape_key(), []).append(key)
+            assert {
+                shape: keys for shape, keys in manager._by_shape.items() if keys
+            } == index
+            # The first resident entry of the shape that contains it.
+            probes = [q(small_schema, *probe)] + [a for a, _ in answered]
+            for query in probes:
+                expected = next(
+                    (
+                        entry for _, entry in resident
+                        if entry.query.shape_key() == query.shape_key()
+                        and query_contains(entry.query, query)
+                    ),
+                    None,
+                )
+                assert manager.find_containing(query) is expected
+            assert manager.used_bytes == sum(
+                entry.size_bytes for _, entry in resident
+            )
+            assert manager.used_bytes <= manager.capacity_bytes
+            assert len(manager) == len(resident)

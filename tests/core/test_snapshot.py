@@ -78,9 +78,10 @@ class TestChunkScheme:
         # Stable ordering: descending bytes.
         sizes = [usage.bytes for usage in cache.per_groupby]
         assert sizes == sorted(sizes, reverse=True)
-        names = {stage.name for stage in cache.stages}
-        assert names == set(rendered["stages"])
-        assert names == set(chunk_manager.metrics.stage_summary())
+        # The stream's per-stage totals, kept as stage_summary() made them.
+        assert cache.stages == chunk_manager.metrics.stage_summary()
+        assert rendered["stages"] == cache.stages
+        assert cache.contention is None and cache.tiers is None
 
     def test_to_json_is_serializable_and_canonical(self, chunk_manager):
         payload = chunk_manager.snapshot().to_json()

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.metrics import QueryRecord, StreamMetrics
-from repro.experiments import csr_sim, fig12, fig14
+from repro.experiments import csr_sim, fig9, fig10, fig12, fig14
 from repro.experiments.configs import SMOKE_SCALE
+from repro.experiments.harness import run_stream
 from repro.exceptions import ExperimentError
 
 
@@ -47,6 +48,32 @@ class TestCsrSimHelpers:
     def test_stream_multiplier_matches_paper_ratio(self):
         # Paper: 5000-query simulation against 1500-query streams.
         assert csr_sim.STREAM_MULTIPLIER == pytest.approx(5000 / 1500)
+
+
+class TestArmsStartCold:
+    """Every chunk-vs-query arm starts from the same cold backend: an
+    empty buffer pool and no disk read yet (``reset_backend``)."""
+
+    @pytest.mark.parametrize(
+        "experiment,arms",
+        [(fig9, 6), (fig10, 6), (csr_sim, 2)],
+        ids=["fig9", "fig10", "csr_sim"],
+    )
+    def test_every_arm_starts_with_an_empty_pool(
+        self, monkeypatch, experiment, arms
+    ):
+        starts = []
+
+        def spy(manager, stream, *args, **kwargs):
+            backend = manager.backend
+            starts.append((len(backend.buffer_pool), backend.disk.stats.reads))
+            return run_stream(manager, stream, *args, **kwargs)
+
+        # Each module that drives arms calls run_stream by its own name.
+        for module in (fig9, fig10, csr_sim):
+            monkeypatch.setattr(module, "run_stream", spy, raising=False)
+        experiment.run(SMOKE_SCALE)
+        assert starts == [(0, 0)] * arms
 
 
 class TestFig12Knobs:

@@ -1,6 +1,5 @@
 """Tests for per-stage execution traces and their aggregation."""
 
-import dataclasses
 import inspect
 import json
 from pathlib import Path
@@ -10,7 +9,6 @@ import pytest
 from repro.core.cache import ChunkCache
 from repro.core.manager import ChunkCacheManager
 from repro.core.query_cache import QueryCacheManager
-from repro.core.snapshot import StageStats
 from repro.pipeline.trace import (
     STAGE_FIELDS,
     ExecutionTrace,
@@ -48,15 +46,10 @@ class TestExecutionTrace:
 
 class TestStageRecord:
     def test_one_field_list(self):
-        # The constructor, the repr, a stage_summary() bucket and the
-        # snapshot's typed StageStats all follow STAGE_FIELDS.
+        # The constructor, the repr and a stage_summary() bucket (which
+        # the snapshot keeps as it is) all follow STAGE_FIELDS.
         assert list(inspect.signature(StageTrace).parameters) == [
             "name",
-            *STAGE_FIELDS,
-        ]
-        assert [f.name for f in dataclasses.fields(StageStats)] == [
-            "name",
-            "calls",
             *STAGE_FIELDS,
         ]
         stage = StageTrace("s", partitions=3, backoff_seconds=0.5)
@@ -66,9 +59,6 @@ class TestStageRecord:
             assert getattr(rebuilt, field) == getattr(stage, field)
         bucket = aggregate_stage_traces([ExecutionTrace(stages=[stage])])
         assert list(bucket["s"]) == ["calls", *STAGE_FIELDS]
-        assert StageStats.from_bucket("s", bucket["s"]).to_json() == (
-            bucket["s"]
-        )
 
 
 class TestAnswerTrace:
@@ -138,8 +128,8 @@ class TestStreamAggregation:
         manager.answer(query)
         snapshot = manager.snapshot().cache
         assert dict(snapshot.resolved_by)["backend"] > 0
-        stages = {stage.name: stage for stage in snapshot.stages}
-        assert stages["analyze"].calls == 1
+        assert snapshot.stages == manager.metrics.stage_summary()
+        assert snapshot.stages["analyze"]["calls"] == 1
 
     def test_aggregation_helpers_match_metrics(self, small_schema, manager):
         query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)})

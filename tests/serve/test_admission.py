@@ -6,9 +6,11 @@ carry ``(stream name, position)`` pairs instead of real queries.
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ServeError
 from repro.serve import FrontConfig
 from repro.serve.front import admission_schedule
 from repro.workload.stream import QueryStream, interleave_streams
@@ -86,3 +88,13 @@ def test_one_arrival_per_tick_is_the_canonical_interleave(lengths, window):
         assert flattened == list(interleave_streams("all", ordered))
     else:
         assert flattened == []
+
+
+@pytest.mark.parametrize(
+    "field", ["window", "queue_limit", "arrivals_per_tick"]
+)
+def test_a_zero_knob_is_refused_at_construction(field):
+    # A zero window or arrival rate would keep admission_schedule
+    # looping forever, and a zero queue limit would shed every query.
+    with pytest.raises(ServeError, match=f"{field} must be >= 1, got 0"):
+        FrontConfig(**{field: 0})

@@ -210,15 +210,17 @@ class TestValidation:
     def test_rejects_bad_configs(self):
         system, streams = _system_and_streams()
         manager = make_chunk_manager(system)
-        for config in (
-            FrontConfig(window=0),
-            FrontConfig(queue_limit=0),
-            FrontConfig(arrivals_per_tick=0),
-            FrontConfig(timeout_seconds=0.0),
-            FrontConfig(max_workers=0),
+        for knobs in (
+            {"window": 0},
+            {"queue_limit": 0},
+            {"arrivals_per_tick": 0},
+            {"timeout_seconds": 0.0},
+            {"max_workers": 0},
         ):
+            # The admission knobs are refused by FrontConfig itself, the
+            # engine's by the session.
             with pytest.raises(ServeError):
-                FrontSession(manager, streams, config)
+                FrontSession(manager, streams, FrontConfig(**knobs))
 
     def test_rejects_empty_and_duplicate_streams(self):
         system, streams = _system_and_streams()

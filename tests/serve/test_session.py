@@ -108,9 +108,9 @@ class TestReportShape:
         manager = make_chunk_manager(system, cache=cache)
         ServeSession(manager, streams).run()
         shards = manager.snapshot().cache.contention
-        assert shards.num_shards == 4
-        assert len(shards.per_shard) == 4
-        assert shards.lock_acquisitions > 0
+        assert shards["num_shards"] == 4
+        assert len(shards["per_shard"]) == 4
+        assert shards["lock_acquisitions"] > 0
 
     def test_simulated_worker_seconds_per_worker(self, report):
         assert len(report.simulated_worker_seconds) == 2

@@ -38,25 +38,41 @@ REJECTED = [
 ]
 
 
-def nightly_commands(module="repro", workflow=NIGHTLY):
-    """Every ``python -m <module> ...`` argv in a workflow (the nightly;
-    for ``repro``: its ``soak`` / ``front`` / ``run`` command lines).
+#: One command's arguments: up to the next ``&&``, ``>`` redirection
+#: or ``- name:`` of the next step.
+ARGUMENTS = r"((?: (?!&&|- |>)\S+)+)"
 
-    A command runs (over folded lines, YAML comments dropped) to the
-    next ``&&``, to a ``>`` redirection or to the ``- name:`` of the
-    next step.
-    """
-    text = " ".join(
+
+def _folded(workflow):
+    """A workflow's lines folded into one, YAML comments dropped."""
+    return " ".join(
         line.strip()
         for line in workflow.read_text(encoding="utf-8").splitlines()
         if not line.lstrip().startswith("#")
     )
+
+
+def nightly_commands(module="repro", workflow=NIGHTLY):
+    """Every ``python -m <module> ...`` argv in a workflow (the nightly;
+    for ``repro``: its ``soak`` / ``front`` / ``run`` command lines)."""
     return [
         arguments.split()
         for arguments in re.findall(
-            rf"python -m {re.escape(module)}((?: (?!&&|- |>)\S+)+)", text
+            rf"python -m {re.escape(module)}{ARGUMENTS}", _folded(workflow)
         )
     ]
+
+
+def nightly_goldens():
+    """Each nightly ``repro run`` command line -> the golden that its
+    own step's ``diff -u`` compares the output with."""
+    return {
+        "run" + arguments: golden
+        for arguments, golden in re.findall(
+            rf"python -m repro run{ARGUMENTS} > \S+ && diff -u (\S+)",
+            _folded(NIGHTLY),
+        )
+    }
 
 
 class TestCLI:
@@ -212,15 +228,14 @@ class TestNightlyWorkflow:
     def test_command_parses(self, argv):
         command, *arguments = argv
         if command == "run":
-            # The paper-scale figures diffed against their golden.
+            # Figures diffed against the golden their own step names,
+            # which holds these figures at this scale.
             ids, scale = cli._pop_scale(arguments)
-            assert scale is cli.PAPER_SCALE
             assert ids and set(ids) <= set(cli.EXPERIMENTS)
-            (golden,) = re.findall(
-                r"diff -u (\S+)", NIGHTLY.read_text(encoding="utf-8")
-            )
+            golden = nightly_goldens()[" ".join(argv)]
             text = (NIGHTLY.parents[2] / golden).read_text(encoding="utf-8")
             assert re.findall(r"^\[(\w+)\] ", text, re.M) == ids
+            assert f"{scale.num_tuples} tuples" in text
             return
         parse = {"soak": cli._parse_soak, "front": cli._parse_front}
         flags, config = parse[command](arguments)
