@@ -64,8 +64,8 @@ class LevelMapper:
     ``table(dim_position, from_level, to_level)`` returns an int64 array
     ``t`` with ``t[ordinal_at_from_level] == ordinal_at_to_level`` where
     ``to_level`` is at or above ``from_level``.  Tables are built lazily
-    and memoized; the base parent tables come straight from each
-    hierarchy's child-start arrays.
+    and memoized, each with one ``np.repeat`` over the hierarchy's
+    descendant starts.
     """
 
     def __init__(self, schema: StarSchema) -> None:
@@ -86,26 +86,11 @@ class LevelMapper:
         cached = self._tables.get(key)
         if cached is not None:
             return cached
-        table = np.arange(dim.cardinality(from_level), dtype=np.int64)
-        for level in range(from_level, to_level, -1):
-            table = self._parent_table(dim_position, level)[table]
-        self._tables[key] = table
-        return table
-
-    def _parent_table(self, dim_position: int, level: int) -> np.ndarray:
-        """Ordinal -> parent-ordinal table for one step up."""
-        key = (dim_position, level, level - 1)
-        cached = self._tables.get(key)
-        if cached is not None:
-            return cached
-        dim = self.schema.dimensions[dim_position]
-        counts = [
-            dim.children_range(level - 1, parent)[1]
-            - dim.children_range(level - 1, parent)[0]
-            for parent in range(dim.cardinality(level - 1))
-        ]
+        # Member i at to_level owns from_level range(starts[i], starts[i + 1]).
+        starts = dim.hierarchy.descendant_starts(to_level, from_level)
         table = np.repeat(
-            np.arange(dim.cardinality(level - 1), dtype=np.int64), counts
+            np.arange(dim.cardinality(to_level), dtype=np.int64),
+            np.diff(starts),
         )
         self._tables[key] = table
         return table

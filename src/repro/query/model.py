@@ -119,12 +119,12 @@ class StarQuery:
                 )
         normalized: list[Interval] = []
         for dim, level, interval in zip(schema.dimensions, groupby, raw):
-            if level == 0:
-                if interval is not None:
-                    raise QueryError(
-                        f"selection on aggregated-away dimension {dim.name!r}"
-                    )
+            if interval is None:
                 normalized.append(None)
+            elif level == 0:
+                raise QueryError(
+                    f"selection on aggregated-away dimension {dim.name!r}"
+                )
             else:
                 normalized.append(
                     normalize_interval(interval, dim.cardinality(level))
@@ -158,6 +158,9 @@ class StarQuery:
         filters: list[Interval] = []
         tags = set(fixed_predicates)
         for dim, interval in zip(schema.dimensions, raw_filters):
+            if interval is None:
+                filters.append(None)
+                continue
             normalized_filter = normalize_interval(
                 interval, dim.leaf_cardinality
             )

@@ -20,11 +20,18 @@ parent occupy a **contiguous ordinal range** and parents appear in the same
 order as their child blocks.  :class:`Hierarchy` stores this as a
 ``child_starts`` table and offers range-mapping helpers used by the chunking
 machinery (:mod:`repro.chunks.ranges`).
+
+Because every member's descendants are one contiguous block at every deeper
+level, the hierarchy is fully described by one table per pair of levels:
+the first descendant of each member.  Those tables are built once from
+``child_starts``; every navigation method is then an index into them or a
+``bisect`` over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from repro.exceptions import SchemaError
@@ -104,6 +111,24 @@ class Hierarchy:
             tuple(starts) for starts in child_starts
         )
         self._validate_child_starts()
+        self._cardinalities: tuple[int, ...] = tuple(
+            level.cardinality for level in self._levels
+        )
+        self._starts = self._descendant_tables()
+
+    def _descendant_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``t[l - 1][m - 1]`` for every pair of levels ``l <= m``: the first
+        level-``m`` descendant of each level-``l`` member, then
+        ``cardinality(m)`` as a sentinel (empty when ``m < l``)."""
+        tables = []
+        for level, cardinality in enumerate(self._cardinalities, start=1):
+            starts = tuple(range(cardinality + 1))
+            row: list[tuple[int, ...]] = [()] * (level - 1) + [starts]
+            for child_starts in self._child_starts[level - 1:]:
+                starts = tuple(child_starts[i] for i in starts)
+                row.append(starts)
+            tables.append(tuple(row))
+        return tuple(tables)
 
     def _validate_child_starts(self) -> None:
         if len(self._child_starts) != self.size - 1:
@@ -157,10 +182,27 @@ class Hierarchy:
 
     def cardinality(self, number: int) -> int:
         """Number of distinct members at level ``number``."""
-        return self.level(number).cardinality
+        self._check_level(number)
+        return self._cardinalities[number - 1]
+
+    def descendant_starts(self, level: int, target_level: int) -> tuple[int, ...]:
+        """First ``target_level`` descendant of each member at ``level``.
+
+        Entry ``i`` is where member ``i``'s block starts; the last entry is
+        ``cardinality(target_level)``, so member ``i`` owns
+        ``range(s[i], s[i + 1])``.  ``target_level`` must be at or below
+        ``level``.
+        """
+        self._check_level(level)
+        self._check_level(target_level)
+        if target_level < level:
+            raise SchemaError(
+                f"target level {target_level} is above source level {level}"
+            )
+        return self._starts[level - 1][target_level - 1]
 
     def _check_level(self, number: int) -> None:
-        if not 1 <= number <= self.size:
+        if not 1 <= number <= len(self._levels):
             raise SchemaError(
                 f"level {number} out of range 1..{self.size}"
             )
@@ -195,8 +237,7 @@ class Hierarchy:
         if level == 1:
             raise SchemaError("level 1 has no parent level")
         self._check_ordinal(level, ordinal)
-        starts = self._child_starts[level - 2]
-        return _interval_index(starts, ordinal)
+        return bisect_right(self._child_starts[level - 2], ordinal) - 1
 
     def ancestor_ordinal(self, level: int, ordinal: int, target_level: int) -> int:
         """Ordinal of the ancestor of ``(level, ordinal)`` at ``target_level``.
@@ -210,10 +251,10 @@ class Hierarchy:
             raise SchemaError(
                 f"target level {target_level} is below source level {level}"
             )
-        current = ordinal
-        for lv in range(level, target_level, -1):
-            current = self.parent_ordinal(lv, current)
-        return current
+        self._check_ordinal(level, ordinal)
+        # The ancestor is the member whose block at ``level`` holds ordinal.
+        starts = self._starts[target_level - 1][level - 1]
+        return bisect_right(starts, ordinal) - 1
 
     def descend_range(
         self, level: int, ordinal: int, target_level: int
@@ -236,7 +277,7 @@ class Hierarchy:
         self._check_level(level)
         self._check_level(target_level)
         lo, hi = interval
-        if not 0 <= lo < hi <= self.cardinality(level):
+        if not 0 <= lo < hi <= self._cardinalities[level - 1]:
             raise SchemaError(
                 f"interval [{lo}, {hi}) out of range at level {level}"
             )
@@ -245,10 +286,8 @@ class Hierarchy:
                 f"target level {target_level} is above source level {level}; "
                 "use ancestor_ordinal to roll up"
             )
-        for lv in range(level, target_level):
-            starts = self._child_starts[lv - 1]
-            lo, hi = starts[lo], starts[hi]
-        return lo, hi
+        starts = self._starts[level - 1][target_level - 1]
+        return starts[lo], starts[hi]
 
     def contained_interval(
         self, level: int, leaf_interval: tuple[int, int]
@@ -262,39 +301,26 @@ class Hierarchy:
         """
         self._check_level(level)
         leaf_lo, leaf_hi = leaf_interval
-        leaf = self.leaf_level
-        if not 0 <= leaf_lo < leaf_hi <= self.cardinality(leaf):
+        if not 0 <= leaf_lo < leaf_hi <= self._cardinalities[-1]:
             raise SchemaError(
                 f"leaf interval [{leaf_lo}, {leaf_hi}) out of range"
             )
-        cardinality = self.cardinality(level)
-        # First member whose block starts at or after leaf_lo.
-        lo, hi = 0, cardinality
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.descend_range(level, mid, leaf)[0] >= leaf_lo:
-                hi = mid
-            else:
-                lo = mid + 1
-        first = lo
-        # Last member whose block ends at or before leaf_hi.
-        lo, hi = 0, cardinality
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.descend_range(level, mid, leaf)[1] <= leaf_hi:
-                lo = mid + 1
-            else:
-                hi = mid
-        last = lo
+        starts = self._starts[level - 1][-1]
+        # First member whose block starts at or after leaf_lo, and one past
+        # the last member whose block ends (where the next starts) at or
+        # before leaf_hi.
+        first = bisect_left(starts, leaf_lo)
+        last = bisect_right(starts, leaf_hi) - 1
         if first >= last:
             return None
         return (first, last)
 
     def _check_ordinal(self, level: int, ordinal: int) -> None:
-        if not 0 <= ordinal < self.cardinality(level):
+        cardinality = self._cardinalities[level - 1]
+        if not 0 <= ordinal < cardinality:
             raise SchemaError(
                 f"ordinal {ordinal} out of range at level {level} "
-                f"(cardinality {self.cardinality(level)})"
+                f"(cardinality {cardinality})"
             )
 
 
@@ -321,17 +347,3 @@ def even_child_starts(parents: int, children: int) -> tuple[int, ...]:
         starts.append(starts[-1] + base + (1 if i < extra else 0))
     return tuple(starts)
 
-
-def _interval_index(starts: Sequence[int], value: int) -> int:
-    """Index ``i`` such that ``starts[i] <= value < starts[i + 1]``.
-
-    ``starts`` must be strictly increasing; binary search.
-    """
-    lo, hi = 0, len(starts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if starts[mid] <= value:
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -23,6 +23,7 @@ from repro.schema.builder import build_star_schema
 from repro.storage.record import fact_record_format, groupby_record_format
 from repro.workload.data import generate_fact_table
 from tests.conftest import brute_force_aggregate, canon_rows
+from tests.reference.navigation import ReferenceHierarchy
 
 
 @pytest.fixture()
@@ -55,6 +56,25 @@ class TestLevelMapper:
         table = mapper.table(0, 3, 1)
         for leaf in range(16):
             assert table[leaf] == dim.ancestor_ordinal(3, leaf, 1)
+
+    def test_every_level_pair_matches_the_reference(self):
+        """Uneven fanouts: each table entry is the ancestor the brute-force
+        reference finds by scanning parents."""
+        schema = build_star_schema([[3, 7, 20, 41]], fanout="random", seed=5)
+        mapper = LevelMapper(schema)
+        hierarchy = schema.dimensions[0].hierarchy
+        reference = ReferenceHierarchy(
+            [level.cardinality for level in hierarchy],
+            [hierarchy.descendant_starts(level, level + 1) for level in (1, 2, 3)],
+        )
+        for from_level in range(1, 5):
+            for to_level in range(1, from_level + 1):
+                table = mapper.table(0, from_level, to_level)
+                assert table.dtype == np.int64
+                assert table.tolist() == [
+                    reference.ancestor_ordinal(from_level, ordinal, to_level)
+                    for ordinal in range(hierarchy.cardinality(from_level))
+                ]
 
 
 class TestAggregateRecords:

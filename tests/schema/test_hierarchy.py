@@ -1,7 +1,7 @@
 """Tests for repro.schema.hierarchy."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SchemaError
 from repro.schema.hierarchy import (
@@ -9,6 +9,7 @@ from repro.schema.hierarchy import (
     Level,
     even_child_starts,
 )
+from tests.reference.navigation import ReferenceHierarchy
 
 
 def make_hierarchy(cards, child_starts=None):
@@ -193,3 +194,130 @@ def test_random_hierarchy_descend_ancestor_roundtrip(data):
     assert 0 <= lo < hi <= cards[-1]
     for leaf in range(lo, hi):
         assert h.ancestor_ordinal(depth, leaf, level) == ordinal
+
+
+class TestAncestorOrdinalChecksEveryTargetLevel:
+    """The ordinal is checked when the target level is the source level
+    too, on the paper schema's first dimension (levels of 25, 50, 100)."""
+
+    def test_same_level(self, paper_schema):
+        d0 = paper_schema.dimensions[0]
+        with pytest.raises(
+            SchemaError,
+            match=r"^ordinal 999 out of range at level 2 \(cardinality 50\)$",
+        ):
+            d0.hierarchy.ancestor_ordinal(2, 999, 2)
+        with pytest.raises(
+            SchemaError,
+            match=r"^ordinal -1 out of range at level 3 \(cardinality 100\)$",
+        ):
+            d0.ancestor_ordinal(3, -1, 3)
+
+    def test_same_message_as_a_level_above(self, paper_schema):
+        hierarchy = paper_schema.dimensions[0].hierarchy
+        messages = []
+        for target in (2, 1):
+            with pytest.raises(SchemaError) as raised:
+                hierarchy.ancestor_ordinal(2, 999, target)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+
+# ----------------------------------------------------------------------
+# Navigation against a brute-force reference
+# ----------------------------------------------------------------------
+@st.composite
+def hierarchies(draw):
+    """1-4 levels; every parent gets 1-3 children."""
+    depth = draw(st.integers(1, 4))
+    cards = [draw(st.integers(1, 5))]
+    child_starts = []
+    for _ in range(depth - 1):
+        fanouts = draw(
+            st.lists(st.integers(1, 3), min_size=cards[-1], max_size=cards[-1])
+        )
+        starts = [0]
+        for fanout in fanouts:
+            starts.append(starts[-1] + fanout)
+        child_starts.append(tuple(starts))
+        cards.append(starts[-1])
+    return cards, child_starts
+
+
+def outcome(call):
+    """A call's value, or the message of the SchemaError it raised."""
+    try:
+        return ("value", call())
+    except SchemaError as error:
+        return ("raises", str(error))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hierarchies(), st.data())
+def test_navigation_equals_the_brute_force_reference(shape, data):
+    """Every method answers as walking children and scanning members
+    does, and every out-of-range input raises the same SchemaError."""
+    cards, child_starts = shape
+    hierarchy = make_hierarchy(cards, child_starts)
+    reference = ReferenceHierarchy(cards, child_starts)
+    depth = len(cards)
+    levels = st.integers(-1, depth + 1)
+    ordinals = st.integers(-2, max(cards) + 1)
+    leaves = st.integers(-2, cards[-1] + 2)
+    for _ in range(25):
+        method = data.draw(
+            st.sampled_from(
+                [
+                    "cardinality", "children_range", "parent_ordinal",
+                    "ancestor_ordinal", "descend_range", "map_range",
+                    "contained_interval", "descendant_starts",
+                ]
+            )
+        )
+        if method == "cardinality":
+            args = (data.draw(levels),)
+        elif method in ("children_range", "parent_ordinal"):
+            args = (data.draw(levels), data.draw(ordinals))
+        elif method in ("ancestor_ordinal", "descend_range"):
+            args = (data.draw(levels), data.draw(ordinals), data.draw(levels))
+        elif method == "map_range":
+            interval = (data.draw(ordinals), data.draw(ordinals))
+            args = (data.draw(levels), interval, data.draw(levels))
+        elif method == "contained_interval":
+            args = (data.draw(levels), (data.draw(leaves), data.draw(leaves)))
+        else:
+            args = (data.draw(levels), data.draw(levels))
+        got = outcome(lambda: getattr(hierarchy, method)(*args))
+        want = outcome(lambda: getattr(reference, method)(*args))
+        assert got == want, (method, args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hierarchies())
+def test_every_valid_input_equals_the_reference(shape):
+    """Exhaustively, on small hierarchies: every in-range member and
+    level pair, and every leaf interval."""
+    cards, child_starts = shape
+    hierarchy = make_hierarchy(cards, child_starts)
+    reference = ReferenceHierarchy(cards, child_starts)
+    depth = len(cards)
+    for level in range(1, depth + 1):
+        for target in range(level, depth + 1):
+            assert hierarchy.descendant_starts(
+                level, target
+            ) == reference.descendant_starts(level, target)
+        for ordinal in range(cards[level - 1]):
+            for target in range(1, level + 1):
+                assert hierarchy.ancestor_ordinal(
+                    level, ordinal, target
+                ) == reference.ancestor_ordinal(level, ordinal, target)
+            for target in range(level, depth + 1):
+                assert hierarchy.descend_range(
+                    level, ordinal, target
+                ) == reference.descend_range(level, ordinal, target)
+        if cards[-1] <= 30:
+            for lo in range(cards[-1]):
+                for hi in range(lo + 1, cards[-1] + 1):
+                    assert hierarchy.contained_interval(
+                        level, (lo, hi)
+                    ) == reference.contained_interval(level, (lo, hi))

@@ -50,6 +50,24 @@ def test_setup_phase_profiles_the_setups_beside_their_median(capsys):
     assert "Ordered by: cumulative time" in out
     assert "(setup)" in out and "(load)" in out
     assert "(_drive_miss_heavy)" not in out
-    last = out.splitlines()[-1]
+    split, last = out.splitlines()[-2:]
     assert last.startswith("miss_heavy seed 1998: setup median ")
     assert last.endswith(" s under cProfile (2 runs each)")
+    # Set-up's three parts, each a median of the untraced runs.
+    assert split.startswith("setup split, untraced medians: ")
+    parts = split.split(": ", 1)[1].split(", ")
+    assert [part.rsplit(" ", 2)[0] for part in parts] == [
+        "fact generation", "build_stack", "stream generation"
+    ]
+    assert all(part.endswith(" s") for part in parts)
+
+
+def test_timed_parts_times_each_part_and_restores_the_module():
+    from benchmarks.e2e import workloads
+
+    originals = [getattr(workloads, name) for _, name in benchprofile.SETUP_PARTS]
+    with benchprofile.timed_parts(workloads) as parts:
+        workloads.generate_fact_table(workloads.build_paper_schema(), 10, seed=1)
+    assert [getattr(workloads, name) for _, name in benchprofile.SETUP_PARTS] == originals
+    assert len(parts["fact generation"]) == 1
+    assert parts["build_stack"] == [] and parts["stream generation"] == []

@@ -15,7 +15,10 @@ prints the top-N table with that qps beside it.
 calls the workload's ``setup`` ``--runs`` times untraced, then as many
 times under ``cProfile``, and prints the table of the profiled calls
 with both medians beside it (the benchmark reports the median of its
-set-ups too).
+set-ups too).  Beside them it prints the untraced median of each of
+set-up's three parts — fact generation, ``build_stack`` and stream
+generation — timed by wrapping the functions ``setup`` calls for them
+(:data:`SETUP_PARTS`) for the untraced runs only.
 
 ``cProfile`` charges every Python call and no native code,
 so the table shifts weight towards call-heavy Python: it finds
@@ -48,6 +51,14 @@ from pathlib import Path
 from typing import Any, Iterator
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Set-up's three parts: a label, and the ``benchmarks.e2e.workloads``
+#: function its ``setup`` calls once for that part.
+SETUP_PARTS = (
+    ("fact generation", "generate_fact_table"),
+    ("build_stack", "_build"),
+    ("stream generation", "_population"),
+)
 
 
 def _on_path() -> None:
@@ -161,6 +172,32 @@ def setup_walls(
     return walls
 
 
+@contextlib.contextmanager
+def timed_parts(workloads: Any) -> Iterator[dict[str, list[float]]]:
+    """While open, every call ``workloads.setup`` makes to a part of
+    :data:`SETUP_PARTS` appends its seconds to that part's list; the
+    module's functions are restored on exit."""
+    seconds: dict[str, list[float]] = {label: [] for label, _ in SETUP_PARTS}
+    originals = {name: getattr(workloads, name) for _, name in SETUP_PARTS}
+
+    def timed(label: str, function: Any) -> Any:
+        def call(*args: Any, **kwargs: Any) -> Any:
+            started = time.perf_counter()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                seconds[label].append(time.perf_counter() - started)
+        return call
+
+    for label, name in SETUP_PARTS:
+        setattr(workloads, name, timed(label, originals[name]))
+    try:
+        yield seconds
+    finally:
+        for name, function in originals.items():
+            setattr(workloads, name, function)
+
+
 def table(profile: cProfile.Profile, sort: str, top: int) -> str:
     """The ``pstats`` top-``top`` table of ``profile``, sorted by ``sort``."""
     text = io.StringIO()
@@ -206,15 +243,23 @@ def main(argv: list[str] | None = None) -> int:
     workloads.pin_to_one_core()  # as the benchmark's worker runs
     if options.phase == "setup":
         try:
-            untraced = setup_walls(
-                name, options.seed, options.smoke, options.runs, None
-            )
+            with timed_parts(workloads) as parts:
+                untraced = setup_walls(
+                    name, options.seed, options.smoke, options.runs, None
+                )
             profiled = setup_walls(
                 name, options.seed, options.smoke, options.runs, profile
             )
         finally:
             os.sched_setaffinity(0, affinity)
         print(table(profile, options.sort, options.top), end="")
+        print(
+            "setup split, untraced medians: "
+            + ", ".join(
+                f"{label} {statistics.median(seconds):.3f} s"
+                for label, seconds in parts.items()
+            )
+        )
         print(
             f"{name} seed {options.seed}: setup median "
             f"{statistics.median(untraced):.3f} s untraced, "
