@@ -1,10 +1,6 @@
-"""Shared helpers for the benchmark suite.
-
-Each macro benchmark regenerates one of the paper's tables/figures via
-``benchmark.pedantic(..., rounds=1)`` (a full experiment run is the unit
-of measurement), asserts the paper's qualitative shape, and writes the
-rendered table to ``benchmarks/results/<id>.txt`` so EXPERIMENTS.md can
-be refreshed from the latest run.
+"""Shared fixture of the serving benchmarks (``test_bench_serve.py``,
+``test_bench_front.py``): each writes its deterministic payload to
+``BENCH_<name>.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -14,23 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.reporting import ExperimentResult
-
-RESULTS_DIR = Path(__file__).parent / "results"
 REPO_ROOT = Path(__file__).parent.parent
-
-
-@pytest.fixture(scope="session")
-def record_result():
-    """Write an experiment result under benchmarks/results/."""
-
-    def _record(result: ExperimentResult) -> ExperimentResult:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / f"{result.experiment_id}.txt"
-        path.write_text(result.render() + "\n", encoding="utf-8")
-        return result
-
-    return _record
 
 
 @pytest.fixture(scope="session")
@@ -50,10 +30,3 @@ def record_json():
         return path
 
     return _record
-
-
-def rows_by(result: ExperimentResult, *keys: str) -> dict:
-    """Index result rows by a tuple of column values."""
-    return {
-        tuple(row[key] for key in keys): row for row in result.rows
-    }

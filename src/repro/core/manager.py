@@ -239,8 +239,8 @@ class ChunkCacheManager:
         self.backend = backend
         self.cache = cache
         self.cost_model = cost_model or CostModel()
-        self.aggregate_in_cache = aggregate_in_cache or prefetch_drilldown
-        self.prefetch_drilldown = prefetch_drilldown
+        self._aggregate_in_cache = aggregate_in_cache or prefetch_drilldown
+        self._prefetch_drilldown = prefetch_drilldown
         self.metrics = StreamMetrics()
         self.estimator = ChunkWorkEstimator(backend)
         self.admitter = ChunkAdmitter(space, cache, self.estimator)
@@ -272,6 +272,17 @@ class ChunkCacheManager:
             BackendChunkResolver(self.schema, self.backend, self.admitter)
         )
         return chain
+
+    @property
+    def aggregate_in_cache(self) -> bool:
+        """Whether the chain derives chunks in the cache (read-only: the
+        resolver chain is built once, at construction)."""
+        return self._aggregate_in_cache
+
+    @property
+    def prefetch_drilldown(self) -> bool:
+        """Whether misses are computed one level finer (read-only)."""
+        return self._prefetch_drilldown
 
     # ------------------------------------------------------------------
     # Public API

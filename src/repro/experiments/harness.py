@@ -155,6 +155,7 @@ def make_chunk_stack(
     policy: str = "benefit",
     aggregate_in_cache: bool = False,
     cache: ChunkStore | None = None,
+    prefetch_drilldown: bool = False,
 ) -> Stack:
     """A chunk-caching stack over the system's backend.
 
@@ -178,6 +179,7 @@ def make_chunk_stack(
             ),
             policy=policy,
             aggregate_in_cache=aggregate_in_cache,
+            prefetch_drilldown=prefetch_drilldown,
         ),
         space=system.space,
         backend=system.backend,
@@ -192,10 +194,12 @@ def make_chunk_manager(
     policy: str = "benefit",
     aggregate_in_cache: bool = False,
     cache: ChunkStore | None = None,
+    prefetch_drilldown: bool = False,
 ) -> ChunkCacheManager:
     """The manager of :func:`make_chunk_stack` (same arguments)."""
     return make_chunk_stack(
-        system, cache_bytes, policy, aggregate_in_cache, cache
+        system, cache_bytes, policy, aggregate_in_cache, cache,
+        prefetch_drilldown,
     ).chunk_manager
 
 

@@ -12,6 +12,7 @@ from typing import Callable
 
 from repro.exceptions import ExperimentError
 from repro.experiments import (
+    ablations,
     csr_sim,
     feller,
     fig9,
@@ -45,6 +46,20 @@ EXPERIMENTS: dict[str, tuple[str, bool, Callable[..., ExperimentResult]]] = {
         "Extension: shared vs partitioned caches (multi-user)",
         True,
         multiuser.run,
+    ),
+    "ablation_derive": (
+        "Ablation: in-cache derivation (Sec 7)", True, ablations.run_derive
+    ),
+    "ablation_prefetch": (
+        "Ablation: drill-down prefetch (Sec 7)", True, ablations.run_prefetch
+    ),
+    "ablation_materialized": (
+        "Ablation: materialized aggregates (Sec 2.4)",
+        True,
+        ablations.run_materialized,
+    ),
+    "ablation_bufferpool": (
+        "Ablation: buffer pool size", True, ablations.run_bufferpool
     ),
 }
 

@@ -213,6 +213,33 @@ class TestZeroCapacityCache:
         assert manager.cache.stats.rejected > 0
 
 
+class TestExtensionFlagsAreReadOnly:
+    """The resolver chain is built from the flags at construction, so an
+    assignment afterwards would change nothing: it must raise instead."""
+
+    @pytest.mark.parametrize(
+        "flag", ["aggregate_in_cache", "prefetch_drilldown"]
+    )
+    def test_assignment_raises(self, manager, flag):
+        names = [r.name for r in manager.pipeline.resolvers]
+        with pytest.raises(AttributeError):
+            setattr(manager, flag, True)
+        assert getattr(manager, flag) is False
+        assert [r.name for r in manager.pipeline.resolvers] == names
+
+    def test_prefetch_implies_derivation(
+        self, small_schema, fresh_small_engine
+    ):
+        manager = ChunkCacheManager(
+            small_schema,
+            fresh_small_engine.space,
+            fresh_small_engine,
+            ChunkCache(2_000_000),
+            prefetch_drilldown=True,
+        )
+        assert manager.aggregate_in_cache and manager.prefetch_drilldown
+
+
 class TestDerivation:
     """The Section 7 future-work extension: aggregate chunks in the cache."""
 

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -64,12 +65,12 @@ def nightly_commands(module="repro", workflow=NIGHTLY):
 
 
 def nightly_goldens():
-    """Each nightly ``repro run`` command line -> the golden that its
-    own step's ``diff -u`` compares the output with."""
+    """Each nightly ``repro run`` command line (with or without ids) ->
+    the golden that its own step's ``diff -u`` compares the output with."""
     return {
         "run" + arguments: golden
         for arguments, golden in re.findall(
-            rf"python -m repro run{ARGUMENTS} > \S+ && diff -u (\S+)",
+            rf"python -m repro run{ARGUMENTS}? > \S+ && diff -u (\S+)",
             _folded(NIGHTLY),
         )
     }
@@ -229,9 +230,11 @@ class TestNightlyWorkflow:
         command, *arguments = argv
         if command == "run":
             # Figures diffed against the golden their own step names,
-            # which holds these figures at this scale.
+            # which holds these figures at this scale.  No ids means
+            # every registry entry, as for ``python -m repro run``.
             ids, scale = cli._pop_scale(arguments)
-            assert ids and set(ids) <= set(cli.EXPERIMENTS)
+            ids = ids or list(cli.EXPERIMENTS)
+            assert set(ids) <= set(cli.EXPERIMENTS)
             golden = nightly_goldens()[" ".join(argv)]
             text = (NIGHTLY.parents[2] / golden).read_text(encoding="utf-8")
             assert re.findall(r"^\[(\w+)\] ", text, re.M) == ids
@@ -245,6 +248,13 @@ class TestNightlyWorkflow:
             assert flags.cache["cache_tiers"] == 2
             assert flags.cache["persist_path"]
         assert config.max_workers is None
+
+    def test_shape_step_names_the_uncollected_checks(self):
+        # Per-push CI must not collect the five-seed shape run, so the
+        # file is not named test_*.py; the nightly names it instead.
+        (path,) = re.findall(r"python -m pytest -q (\S+)", _folded(NIGHTLY))
+        assert (NIGHTLY.parents[2] / path).is_file()
+        assert not fnmatch(Path(path).name, "test_*.py")
 
     @pytest.mark.parametrize(
         "workflow,base,workloads,depth",
