@@ -37,10 +37,12 @@ bench-pairs:
 
 # Where one benchmark workload spends its time: its driver under cProfile,
 # with the untraced qps beside the table, or (PHASE=setup) RUNS calls of
-# its set-up, with the median set-up wall beside the table (see
-# tools/benchprofile.py):
-#   make profile WORKLOAD=miss_heavy [PHASE=setup] [RUNS=5] [SORT=cumulative]
-#       [TOP=40] [SEED=1998]
+# its set-up, with the median set-up wall beside the table, or
+# (PHASE=backend) RUNS timed replays of the drive's compute_chunks calls
+# on a cold backend, with the pages read and a digest of every chunk
+# (see tools/benchprofile.py):
+#   make profile WORKLOAD=miss_heavy [PHASE=setup|backend] [RUNS=5]
+#       [SORT=cumulative] [TOP=40] [SEED=1998]
 SORT ?= tottime
 TOP ?= 25
 PHASE ?= driver

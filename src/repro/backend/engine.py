@@ -35,8 +35,8 @@ import numpy as np
 
 from repro.backend.aggregate import (
     LevelMapper,
+    aggregate_chunks,
     aggregate_records,
-    finalize_partials,
     partials_format_aggregates,
 )
 from repro.backend.plans import CostReport, measure_cost
@@ -51,6 +51,7 @@ from repro.storage.chunkedfile import ChunkedFile, tuple_chunk_numbers
 from repro.storage.disk import SimulatedDisk
 from repro.storage.factfile import FactFile
 from repro.storage.record import (
+    Columns,
     RecordFormat,
     fact_record_format,
     groupby_record_format,
@@ -187,6 +188,7 @@ class BackendEngine:
             )
         self._check_ordinals(records)
         self.space.set_base_tuples(len(records))
+        stored: np.ndarray | Columns
         if self.organization == "chunked":
             self.chunked_file = ChunkedFile(
                 self.disk, self.record_format, self.space, self.buffer_pool
@@ -223,7 +225,7 @@ class BackendEngine:
                     f"0..{dim.leaf_cardinality - 1}"
                 )
 
-    def _build_bitmaps(self, stored: np.ndarray) -> None:
+    def _build_bitmaps(self, stored: np.ndarray | Columns) -> None:
         """One bitmap index per dimension over the stored fact table.
 
         Bitmap positions refer to the *stored* record order, so the
@@ -290,12 +292,13 @@ class BackendEngine:
             raise BackendError(f"group-by {groupby} already materialized")
         before = self.disk.stats.copy()
         stored = partials_format_aggregates(self.schema)
+        # Every tuple the base path would read: the clustered file, then
+        # the delta region of tuples appended since the last reorganize.
+        source = self.chunked_file.read_all()
+        if self.delta_file is not None and self.delta_file.num_records:
+            source = Columns.concatenate([source, self.delta_file.read_all()])
         rows = aggregate_records(
-            self.schema,
-            self.chunked_file.read_all(),
-            groupby,
-            stored,
-            self.mapper,
+            self.schema, source, groupby, stored, self.mapper
         )
         table = ChunkedFile(
             self.disk,
@@ -366,9 +369,11 @@ class BackendEngine:
         cacheable under a key carrying the same filters.
         ``prefer_base`` forces the base-table source even when a cheaper
         materialized table exists — the degrade path the pipeline takes
-        after an aggregate-level read fault.  Returns a mapping from
-        chunk number to its aggregated rows (empty chunks map to empty
-        arrays) and the combined cost.
+        after an aggregate-level read fault.  ``numbers`` must be
+        distinct; a repeated number raises :class:`BackendError` before
+        any page is read.  Returns a mapping from chunk number to its
+        aggregated rows, in the order of ``numbers`` (empty chunks map to
+        empty arrays), and the combined cost.
 
         An :class:`~repro.exceptions.InjectedFault` escaping this method
         carries the attempt's :class:`CostReport` (``cost_report``) and
@@ -382,6 +387,9 @@ class BackendEngine:
             )
         groupby = self.schema.validate_groupby(groupby)
         numbers = list(numbers)
+        if len(set(numbers)) != len(numbers):
+            repeated = sorted({n for n in numbers if numbers.count(n) > 1})
+            raise BackendError(f"chunk numbers {repeated} requested twice")
         if prefer_base:
             source = None
         else:
@@ -402,52 +410,36 @@ class BackendEngine:
                 source_records = source_file.read_chunks(source_numbers)
                 if source is None:
                     delta = self._delta_for_base_chunks(set(source_numbers))
-                    if len(delta):
-                        source_records = self.record_format.concatenate(
+                    if delta is not None and len(delta):
+                        source_records = Columns.concatenate(
                             [source_records, delta]
                         )
                 report.tuples_scanned += len(source_records)
                 report.chunks_computed += len(numbers)
-                if source is None:
-                    rows = aggregate_records(
-                        self.schema,
-                        source_records,
-                        groupby,
-                        aggregates,
-                        self.mapper,
-                        leaf_filters=leaf_filters,
-                    )
-                else:
-                    rows = finalize_partials(
-                        self.schema,
-                        source_records,
-                        source_groupby,
-                        groupby,
-                        aggregates,
-                        self.mapper,
-                    )
-                target_grid = self.space.grid(groupby)
-                row_numbers = tuple_chunk_numbers(
-                    target_grid,
-                    rows,
-                    tuple(d.name for d in self.schema.dimensions),
+                # Rows come back grouped by target chunk, ascending, so
+                # each requested chunk is one slice of them.
+                rows, row_numbers = aggregate_chunks(
+                    self.schema,
+                    source_records,
+                    self.space.grid(groupby),
+                    aggregates,
+                    self.mapper,
+                    leaf_filters=leaf_filters,
+                    partials_at=None if source is None else source_groupby,
                 )
-                # One stable sort groups the rows by chunk and keeps the
-                # row order inside each chunk; every chunk gets an array of
-                # its own (a view would pin the whole batch in the cache).
-                order = np.argsort(row_numbers, kind="stable")
-                sorted_numbers = row_numbers[order]
                 wanted = np.asarray(numbers, dtype=np.int64)
-                los = np.searchsorted(sorted_numbers, wanted, side="left")
-                his = np.searchsorted(sorted_numbers, wanted, side="right")
+                los = np.searchsorted(row_numbers, wanted, side="left")
+                his = np.searchsorted(row_numbers, wanted, side="right")
+                # Every chunk gets an array of its own (a view would pin
+                # the whole batch in the cache).
                 for number, lo, hi in zip(numbers, los.tolist(), his.tolist()):
-                    results[number] = rows[order[lo:hi]]
-                result_tuples = sum(len(r) for r in results.values())
+                    results[number] = rows[lo:hi].copy()
+                result_tuples = int((his - los).sum())
                 if result_tuples != len(rows):
                     # Rows landing in un-requested chunks can only arise
                     # from a caller bug (source chunks exactly tile the
                     # targets).
-                    stray = set(sorted_numbers.tolist()) - set(numbers)
+                    stray = set(row_numbers.tolist()) - set(numbers)
                     raise BackendError(
                         f"aggregated rows fell into unrequested chunks {stray}"
                     )
@@ -593,11 +585,12 @@ class BackendEngine:
         )
         return sorted(set(int(n) for n in numbers))
 
-    def _delta_for_base_chunks(self, base_numbers: set[int]) -> np.ndarray:
+    def _delta_for_base_chunks(self, base_numbers: set[int]) -> Columns | None:
         """Delta tuples falling into the given base chunks (reads the
-        whole delta region — it is small between reorganizations)."""
+        whole delta region — it is small between reorganizations), or
+        None when there is no delta region."""
         if self.delta_file is None or not self.delta_file.num_records:
-            return self.record_format.empty()
+            return None
         delta = self.delta_file.read_all()
         numbers = tuple_chunk_numbers(
             self.space.base_grid,
@@ -605,7 +598,7 @@ class BackendEngine:
             tuple(d.name for d in self.schema.dimensions),
         )
         keep = np.isin(numbers, np.fromiter(base_numbers, dtype=np.int64))
-        return delta[keep]
+        return delta.compress(keep)
 
     @_synchronized
     def reorganize(self) -> None:
@@ -622,9 +615,9 @@ class BackendEngine:
         if self.delta_file is None or not self.delta_file.num_records:
             return
         before = self.disk.stats.copy()
-        combined = self.record_format.concatenate(
+        combined = Columns.concatenate(
             [self.chunked_file.read_all(), self.delta_file.read_all()]
-        )
+        ).to_records()
         self.chunked_file = ChunkedFile(
             self.disk, self.record_format, self.space, self.buffer_pool
         )
@@ -692,7 +685,7 @@ class BackendEngine:
         with measure_cost(self.disk, access_path="scan") as report:
             records = self.fact_file.read_all()
             if self.delta_file is not None and self.delta_file.num_records:
-                records = self.record_format.concatenate(
+                records = Columns.concatenate(
                     [records, self.delta_file.read_all()]
                 )
             report.tuples_scanned += len(records)
@@ -746,9 +739,7 @@ class BackendEngine:
                     keep &= (column >= interval[0]) & (
                         column < interval[1]
                     )
-                records = self.record_format.concatenate(
-                    [records, delta[keep]]
-                )
+                records = Columns.concatenate([records, delta.compress(keep)])
             report.tuples_scanned += len(records)
             rows = aggregate_records(
                 self.schema,

@@ -201,6 +201,18 @@ class TestComputeChunks:
             assert np.array_equal(batch[number], alone[number])
             assert batch[number].base is None  # not a view of the batch
 
+    def test_repeated_numbers_rejected_before_any_page(
+        self, fresh_small_engine
+    ):
+        """A number asked for twice is refused before the pool is asked
+        for anything (it would be computed once and counted twice)."""
+        engine = fresh_small_engine
+        accesses = engine.buffer_pool.stats.accesses
+        with pytest.raises(BackendError, match=r"\[1\] requested twice"):
+            engine.compute_chunks((1, 1), [1, 0, 1], [("v", "sum")])
+        assert engine.buffer_pool.stats.accesses == accesses
+        assert engine.disk.stats.reads == 0
+
     def test_rows_outside_requested_chunks_rejected(
         self, fresh_small_engine, monkeypatch
     ):

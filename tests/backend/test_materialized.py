@@ -48,6 +48,26 @@ class TestFinalizePartials:
 
 
 class TestMaterialize:
+    def test_materialized_after_an_append_holds_the_delta(
+        self, small_schema, fresh_small_engine
+    ):
+        """A table materialized while appended tuples wait in the delta
+        region counts them, as the base table path does."""
+        from repro.workload.data import generate_fact_table
+
+        engine = fresh_small_engine
+        engine.append_records(generate_fact_table(small_schema, 500, seed=2))
+        engine.materialize((1, 1))
+        assert engine._choose_source((1, 0), None) is not None
+        aggregates = [("v", "count"), ("v", "min"), ("v", "max")]
+        numbers = list(range(engine.space.grid((1, 0)).num_chunks))
+        derived, _ = engine.compute_chunks((1, 0), numbers, aggregates)
+        base, _ = engine.compute_chunks(
+            (1, 0), numbers, aggregates, prefer_base=True
+        )
+        for number in numbers:
+            assert derived[number].tobytes() == base[number].tobytes()
+
     def test_materialize_and_answer(self, small_schema, fresh_small_engine):
         fresh_small_engine.materialize((2, 1))
         assert (2, 1) in fresh_small_engine.materialized

@@ -98,10 +98,10 @@ class TestFig14Builder:
             page_size=1024,
         )
         random_rows = sorted(
-            map(tuple, setup.random_engine.fact_file.read_all().tolist())
+            map(tuple, setup.random_engine.fact_file.read_all().to_records().tolist())
         )
         chunked_rows = sorted(
-            map(tuple, setup.chunked_engine.fact_file.read_all().tolist())
+            map(tuple, setup.chunked_engine.fact_file.read_all().to_records().tolist())
         )
         assert random_rows == chunked_rows
 

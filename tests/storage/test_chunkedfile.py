@@ -163,15 +163,15 @@ class TestChunkedFile:
             cfile.bulk_load(np.zeros(2, dtype=[("x", "i8")]))
 
     def test_relational_scan_preserves_multiset(self, loaded, records):
-        stored = loaded.read_all()
+        stored = loaded.read_all().to_records()
         assert sorted(map(tuple, stored.tolist())) == sorted(
             map(tuple, records.tolist())
         )
 
     def test_read_positions(self, loaded):
         positions = np.array([0, 10, 100])
-        got = loaded.fact_file.read_positions(positions)
-        assert np.array_equal(got, loaded.read_all()[positions])
+        got = loaded.fact_file.read_positions(positions).to_records()
+        assert np.array_equal(got, loaded.read_all().to_records()[positions])
 
 
 @settings(max_examples=15, deadline=None)
@@ -189,7 +189,7 @@ def test_multiset_preserved_property(n, seed, ratio):
         SimulatedDisk(256), fact_record_format(schema), space
     )
     cfile.bulk_load(records)
-    stored = cfile.read_all()
+    stored = cfile.read_all().to_records()
     assert sorted(map(tuple, stored.tolist())) == sorted(
         map(tuple, records.tolist())
     )

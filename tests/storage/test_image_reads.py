@@ -149,8 +149,8 @@ class TestImageAgainstPagedReference:
                 got = fact.read_all()
                 want = reference.read_all()
             assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            assert got.flags.writeable is False
+            assert np.array_equal(got.to_records(), want)
+            assert not any(got[name].flags.writeable for name in FMT.field_names)
             assert accounting(fact.disk, fact.buffer_pool) == accounting(
                 twin.disk, twin.buffer_pool
             )
@@ -197,8 +197,8 @@ class TestImageAgainstPagedReference:
             parts = [reference.read_range(s, c) for s, c in runs]
             want = np.concatenate(parts) if parts else fmt.empty()
             assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            assert got.flags.writeable is False or not len(got)
+            assert np.array_equal(got.to_records(), want)
+            assert not any(got[name].flags.writeable for name in fmt.field_names)
             assert accounting(cfile.disk, cfile.buffer_pool) == accounting(
                 twin.disk, twin.buffer_pool
             )
@@ -236,20 +236,32 @@ class TestImageOwnership:
         fact, _ = twin_fact_files(100, 128, 4)
         first = fact.read_all()
         assert fact.read_all() is first
-        assert np.shares_memory(fact.read_range(10, 30), first)
-        for part in fact.read_ranges([(0, 5), (50, 10)]):
-            assert np.shares_memory(part, first)
+        for name in FMT.field_names:
+            assert np.shares_memory(fact.read_range(10, 30)[name], first[name])
+            # Several runs are joined: one copy per field read.
+            joined = fact.read_ranges([(0, 5), (50, 10)])[name]
+            assert not np.shares_memory(joined, first[name])
 
     def test_reads_cannot_write_through(self):
         fact, _ = twin_fact_files(100, 128, 4)
         for records in (
             fact.read_all(),
             fact.read_range(10, 30),
+            fact.read_ranges([(0, 5), (50, 10)]),
             fact.read_positions(np.array([1, 50])),
         ):
-            assert records.flags.writeable is False
-            with pytest.raises(ValueError):
-                records["k"] = 0
+            for name in FMT.field_names:
+                assert records[name].flags.writeable is False
+                with pytest.raises(ValueError):
+                    records[name][0] = 0
+
+    def test_fields_are_contiguous_columns_of_their_own_dtype(self):
+        fact, _ = twin_fact_files(100, 128, 4)
+        columns = fact.read_all()
+        assert columns.dtype == FMT.dtype
+        for name in FMT.field_names:
+            assert columns[name].dtype == FMT.dtype[name]
+            assert columns[name].flags.c_contiguous
 
     def test_image_does_not_alias_the_loaded_array(self):
         disk = SimulatedDisk(128)

@@ -3,6 +3,8 @@
 import gc
 import os
 
+import pytest
+
 from tools import benchprofile
 
 
@@ -71,3 +73,51 @@ def test_timed_parts_times_each_part_and_restores_the_module():
     assert [getattr(workloads, name) for _, name in benchprofile.SETUP_PARTS] == originals
     assert len(parts["fact generation"]) == 1
     assert parts["build_stack"] == [] and parts["stream generation"] == []
+
+
+#: ``--phase backend --smoke`` at seed 1998, recorded before the chunk
+#: computation moved to column reads and the bincount kernel: recorded
+#: ``compute_chunks`` calls, pages the replay reads and the SHA-256 over
+#: every chunk it computes.  A bit that moves in any computed chunk, or a
+#: page charged differently, fails here.
+BACKEND_REPLAY_GOLDEN = {
+    "miss_heavy": (
+        104, 6008,
+        "3f72969443ced93796c578428a7f073c2c1d54d60945756ca580bbd14a18d65d",
+    ),
+    "serve_fair": (
+        341, 9894,
+        "a3634371c3278e674122a5ef62e6374a382dc5c0f4111c8533d671a5652a259f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKEND_REPLAY_GOLDEN))
+def test_backend_phase_replays_the_golden_chunks(capsys, name):
+    affinity = os.sched_getaffinity(0)
+    code = benchprofile.main(
+        ["--workload", name, "--smoke", "--phase", "backend", "--runs", "2"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert os.sched_getaffinity(0) == affinity
+    calls, pages, digest = BACKEND_REPLAY_GOLDEN[name]
+    line = out.splitlines()[-1]
+    assert line.startswith(
+        f"{name} seed 1998: {calls} compute_chunks calls replayed 2 times: "
+        "min "
+    )
+    assert line.endswith(f" s, {pages} pages read, sha256 {digest}")
+    assert ", median " in line
+
+
+def test_replays_that_disagree_fail_the_run(monkeypatch):
+    outcomes = iter([(0.1, 10, "a"), (0.1, 11, "a")])
+    monkeypatch.setattr(
+        benchprofile, "record_backend_calls", lambda *args: (None, [])
+    )
+    monkeypatch.setattr(
+        benchprofile, "replay_once", lambda env, calls: next(outcomes)
+    )
+    with pytest.raises(SystemExit, match="replays differ"):
+        benchprofile.backend_replay("miss_heavy", 1998, True, 2)

@@ -1,9 +1,10 @@
 """Where one benchmark workload spends its time: ``cProfile`` over its
-driver, or over its set-up.
+driver or over its set-up, or a timed replay of its backend calls.
 
-``python -m tools.benchprofile --workload NAME [--phase driver|setup]
-[--runs N] [--sort tottime|cumulative] [--top N] [--seed S] [--smoke]``
-(``make profile WORKLOAD=NAME [PHASE=setup]``).
+``python -m tools.benchprofile --workload NAME
+[--phase driver|setup|backend] [--runs N] [--sort tottime|cumulative]
+[--top N] [--seed S] [--smoke]``
+(``make profile WORKLOAD=NAME [PHASE=setup|backend]``).
 
 ``--phase driver`` (the default) sets the workload up exactly as
 ``benchmarks/e2e`` does (its ``setup`` and driver are imported, not
@@ -19,6 +20,15 @@ set-ups too).  Beside them it prints the untraced median of each of
 set-up's three parts — fact generation, ``build_stack`` and stream
 generation — timed by wrapping the functions ``setup`` calls for them
 (:data:`SETUP_PARTS`) for the untraced runs only.
+
+``--phase backend`` times the chunk computations alone: it records
+every ``BackendEngine.compute_chunks`` call of one untraced drive (the
+warm-up included), then replays them ``--runs`` times, each on a fresh
+backend loaded from the same records (a cold buffer pool), and prints
+the min / median replay seconds, the pages the replay read and a
+SHA-256 over every computed chunk's bytes (:func:`backend_replay`).
+Pages and digest are the same on every replay, or the run fails; they
+pin what the backend computes, whatever its speed.
 
 ``cProfile`` charges every Python call and no native code,
 so the table shifts weight towards call-heavy Python: it finds
@@ -37,8 +47,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import cProfile
 import gc
+import hashlib
 import io
 import os
 import pstats
@@ -48,7 +60,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -198,6 +210,93 @@ def timed_parts(workloads: Any) -> Iterator[dict[str, list[float]]]:
             setattr(workloads, name, function)
 
 
+class Replay(NamedTuple):
+    """What :func:`backend_replay` measured: the recorded calls, the
+    seconds of each replay, and the pages and chunk digest every replay
+    produced."""
+
+    calls: int
+    seconds: list[float]
+    pages_read: int
+    digest: str
+
+
+def record_backend_calls(
+    name: str, seed: int, smoke: bool
+) -> tuple[Any, list[tuple[tuple[Any, ...], dict[str, Any]]]]:
+    """Drive ``name`` once, untraced, and return its stack and the
+    arguments of every ``compute_chunks`` call the drive made, in
+    order."""
+    with setup_args(name, seed, smoke) as (workloads, args):
+        env = workloads.setup(*args)
+        try:
+            backend = env.stack.backend
+            compute = backend.compute_chunks
+            calls: list[tuple[tuple[Any, ...], dict[str, Any]]] = []
+
+            def recording(*call_args: Any, **call_kwargs: Any) -> Any:
+                calls.append(copy.deepcopy((call_args, call_kwargs)))
+                return compute(*call_args, **call_kwargs)
+
+            backend.compute_chunks = recording
+            out = workloads.WORKLOADS[name](env)
+            if out.problems:
+                raise SystemExit(f"benchprofile: {name}: {out.problems[0]}")
+            return env, calls
+        finally:
+            env.close()
+
+
+def replay_once(
+    env: Any, calls: list[tuple[tuple[Any, ...], dict[str, Any]]]
+) -> tuple[float, int, str]:
+    """Seconds spent in ``compute_chunks``, pages read and SHA-256 of
+    every chunk (number, dtype and row bytes, in call and chunk order)
+    when ``calls`` run on a fresh backend over ``env``'s records."""
+    from repro.api import build_backend
+
+    backend = build_backend(
+        env.stack.schema,
+        env.stack.space,
+        env.records,
+        page_size=env.config.page_size,
+        buffer_pool_pages=env.config.buffer_pool_pages,
+    )
+    clock = time.perf_counter
+    digest = hashlib.sha256()
+    seconds = 0.0
+    pages = 0
+    for call_args, call_kwargs in calls:
+        started = clock()
+        chunks, report = backend.compute_chunks(*call_args, **call_kwargs)
+        seconds += clock() - started
+        pages += report.pages_read
+        for number in sorted(chunks):
+            rows = chunks[number]
+            digest.update(f"{number}:{rows.dtype.descr}:".encode())
+            digest.update(rows.tobytes())
+    return seconds, pages, digest.hexdigest()
+
+
+def backend_replay(name: str, seed: int, smoke: bool, runs: int) -> Replay:
+    """Record ``name``'s backend calls once, then replay them ``runs``
+    times (see the module docstring)."""
+    env, calls = record_backend_calls(name, seed, smoke)
+    seconds: list[float] = []
+    outcomes = set()
+    for _ in range(runs):
+        wall, pages, digest = replay_once(env, calls)
+        seconds.append(wall)
+        outcomes.add((pages, digest))
+    if len(outcomes) != 1:
+        raise SystemExit(
+            f"benchprofile: {name}: replays differ in pages or chunks: "
+            f"{sorted(outcomes)}"
+        )
+    ((pages, digest),) = outcomes
+    return Replay(len(calls), seconds, pages, digest)
+
+
 def table(profile: cProfile.Profile, sort: str, top: int) -> str:
     """The ``pstats`` top-``top`` table of ``profile``, sorted by ``sort``."""
     text = io.StringIO()
@@ -210,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="python -m tools.benchprofile")
     parser.add_argument("--workload", required=True)
     parser.add_argument(
-        "--phase", choices=("driver", "setup"), default="driver"
+        "--phase", choices=("driver", "setup", "backend"), default="driver"
     )
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument(
@@ -241,6 +340,21 @@ def main(argv: list[str] | None = None) -> int:
     profile = cProfile.Profile()
     affinity = os.sched_getaffinity(0)
     workloads.pin_to_one_core()  # as the benchmark's worker runs
+    if options.phase == "backend":
+        try:
+            replay = backend_replay(
+                name, options.seed, options.smoke, options.runs
+            )
+        finally:
+            os.sched_setaffinity(0, affinity)
+        print(
+            f"{name} seed {options.seed}: {replay.calls} compute_chunks "
+            f"calls replayed {options.runs} times: min "
+            f"{min(replay.seconds):.3f} s, median "
+            f"{statistics.median(replay.seconds):.3f} s, "
+            f"{replay.pages_read} pages read, sha256 {replay.digest}"
+        )
+        return 0
     if options.phase == "setup":
         try:
             with timed_parts(workloads) as parts:
