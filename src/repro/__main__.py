@@ -27,7 +27,6 @@ from repro.experiments.configs import (
     Scale,
 )
 from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.experiments.reporting import ExperimentResult
 from repro.serve import FrontConfig, SoakConfig
 
 _Number = TypeVar("_Number", int, float)
@@ -38,7 +37,6 @@ usage: python -m repro <command> [options]
 commands:
   list                 list reproducible experiments
   run [ids...]         run experiments (default: all); --smoke / --paper
-  report [path]        run everything and write a Markdown report
   soak                 verified multi-user soak; --chaos for fault
                        injection, --rate low|mid|high, --seed N,
                        --users N, --per-user N, --shards N,
@@ -102,40 +100,6 @@ def _cmd_run(argv: list[str]) -> int:
         print(run_experiment(eid, scale).render())
         print()
     return 0
-
-
-def _cmd_report(argv: list[str]) -> int:
-    argv, scale = _pop_scale(argv)
-    path = argv[0] if argv else "experiment-report.md"
-    sections = [
-        "# Reproduced evaluation — Caching Multidimensional Queries "
-        "Using Chunks (SIGMOD 1998)",
-        "",
-        f"Scale: {scale.num_tuples:,} tuples, {scale.num_queries} "
-        f"queries/stream, chunk ratio {scale.chunk_ratio}.",
-        "",
-    ]
-    for eid in EXPERIMENTS:
-        result = run_experiment(eid, scale)
-        sections.append(f"## {result.title}")
-        if result.expectation:
-            sections.append(f"*Expected shape*: {result.expectation}")
-            sections.append("")
-        sections.append(_markdown_body(result))
-        if result.notes:
-            sections.append(f"\n*Notes*: {result.notes}")
-        sections.append("")
-        print(f"  {eid}: done")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(sections) + "\n")
-    print(f"report written to {path}")
-    return 0
-
-
-def _markdown_body(result: ExperimentResult) -> str:
-    from repro.experiments.reporting import format_markdown
-
-    return format_markdown(result.columns, result.rows)
 
 
 def _flag_value(argv: list[str], name: str) -> tuple[list[str], str | None]:
@@ -306,8 +270,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_list()
     if command == "run":
         return _cmd_run(rest)
-    if command == "report":
-        return _cmd_report(rest)
     if command in ("soak", "front"):
         try:
             return _cmd_job(command, rest)

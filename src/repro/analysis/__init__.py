@@ -2,7 +2,6 @@
 
 from repro.analysis.cost import CostModel
 from repro.analysis.probability import (
-    bitmap_speedup_model,
     expected_distinct,
     expected_pages_chunked,
     expected_pages_random,
@@ -13,5 +12,4 @@ __all__ = [
     "expected_distinct",
     "expected_pages_random",
     "expected_pages_chunked",
-    "bitmap_speedup_model",
 ]

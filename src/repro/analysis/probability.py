@@ -23,7 +23,6 @@ __all__ = [
     "expected_distinct",
     "expected_pages_random",
     "expected_pages_chunked",
-    "bitmap_speedup_model",
 ]
 
 
@@ -76,30 +75,3 @@ def expected_pages_chunked(
         return 0.0
     return expected_distinct(qualifying_tuples, candidate_pages)
 
-
-def bitmap_speedup_model(
-    num_tuples: int,
-    tuples_per_page: int,
-    density: float,
-) -> tuple[float, float]:
-    """The paper's closed-form comparison for its simplified 2-D scenario.
-
-    Given ``N`` tuples, ``T`` tuples/page and data density ``d`` with two
-    dimensions of ``D = sqrt(N / d)`` distinct values each, a selection
-    ``A = x`` qualifies ``n = sqrt(N * d)`` tuples; with ``P = N / T``
-    pages the expected I/O is ``p = f(n, P)`` for a random file versus
-    ``p_c = f(n, sqrt(P))`` for a chunked file.
-
-    Returns:
-        ``(pages_random, pages_chunked)`` under the model.
-    """
-    if num_tuples <= 0 or tuples_per_page <= 0:
-        raise ExperimentError("num_tuples and tuples_per_page must be positive")
-    if not 0 < density <= 1:
-        raise ExperimentError(f"density must be in (0, 1], got {density}")
-    pages = num_tuples / tuples_per_page
-    qualifying = math.sqrt(num_tuples * density)
-    return (
-        expected_pages_random(qualifying, pages),
-        expected_pages_chunked(qualifying, pages),
-    )

@@ -3,7 +3,7 @@
 from repro.backend.aggregate import LevelMapper, aggregate_records, reaggregate
 from repro.backend.engine import BackendEngine
 from repro.backend.plans import CostReport, measure_cost
-from repro.backend.sql import parse_query, render_query
+from repro.backend.sql import parse_query
 
 __all__ = [
     "LevelMapper",
@@ -13,5 +13,4 @@ __all__ = [
     "CostReport",
     "measure_cost",
     "parse_query",
-    "render_query",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
-from typing import Callable, Concatenate, Mapping, ParamSpec, Sequence, TypeVar
+from typing import Callable, Concatenate, ParamSpec, Sequence, TypeVar
 
 import numpy as np
 
@@ -52,7 +52,6 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.factfile import FactFile
 from repro.storage.record import (
     Columns,
-    RecordFormat,
     fact_record_format,
     groupby_record_format,
 )
@@ -71,11 +70,8 @@ def _synchronized(
 ) -> Callable[Concatenate["BackendEngine", _P], _R]:
     """Run one public entry point inside the engine's counted section.
 
-    The lock is re-entrant: ``answer(access_path="chunk")`` calls
-    :meth:`~BackendEngine.compute_chunks` and ``explain`` calls the
-    estimators, all under the outer acquisition.  Every acquisition and
-    its wait are counted; that is all the lock is for (see the module
-    docstring).
+    Every acquisition and its wait are counted; that is all the lock is
+    for (see the module docstring).
     """
 
     @functools.wraps(method)
@@ -634,30 +630,6 @@ class BackendEngine:
     # ------------------------------------------------------------------
     # Relational interface
     # ------------------------------------------------------------------
-    def _resolve_access_path(self, query: StarQuery, access_path: str) -> str:
-        """The concrete path ``access_path`` means for ``query`` on this
-        engine — what :meth:`answer` runs and :meth:`explain` describes.
-
-        ``"auto"`` is bitmap when any selection exists and bitmaps exist
-        (the stored table is non-empty), otherwise scan; an explicit path
-        is checked against what the engine holds.
-        """
-        if access_path == "auto":
-            has_selection = (
-                any(s is not None for s in query.selections)
-                or query.has_dim_filters()
-            )
-            return "bitmap" if has_selection and self.bitmaps else "scan"
-        if access_path == "bitmap" and not self.bitmaps:
-            raise BackendError("bitmap indexes were not built")
-        if access_path == "chunk" and self.chunked_file is None:
-            raise BackendError(
-                "the chunk interface requires the chunked organization"
-            )
-        if access_path not in ("bitmap", "scan", "chunk"):
-            raise BackendError(f"unknown access path {access_path!r}")
-        return access_path
-
     @_synchronized
     def answer(
         self, query: StarQuery, access_path: str = "auto"
@@ -666,19 +638,29 @@ class BackendEngine:
 
         Args:
             query: The analyzed query.
-            access_path: ``"bitmap"``, ``"scan"``, ``"chunk"`` or
-                ``"auto"`` (bitmap when any selection exists and bitmaps
-                exist; otherwise scan).
+            access_path: ``"bitmap"``, ``"scan"`` or ``"auto"`` (bitmap
+                when any selection exists and bitmaps exist, that is when
+                the stored table is non-empty; otherwise scan).  Chunks
+                are computed by :meth:`compute_chunks`.
         """
         self._require_loaded()
         if self.fault_hook is not None:
             self.fault_hook("answer")
-        access_path = self._resolve_access_path(query, access_path)
+        if access_path == "auto":
+            has_selection = (
+                any(s is not None for s in query.selections)
+                or query.has_dim_filters()
+            )
+            access_path = (
+                "bitmap" if has_selection and self.bitmaps else "scan"
+            )
         if access_path == "bitmap":
+            if not self.bitmaps:
+                raise BackendError("bitmap indexes were not built")
             return self._answer_bitmap(query)
-        if access_path == "scan":
-            return self._answer_scan(query)
-        return self._answer_chunks(query)
+        if access_path != "scan":
+            raise BackendError(f"unknown access path {access_path!r}")
+        return self._answer_scan(query)
 
     def _answer_scan(self, query: StarQuery) -> tuple[np.ndarray, CostReport]:
         assert self.fact_file is not None
@@ -753,61 +735,6 @@ class BackendEngine:
             report.result_tuples += len(rows)
         return rows, report
 
-    def _answer_chunks(self, query: StarQuery) -> tuple[np.ndarray, CostReport]:
-        grid = self.space.grid(query.groupby)
-        numbers = grid.chunk_numbers_for_selection(query.selections)
-        chunks, report = self.compute_chunks(
-            query.groupby, numbers, query.aggregates,
-            leaf_filters=query.effective_dim_filters(self.schema),
-        )
-        rows = _concat(
-            [chunks[n] for n in numbers], query.result_format(self.schema)
-        )
-        rows = _filter_rows(self.schema, rows, query)
-        report.result_tuples = len(rows)
-        return rows, report
-
-    @_synchronized
-    def explain(
-        self, query: StarQuery, access_path: str = "auto"
-    ) -> dict[str, object]:
-        """Describe how a query would be evaluated, without running it.
-
-        Returns a dictionary with the resolved access path, the chunk
-        decomposition (chunk interface), the chosen source table
-        (base or materialized), and the estimated physical work — the
-        inspection surface a query optimizer would log.
-        """
-        self._require_loaded()
-        access_path = self._resolve_access_path(query, access_path)
-        plan: dict[str, object] = {
-            "access_path": access_path, "groupby": query.groupby,
-        }
-        if self.chunked_file is not None:
-            grid = self.space.grid(query.groupby)
-            numbers = grid.chunk_numbers_for_selection(query.selections)
-            filters = query.effective_dim_filters(self.schema)
-            source = self._choose_source(query.groupby, filters)
-            pages, tuples = self.estimate_chunk_work(
-                query.groupby, numbers
-            )
-            plan["chunks"] = {
-                "count": len(numbers),
-                "source": (
-                    "base" if source is None else f"materialized{source[0]}"
-                ),
-                "estimated_pages": pages,
-                "estimated_tuples": tuples,
-            }
-        if access_path == "bitmap":
-            plan["estimated_bitmap_pages"] = self.estimate_bitmap_pages(
-                query
-            )
-        if access_path == "scan":
-            assert self.fact_file is not None
-            plan["scan_pages"] = self.fact_file.num_pages
-        return plan
-
     # ------------------------------------------------------------------
     # Estimation helpers for the cache layers
     # ------------------------------------------------------------------
@@ -847,30 +774,3 @@ class BackendEngine:
             data_pages = 0.0
         return index_pages + int(round(data_pages))
 
-
-def _concat(
-    parts: list[np.ndarray], record_format: RecordFormat
-) -> np.ndarray:
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return record_format.empty()
-    return record_format.concatenate(parts)
-
-
-def _filter_rows(
-    schema: StarSchema, rows: np.ndarray, query: StarQuery
-) -> np.ndarray:
-    """Drop boundary-chunk rows outside the query's exact selection."""
-    if len(rows) == 0:
-        return rows
-    mask = np.ones(len(rows), dtype=bool)
-    for dim, level, interval in zip(
-        schema.dimensions, query.groupby, query.selections
-    ):
-        if level == 0 or interval is None:
-            continue
-        column = rows[dim.name]
-        mask &= (column >= interval[0]) & (column < interval[1])
-    if mask.all():
-        return rows
-    return rows[mask]

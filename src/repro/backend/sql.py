@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.exceptions import SchemaError, SQLParseError
 from repro.query.model import StarQuery
 from repro.query.predicates import Interval, interval_intersect
 from repro.schema.star import StarSchema
 
-__all__ = ["parse_query", "render_query", "tokenize"]
+__all__ = ["parse_query", "tokenize"]
 
 _AGGREGATES = ("sum", "count", "min", "max", "avg")
 
@@ -482,61 +481,3 @@ def parse_query(schema: StarSchema, sql: str) -> StarQuery:
     """
     return _Parser(schema, sql).parse()
 
-
-def render_query(schema: StarSchema, query: StarQuery) -> str:
-    """Render an analyzed query back into star-join-template SQL.
-
-    The output is fully qualified (``dimension.level``) and parses back
-    to an equal :class:`StarQuery` via :func:`parse_query` — useful for
-    logging, debugging, and the round-trip property tests.
-    """
-    select_parts: list[str] = []
-    groupby_parts: list[str] = []
-    where_parts: list[str] = []
-    for dim, level, interval in zip(
-        schema.dimensions, query.groupby, query.selections
-    ):
-        if level == 0:
-            continue
-        column = f"{dim.name}.{dim.hierarchy.level(level).name}"
-        select_parts.append(column)
-        groupby_parts.append(column)
-        if interval is not None:
-            low = _quote(dim.value_of(level, interval[0]))
-            high = _quote(dim.value_of(level, interval[1] - 1))
-            where_parts.append(f"{column} BETWEEN {low} AND {high}")
-    filters = (
-        query.effective_dim_filters(schema)
-        if query.dim_filters
-        else (None,) * schema.num_dimensions
-    )
-    for dim, leaf_filter in zip(schema.dimensions, filters):
-        if leaf_filter is None:
-            continue
-        leaf = dim.leaf_level
-        column = f"{dim.name}.{dim.hierarchy.level(leaf).name}"
-        low = _quote(dim.value_of(leaf, leaf_filter[0]))
-        high = _quote(dim.value_of(leaf, leaf_filter[1] - 1))
-        where_parts.append(f"{column} BETWEEN {low} AND {high}")
-    select_parts.extend(
-        f"{aggregate.upper()}({measure})"
-        for measure, aggregate in query.aggregates
-    )
-    if not groupby_parts:
-        raise SQLParseError(
-            "cannot render a query that aggregates every dimension away "
-            "(the template requires a GROUP BY list)"
-        )
-    tables = ", ".join(
-        [schema.name] + [dim.name for dim in schema.dimensions]
-    )
-    sql = f"SELECT {', '.join(select_parts)} FROM {tables}"
-    if where_parts:
-        sql += f" WHERE {' AND '.join(where_parts)}"
-    sql += f" GROUP BY {', '.join(groupby_parts)}"
-    return sql
-
-
-def _quote(value: object) -> str:
-    text = str(value).replace("'", "''")
-    return f"'{text}'"

@@ -6,7 +6,6 @@ file) and the middle tier (the chunk cache) build on one shared geometry.
 """
 
 from repro.chunks.closure import (
-    source_chunk_count,
     source_chunk_numbers,
     source_spans,
 )
@@ -29,5 +28,4 @@ __all__ = [
     "ChunkSpace",
     "source_spans",
     "source_chunk_numbers",
-    "source_chunk_count",
 ]

@@ -16,7 +16,6 @@ inverse-``getChNum`` / re-``ComputeChunkNums`` pipeline of Section 5.2.3.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from repro.chunks.grid import ChunkGrid, ChunkSpace
@@ -27,7 +26,6 @@ __all__ = [
     "source_spans",
     "source_spans_many",
     "source_chunk_numbers",
-    "source_chunk_count",
 ]
 
 
@@ -130,17 +128,6 @@ def source_chunk_numbers(
     spans = source_spans(space, target_groupby, chunk_number, source_groupby)
     source_grid = space.grid(source_groupby)
     return _enumerate(source_grid, spans)
-
-
-def source_chunk_count(
-    space: ChunkSpace,
-    target_groupby: Sequence[int],
-    chunk_number: int,
-    source_groupby: Sequence[int] | None = None,
-) -> int:
-    """How many source chunks one target chunk aggregates, cheaply."""
-    spans = source_spans(space, target_groupby, chunk_number, source_groupby)
-    return math.prod(hi - lo for lo, hi in spans)
 
 
 def _enumerate(grid: ChunkGrid, spans: Sequence[tuple[int, int]]) -> list[int]:

@@ -68,28 +68,10 @@ class ChunkGrid:
         self.num_chunks: int = math.prod(self.shape)
 
     # ------------------------------------------------------------------
-    # Numbering (getChNum and inverse)
+    # Numbering (inverse of getChNum)
     # ------------------------------------------------------------------
-    def chunk_number(self, coords: Sequence[int]) -> int:
-        """Row-major chunk number of per-dimension chunk indices.
-
-        The paper's ``getChNum()`` (Figure 8).
-        """
-        if len(coords) != len(self.shape):
-            raise ChunkingError(
-                f"expected {len(self.shape)} coordinates, got {len(coords)}"
-            )
-        number = 0
-        for coord, extent, stride in zip(coords, self.shape, self.strides):
-            if not 0 <= coord < extent:
-                raise ChunkingError(
-                    f"chunk coordinate {coord} out of range 0..{extent - 1}"
-                )
-            number += coord * stride
-        return number
-
     def coords_of(self, number: int) -> tuple[int, ...]:
-        """Inverse of :meth:`chunk_number`."""
+        """Per-dimension chunk indices of a row-major chunk number."""
         if not 0 <= number < self.num_chunks:
             raise ChunkingError(
                 f"chunk number {number} out of range 0..{self.num_chunks - 1}"
@@ -113,17 +95,6 @@ class ChunkGrid:
             else:
                 result.append(chunking.range_at(level, coord))
         return tuple(result)
-
-    def cell_capacity(self, number: int) -> int:
-        """Upper bound on result tuples inside one chunk.
-
-        The product of its per-dimension range lengths (ALL dims count 1).
-        """
-        capacity = 1
-        for rng in self.cell_ranges(number):
-            if rng is not None:
-                capacity *= len(rng)
-        return capacity
 
     # ------------------------------------------------------------------
     # ComputeChunkNums (Section 5.2.2)
@@ -162,8 +133,8 @@ class ChunkGrid:
         """The paper's ``ComputeChunkNums``: chunk numbers covering a query.
 
         Takes the cross product of the per-dimension chunk-index spans and
-        maps each coordinate tuple through :meth:`chunk_number`.  The result
-        is sorted ascending (row-major enumeration order).
+        numbers each coordinate tuple row-major (the paper's ``getChNum``:
+        the sum of index times stride).  The result is sorted ascending.
         """
         return self.numbers_in_spans(self.selection_spans(selection))
 
@@ -203,11 +174,6 @@ class ChunkGrid:
                 self.groupby[position], interval, spans[position]
             )
         )
-
-    def count_for_selection(self, selection: Selection) -> int:
-        """Number of chunks a selection touches, without enumerating them."""
-        spans = self.selection_spans(selection)
-        return math.prod(hi - lo for lo, hi in spans)
 
     def __repr__(self) -> str:
         return f"ChunkGrid(groupby={self.groupby}, shape={self.shape})"
@@ -277,13 +243,6 @@ class ChunkSpace:
     def base_grid(self) -> ChunkGrid:
         """The grid of the base fact table (leaf level everywhere)."""
         return self.grid(self.schema.base_groupby)
-
-    def chunking(self, dimension_name: str) -> DimensionChunking:
-        """The per-level chunk ranges of one dimension."""
-        for chunking in self.chunkings:
-            if chunking.dimension.name == dimension_name:
-                return chunking
-        raise ChunkingError(f"no dimension named {dimension_name!r}")
 
     # ------------------------------------------------------------------
     # Benefits (Section 5.4)

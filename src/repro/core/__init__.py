@@ -11,7 +11,6 @@ evaluation metrics (:mod:`~repro.core.metrics`).
 from repro.core.cache import ChunkCache, ChunkCacheStats
 from repro.core.chunk import CachedChunk, CachedQuery, ChunkKey
 from repro.chunks.closure import (
-    source_chunk_count,
     source_chunk_numbers,
     source_spans,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ChunkSpace",
     "source_spans",
     "source_chunk_numbers",
-    "source_chunk_count",
     "ChunkKey",
     "CachedChunk",
     "CachedQuery",

@@ -1,9 +1,8 @@
 """Registry of all reproduced tables and figures.
 
 Each experiment module exposes ``run(...) -> ExperimentResult``; this
-registry maps experiment ids to those entry points so the whole
-evaluation can be regenerated with one call (or ``python -m
-repro.experiments.registry``).
+registry maps experiment ids to those entry points, for ``python -m
+repro run``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.experiments import (
 from repro.experiments.configs import DEFAULT_SCALE, Scale
 from repro.experiments.reporting import ExperimentResult
 
-__all__ = ["EXPERIMENTS", "run_experiment", "run_all"]
+__all__ = ["EXPERIMENTS", "run_experiment"]
 
 #: Experiment id -> (description, takes_scale, runner).
 EXPERIMENTS: dict[str, tuple[str, bool, Callable[..., ExperimentResult]]] = {
@@ -79,18 +78,3 @@ def run_experiment(
         return runner(scale)
     return runner()
 
-
-def run_all(scale: Scale = DEFAULT_SCALE) -> list[ExperimentResult]:
-    """Run every experiment, in registry order."""
-    return [run_experiment(eid, scale) for eid in EXPERIMENTS]
-
-
-def main() -> None:
-    """CLI entry point: print every reproduced table/figure."""
-    for result in run_all():
-        print(result.render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -1,8 +1,7 @@
 """Experiment results and their textual rendering.
 
 Each experiment returns an :class:`ExperimentResult`: an ordered list of
-row dictionaries plus labels, which renders as an aligned text table (for
-benchmark output) or a Markdown table (for EXPERIMENTS.md).
+row dictionaries plus labels, which renders as an aligned text table.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import Mapping, Sequence
 
 from repro.exceptions import ExperimentError
 
-__all__ = ["ExperimentResult", "format_table", "format_markdown"]
+__all__ = ["ExperimentResult", "format_table"]
 
 
 @dataclass
@@ -45,17 +44,12 @@ class ExperimentResult:
             raise ExperimentError(f"unknown column {name!r}")
         return [row.get(name) for row in self.rows]
 
-    def render(self, markdown: bool = False) -> str:
-        """The result as a text or Markdown table with headers."""
-        table = (
-            format_markdown(self.columns, self.rows)
-            if markdown
-            else format_table(self.columns, self.rows)
-        )
+    def render(self) -> str:
+        """The result as an aligned text table with headers."""
         lines = [f"[{self.experiment_id}] {self.title}"]
         if self.expectation:
             lines.append(f"expected shape: {self.expectation}")
-        lines.append(table)
+        lines.append(format_table(self.columns, self.rows))
         if self.notes:
             lines.append(f"notes: {self.notes}")
         return "\n".join(lines)
@@ -92,15 +86,3 @@ def format_table(
     ]
     return "\n".join([header, rule, *body])
 
-
-def format_markdown(
-    columns: Sequence[str], rows: Sequence[Mapping[str, object]]
-) -> str:
-    """GitHub-flavoured Markdown table."""
-    header = "| " + " | ".join(columns) + " |"
-    rule = "|" + "|".join("---" for _ in columns) + "|"
-    body = [
-        "| " + " | ".join(_cell(row.get(col)) for col in columns) + " |"
-        for row in rows
-    ]
-    return "\n".join([header, rule, *body])

@@ -125,18 +125,6 @@ class ExecutionTrace:
         """Total wall time across all stages."""
         return sum(entry.wall_seconds for entry in self.stages)
 
-    def summary(self) -> dict[str, object]:
-        """Compact dictionary form (for logs and reports)."""
-        return {
-            "wall_seconds": self.wall_seconds,
-            "modelled_time": self.modelled_time,
-            "partitions_total": self.partitions_total,
-            "backend_pages": self.backend_pages,
-            "resolved_by": dict(self.resolved_by),
-            "stages": {
-                entry.name: entry.wall_seconds for entry in self.stages
-            },
-        }
 
 
 def aggregate_stage_traces(

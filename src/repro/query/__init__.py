@@ -1,6 +1,6 @@
 """Star-join query model, predicate algebra and containment."""
 
-from repro.query.containment import compatible, queries_overlap, query_contains
+from repro.query.containment import compatible, query_contains
 from repro.query.model import StarQuery
 from repro.query.predicates import (
     Interval,
@@ -11,7 +11,6 @@ from repro.query.predicates import (
     normalize_interval,
     selection_cardinality,
     selection_contains,
-    selection_intersect,
 )
 
 __all__ = [
@@ -22,10 +21,8 @@ __all__ = [
     "interval_intersect",
     "interval_contains",
     "interval_length",
-    "selection_intersect",
     "selection_contains",
     "selection_cardinality",
     "query_contains",
-    "queries_overlap",
     "compatible",
 ]

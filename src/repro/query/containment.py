@@ -16,9 +16,9 @@ results and can answer a new query from the cache only when it is
 from __future__ import annotations
 
 from repro.query.model import StarQuery
-from repro.query.predicates import selection_contains, selection_intersect
+from repro.query.predicates import selection_contains
 
-__all__ = ["query_contains", "queries_overlap", "compatible"]
+__all__ = ["query_contains", "compatible"]
 
 
 def compatible(a: StarQuery, b: StarQuery) -> bool:
@@ -42,13 +42,3 @@ def query_contains(outer: StarQuery, inner: StarQuery) -> bool:
         return False
     return selection_contains(outer.selections, inner.selections)
 
-
-def queries_overlap(a: StarQuery, b: StarQuery) -> bool:
-    """Whether two compatible queries select intersecting regions.
-
-    Used to quantify the redundant storage of query-level caching: two
-    overlapping cached queries store the shared region twice.
-    """
-    if not compatible(a, b):
-        return False
-    return selection_intersect(a.selections, b.selections) is not None

@@ -63,8 +63,8 @@ class StarQuery:
             tags); cached results require an exact match (condition 3 of
             Section 5.2.1).
 
-    Use :meth:`build` (ordinals) or :meth:`from_values` (member values) to
-    construct validated instances.
+    Use :meth:`build` (ordinals) to construct validated instances;
+    :func:`repro.backend.sql.parse_query` builds one from member values.
     """
 
     groupby: GroupBy
@@ -178,72 +178,6 @@ class StarQuery:
             fixed_predicates=frozenset(tags),
         )
 
-    @classmethod
-    def from_values(
-        cls,
-        schema: StarSchema,
-        groupby_levels: Mapping[str, int],
-        value_selections: Mapping[str, tuple[object, object]] | None = None,
-        aggregates: Sequence[tuple[str, str]] | None = None,
-        fixed_predicates: Sequence[str] = (),
-        value_filters: Mapping[str, tuple[int, object, object]] | None = None,
-    ) -> "StarQuery":
-        """Construction from dimension member *values*.
-
-        Args:
-            schema: The star schema.
-            groupby_levels: Level per dimension *name*; omitted dimensions
-                are aggregated away (level 0).
-            value_selections: Per dimension name, an inclusive ``(low_value,
-                high_value)`` pair of members at that dimension's group-by
-                level; converted to ordinals via the domain index.
-            value_filters: Per dimension name, ``(level, low_value,
-                high_value)`` — an inclusive member-value range at *any*
-                level of that dimension, applied before aggregation (a
-                non-group-by selection).  Converted to a leaf-level
-                interval via the hierarchy.
-
-        This is the entry point the mini-SQL layer uses.
-        """
-        groupby = [0] * schema.num_dimensions
-        for name, level in groupby_levels.items():
-            groupby[schema.dimension_position(name)] = level
-        selections: list[Interval] = [None] * schema.num_dimensions
-        for name, (low, high) in (value_selections or {}).items():
-            pos = schema.dimension_position(name)
-            level = groupby[pos]
-            if level == 0:
-                raise QueryError(
-                    f"selection on dimension {name!r} which is not grouped"
-                )
-            dim = schema.dimensions[pos]
-            lo = dim.ordinal_of(level, low)
-            hi = dim.ordinal_of(level, high)
-            if hi < lo:
-                raise QueryError(
-                    f"selection bounds on {name!r} are reversed: "
-                    f"{low!r} > {high!r}"
-                )
-            selections[pos] = (lo, hi + 1)  # inclusive values -> half-open
-        filters: list[Interval] = [None] * schema.num_dimensions
-        for name, (level, low, high) in (value_filters or {}).items():
-            pos = schema.dimension_position(name)
-            dim = schema.dimensions[pos]
-            lo = dim.ordinal_of(level, low)
-            hi = dim.ordinal_of(level, high)
-            if hi < lo:
-                raise QueryError(
-                    f"filter bounds on {name!r} are reversed: "
-                    f"{low!r} > {high!r}"
-                )
-            filters[pos] = dim.map_range(
-                level, (lo, hi + 1), dim.leaf_level
-            )
-        return cls.build(
-            schema, groupby, selections, aggregates, fixed_predicates,
-            dim_filters=filters,
-        )
-
     # ------------------------------------------------------------------
     # Derived properties
     # ------------------------------------------------------------------
@@ -288,20 +222,6 @@ class StarQuery:
     def result_format(self, schema: StarSchema) -> RecordFormat:
         """Record format of this query's result rows."""
         return groupby_record_format(schema, self.groupby, self.aggregates)
-
-    def result_cardinality(self, schema: StarSchema) -> int:
-        """Upper bound on result rows (product of selected extents)."""
-        total = 1
-        for dim, level, interval in zip(
-            schema.dimensions, self.groupby, self.selections
-        ):
-            if level == 0:
-                continue
-            if interval is None:
-                total *= dim.cardinality(level)
-            else:
-                total *= interval[1] - interval[0]
-        return total
 
     def leaf_selection(self, schema: StarSchema) -> Selection:
         """All base-tuple restrictions as leaf-level ordinal intervals.

@@ -7,7 +7,7 @@ ordinals, with ``None`` meaning "no restriction" (the full domain).
 
 A query's full selection is one such optional interval per dimension.  This
 module provides the interval and selection operations the cache layers
-need: intersection, containment, emptiness, and cardinality.
+need: intersection, containment and cardinality.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ __all__ = [
     "interval_intersect",
     "interval_contains",
     "interval_length",
-    "selection_intersect",
     "selection_contains",
-    "selection_is_empty",
     "selection_cardinality",
 ]
 
@@ -96,21 +94,6 @@ def interval_length(interval: Interval, domain_size: int) -> int:
     return interval[1] - interval[0]
 
 
-def selection_intersect(a: Selection, b: Selection) -> Selection | None:
-    """Per-dimension intersection; None when any dimension is disjoint."""
-    if len(a) != len(b):
-        raise QueryError(
-            f"selection arity mismatch: {len(a)} vs {len(b)}"
-        )
-    result: list[Interval] = []
-    for ia, ib in zip(a, b):
-        merged = interval_intersect(ia, ib)
-        if merged == "empty":
-            return None
-        result.append(merged)  # type: ignore[arg-type]
-    return tuple(result)
-
-
 def selection_contains(outer: Selection, inner: Selection) -> bool:
     """Whether ``outer`` covers ``inner`` on every dimension."""
     if len(outer) != len(inner):
@@ -118,11 +101,6 @@ def selection_contains(outer: Selection, inner: Selection) -> bool:
             f"selection arity mismatch: {len(outer)} vs {len(inner)}"
         )
     return all(interval_contains(o, i) for o, i in zip(outer, inner))
-
-
-def selection_is_empty(selection: Selection | None) -> bool:
-    """Whether a (possibly already-folded) selection selects nothing."""
-    return selection is None
 
 
 def selection_cardinality(

@@ -145,10 +145,6 @@ class Dimension:
     # ------------------------------------------------------------------
     # Value/ordinal conversion
     # ------------------------------------------------------------------
-    def ordinal_of(self, level: int, value: object) -> int:
-        """Ordinal of a member value at ``level``."""
-        return self.domain_index(level).ordinal_of(value)
-
     def value_of(self, level: int, ordinal: int) -> object:
         """Member value for ``ordinal`` at ``level``."""
         return self.domain_index(level).value_of(ordinal)
@@ -156,33 +152,15 @@ class Dimension:
     # ------------------------------------------------------------------
     # Hierarchy navigation (ordinal space), delegated
     # ------------------------------------------------------------------
-    def parent_ordinal(self, level: int, ordinal: int) -> int:
-        """Parent ordinal at ``level - 1``."""
-        return self.hierarchy.parent_ordinal(level, ordinal)
-
     def ancestor_ordinal(self, level: int, ordinal: int, target_level: int) -> int:
         """Ancestor ordinal at ``target_level`` (at or above ``level``)."""
         return self.hierarchy.ancestor_ordinal(level, ordinal, target_level)
-
-    def children_range(self, level: int, ordinal: int) -> tuple[int, int]:
-        """Child ordinal range ``[lo, hi)`` at ``level + 1``."""
-        return self.hierarchy.children_range(level, ordinal)
-
-    def descend_range(
-        self, level: int, ordinal: int, target_level: int
-    ) -> tuple[int, int]:
-        """Descendant ordinal range at ``target_level`` (at or below)."""
-        return self.hierarchy.descend_range(level, ordinal, target_level)
 
     def map_range(
         self, level: int, interval: tuple[int, int], target_level: int
     ) -> tuple[int, int]:
         """Map an ordinal interval down to a deeper level."""
         return self.hierarchy.map_range(level, interval, target_level)
-
-    def leaf_range(self, level: int, ordinal: int) -> tuple[int, int]:
-        """Leaf-ordinal range covered by one member at ``level``."""
-        return self.hierarchy.descend_range(level, ordinal, self.leaf_level)
 
     def __repr__(self) -> str:
         return f"Dimension({self.name!r}, {self.hierarchy!r})"

@@ -217,28 +217,6 @@ class Hierarchy:
     # ------------------------------------------------------------------
     # Ordinal navigation
     # ------------------------------------------------------------------
-    def children_range(self, level: int, ordinal: int) -> tuple[int, int]:
-        """Ordinal range ``[lo, hi)`` of the children at ``level + 1``.
-
-        Args:
-            level: Parent level number (must be below the leaf level).
-            ordinal: Parent ordinal at ``level``.
-        """
-        self._check_level(level)
-        if level == self.leaf_level:
-            raise SchemaError("leaf level has no children")
-        self._check_ordinal(level, ordinal)
-        starts = self._child_starts[level - 1]
-        return starts[ordinal], starts[ordinal + 1]
-
-    def parent_ordinal(self, level: int, ordinal: int) -> int:
-        """Ordinal at ``level - 1`` of the parent of a member at ``level``."""
-        self._check_level(level)
-        if level == 1:
-            raise SchemaError("level 1 has no parent level")
-        self._check_ordinal(level, ordinal)
-        return bisect_right(self._child_starts[level - 2], ordinal) - 1
-
     def ancestor_ordinal(self, level: int, ordinal: int, target_level: int) -> int:
         """Ordinal of the ancestor of ``(level, ordinal)`` at ``target_level``.
 
@@ -255,17 +233,6 @@ class Hierarchy:
         # The ancestor is the member whose block at ``level`` holds ordinal.
         starts = self._starts[target_level - 1][level - 1]
         return bisect_right(starts, ordinal) - 1
-
-    def descend_range(
-        self, level: int, ordinal: int, target_level: int
-    ) -> tuple[int, int]:
-        """Contiguous ordinal range at ``target_level`` under one member.
-
-        Because of hierarchical ordering, the descendants of any member form
-        a contiguous block at every deeper level; this returns that block as
-        ``[lo, hi)``.  ``target_level`` must be at or below ``level``.
-        """
-        return self.map_range(level, (ordinal, ordinal + 1), target_level)
 
     def map_range(
         self, level: int, interval: tuple[int, int], target_level: int

@@ -16,7 +16,6 @@ group-by ``tuple(d.leaf_level for d in dims)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -123,13 +122,6 @@ class StarSchema:
         except KeyError:
             raise SchemaError(f"no measure named {name!r}") from None
 
-    def measure_position(self, name: str) -> int:
-        """Column position of a measure among the measures."""
-        try:
-            return self._measure_index[name]
-        except KeyError:
-            raise SchemaError(f"no measure named {name!r}") from None
-
     def has_measure(self, name: str) -> bool:
         """Whether ``name`` is a measure of this schema."""
         return name in self._measure_index
@@ -183,10 +175,6 @@ class StarSchema:
 
         yield from recurse((), self.dimensions)
 
-    def num_groupbys(self) -> int:
-        """Size of the cube lattice."""
-        return math.prod(d.leaf_level + 1 for d in self.dimensions)
-
     def groupby_cardinality(self, groupby: Sequence[int]) -> int:
         """Upper bound on result rows of a group-by (product of level sizes).
 
@@ -198,14 +186,6 @@ class StarSchema:
             if level > 0:
                 result *= dim.cardinality(level)
         return result
-
-    def cube_cardinality(self) -> int:
-        """Total result rows over the whole cube lattice (upper bound).
-
-        This is the paper's "cube size" in tuples; multiply by a tuple size
-        to obtain bytes (the paper's 300 MB figure).
-        """
-        return sum(self.groupby_cardinality(g) for g in self.all_groupbys())
 
     def is_rollup_of(self, coarse: Sequence[int], fine: Sequence[int]) -> bool:
         """Whether ``coarse`` can be computed from ``fine`` by aggregation.

@@ -188,22 +188,13 @@ class FactFile:
             pages = np.sort(pages)
         return len(_distinct(pages))
 
-    def read_range(self, start: int, count: int) -> Columns:
-        """Read ``count`` records starting at global position ``start``.
-
-        Requests exactly the spanned pages, in file order: for a range
-        lying in ``p`` pages, ``p`` page requests (fewer physical reads
-        with a warm buffer pool).  The result is a read-only view of the
-        file's image.
-        """
-        return self.read_ranges([(start, count)])
-
     def read_ranges(self, ranges: Sequence[tuple[int, int]]) -> Columns:
         """The records of each ``(start, count)`` in turn, as one read.
 
-        The page requests are the ones a :meth:`read_range` of each
-        would make, in the same order, handed to the buffer pool as one
-        run; a range the file cannot serve raises before any page is
+        Each range requests exactly the pages it spans, in file order;
+        the requests of all ranges go to the buffer pool as one run, so
+        ``p`` pages cost ``p`` requests (fewer physical reads with a warm
+        pool).  A range the file cannot serve raises before any page is
         requested.  The result is read-only: a view of the image for one
         range, one copy per field for several.
         """

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.probability import (
-    bitmap_speedup_model,
     expected_distinct,
     expected_pages_chunked,
     expected_pages_random,
@@ -66,23 +65,6 @@ class TestPageModels:
 
     def test_zero_candidates(self):
         assert expected_pages_chunked(10, 100, selected_chunks=0) == 0.0
-
-
-class TestSpeedupModel:
-    def test_paper_regime_shows_improvement(self):
-        """When 1 << T*d << sqrt(P), chunked wins clearly."""
-        pages_random, pages_chunked = bitmap_speedup_model(
-            num_tuples=1_000_000, tuples_per_page=100, density=0.05
-        )
-        assert pages_chunked < pages_random
-
-    def test_bad_inputs(self):
-        with pytest.raises(ExperimentError):
-            bitmap_speedup_model(0, 10, 0.5)
-        with pytest.raises(ExperimentError):
-            bitmap_speedup_model(100, 10, 0.0)
-        with pytest.raises(ExperimentError):
-            bitmap_speedup_model(100, 0, 0.5)
 
 
 @given(

@@ -24,6 +24,8 @@ from repro.core.chunk import ChunkKey
 from repro.core.tiered import TieredChunkCache, chunk_token
 from repro.exceptions import StackError
 from repro.storage.chunklog import CHUNKLOG_MAGIC, ChunkLog
+from repro.workload.generator import EQPR, QueryGenerator
+from tests.conftest import canon_rows
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -96,6 +98,35 @@ class TestRejectedTierConfig:
         monkeypatch.setattr(TieredChunkCache, "reopen", failing_reopen)
         with no_unclosed_files(), pytest.raises(RuntimeError, match="warm"):
             build_cache(StackConfig(cache_tiers=2, persist_path=path))
+
+
+def test_query_scheme_over_a_random_file_equals_the_backend(
+    small_schema, small_records, monkeypatch
+):
+    """The public query-caching configuration over the Figure-14 random
+    file: no chunk index, so every miss is priced by the bitmap-page
+    estimate, and every answer equals the backend's own."""
+    stack = build_stack(
+        small_schema,
+        small_records,
+        StackConfig(scheme="query", organization="random", cache_bytes=20_000),
+    )
+    estimates = []
+    estimate = stack.backend.estimate_bitmap_pages
+
+    def counted(query):
+        estimates.append(estimate(query))
+        return estimates[-1]
+
+    monkeypatch.setattr(stack.backend, "estimate_bitmap_pages", counted)
+    stream = QueryGenerator(small_schema, seed=5).stream(40, EQPR)
+    for query in stream:
+        rows = stack.manager.answer(query).rows
+        expected, _ = stack.backend.answer(query)
+        assert canon_rows(rows) == canon_rows(expected)
+    assert stack.backend.chunked_file is None
+    assert len(estimates) == len(stream) and max(estimates) > 0
+    assert stack.manager.metrics.records[-1].full_cost > 0
 
 
 def test_stack_config_has_no_l2_backend_or_miss_path_option():

@@ -10,7 +10,7 @@ from repro.exceptions import BackendError
 from repro.query.model import StarQuery
 from repro.schema.builder import build_star_schema
 from repro.workload.data import generate_fact_table
-from tests.conftest import brute_force_aggregate, canon_rows
+from tests.conftest import answer_from_chunks, brute_force_aggregate, canon_rows
 
 
 class TestConstruction:
@@ -119,14 +119,14 @@ class TestAccessPathsAgree:
         query = StarQuery.build(small_schema, groupby, selections)
         scan_rows, _ = fresh_small_engine.answer(query, "scan")
         bitmap_rows, _ = fresh_small_engine.answer(query, "bitmap")
-        chunk_rows, _ = fresh_small_engine.answer(query, "chunk")
+        chunk_rows, _ = answer_from_chunks(fresh_small_engine, query)
         assert canon_rows(scan_rows) == canon_rows(bitmap_rows)
         assert canon_rows(scan_rows) == canon_rows(chunk_rows)
 
     def test_matches_brute_force(self, small_schema, fresh_small_engine,
                                  small_records):
         query = StarQuery.build(small_schema, (1, 2), {"D1": (2, 6)})
-        rows, _ = fresh_small_engine.answer(query, "chunk")
+        rows, _ = answer_from_chunks(fresh_small_engine, query)
         assert canon_rows(rows) == brute_force_aggregate(
             small_schema,
             small_records,
@@ -135,18 +135,32 @@ class TestAccessPathsAgree:
             selections=query.selections,
         )
 
-    def test_auto_path_selection(self, small_schema, fresh_small_engine):
+    def test_auto_path_selection(
+        self, small_schema, small_records, fresh_small_engine
+    ):
         with_selection = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
         _, report = fresh_small_engine.answer(with_selection)
         assert report.access_path == "bitmap"
         no_selection = StarQuery.build(small_schema, (1, 1))
         _, report = fresh_small_engine.answer(no_selection)
         assert report.access_path == "scan"
+        # An empty table has no bitmaps: auto scans, bitmap is refused.
+        empty = BackendEngine.build(
+            small_schema, ChunkSpace(small_schema, 0.25), small_records[:0]
+        )
+        _, report = empty.answer(with_selection)
+        assert report.access_path == "scan"
+        with pytest.raises(BackendError, match="bitmap indexes were not built"):
+            empty.answer(with_selection, "bitmap")
 
     def test_unknown_path_rejected(self, small_schema, fresh_small_engine):
+        # Chunks come from compute_chunks; "chunk" is no access path.
         query = StarQuery.build(small_schema, (1, 1))
-        with pytest.raises(BackendError):
-            fresh_small_engine.answer(query, "quantum")
+        for path in ("quantum", "chunk"):
+            with pytest.raises(
+                BackendError, match=f"unknown access path '{path}'"
+            ):
+                fresh_small_engine.answer(query, path)
 
 
 class TestComputeChunks:
@@ -266,74 +280,3 @@ class TestEstimates:
             fresh_small_engine.num_data_pages
             + sum(b.num_pages for b in fresh_small_engine.bitmaps.values())
         )
-
-
-class TestExplain:
-    def test_bitmap_plan(self, small_schema, fresh_small_engine):
-        query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
-        plan = fresh_small_engine.explain(query)
-        assert plan["access_path"] == "bitmap"
-        assert plan["chunks"]["source"] == "base"
-        assert plan["chunks"]["count"] > 0
-        assert plan["estimated_bitmap_pages"] > 0
-
-    def test_scan_plan(self, small_schema, fresh_small_engine):
-        query = StarQuery.build(small_schema, (1, 1))
-        plan = fresh_small_engine.explain(query)
-        assert plan["access_path"] == "scan"
-        assert plan["scan_pages"] == fresh_small_engine.num_data_pages
-
-    def test_materialized_source_reported(self, small_schema, fresh_small_engine):
-        fresh_small_engine.materialize((1, 1))
-        query = StarQuery.build(small_schema, (1, 0), {"D0": (0, 2)})
-        plan = fresh_small_engine.explain(query, "chunk")
-        assert plan["chunks"]["source"] == "materialized(1, 1)"
-
-    @pytest.mark.parametrize(
-        "path,message",
-        [
-            ("chunk", "requires the chunked organization"),
-            ("bitmap", "bitmap indexes were not built"),
-            ("bogus", "unknown access path 'bogus'"),
-        ],
-    )
-    def test_rejects_what_answer_rejects(
-        self, small_schema, small_records, path, message
-    ):
-        # explain resolves the access path exactly as answer does: the
-        # same typed error for a path the engine cannot take, never a
-        # plan for one answer would refuse.  An empty table has no
-        # bitmaps.
-        engine = BackendEngine.build(
-            small_schema,
-            ChunkSpace(small_schema, 0.25),
-            small_records[:0],
-            organization="random",
-        )
-        query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
-        with pytest.raises(BackendError, match=message):
-            engine.answer(query, path)
-        with pytest.raises(BackendError, match=message):
-            engine.explain(query, path)
-
-    @pytest.mark.parametrize("has_records", [True, False])
-    @pytest.mark.parametrize("selections", [None, {"D0": (0, 2)}])
-    def test_auto_names_the_path_answer_takes(
-        self, small_schema, small_records, has_records, selections
-    ):
-        # Without records there are no bitmaps, so auto must scan.
-        engine = BackendEngine.build(
-            small_schema,
-            ChunkSpace(small_schema, 0.25),
-            small_records if has_records else small_records[:0],
-        )
-        query = StarQuery.build(small_schema, (1, 1), selections)
-        _rows, report = engine.answer(query)
-        assert engine.explain(query)["access_path"] == report.access_path
-
-    def test_explain_does_no_io(self, small_schema, fresh_small_engine):
-        query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
-        before = fresh_small_engine.disk.stats.copy()
-        fresh_small_engine.explain(query)
-        after = fresh_small_engine.disk.stats
-        assert after.reads == before.reads

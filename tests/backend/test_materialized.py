@@ -18,7 +18,7 @@ from repro.core.cache import ChunkCache
 from repro.core.manager import ChunkCacheManager
 from repro.exceptions import BackendError
 from repro.query.model import StarQuery
-from tests.conftest import canon_rows
+from tests.conftest import answer_from_chunks, canon_rows
 
 
 class TestFinalizePartials:
@@ -72,7 +72,7 @@ class TestMaterialize:
         fresh_small_engine.materialize((2, 1))
         assert (2, 1) in fresh_small_engine.materialized
         query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)})
-        rows, report = fresh_small_engine.answer(query, "chunk")
+        rows, report = answer_from_chunks(fresh_small_engine, query)
         expected, _ = fresh_small_engine.answer(query, "scan")
         assert canon_rows(rows) == canon_rows(expected)
 
@@ -84,10 +84,10 @@ class TestMaterialize:
         )
         query = StarQuery.build(small_schema, (1, 1))
         engine.buffer_pool.flush()
-        _, before = engine.answer(query, "chunk")
+        _, before = answer_from_chunks(engine, query)
         engine.materialize((1, 1))
         engine.buffer_pool.flush()
-        _, after = engine.answer(query, "chunk")
+        _, after = answer_from_chunks(engine, query)
         assert after.pages_read < before.pages_read
         assert after.tuples_scanned < before.tuples_scanned
 
@@ -113,7 +113,7 @@ class TestMaterialize:
         query = StarQuery.build(
             small_schema, (1, 0), aggregates=[("v", "avg")]
         )
-        rows, _ = fresh_small_engine.answer(query, "chunk")
+        rows, _ = answer_from_chunks(fresh_small_engine, query)
         expected, _ = fresh_small_engine.answer(query, "scan")
         assert canon_rows(rows) == canon_rows(expected)
 
@@ -122,7 +122,7 @@ class TestMaterialize:
         query = StarQuery.build(
             small_schema, (1, 1), dim_filters={"D1": (2, 6)}
         )
-        rows, _ = fresh_small_engine.answer(query, "chunk")
+        rows, _ = answer_from_chunks(fresh_small_engine, query)
         expected, _ = fresh_small_engine.answer(query, "scan")
         assert canon_rows(rows) == canon_rows(expected)
 
@@ -131,7 +131,7 @@ class TestMaterialize:
         # (2, 1) is not a rollup of (1, 2): base must be used, and stay
         # correct.
         query = StarQuery.build(small_schema, (2, 1))
-        rows, _ = fresh_small_engine.answer(query, "chunk")
+        rows, _ = answer_from_chunks(fresh_small_engine, query)
         expected, _ = fresh_small_engine.answer(query, "scan")
         assert canon_rows(rows) == canon_rows(expected)
         assert fresh_small_engine._choose_source((2, 1), None) is None

@@ -6,7 +6,7 @@ from repro.backend.sql import parse_query, tokenize
 from repro.exceptions import SQLParseError
 from repro.schema.builder import build_dimension
 from repro.schema.star import Measure, StarSchema
-from tests.conftest import canon_rows
+from tests.conftest import answer_from_chunks, canon_rows
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +179,25 @@ class TestParsing:
                 "GROUP BY date.month",
             )
 
+    def test_escaped_quote_in_member(self):
+        from repro.query.model import StarQuery
+        from repro.schema.dimension import Dimension
+        from repro.schema.hierarchy import Hierarchy, Level
+
+        dim = Dimension(
+            "city",
+            Hierarchy([Level(1, "cname", 3)]),
+            members={1: ["O'Fallon", "St. Lou'is", "plain"]},
+        )
+        schema = StarSchema([dim], [Measure("m")], name="facts")
+        query = parse_query(
+            schema,
+            "SELECT cname, SUM(m) FROM facts "
+            "WHERE cname BETWEEN 'O''Fallon' AND 'St. Lou''is' "
+            "GROUP BY cname",
+        )
+        assert query == StarQuery.build(schema, (1,), {"city": (0, 2)})
+
 
 class TestErrors:
     def test_unknown_column(self, sales_schema):
@@ -274,76 +293,8 @@ class TestExecution:
             "WHERE category = 'clothes' AND month BETWEEN 'Jan' AND 'Mar' "
             "GROUP BY pname",
         )
-        rows, _ = engine.answer(query, "chunk")
+        rows, _ = answer_from_chunks(engine, query)
         expected, _ = engine.answer(query, "scan")
         assert canon_rows(rows) == canon_rows(expected)
         # Only clothes products appear.
         assert set(rows["product"].tolist()) <= {0, 1, 2}
-
-
-class TestRenderQuery:
-    def test_render_parses_back(self, sales_schema):
-        from repro.backend.sql import render_query
-        from repro.query.model import StarQuery
-
-        query = StarQuery.build(
-            sales_schema,
-            (2, 2),
-            {"product": (1, 4), "date": (2, 6)},
-        )
-        sql = render_query(sales_schema, query)
-        assert parse_query(sales_schema, sql) == query
-
-    def test_render_with_filters(self, sales_schema):
-        from repro.backend.sql import render_query
-        from repro.query.model import StarQuery
-
-        query = StarQuery.build(
-            sales_schema, (0, 1), dim_filters={"product": (0, 3)}
-        )
-        sql = render_query(sales_schema, query)
-        assert parse_query(sales_schema, sql) == query
-
-    def test_render_all_aggregated_rejected(self, sales_schema):
-        from repro.backend.sql import render_query
-        from repro.query.model import StarQuery
-
-        query = StarQuery.build(sales_schema, (0, 0))
-        with pytest.raises(SQLParseError):
-            render_query(sales_schema, query)
-
-    def test_quotes_escaped(self):
-        from repro.backend.sql import render_query
-        from repro.query.model import StarQuery
-        from repro.schema.dimension import Dimension
-        from repro.schema.hierarchy import Hierarchy, Level
-        from repro.schema.star import Measure, StarSchema
-
-        dim = Dimension(
-            "city",
-            Hierarchy([Level(1, "cname", 3)]),
-            members={1: ["O'Fallon", "St. Lou'is", "plain"]},
-        )
-        schema = StarSchema([dim], [Measure("m")], name="facts")
-        query = StarQuery.build(schema, (1,), {"city": (0, 2)})
-        sql = render_query(schema, query)
-        assert parse_query(schema, sql) == query
-
-
-class TestRoundTripProperty:
-    def test_random_queries_round_trip(self, sales_schema):
-        """Generated queries survive render -> parse unchanged."""
-        from hypothesis import given, settings, strategies as st
-
-        from repro.backend.sql import render_query
-        from repro.workload.generator import EQPR, QueryGenerator
-
-        generator = QueryGenerator(sales_schema, seed=21)
-        checked = 0
-        for query in generator.stream(60, EQPR):
-            if all(level == 0 for level in query.groupby):
-                continue
-            sql = render_query(sales_schema, query)
-            assert parse_query(sales_schema, sql) == query, sql
-            checked += 1
-        assert checked > 40

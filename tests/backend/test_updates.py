@@ -12,7 +12,7 @@ from repro.exceptions import BackendError
 from repro.query.model import StarQuery
 from repro.storage.record import fact_record_format
 from repro.workload.data import generate_fact_table
-from tests.conftest import canon_rows
+from tests.conftest import answer_from_chunks, canon_rows
 
 
 @pytest.fixture()
@@ -35,14 +35,14 @@ class TestAppend:
         query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 4)})
         scan_rows, _ = engine.answer(query, "scan")
         bitmap_rows, _ = engine.answer(query, "bitmap")
-        chunk_rows, _ = engine.answer(query, "chunk")
+        chunk_rows, _ = answer_from_chunks(engine, query)
         assert canon_rows(scan_rows) == canon_rows(bitmap_rows)
         assert canon_rows(scan_rows) == canon_rows(chunk_rows)
         # And the counts reflect the appended tuples.
         count_query = StarQuery.build(
             small_schema, (0, 0), aggregates=[("v", "count")]
         )
-        rows, _ = engine.answer(count_query, "chunk")
+        rows, _ = answer_from_chunks(engine, count_query)
         assert int(rows["count_v"][0]) == 5000 + len(extra)
 
     def test_affected_chunks_reported(self, small_schema, engine):
@@ -104,7 +104,7 @@ class TestReorganize:
         engine.reorganize()
         assert engine.delta_file is None
         after_scan, _ = engine.answer(query, "scan")
-        after_chunk, _ = engine.answer(query, "chunk")
+        after_chunk, _ = answer_from_chunks(engine, query)
         after_bitmap, _ = engine.answer(query, "bitmap")
         assert canon_rows(before) == canon_rows(after_scan)
         assert canon_rows(before) == canon_rows(after_chunk)

@@ -1,10 +1,11 @@
 """Tests for repro.chunks.closure — the closure property across levels."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chunks.closure import (
-    source_chunk_count,
     source_chunk_numbers,
     source_spans,
     source_spans_many,
@@ -31,7 +32,9 @@ def cell_leaf_set(space, groupby, number):
         else:
             cells = []
             for ordinal in range(rng.lo, rng.hi):
-                lo, hi = dim.descend_range(level, ordinal, dim.leaf_level)
+                lo, hi = dim.map_range(
+                    level, (ordinal, ordinal + 1), dim.leaf_level
+                )
                 cells.extend(range(lo, hi))
             axes.append(cells)
     return {(a, b) for a in axes[0] for b in axes[1]}
@@ -62,7 +65,8 @@ class TestSourceSpans:
             assert source_cells == target_cells
 
     def test_count_matches_enumeration(self, space):
-        assert source_chunk_count(space, (1, 1), 0) == len(
+        spans = source_spans(space, (1, 1), 0)
+        assert math.prod(hi - lo for lo, hi in spans) == len(
             source_chunk_numbers(space, (1, 1), 0)
         )
 

@@ -1,5 +1,7 @@
 """Tests for repro.chunks.grid — chunk numbering and ComputeChunkNums."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,23 +23,22 @@ class TestChunkNumbering:
         space = ChunkSpace(schema, {"D0": {1: 1}, "D1": {1: 1}})
         grid = space.grid((1, 1))
         assert grid.shape == (3, 4)
-        assert grid.chunk_number((0, 0)) == 0
-        assert grid.chunk_number((1, 2)) == 6
-        assert grid.chunk_number((2, 3)) == 11
+        assert grid.coords_of(0) == (0, 0)
+        assert grid.coords_of(6) == (1, 2)
+        assert grid.coords_of(11) == (2, 3)
 
     def test_roundtrip_all(self, space):
         grid = space.grid((2, 1))
         for number in range(grid.num_chunks):
-            assert grid.chunk_number(grid.coords_of(number)) == number
+            coords = grid.coords_of(number)
+            assert sum(c * s for c, s in zip(coords, grid.strides)) == number
 
     def test_bounds(self, space):
         grid = space.grid((1, 1))
         with pytest.raises(ChunkingError):
             grid.coords_of(grid.num_chunks)
         with pytest.raises(ChunkingError):
-            grid.chunk_number((0,))
-        with pytest.raises(ChunkingError):
-            grid.chunk_number((99, 0))
+            grid.coords_of(-1)
 
     def test_all_level_dims_have_one_slot(self, space):
         grid = space.grid((0, 1))
@@ -55,7 +56,10 @@ class TestCellGeometry:
     def test_cell_capacity(self, space):
         grid = space.grid((2, 1))
         total = sum(
-            grid.cell_capacity(number) for number in range(grid.num_chunks)
+            math.prod(
+                len(rng) for rng in grid.cell_ranges(number) if rng is not None
+            )
+            for number in range(grid.num_chunks)
         )
         schema = space.schema
         assert total == (
@@ -92,7 +96,8 @@ class TestComputeChunkNums:
     def test_count_matches_enumeration(self, space):
         grid = space.grid((2, 1))
         selection = ((2, 9), None)
-        assert grid.count_for_selection(selection) == len(
+        spans = grid.selection_spans(selection)
+        assert math.prod(hi - lo for lo, hi in spans) == len(
             grid.chunk_numbers_for_selection(selection)
         )
 
@@ -129,11 +134,6 @@ class TestChunkSpace:
 
     def test_base_grid(self, space):
         assert space.base_grid.groupby == space.schema.base_groupby
-
-    def test_chunking_lookup(self, space):
-        assert space.chunking("D0").dimension.name == "D0"
-        with pytest.raises(ChunkingError):
-            space.chunking("nope")
 
     def test_benefit_decreases_with_detail(self, space):
         coarse = space.chunk_benefit((1, 0))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.backend.engine import BackendEngine
 from repro.chunks.grid import ChunkSpace
+from repro.pipeline.stages import select_exact
 from repro.schema.builder import build_star_schema
 from repro.storage.record import fact_record_format
 from repro.workload.data import generate_fact_table
@@ -148,3 +149,17 @@ def canon_rows(rows: np.ndarray) -> list[tuple]:
         tuple(round(v, 6) if isinstance(v, float) else v for v in row)
         for row in map(tuple, rows.tolist())
     )
+
+
+def answer_from_chunks(engine, query):
+    """A query answered through the chunk interface, as the middle tier
+    does on a full miss: ``compute_chunks`` over the chunks its selection
+    touches, joined and trimmed to the exact selection."""
+    grid = engine.space.grid(query.groupby)
+    numbers = grid.chunk_numbers_for_selection(query.selections)
+    chunks, report = engine.compute_chunks(
+        query.groupby, numbers, query.aggregates,
+        leaf_filters=query.effective_dim_filters(engine.schema),
+    )
+    rows = np.concatenate([chunks[number] for number in numbers])
+    return select_exact(engine.schema, query, rows), report

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments.reporting import (
-    ExperimentResult,
-    format_markdown,
-    format_table,
-)
+from repro.experiments.reporting import ExperimentResult, format_table
 
 
 @pytest.fixture()
@@ -40,10 +36,6 @@ class TestExperimentResult:
         assert "notes: tiny scale" in text
         assert "chunk" in text and "query" in text
 
-    def test_render_markdown(self, result):
-        text = result.render(markdown=True)
-        assert "| scheme | csr | time |" in text
-
 
 class TestFormatting:
     def test_plain_alignment(self):
@@ -68,10 +60,3 @@ class TestFormatting:
     def test_missing_key_blank(self):
         table = format_table(["a", "b"], [{"a": 1}])
         assert table.splitlines()[-1].strip().startswith("1")
-
-    def test_markdown_structure(self):
-        text = format_markdown(["a"], [{"a": "x"}])
-        lines = text.splitlines()
-        assert lines[0] == "| a |"
-        assert lines[1] == "|---|"
-        assert lines[2] == "| x |"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.query.containment import compatible, queries_overlap, query_contains
+from repro.query.containment import compatible, query_contains
 from repro.query.model import StarQuery
 
 
@@ -52,20 +52,9 @@ class TestQueryContains:
         a = q(small_schema, selections={"D0": (0, 3)})
         b = q(small_schema, selections={"D0": (2, 5)})
         assert not query_contains(a, b)
-        assert queries_overlap(a, b)
 
 
 class TestOverlap:
-    def test_disjoint(self, small_schema):
-        a = q(small_schema, selections={"D0": (0, 2)})
-        b = q(small_schema, selections={"D0": (3, 5)})
-        assert not queries_overlap(a, b)
-
-    def test_incompatible_never_overlap(self, small_schema):
-        a = q(small_schema, groupby=(1, 0))
-        b = q(small_schema, groupby=(1, 1))
-        assert not queries_overlap(a, b)
-
     def test_compatible(self, small_schema):
         assert compatible(q(small_schema), q(small_schema))
         assert not compatible(

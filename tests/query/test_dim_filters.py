@@ -6,11 +6,12 @@ folded in before aggregation and must match exactly for cache reuse.
 
 import pytest
 
+from repro.backend.sql import parse_query
 from repro.core.cache import ChunkCache
 from repro.core.manager import ChunkCacheManager
 from repro.exceptions import QueryError
 from repro.query.model import StarQuery
-from tests.conftest import brute_force_aggregate, canon_rows
+from tests.conftest import answer_from_chunks, brute_force_aggregate, canon_rows
 
 
 def filtered_brute_force(schema, records, query):
@@ -73,10 +74,11 @@ class TestStarQueryFilters:
             q.leaf_selection(small_schema)
 
     def test_from_values_filters(self, small_schema):
-        q = StarQuery.from_values(
+        # Member values reach a filter through the SQL parser.
+        q = parse_query(
             small_schema,
-            {"D0": 1},
-            value_filters={"D1": (1, "D1/L1/1", "D1/L1/2")},
+            "SELECT D0.L1, SUM(v) FROM facts "
+            "WHERE D1.L1 BETWEEN 'D1/L1/1' AND 'D1/L1/2' GROUP BY D0.L1",
         )
         d1 = small_schema.dimensions[1]
         expected = d1.map_range(1, (1, 3), 2)
@@ -93,7 +95,10 @@ class TestFilteredExecution:
             selections={"D0": (1, 4)},
             dim_filters={"D1": (2, 6)},
         )
-        rows, _ = fresh_small_engine.answer(query, path)
+        if path == "chunk":
+            rows, _ = answer_from_chunks(fresh_small_engine, query)
+        else:
+            rows, _ = fresh_small_engine.answer(query, path)
         assert canon_rows(rows) == filtered_brute_force(
             small_schema, small_records, query
         )
@@ -106,7 +111,7 @@ class TestFilteredExecution:
             small_schema, (1, 1),
             dim_filters={"D0": (0, 5)},
         )
-        rows, _ = fresh_small_engine.answer(query, "chunk")
+        rows, _ = answer_from_chunks(fresh_small_engine, query)
         assert canon_rows(rows) == filtered_brute_force(
             small_schema, small_records, query
         )

@@ -47,31 +47,6 @@ class TestBuild:
             StarQuery.build(small_schema, (1, 1), aggregates=[])
 
 
-class TestFromValues:
-    def test_inclusive_value_range(self, small_schema):
-        q = StarQuery.from_values(
-            small_schema,
-            {"D0": 2},
-            {"D0": ("D0/L2/3", "D0/L2/6")},
-        )
-        assert q.groupby == (2, 0)
-        assert q.selections == ((3, 7), None)
-
-    def test_selection_on_ungrouped_rejected(self, small_schema):
-        with pytest.raises(QueryError):
-            StarQuery.from_values(
-                small_schema, {"D0": 1}, {"D1": ("a", "b")}
-            )
-
-    def test_reversed_bounds_rejected(self, small_schema):
-        with pytest.raises(QueryError):
-            StarQuery.from_values(
-                small_schema,
-                {"D0": 2},
-                {"D0": ("D0/L2/6", "D0/L2/3")},
-            )
-
-
 class TestDerived:
     def test_keys(self, small_schema):
         q1 = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
@@ -88,10 +63,6 @@ class TestDerived:
         q = StarQuery.build(small_schema, (1, 0))
         fmt = q.result_format(small_schema)
         assert fmt.field_names == ("D0", "sum_v")
-
-    def test_result_cardinality(self, small_schema):
-        q = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})
-        assert q.result_cardinality(small_schema) == 2 * 4
 
     def test_leaf_selection(self, small_schema):
         q = StarQuery.build(small_schema, (1, 1), {"D0": (0, 2)})

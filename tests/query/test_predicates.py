@@ -11,7 +11,6 @@ from repro.query.predicates import (
     normalize_interval,
     selection_cardinality,
     selection_contains,
-    selection_intersect,
 )
 
 
@@ -57,21 +56,11 @@ class TestIntervalOps:
 
 
 class TestSelectionOps:
-    def test_intersect(self):
-        a = ((0, 5), None)
-        b = ((3, 9), (1, 2))
-        assert selection_intersect(a, b) == ((3, 5), (1, 2))
-
-    def test_intersect_disjoint_is_none(self):
-        assert selection_intersect(((0, 2), None), ((5, 7), None)) is None
-
     def test_contains(self):
         assert selection_contains((None, (0, 9)), ((1, 2), (3, 4)))
         assert not selection_contains(((1, 2), None), ((0, 2), None))
 
     def test_arity_mismatch_rejected(self):
-        with pytest.raises(QueryError):
-            selection_intersect((None,), (None, None))
         with pytest.raises(QueryError):
             selection_contains((None,), (None, None))
         with pytest.raises(QueryError):

@@ -63,21 +63,6 @@ class ReferenceHierarchy:
         self._check_level(level)
         return self.cardinalities[level - 1]
 
-    def children_range(self, level: int, ordinal: int) -> tuple[int, int]:
-        self._check_level(level)
-        if level == self.size:
-            raise SchemaError("leaf level has no children")
-        self._check_ordinal(level, ordinal)
-        children = self._children(level, ordinal)
-        return children[0], children[-1] + 1
-
-    def parent_ordinal(self, level: int, ordinal: int) -> int:
-        self._check_level(level)
-        if level == 1:
-            raise SchemaError("level 1 has no parent level")
-        self._check_ordinal(level, ordinal)
-        return self._parent(level, ordinal)
-
     def ancestor_ordinal(self, level: int, ordinal: int, target_level: int) -> int:
         self._check_level(level)
         self._check_level(target_level)
@@ -111,11 +96,6 @@ class ReferenceHierarchy:
             for d in self._descendants(level, ordinal, target_level)
         ]
         return members[0], members[-1] + 1
-
-    def descend_range(
-        self, level: int, ordinal: int, target_level: int
-    ) -> tuple[int, int]:
-        return self.map_range(level, (ordinal, ordinal + 1), target_level)
 
     def contained_interval(
         self, level: int, leaf_interval: tuple[int, int]

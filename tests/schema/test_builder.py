@@ -16,8 +16,8 @@ from repro.schema.builder import (
 class TestBuildDimension:
     def test_even_fanout(self):
         dim = build_dimension("d", [2, 6])
-        assert dim.children_range(1, 0) == (0, 3)
-        assert dim.children_range(1, 1) == (3, 6)
+        assert dim.map_range(1, (0, 1), 2) == (0, 3)
+        assert dim.map_range(1, (1, 2), 2) == (3, 6)
 
     def test_level_names(self):
         dim = build_dimension("d", [2, 4], level_names=["state", "city"])
@@ -32,7 +32,9 @@ class TestBuildDimension:
         d1 = build_dimension("d", [3, 12], fanout="random", seed=42)
         d2 = build_dimension("d", [3, 12], fanout="random", seed=42)
         for ordinal in range(3):
-            assert d1.children_range(1, ordinal) == d2.children_range(1, ordinal)
+            assert d1.map_range(1, (ordinal, ordinal + 1), 2) == d2.map_range(
+                1, (ordinal, ordinal + 1), 2
+            )
 
     def test_unknown_fanout_rejected(self):
         with pytest.raises(SchemaError):
@@ -82,6 +84,8 @@ class TestBuildStarSchema:
         schema = build_star_schema(
             [[3, 30], [3, 30]], fanout="random", seed=9
         )
-        ranges0 = [schema.dimensions[0].children_range(1, i) for i in range(3)]
-        ranges1 = [schema.dimensions[1].children_range(1, i) for i in range(3)]
+        ranges0 = [schema.dimensions[0].map_range(1, (i, i + 1), 2)
+                   for i in range(3)]
+        ranges1 = [schema.dimensions[1].map_range(1, (i, i + 1), 2)
+                   for i in range(3)]
         assert ranges0 != ranges1

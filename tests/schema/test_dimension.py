@@ -58,7 +58,7 @@ class TestDimension:
 
     def test_named_members(self):
         dim = store_dimension()
-        assert dim.ordinal_of(1, "IL") == 1
+        assert dim.domain_index(1).ordinal_of("IL") == 1
         assert dim.value_of(2, 0) == "Madison"
 
     def test_synthetic_members_for_missing_levels(self):
@@ -82,11 +82,10 @@ class TestDimension:
 
     def test_navigation_delegation(self):
         dim = store_dimension()
-        assert dim.children_range(1, 0) == (0, 2)
-        assert dim.parent_ordinal(2, 3) == 1
+        assert dim.ancestor_ordinal(2, 3, 1) == 1
         assert dim.ancestor_ordinal(3, 7, 1) == 1
-        assert dim.leaf_range(1, 0) == (0, 4)
-        assert dim.descend_range(2, 1, 3) == (2, 4)
+        assert dim.map_range(1, (0, 1), 3) == (0, 4)
+        assert dim.map_range(2, (1, 2), 3) == (2, 4)
         assert dim.map_range(1, (0, 1), 2) == (0, 2)
 
     def test_domain_index_unknown_level(self):

@@ -75,23 +75,17 @@ class TestNavigation:
         )
 
     def test_children_range(self, hierarchy):
-        assert hierarchy.children_range(1, 0) == (0, 2)
-        assert hierarchy.children_range(1, 1) == (2, 5)
-        assert hierarchy.children_range(2, 2) == (4, 7)
-
-    def test_children_of_leaf_rejected(self, hierarchy):
-        with pytest.raises(SchemaError):
-            hierarchy.children_range(3, 0)
+        # A member's children: its range mapped one level down.
+        assert hierarchy.map_range(1, (0, 1), 2) == (0, 2)
+        assert hierarchy.map_range(1, (1, 2), 2) == (2, 5)
+        assert hierarchy.map_range(2, (2, 3), 3) == (4, 7)
 
     def test_parent_ordinal(self, hierarchy):
-        assert hierarchy.parent_ordinal(2, 0) == 0
-        assert hierarchy.parent_ordinal(2, 1) == 0
-        assert hierarchy.parent_ordinal(2, 2) == 1
-        assert hierarchy.parent_ordinal(3, 11) == 4
-
-    def test_parent_of_root_level_rejected(self, hierarchy):
-        with pytest.raises(SchemaError):
-            hierarchy.parent_ordinal(1, 0)
+        # A member's parent: its ancestor one level up.
+        assert hierarchy.ancestor_ordinal(2, 0, 1) == 0
+        assert hierarchy.ancestor_ordinal(2, 1, 1) == 0
+        assert hierarchy.ancestor_ordinal(2, 2, 1) == 1
+        assert hierarchy.ancestor_ordinal(3, 11, 2) == 4
 
     def test_ancestor_identity(self, hierarchy):
         assert hierarchy.ancestor_ordinal(3, 7, 3) == 7
@@ -102,9 +96,9 @@ class TestNavigation:
 
     def test_descend_range(self, hierarchy):
         # Parent 0 at level 1 owns level-2 members {0, 1} -> leaves [0, 4).
-        assert hierarchy.descend_range(1, 0, 3) == (0, 4)
-        assert hierarchy.descend_range(1, 1, 3) == (4, 12)
-        assert hierarchy.descend_range(2, 0, 3) == (0, 1)
+        assert hierarchy.map_range(1, (0, 1), 3) == (0, 4)
+        assert hierarchy.map_range(1, (1, 2), 3) == (4, 12)
+        assert hierarchy.map_range(2, (0, 1), 3) == (0, 1)
 
     def test_map_range(self, hierarchy):
         assert hierarchy.map_range(2, (1, 3), 3) == (1, 7)
@@ -115,12 +109,12 @@ class TestNavigation:
 
     def test_ordinal_bounds_checked(self, hierarchy):
         with pytest.raises(SchemaError):
-            hierarchy.children_range(1, 2)
+            hierarchy.ancestor_ordinal(1, 2, 1)
 
     def test_descend_and_ancestor_are_inverse(self, hierarchy):
         for level in (1, 2):
             for ordinal in range(hierarchy.cardinality(level)):
-                lo, hi = hierarchy.descend_range(level, ordinal, 3)
+                lo, hi = hierarchy.map_range(level, (ordinal, ordinal + 1), 3)
                 for leaf in range(lo, hi):
                     assert hierarchy.ancestor_ordinal(3, leaf, level) == ordinal
 
@@ -182,7 +176,8 @@ class TestEvenChildStarts:
 
 @given(st.data())
 def test_random_hierarchy_descend_ancestor_roundtrip(data):
-    """descend_range and ancestor_ordinal agree on random hierarchies."""
+    """Descending one member (map_range) and ancestor_ordinal agree on
+    random hierarchies."""
     depth = data.draw(st.integers(1, 4))
     cards = [data.draw(st.integers(1, 6))]
     for _ in range(depth - 1):
@@ -190,7 +185,7 @@ def test_random_hierarchy_descend_ancestor_roundtrip(data):
     h = make_hierarchy(cards)
     level = data.draw(st.integers(1, depth))
     ordinal = data.draw(st.integers(0, cards[level - 1] - 1))
-    lo, hi = h.descend_range(level, ordinal, depth)
+    lo, hi = h.map_range(level, (ordinal, ordinal + 1), depth)
     assert 0 <= lo < hi <= cards[-1]
     for leaf in range(lo, hi):
         assert h.ancestor_ordinal(depth, leaf, level) == ordinal
@@ -268,17 +263,14 @@ def test_navigation_equals_the_brute_force_reference(shape, data):
         method = data.draw(
             st.sampled_from(
                 [
-                    "cardinality", "children_range", "parent_ordinal",
-                    "ancestor_ordinal", "descend_range", "map_range",
+                    "cardinality", "ancestor_ordinal", "map_range",
                     "contained_interval", "descendant_starts",
                 ]
             )
         )
         if method == "cardinality":
             args = (data.draw(levels),)
-        elif method in ("children_range", "parent_ordinal"):
-            args = (data.draw(levels), data.draw(ordinals))
-        elif method in ("ancestor_ordinal", "descend_range"):
+        elif method == "ancestor_ordinal":
             args = (data.draw(levels), data.draw(ordinals), data.draw(levels))
         elif method == "map_range":
             interval = (data.draw(ordinals), data.draw(ordinals))
@@ -312,9 +304,9 @@ def test_every_valid_input_equals_the_reference(shape):
                     level, ordinal, target
                 ) == reference.ancestor_ordinal(level, ordinal, target)
             for target in range(level, depth + 1):
-                assert hierarchy.descend_range(
-                    level, ordinal, target
-                ) == reference.descend_range(level, ordinal, target)
+                assert hierarchy.map_range(
+                    level, (ordinal, ordinal + 1), target
+                ) == reference.map_range(level, (ordinal, ordinal + 1), target)
         if cards[-1] <= 30:
             for lo in range(cards[-1]):
                 for hi in range(lo + 1, cards[-1] + 1):

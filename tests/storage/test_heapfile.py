@@ -105,8 +105,8 @@ class TestHeapFile:
         heap = FactFile(disk, fmt, buffer_pool=pool)
         heap.bulk_load(make_records(fmt, 20))
         disk.reset_stats()
-        heap.read_range(0, 1)
-        heap.read_range(1, 1)
+        heap.read_ranges([(0, 1)])
+        heap.read_ranges([(1, 1)])
         assert disk.stats.reads == 1  # second read was a pool hit
 
     def test_multiple_bulk_loads_append(self, fmt):
@@ -121,21 +121,21 @@ class TestFactFile:
         fact = FactFile(SimulatedDisk(128), fmt)
         records = make_records(fmt, 100)
         fact.bulk_load(records)
-        got = fact.read_range(37, 20)
+        got = fact.read_ranges([(37, 20)])
         assert got["k"].tolist() == list(range(37, 57))
 
     def test_read_range_empty(self, fmt):
         fact = FactFile(SimulatedDisk(128), fmt)
         fact.bulk_load(make_records(fmt, 10))
-        assert len(fact.read_range(3, 0)) == 0
+        assert len(fact.read_ranges([(3, 0)])) == 0
 
     def test_read_range_bounds(self, fmt):
         fact = FactFile(SimulatedDisk(128), fmt)
         fact.bulk_load(make_records(fmt, 10))
         with pytest.raises(FileFormatError):
-            fact.read_range(5, 6)
+            fact.read_ranges([(5, 6)])
         with pytest.raises(FileFormatError):
-            fact.read_range(0, -1)
+            fact.read_ranges([(0, -1)])
 
     def test_read_ranges_is_read_range_of_each(self, fmt):
         disk = SimulatedDisk(page_size=128)
@@ -162,7 +162,7 @@ class TestFactFile:
         fact.bulk_load(make_records(fmt, 200))
         rpp = fact.records_per_page
         disk.reset_stats()
-        fact.read_range(0, rpp)  # exactly one page
+        fact.read_ranges([(0, rpp)])  # exactly one page
         assert disk.stats.reads == 1
         assert fact.pages_for_range(0, rpp) == 1
         assert fact.pages_for_range(rpp - 1, 2) == 2

@@ -140,7 +140,7 @@ class TestImageAgainstPagedReference:
         for request in requests:
             kind = request[0]
             if kind == "range":
-                got = fact.read_range(*request[1:])
+                got = fact.read_ranges([tuple(request[1:])])
                 want = reference.read_range(*request[1:])
             elif kind == "positions":
                 got = fact.read_positions(np.array(request[1]))
@@ -222,7 +222,7 @@ class TestFaultedRun:
             file.disk.read_hook = hook
         capacity = fact.records_per_page
         with pytest.raises(PageError):
-            fact.read_range(0, 6 * capacity)
+            fact.read_ranges([(0, 6 * capacity)])
         with pytest.raises(PageError):
             reference.read_range(0, 6 * capacity)
         assert fact.disk.stats.reads == k - 1
@@ -237,7 +237,7 @@ class TestImageOwnership:
         first = fact.read_all()
         assert fact.read_all() is first
         for name in FMT.field_names:
-            assert np.shares_memory(fact.read_range(10, 30)[name], first[name])
+            assert np.shares_memory(fact.read_ranges([(10, 30)])[name], first[name])
             # Several runs are joined: one copy per field read.
             joined = fact.read_ranges([(0, 5), (50, 10)])[name]
             assert not np.shares_memory(joined, first[name])
@@ -246,7 +246,7 @@ class TestImageOwnership:
         fact, _ = twin_fact_files(100, 128, 4)
         for records in (
             fact.read_all(),
-            fact.read_range(10, 30),
+            fact.read_ranges([(10, 30)]),
             fact.read_ranges([(0, 5), (50, 10)]),
             fact.read_positions(np.array([1, 50])),
         ):
@@ -292,7 +292,7 @@ class TestPartialInteriorPage:
 
     def test_positional_access_is_refused(self, fact):
         with pytest.raises(FileFormatError, match="partial interior page"):
-            fact.read_range(3, 4)
+            fact.read_ranges([(3, 4)])
         with pytest.raises(FileFormatError, match="partial interior page"):
             fact.read_positions(np.array([6]))
         with pytest.raises(FileFormatError, match="partial interior page"):
@@ -305,5 +305,5 @@ class TestPartialInteriorPage:
         fact = FactFile(SimulatedDisk(128), FMT)
         fact.bulk_load(make_records(20))
         fact.bulk_load(make_records(7))
-        assert fact.read_range(18, 5)["k"].tolist() == [18, 19, 0, 1, 2]
+        assert fact.read_ranges([(18, 5)])["k"].tolist() == [18, 19, 0, 1, 2]
         assert fact.pages_for_range(18, 5) == 2

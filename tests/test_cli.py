@@ -106,6 +106,7 @@ class TestCLI:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+        assert main(["report"]) == 2
 
 
 class TestSoakCommand:
