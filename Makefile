@@ -47,9 +47,11 @@ bench-pairs:
 # with the untraced qps beside the table, or (PHASE=setup) RUNS calls of
 # its set-up, with the median set-up wall beside the table, or
 # (PHASE=backend) RUNS timed replays of the drive's compute_chunks calls
-# on a cold backend, with the pages read and a digest of every chunk
+# on a cold backend, with the pages read and a digest of every chunk, or
+# (PHASE=memory) VmRSS and ru_maxrss at each phase of a drive, then the
+# top allocation sites of a drive under tracemalloc
 # (see tools/benchprofile.py):
-#   make profile WORKLOAD=miss_heavy [PHASE=setup|backend] [RUNS=5]
+#   make profile WORKLOAD=miss_heavy [PHASE=setup|backend|memory] [RUNS=5]
 #       [SORT=cumulative] [TOP=40] [SEED=1998]
 SORT ?= tottime
 TOP ?= 25

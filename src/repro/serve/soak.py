@@ -6,6 +6,7 @@ right; :func:`run_soak` (serving sessions) and
 two entry points.  Under ``REPRO_INVARIANTS=deep`` it checks the
 properties that must hold under any fault schedule:
 
+- the closure property of every dimension's chunk ranges;
 - no :class:`~repro.exceptions.InvariantViolation` anywhere — every
   cache mutation re-checks byte/benefit conservation, and when the
   store has a ``check_conservation`` (the sharded and tiered stores) a
@@ -270,6 +271,9 @@ def verified_run(
     previous_mode = invariants.set_mode(invariants.DEEP)
     checks_before = invariants.counters()["deep"]
     try:
+        # The chunk ranges were built before deep mode was on.
+        for chunking in manager.space.chunkings:
+            invariants.check_closure(chunking)
         session = make_session(
             (InjectedFault,) if injector is not None else (),
             capture if oracle is not None else None,

@@ -28,22 +28,28 @@ the token and the payload.  Each record occupies
 accounting disk; the backing file is flushed after every append so a
 kill leaves at worst one torn tail record.
 
+The backing file (an ``io.BytesIO`` for an in-memory log) is the
+log's only copy of its bytes: memory holds the manifest of live
+extents, and every read seeks into the store for one record.
+
 Because the log is append-only, superseded puts, tombstones, clear
 records and the extents they killed all remain in the file as **dead
 space**.  The log tracks the split exactly (``live_pages`` /
 ``dead_pages`` in :meth:`ChunkLog.counters`) and
-:meth:`ChunkLog.compact` reclaims it: live records are rewritten
-verbatim into a sidecar file (``<path>.compact``) which atomically
-replaces the log via ``os.replace``.  A crash at *any* write boundary leaves either the
-complete old file or the complete new file — a partial sidecar is
-removed on the next open, never replayed.
+:meth:`ChunkLog.compact` reclaims it: live records are streamed
+verbatim into a sidecar file (``<path>.compact``), which is flushed and
+fsynced once and then atomically replaces the log via ``os.replace``.
+A crash at *any* write boundary leaves either the complete old file or
+the complete new file — a partial sidecar is removed on the next open,
+never replayed.
 
 Recovery policy on open (see ``docs/TIERING.md`` §restart):
 
 - a clean log replays fully (puts last-win, tombstones and clears
   apply in order), charging one scan read per record page;
 - a truncated or unframeable tail is discarded — the file is cut back
-  to the last well-framed record and the valid prefix survives;
+  in place to the last well-framed record and the valid prefix
+  survives (an open never rewrites or empties an existing file);
 - a corrupt header (wrong magic / garbage) resets the file to a fresh
   empty log: the persist path is cache-owned state, so degrading to a
   cold start beats refusing to serve;
@@ -62,7 +68,7 @@ import io
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable
+from typing import BinaryIO, Callable
 from zlib import crc32
 
 from repro.exceptions import (
@@ -186,53 +192,69 @@ class ChunkLog:
         self._live_pages = 0
         self._live_bytes = 0
         self._total_record_pages = 0
-        self._file: io.BufferedRandom | None = None
+        # The log's one byte store: the backing file (opened by
+        # ``_open``), or the BytesIO of an in-memory log, which outlives
+        # close/reopen the way a file does.  ``_end`` is its length.
+        self._store: BinaryIO = io.BytesIO()
+        self._end = 0
         # A sidecar left behind by a compaction the process died inside
         # is garbage by construction (the swap is atomic): remove it.
         if path is not None and os.path.exists(path + COMPACT_SUFFIX):
             os.remove(path + COMPACT_SUFFIX)
-        existing = b""
-        if path is not None and os.path.exists(path):
-            with open(path, "rb") as handle:
-                existing = handle.read()
-        self.recovery = self._open_from(existing)
+        self.recovery = self._open()
 
     # ------------------------------------------------------------------
     # Open/replay
 
-    def _open_from(self, existing: bytes) -> L2Recovery:
-        """(Re)build all in-memory state from durable bytes."""
-        recovery = self._replay(existing)
-        self._buf = bytearray(existing[: self._logical_end])
-        if not self._buf:
-            self._buf = bytearray(
+    def _open(self) -> L2Recovery:
+        """(Re)open the store and rebuild all in-memory state from it.
+
+        An existing file is opened without truncation; a torn tail is
+        cut in place and an empty or reset store gets a fresh header.
+        """
+        self._closed = True
+        if self.path is not None:
+            self._store.close()
+            exists = os.path.exists(self.path)
+            self._store = open(self.path, "r+b" if exists else "w+b")
+        store = self._store
+        try:
+            recovery = self._replay(store)
+        except BaseException:
+            if self.path is not None:
+                store.close()
+            raise
+        if recovery.truncated_bytes:
+            store.truncate(self._end)
+        if self._end == 0:
+            store.seek(0)
+            store.write(
                 _HEADER.pack(CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size)
             )
-        if self.path is not None:
-            self._file = open(self.path, "w+b")
-            self._file.write(bytes(self._buf))
-            self._file.flush()
+            self._end = _HEADER.size
+        store.flush()
         self._closed = False
         return recovery
 
-    def _replay(self, existing: bytes) -> L2Recovery:
-        """Rebuild the manifest from existing bytes; charge scan reads."""
-        self._logical_end = 0
+    def _replay(self, store: BinaryIO) -> L2Recovery:
+        """Rebuild the manifest from the store's records, reading each
+        one's prefix and token and seeking past its payload; charge scan
+        reads."""
+        self._end = 0
         self._manifest.clear()
         self._live_pages = 0
         self._live_bytes = 0
         self._total_record_pages = 0
-        if not existing:
+        size = store.seek(0, os.SEEK_END)
+        if not size:
             return L2Recovery()
-        if len(existing) < _HEADER.size:
-            return L2Recovery(
-                truncated_bytes=len(existing), header_reset=True
-            )
-        magic, version, page_size = _HEADER.unpack_from(existing, 0)
+        store.seek(0)
+        header = store.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            return L2Recovery(truncated_bytes=size, header_reset=True)
+        magic, version, page_size = _HEADER.unpack(header)
         if magic != CHUNKLOG_MAGIC:
-            return L2Recovery(
-                truncated_bytes=len(existing), header_reset=True
-            )
+            return L2Recovery(truncated_bytes=size, header_reset=True)
         if version != CHUNKLOG_VERSION:
             raise ChunkLogError(
                 f"chunk log format v{version} is not supported "
@@ -246,25 +268,21 @@ class ChunkLog:
             )
         offset = _HEADER.size
         records = 0
-        size = len(existing)
-        while True:
-            if offset + _PREFIX.size > size:
-                break  # clean end or torn prefix
-            rtype, token_len, payload_len, benefit, _crc = (
-                _PREFIX.unpack_from(existing, offset)
+        # Each pass starts with the store positioned at ``offset``.
+        while offset + _PREFIX.size <= size:  # else clean end or torn prefix
+            rtype, token_len, payload_len, benefit, _crc = _PREFIX.unpack(
+                store.read(_PREFIX.size)
             )
             if rtype not in _RECORD_TYPES:
                 break  # unframeable: corrupt tail starts here
             end = offset + _PREFIX.size + token_len + payload_len
             if end > size:
                 break  # torn record
-            token_bytes = existing[
-                offset + _PREFIX.size : offset + _PREFIX.size + token_len
-            ]
             try:
-                token = token_bytes.decode("utf-8")
+                token = store.read(token_len).decode("utf-8")
             except UnicodeDecodeError:
                 break
+            store.seek(end)
             length = end - offset
             pages = self._pages_for(length)
             page_start = self.disk.allocate(pages)
@@ -293,7 +311,7 @@ class ChunkLog:
                 self._live_pages = 0
                 self._live_bytes = 0
             offset = end
-        self._logical_end = offset
+        self._end = offset
         return L2Recovery(
             records=records,
             live_entries=len(self._manifest),
@@ -303,25 +321,14 @@ class ChunkLog:
     def reopen(self) -> L2Recovery:
         """Simulated restart: rebuild everything from durable state.
 
-        The backing file (or, for an in-memory log, the persisted
-        byte buffer — which survives exactly like a file would) is
+        The backing file (or, for an in-memory log, its ``BytesIO``
+        store — which survives exactly like a file would) is
         re-replayed from scratch: manifest, live/dead split and torn
         tails are all rediscovered, charging one scan read per record
         page like the constructor does.  Also reopens a :meth:`close`-d
         log.  Returns what the replay found.
         """
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
-        if self.path is not None:
-            existing = b""
-            if os.path.exists(self.path):
-                with open(self.path, "rb") as handle:
-                    existing = handle.read()
-        else:
-            existing = bytes(self._buf)
-        self.recovery = self._open_from(existing)
+        self.recovery = self._open()
         return self.recovery
 
     # ------------------------------------------------------------------
@@ -345,7 +352,7 @@ class ChunkLog:
         pages = self._charge_write(record, kind="append")
         if stored is not record:
             self.stats.torn_writes += 1
-        offset = len(self._buf)
+        offset = self._end
         self._persist(stored)
         self._forget_extent(token)
         self._manifest[token] = _Extent(
@@ -403,13 +410,15 @@ class ChunkLog:
     def compact(self) -> int:
         """Rewrite live records into a fresh log; returns pages reclaimed.
 
-        The live manifest is copied *verbatim* (byte-for-byte, CRCs and
-        all — a torn-but-framed record stays torn and still quarantines
-        at read) into a sidecar file which then atomically replaces the
-        log via ``os.replace``.  Every copied record charges its pages
-        as a read and again as a write on the accounting disk
-        (``compact_read_pages`` / ``compact_write_pages``), so
-        compaction I/O is as visible as any other.
+        The live manifest is streamed *verbatim* (byte-for-byte, CRCs
+        and all — a torn-but-framed record stays torn and still
+        quarantines at read), one record at a time, from the store into
+        a sidecar file, which is flushed and fsynced once and then
+        atomically replaces the log via ``os.replace``.  Every copied
+        record charges its pages as a read and again as a write on the
+        accounting disk (``compact_read_pages`` /
+        ``compact_write_pages``), so compaction I/O is as visible as any
+        other.
 
         Crash-safe at every write boundary: until the swap the old file
         is untouched, and a partial sidecar is deleted on the next
@@ -424,20 +433,15 @@ class ChunkLog:
         reclaimed = self._total_record_pages - self._live_pages
         if reclaimed <= 0:
             return 0
-        sidecar_path = (
-            self.path + COMPACT_SUFFIX if self.path is not None else None
+        store, path = self._store, self.path
+        sidecar: BinaryIO = (
+            io.BytesIO() if path is None else open(path + COMPACT_SUFFIX, "w+b")
         )
-        header = _HEADER.pack(
-            CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size
-        )
-        new_buf = bytearray(header)
         new_manifest: dict[str, _Extent] = {}
-        sidecar: io.BufferedRandom | None = None
         try:
-            if sidecar_path is not None:
-                sidecar = open(sidecar_path, "w+b")
-                sidecar.write(header)
-                sidecar.flush()
+            offset = sidecar.write(
+                _HEADER.pack(CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size)
+            )
             for index, (token, extent) in enumerate(
                 self._manifest.items()
             ):
@@ -456,15 +460,10 @@ class ChunkLog:
                 ):
                     self.disk.read_page(page)
                     self.stats.compact_read_pages += 1
-                record = bytes(
-                    self._buf[extent.offset : extent.offset + extent.length]
-                )
+                store.seek(extent.offset)
+                record = store.read(extent.length)
                 pages = self._charge_compact_write(record)
-                offset = len(new_buf)
-                new_buf.extend(record)
-                if sidecar is not None:
-                    sidecar.write(record)
-                    sidecar.flush()
+                sidecar.write(record)
                 new_manifest[token] = _Extent(
                     offset=offset,
                     length=extent.length,
@@ -473,30 +472,27 @@ class ChunkLog:
                     page_start=self.disk.num_pages - pages,
                     pages=pages,
                 )
-        except BaseException:
-            if sidecar is not None:
+                offset += extent.length
+            if path is not None:
+                sidecar.flush()
+                os.fsync(sidecar.fileno())
                 sidecar.close()
-                assert sidecar_path is not None
-                os.remove(sidecar_path)
-            raise
-        if sidecar is not None:
-            assert sidecar_path is not None and self.path is not None
-            sidecar.flush()
-            os.fsync(sidecar.fileno())
+                try:
+                    os.replace(path + COMPACT_SUFFIX, path)
+                except OSError as exc:
+                    raise ChunkLogError(
+                        f"compaction swap failed: {exc}"
+                    ) from exc
+        except BaseException:
             sidecar.close()
-            try:
-                os.replace(sidecar_path, self.path)
-            except OSError as exc:
-                os.remove(sidecar_path)
-                raise ChunkLogError(
-                    f"compaction swap failed: {exc}"
-                ) from exc
-            if self._file is not None:
-                self._file.close()
-            self._file = open(self.path, "r+b")
-            self._file.seek(0, os.SEEK_END)
-        self._buf = new_buf
-        self._logical_end = len(new_buf)
+            if path is not None and os.path.exists(path + COMPACT_SUFFIX):
+                os.remove(path + COMPACT_SUFFIX)
+            raise
+        if path is not None:
+            store.close()
+            sidecar = open(path, "r+b")
+        self._store = sidecar
+        self._end = offset
         self._manifest = new_manifest
         self._total_record_pages = self._live_pages
         self.stats.compactions += 1
@@ -509,10 +505,10 @@ class ChunkLog:
     def get(self, token: str) -> memoryview:
         """Charged, verified read of a live record's payload.
 
-        Returns a read-only view of the payload inside one private copy
-        of the record — the log's own buffer is never exported, so the
-        view stays valid (and the log appendable) for as long as the
-        caller holds it.  The CRC is verified on every call.
+        Returns a read-only view of the payload inside the record's
+        bytes as read from the store — a private copy, so the view stays
+        valid (and the log appendable) for as long as the caller holds
+        it.  The CRC is verified on every call.
 
         Raises :class:`~repro.exceptions.ChunkLogError` for a token that
         is not live, :class:`~repro.exceptions.ChunkLogCorruption` when
@@ -535,8 +531,9 @@ class ChunkLog:
 
         Used by snapshot/warm-start paths that must not perturb the
         deterministic I/O accounting; still CRC-verified so corruption
-        never decodes.
+        never decodes.  Like :meth:`get`, refused on a closed log.
         """
+        self._ensure_open()
         extent = self._manifest.get(token)
         if extent is None:
             raise ChunkLogError(f"token {token!r} is not live in the log")
@@ -643,10 +640,8 @@ class ChunkLog:
         if self._closed:
             return
         self._closed = True
-        if self._file is not None:
-            self._file.flush()
-            self._file.close()
-            self._file = None
+        if self.path is not None:
+            self._store.close()
 
     # ------------------------------------------------------------------
     # Internals
@@ -728,33 +723,26 @@ class ChunkLog:
         return pages
 
     def _persist(self, stored: bytes) -> None:
-        self._buf.extend(stored)
-        if self._file is not None:
-            self._file.write(stored)
-            self._file.flush()
+        self._store.seek(self._end)
+        self._store.write(stored)
+        self._store.flush()
+        self._end += len(stored)
 
     def _verified_payload(self, token: str, extent: _Extent) -> memoryview:
-        # One copy of the record out of the log; the export on ``_buf``
-        # is released before returning (a held one would make the next
-        # append's ``extend`` raise BufferError).
-        with memoryview(self._buf) as buf:
-            record = memoryview(
-                bytes(buf[extent.offset : extent.offset + extent.length])
-            )
-        _rtype, token_len, _payload_len, _benefit, crc = _PREFIX.unpack_from(
-            record, 0
-        )
-        if (
-            crc32(record[_PREFIX.size :], crc32(record[: _CRC_FIELDS.size]))
-            != crc
-        ):
+        # One copy of the record out of the store; a short read (a file
+        # cut behind the log's back) fails like a bad CRC.
+        self._store.seek(extent.offset)
+        record = memoryview(self._store.read(extent.length))
+        if len(record) != extent.length or crc32(
+            record[_PREFIX.size :], crc32(record[: _CRC_FIELDS.size])
+        ) != _PREFIX.unpack_from(record)[-1]:
             self.stats.crc_failures += 1
             raise ChunkLogCorruption(
                 f"chunk log record {token!r} failed its CRC-32 check "
                 "(torn write)",
                 token=token,
             )
-        return record[_PREFIX.size + token_len :]
+        return record[extent.length - extent.payload_len :]
 
     def _pages_for(self, length: int) -> int:
         return max(1, -(-length // self.disk.page_size))

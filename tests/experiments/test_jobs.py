@@ -7,11 +7,15 @@ are asserted on all of them: exact I/O conservation, no wrong answer
 where an oracle replayed, and tier keys only when there are two tiers.
 """
 
+from collections import Counter
+
 import pytest
 
+from repro import invariants
 from repro.api import StackConfig
 from repro.experiments import jobs
 from repro.experiments.configs import SMOKE_SCALE
+from repro.experiments.harness import get_system
 from repro.serve import FrontConfig, SoakConfig
 
 WORKLOAD = dict(scale=SMOKE_SCALE, num_users=4, per_user=8)
@@ -62,6 +66,29 @@ def test_job_conserves_and_summarizes(kind, cache_tiers):
         assert set(summary["tiers"]) >= {"l1", "l2"}
     else:
         assert "cache_tiers" not in summary and "tiers" not in summary
+
+
+@pytest.mark.parametrize("kind", ["soak", "front"])
+def test_job_checks_the_closure_of_every_dimension(kind, monkeypatch):
+    # The jobs share one memoized system whose chunk ranges were built
+    # before any run turned deep checking on; the run itself must still
+    # check each dimension's closure.
+    checked = Counter()
+    check = invariants.check_closure
+
+    def counting(chunking):
+        checked[chunking.dimension.name] += 1
+        check(chunking)
+
+    monkeypatch.setattr(invariants, "check_closure", counting)
+    run, config, _has_oracle = JOBS[kind]
+    run(cache=jobs.cache_config(SMOKE_SCALE), config=config, **WORKLOAD)
+    names = [
+        dimension.name
+        for dimension in get_system(SMOKE_SCALE).schema.dimensions
+    ]
+    assert len(names) == 4
+    assert all(checked[name] >= 1 for name in names), checked
 
 
 def test_cache_config_is_the_scale_derived_default():

@@ -1,16 +1,24 @@
 """Tests for repro.storage.chunklog — the persistent L2 tier."""
 
+import builtins
+import dataclasses
+import os
 import struct
+import tempfile
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ChunkLogCorruption, ChunkLogError, DiskFault
+from repro.storage import chunklog
 from repro.storage.chunklog import (
     CHUNKLOG_MAGIC,
     CHUNKLOG_VERSION,
     ChunkLog,
     L2Recovery,
 )
+from repro.storage.disk import DEFAULT_PAGE_SIZE
 
 PAGE = 256
 
@@ -362,6 +370,185 @@ class TestRestartRecovery:
         make_log(path).close()
         with pytest.raises(ChunkLogError, match="page_size"):
             ChunkLog(path, page_size=2 * PAGE)
+
+
+def file_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+class TestOpenInPlace:
+    """Opening an existing log never empties it: a kill during any
+    open or reopen leaves the file's valid prefix on disk."""
+
+    def test_no_truncating_mode_on_an_existing_log(
+        self, make_log, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "log.bin")
+        log = make_log(path)
+        log.put("a", b"x" * 10, 1.0)
+        log.close()
+        modes = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if file == path:
+                modes.append(mode)
+            return builtins.open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(chunklog, "open", spy, raising=False)
+        reopened = make_log(path)
+        reopened.reopen()
+        reopened.put("b", b"y", 2.0)
+        reopened.compact()  # nothing dead: no swap
+        reopened.close()
+        reopened.reopen()
+        assert len(modes) == 3
+        assert not [mode for mode in modes if "w" in mode]
+
+    def test_open_and_close_leave_a_clean_log_unchanged(
+        self, make_log, tmp_path
+    ):
+        path = str(tmp_path / "log.bin")
+        log = make_log(path)
+        log.put("a", b"x" * 10, 1.0)
+        log.put("a", b"y" * 20, 2.0)
+        log.close()
+        before = file_bytes(path)
+        again = make_log(path)
+        again.reopen()
+        again.close()
+        assert file_bytes(path) == before
+        assert os.path.getsize(path) == len(before)
+
+    def test_a_torn_tail_is_cut_to_exactly_the_valid_prefix(
+        self, make_log, tmp_path
+    ):
+        path = str(tmp_path / "log.bin")
+        log = make_log(path)
+        log.put("a", b"x" * 10, 1.0)
+        log.close()
+        prefix = file_bytes(path)
+        log.reopen()
+        log.put("b", b"y" * 300, 2.0)
+        log.close()
+        with open(path, "r+b") as handle:
+            handle.truncate(len(file_bytes(path)) - 7)
+        inode = os.stat(path).st_ino
+        reopened = make_log(path)
+        assert reopened.recovery.truncated_bytes == 19 + 1 + 300 - 7
+        assert file_bytes(path) == prefix
+        assert os.stat(path).st_ino == inode
+
+    def test_reads_on_a_closed_file_backed_log_are_refused(
+        self, make_log, tmp_path
+    ):
+        log = make_log(str(tmp_path / "log.bin"))
+        log.put("a", b"x", 1.0)
+        log.close()
+        with pytest.raises(ChunkLogError, match="closed"):
+            log.get("a")
+        with pytest.raises(ChunkLogError, match="closed"):
+            log.peek("a")
+
+
+#: One operation on a log: a put (clean or torn), a delete, a clear, a
+#: compaction, or a close followed by a reopen.
+log_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["put", "torn"]),
+            st.sampled_from(["a", "b", "c"]),
+            st.integers(min_value=0, max_value=3 * PAGE),
+        ),
+        st.tuples(st.just("delete"), st.sampled_from(["a", "b", "c"])),
+        st.tuples(st.sampled_from(["clear", "compact", "reopen"])),
+    ),
+    max_size=25,
+)
+
+
+def run_op(log, op):
+    kind = op[0]
+    if kind in ("put", "torn"):
+        _kind, token, size = op
+        log.torn_hook = (lambda _token: True) if kind == "torn" else None
+        log.put(token, bytes([ord(token)]) * size, float(size))
+        log.torn_hook = None
+    elif kind == "delete":
+        log.delete(op[1])
+    elif kind == "clear":
+        log.clear()
+    elif kind == "compact":
+        log.compact()
+    else:
+        log.close()
+        log.reopen()
+
+
+def observed(log):
+    """Everything a log exposes: manifest, gauges, counters, recovery."""
+    return (
+        log.scan_keys(),
+        log.counters(),
+        dataclasses.asdict(log.stats),
+        dataclasses.asdict(log.disk.stats),
+        log.recovery,
+    )
+
+
+class TestFileAndMemoryAgree:
+    """A file-backed and an in-memory log share one code path: the same
+    operations leave the same bytes, manifest and counters."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=log_ops)
+    def test_same_operations_same_bytes_and_counters(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.bin")
+            on_file = ChunkLog(path, page_size=PAGE)
+            in_memory = ChunkLog(page_size=PAGE)
+            try:
+                for op in ops:
+                    run_op(on_file, op)
+                    run_op(in_memory, op)
+                    assert observed(on_file) == observed(in_memory)
+                assert file_bytes(path) == in_memory._store.getvalue()
+                for log in (on_file, in_memory):
+                    log.check_conservation()
+            finally:
+                on_file.close()
+                in_memory.close()
+
+
+class TestMemory:
+    def test_the_python_heap_stays_small_beside_a_large_log(self, tmp_path):
+        # 128 tokens of 256 KiB, each written twice: 32 MiB live, 64 MiB
+        # in the file.  The file is the only copy of those bytes.
+        path = str(tmp_path / "log.bin")
+        payload = b"\x5a" * (256 * 1024)
+        tokens = [f"t{index}" for index in range(128)]
+        limit = 4 * 1024 * 1024
+        tracemalloc.start()
+        try:
+            log = ChunkLog(path, page_size=DEFAULT_PAGE_SIZE)
+            try:
+                for token in tokens + tokens:
+                    log.put(token, payload, 1.0)
+                assert os.path.getsize(path) > 64 * 1024 * 1024
+                assert log.live_bytes == 32 * 1024 * 1024
+                assert tracemalloc.get_traced_memory()[1] < limit
+                assert log.compact() > 0
+                assert tracemalloc.get_traced_memory()[1] < limit
+                log.close()
+                log.reopen()
+                assert len(log) == len(tokens)
+                for token in tokens:
+                    assert log.get(token) == payload
+                assert tracemalloc.get_traced_memory()[1] < limit
+            finally:
+                log.close()
+        finally:
+            tracemalloc.stop()
 
 
 class TestSpaceCounters:

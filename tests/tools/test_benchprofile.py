@@ -29,6 +29,56 @@ def test_prints_the_table_and_the_untraced_qps(capsys):
         assert line.endswith(" s")
 
 
+def workloads_counts(name):
+    from benchmarks.e2e import workloads
+
+    return workloads.SMOKE_COUNTS[name]
+
+
+def test_memory_phase_prints_each_phase_point_and_the_heap_sites(capsys):
+    affinity = os.sched_getaffinity(0)
+    code = benchprofile.main(
+        ["--workload", "tiered_hot", "--smoke", "--phase", "memory",
+         "--top", "5"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert os.sched_getaffinity(0) == affinity
+    lines = out.splitlines()
+    assert lines[0].split() == ["phase", "VmRSS", "MiB", "ru_maxrss", "MiB"]
+    heading = next(
+        index for index, line in enumerate(lines)
+        if line.startswith("tracemalloc: top 5 allocation sites at ")
+    )
+    labels = [line.rsplit(None, 2)[0] for line in lines[1:heading]]
+    counts = workloads_counts("tiered_hot")
+    rounds = counts["rounds_a"] + counts["rounds_b"]
+    assert labels == (
+        ["set-up", "warm-up"]
+        + [f"round {n}" for n in range(1, counts["rounds_a"] + 1)]
+        + ["close", "reopen"]
+        + [f"round {n}" for n in range(counts["rounds_a"] + 1, rounds + 1)]
+    )
+    for line in lines[1:heading]:
+        rss, peak = map(float, line.split()[-2:])
+        assert 0 < rss and 0 < peak
+    sites = lines[heading + 1:-1]
+    assert len(sites) == 5
+    assert all(" MiB " in site and " blocks  " in site for site in sites)
+    assert lines[-1].startswith("tiered_hot seed 1998: ru_maxrss ")
+    assert "MiB untraced, tracemalloc peak " in lines[-1]
+
+
+@pytest.mark.parametrize("name", ["hot_fit", "serve_fair"])
+def test_marked_phases_finds_every_round(name):
+    labels = []
+    benchprofile.marked_drive(name, 1998, True, labels.append)
+    rounds = workloads_counts(name)["rounds"]
+    assert labels == ["set-up", "warm-up"] + [
+        f"round {n}" for n in range(1, rounds + 1)
+    ]
+
+
 def test_gc_clock_counts_collections_per_generation():
     installed = list(gc.callbacks)
     clock = benchprofile.GcClock()

@@ -2,9 +2,9 @@
 driver or over its set-up, or a timed replay of its backend calls.
 
 ``python -m tools.benchprofile --workload NAME
-[--phase driver|setup|backend] [--runs N] [--sort tottime|cumulative]
-[--top N] [--seed S] [--smoke]``
-(``make profile WORKLOAD=NAME [PHASE=setup|backend]``).
+[--phase driver|setup|backend|memory] [--runs N]
+[--sort tottime|cumulative] [--top N] [--seed S] [--smoke]``
+(``make profile WORKLOAD=NAME [PHASE=setup|backend|memory]``).
 
 ``--phase driver`` (the default) sets the workload up exactly as
 ``benchmarks/e2e`` does (its ``setup`` and driver are imported, not
@@ -30,6 +30,16 @@ SHA-256 over every computed chunk's bytes (:func:`backend_replay`).
 Pages and digest are the same on every replay, or the run fails; they
 pin what the backend computes, whatever its speed.
 
+``--phase memory`` says where the process's memory goes: it drives
+the workload once untraced and prints the resident set (``VmRSS``) and
+its high-water mark (``ru_maxrss``) at each phase point — after set-up,
+after the warm-up, after every timed round, and for ``tiered_hot``
+after the close and after the reopen.  The points come from wrapping
+the ``benchmarks.e2e.workloads`` functions a drive calls between phases
+(:func:`marked_phases`).  A second drive runs under ``tracemalloc`` and
+prints its traced peak and the top-N allocation sites at the phase
+point that held the most traced memory.
+
 ``cProfile`` charges every Python call and no native code,
 so the table shifts weight towards call-heavy Python: it finds
 candidates, and ``tools.benchpairs`` measures them.
@@ -54,13 +64,15 @@ import hashlib
 import io
 import os
 import pstats
+import resource
 import shutil
 import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -297,6 +309,160 @@ def backend_replay(name: str, seed: int, smoke: bool, runs: int) -> Replay:
     return Replay(len(calls), seconds, pages, digest)
 
 
+@contextlib.contextmanager
+def marked_phases(
+    workloads: Any, mark: Callable[[str], None]
+) -> Iterator[None]:
+    """While open, a drive calls ``mark(label)`` at each phase point:
+    ``warm-up`` when its first measured span starts, ``round N`` after
+    each timed round, and ``close`` / ``reopen`` around ``tiered_hot``'s
+    reopen of its cache.  The module's functions are restored on exit."""
+    names = ("_answer_all", "_measure", "_open_cache")
+    originals = {name: getattr(workloads, name) for name in names}
+    state = {"rounds": 0, "answered": False, "warmed": False}
+
+    def end_round() -> None:
+        state["rounds"] += 1
+        mark(f"round {state['rounds']}")
+
+    def answer_all(*args: Any, **kwargs: Any) -> Any:
+        result = originals["_answer_all"](*args, **kwargs)
+        state["answered"] = True
+        end_round()
+        return result
+
+    def measure(env: Any, enabled: bool) -> None:
+        # A round of a served workload is a session, whose end is the
+        # end of its measured span.
+        if enabled and not state["warmed"]:
+            state["warmed"] = True
+            mark("warm-up")
+        originals["_measure"](env, enabled)
+        if enabled:
+            state["answered"] = False
+        elif not state["answered"]:
+            end_round()
+
+    def open_cache(*args: Any, **kwargs: Any) -> Any:
+        mark("close")
+        result = originals["_open_cache"](*args, **kwargs)
+        mark("reopen")
+        return result
+
+    workloads._answer_all = answer_all
+    workloads._measure = measure
+    workloads._open_cache = open_cache
+    try:
+        yield
+    finally:
+        for name, function in originals.items():
+            setattr(workloads, name, function)
+
+
+def resident_mib() -> tuple[float, float]:
+    """``(VmRSS, ru_maxrss)`` of this process in MiB."""
+    with open("/proc/self/status") as status:
+        vm_rss = next(
+            line for line in status if line.startswith("VmRSS:")
+        )
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
+    return int(vm_rss.split()[1]) / 1024.0, peak / 1024.0
+
+
+def marked_drive(
+    name: str, seed: int, smoke: bool, mark: Callable[[str], None]
+) -> None:
+    """Set ``name`` up and run its driver untraced, calling ``mark`` at
+    every phase point (``set-up`` first, then :func:`marked_phases`)."""
+    with setup_args(name, seed, smoke) as (workloads, args):
+        env = workloads.setup(*args)
+        try:
+            mark("set-up")
+            with marked_phases(workloads, mark):
+                out = workloads.WORKLOADS[name](env)
+            if out.problems:
+                raise SystemExit(f"benchprofile: {name}: {out.problems[0]}")
+        finally:
+            env.close()
+
+
+class HeapPeak(NamedTuple):
+    """What :func:`heap_peak` found: the traced peak, the phase point
+    that held the most traced memory, that memory, and the top sites
+    there as ``(bytes, blocks, "file:line")``."""
+
+    peak_bytes: int
+    label: str
+    label_bytes: int
+    sites: list[tuple[int, int, str]]
+
+
+def heap_peak(name: str, seed: int, smoke: bool, top: int) -> HeapPeak:
+    """One marked drive under ``tracemalloc``: at a phase point holding
+    more traced memory than any before it, the top-``top`` allocation
+    sites by size.  Each snapshot's own memory is kept out of the peak
+    (the peak is read first, then reset)."""
+    peak, label, held = 0, "", -1
+    sites: list[tuple[int, int, str]] = []
+    ignore = (tracemalloc.Filter(False, tracemalloc.__file__),)
+
+    def mark(at: str) -> None:
+        nonlocal peak, label, held, sites
+        current, traced_peak = tracemalloc.get_traced_memory()
+        peak = max(peak, traced_peak)
+        if current <= held:
+            return
+        label, held = at, current
+        snapshot = tracemalloc.take_snapshot().filter_traces(ignore)
+        sites = [
+            (
+                stat.size,
+                stat.count,
+                f"{os.path.relpath(frame.filename, REPO_ROOT)}:{frame.lineno}",
+            )
+            for stat in snapshot.statistics("lineno")[:top]
+            for frame in (stat.traceback[0],)
+        ]
+        del snapshot
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        marked_drive(name, seed, smoke, mark)
+        peak = max(peak, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    return HeapPeak(peak, label, held, sites)
+
+
+def memory_report(name: str, seed: int, smoke: bool, top: int) -> str:
+    """The ``--phase memory`` report (see the module docstring)."""
+    points: list[tuple[str, float, float]] = []
+    marked_drive(
+        name, seed, smoke, lambda label: points.append((label, *resident_mib()))
+    )
+    heap = heap_peak(name, seed, smoke, top)
+    mib = 1024.0 * 1024.0
+    lines = [f"{'phase':<12} {'VmRSS MiB':>10} {'ru_maxrss MiB':>14}"]
+    lines += [
+        f"{label:<12} {rss:>10.1f} {peak:>14.1f}"
+        for label, rss, peak in points
+    ]
+    lines.append(
+        f"tracemalloc: top {len(heap.sites)} allocation sites at "
+        f"{heap.label} ({heap.label_bytes / mib:.1f} MiB traced there)"
+    )
+    lines += [
+        f"{size / mib:>9.2f} MiB {count:>9} blocks  {site}"
+        for size, count, site in heap.sites
+    ]
+    lines.append(
+        f"{name} seed {seed}: ru_maxrss {points[-1][2]:.1f} MiB untraced, "
+        f"tracemalloc peak {heap.peak_bytes / mib:.1f} MiB"
+    )
+    return "\n".join(lines) + "\n"
+
+
 def table(profile: cProfile.Profile, sort: str, top: int) -> str:
     """The ``pstats`` top-``top`` table of ``profile``, sorted by ``sort``."""
     text = io.StringIO()
@@ -309,7 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="python -m tools.benchprofile")
     parser.add_argument("--workload", required=True)
     parser.add_argument(
-        "--phase", choices=("driver", "setup", "backend"), default="driver"
+        "--phase",
+        choices=("driver", "setup", "backend", "memory"),
+        default="driver",
     )
     parser.add_argument("--runs", type=int, default=5)
     parser.add_argument(
@@ -340,6 +508,15 @@ def main(argv: list[str] | None = None) -> int:
     profile = cProfile.Profile()
     affinity = os.sched_getaffinity(0)
     workloads.pin_to_one_core()  # as the benchmark's worker runs
+    if options.phase == "memory":
+        try:
+            report = memory_report(
+                name, options.seed, options.smoke, options.top
+            )
+        finally:
+            os.sched_setaffinity(0, affinity)
+        print(report, end="")
+        return 0
     if options.phase == "backend":
         try:
             replay = backend_replay(

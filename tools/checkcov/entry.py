@@ -7,7 +7,7 @@ list of *product* entry points instead, written once in :data:`ENTRIES`:
 - ``repro list``, ``repro info`` and ``repro run --smoke``;
 - every ``soak`` / ``front`` line of the nightly workflow at
   ``--smoke`` (the 2-tier, compaction and cold → warm restart pair
-  included), plus one soak under ``REPRO_INVARIANTS=deep``;
+  included);
 - the five benchmark workloads at smoke scale, untraced and traced,
   driven by ``benchmarks.e2e`` exactly as its harness self-test does;
 - the five ``examples/`` scripts.
@@ -74,21 +74,6 @@ def _cli(*argv: str) -> Callable[[Path], None]:
     return run
 
 
-def _deep(entry: Callable[[Path], None]) -> Callable[[Path], None]:
-    """``entry`` with deep invariants on from before its stack is built."""
-
-    def run(scratch: Path) -> None:
-        from repro import invariants
-
-        previous = invariants.set_mode(invariants.DEEP)
-        try:
-            entry(scratch)
-        finally:
-            invariants.set_mode(previous)
-
-    return run
-
-
 def _workload(name: str, traced: bool) -> Callable[[Path], None]:
     def run(scratch: Path) -> None:
         from benchmarks.e2e.worker import run_workload
@@ -113,11 +98,6 @@ _TIERED = ("--tiers", "2", "--cache-bytes", "1600000")
 #: is one scratch directory all entries share (chunk logs, reports), so
 #: the warm restart finds the log the cold run left.
 ENTRIES: tuple[tuple[str, Callable[[Path], None]], ...] = (
-    # First, so the chunk geometry is built under deep checks
-    # (check_closure runs in its constructor, and the experiments
-    # memoize one loaded system per scale for every later entry).
-    ("soak (deep invariants)", _deep(_cli(
-        "soak", "--smoke", "--report", "{dir}/soak-deep.json"))),
     ("repro list", _cli("list")),
     ("repro info", _cli("info")),
     ("repro run --smoke", _cli("run", "--smoke")),
