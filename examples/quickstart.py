@@ -107,7 +107,6 @@ def main() -> None:
             f"  {stage.name:<16} {stage.wall_seconds * 1e6:8.1f} us  "
             f"partitions={stage.partitions}  pages={stage.pages_read}"
         )
-    print(f"stream totals by resolver: {manager.metrics.resolver_summary()}")
 
     stats = manager.cache.stats
     print(

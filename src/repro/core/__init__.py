@@ -34,7 +34,6 @@ from repro.core.replacement import (
 )
 from repro.core.snapshot import (
     ChunkCacheSnapshot,
-    FaultStats,
     GroupByUsage,
     QueryCacheSnapshot,
     ShapeUsage,
@@ -67,7 +66,6 @@ __all__ = [
     "QueryRecord",
     "StreamMetrics",
     "ChunkCacheSnapshot",
-    "FaultStats",
     "GroupByUsage",
     "QueryCacheSnapshot",
     "ShapeUsage",

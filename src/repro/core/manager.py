@@ -290,24 +290,24 @@ class ChunkCacheManager:
     def answer(self, query: StarQuery) -> Answer:
         """Answer a query, reusing and updating the chunk cache."""
         result = self.pipeline.execute(query)
-        self.metrics.record(result.record, result.trace)
+        self.metrics.record(result.record)
         return Answer(result.rows, result.record, result.trace)
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def snapshot(self) -> Snapshot:
-        """A typed snapshot of cache composition and stream aggregates.
+        """A typed snapshot of cache composition.
 
         The tree (:class:`repro.core.snapshot.Snapshot`) covers byte
         usage, entry count, a per-group-by breakdown (resident chunks,
         bytes, total benefit) — handy for seeing what the replacement
-        policy is protecting — the stream's per-stage / per-resolver
-        trace aggregates, the injected-fault summary, and (for sharded
-        stores; see :meth:`repro.core.cache.ChunkStore.contention`)
-        lock-contention and shard-skew metrics.
+        policy is protecting — the store's injected-fault outcomes, and
+        (for sharded stores; see
+        :meth:`repro.core.cache.ChunkStore.contention`) lock-contention
+        and shard-skew metrics.
         """
-        return build_chunk_snapshot(self.cache, self.metrics)
+        return build_chunk_snapshot(self.cache)
 
     # ------------------------------------------------------------------
     # Invalidation after base-table updates

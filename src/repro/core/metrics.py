@@ -22,7 +22,6 @@ measured simulated times (including buffer-pool effects) are recorded.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterator, NamedTuple, Sequence
 
 from repro.exceptions import ExperimentError
@@ -106,58 +105,36 @@ _AT = {name: at for at, name in enumerate(QueryRecord._fields)}
 class StreamMetrics:
     """Accumulates per-query records and derives the paper's metrics.
 
-    Alongside the paper's aggregate numbers, the stream keeps every
-    answer's :class:`~repro.pipeline.trace.ExecutionTrace` (when the
-    caller supplies one) and aggregates them into per-stage and
-    per-resolver totals with :mod:`repro.pipeline.trace`'s aggregators.
-    That module is imported where it is used, not at the top: the
-    pipeline package imports this one for :class:`QueryRecord`.
+    The stream keeps records only: every answer carries its own
+    :class:`~repro.pipeline.trace.ExecutionTrace`, and a caller that
+    wants a per-stage view reads the traces it holds.
 
-    History is kept in three lists of flat, exact tuples of numbers and
-    strings: one per record (its fields), one per stage (its fields; a
-    trace's stages are consecutive), and one per trace (its stage count,
-    its three totals, then its attribution as resolver, partitions,
-    resolver, partitions, ...).  CPython stops tracking such a tuple at
-    the first garbage collection that sees it, so a long stream leaves
-    the cyclic collector nothing to walk — a tuple holding tuples would
-    stay tracked until a collection of its own generation.
-    :attr:`records` and :attr:`traces` rebuild the objects on demand.
+    History is one list of flat, exact tuples of numbers (a record's
+    fields).  CPython stops tracking such a tuple at the first garbage
+    collection that sees it, so a long stream leaves the cyclic
+    collector nothing to walk — a tuple holding tuples would stay
+    tracked until a collection of its own generation.  :attr:`records`
+    rebuilds the objects on demand.
     """
 
     def __init__(self) -> None:
         self._records: list[tuple[Any, ...]] = []
-        self._stages: list[tuple[Any, ...]] = []
-        self._traces: list[tuple[Any, ...]] = []
 
-    def record(self, record: QueryRecord, trace: Any = None) -> None:
-        """Append one query outcome (and its execution trace, if any)."""
+    def record(self, record: QueryRecord) -> None:
+        """Append one query outcome."""
         # Written so that a NaN cost fails too.
         if not (record.full_cost >= 0.0 and record.time >= 0.0):
             raise ExperimentError("costs must be non-negative")
         self._records.append(tuple(record))
-        if trace is not None:
-            stages = trace.stages
-            self._stages.extend(map(tuple, stages))
-            self._traces.append((
-                len(stages),
-                trace.partitions_total,
-                trace.backend_pages,
-                trace.modelled_time,
-                *chain.from_iterable(trace.resolved_by.items()),
-            ))
 
     def absorb(self, other: "StreamMetrics") -> None:
-        """Append another stream's records and traces, preserving order.
+        """Append another stream's records, preserving order.
 
-        The serving layer accumulates one ``StreamMetrics`` per user
-        stream and merges them in *stream-name* order, so a merged
-        session is deterministic at any worker count.  All headline
-        metrics here are order-independent sums or ratios of sums, so a
-        merge equals the sequential interleaved run's totals exactly.
+        All headline metrics here are order-independent sums or ratios
+        of sums, so an absorbed stream's totals equal those of one
+        stream that recorded both in sequence.
         """
         self._records.extend(other._records)
-        self._stages.extend(other._stages)
-        self._traces.extend(other._traces)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -243,48 +220,6 @@ class StreamMetrics:
     def total_pages_read(self) -> int:
         """Total physical backend pages read."""
         return sum(self._column("pages_read"))
-
-    # ------------------------------------------------------------------
-    # Per-stage instrumentation
-    # ------------------------------------------------------------------
-    @property
-    def traces(self) -> Sequence[Any]:
-        """All recorded execution traces, in arrival order."""
-        from repro.pipeline.trace import ExecutionTrace, StageTrace
-
-        stages = iter(self._stages)
-        return tuple(
-            ExecutionTrace(
-                [StageTrace._make(next(stages)) for _ in range(count)],
-                dict(zip(attribution[::2], attribution[1::2])),
-                partitions_total,
-                backend_pages,
-                modelled_time,
-            )
-            for (
-                count, partitions_total, backend_pages, modelled_time,
-                *attribution,
-            ) in self._traces
-        )
-
-    def stage_summary(self) -> dict[str, dict[str, float]]:
-        """Per-stage totals over all recorded traces: ``stage name ->
-        {"calls", *STAGE_FIELDS}`` summed across the stream, in
-        first-seen stage order (see
-        :func:`repro.pipeline.trace.aggregate_stage_traces`)."""
-        from repro.pipeline.trace import sum_stages
-
-        return sum_stages(self._stages)
-
-    def resolver_summary(self) -> dict[str, int]:
-        """Partitions resolved per resolver, summed over the stream."""
-        from repro.pipeline.trace import sum_attribution
-
-        return sum_attribution(
-            chain.from_iterable(
-                zip(trace[4::2], trace[5::2]) for trace in self._traces
-            )
-        )
 
     def summary(self) -> dict[str, float]:
         """All headline numbers in one dictionary (for reports)."""

@@ -196,12 +196,11 @@ class QueryCacheManager:
         return self._store.used_bytes
 
     def snapshot(self) -> Snapshot:
-        """A typed snapshot of cache composition and stream aggregates.
+        """A typed snapshot of cache composition.
 
         Single pass over the entries, mirroring the chunk scheme's
-        snapshot: byte usage, entry count, a per-shape breakdown, the
-        redundancy ratio, and the stream's per-stage / per-resolver
-        trace aggregates — as a :class:`repro.core.snapshot.Snapshot`.
+        snapshot: byte usage, entry count, a per-shape breakdown and the
+        redundancy ratio — as a :class:`repro.core.snapshot.Snapshot`.
         """
         per_shape = residency(
             (entry.query.shape_key(), entry)
@@ -215,8 +214,6 @@ class QueryCacheManager:
                 entries=len(self._store),
                 redundancy_ratio=self.redundancy_ratio(),
                 per_shape=tuple(ShapeUsage(*row) for row in per_shape),
-                stages=self.metrics.stage_summary(),
-                resolved_by=self.metrics.resolver_summary(),
             ),
         )
 
@@ -344,7 +341,7 @@ class QueryCacheManager:
     def answer(self, query: StarQuery) -> Answer:
         """Answer a query, reusing and updating the query cache."""
         result = self.pipeline.execute(query)
-        self.metrics.record(result.record, result.trace)
+        self.metrics.record(result.record)
         return Answer(result.rows, result.record, result.trace)
 
     # ------------------------------------------------------------------

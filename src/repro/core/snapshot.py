@@ -1,18 +1,18 @@
 """The snapshot tree behind every cache-report surface.
 
-Both managers' composition reports, ``StreamMetrics.stage_summary()``
-and the store's ``contention()`` and ``tiers()`` meet in one frozen
-dataclass tree rooted at :class:`Snapshot`:
+Both managers' composition reports and the store's ``contention()``
+and ``tiers()`` meet in one frozen dataclass tree rooted at
+:class:`Snapshot`:
 
 - ``manager.snapshot()`` (both schemes) returns a :class:`Snapshot`;
 - :meth:`Snapshot.to_json` renders one canonical JSON-serializable
   form for tooling.
 
-The tree types what it computes (the per-group-by and per-shape
-residency, the fault summary) and keeps the mappings the stream and the
-store produce as they were returned: ``stages`` is
-``stage_summary()``, ``resolved_by`` is ``resolver_summary()``,
-``contention`` is ``contention()`` and ``tiers`` is ``tiers()``.
+The tree describes the cache only.  It types what it computes (the
+per-group-by and per-shape residency) and keeps the mappings the store
+produces as they were returned: ``contention`` is ``contention()`` and
+``tiers`` is ``tiers()``.  Per-query stage history lives on each
+answer's trace, not here.
 
 The tree is built in one accumulation pass per store, in store
 iteration order, so its float sums are reproducible bit for bit.
@@ -20,16 +20,14 @@ iteration order, so its float sums are reproducible bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Mapping, TypeVar
 
 from repro.core.cache import CacheEntry, ChunkStore
-from repro.core.metrics import StreamMetrics
 from repro.schema.star import GroupBy
 
 __all__ = [
     "ChunkCacheSnapshot",
-    "FaultStats",
     "GroupByUsage",
     "QueryCacheSnapshot",
     "ShapeUsage",
@@ -39,9 +37,6 @@ __all__ = [
 ]
 
 GroupT = TypeVar("GroupT", bound=Hashable)
-
-#: ``StreamMetrics.stage_summary()``: stage name -> per-stage totals.
-StageSummary = Mapping[str, Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -74,26 +69,8 @@ class ShapeUsage:
 
 
 @dataclass(frozen=True)
-class FaultStats:
-    """Injected-fault outcomes summed over the stream (zeros when
-    fault-free).
-
-    Cache-level outcomes (``poisoned_puts``, ``pressure_evictions``)
-    come from the store's statistics, the rest are sums over the
-    per-stage totals.
-    """
-
-    poisoned_puts: int
-    pressure_evictions: int
-    faults: float
-    retries: float
-    degraded: float
-    backoff_seconds: float
-
-
-@dataclass(frozen=True)
 class ChunkCacheSnapshot:
-    """Composition and stream aggregates of a chunk-cache manager."""
+    """Composition of a chunk-cache manager's store."""
 
     used_bytes: int
     capacity_bytes: int
@@ -101,8 +78,6 @@ class ChunkCacheSnapshot:
     hit_ratio: float
     evictions: int
     per_groupby: tuple[GroupByUsage, ...]
-    stages: StageSummary
-    resolved_by: Mapping[str, int]
     poisoned_puts: int
     pressure_evictions: int
     # The store's ``contention()`` and ``tiers()`` mappings; None when
@@ -110,21 +85,6 @@ class ChunkCacheSnapshot:
     # tier), and then the rendered tree has no such node.
     contention: Mapping[str, object] | None
     tiers: Mapping[str, object] | None = None
-
-    def fault_stats(self) -> FaultStats:
-        """The fault summary, derived from the per-stage totals.
-
-        Sums are taken in stage order.
-        """
-        buckets = self.stages.values()
-        return FaultStats(
-            poisoned_puts=self.poisoned_puts,
-            pressure_evictions=self.pressure_evictions,
-            faults=sum((b["faults"] for b in buckets), 0.0),
-            retries=sum((b["retries"] for b in buckets), 0.0),
-            degraded=sum((b["degraded"] for b in buckets), 0.0),
-            backoff_seconds=sum((b["backoff_seconds"] for b in buckets), 0.0),
-        )
 
     def to_json(self) -> dict[str, object]:
         out: dict[str, object] = {
@@ -142,11 +102,8 @@ class ChunkCacheSnapshot:
                 }
                 for usage in self.per_groupby
             ],
-            "stages": {
-                name: dict(bucket) for name, bucket in self.stages.items()
-            },
-            "resolved_by": dict(self.resolved_by),
-            "faults": asdict(self.fault_stats()),
+            "poisoned_puts": self.poisoned_puts,
+            "pressure_evictions": self.pressure_evictions,
         }
         if self.contention is not None:
             out["contention"] = dict(self.contention)
@@ -157,15 +114,13 @@ class ChunkCacheSnapshot:
 
 @dataclass(frozen=True)
 class QueryCacheSnapshot:
-    """Composition and stream aggregates of the query-caching baseline."""
+    """Composition of the query-caching baseline's store."""
 
     used_bytes: int
     capacity_bytes: int
     entries: int
     redundancy_ratio: float
     per_shape: tuple[ShapeUsage, ...]
-    stages: StageSummary
-    resolved_by: Mapping[str, int]
 
     def to_json(self) -> dict[str, object]:
         return {
@@ -182,10 +137,6 @@ class QueryCacheSnapshot:
                 }
                 for usage in self.per_shape
             ],
-            "stages": {
-                name: dict(bucket) for name, bucket in self.stages.items()
-            },
-            "resolved_by": dict(self.resolved_by),
         }
 
 
@@ -231,10 +182,8 @@ def residency(
     return rows
 
 
-def build_chunk_snapshot(
-    cache: ChunkStore, metrics: StreamMetrics
-) -> Snapshot:
-    """Snapshot a chunk-scheme cache and its stream aggregates."""
+def build_chunk_snapshot(cache: ChunkStore) -> Snapshot:
+    """Snapshot a chunk-scheme cache."""
     per_groupby = residency(
         (key.groupby, entry) for key, entry in cache.snapshot()
     )
@@ -250,8 +199,6 @@ def build_chunk_snapshot(
             hit_ratio=stats.hit_ratio,
             evictions=stats.evictions,
             per_groupby=tuple(GroupByUsage(*row) for row in per_groupby),
-            stages=metrics.stage_summary(),
-            resolved_by=metrics.resolver_summary(),
             poisoned_puts=stats.poisoned,
             pressure_evictions=stats.pressure_evictions,
             contention=contention or None,

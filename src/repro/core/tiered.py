@@ -67,6 +67,7 @@ from repro.exceptions import (
     ChunkLogCorruption,
     ChunkLogError,
     DiskFault,
+    InvariantViolation,
 )
 from repro.storage.chunklog import ChunkLog
 
@@ -354,7 +355,14 @@ class TieredChunkCache:
         live = self._l2.get(key) if self._l2_enabled else None
         if live is None:
             return None
-        return self._decode(key, self.log.peek(live.token))
+        try:
+            payload = self.log.peek(live.token)
+        except ChunkLogCorruption:
+            # As on the charged path: a torn record is quarantined and
+            # reads as absent, never as an error.
+            self._quarantine(key)
+            return None
+        return self._decode(key, payload)
 
     def put(self, entry: CachedChunk) -> bool:
         """Insert into L1; demotion happens via the eviction spill hook."""
@@ -369,9 +377,11 @@ class TieredChunkCache:
                 removed = self.log.delete(live.token) or removed
             except DiskFault:
                 # The tombstone write faulted: the record stays on
-                # disk but is dead to this process; a restart scan
-                # resurrects it, which invalidation semantics accept
-                # for a *cache* (the base data re-derives the truth).
+                # disk but is dropped from the log's live set too, so
+                # it is dead to this process; a restart scan resurrects
+                # it, which invalidation semantics accept for a *cache*
+                # (the base data re-derives the truth).
+                self.log.drop(live.token)
                 self._spill_faults += 1
                 self._note_failure()
             removed = True
@@ -386,6 +396,10 @@ class TieredChunkCache:
         try:
             self.log.clear()
         except DiskFault:
+            # As a faulted tombstone: every record is dead to this
+            # process, a restart resurrects them.
+            for token, _benefit, _size in self.log.scan_keys():
+                self.log.drop(token)
             self._spill_faults += 1
             self._note_failure()
         self._maybe_compact()
@@ -480,17 +494,28 @@ class TieredChunkCache:
         self._l1.fault_hook = hook
 
     def check_conservation(self) -> None:
-        """L1 conservation plus exact L2 page reconciliation.
+        """L1 conservation, exact L2 page reconciliation, and one live
+        set.
 
         The log's logical page counters must equal its accounting
         disk's counters *exactly* — spills, promotions, tombstones and
         restart scans account for every page, even pages charged by
-        operations a fault later aborted.
+        operations a fault later aborted.  The L2 table must name
+        exactly the log's live records and charge exactly their bytes,
+        or the budget would not see what the log keeps.
         """
         checker = getattr(self._l1, "check_conservation", None)
         if callable(checker):
             checker()
         self.log.check_conservation()
+        tokens = {live.token for live in self._l2.values()}
+        logged = {token for token, _benefit, _size in self.log.scan_keys()}
+        if tokens != logged or self._l2_bytes != self.log.live_bytes:
+            raise InvariantViolation(
+                f"L2 live set diverged: the table holds {len(tokens)} "
+                f"records of {self._l2_bytes} bytes, the log "
+                f"{len(logged)} of {self.log.live_bytes}"
+            )
 
     def reopen(self) -> int:
         """Warm-start: rebuild the L2 key map and refill L1 from the log.
@@ -655,9 +680,11 @@ class TieredChunkCache:
         try:
             self.log.delete(live.token)
         except DiskFault:
-            # The tombstone faulted: the record is dead to this process
-            # either way (a restart resurrects it — cache semantics
-            # accept that, the base data re-derives the truth).
+            # The tombstone faulted: the record is dropped from the
+            # log's live set, dead to this process either way (a
+            # restart resurrects it — cache semantics accept that, the
+            # base data re-derives the truth).
+            self.log.drop(live.token)
             self._spill_faults += 1
             self._note_failure()
         self._l2_evictions += 1

@@ -237,11 +237,6 @@ def run_stream(
     The harness is typed against the
     :class:`~repro.pipeline.protocol.QueryAnswerer` protocol, so any
     caching scheme built on the staged pipeline runs here unchanged.
-    The returned metrics carry, alongside the paper's numbers, the
-    stream's aggregated per-stage wall/modelled times
-    (:meth:`~repro.core.metrics.StreamMetrics.stage_summary`) and
-    resolver attribution
-    (:meth:`~repro.core.metrics.StreamMetrics.resolver_summary`).
 
     Args:
         manager: A cache manager built by this harness (any

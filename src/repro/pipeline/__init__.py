@@ -48,8 +48,6 @@ from repro.pipeline.stages import (
 from repro.pipeline.trace import (
     ExecutionTrace,
     StageTrace,
-    aggregate_resolver_attribution,
-    aggregate_stage_traces,
 )
 from repro.pipeline.work import ChunkWorkEstimator
 
@@ -62,8 +60,6 @@ __all__ = [
     "select_exact",
     "ExecutionTrace",
     "StageTrace",
-    "aggregate_stage_traces",
-    "aggregate_resolver_attribution",
     "ChunkWorkEstimator",
     "DERIVABLE_AGGREGATES",
     "PartitionResolver",

@@ -192,10 +192,11 @@ class FlightTable:
     ) -> int:
         """Register one admission window's planned-duplicate chunks.
 
-        Peeks (never touches replacement or hit statistics) at the
-        cache for every chunk every admitted query needs; a chunk that
-        is missing *and* wanted by two or more queries becomes a
-        :class:`ChunkFlight`.  Replaces the previous window's entries.
+        Tests the cache for every chunk every admitted query needs (a
+        presence test: no read, no replacement or hit statistics); a
+        chunk that is missing *and* wanted by two or more queries
+        becomes a :class:`ChunkFlight`.  Replaces the previous window's
+        entries.
 
         Returns:
             The number of flights planned.
@@ -211,7 +212,7 @@ class FlightTable:
                     if seq not in seqs:
                         seqs.append(seq)
                     continue
-                if cache.peek(key) is not None:
+                if key in cache:
                     continue
                 wanted[key] = [seq]
                 info[key] = (analyzed.groupby, number)

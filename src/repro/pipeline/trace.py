@@ -10,26 +10,21 @@ which link of the chain answered which share of the query.
 Traces are deliberately dependency-free (plain objects over floats and
 ints; this module imports nothing from the package).  The stage record
 is defined once, here: :class:`StageTrace` plus :data:`STAGE_FIELDS`,
-the list its ``repr``, :func:`aggregate_stage_traces` and — through
-that — ``StreamMetrics.stage_summary()``, which the snapshot keeps as
-it is, all follow.  A :class:`StageTrace` is a ``NamedTuple``
-the executor builds in one call when the stage ends; an
+the list its ``repr`` follows.  A :class:`StageTrace` is a
+``NamedTuple`` the executor builds in one call when the stage ends; an
 :class:`ExecutionTrace` is a plain slotted class that holds the list.
+A trace lives on its answer: nothing in the package keeps or folds a
+stream's traces.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 __all__ = [
     "STAGE_FIELDS",
     "StageTrace",
     "ExecutionTrace",
-    "aggregate_stage_traces",
-    "aggregate_resolver_attribution",
-    "sum_stages",
-    "sum_attribution",
 ]
 
 
@@ -73,8 +68,7 @@ class StageTrace(NamedTuple):
 
 
 #: The summable fields of a :class:`StageTrace`, in the order its
-#: ``repr`` prints them and a ``stage_summary()`` bucket keys them
-#: (after ``"calls"``).
+#: ``repr`` prints them.
 STAGE_FIELDS: tuple[str, ...] = StageTrace._fields[1:]
 
 
@@ -124,50 +118,3 @@ class ExecutionTrace:
     def wall_seconds(self) -> float:
         """Total wall time across all stages."""
         return sum(entry.wall_seconds for entry in self.stages)
-
-
-
-def aggregate_stage_traces(
-    traces: Iterable[ExecutionTrace],
-) -> dict[str, dict[str, float]]:
-    """Aggregate many traces into per-stage totals.
-
-    Returns a mapping ``stage name -> {"calls", *STAGE_FIELDS}`` summed
-    over all traces, in first-seen stage order.
-    """
-    return sum_stages(chain.from_iterable(trace.stages for trace in traces))
-
-
-def sum_stages(stages: Iterable[Sequence[Any]]) -> dict[str, dict[str, float]]:
-    """:func:`aggregate_stage_traces` over the stages themselves, in
-    order.  A stage may be a :class:`StageTrace` or the plain tuple of
-    its fields, which is how ``StreamMetrics`` keeps them."""
-    totals: dict[str, dict[str, float]] = {}
-    for name, *values in stages:
-        bucket = totals.get(name)
-        if bucket is None:
-            bucket = totals[name] = dict.fromkeys(
-                ("calls", *STAGE_FIELDS), 0.0
-            )
-        bucket["calls"] += 1
-        for field, value in zip(STAGE_FIELDS, values):
-            bucket[field] += value
-    return totals
-
-
-def aggregate_resolver_attribution(
-    traces: Iterable[ExecutionTrace],
-) -> dict[str, int]:
-    """Sum resolver attribution maps over many traces."""
-    return sum_attribution(
-        chain.from_iterable(trace.resolved_by.items() for trace in traces)
-    )
-
-
-def sum_attribution(pairs: Iterable[tuple[str, int]]) -> dict[str, int]:
-    """:func:`aggregate_resolver_attribution` over ``(resolver,
-    partitions)`` pairs, in order."""
-    totals: dict[str, int] = {}
-    for name, count in pairs:
-        totals[name] = totals.get(name, 0) + count
-    return totals

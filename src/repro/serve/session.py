@@ -5,9 +5,8 @@ against one shared :class:`~repro.core.manager.ChunkCacheManager`, every
 query executing through the manager's existing
 :class:`~repro.pipeline.executor.StagedPipeline`.  Streams are dealt to
 ``max_workers`` simulated workers (each stream is wholly owned by one
-worker), each stream accumulates its own
-:class:`~repro.core.metrics.StreamMetrics`, and the per-stream
-accumulators are merged deterministically after the run.
+worker), and every answer is recorded once, in ticket order, into one
+:class:`~repro.core.metrics.StreamMetrics` beside its trace.
 
 There is one schedule, ``"fair"``: the tickets run one at a time in the
 *canonical order* — the round-robin interleave of the name-sorted
@@ -44,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.manager import ChunkCacheManager
-from repro.core.metrics import QueryRecord, StreamMetrics
+from repro.core.metrics import StreamMetrics
 from repro.exceptions import ServeError
 from repro.pipeline.executor import PipelineResult
 from repro.pipeline.trace import ExecutionTrace
@@ -120,8 +119,9 @@ class ServeReport:
             session's modelled completion time.
         simulated_throughput: Queries per simulated second
             (``queries / simulated_makespan``; 0.0 for an empty run).
-        metrics: All streams' records merged in canonical order.
-        per_stream: Each stream's own metrics, keyed by stream name.
+        metrics: All streams' records in canonical order.
+        traces: The answered queries' execution traces, in the same
+            order as ``metrics``' records.
         contention: Cache-shard and backend lock contention counters.
         checkpoints: How many checkpoint callbacks fired.
         failures: Tolerated per-query failures in canonical order
@@ -137,7 +137,7 @@ class ServeReport:
     simulated_makespan: float
     simulated_throughput: float
     metrics: StreamMetrics
-    per_stream: dict[str, StreamMetrics]
+    traces: tuple[ExecutionTrace, ...]
     contention: dict[str, object]
     checkpoints: int
     failures: tuple[QueryFailure, ...] = ()
@@ -273,7 +273,7 @@ class ServeSession:
     # ------------------------------------------------------------------
     def run(self) -> ServeReport:
         """Execute every ticket in sequence-number order, on the calling
-        thread, and merge the results.
+        thread, and record the results.
 
         A tolerated failure is recorded and the next ticket runs;
         anything else propagates from the ticket that raised it, and no
@@ -287,10 +287,8 @@ class ServeSession:
             ),
             key=lambda task: task[1][0],
         )
-        per_stream = {
-            stream.name: StreamMetrics() for stream in self.streams
-        }
-        answered: list[tuple[QueryRecord, ExecutionTrace]] = []
+        metrics = StreamMetrics()
+        traces: list[ExecutionTrace] = []
         failures: list[QueryFailure] = []
         sim_seconds = [0.0] * self.max_workers
         completed = checkpoints = 0
@@ -304,8 +302,8 @@ class ServeSession:
                     QueryFailure.from_error(seq, stream_name, error)
                 )
             else:
-                per_stream[stream_name].record(result.record, result.trace)
-                answered.append((result.record, result.trace))
+                metrics.record(result.record)
+                traces.append(result.trace)
                 sim_seconds[worker] += result.record.time
                 if self.on_answer is not None:
                     self.on_answer(seq, stream_name, query, result.rows)
@@ -324,11 +322,8 @@ class ServeSession:
                 )
         wall = time.perf_counter() - started
 
-        # Records and failures are in sequence-number order, the order
-        # the tickets ran in: a pure function of (streams, config).
-        metrics = StreamMetrics()
-        for record, trace in answered:
-            metrics.record(record, trace)
+        # Records, traces and failures are in sequence-number order, the
+        # order the tickets ran in: a pure function of (streams, config).
         backend = self.manager.backend
         makespan = max(sim_seconds)
         queries = len(metrics)
@@ -355,7 +350,7 @@ class ServeSession:
                 queries / makespan if makespan > 0.0 else 0.0
             ),
             metrics=metrics,
-            per_stream=per_stream,
+            traces=tuple(traces),
             contention=contention,
             checkpoints=checkpoints,
             failures=tuple(failures),

@@ -198,7 +198,7 @@ def run_digest(
     if admission is not None:
         for name, count in sorted(admission[2].items()):
             parts.append(f"flight:{name}:{count}")
-    for trace in serve.metrics.traces:
+    for trace in serve.traces:
         parts.append(
             f"trace:{sorted(trace.resolved_by.items())!r}:"
             f"{trace.partitions_total}:{trace.backend_pages}"

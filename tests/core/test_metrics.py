@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,10 +12,6 @@ from repro.core.cache import ChunkCache
 from repro.core.manager import ChunkCacheManager
 from repro.core.metrics import QueryRecord, StreamMetrics
 from repro.exceptions import ExperimentError
-from repro.pipeline.trace import (
-    aggregate_resolver_attribution,
-    aggregate_stage_traces,
-)
 from repro.workload.generator import EQPR, QueryGenerator
 
 
@@ -143,16 +140,22 @@ def test_csr_always_in_unit_interval(pairs):
     assert 0.0 <= m.cost_saving_ratio() <= 1.0
 
 
+def _hot_manager(schema, engine):
+    """A manager warmed by one pass of a 25-query hot stream, and the
+    stream: every later pass only hits."""
+    manager = ChunkCacheManager(
+        schema, engine.space, engine, ChunkCache(4_000_000),
+    )
+    hot = QueryGenerator(schema, seed=5).stream(25, EQPR)
+    for query in hot:
+        manager.answer(query)
+    return manager, hot
+
+
 def test_answered_history_is_invisible_to_the_collector(
     small_schema, fresh_small_engine
 ):
-    manager = ChunkCacheManager(
-        small_schema, fresh_small_engine.space, fresh_small_engine,
-        ChunkCache(4_000_000),
-    )
-    hot = QueryGenerator(small_schema, seed=5).stream(25, EQPR)
-    for query in hot:  # misses, then every later pass only hits
-        manager.answer(query)
+    manager, hot = _hot_manager(small_schema, fresh_small_engine)
     answered = [repr(manager.answer(query).record) for query in hot]
     gc.collect()
     before = len(gc.get_objects())
@@ -160,8 +163,8 @@ def test_answered_history_is_invisible_to_the_collector(
         for query in hot:
             manager.answer(query)
     gc.collect()
-    # Measured at the parent, which kept records and traces as objects:
-    # ~3 500 more tracked objects after these 500 answers.
+    # Records and traces kept as objects left ~3 500 more tracked
+    # objects after these 500 answers.
     assert len(gc.get_objects()) - before < 50
 
     metrics = manager.metrics
@@ -169,12 +172,6 @@ def test_answered_history_is_invisible_to_the_collector(
     assert len(records) == len(metrics) == 22 * len(hot)
     assert all(type(record) is QueryRecord for record in records)
     assert [repr(r) for r in records[len(hot):2 * len(hot)]] == answered
-    traces = metrics.traces
-    assert len(traces) == len(records)
-    assert metrics.stage_summary() == aggregate_stage_traces(traces)
-    assert metrics.resolver_summary() == aggregate_resolver_attribution(
-        traces
-    )
     full = sum(r.full_cost for r in records)
     tail = records[-100:]
     assert metrics.summary() == {
@@ -188,3 +185,31 @@ def test_answered_history_is_invisible_to_the_collector(
         "full_hit_ratio": sum(r.is_full_hit for r in records) / len(records),
         "pages_read": float(sum(r.pages_read for r in records)),
     }
+
+
+def test_a_hot_stream_retains_its_records_only(
+    small_schema, fresh_small_engine
+):
+    # Every hit is recorded, so a stream's history grows with it; what
+    # it keeps per answer is one flat tuple of the record's fields (and
+    # the floats in it), never the answer's trace.  Stage tuples and
+    # attribution kept beside each record cost 984 bytes per answer.
+    manager, hot = _hot_manager(small_schema, fresh_small_engine)
+    for _ in range(4):
+        for query in hot:
+            manager.answer(query)
+    passes = 200
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(passes):
+            for query in hot:
+                manager.answer(query)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    answers = passes * len(hot)
+    assert answers >= 5_000
+    assert retained / answers <= 300

@@ -1,7 +1,7 @@
 """The typed Snapshot tree and its canonical JSON rendering.
 
-``manager.snapshot()`` exposes cache composition and stream aggregates
-as a typed frozen tree; ``to_json()`` renders it with a pinned key
+``manager.snapshot()`` exposes the cache's composition as a typed
+frozen tree; ``to_json()`` renders it with a pinned key
 order and pinned numeric types (the order the pre-snapshot report
 dictionaries used).
 """
@@ -58,7 +58,7 @@ class TestChunkScheme:
         # Insertion order is part of the contract.
         assert list(rendered) == [
             "used_bytes", "capacity_bytes", "entries", "hit_ratio",
-            "evictions", "per_groupby", "stages", "resolved_by", "faults",
+            "evictions", "per_groupby", "poisoned_puts", "pressure_evictions",
         ]
         for bucket in rendered["per_groupby"]:
             assert type(bucket["chunks"]) is int
@@ -78,9 +78,6 @@ class TestChunkScheme:
         # Stable ordering: descending bytes.
         sizes = [usage.bytes for usage in cache.per_groupby]
         assert sizes == sorted(sizes, reverse=True)
-        # The stream's per-stage totals, kept as stage_summary() made them.
-        assert cache.stages == chunk_manager.metrics.stage_summary()
-        assert rendered["stages"] == cache.stages
         assert cache.contention is None and cache.tiers is None
 
     def test_to_json_is_serializable_and_canonical(self, chunk_manager):
@@ -91,14 +88,16 @@ class TestChunkScheme:
             chunk_manager.cache
         )
 
-    def test_fault_stats_match_legacy_faults_entry(self, chunk_manager):
+    def test_fault_outcomes_match_the_rendered_keys(self, chunk_manager):
         snapshot = chunk_manager.snapshot()
-        faults = snapshot.cache.fault_stats()
-        rendered = snapshot.to_json()["cache"]["faults"]
-        assert list(rendered) == list(vars(faults))
-        assert faults.poisoned_puts == rendered["poisoned_puts"]
-        assert faults.retries == rendered["retries"]
-        assert faults.degraded == rendered["degraded"]
+        rendered = snapshot.to_json()["cache"]
+        stats = chunk_manager.cache.stats
+        assert snapshot.cache.poisoned_puts == rendered["poisoned_puts"]
+        assert snapshot.cache.poisoned_puts == stats.poisoned
+        assert snapshot.cache.pressure_evictions == (
+            rendered["pressure_evictions"]
+        )
+        assert snapshot.cache.pressure_evictions == stats.pressure_evictions
 
 
 class TestQueryScheme:

@@ -332,7 +332,13 @@ class TestCostAttribution:
         phantom_page, phantom_byte = make_tiered(), make_tiered()
         phantom_page.log.stats.append_pages += 1
         phantom_byte.log._live_bytes += 1
-        for tiered in (phantom_page, phantom_byte):
+        # A record live in the log that the tier's table does not know:
+        # the L2 budget would not see its bytes.
+        phantom_record = make_tiered()
+        phantom_record.log.put(
+            chunk_token(make_chunk().key), encode_chunk(make_chunk()), 1.0
+        )
+        for tiered in (phantom_page, phantom_byte, phantom_record):
             with pytest.raises(InvariantViolation):
                 tiered.check_conservation()
 
@@ -369,6 +375,33 @@ class TestInvalidateAndClear:
         # process either way.
         assert key not in tiered
         assert tiered.tiers()["l2"]["spill_faults"] == 1
+        tiered.check_conservation()
+
+    @pytest.mark.parametrize("drop", ["invalidate", "clear", "evict"])
+    def test_a_faulted_tombstone_leaves_no_live_record(self, drop):
+        size = len(encode_chunk(make_chunk()))
+        tiered = TieredChunkCache(
+            ChunkCache(make_chunk().size_bytes),
+            ChunkLog(page_size=PAGE),
+            l2_budget_bytes=3 * size,
+        )
+        for n in range(4):
+            tiered.put(make_chunk(number=n, fill=n))  # 0, 1, 2 spilled
+        assert len(tiered.log) == 3
+        tiered.log.disk.write_hook = wedged
+        if drop == "invalidate":
+            tiered.invalidate(make_chunk(number=0).key)
+        elif drop == "clear":
+            tiered.clear()
+        else:
+            tiered._evict_l2(make_chunk(number=0).key)
+        tiered.log.disk.write_hook = None
+        l2 = tiered.tiers()["l2"]
+        assert l2["spill_faults"] == 1
+        # The log keeps no record the tier no longer counts.
+        left = 0 if drop == "clear" else 2
+        assert len(tiered.log) == l2["entries"] == left
+        assert tiered.log.live_bytes == l2["entries"] * size
         tiered.check_conservation()
 
     def test_faulted_clear_still_clears_the_manifest(self):
@@ -514,6 +547,22 @@ class TestStoreSurfaces:
 
 
 class TestDegrade:
+    def test_torn_record_reads_as_absent(self):
+        # A spill whose CRC fails is quarantined by an uncharged peek
+        # exactly as by a charged get: absent, never an error.
+        tiered = make_tiered(capacity=make_chunk().size_bytes)
+        tiered.log.torn_hook = lambda token: True
+        for n in range(3):
+            tiered.put(make_chunk(number=n, fill=n))  # 0 and 1 torn
+        tiered.log.torn_hook = None
+        torn = [make_chunk(number=n).key for n in (0, 1)]
+        assert tiered.peek(torn[0]) is None
+        assert tiered.get(torn[1]) is None
+        l2 = tiered.tiers()["l2"]
+        assert (l2["quarantined"], l2["entries"], l2["hits"]) == (2, 0, 0)
+        assert all(key not in tiered for key in torn)
+        tiered.check_conservation()
+
     def test_corrupt_payload_quarantines(self):
         # Garbage, and a healthy record of an older build's layout: both
         # are misses that are counted, never decoded.

@@ -16,6 +16,7 @@ from repro.experiments.jobs import cache_config, run_chaos_job
 from repro.experiments.multiuser import user_streams
 from repro.faults import FaultInjector, FaultPlan
 from repro.serve import SoakConfig
+from tests.reference.stages import stage_totals
 
 CONFIG = SoakConfig(
     checkpoint_every=25, timeout_seconds=120.0
@@ -90,11 +91,12 @@ class TestFaultsDisabledBitIdentity:
         manager = make_chunk_manager(system)
         injector = FaultInjector(FaultPlan(seed=1, specs=()))
         with injector.activate(manager):
-            hooked = [
-                repr(manager.answer(query).record) for query in queries
-            ]
+            answers = [manager.answer(query) for query in queries]
 
-        assert hooked == plain
+        assert [repr(answer.record) for answer in answers] == plain
         assert injector.counters() == {}
-        faults = manager.snapshot().cache.fault_stats()
-        assert all(value == 0 for value in vars(faults).values())
+        cache = manager.snapshot().cache
+        assert cache.poisoned_puts == cache.pressure_evictions == 0
+        totals = stage_totals(answer.trace for answer in answers)
+        for field in ("faults", "retries", "degraded", "backoff_seconds"):
+            assert all(bucket[field] == 0 for bucket in totals.values())

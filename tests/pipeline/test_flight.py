@@ -10,10 +10,13 @@ baseline staying inert.
 import pytest
 
 from repro.core.cache import ChunkCache
+from repro.core.chunk import CachedChunk
 from repro.core.manager import ChunkCacheManager
+from repro.core.tiered import TieredChunkCache
 from repro.exceptions import BackendFault, DiskFault, InjectedFault
 from repro.pipeline.flight import FlightResolver, FlightTable, clone_fault
 from repro.query.model import StarQuery
+from repro.storage.chunklog import ChunkLog
 
 
 @pytest.fixture()
@@ -68,6 +71,31 @@ class TestPlanning:
             )
             == 0
         )
+
+    def test_planning_tests_presence_without_reading_the_log(
+        self, manager, table, small_schema
+    ):
+        # Every chunk of the query lives in a 2-tier store, all but the
+        # last as a torn L2 record.  Planning only asks whether a chunk
+        # is there: it reads no record, so a torn one cannot fail it.
+        analyzed = _analyzed(manager, small_schema)
+        computed, _ = _fetch(manager, analyzed)
+        chunks = [
+            CachedChunk(analyzed.shape.key(number), rows, 1.0, 1.0)
+            for number, rows in computed.items()
+        ]
+        log = ChunkLog(page_size=256)
+        store = TieredChunkCache(ChunkCache(chunks[0].size_bytes), log)
+        log.torn_hook = lambda token: True
+        for chunk in chunks:
+            store.put(chunk)
+        log.torn_hook = None
+        assert len(log) == len(chunks) - 1 > 0
+        window = [(0, analyzed), (1, analyzed)]
+        assert table.plan_window(store, window) == 0
+        assert log.stats.crc_failures == 0
+        assert log.disk.stats.reads == 0
+        store.close()
 
     def test_masking_is_scoped_to_requesters(
         self, manager, table, small_schema

@@ -1,4 +1,4 @@
-"""Tests for per-stage execution traces and their aggregation."""
+"""Tests for per-stage execution traces."""
 
 import inspect
 import json
@@ -9,15 +9,10 @@ import pytest
 from repro.core.cache import ChunkCache
 from repro.core.manager import ChunkCacheManager
 from repro.core.query_cache import QueryCacheManager
-from repro.pipeline.trace import (
-    STAGE_FIELDS,
-    ExecutionTrace,
-    StageTrace,
-    aggregate_resolver_attribution,
-    aggregate_stage_traces,
-)
+from repro.pipeline.trace import STAGE_FIELDS, ExecutionTrace, StageTrace
 from repro.query.model import StarQuery
 from repro.workload.generator import EQPR, QueryGenerator
+from tests.reference.stages import resolver_totals, stage_totals
 
 
 @pytest.fixture()
@@ -46,8 +41,8 @@ class TestExecutionTrace:
 
 class TestStageRecord:
     def test_one_field_list(self):
-        # The constructor, the repr and a stage_summary() bucket (which
-        # the snapshot keeps as it is) all follow STAGE_FIELDS.
+        # The constructor, the repr and a folded per-stage bucket all
+        # follow STAGE_FIELDS.
         assert list(inspect.signature(StageTrace).parameters) == [
             "name",
             *STAGE_FIELDS,
@@ -57,7 +52,7 @@ class TestStageRecord:
         assert not hasattr(stage, "__dict__")  # slotted: one per stage
         for field in ("name", *STAGE_FIELDS):
             assert getattr(rebuilt, field) == getattr(stage, field)
-        bucket = aggregate_stage_traces([ExecutionTrace(stages=[stage])])
+        bucket = stage_totals([ExecutionTrace(stages=[stage])])
         assert list(bucket["s"]) == ["calls", *STAGE_FIELDS]
 
 
@@ -103,45 +98,51 @@ class TestAnswerTrace:
 
 
 class TestStreamAggregation:
-    def test_metrics_aggregate_traces(self, small_schema, manager):
+    def test_answer_traces_fold_into_stream_totals(
+        self, small_schema, manager
+    ):
         queries = [
             StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)}),
             StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)}),
             StarQuery.build(small_schema, (1, 0), {"D0": (2, 5)}),
         ]
-        for query in queries:
-            manager.answer(query)
-        stages = manager.metrics.stage_summary()
+        traces = [manager.answer(query).trace for query in queries]
+        stages = stage_totals(traces)
         assert stages["analyze"]["calls"] == 3
         assert stages["resolve:cache"]["calls"] == 3
         # Query 2 was a full hit; only queries 1 and 3 hit the backend.
         assert stages["resolve:backend"]["calls"] == 2
-        assert stages["resolve:backend"]["pages_read"] > 0
-        resolved = manager.metrics.resolver_summary()
+        assert stages["resolve:backend"]["pages_read"] == (
+            manager.metrics.total_pages_read()
+        )
+        resolved = resolver_totals(traces)
         total = sum(r.chunks_total for r in manager.metrics.records)
         assert resolved["cache"] + resolved["backend"] == total
 
-    def test_describe_cache_includes_trace_aggregates(
-        self, small_schema, manager
-    ):
-        query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)})
-        manager.answer(query)
-        snapshot = manager.snapshot().cache
-        assert dict(snapshot.resolved_by)["backend"] > 0
-        assert snapshot.stages == manager.metrics.stage_summary()
-        assert snapshot.stages["analyze"]["calls"] == 1
-
     def test_aggregation_helpers_match_metrics(self, small_schema, manager):
+        # The reference fold of the answers' traces agrees with the sums
+        # the stream's records carry.
+        query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)})
+        traces = [manager.answer(query).trace for _ in range(2)]
+        records = manager.metrics.records
+        stages = stage_totals(traces)
+        assert sum(b["pages_read"] for b in stages.values()) == (
+            manager.metrics.total_pages_read()
+        )
+        assert sum(t.modelled_time for t in traces) == (
+            manager.metrics.total_time()
+        )
+        assert resolver_totals(traces) == {
+            "cache": records[1].chunks_total,
+            "backend": records[0].chunks_total,
+        }
+
+    def test_snapshot_describes_the_cache_only(self, small_schema, manager):
         query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)})
         manager.answer(query)
-        manager.answer(query)
-        traces = manager.metrics.traces
-        assert aggregate_stage_traces(traces) == (
-            manager.metrics.stage_summary()
-        )
-        assert aggregate_resolver_attribution(traces) == (
-            manager.metrics.resolver_summary()
-        )
+        rendered = manager.snapshot().to_json()["cache"]
+        assert not {"stages", "resolved_by", "faults"} & set(rendered)
+        assert rendered["entries"] == len(manager.cache) > 0
 
 
 class TestGoldenStream:

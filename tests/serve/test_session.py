@@ -88,12 +88,14 @@ class TestReportShape:
     def report(self, system, streams):
         return serve_run(system, streams, max_workers=2)
 
-    def test_per_stream_metrics(self, report, streams):
-        assert sorted(report.per_stream) == sorted(s.name for s in streams)
-        per_user = len(streams[0])
-        for name, metrics in report.per_stream.items():
-            assert len(metrics) == per_user
-        assert sum(map(len, report.per_stream.values())) == report.queries
+    def test_traces_follow_the_records(self, report, streams):
+        # One trace per answered query, in the records' (ticket) order.
+        assert report.queries == sum(len(s) for s in streams)
+        assert len(report.traces) == len(report.metrics) == report.queries
+        for trace, record in zip(report.traces, report.metrics.records):
+            assert trace.partitions_total == record.chunks_total
+            assert trace.backend_pages == record.pages_read
+            assert trace.modelled_time == record.time
 
     def test_contention_counters(self, report):
         backend = report.contention["backend"]

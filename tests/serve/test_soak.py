@@ -65,9 +65,7 @@ def test_multiuser_soak_conserves_everything():
     serve = report.serve
     assert serve.schedule == FAIR
     assert serve.max_workers == NUM_STREAMS
-    assert sorted(serve.per_stream) == [s.name for s in sorted(
-        streams, key=lambda s: s.name
-    )]
+    assert len(serve.traces) == len(serve.metrics) == report.queries
     contention = serve.contention["cache"]
     assert contention["num_shards"] == 8
     assert contention["lock_acquisitions"] > 0

@@ -214,6 +214,26 @@ class TestSoakCommand:
         assert f"unknown {command} arguments" in err and "--exec" in err
 
 
+#: The report ``digest`` of three smoke command lines, pinned across
+#: commits (the nightly only compares a run with a rerun of itself).
+#: A digest hashes every record, failure, fault counter, per-stage trace
+#: projection and the final cache occupancy, so a change that moves any
+#: of them must say so here.
+PINNED_DIGESTS = json.loads(
+    Path(__file__).with_name("smoke_digests.json").read_text(encoding="utf-8")
+)
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("command_line", sorted(PINNED_DIGESTS))
+    def test_digest_is_pinned(self, capsys, tmp_path, command_line):
+        report = tmp_path / "report.json"
+        assert main([*command_line.split(), "--report", str(report)]) == 0
+        capsys.readouterr()
+        summary = json.loads(report.read_text(encoding="utf-8"))
+        assert summary["digest"] == PINNED_DIGESTS[command_line]
+
+
 class TestNightlyWorkflow:
     """A CLI change must not be able to break the nightly silently:
     every soak/front command line in the workflow still parses."""

@@ -327,7 +327,7 @@ class TestR005MetricsAccounting:
         assert only(src, "src/repro/core/manager.py", "R005") == []
 
     def test_record_call_is_fine(self):
-        src = "def f(self, record, trace):\n    self.metrics.record(record, trace)\n"
+        src = "def f(self, record):\n    self.metrics.record(record)\n"
         assert only(src, "src/repro/core/manager.py", "R005") == []
 
     def test_metrics_module_itself_is_exempt(self):

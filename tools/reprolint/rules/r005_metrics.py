@@ -11,8 +11,8 @@ entry point:
   pricing;
 - no module other than ``repro.core.metrics`` may *write through* a
   metrics object (``self.metrics.x = ...``, ``metrics._records += ...``)
-  or touch ``StreamMetrics``' private stores (``_records`` / ``_traces``)
-  — mutation happens via :meth:`StreamMetrics.record` only.
+  or touch ``StreamMetrics``' private store (``_records``) — mutation
+  happens via :meth:`StreamMetrics.record` only.
 
 Binding a fresh ``self.metrics = StreamMetrics()`` is construction, not
 mutation, and stays allowed.
@@ -33,7 +33,7 @@ SUMMARY = (
 )
 
 _OWNER_MODULE = "repro.core.metrics"
-_PRIVATE_STORES = frozenset({"_records", "_traces"})
+_PRIVATE_STORES = frozenset({"_records"})
 
 
 def _writes_through_metrics(target: ast.expr) -> bool:
