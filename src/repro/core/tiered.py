@@ -17,17 +17,21 @@ layer's sharded store) over the durable, append-only
   into L1 and returns it.  The caller sees a hit; the page cost of the
   promotion is attributed to the L2 tier's accounting disk, never
   hidden (see :meth:`tiers`).
-- **Warm restart.**  :meth:`reopen` rebuilds the L2 key map from the
-  log manifest, trims the live set to the benefit-ranked prefix that
-  fits ``l2_budget_bytes`` (when a budget is set), and refills L1
+- **One table.**  The log's manifest is the only record of what is
+  live in L2: the tier derives a key's token with :func:`chunk_token`
+  per probe and parses tokens back (:func:`token_key`) only on the
+  cold paths (``keys``, ``snapshot``, ``reopen``, construction).
+- **Warm restart.**  :meth:`reopen` ranks the log's live records,
+  trims them to the benefit-ranked prefix that fits
+  ``l2_budget_bytes`` (when a budget is set), and refills L1
   highest-benefit-first until the budget is reached, so a restarted
   stack starts warm instead of cold.
 - **L2 byte budget.**  ``l2_budget_bytes`` caps live payload bytes in
   the log: a spill that would overflow first evicts the
   lowest-benefit live records (charged tombstones; ties broken by
-  insertion order), and a single record larger than the whole budget
-  is never spilled (``budget_skipped``).  ``None`` (the default)
-  leaves the tier unbounded, exactly as before.
+  manifest position, a key's last spill), and a single record larger
+  than the whole budget is never spilled (``budget_skipped``).
+  ``None`` (the default) leaves the tier unbounded, exactly as before.
 - **Compaction trigger.**  With ``compact_threshold`` set, any
   operation that grows dead space (spill supersede, invalidate,
   budget eviction, clear) checks the log's dead/total page ratio and
@@ -51,7 +55,7 @@ from __future__ import annotations
 import json
 import struct
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -67,7 +71,6 @@ from repro.exceptions import (
     ChunkLogCorruption,
     ChunkLogError,
     DiskFault,
-    InvariantViolation,
 )
 from repro.storage.chunklog import ChunkLog
 
@@ -92,17 +95,6 @@ _DTYPE_MEMO = 64
 #: Consecutive L2 I/O failures (spill or promote) after which the tier
 #: disables itself and the cache degrades to L1-only.
 FAILURE_LIMIT = 8
-
-
-class _Live(NamedTuple):
-    """One chunk live in L2: its log token (built once per residency),
-    the benefit and payload bytes the budget ranks by, and the spill
-    sequence number that breaks benefit ties in (re-)insertion order."""
-
-    token: str
-    benefit: float
-    size: int
-    seq: int
 
 
 def chunk_token(key: ChunkKey) -> str:
@@ -281,11 +273,6 @@ class TieredChunkCache:
         self.l2_budget_bytes = l2_budget_bytes
         self.compact_threshold = compact_threshold
         self.evict_hook: EvictHook | None = None
-        # The one L2 table: every chunk live in the log, in first-spill
-        # order (a re-spill updates in place; only ``seq`` moves).
-        self._l2: dict[ChunkKey, _Live] = {}
-        self._l2_bytes = 0
-        self._spill_seq = 0
         self._l2_enabled = True
         self._failure_streak = 0
         self._warming = False
@@ -302,7 +289,7 @@ class TieredChunkCache:
         self._budget_skipped = 0
         self._compact_faults = 0
         l1.evict_hook = self._on_evict
-        self._rebuild_keys()
+        self._l2_records()  # quarantines the tokens this build cannot parse
 
     # ------------------------------------------------------------------
     # ChunkStore protocol
@@ -333,12 +320,16 @@ class TieredChunkCache:
         )
 
     def __len__(self) -> int:
-        return len(self._l1) + len(self._l2_only_keys())
+        if not self._l2_enabled:
+            return len(self._l1)
+        log = self.log
+        in_both = sum(chunk_token(key) in log for key in self._l1.keys())
+        return len(self._l1) + len(log) - in_both
 
     def __contains__(self, key: ChunkKey) -> bool:
         if key in self._l1:
             return True
-        return self._l2_enabled and key in self._l2
+        return self._l2_enabled and chunk_token(key) in self.log
 
     def get(self, key: ChunkKey) -> CachedChunk | None:
         """L1 lookup, falling back to a charged L2 promote on miss."""
@@ -352,36 +343,29 @@ class TieredChunkCache:
         entry = self._l1.peek(key)
         if entry is not None:
             return entry
-        live = self._l2.get(key) if self._l2_enabled else None
-        if live is None:
+        token = chunk_token(key)
+        if not self._l2_enabled or token not in self.log:
             return None
-        try:
-            payload = self.log.peek(live.token)
-        except ChunkLogCorruption:
-            # As on the charged path: a torn record is quarantined and
-            # reads as absent, never as an error.
-            self._quarantine(key)
-            return None
-        return self._decode(key, payload)
+        return self._read_uncharged(key, token)
 
     def put(self, entry: CachedChunk) -> bool:
         """Insert into L1; demotion happens via the eviction spill hook."""
         return self._l1.put(entry)
 
     def invalidate(self, key: ChunkKey) -> bool:
-        """Drop a key from both tiers (the L2 drop is a charged tombstone)."""
+        """Drop a key from both tiers (the L2 drop is a charged tombstone).
+
+        A faulted tombstone still drops the record from the log's live
+        set (``ChunkLog.delete``): it is dead to this process, and a
+        restart scan may resurrect it, which invalidation semantics
+        accept for a *cache* (the base data re-derives the truth).
+        """
         removed = self._l1.invalidate(key)
-        live = self._forget(key)
-        if live is not None:
+        token = chunk_token(key)
+        if token in self.log:
             try:
-                removed = self.log.delete(live.token) or removed
+                self.log.delete(token)
             except DiskFault:
-                # The tombstone write faulted: the record stays on
-                # disk but is dropped from the log's live set too, so
-                # it is dead to this process; a restart scan resurrects
-                # it, which invalidation semantics accept for a *cache*
-                # (the base data re-derives the truth).
-                self.log.drop(live.token)
                 self._spill_faults += 1
                 self._note_failure()
             removed = True
@@ -389,17 +373,12 @@ class TieredChunkCache:
         return removed
 
     def clear(self) -> None:
-        """Drop both tiers (one charged clear-all record in the log)."""
+        """Drop both tiers (one charged clear-all record in the log; a
+        faulted one empties the live set all the same)."""
         self._l1.clear()
-        self._l2.clear()
-        self._l2_bytes = 0
         try:
             self.log.clear()
         except DiskFault:
-            # As a faulted tombstone: every record is dead to this
-            # process, a restart resurrects them.
-            for token, _benefit, _size in self.log.scan_keys():
-                self.log.drop(token)
             self._spill_faults += 1
             self._note_failure()
         self._maybe_compact()
@@ -407,23 +386,14 @@ class TieredChunkCache:
     def keys(self) -> list[ChunkKey]:
         """L1 keys, then L2-only keys in manifest order (snapshot)."""
         found = self._l1.keys()
-        found.extend(self._l2_only_keys())
+        found.extend(key for key, _token in self._l2_only())
         return found
 
     def snapshot(self) -> list[tuple[ChunkKey, CachedChunk]]:
         """Point-in-time pairs across both tiers (L2 decodes uncharged)."""
         pairs = self._l1.snapshot()
-        resident = {key for key, _ in pairs}
-        if not self._l2_enabled:
-            return pairs
-        for key, live in list(self._l2.items()):
-            if key in resident:
-                continue
-            try:
-                payload = self.log.peek(live.token)
-                entry = self._decode(key, payload)
-            except (ChunkLogCorruption, ChunkLogError):
-                entry = None
+        for key, token in self._l2_only():
+            entry = self._read_uncharged(key, token)
             if entry is not None:
                 pairs.append((key, entry))
         return pairs
@@ -449,7 +419,7 @@ class TieredChunkCache:
         space = self.log.counters()
         lookups = self._l2_hits + self._l2_misses
         l2: dict[str, object] = {
-            "entries": len(self._l2),
+            "entries": len(self.log),
             "live_bytes": self.log.live_bytes,
             "hits": self._l2_hits,
             "misses": self._l2_misses,
@@ -494,31 +464,20 @@ class TieredChunkCache:
         self._l1.fault_hook = hook
 
     def check_conservation(self) -> None:
-        """L1 conservation, exact L2 page reconciliation, and one live
-        set.
+        """L1 conservation and exact L2 page reconciliation.
 
         The log's logical page counters must equal its accounting
         disk's counters *exactly* — spills, promotions, tombstones and
         restart scans account for every page, even pages charged by
-        operations a fault later aborted.  The L2 table must name
-        exactly the log's live records and charge exactly their bytes,
-        or the budget would not see what the log keeps.
+        operations a fault later aborted.
         """
         checker = getattr(self._l1, "check_conservation", None)
         if callable(checker):
             checker()
         self.log.check_conservation()
-        tokens = {live.token for live in self._l2.values()}
-        logged = {token for token, _benefit, _size in self.log.scan_keys()}
-        if tokens != logged or self._l2_bytes != self.log.live_bytes:
-            raise InvariantViolation(
-                f"L2 live set diverged: the table holds {len(tokens)} "
-                f"records of {self._l2_bytes} bytes, the log "
-                f"{len(logged)} of {self.log.live_bytes}"
-            )
 
     def reopen(self) -> int:
-        """Warm-start: rebuild the L2 key map and refill L1 from the log.
+        """Warm-start: refill L1 from the records live in the log.
 
         With ``l2_budget_bytes`` set, the live set is first trimmed to
         the **benefit-ranked prefix** that fits the budget (ties broken
@@ -534,27 +493,30 @@ class TieredChunkCache:
         open scan's already-charged reads (no double charge); corrupt
         records are quarantined, not fatal.  Returns entries loaded.
         """
-        self._rebuild_keys()
-        self._enforce_budget_on_reopen()
-        candidates = sorted(
-            (-live.benefit, live.seq, key)
-            for key, live in self._l2.items()
+        ranked = sorted(
+            (-benefit, position, key, token, size)
+            for position, (key, token, benefit, size) in enumerate(
+                self._l2_records()
+            )
         )
+        if self.l2_budget_bytes is not None:
+            kept = 0
+            fits = True
+            for _neg_benefit, _position, _key, token, size in ranked:
+                if fits and kept + size <= self.l2_budget_bytes:
+                    kept += size
+                    continue
+                fits = False
+                self._budget_evict(token)
+            self._maybe_compact()
         self._warming = True
         loaded = 0
         try:
-            for _neg_benefit, _seq, key in candidates:
-                live = self._l2.get(key)
-                if live is None:
+            for _neg_benefit, _position, key, token, _size in ranked:
+                if token not in self.log:
                     continue
-                try:
-                    payload = self.log.peek(live.token)
-                    entry = self._decode(key, payload)
-                except (ChunkLogCorruption, ChunkLogError):
-                    entry = None
-                if entry is None:
-                    continue
-                if key in self._l1:
+                entry = self._read_uncharged(key, token)
+                if entry is None or key in self._l1:
                     continue
                 if (
                     self._l1.used_bytes + entry.size_bytes
@@ -579,14 +541,14 @@ class TieredChunkCache:
     def _promote(self, key: ChunkKey) -> CachedChunk | None:
         """Charged L2 read on an L1 miss, re-inserting the chunk into
         L1."""
-        live = self._l2.get(key) if self._l2_enabled else None
-        if live is None:
+        token = chunk_token(key)
+        if not self._l2_enabled or token not in self.log:
             self._l2_misses += 1
             return None
         try:
-            payload = self._read_with_retry(live.token)
+            payload = _retry_once(self.log.get, token)
         except ChunkLogCorruption:
-            self._quarantine(key)
+            self._quarantine(token)
             self._l2_misses += 1
             return None
         except DiskFault:
@@ -594,12 +556,11 @@ class TieredChunkCache:
             self._l2_misses += 1
             self._note_failure()
             return None
-        except ChunkLogError:
-            self._forget(key)
+        except ChunkLogError:  # a closed log
             self._l2_misses += 1
             return None
         self._failure_streak = 0
-        entry = self._decode(key, payload)
+        entry = self._decode(key, token, payload)
         if entry is None:
             self._l2_misses += 1
             return None
@@ -623,68 +584,53 @@ class TieredChunkCache:
         if victim.benefit < self.demote_min_benefit:
             self._spill_skipped += 1
             return
-        key = victim.key
-        live = self._l2.get(key)
-        # The token is built once per L2 residency: a re-spill of a
-        # live key reuses the one its first spill made.
-        token = live.token if live is not None else chunk_token(key)
+        token = chunk_token(victim.key)
         payload = encode_chunk(victim)
-        if not self._make_room(live, len(payload)):
+        if not self._make_room(token, len(payload)):
             self._budget_skipped += 1
             return
         try:
-            self._append_with_retry(token, payload, victim.benefit)
+            _retry_once(self.log.put, token, payload, victim.benefit)
         except DiskFault:
             self._spill_faults += 1
             self._note_failure()
             return
         self._failure_streak = 0
         self._spills += 1
-        self._admit(key, token, victim.benefit, len(payload))
         self._maybe_compact()
 
-    def _make_room(self, existing: _Live | None, need: int) -> bool:
+    def _make_room(self, token: str, need: int) -> bool:
         """Evict lowest-benefit live records until ``need`` payload
         bytes fit the L2 budget.  Returns False when the record alone
         exceeds the budget (never spilled).  Evictions are charged
-        tombstones; ties break by insertion order."""
-        if self.l2_budget_bytes is None:
+        tombstones; ties break by manifest position."""
+        budget = self.l2_budget_bytes
+        if budget is None or self.log.live_bytes + need <= budget:
             return True
-        if need > self.l2_budget_bytes:
+        if need > budget:
             return False
-        # A re-spill of a live key (``existing``) replaces it: its
-        # current bytes come back before the new payload is charged.
-        current = self._l2_bytes
-        if existing is not None:
-            current -= existing.size
-        while current + need > self.l2_budget_bytes:
-            lowest = min(
-                (
-                    (live.benefit, live.seq, key)
-                    for key, live in self._l2.items()
-                    if live is not existing
-                ),
-                default=None,
-            )
-            if lowest is None:
+        current = self.log.live_bytes
+        ranked = []
+        for position, (live, benefit, size) in enumerate(self.log.scan_keys()):
+            if live == token:
+                # A re-spill of a live key replaces it: its current
+                # bytes come back before the new payload is charged.
+                current -= size
+            else:
+                ranked.append((benefit, position, live, size))
+        for _benefit, _position, victim, size in sorted(ranked):
+            if current + need <= budget:
                 break
-            _benefit, _seq, victim = lowest
-            current -= self._l2[victim].size
-            self._evict_l2(victim)
+            current -= size
+            self._budget_evict(victim)
         return True
 
-    def _evict_l2(self, key: ChunkKey) -> None:
-        """Budget eviction: charged tombstone + manifest removal."""
-        live = self._forget(key)
-        assert live is not None  # callers pass keys out of the table
+    def _budget_evict(self, token: str) -> None:
+        """Budget eviction: a charged tombstone (a faulted one drops
+        the record from the live set all the same)."""
         try:
-            self.log.delete(live.token)
+            self.log.delete(token)
         except DiskFault:
-            # The tombstone faulted: the record is dropped from the
-            # log's live set, dead to this process either way (a
-            # restart resurrects it — cache semantics accept that, the
-            # base data re-derives the truth).
-            self.log.drop(live.token)
             self._spill_faults += 1
             self._note_failure()
         self._l2_evictions += 1
@@ -705,97 +651,73 @@ class TieredChunkCache:
         except DiskFault:
             self._compact_faults += 1
 
-    def _enforce_budget_on_reopen(self) -> None:
-        """Trim the recovered live set to the benefit-ranked prefix
-        that fits ``l2_budget_bytes`` (strict prefix: ranking stops at
-        the first record that does not fit)."""
-        if self.l2_budget_bytes is None:
-            return
-        ranked = sorted(
-            (-live.benefit, live.seq, key, live.size)
-            for key, live in self._l2.items()
-        )
-        kept = 0
-        fits = True
-        for _neg_benefit, _seq, key, size in ranked:
-            if fits and kept + size <= self.l2_budget_bytes:
-                kept += size
-                continue
-            fits = False
-            self._evict_l2(key)
-        self._maybe_compact()
-
-    def _read_with_retry(self, token: str) -> bytes | memoryview:
+    def _read_uncharged(self, key: ChunkKey, token: str) -> CachedChunk | None:
+        """The uncharged L2 read of ``peek``, ``snapshot`` and
+        ``reopen``: a torn record or a malformed payload is quarantined
+        and reads as absent, as on the charged path; a closed log reads
+        as absent."""
         try:
-            return self.log.get(token)
-        except DiskFault as fault:
-            if not fault.transient:
-                raise
-            return self.log.get(token)
-
-    def _append_with_retry(
-        self, token: str, payload: bytes, benefit: float
-    ) -> int:
-        try:
-            return self.log.put(token, payload, benefit)
-        except DiskFault as fault:
-            if not fault.transient:
-                raise
-            return self.log.put(token, payload, benefit)
+            payload = self.log.peek(token)
+        except ChunkLogCorruption:
+            self._quarantine(token)
+            return None
+        except ChunkLogError:
+            return None
+        return self._decode(key, token, payload)
 
     def _decode(
-        self, key: ChunkKey, payload: bytes | memoryview
+        self, key: ChunkKey, token: str, payload: bytes | memoryview
     ) -> CachedChunk | None:
         """Decode a record, quarantining it on a malformed payload."""
         try:
             return decode_chunk(key, payload)
         except ChunkLogError:
-            self._quarantine(key)
+            self._quarantine(token)
             return None
 
-    def _quarantine(self, key: ChunkKey) -> None:
-        live = self._forget(key)
-        assert live is not None  # callers hold the key's live entry
-        self.log.drop(live.token)
+    def _quarantine(self, token: str) -> None:
+        self.log.drop(token)
         self._quarantined += 1
-
-    def _admit(
-        self, key: ChunkKey, token: str, benefit: float, size: int
-    ) -> None:
-        """Record a chunk as live in L2, replacing any earlier record
-        of the key in place (its bytes come back first)."""
-        previous = self._l2.get(key)
-        self._l2[key] = _Live(token, benefit, size, self._spill_seq)
-        self._spill_seq += 1
-        self._l2_bytes += size - (previous.size if previous is not None else 0)
-
-    def _forget(self, key: ChunkKey) -> _Live | None:
-        live = self._l2.pop(key, None)
-        if live is not None:
-            self._l2_bytes -= live.size
-        return live
 
     def _note_failure(self) -> None:
         self._failure_streak += 1
         if self._failure_streak >= FAILURE_LIMIT:
             self._l2_enabled = False
 
-    def _rebuild_keys(self) -> None:
-        """Regenerate the L2 table from the log manifest."""
-        self._l2.clear()
-        self._l2_bytes = 0
+    def _l2_records(self) -> list[tuple[ChunkKey, str, float, int]]:
+        """``(key, token, benefit, payload bytes)`` of every record live
+        in the log, in manifest order.  A token this build cannot parse
+        is quarantined: the record may belong to a future key schema."""
+        records = []
         for token, benefit, size in self.log.scan_keys():
             try:
                 key = token_key(token)
             except (ValueError, KeyError, TypeError):
-                # A token this build cannot parse is quarantined: the
-                # record may belong to a future key schema.
-                self.log.drop(token)
-                self._quarantined += 1
+                self._quarantine(token)
                 continue
-            self._admit(key, token, benefit, size)
+            records.append((key, token, benefit, size))
+        return records
 
-    def _l2_only_keys(self) -> list[ChunkKey]:
+    def _l2_only(self) -> list[tuple[ChunkKey, str]]:
+        """L2 keys not resident in L1, with their tokens."""
         if not self._l2_enabled:
             return []
-        return [key for key in self._l2 if key not in self._l1]
+        return [
+            (key, token)
+            for key, token, _benefit, _size in self._l2_records()
+            if key not in self._l1
+        ]
+
+
+_T = TypeVar("_T")
+
+
+def _retry_once(call: Callable[..., _T], *args: object) -> _T:
+    """``call(*args)``, repeated once if it raises a transient
+    :class:`~repro.exceptions.DiskFault`."""
+    try:
+        return call(*args)
+    except DiskFault as fault:
+        if not fault.transient:
+            raise
+        return call(*args)

@@ -105,7 +105,7 @@ COMPACT_SUFFIX = ".compact"
 
 @dataclass
 class L2Stats:
-    """Cumulative logical counters of one L2 backend.
+    """Cumulative logical counters of a chunk log.
 
     Page counters count *successful* page transfers only, one per
     accounting-disk page actually charged — so they reconcile exactly
@@ -133,15 +133,14 @@ class L2Stats:
 
 @dataclass(frozen=True)
 class L2Recovery:
-    """What a backend found (and discarded) while opening.
+    """What a chunk log found (and discarded) while opening.
 
     Attributes:
         records: Well-framed records replayed from durable state.
         live_entries: Tokens live in the manifest after replay.
-        truncated_bytes: Tail bytes discarded as torn/unframeable
-            (always ``0`` for transactional stores).
-        header_reset: Durable state was unreadable and the backend
-            reset itself to a fresh empty store.
+        truncated_bytes: Tail bytes discarded as torn/unframeable.
+        header_reset: Durable state was unreadable and the log reset
+            itself to a fresh empty store.
     """
 
     records: int = 0
@@ -369,27 +368,38 @@ class ChunkLog:
         return pages
 
     def delete(self, token: str) -> bool:
-        """Tombstone a live record (charged); returns whether it was live."""
+        """Tombstone a live record (charged); returns whether it was live.
+
+        The record leaves the manifest *before* the tombstone is
+        charged: a :class:`~repro.exceptions.DiskFault` from the write
+        hook re-raises with the record dead in memory (its pages count
+        as dead) but no tombstone in the file, so a restart scan
+        resurrects it.
+        """
         self._ensure_open()
-        if token not in self._manifest:
+        if not self._forget_extent(token):
             return False
         record, stored = self._encode(_TOMBSTONE, token, b"", 0.0)
         pages = self._charge_write(record, kind="tombstone")
         self._persist(stored)
-        self._forget_extent(token)
         self._total_record_pages += pages
         return True
 
     def clear(self) -> int:
-        """Drop every live record via one clear-all record (charged)."""
+        """Drop every live record via one clear-all record (charged).
+
+        As for :meth:`delete`, the manifest empties before the record
+        is charged: a faulted clear re-raises with every record dead in
+        memory, and a restart scan resurrects them.
+        """
         self._ensure_open()
         dropped = len(self._manifest)
-        record, stored = self._encode(_CLEAR, "", b"", 0.0)
-        pages = self._charge_write(record, kind="clear")
-        self._persist(stored)
         self._manifest.clear()
         self._live_pages = 0
         self._live_bytes = 0
+        record, stored = self._encode(_CLEAR, "", b"", 0.0)
+        pages = self._charge_write(record, kind="clear")
+        self._persist(stored)
         self._total_record_pages += pages
         return dropped
 

@@ -107,8 +107,8 @@ class TestChunkKey:
     def test_nothing_orders_keys(self):
         # Keys of two shapes do not compare at all.  The tiered store's
         # benefit rankings (L2 budget eviction, reopen) break ties on
-        # spill sequence numbers, which are unique, so they never reach
-        # the key: equal benefits across shapes rank without a TypeError.
+        # manifest positions, which are unique, so they never reach the
+        # key: equal benefits across shapes rank without a TypeError.
         with pytest.raises(TypeError):
             ChunkKey((1, 1), 0, (("v", "sum"),)) < ChunkKey(
                 (1, 0), 0, (("v", "sum"),)
@@ -125,15 +125,13 @@ class TestChunkKey:
         )
         for chunk in chunks:
             tiered.put(chunk)
-        seqs = [live.seq for live in tiered._l2.values()]
-        assert len(seqs) > 1 and len(set(seqs)) == len(seqs)
+        assert len({key.shape for key in tiered.keys()}) > 1
         assert tiered.tiers()["l2"]["evictions"] > 0
         reopened = TieredChunkCache(
             ChunkCache(2 * size), log, l2_budget_bytes=3 * size
         )
         assert reopened.reopen() > 0
-        seqs = [live.seq for live in reopened._l2.values()]
-        assert len(set(seqs)) == len(seqs)
+        assert reopened.tiers()["l2"]["evictions"] > 0
 
     def test_hashable(self):
         key = ChunkKey((1, 0), 3, (("v", "sum"),), frozenset({"p"}))

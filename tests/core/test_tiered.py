@@ -51,6 +51,11 @@ def make_tiered(capacity=1_000, demote_min_benefit=0.0):
     return TieredChunkCache(l1, log, demote_min_benefit=demote_min_benefit)
 
 
+def l2_only_keys(tiered):
+    """The keys live in the log and not resident in L1."""
+    return [key for key in tiered.keys() if tiered._l1.peek(key) is None]
+
+
 class TestTokenCodec:
     def test_token_roundtrip(self):
         key = ChunkKey((2, 1), 17, (("v", "sum"), ("v", "count")),
@@ -236,7 +241,7 @@ class TestSpillAndPromote:
         chunks = [make_chunk(number=n, fill=n) for n in range(3)]
         for chunk in chunks:
             tiered.put(chunk)
-        (victim_key,) = tiered._l2_only_keys()
+        (victim_key,) = l2_only_keys(tiered)
         victim = next(c for c in chunks if c.key == victim_key)
         got = tiered.get(victim_key)
         assert got is not None
@@ -250,7 +255,7 @@ class TestSpillAndPromote:
         tiered = make_tiered(capacity=2 * make_chunk().size_bytes)
         for n in range(3):
             tiered.put(make_chunk(number=n, fill=n))
-        (victim_key,) = tiered._l2_only_keys()
+        (victim_key,) = l2_only_keys(tiered)
         before = tiered.stats
         assert tiered.get(victim_key) is not None
         after = tiered.stats
@@ -269,7 +274,7 @@ class TestSpillAndPromote:
         tiered = make_tiered(capacity=2 * make_chunk().size_bytes)
         for n in range(3):
             tiered.put(make_chunk(number=n, fill=n))
-        (victim_key,) = tiered._l2_only_keys()
+        (victim_key,) = l2_only_keys(tiered)
         reads_before = tiered.log.disk.stats.reads
         assert tiered.peek(victim_key) is not None
         assert tiered._l1.peek(victim_key) is None  # still L2-only
@@ -302,7 +307,7 @@ class TestCostAttribution:
         tiered = make_tiered(capacity=2 * make_chunk(rows=64).size_bytes)
         for n in range(3):
             tiered.put(make_chunk(number=n, fill=n, rows=64))
-        (victim_key,) = tiered._l2_only_keys()
+        (victim_key,) = l2_only_keys(tiered)
         assert tiered.get(victim_key) is not None
         l2 = tiered.tiers()["l2"]
         stats = tiered.log.stats
@@ -332,15 +337,24 @@ class TestCostAttribution:
         phantom_page, phantom_byte = make_tiered(), make_tiered()
         phantom_page.log.stats.append_pages += 1
         phantom_byte.log._live_bytes += 1
-        # A record live in the log that the tier's table does not know:
-        # the L2 budget would not see its bytes.
-        phantom_record = make_tiered()
-        phantom_record.log.put(
-            chunk_token(make_chunk().key), encode_chunk(make_chunk()), 1.0
-        )
-        for tiered in (phantom_page, phantom_byte, phantom_record):
+        for tiered in (phantom_page, phantom_byte):
             with pytest.raises(InvariantViolation):
                 tiered.check_conservation()
+
+    def test_a_record_put_into_the_log_is_live_to_the_tier(self):
+        # The log's manifest is the tier's only table of L2: a record
+        # put behind the tier's back is a member, and a get promotes it.
+        tiered = make_tiered()
+        entry = make_chunk(fill=4)
+        tiered.log.put(chunk_token(entry.key), encode_chunk(entry), 1.0)
+        assert entry.key in tiered
+        assert len(tiered) == 1 and tiered.keys() == [entry.key]
+        got = tiered.get(entry.key)
+        assert got is not None and got.rows.tobytes() == entry.rows.tobytes()
+        assert tiered._l1.peek(entry.key) is not None
+        assert tiered.tiers()["l2"]["promotes"] == 1
+        assert len(tiered) == 1  # resident in both tiers, counted once
+        tiered.check_conservation()
 
 
 class TestInvalidateAndClear:
@@ -388,19 +402,27 @@ class TestInvalidateAndClear:
         for n in range(4):
             tiered.put(make_chunk(number=n, fill=n))  # 0, 1, 2 spilled
         assert len(tiered.log) == 3
-        tiered.log.disk.write_hook = wedged
+        disk = tiered.log.disk
+
+        def wedge_once(page_id):  # the tombstone / clear-all record
+            disk.write_hook = None
+            wedged(page_id)
+
+        disk.write_hook = wedge_once
         if drop == "invalidate":
             tiered.invalidate(make_chunk(number=0).key)
         elif drop == "clear":
             tiered.clear()
         else:
-            tiered._evict_l2(make_chunk(number=0).key)
-        tiered.log.disk.write_hook = None
+            tiered.put(make_chunk(number=0, fill=0))  # spills 3: evicts 0
+        assert disk.write_hook is None  # the fault fired
         l2 = tiered.tiers()["l2"]
         assert l2["spill_faults"] == 1
-        # The log keeps no record the tier no longer counts.
-        left = 0 if drop == "clear" else 2
+        # The dropped record is dead in the log, and the budget sees
+        # exactly the bytes of what is left.
+        left = {"invalidate": 2, "clear": 0, "evict": 3}[drop]
         assert len(tiered.log) == l2["entries"] == left
+        assert chunk_token(make_chunk(number=0).key) not in tiered.log
         assert tiered.log.live_bytes == l2["entries"] * size
         tiered.check_conservation()
 
@@ -445,11 +467,11 @@ class TestStoreSurfaces:
         tiered.put(make_chunk(number=0))
         tiered.put(make_chunk(number=1))  # 0 spilled
         key = make_chunk(number=0).key
-        # Delete behind the tier's back: the manifest now points at a
-        # record the log no longer holds.
+        # Delete behind the tier's back: the log's manifest is the
+        # tier's table, so the key is gone from both at once.
         tiered.log.delete(chunk_token(key))
         assert tiered.get(key) is None
-        assert key not in tiered  # the stale entry is forgotten
+        assert key not in tiered
         tiered.check_conservation()
 
     def test_respill_credits_the_existing_record(self):
@@ -563,6 +585,35 @@ class TestDegrade:
         assert all(key not in tiered for key in torn)
         tiered.check_conservation()
 
+    def test_snapshot_and_reopen_quarantine_a_torn_record(self):
+        # The uncharged reads quarantine as the charged one does: a torn
+        # record leaves the live set at its first read, is verified
+        # once, and never makes len() and snapshot() disagree.
+        tiered = make_tiered(capacity=make_chunk().size_bytes)
+        torn = {chunk_token(make_chunk(number=n).key) for n in (0, 1)}
+        tiered.log.torn_hook = torn.__contains__
+        for n in range(5):
+            tiered.put(make_chunk(number=n, fill=n))  # 0-3 spilled
+        tiered.log.torn_hook = None
+        assert len(tiered) == len(tiered.keys()) == 5
+        assert len(tiered.snapshot()) == 3
+        assert len(tiered) == len(tiered.keys()) == 3
+        assert tiered.tiers()["l2"]["quarantined"] == 2
+        assert tiered.log.stats.crc_failures == 2
+        assert len(tiered.snapshot()) == 3
+        tiered.reopen()
+        assert tiered.log.stats.crc_failures == 2
+
+        reopened = make_tiered(capacity=make_chunk().size_bytes)
+        reopened.log.torn_hook = torn.__contains__
+        for n in range(5):
+            reopened.put(make_chunk(number=n, fill=n))
+        reopened.log.torn_hook = None
+        reopened.reopen()
+        assert reopened.tiers()["l2"]["quarantined"] == 2
+        assert len(reopened) == len(reopened.snapshot()) == 3
+        reopened.check_conservation()
+
     def test_corrupt_payload_quarantines(self):
         # Garbage, and a healthy record of an older build's layout: both
         # are misses that are counted, never decoded.
@@ -570,7 +621,6 @@ class TestDegrade:
         keys = [make_chunk(number=n).key for n in (5, 6)]
         for key, payload in zip(keys, (b"not-a-chunk-payload", OLD_LAYOUT)):
             tiered.log.put(chunk_token(key), payload, 1.0)
-        tiered._rebuild_keys()
         assert tiered.get(keys[0]) is None
         assert tiered.peek(keys[1]) is None
         l2 = tiered.tiers()["l2"]
@@ -855,3 +905,67 @@ class TestInfiniteL1Equivalence:
         )
         assert tiered.tiers()["l2"]["spills"] == 0
         assert tiered.log.disk.stats.writes == 0
+
+
+class TestOneTable:
+    """The log's manifest is the tier's only table of L2: whatever the
+    operations, faults included, the tier's counts, keys, snapshot and
+    answers agree with it and with each other."""
+
+    # Puts drive spills, so they come up most often.
+    OPS = (
+        "put", "put", "put", "torn_put", "torn_put", "get", "get", "peek",
+        "invalidate", "wedged_invalidate", "clear", "wedged_clear",
+        "reopen", "compact",
+    )
+
+    @given(
+        ops=st.lists(
+            st.tuples(  # (operation, key number, snapshot after it)
+                st.sampled_from(OPS), st.integers(0, 3), st.booleans()
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_view_agrees_with_the_log(self, ops):
+        size = len(encode_chunk(make_chunk()))
+        tiered = TieredChunkCache(
+            ChunkCache(make_chunk().size_bytes),  # every new key spills
+            ChunkLog(page_size=PAGE),
+            l2_budget_bytes=3 * size,
+            compact_threshold=0.5,
+        )
+        log = tiered.log
+        last_put = {}  # number -> row bytes of the key's last put
+        for step, (op, number, snapshot) in enumerate(ops):
+            key = make_chunk(number=number).key
+            torn, op = op.startswith("torn_"), op.removeprefix("torn_")
+            log.torn_hook = (lambda token: True) if torn else None
+            wedge, op = op.startswith("wedged_"), op.removeprefix("wedged_")
+            log.disk.write_hook = wedged if wedge else None
+            if op == "put":
+                entry = make_chunk(number=number, fill=step)
+                assert tiered.put(entry)
+                last_put[number] = entry.rows.tobytes()
+            elif op in ("get", "peek"):
+                got = getattr(tiered, op)(key)
+                if got is not None:
+                    assert got.rows.tobytes() == last_put.get(number)
+            elif op == "invalidate":
+                tiered.invalidate(key)
+                last_put.pop(number, None)
+            elif op == "clear":
+                tiered.clear()
+                last_put.clear()
+            elif op == "reopen":
+                tiered.reopen()
+            else:
+                log.compact()
+            log.torn_hook = log.disk.write_hook = None
+            assert len(tiered) == len(set(tiered.keys()))
+            assert tiered.tiers()["l2"]["entries"] == len(log)
+            log.check_conservation()
+            tiered.check_conservation()
+            if snapshot:
+                assert len(tiered.snapshot()) == len(tiered)

@@ -103,6 +103,33 @@ class TestChunkLogBasics:
         assert "a" not in log
         assert log.disk.stats.writes == writes_before
 
+    @pytest.mark.parametrize("drop", ["delete", "clear"])
+    def test_a_faulted_drop_kills_the_records_it_could_not_tombstone(
+        self, make_log, tmp_path, drop
+    ):
+        path = str(tmp_path / "log.bin")
+        log = make_log(path)
+        log.put("a", b"x" * 300, 1.0)  # two pages
+        log.put("b", b"y", 2.0)  # one page
+        _live, dead_before = space(log)
+
+        def wedged(page_id):
+            raise DiskFault("wedged", page_id=page_id, transient=False)
+
+        log.disk.write_hook = wedged
+        with pytest.raises(DiskFault):
+            log.delete("a") if drop == "delete" else log.clear()
+        log.disk.write_hook = None
+        # The records left the manifest before the tombstone was charged.
+        assert tokens(log) == ([] if drop == "clear" else ["b"])
+        assert log.live_bytes == (0 if drop == "clear" else 1)
+        dropped_pages = 3 if drop == "clear" else 2
+        assert space(log)[1] == dead_before + dropped_pages
+        log.check_conservation()
+        # No tombstone reached the file: a restart resurrects them.
+        log.close()
+        assert tokens(make_log(path)) == ["a", "b"]
+
     def test_tokens_and_entries_in_insertion_order(self, make_log):
         log = make_log()
         log.put("b", b"1", 1.0)

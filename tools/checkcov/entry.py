@@ -41,7 +41,7 @@ __all__ = ["ENTRIES", "FLOOR", "Function", "never_entered", "main"]
 #: Product coverage (percent of ``src/repro``'s executable lines) below
 #: which the tool fails: the value measured when the floor was set,
 #: rounded down, so only new unreachable code (or a lost entry) trips it.
-FLOOR = 84.6
+FLOOR = 84.9
 
 ROOT = Path("src/repro")
 EXAMPLES = (
