@@ -3,7 +3,7 @@
 :class:`TieredChunkCache` implements the
 :class:`~repro.core.cache.ChunkStore` protocol by layering the existing
 in-memory cache (a :class:`~repro.core.cache.ChunkCache` or the serving
-layer's sharded store) over the durable, append-only
+layer's sharded store) over the persistent, append-only
 :class:`~repro.storage.chunklog.ChunkLog` (see ``docs/TIERING.md``):
 
 - **Spill on eviction.**  The L1 store's eviction observer

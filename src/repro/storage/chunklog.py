@@ -1,6 +1,6 @@
 """Persistent, checksummed append-only chunk log (the L2 cache tier).
 
-:class:`ChunkLog` is the durable half of the two-tier chunk cache
+:class:`ChunkLog` is the L2 half of the two-tier chunk cache
 (``docs/TIERING.md``): the one store of the persistent tier, used
 directly by :class:`~repro.core.tiered.TieredChunkCache`.  It stores
 opaque ``(token, benefit, payload)`` records in an append-only file and
@@ -25,23 +25,31 @@ On-disk format v1 (little-endian throughout)::
 The CRC-32 covers the record's fixed fields (minus the CRC itself),
 the token and the payload.  Each record occupies
 ``ceil(record_len / page_size)`` freshly allocated pages on the
-accounting disk; the backing file is flushed after every append so a
-kill leaves at worst one torn tail record.
+accounting disk, charged as one run per record.
 
-The backing file (an ``io.BytesIO`` for an in-memory log) is the
-log's only copy of its bytes: memory holds the manifest of live
-extents, and every read seeks into the store for one record.
+The backing file (an anonymous temporary file for an in-memory log)
+is the log's only copy of its bytes: memory holds the manifest of live
+extents.  The file is unbuffered and addressed by position: every read
+is one ``os.pread`` of one record, every append one ``os.pwritev`` at
+the end of the file.
+
+**Durability: a process kill, not a power loss.**  An append is in the
+kernel when its write returns, so a killed process loses at worst one
+torn tail record, which the next open cuts.  Appends are never
+fsynced; only compaction fsyncs its sidecar before the swap.  A power
+loss or kernel crash may therefore drop or tear any record written
+since the last compaction: that is not covered.
 
 Because the log is append-only, superseded puts, tombstones, clear
 records and the extents they killed all remain in the file as **dead
 space**.  The log tracks the split exactly (``live_pages`` /
 ``dead_pages`` in :meth:`ChunkLog.counters`) and
-:meth:`ChunkLog.compact` reclaims it: live records are streamed
-verbatim into a sidecar file (``<path>.compact``), which is flushed and
-fsynced once and then atomically replaces the log via ``os.replace``.
-A crash at *any* write boundary leaves either the complete old file or
-the complete new file — a partial sidecar is removed on the next open,
-never replayed.
+:meth:`ChunkLog.compact` reclaims it: live records are copied
+verbatim, each run of adjacent records at once, into a sidecar file
+(``<path>.compact``), which is fsynced once and then atomically
+replaces the log via ``os.replace``.  A crash at *any* write boundary
+leaves either the complete old file or the complete new file — a
+partial sidecar is removed on the next open, never replayed.
 
 Recovery policy on open (see ``docs/TIERING.md`` §restart):
 
@@ -64,11 +72,12 @@ original process (``tests/integration/test_restart.py`` pins this).
 
 from __future__ import annotations
 
-import io
 import os
 import struct
+import tempfile
+import weakref
 from dataclasses import dataclass
-from typing import BinaryIO, Callable
+from typing import IO, Callable, NamedTuple, Sequence
 from zlib import crc32
 
 from repro.exceptions import (
@@ -101,6 +110,13 @@ _RECORD_TYPES = frozenset({_PUT, _TOMBSTONE, _CLEAR})
 
 #: Sidecar suffix compaction rewrites into before the atomic swap.
 COMPACT_SUFFIX = ".compact"
+
+#: Bytes the replay scan reads per record: the prefix and, for any
+#: token this long or shorter, the whole token in the same read.
+_SCAN_READ = 512
+
+#: Largest slice compaction holds in memory while it copies a run.
+_COPY_SLICE = 1 << 20
 
 
 @dataclass
@@ -149,8 +165,7 @@ class L2Recovery:
     header_reset: bool = False
 
 
-@dataclass(frozen=True)
-class _Extent:
+class _Extent(NamedTuple):
     """Location of one live record: file offset plus its page run."""
 
     offset: int
@@ -165,8 +180,9 @@ class ChunkLog:
     """File-backed, page-accounted append-only record store.
 
     Args:
-        path: Backing file.  ``None`` keeps the log purely in memory
-            (same accounting, no durability across processes) — used by
+        path: Backing file.  ``None`` keeps the log in an anonymous
+            temporary file, which no other process can find (same
+            accounting, no durability across processes) — used by
             tests and by 2-tier stacks that want spill/promote
             economics without a persist path.
         page_size: Page size of the private accounting disk.
@@ -191,19 +207,36 @@ class ChunkLog:
         self._live_pages = 0
         self._live_bytes = 0
         self._total_record_pages = 0
-        # The log's one byte store: the backing file (opened by
-        # ``_open``), or the BytesIO of an in-memory log, which outlives
-        # close/reopen the way a file does.  ``_end`` is its length.
-        self._store: BinaryIO = io.BytesIO()
+        # The log's one byte store, unbuffered and read and written by
+        # position through ``_fd``: the backing file (opened by
+        # ``_open``), or the anonymous file of an in-memory log, which
+        # outlives close/reopen the way a named file does and is closed
+        # when the log is collected.  ``_end`` is its length.
+        self._store: IO[bytes] | None = None
+        self._fd = -1
+        self._release: weakref.finalize | None = None
         self._end = 0
-        # A sidecar left behind by a compaction the process died inside
-        # is garbage by construction (the swap is atomic): remove it.
-        if path is not None and os.path.exists(path + COMPACT_SUFFIX):
+        if path is None:
+            self._use(tempfile.TemporaryFile(buffering=0))
+        elif os.path.exists(path + COMPACT_SUFFIX):
+            # A sidecar left behind by a compaction the process died
+            # inside is garbage by construction (the swap is atomic).
             os.remove(path + COMPACT_SUFFIX)
         self.recovery = self._open()
 
     # ------------------------------------------------------------------
     # Open/replay
+
+    def _use(self, store: IO[bytes]) -> None:
+        """Make ``store`` the log's byte store.  An in-memory log's
+        store is closed when the log is collected or its store is
+        replaced; a named file's is closed by :meth:`close`."""
+        self._store = store
+        self._fd = store.fileno()
+        if self.path is None:
+            if self._release is not None:
+                self._release()
+            self._release = weakref.finalize(self, store.close)
 
     def _open(self) -> L2Recovery:
         """(Re)open the store and rebuild all in-memory state from it.
@@ -213,42 +246,43 @@ class ChunkLog:
         """
         self._closed = True
         if self.path is not None:
-            self._store.close()
+            if self._store is not None:
+                self._store.close()
             exists = os.path.exists(self.path)
-            self._store = open(self.path, "r+b" if exists else "w+b")
-        store = self._store
+            self._use(
+                open(self.path, "r+b" if exists else "w+b", buffering=0)
+            )
         try:
-            recovery = self._replay(store)
+            recovery = self._replay()
         except BaseException:
-            if self.path is not None:
-                store.close()
+            if self.path is not None and self._store is not None:
+                self._store.close()
             raise
         if recovery.truncated_bytes:
-            store.truncate(self._end)
+            os.ftruncate(self._fd, self._end)
         if self._end == 0:
-            store.seek(0)
-            store.write(
-                _HEADER.pack(CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size)
+            header = _HEADER.pack(
+                CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size
             )
+            _write_at(self._fd, header, 0)
             self._end = _HEADER.size
-        store.flush()
         self._closed = False
         return recovery
 
-    def _replay(self, store: BinaryIO) -> L2Recovery:
+    def _replay(self) -> L2Recovery:
         """Rebuild the manifest from the store's records, reading each
-        one's prefix and token and seeking past its payload; charge scan
-        reads."""
+        one's prefix and token (one read, unless the token is long) and
+        never its payload; charge scan reads."""
         self._end = 0
         self._manifest.clear()
         self._live_pages = 0
         self._live_bytes = 0
         self._total_record_pages = 0
-        size = store.seek(0, os.SEEK_END)
+        fd = self._fd
+        size = os.fstat(fd).st_size
         if not size:
             return L2Recovery()
-        store.seek(0)
-        header = store.read(_HEADER.size)
+        header = os.pread(fd, _HEADER.size, 0)
         if len(header) < _HEADER.size:
             return L2Recovery(truncated_bytes=size, header_reset=True)
         magic, version, page_size = _HEADER.unpack(header)
@@ -267,27 +301,29 @@ class ChunkLog:
             )
         offset = _HEADER.size
         records = 0
-        # Each pass starts with the store positioned at ``offset``.
         while offset + _PREFIX.size <= size:  # else clean end or torn prefix
-            rtype, token_len, payload_len, benefit, _crc = _PREFIX.unpack(
-                store.read(_PREFIX.size)
+            head = os.pread(fd, _SCAN_READ, offset)
+            rtype, token_len, payload_len, benefit, _crc = _PREFIX.unpack_from(
+                head
             )
             if rtype not in _RECORD_TYPES:
                 break  # unframeable: corrupt tail starts here
             end = offset + _PREFIX.size + token_len + payload_len
             if end > size:
                 break  # torn record
+            token_end = _PREFIX.size + token_len
+            if token_end > len(head):
+                head = os.pread(fd, token_end, offset)
             try:
-                token = store.read(token_len).decode("utf-8")
+                token = head[_PREFIX.size : token_end].decode("utf-8")
             except UnicodeDecodeError:
                 break
-            store.seek(end)
             length = end - offset
             pages = self._pages_for(length)
             page_start = self.disk.allocate(pages)
-            for page in range(page_start, page_start + pages):
-                self.disk.read_page(page)
-                self.stats.scan_pages += 1
+            self._charge(
+                self.disk.charge_reads, page_start, pages, "scan_pages"
+            )
             records += 1
             self.stats.scan_records += 1
             self._total_record_pages += pages
@@ -320,8 +356,8 @@ class ChunkLog:
     def reopen(self) -> L2Recovery:
         """Simulated restart: rebuild everything from durable state.
 
-        The backing file (or, for an in-memory log, its ``BytesIO``
-        store — which survives exactly like a file would) is
+        The backing file (or, for an in-memory log, its anonymous
+        file — which survives :meth:`close` exactly like a file would) is
         re-replayed from scratch: manifest, live/dead split and torn
         tails are all rediscovered, charging one scan read per record
         page like the constructor does.  Also reopens a :meth:`close`-d
@@ -334,7 +370,11 @@ class ChunkLog:
     # Writes
 
     def put(self, token: str, payload: bytes, benefit: float) -> int:
-        """Durably store ``payload`` under ``token``; returns pages written.
+        """Store ``payload`` under ``token``; returns pages written.
+
+        The record survives a kill of the process once ``put`` returns
+        (it is in the kernel), but not a power loss: appends are never
+        fsynced (see the module docstring).
 
         Last write wins: an existing live record for the same token is
         superseded (the old extent stays in the file as dead space).
@@ -346,17 +386,18 @@ class ChunkLog:
         """
         if not token:
             raise ChunkLogError("chunk log token must be non-empty")
-        record, stored = self._encode(_PUT, token, payload, benefit)
+        length, parts, torn = self._encode(_PUT, token, payload, benefit)
         self._ensure_open()
-        pages = self._charge_write(record, kind="append")
-        if stored is not record:
+        pages = self._charge_write(length, "append_pages")
+        self.stats.appends += 1
+        if torn:
             self.stats.torn_writes += 1
         offset = self._end
-        self._persist(stored)
+        self._persist(parts, length)
         self._forget_extent(token)
         self._manifest[token] = _Extent(
             offset=offset,
-            length=len(record),
+            length=length,
             payload_len=len(payload),
             benefit=benefit,
             page_start=self.disk.num_pages - pages,
@@ -370,36 +411,42 @@ class ChunkLog:
     def delete(self, token: str) -> bool:
         """Tombstone a live record (charged); returns whether it was live.
 
-        The record leaves the manifest *before* the tombstone is
-        charged: a :class:`~repro.exceptions.DiskFault` from the write
-        hook re-raises with the record dead in memory (its pages count
-        as dead) but no tombstone in the file, so a restart scan
+        Like a put, the tombstone survives a process kill once this
+        returns, not a power loss.  The record leaves the manifest
+        *before* the tombstone is charged: a
+        :class:`~repro.exceptions.DiskFault` from the write hook
+        re-raises with the record dead in memory (its pages count as
+        dead) but no tombstone in the file, so a restart scan
         resurrects it.
         """
         self._ensure_open()
         if not self._forget_extent(token):
             return False
-        record, stored = self._encode(_TOMBSTONE, token, b"", 0.0)
-        pages = self._charge_write(record, kind="tombstone")
-        self._persist(stored)
+        length, parts, _torn = self._encode(_TOMBSTONE, token, b"", 0.0)
+        pages = self._charge_write(length, "tombstone_pages")
+        self.stats.tombstones += 1
+        self._persist(parts, length)
         self._total_record_pages += pages
         return True
 
     def clear(self) -> int:
         """Drop every live record via one clear-all record (charged).
 
-        As for :meth:`delete`, the manifest empties before the record
-        is charged: a faulted clear re-raises with every record dead in
-        memory, and a restart scan resurrects them.
+        Like a put, the clear-all record survives a process kill once
+        this returns, not a power loss.  As for :meth:`delete`, the
+        manifest empties before the record is charged: a faulted clear
+        re-raises with every record dead in memory, and a restart scan
+        resurrects them.
         """
         self._ensure_open()
         dropped = len(self._manifest)
         self._manifest.clear()
         self._live_pages = 0
         self._live_bytes = 0
-        record, stored = self._encode(_CLEAR, "", b"", 0.0)
-        pages = self._charge_write(record, kind="clear")
-        self._persist(stored)
+        length, parts, _torn = self._encode(_CLEAR, "", b"", 0.0)
+        pages = self._charge_write(length, "clear_pages")
+        self.stats.clears += 1
+        self._persist(parts, length)
         self._total_record_pages += pages
         return dropped
 
@@ -420,13 +467,15 @@ class ChunkLog:
     def compact(self) -> int:
         """Rewrite live records into a fresh log; returns pages reclaimed.
 
-        The live manifest is streamed *verbatim* (byte-for-byte, CRCs
+        The live manifest is copied *verbatim* (byte-for-byte, CRCs
         and all — a torn-but-framed record stays torn and still
-        quarantines at read), one record at a time, from the store into
-        a sidecar file, which is flushed and fsynced once and then
-        atomically replaces the log via ``os.replace``.  Every copied
-        record charges its pages as a read and again as a write on the
-        accounting disk (``compact_read_pages`` /
+        quarantines at read) from the store into a sidecar file, which
+        is fsynced once and then atomically replaces the log via
+        ``os.replace``.  Manifest order is file order, so each run of
+        records adjacent in the file is copied with one read and one
+        write per slice of at most ``_COPY_SLICE`` bytes.  Every copied
+        record still charges its pages as a read and again as a write
+        on the accounting disk (``compact_read_pages`` /
         ``compact_write_pages``), so compaction I/O is as visible as any
         other.
 
@@ -444,14 +493,30 @@ class ChunkLog:
         if reclaimed <= 0:
             return 0
         store, path = self._store, self.path
-        sidecar: BinaryIO = (
-            io.BytesIO() if path is None else open(path + COMPACT_SUFFIX, "w+b")
+        sidecar: IO[bytes] = (
+            tempfile.TemporaryFile(buffering=0)
+            if path is None
+            else open(path + COMPACT_SUFFIX, "w+b", buffering=0)
         )
+        source, target = self._fd, sidecar.fileno()
+        buffer = memoryview(bytearray(min(self._end, _COPY_SLICE)))
         new_manifest: dict[str, _Extent] = {}
+        # Only compaction charges the disk until it returns, so the
+        # disk's own counters tell its pages, faulted runs included.
+        disk = self.disk
+        counted = disk.stats
+        reads, writes = counted.reads, counted.writes
         try:
-            offset = sidecar.write(
-                _HEADER.pack(CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size)
+            offset = _write_at(
+                target,
+                _HEADER.pack(
+                    CHUNKLOG_MAGIC, CHUNKLOG_VERSION, self.disk.page_size
+                ),
+                0,
             )
+            # The run of adjacent records not yet copied: its start in
+            # the store, its end, and where it lands in the sidecar.
+            run_start = run_end = run_target = offset
             for index, (token, extent) in enumerate(
                 self._manifest.items()
             ):
@@ -465,27 +530,28 @@ class ChunkLog:
                         transient=True,
                         site="compact",
                     )
-                for page in range(
-                    extent.page_start, extent.page_start + extent.pages
-                ):
-                    self.disk.read_page(page)
-                    self.stats.compact_read_pages += 1
-                store.seek(extent.offset)
-                record = store.read(extent.length)
-                pages = self._charge_compact_write(record)
-                sidecar.write(record)
+                pages = extent.pages
+                disk.charge_reads(extent.page_start, pages)
+                page_start = disk.allocate(pages)
+                disk.charge_writes(page_start, pages)
+                if extent.offset != run_end:
+                    _copy(
+                        source, target, run_start, run_end, run_target, buffer
+                    )
+                    run_start, run_target = extent.offset, offset
+                run_end = extent.offset + extent.length
                 new_manifest[token] = _Extent(
-                    offset=offset,
-                    length=extent.length,
-                    payload_len=extent.payload_len,
-                    benefit=extent.benefit,
-                    page_start=self.disk.num_pages - pages,
-                    pages=pages,
+                    offset,
+                    extent.length,
+                    extent.payload_len,
+                    extent.benefit,
+                    page_start,
+                    pages,
                 )
                 offset += extent.length
+            _copy(source, target, run_start, run_end, run_target, buffer)
             if path is not None:
-                sidecar.flush()
-                os.fsync(sidecar.fileno())
+                os.fsync(target)
                 sidecar.close()
                 try:
                     os.replace(path + COMPACT_SUFFIX, path)
@@ -498,10 +564,13 @@ class ChunkLog:
             if path is not None and os.path.exists(path + COMPACT_SUFFIX):
                 os.remove(path + COMPACT_SUFFIX)
             raise
+        finally:
+            self.stats.compact_read_pages += counted.reads - reads
+            self.stats.compact_write_pages += counted.writes - writes
         if path is not None:
             store.close()
-            sidecar = open(path, "r+b")
-        self._store = sidecar
+            sidecar = open(path, "r+b", buffering=0)
+        self._use(sidecar)
         self._end = offset
         self._manifest = new_manifest
         self._total_record_pages = self._live_pages
@@ -530,9 +599,12 @@ class ChunkLog:
         extent = self._manifest.get(token)
         if extent is None:
             raise ChunkLogError(f"token {token!r} is not live in the log")
-        for page in range(extent.page_start, extent.page_start + extent.pages):
-            self.disk.read_page(page)
-            self.stats.read_pages += 1
+        self._charge(
+            self.disk.charge_reads,
+            extent.page_start,
+            extent.pages,
+            "read_pages",
+        )
         self.stats.reads += 1
         return self._verified_payload(token, extent)
 
@@ -646,11 +718,12 @@ class ChunkLog:
         self.disk.read_hook = hook
 
     def close(self) -> None:
-        """Flush and close the backing file (idempotent)."""
+        """Close the backing file (idempotent).  An in-memory log's
+        anonymous file stays open for :meth:`reopen`."""
         if self._closed:
             return
         self._closed = True
-        if self.path is not None:
+        if self.path is not None and self._store is not None:
             self._store.close()
 
     # ------------------------------------------------------------------
@@ -668,9 +741,11 @@ class ChunkLog:
 
     def _encode(
         self, rtype: int, token: str, payload: bytes, benefit: float
-    ) -> tuple[bytes, bytes]:
-        """Build ``(true_record, stored_record)`` — they differ only
-        when the torn-write hook fires for a put."""
+    ) -> tuple[int, tuple[bytes, bytes, bytes], bool]:
+        """The record's length, the parts to store (prefix, token,
+        payload) and whether they are torn — the torn-write hook fired
+        for a put, and the stored payload's last byte is flipped under
+        a CRC of the original."""
         token_bytes = token.encode("utf-8")
         if len(token_bytes) > 0xFFFF:
             raise ChunkLogError(
@@ -682,67 +757,57 @@ class ChunkLog:
         prefix = _PREFIX.pack(
             rtype, len(token_bytes), len(payload), benefit, crc
         )
-        record = b"".join((prefix, token_bytes, payload))
-        stored = record
-        if (
+        length = len(prefix) + len(token_bytes) + len(payload)
+        torn = bool(
             rtype == _PUT
             and payload
             and self.torn_hook is not None
             and self.torn_hook(token)
-        ):
-            torn = bytearray(record)
-            torn[-1] ^= 0xFF
-            stored = bytes(torn)
-        return record, stored
+        )
+        if torn:
+            payload = bytes(payload[:-1]) + bytes([payload[-1] ^ 0xFF])
+        return length, (prefix, token_bytes, payload), torn
 
-    def _charge_write(self, record: bytes, kind: str) -> int:
-        """Allocate + write-charge the record's pages; updates counters."""
-        pages = self._pages_for(len(record))
-        first = self.disk.allocate(pages)
-        written = 0
+    def _charge(
+        self,
+        charge: Callable[[int, int], None],
+        first: int,
+        count: int,
+        counter: str,
+    ) -> None:
+        """Charge a page run through the disk's ``charge_reads`` or
+        ``charge_writes`` and add the pages it charged to
+        ``stats.<counter>``: all of them, or, when a hook faults
+        partway (re-raised), those before the fault."""
+        counted = self.disk.stats
+        before = counted.reads + counted.writes
         try:
-            for page in range(first, first + pages):
-                self.disk.write_page(page, b"")
-                written += 1
+            charge(first, count)
         finally:
-            if kind == "append":
-                self.stats.append_pages += written
-                if written == pages:
-                    self.stats.appends += 1
-            elif kind == "tombstone":
-                self.stats.tombstone_pages += written
-                if written == pages:
-                    self.stats.tombstones += 1
-            else:
-                self.stats.clear_pages += written
-                if written == pages:
-                    self.stats.clears += 1
+            charged = counted.reads + counted.writes - before
+            setattr(
+                self.stats, counter, getattr(self.stats, counter) + charged
+            )
+
+    def _charge_write(self, length: int, counter: str) -> int:
+        """Allocate and write-charge a record's pages; returns them."""
+        pages = self._pages_for(length)
+        self._charge(
+            self.disk.charge_writes, self.disk.allocate(pages), pages, counter
+        )
         return pages
 
-    def _charge_compact_write(self, record: bytes) -> int:
-        """Allocate + write-charge one compacted record's pages."""
-        pages = self._pages_for(len(record))
-        first = self.disk.allocate(pages)
-        written = 0
-        try:
-            for page in range(first, first + pages):
-                self.disk.write_page(page, b"")
-                written += 1
-        finally:
-            self.stats.compact_write_pages += written
-        return pages
-
-    def _persist(self, stored: bytes) -> None:
-        self._store.seek(self._end)
-        self._store.write(stored)
-        self._store.flush()
-        self._end += len(stored)
+    def _persist(self, parts: Sequence[bytes], length: int) -> None:
+        """Append one record at ``_end`` with one positional write."""
+        written = os.pwritev(self._fd, parts, self._end)
+        if written < length:
+            _write_at(self._fd, b"".join(parts)[written:], self._end + written)
+        self._end += length
 
     def _verified_payload(self, token: str, extent: _Extent) -> memoryview:
-        # One copy of the record out of the store; a short read (a file
-        # cut behind the log's back) fails like a bad CRC.
-        self._store.seek(extent.offset)
-        record = memoryview(self._store.read(extent.length))
+        # One read of the record; a short read (a file cut behind the
+        # log's back) fails like a bad CRC.
+        record = memoryview(os.pread(self._fd, extent.length, extent.offset))
         if len(record) != extent.length or crc32(
             record[_PREFIX.size :], crc32(record[: _CRC_FIELDS.size])
         ) != _PREFIX.unpack_from(record)[-1]:
@@ -760,3 +825,28 @@ class ChunkLog:
     def _ensure_open(self) -> None:
         if self._closed:
             raise ChunkLogError("chunk log is closed")
+
+
+def _write_at(fd: int, data: bytes | memoryview, offset: int) -> int:
+    """Write all of ``data`` at ``offset``; returns its length."""
+    view = memoryview(data)
+    while view:
+        view = view[os.pwrite(fd, view, offset + len(data) - len(view)) :]
+    return len(data)
+
+
+def _copy(
+    source: int, target: int, start: int, end: int, at: int, buffer: memoryview
+) -> None:
+    """Copy bytes ``start:end`` of ``source`` to ``at`` in ``target``
+    through ``buffer``, a slice of at most its size at a time.  Bytes
+    past the end of a source cut behind the log's back are copied as
+    zeros, so every record keeps its place and a cut one still fails
+    its CRC."""
+    while start < end:
+        view = buffer[: min(end - start, len(buffer))]
+        got = os.preadv(source, [view], start)
+        if got < len(view):
+            view[got:] = bytes(len(view) - got)
+        at += _write_at(target, view, at)
+        start += len(view)

@@ -183,6 +183,37 @@ class SimulatedDisk:
             self.stats.fault_latency += extra
         self._pages[page_id] = bytes(data)
 
+    def charge_reads(self, first: int, count: int) -> None:
+        """Charge reads of the ``count`` pages from ``first``, unread.
+
+        For a reader that keeps its bytes elsewhere (the chunk log's
+        file) and only owes the pages their I/O: with no ``read_hook``
+        installed the run is counted at once; with one, page by page
+        through :meth:`read_page`, so a fault at a page leaves exactly
+        the pages before it charged and carries that page's id.
+        """
+        self._check_run(first, count)
+        if self.read_hook is None:
+            self.stats.reads += count
+            return
+        for page_id in range(first, first + count):
+            self.read_page(page_id)
+
+    def charge_writes(self, first: int, count: int) -> None:
+        """Charge empty-page writes of the ``count`` pages from ``first``.
+
+        What ``write_page(page_id, b"")`` does to each page of the run,
+        with the same split as :meth:`charge_reads`: one count for the
+        run with no ``write_hook`` installed, page by page with one.
+        """
+        self._check_run(first, count)
+        if self.write_hook is None:
+            self.stats.writes += count
+            self._pages[first : first + count] = [b""] * count
+            return
+        for page_id in range(first, first + count):
+            self.write_page(page_id, b"")
+
     def reset_stats(self) -> None:
         """Zero all I/O counters (allocation history is kept)."""
         self.stats = DiskStats()
@@ -191,5 +222,12 @@ class SimulatedDisk:
         if not 0 <= page_id < len(self._pages):
             raise PageError(
                 f"page id {page_id} out of range 0..{len(self._pages) - 1}"
+            )
+
+    def _check_run(self, first: int, count: int) -> None:
+        if count < 1 or first < 0 or first + count > len(self._pages):
+            raise PageError(
+                f"page run {first}..{first + count - 1} out of range "
+                f"0..{len(self._pages) - 1}"
             )
 

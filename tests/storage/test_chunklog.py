@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import gc
 import os
 import struct
 import tempfile
@@ -404,6 +405,12 @@ def file_bytes(path):
         return handle.read()
 
 
+def store_bytes(log):
+    """The bytes of an in-memory log's anonymous file."""
+    fd = log._store.fileno()
+    return os.pread(fd, os.fstat(fd).st_size, 0)
+
+
 class TestOpenInPlace:
     """Opening an existing log never empties it: a kill during any
     open or reopen leaves the file's valid prefix on disk."""
@@ -539,12 +546,60 @@ class TestFileAndMemoryAgree:
                     run_op(on_file, op)
                     run_op(in_memory, op)
                     assert observed(on_file) == observed(in_memory)
-                assert file_bytes(path) == in_memory._store.getvalue()
+                assert file_bytes(path) == store_bytes(in_memory)
                 for log in (on_file, in_memory):
                     log.check_conservation()
             finally:
                 on_file.close()
                 in_memory.close()
+
+
+class TestInMemoryStore:
+    def test_records_survive_reopen_and_collection_closes_the_file(self):
+        log = ChunkLog(page_size=PAGE)
+        log.put("a", b"x" * (2 * PAGE), 1.0)
+        log.put("b", b"y", 2.0)
+        log.put("b", b"z", 3.0)
+        log.close()
+        assert log.reopen().live_entries == 2
+        assert log.get("a") == b"x" * (2 * PAGE)
+        assert log.get("b") == b"z"
+        before = log._store
+        assert log.compact() > 0
+        assert before.closed  # the replaced store is closed at once
+        log.close()
+        log.reopen()
+        assert tokens(log) == ["a", "b"]
+        store = log._store
+        del log  # never closed: collection closes the anonymous file
+        gc.collect()
+        assert store.closed
+
+
+class TestRunChargeEqualsPageCharge:
+    """With no hook installed the disk charges a record's pages as one
+    run; with one, page by page.  Pass-through hooks change nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=log_ops)
+    def test_pass_through_hooks_leave_the_same_log(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("hooked", "plain")]
+            hooked, plain = (ChunkLog(path, page_size=PAGE) for path in paths)
+            hooked.read_hook = hooked.write_hook = lambda _page_id: 0.0
+            try:
+                for op in ops:
+                    run_op(hooked, op)
+                    run_op(plain, op)
+                    assert observed(hooked) == observed(plain)
+                    assert hooked._manifest == plain._manifest
+                    assert hooked.disk._pages == plain.disk._pages
+                assert file_bytes(paths[0]) == file_bytes(paths[1])
+                for log in (hooked, plain):
+                    log.check_conservation()
+            finally:
+                hooked.close()
+                plain.close()
 
 
 class TestMemory:
