@@ -32,13 +32,6 @@ from repro.core.replacement import (
     ReplacementPolicy,
     make_policy,
 )
-from repro.core.snapshot import (
-    ChunkCacheSnapshot,
-    GroupByUsage,
-    QueryCacheSnapshot,
-    ShapeUsage,
-    Snapshot,
-)
 
 __all__ = [
     "ChunkRange",
@@ -65,9 +58,4 @@ __all__ = [
     "QueryCacheManager",
     "QueryRecord",
     "StreamMetrics",
-    "ChunkCacheSnapshot",
-    "GroupByUsage",
-    "QueryCacheSnapshot",
-    "ShapeUsage",
-    "Snapshot",
 ]

@@ -175,8 +175,8 @@ class ChunkStore(Protocol):
     def contention(self) -> dict[str, object]:
         """Lock-contention / shard-skew counters.
 
-        Declared on the protocol so consumers (the serving layer, the
-        snapshot tree) never probe for it with ``getattr``.  Unsharded
+        Declared on the protocol so consumers (the serving layer's
+        report) never probe for it with ``getattr``.  Unsharded
         stores return ``{}`` — "nothing to report", distinct from a
         sharded store's populated mapping.
         """
@@ -186,8 +186,8 @@ class ChunkStore(Protocol):
         """Per-tier counters of a multi-tier store.
 
         Same contract shape as :meth:`contention`: single-tier stores
-        return ``{}`` ("nothing to report"), and the snapshot tree only
-        renders a tiers node when the mapping is non-empty — so adding
+        return ``{}`` ("nothing to report"), and the soak / front
+        reports only carry a ``tiers`` key for a multi-tier store — so
         this method changes no single-tier output byte.
         :class:`repro.core.tiered.TieredChunkCache` returns its L1/L2
         spill/promote/quarantine counters.
@@ -258,8 +258,7 @@ class ChunkCache(Generic[KeyT, EntryT]):
         """Point-in-time ``(key, entry)`` pairs in insertion order.
 
         A single pass over the table that touches neither statistics nor
-        replacement state — the building block for
-        the managers' ``snapshot()`` reporting.
+        replacement state.
         """
         return list(self._entries.items())
 

@@ -43,7 +43,6 @@ from repro.chunks.grid import ChunkSpace
 from repro.chunks.closure import source_spans
 from repro.core.cache import ChunkStore
 from repro.core.metrics import QueryRecord, StreamMetrics, account_answer
-from repro.core.snapshot import Snapshot, build_chunk_snapshot
 from repro.exceptions import CacheError
 from repro.pipeline.executor import StagedPipeline
 from repro.pipeline.resolvers import (
@@ -292,22 +291,6 @@ class ChunkCacheManager:
         result = self.pipeline.execute(query)
         self.metrics.record(result.record)
         return Answer(result.rows, result.record, result.trace)
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Snapshot:
-        """A typed snapshot of cache composition.
-
-        The tree (:class:`repro.core.snapshot.Snapshot`) covers byte
-        usage, entry count, a per-group-by breakdown (resident chunks,
-        bytes, total benefit) — handy for seeing what the replacement
-        policy is protecting — the store's injected-fault outcomes, and
-        (for sharded stores; see
-        :meth:`repro.core.cache.ChunkStore.contention`) lock-contention
-        and shard-skew metrics.
-        """
-        return build_chunk_snapshot(self.cache)
 
     # ------------------------------------------------------------------
     # Invalidation after base-table updates

@@ -220,15 +220,3 @@ class StreamMetrics:
     def total_pages_read(self) -> int:
         """Total physical backend pages read."""
         return sum(self._column("pages_read"))
-
-    def summary(self) -> dict[str, float]:
-        """All headline numbers in one dictionary (for reports)."""
-        return {
-            "queries": float(len(self._records)),
-            "csr": self.cost_saving_ratio(),
-            "mean_time": self.mean_time(),
-            "mean_time_last_100": self.mean_time_last(100),
-            "chunk_hit_ratio": self.chunk_hit_ratio(),
-            "full_hit_ratio": self.full_hit_ratio(),
-            "pages_read": float(self.total_pages_read()),
-        }

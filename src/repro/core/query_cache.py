@@ -42,12 +42,6 @@ from repro.core.chunk import CachedQuery
 from repro.core.manager import Answer
 from repro.core.metrics import QueryRecord, StreamMetrics, account_answer
 from repro.core.replacement import ReplacementPolicy
-from repro.core.snapshot import (
-    QueryCacheSnapshot,
-    ShapeUsage,
-    Snapshot,
-    residency,
-)
 from repro.exceptions import QueryError
 from repro.pipeline.executor import StagedPipeline
 from repro.pipeline.resolvers import (
@@ -194,28 +188,6 @@ class QueryCacheManager:
     def used_bytes(self) -> int:
         """Bytes currently charged against the budget."""
         return self._store.used_bytes
-
-    def snapshot(self) -> Snapshot:
-        """A typed snapshot of cache composition.
-
-        Single pass over the entries, mirroring the chunk scheme's
-        snapshot: byte usage, entry count, a per-shape breakdown and the
-        redundancy ratio — as a :class:`repro.core.snapshot.Snapshot`.
-        """
-        per_shape = residency(
-            (entry.query.shape_key(), entry)
-            for _, entry in self._store.snapshot()
-        )
-        return Snapshot(
-            kind="query",
-            cache=QueryCacheSnapshot(
-                used_bytes=self.used_bytes,
-                capacity_bytes=self.capacity_bytes,
-                entries=len(self._store),
-                redundancy_ratio=self.redundancy_ratio(),
-                per_shape=tuple(ShapeUsage(*row) for row in per_shape),
-            ),
-        )
 
     def redundancy_ratio(self) -> float:
         """Stored cells over distinct cells across cached results.

@@ -403,8 +403,7 @@ class TieredChunkCache:
         return self._l1.contention()
 
     def tiers(self) -> dict[str, object]:
-        """Per-tier counters — the snapshot tree renders these when
-        non-empty (single-tier stores return ``{}``)."""
+        """Per-tier counters (single-tier stores return ``{}``)."""
         l1_stats = self._l1.stats
         l1: dict[str, object] = {
             "entries": len(self._l1),

@@ -18,7 +18,6 @@ if TYPE_CHECKING:  # avoid the runtime cycle pipeline -> core.manager
     from repro.backend.engine import BackendEngine
     from repro.core.manager import Answer
     from repro.core.metrics import StreamMetrics
-    from repro.core.snapshot import Snapshot
 
 __all__ = ["QueryAnswerer"]
 
@@ -40,10 +39,6 @@ class QueryAnswerer(Protocol):
 
     def answer(self, query: StarQuery) -> "Answer":
         """Answer one query, updating the cache and stream metrics."""
-        ...
-
-    def snapshot(self) -> "Snapshot":
-        """A typed snapshot of cache composition and stream aggregates."""
         ...
 
     def invalidate_base_chunks(self, base_numbers: list[int]) -> int:

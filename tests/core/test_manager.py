@@ -314,25 +314,3 @@ class TestCostAccounting:
         assert answer.record.time == pytest.approx(
             float(answer.record.pages_read)
         )
-
-
-class TestDescribeCache:
-    def test_snapshot_fields(self, small_schema, manager):
-        manager.answer(q(small_schema, (1, 1), {"D0": (0, 3)}))
-        manager.answer(q(small_schema, (2, 2), {"D0": (0, 4)}))
-        snapshot = manager.snapshot().cache
-        assert snapshot.entries == len(manager.cache)
-        assert snapshot.used_bytes == manager.cache.used_bytes
-        assert {usage.groupby for usage in snapshot.per_groupby} == {
-            (1, 1),
-            (2, 2),
-        }
-        total_chunks = sum(usage.chunks for usage in snapshot.per_groupby)
-        assert total_chunks == len(manager.cache)
-        total_bytes = sum(usage.bytes for usage in snapshot.per_groupby)
-        assert total_bytes == manager.cache.used_bytes
-
-    def test_empty_cache(self, small_schema, manager):
-        snapshot = manager.snapshot().cache
-        assert snapshot.entries == 0
-        assert snapshot.per_groupby == ()

@@ -113,16 +113,6 @@ class TestStreamMetrics:
         m.record(record(pages=4))
         assert m.total_pages_read() == 7
 
-    def test_summary_keys(self):
-        m = StreamMetrics()
-        m.record(record())
-        summary = m.summary()
-        assert set(summary) == {
-            "queries", "csr", "mean_time", "mean_time_last_100",
-            "chunk_hit_ratio", "full_hit_ratio", "pages_read",
-        }
-        assert summary["queries"] == 1.0
-
 
 @given(
     st.lists(
@@ -174,17 +164,18 @@ def test_answered_history_is_invisible_to_the_collector(
     assert [repr(r) for r in records[len(hot):2 * len(hot)]] == answered
     full = sum(r.full_cost for r in records)
     tail = records[-100:]
-    assert metrics.summary() == {
-        "queries": float(len(records)),
-        "csr": sum(r.saved_cost for r in records) / full,
-        "mean_time": sum(r.time for r in records) / len(records),
-        "mean_time_last_100": sum(r.time for r in tail) / len(tail),
-        "chunk_hit_ratio": sum(
-            r.chunks_hit + r.chunks_derived for r in records
-        ) / sum(r.chunks_total for r in records),
-        "full_hit_ratio": sum(r.is_full_hit for r in records) / len(records),
-        "pages_read": float(sum(r.pages_read for r in records)),
-    }
+    assert metrics.cost_saving_ratio() == (
+        sum(r.saved_cost for r in records) / full
+    )
+    assert metrics.mean_time() == sum(r.time for r in records) / len(records)
+    assert metrics.mean_time_last(100) == sum(r.time for r in tail) / len(tail)
+    assert metrics.chunk_hit_ratio() == sum(
+        r.chunks_hit + r.chunks_derived for r in records
+    ) / sum(r.chunks_total for r in records)
+    assert metrics.full_hit_ratio() == (
+        sum(r.is_full_hit for r in records) / len(records)
+    )
+    assert metrics.total_pages_read() == sum(r.pages_read for r in records)
 
 
 def test_a_hot_stream_retains_its_records_only(

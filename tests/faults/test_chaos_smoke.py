@@ -95,8 +95,8 @@ class TestFaultsDisabledBitIdentity:
 
         assert [repr(answer.record) for answer in answers] == plain
         assert injector.counters() == {}
-        cache = manager.snapshot().cache
-        assert cache.poisoned_puts == cache.pressure_evictions == 0
+        stats = manager.cache.stats
+        assert stats.poisoned == stats.pressure_evictions == 0
         totals = stage_totals(answer.trace for answer in answers)
         for field in ("faults", "retries", "degraded", "backoff_seconds"):
             assert all(bucket[field] == 0 for bucket in totals.values())

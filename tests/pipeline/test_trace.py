@@ -137,13 +137,6 @@ class TestStreamAggregation:
             "backend": records[0].chunks_total,
         }
 
-    def test_snapshot_describes_the_cache_only(self, small_schema, manager):
-        query = StarQuery.build(small_schema, (1, 1), {"D0": (0, 3)})
-        manager.answer(query)
-        rendered = manager.snapshot().to_json()["cache"]
-        assert not {"stages", "resolved_by", "faults"} & set(rendered)
-        assert rendered["entries"] == len(manager.cache) > 0
-
 
 class TestGoldenStream:
     def test_deterministic_trace_fields_match_parent(

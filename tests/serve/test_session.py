@@ -105,11 +105,11 @@ class TestReportShape:
         assert cache["num_shards"] == 1
         assert cache["lock_acquisitions"] > 0
 
-    def test_snapshot_surfaces_shard_contention(self, system, streams):
+    def test_store_reports_shard_contention(self, system, streams):
         cache = ShardedChunkCache(system.cache_bytes, num_shards=4)
         manager = make_chunk_manager(system, cache=cache)
         ServeSession(manager, streams).run()
-        shards = manager.snapshot().cache.contention
+        shards = cache.contention()
         assert shards["num_shards"] == 4
         assert len(shards["per_shard"]) == 4
         assert shards["lock_acquisitions"] > 0

@@ -74,7 +74,7 @@ def run_jobs() -> dict[str, Any]:
         ),
         "front": jobs.run_front_job(SMOKE_SCALE),
         "front_chaos": jobs.run_front_chaos_job(SMOKE_SCALE),
-        "shared_concurrent": shared.metrics.summary(),
+        "shared_concurrent": [repr(r) for r in shared.metrics.records],
     }
 
 
