@@ -184,21 +184,18 @@ class BackendEngine:
             )
         self._check_ordinals(records)
         self.space.set_base_tuples(len(records))
-        stored: np.ndarray | Columns
         if self.organization == "chunked":
             self.chunked_file = ChunkedFile(
                 self.disk, self.record_format, self.space, self.buffer_pool
             )
             self.chunked_file.bulk_load(records)
             self.fact_file = self.chunked_file.fact_file
-            stored = self.chunked_file.read_all()
         else:
             self.fact_file = FactFile(
                 self.disk, self.record_format, self.buffer_pool
             )
             self.fact_file.bulk_load(records)
-            stored = records
-        self._build_bitmaps(stored)
+        self._build_bitmaps(self.fact_file.read_all())
         self._loaded = True
         self.buffer_pool.flush()
         self.buffer_pool.reset_stats()
@@ -221,11 +218,12 @@ class BackendEngine:
                     f"0..{dim.leaf_cardinality - 1}"
                 )
 
-    def _build_bitmaps(self, stored: np.ndarray | Columns) -> None:
+    def _build_bitmaps(self, stored: Columns) -> None:
         """One bitmap index per dimension over the stored fact table.
 
         Bitmap positions refer to the *stored* record order, so the
-        indexes are built from the file's physical layout.  An empty
+        indexes are built from the file's physical layout: its image's
+        read-only columns, which each index keeps as is.  An empty
         table has nothing to index (bitmaps need >= 1 bit): bitmaps
         exist exactly when the stored table is non-empty.
         """
@@ -620,7 +618,7 @@ class BackendEngine:
         self.chunked_file.bulk_load(combined)
         self.fact_file = self.chunked_file.fact_file
         self.delta_file = None
-        self._build_bitmaps(self.chunked_file.read_all())
+        self._build_bitmaps(self.fact_file.read_all())
         delta = self.disk.stats.delta(before)
         self.disk.stats.reads -= delta.reads
         self.disk.stats.writes -= delta.writes

@@ -12,7 +12,6 @@ from repro.storage.chunkedfile import ChunkedFile, tuple_chunk_numbers
 from repro.storage.chunklog import CHUNKLOG_MAGIC, CHUNKLOG_VERSION, ChunkLog
 from repro.storage.disk import DiskStats, SimulatedDisk
 from repro.storage.factfile import FactFile
-from repro.storage.page import PackedPage
 from repro.storage.record import (
     RecordFormat,
     fact_record_format,
@@ -24,7 +23,6 @@ __all__ = [
     "DiskStats",
     "BufferPool",
     "BufferPoolStats",
-    "PackedPage",
     "RecordFormat",
     "fact_record_format",
     "groupby_record_format",

@@ -6,9 +6,10 @@ result bitmap whose set bits are the qualifying record positions.  The
 paper's Figure 14 measures how the *file organization* (random vs chunked)
 changes the number of data pages those positions touch.
 
-:class:`BitmapIndex` stores one packed bitmap per distinct value of one
-column, laid out on simulated-disk pages so that reading bitmaps costs
-(simulated) I/O just like reading data pages does.
+:class:`BitmapIndex` lays one packed bitmap per distinct value of one
+column out on simulated-disk pages, so that reading bitmaps costs
+(simulated) I/O just like reading data pages does; the bits themselves
+are computed from the column, which the index keeps.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ class BitmapIndex:
 
     The bitmap of value ``v`` is ``pages_per_bitmap`` consecutive pages,
     and value ``v + 1``'s follow it: page ``b`` of value ``v`` is page
-    id ``first + v * pages_per_bitmap + b``.  Reads charge those pages
-    through the buffer pool in value order, one request per selection
+    id ``first + v * pages_per_bitmap + b``.  The pages are charged,
+    not stored: reads charge them through the buffer pool in value
+    order, one request per selection, and the bits those pages hold are
+    computed from the indexed column, which the index keeps read-only
     (DESIGN.md §2.1).
 
     Args:
@@ -60,6 +63,7 @@ class BitmapIndex:
         self.bytes_per_bitmap = math.ceil(num_records / 8)
         self.pages_per_bitmap = math.ceil(self.bytes_per_bitmap / disk.page_size)
         self._first_page: int | None = None
+        self._column = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Building
@@ -74,16 +78,17 @@ class BitmapIndex:
     ) -> "BitmapIndex":
         """Build an index from a full column of values in record order.
 
-        Bits are set by address, a block of ``page_size * 8`` records at
-        a time: record ``i`` of value ``v`` is bit ``128 >> i % 8`` of
-        byte ``i // 8`` of row ``v`` of a scratch holding one page per
-        value, and the block's page of every value is written from that
-        scratch.  The pages and their ids are those of packing
-        ``column == v`` value by value.
+        Allocates every bitmap page in one run and charges their writes
+        in page-id order (value after value), so a write fault at a page
+        leaves the run allocated and the pages before it written.  The
+        index keeps ``column`` itself when it is a read-only array that
+        owns its data (the fact file's image column) and a read-only
+        copy otherwise: no later write, to the caller's array or to the
+        base of a read-only view, can change an answer.
 
         Raises:
             IndexError_: If a value lies outside ``0 .. cardinality - 1``
-                (it would set a bit in another value's row).
+                (no bitmap would hold it).
         """
         column = np.asarray(column)
         index = cls(disk, len(column), cardinality, buffer_pool)
@@ -93,35 +98,14 @@ class BitmapIndex:
                 f"value {low if low < 0 else high} out of range "
                 f"0..{cardinality - 1}"
             )
-        page_size = disk.page_size
-        pages_per_bitmap = index.pages_per_bitmap
-        first = disk.allocate(cardinality * pages_per_bitmap)
-        scratch = np.zeros((cardinality, page_size), dtype=np.uint8)
-        flat = scratch.reshape(-1)
-        byte_offsets = np.arange(page_size, dtype=np.intp)
-        block = page_size * 8
-        # One address buffer for every block: a fresh array per block
-        # raised a benchmark process's peak resident size by up to
-        # 15 MiB (heap layout; the tracemalloc peaks were equal).
-        buffer = np.empty(block, dtype=np.intp)
-        for page in range(pages_per_bitmap):
-            values = column[page * block:(page + 1) * block]
-            rows = buffer[:len(values)]
-            np.multiply(
-                values, page_size, out=rows, dtype=np.intp, casting="unsafe"
-            )
-            for bit in range(8):
-                addresses = rows[bit::8]
-                addresses += byte_offsets[:len(addresses)]
-                flat[addresses] |= 128 >> bit
-            width = min(page_size, index.bytes_per_bitmap - page * page_size)
-            for value in range(cardinality):
-                disk.write_page(
-                    first + value * pages_per_bitmap + page,
-                    scratch[value, :width].tobytes(),
-                )
-            scratch.fill(0)
+        count = cardinality * index.pages_per_bitmap
+        first = disk.allocate(count)
+        disk.charge_writes(first, count)
+        if column.flags.writeable or not column.flags.owndata:
+            column = column.copy()
+            column.flags.writeable = False
         index._first_page = first
+        index._column = column
         return index
 
     @property
@@ -137,13 +121,12 @@ class BitmapIndex:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _packed(self, values: Sequence[int]) -> np.ndarray:
-        """The packed bitmaps of ``values``, one ``uint8`` row each.
+    def _charge(self, values: Sequence[int]) -> None:
+        """Request the pages of the bitmaps of ``values``.
 
-        Charges every page of the selection in one request, value by
-        value in the order given, then takes the bytes from the disk's
-        page table; without a pool each page is one disk read.  A value
-        out of range raises before any page is charged.
+        Every page of the selection in one request, value by value in
+        the order given; without a pool each page is one disk read.  A
+        value out of range raises before any page is charged.
         """
         self._require_built()
         for value in values:
@@ -162,33 +145,30 @@ class BitmapIndex:
         ]
         if self.buffer_pool is not None:
             self.buffer_pool.request_pages(page_ids)
-            raw = self.disk.stored_bytes(page_ids)
         else:
-            raw = b"".join([self.disk.read_page(pid) for pid in page_ids])
-        return np.frombuffer(raw, dtype=np.uint8).reshape(len(values), -1)
-
-    def _unpack(self, packed: np.ndarray) -> np.ndarray:
-        return np.unpackbits(packed, count=self.num_records).view(bool)
+            for page_id in page_ids:
+                self.disk.read_page(page_id)
 
     def read_bitmap(self, value: int) -> np.ndarray:
         """The boolean bitmap of one value (reads its pages)."""
-        return self._unpack(self._packed([value])[0])
+        self._charge([value])
+        return self._column == value
 
     def select_values(self, values: Iterable[int]) -> np.ndarray:
-        """OR of the bitmaps of several values (a range/IN predicate).
-
-        The packed rows are OR-ed first and unpacked once.
-        """
+        """OR of the bitmaps of several values (a range/IN predicate)."""
         chosen = [operator.index(value) for value in values]
         if not chosen:
             raise IndexError_("select_values needs at least one value")
-        return self._unpack(np.bitwise_or.reduce(self._packed(chosen)))
+        self._charge(chosen)
+        return np.isin(self._column, chosen)
 
     def select_range(self, lo: int, hi: int) -> np.ndarray:
         """OR of the bitmaps of values in ``[lo, hi)``."""
         if hi <= lo:
             raise IndexError_(f"empty value range [{lo}, {hi})")
-        return self.select_values(range(lo, hi))
+        self._charge(range(lo, hi))
+        column = self._column
+        return (column >= lo) & (column < hi)
 
     @staticmethod
     def positions(mask: np.ndarray) -> np.ndarray:

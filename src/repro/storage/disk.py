@@ -12,6 +12,13 @@ All record files (:mod:`repro.storage.factfile`,
 :mod:`repro.storage.chunkedfile`) and indexes (:mod:`repro.storage.btree`,
 :mod:`repro.storage.bitmap`) allocate their pages from one shared disk, so a
 single counter captures the whole backend's I/O.
+
+The disk holds bytes only for pages a reader decodes: the B-tree
+chunk-index nodes.  The fact file and the bitmap index keep their data
+once, in the fact file's column image (the chunk log in its own file),
+and only charge their pages (:meth:`SimulatedDisk.charge_writes` at
+load, buffer-pool requests or :meth:`SimulatedDisk.read_page` at read
+time), so each of their pages holds the empty marker ``b""``.
 """
 
 from __future__ import annotations
@@ -139,23 +146,6 @@ class SimulatedDisk:
             return None
         return self._pages
 
-    def stored_bytes(self, page_ids: Sequence[int]) -> bytes:
-        """The stored contents of pages, joined in order, uncounted.
-
-        For a reader that has already charged these pages (through a
-        :class:`~repro.storage.buffer.BufferPool` run, which counted
-        every physical read): a page holds exactly what was last written
-        to it, so its bytes are taken from the page table instead of
-        being copied out page by page.  A never-written page reads as
-        ``page_size`` zero bytes, like :meth:`read_page`.
-        """
-        pages = self._pages
-        zero = bytes(self.page_size)
-        return b"".join([
-            zero if (data := pages[page_id]) is None else data
-            for page_id in page_ids
-        ])
-
     def write_page(self, page_id: int, data: bytes) -> None:
         """Write one page (counted as one I/O).
 
@@ -187,10 +177,11 @@ class SimulatedDisk:
         """Charge reads of the ``count`` pages from ``first``, unread.
 
         For a reader that keeps its bytes elsewhere (the chunk log's
-        file) and only owes the pages their I/O: with no ``read_hook``
-        installed the run is counted at once; with one, page by page
-        through :meth:`read_page`, so a fault at a page leaves exactly
-        the pages before it charged and carries that page's id.
+        file, the fact file's image) and only owes the pages their I/O:
+        with no ``read_hook`` installed the run is counted at once; with
+        one, page by page through :meth:`read_page`, so a fault at a
+        page leaves exactly the pages before it charged and carries that
+        page's id.
         """
         self._check_run(first, count)
         if self.read_hook is None:

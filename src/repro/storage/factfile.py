@@ -22,17 +22,20 @@ import numpy as np
 from repro.exceptions import FileFormatError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.page import PackedPage
 from repro.storage.record import Columns, RecordFormat
 
 __all__ = ["FactFile"]
+
+#: Bytes ahead of a page's records: its record count (u32).
+_PAGE_HEADER_SIZE = 4
 
 
 class FactFile:
     """An append-only file of fixed-length records with positional reads.
 
-    Records are stored in :class:`~repro.storage.page.PackedPage` pages
-    in load order; contiguous range reads are what give chunked storage
+    Records occupy pages in load order, ``records_per_page`` to a page
+    (a page is a 4-byte record count, then records back to back, with
+    no slot array); contiguous range reads are what give chunked storage
     its "cost proportional to chunk size" property.
 
     Args:
@@ -51,7 +54,10 @@ class FactFile:
         self.disk = disk
         self.record_format = record_format
         self.buffer_pool = buffer_pool
-        self.codec = PackedPage(record_format, disk.page_size)
+        #: Page capacity in records.
+        self.records_per_page = record_format.records_per_page(
+            disk.page_size, header_size=_PAGE_HEADER_SIZE
+        )
         # Disk page ids in file order, as an array so page numbers map to
         # page ids with one ``take``.
         self._page_ids = np.zeros(0, dtype=np.int64)
@@ -59,11 +65,11 @@ class FactFile:
         # ``position // capacity`` is the page of a record.
         self._dense = True
         # The decoded image of the file: every record, in file order, as
-        # one read-only array per field (``Columns``).  Pages are
-        # immutable once loaded, so reads are views of it; the simulated
-        # disk still holds the encoded pages and every logical access
-        # still requests its pages from the buffer pool / disk
-        # (``_charge``).
+        # one read-only array per field (``Columns``), and the file's
+        # only copy of its records.  Pages are immutable once loaded, so
+        # reads are views of it; the pages are charged, not stored: a
+        # load charges their writes and every logical access requests
+        # its pages from the buffer pool / disk (``_charge``).
         self._image = Columns.from_records(record_format.empty())
 
     # ------------------------------------------------------------------
@@ -78,11 +84,6 @@ class FactFile:
     def num_pages(self) -> int:
         """Pages occupied by the file."""
         return len(self._page_ids)
-
-    @property
-    def records_per_page(self) -> int:
-        """Page capacity in records."""
-        return self.codec.capacity
 
     @property
     def page_ids(self) -> tuple[int, ...]:
@@ -115,23 +116,21 @@ class FactFile:
             )
         if not len(records):
             return
-        capacity = self.codec.capacity
+        capacity = self.records_per_page
         base = len(self._image)
-        page_ids: list[int] = []
-        for start in range(0, len(records), capacity):
-            page_id = self.disk.allocate()
-            self.disk.write_page(
-                page_id, self.codec.encode(records[start:start + capacity])
-            )
-            page_ids.append(page_id)
+        count = -(-len(records) // capacity)
+        # The batch's pages are allocated in one run and charged as
+        # written; their records live in the image alone.
+        first = self.disk.allocate(count)
+        self.disk.charge_writes(first, count)
         # The one whole-table copy of a load, column by column: the
         # image never aliases the caller's array.
         image = self._image.append(records)
-        # Commit only once every page is written (a write may fault).
+        # Commit only once every page is charged (a write may fault).
         if base % capacity:
             self._dense = False
         self._page_ids = np.concatenate(
-            [self._page_ids, np.asarray(page_ids, dtype=np.int64)]
+            [self._page_ids, np.arange(first, first + count, dtype=np.int64)]
         )
         self._image = image
 
@@ -173,7 +172,7 @@ class FactFile:
             raise FileFormatError(
                 f"positions out of range 0..{len(self._image) - 1}"
             )
-        pages = positions // self.codec.capacity
+        pages = positions // self.records_per_page
         self._charge(self._page_ids.take(_distinct(pages)).tolist())
         return self._image.take(positions)
 
@@ -183,7 +182,7 @@ class FactFile:
         positions = np.asarray(positions, dtype=np.int64)
         if len(positions) == 0:
             return 0
-        pages = positions // self.codec.capacity
+        pages = positions // self.records_per_page
         if np.any(pages[1:] < pages[:-1]):
             pages = np.sort(pages)
         return len(_distinct(pages))
@@ -199,7 +198,7 @@ class FactFile:
         range, one copy per field for several.
         """
         self._require_dense()
-        capacity = self.codec.capacity
+        capacity = self.records_per_page
         image = self._image
         page_ids: list[int] = []
         bounds: list[tuple[int, int]] = []
@@ -225,7 +224,7 @@ class FactFile:
         self._require_dense()
         if count <= 0:
             return 0
-        capacity = self.codec.capacity
+        capacity = self.records_per_page
         first_page = start // capacity
         last_page = (start + count - 1) // capacity
         return last_page - first_page + 1

@@ -7,6 +7,7 @@ from repro.api import build_backend
 from repro.backend.engine import BackendEngine
 from repro.chunks.grid import ChunkSpace
 from repro.exceptions import BackendError
+from repro.experiments.configs import SMOKE_SCALE, build_paper_schema
 from repro.query.model import StarQuery
 from repro.schema.builder import build_star_schema
 from repro.workload.data import generate_fact_table
@@ -100,6 +101,68 @@ class TestConstruction:
         for bitmap in engine.bitmaps.values():
             bitmap.select_range(0, bitmap.cardinality)
         assert read == set(range(engine.disk.num_pages))
+
+
+class TestEachByteKeptOnce:
+    """A loaded engine holds its records once, in the fact file's
+    column image: fact-file and bitmap pages are charged, not stored."""
+
+    @pytest.mark.parametrize("organization", ["chunked", "random"])
+    def test_only_chunk_index_nodes_hold_bytes(self, organization):
+        """After a smoke-scale load the page table holds bytes for the
+        B-tree chunk-index nodes alone; every fact and bitmap page holds
+        the empty marker."""
+        schema = build_paper_schema()
+        space = ChunkSpace(schema, SMOKE_SCALE.chunk_ratio)
+        records = generate_fact_table(
+            schema, SMOKE_SCALE.num_tuples, seed=SMOKE_SCALE.seed
+        )
+        engine = BackendEngine.build(
+            schema, space, records, organization,
+            page_size=SMOKE_SCALE.page_size,
+        )
+        nodes = set()
+        if engine.chunked_file is not None:
+            # One descent per chunk reads every node at least once.
+            engine.disk.read_hook = lambda page_id: nodes.add(page_id) or 0.0
+            for number in range(space.base_grid.num_chunks):
+                engine.chunked_file.chunk_index.search(number)
+            engine.disk.read_hook = None
+            assert nodes
+        table = engine.disk._pages
+        assert {pid for pid, data in enumerate(table) if data} == nodes
+        assert all(
+            table[pid] == b"" for pid in range(len(table)) if pid not in nodes
+        )
+        assert len(table) - len(nodes) == engine.num_data_pages + sum(
+            index.num_pages for index in engine.bitmaps.values()
+        )
+
+    def test_bitmaps_do_not_alias_the_loaded_array(
+        self, small_schema, small_records
+    ):
+        """Writing to the caller's array after a random-order load moves
+        no bitmap answer and no bitmap-path row."""
+        records = small_records.copy()
+        engine = BackendEngine.build(
+            small_schema, ChunkSpace(small_schema, 0.25), records, "random"
+        )
+        query = StarQuery.build(
+            small_schema, (1, 1), {"D0": (2, 8), "D1": (0, 3)}
+        )
+
+        def answers():
+            masks = [
+                index.read_bitmap(value).tolist()
+                for index in engine.bitmaps.values()
+                for value in range(index.cardinality)
+            ]
+            return masks, canon_rows(engine.answer(query, "bitmap")[0])
+
+        before = answers()
+        for dim in small_schema.dimensions:
+            records[dim.name] = (records[dim.name] + 1) % dim.leaf_cardinality
+        assert answers() == before
 
 
 class TestAccessPathsAgree:

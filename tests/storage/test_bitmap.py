@@ -8,6 +8,7 @@ from repro.exceptions import DiskFault, IndexError_
 from repro.storage.bitmap import BitmapIndex, combine_and
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
+from tests.reference.pages import PagedBitmaps
 
 
 @pytest.fixture()
@@ -136,43 +137,17 @@ def test_bitmaps_partition_records(n, cardinality, seed):
 
 
 # ----------------------------------------------------------------------
-# The per-array paths against the per-value / per-page references they
-# replaced.
+# The charged pages and column masks against the per-value build and
+# per-page reader they replaced (``tests/reference/pages.py``), which
+# store and read their packed bytes.
 # ----------------------------------------------------------------------
-def reference_build(disk, column, cardinality):
-    """The per-value build: one ``column == v`` pass and one page
-    allocation per bitmap page; returns each value's page ids."""
-    page_ids = []
-    for value in range(cardinality):
-        bits = np.packbits(column == value)
-        ids = []
-        for start in range(0, len(bits), disk.page_size):
-            page_id = disk.allocate()
-            disk.write_page(
-                page_id, bits[start:start + disk.page_size].tobytes()
-            )
-            ids.append(page_id)
-        page_ids.append(ids)
-    return page_ids
-
-
-def reference_select(pool, page_ids, values, num_records):
-    """The per-page read: each value's pages one ``get_page`` at a time,
-    unpacked and OR-ed in value by value."""
-    result = np.zeros(num_records, dtype=bool)
-    for value in values:
-        raw = b"".join(pool.get_page(pid) for pid in page_ids[value])
-        packed = np.frombuffer(raw, dtype=np.uint8)
-        result |= np.unpackbits(packed)[:num_records].astype(bool)
-    return result
-
-
 def pool_state(pool):
-    """Everything a page request can move, disk counters included."""
+    """Everything a page request can move, disk counters included; not
+    frame bytes (the index's pages hold the empty marker)."""
     return (
         vars(pool.stats),
         vars(pool.disk.stats),
-        [(f.page_id, f.data, f.referenced) for f in pool._frames],
+        [(f.page_id, f.referenced) for f in pool._frames],
         dict(pool._index),
         pool._hand,
     )
@@ -189,7 +164,8 @@ def pool_state(pool):
     seed=st.integers(0, 2**16),
 )
 def test_build_equals_the_per_value_build(n, cardinality, page_size, seed):
-    """Same page ids, same page bytes, same counters; every packed row is
+    """Same page ids, same counters, every index page the empty marker;
+    every value's bitmap is the reference's packed row unpacked, and
     ``np.packbits(column == v)`` (lengths off multiples of 8 and of a
     page's ``page_size * 8`` records included)."""
     column = np.random.default_rng(seed).integers(0, cardinality, n)
@@ -197,13 +173,19 @@ def test_build_equals_the_per_value_build(n, cardinality, page_size, seed):
     disk.allocate(3)  # ids need not start at 0
     reference.allocate(3)
     index = BitmapIndex.build(disk, column, cardinality)
-    page_ids = reference_build(reference, column, cardinality)
-    assert disk._pages == reference._pages
+    paged = PagedBitmaps(reference, column, cardinality)
+    assert disk.num_pages == reference.num_pages
+    assert disk._pages[:3] == [None] * 3
+    assert disk._pages[3:] == [b""] * index.num_pages
     assert vars(disk.stats) == vars(reference.stats)
-    assert index.num_pages == sum(len(ids) for ids in page_ids)
+    assert index.num_pages == sum(len(ids) for ids in paged.page_ids)
+    assert index.pages_per_bitmap == paged.pages_per_bitmap
     for value in range(cardinality):
-        packed = b"".join(disk._pages[pid] for pid in page_ids[value])
+        packed = b"".join(
+            reference._pages[pid] for pid in paged.page_ids[value]
+        )
         assert packed == np.packbits(column == value).tobytes()
+        assert np.array_equal(index.read_bitmap(value), paged.select([value]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,7 +207,7 @@ def test_selection_equals_the_per_page_reader(n, cardinality, capacity, data):
         twins.append((disk, BufferPool(disk, capacity)))
     (disk, pool), (ref_disk, ref_pool) = twins
     index = BitmapIndex.build(disk, column, cardinality, pool)
-    page_ids = reference_build(ref_disk, column, cardinality)
+    paged = PagedBitmaps(ref_disk, column, cardinality, ref_pool)
     if data.draw(st.booleans(), label="fault"):
         bad = data.draw(st.integers(0, disk.num_pages - 1), label="bad page")
 
@@ -252,7 +234,7 @@ def test_selection_equals_the_per_page_reader(n, cardinality, capacity, data):
         except DiskFault as fault:
             outcome = str(fault)
         try:
-            expected = reference_select(ref_pool, page_ids, selection, n)
+            expected = paged.select(selection)
         except DiskFault as fault:
             ref_outcome = str(fault)
         assert outcome == ref_outcome
@@ -260,3 +242,66 @@ def test_selection_equals_the_per_page_reader(n, cardinality, capacity, data):
             assert mask.dtype == bool
             assert np.array_equal(mask, expected)
         assert pool_state(pool) == pool_state(ref_pool)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 1200),
+    cardinality=st.integers(1, 9),
+    data=st.data(),
+)
+def test_build_write_fault_meets_pages_in_id_order(n, cardinality, data):
+    """A build allocates every bitmap page in one run, then charges the
+    writes in page-id order — value after value, each value's pages in
+    order — so a hook raising at the k-th write sees exactly the first
+    k ids, leaves the whole run allocated and k - 1 pages written, like
+    the per-value build, and returns no index."""
+    column = np.random.default_rng(n).integers(0, cardinality, n)
+    disk, reference = SimulatedDisk(64), SimulatedDisk(64)
+    per = -(-(-(-n // 8)) // 64)
+    k = data.draw(st.integers(1, cardinality * per), label="faulted write")
+    seen = {}
+    for target in (disk, reference):
+        order = seen[id(target)] = []
+
+        def fail_kth(page_id, order=order):
+            order.append(page_id)
+            if len(order) == k:
+                raise DiskFault(
+                    f"write of page {page_id} failed", page_id, True
+                )
+            return 0.0
+
+        target.write_hook = fail_kth
+    with pytest.raises(DiskFault) as fault:
+        BitmapIndex.build(disk, column, cardinality)
+    with pytest.raises(DiskFault) as ref_fault:
+        PagedBitmaps(reference, column, cardinality)
+    assert str(fault.value) == str(ref_fault.value)
+    assert seen[id(disk)] == seen[id(reference)] == list(range(k))
+    assert vars(disk.stats) == vars(reference.stats)
+    assert disk.stats.writes == k - 1
+    assert disk.num_pages == cardinality * per
+    assert disk._pages[:k - 1] == [b""] * (k - 1)
+    assert disk._pages[k - 1:] == [None] * (cardinality * per - k + 1)
+
+
+class TestColumnOwnership:
+    def test_writable_column_is_copied(self, column):
+        original = column.copy()
+        index = BitmapIndex.build(SimulatedDisk(256), column, cardinality=7)
+        column[:] = 0
+        assert np.array_equal(index.select_range(1, 7), original >= 1)
+
+    def test_read_only_column_is_kept(self, column):
+        column.flags.writeable = False
+        index = BitmapIndex.build(SimulatedDisk(256), column, cardinality=7)
+        assert index._column is column
+
+    def test_read_only_view_of_a_writable_array_is_copied(self, column):
+        original = column.copy()
+        view = column[:]
+        view.flags.writeable = False
+        index = BitmapIndex.build(SimulatedDisk(256), view, cardinality=7)
+        column[:] = 0
+        assert np.array_equal(index.select_range(1, 7), original >= 1)

@@ -1,12 +1,15 @@
-"""The contiguous file image against a per-page reference reader.
+"""The contiguous file image against a reference that stores its pages.
 
-``FactFile`` / ``ChunkedFile`` serve reads as views of
-one decoded image and charge their pages to the buffer pool in runs.
-The reference here is the reader they replaced — ``get_page`` + decode
-one page at a time, slice, concatenate — run on a twin disk and pool.
-Both must return equal records and leave *identical* accounting: disk
-reads, pool hits/misses/evictions, the resident page set, the CLOCK
-hand and every frame's reference bit.
+``FactFile`` / ``ChunkedFile`` charge their pages without storing them,
+serve reads as views of one decoded image and charge their pages to the
+buffer pool in runs.  The reference here is the path they replaced —
+encoded pages written at load, then ``get_page`` + decode one page at a
+time, slice, concatenate — run on a twin disk and pool
+(``tests/reference/pages.py``).  Both must allocate the same page ids,
+return equal records and leave *identical* accounting: disk reads,
+writes and allocations, pool hits/misses/evictions, the resident page
+set, the CLOCK hand and every frame's reference bit.  Only frame bytes
+differ: the file's pages hold the empty marker.
 """
 
 import numpy as np
@@ -20,9 +23,9 @@ from repro.storage.buffer import BufferPool
 from repro.storage.chunkedfile import ChunkedFile
 from repro.storage.disk import SimulatedDisk
 from repro.storage.factfile import FactFile
-from repro.storage.page import PackedPage
 from repro.storage.record import RecordFormat, fact_record_format
 from repro.workload.data import generate_fact_table
+from tests.reference.pages import PagedFactFile
 
 FMT = RecordFormat([("k", "i4"), ("v", "f8")])
 SCHEMA = build_star_schema([[3, 9], [2, 8]], measure_names=("v",))
@@ -36,11 +39,11 @@ def make_records(count):
 
 
 def accounting(disk, pool):
-    """Everything a read may change on the accounting side."""
+    """Everything a load or read may change on the accounting side."""
+    counters = (disk.stats.reads, disk.stats.writes, disk.stats.allocations)
     if pool is None:
-        return (disk.stats.reads,)
-    return (
-        disk.stats.reads,
+        return counters
+    return counters + (
         pool.stats.hits,
         pool.stats.misses,
         pool.stats.evictions,
@@ -50,62 +53,24 @@ def accounting(disk, pool):
     )
 
 
-class PagedReference:
-    """Per-page reader over a fact file's pages (the replaced path)."""
-
-    def __init__(self, fact_file):
-        self.file = fact_file
-        self.codec = PackedPage(
-            fact_file.record_format, fact_file.disk.page_size
-        )
-
-    def page(self, index):
-        page_id = self.file.page_ids[index]
-        if self.file.buffer_pool is not None:
-            payload = self.file.buffer_pool.get_page(page_id)
-        else:
-            payload = self.file.disk.read_page(page_id)
-        return self.codec.decode(payload)
-
-    def read_all(self):
-        pages = [self.page(i) for i in range(self.file.num_pages)]
-        if not pages:
-            return self.file.record_format.empty()
-        return np.concatenate(pages)
-
-    def read_range(self, start, count):
-        capacity = self.codec.capacity
-        parts = []
-        last = (start + count - 1) // capacity
-        for index in range(start // capacity, last + 1):
-            records = self.page(index)
-            lo = max(start - index * capacity, 0)
-            hi = min(start + count - index * capacity, len(records))
-            parts.append(records[lo:hi])
-        return np.concatenate(parts)
-
-    def read_positions(self, positions):
-        capacity = self.codec.capacity
-        positions = np.asarray(positions, dtype=np.int64)
-        pages = positions // capacity
-        parts = []
-        for index in np.unique(pages):
-            records = self.page(int(index))
-            parts.append(records[positions[pages == index] % capacity])
-        return np.concatenate(parts)
-
-
 def twin_fact_files(count, page_size, pool_pages):
-    """Two identical loaded fact files on separate disks and pools."""
+    """A loaded fact file and its paged reference on separate disks and
+    pools, with equal page ids and load accounting, counters reset."""
     files = []
-    for _ in range(2):
+    for make in (FactFile, PagedFactFile):
         disk = SimulatedDisk(page_size)
         pool = BufferPool(disk, pool_pages) if pool_pages else None
-        fact = FactFile(disk, FMT, pool)
+        fact = make(disk, FMT, pool)
         fact.bulk_load(make_records(count))
-        disk.reset_stats()
         files.append(fact)
-    return files
+    fact, twin = files
+    assert list(fact.page_ids) == twin.page_ids
+    assert accounting(fact.disk, fact.buffer_pool) == accounting(
+        twin.disk, twin.buffer_pool
+    )
+    for file in files:
+        file.disk.reset_stats()
+    return fact, twin
 
 
 @st.composite
@@ -135,8 +100,7 @@ class TestImageAgainstPagedReference:
     @given(fact_file_cases())
     def test_fact_file_requests(self, case):
         count, page_size, pool_pages, requests = case
-        fact, twin = twin_fact_files(count, page_size, pool_pages)
-        reference = PagedReference(twin)
+        fact, reference = twin_fact_files(count, page_size, pool_pages)
         for request in requests:
             kind = request[0]
             if kind == "range":
@@ -152,7 +116,7 @@ class TestImageAgainstPagedReference:
             assert np.array_equal(got.to_records(), want)
             assert not any(got[name].flags.writeable for name in FMT.field_names)
             assert accounting(fact.disk, fact.buffer_pool) == accounting(
-                twin.disk, twin.buffer_pool
+                reference.disk, reference.buffer_pool
             )
 
     @settings(max_examples=60, deadline=None)
@@ -170,17 +134,29 @@ class TestImageAgainstPagedReference:
         fmt = fact_record_format(SCHEMA)
         records = generate_fact_table(SCHEMA, num_tuples, seed=num_tuples)
         files = []
-        for _ in range(2):
+        for paged in (False, True):
             disk = SimulatedDisk(page_size)
             pool = BufferPool(disk, pool_pages)
             cfile = ChunkedFile(disk, fmt, ChunkSpace(SCHEMA, 0.3), pool)
+            if paged:
+                cfile.fact_file = PagedFactFile(disk, fmt, pool)
             cfile.bulk_load(records)
-            pool.flush()
-            pool.reset_stats()
-            disk.reset_stats()
             files.append(cfile)
         cfile, twin = files
-        reference = PagedReference(twin.fact_file)
+        reference = twin.fact_file
+        # Same page ids for the data, the same B-tree node bytes after
+        # them, and the same load counters.
+        assert list(cfile.fact_file.page_ids) == reference.page_ids
+        data = slice(0, reference.num_pages)
+        assert cfile.disk._pages[data] == [b""] * reference.num_pages
+        assert cfile.disk._pages[data.stop:] == twin.disk._pages[data.stop:]
+        assert accounting(cfile.disk, cfile.buffer_pool) == accounting(
+            twin.disk, twin.buffer_pool
+        )
+        for file in files:
+            file.buffer_pool.flush()
+            file.buffer_pool.reset_stats()
+            file.disk.reset_stats()
         num_chunks = cfile.grid.num_chunks
         for pick in picks:
             numbers = sorted({n % num_chunks for n in pick})
@@ -208,9 +184,8 @@ class TestFaultedRun:
     @pytest.mark.parametrize("pool_pages", [0, 2, 64])
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_fault_on_kth_page_leaves_k_minus_1_reads(self, pool_pages, k):
-        fact, twin = twin_fact_files(60, 64, pool_pages)
-        reference = PagedReference(twin)
-        for file in (fact, twin):
+        fact, reference = twin_fact_files(60, 64, pool_pages)
+        for file in (fact, reference):
             seen = []
 
             def hook(page_id, seen=seen):
@@ -227,8 +202,40 @@ class TestFaultedRun:
             reference.read_range(0, 6 * capacity)
         assert fact.disk.stats.reads == k - 1
         assert accounting(fact.disk, fact.buffer_pool) == accounting(
-            twin.disk, twin.buffer_pool
+            reference.disk, reference.buffer_pool
         )
+
+    @pytest.mark.parametrize("pool_pages", [0, 2])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_write_fault_on_kth_page_of_a_load(self, pool_pages, k):
+        """The batch's pages are allocated in one run and meet the write
+        hook in order: a fault at the k-th leaves them all allocated,
+        k - 1 written, and the file as it was."""
+        files = []
+        for make in (FactFile, PagedFactFile):
+            disk = SimulatedDisk(64)
+            pool = BufferPool(disk, pool_pages) if pool_pages else None
+            fact = make(disk, FMT, pool)
+            seen = []
+
+            def hook(page_id, seen=seen):
+                seen.append(page_id)
+                if len(seen) == k:
+                    raise PageError("injected")
+                return 0.0
+
+            disk.write_hook = hook
+            with pytest.raises(PageError):
+                fact.bulk_load(make_records(60))
+            files.append((fact, seen))
+        (fact, seen), (reference, ref_seen) = files
+        assert seen == ref_seen == list(range(k))
+        assert fact.disk.num_pages == reference.disk.num_pages == 12
+        assert fact.disk.stats.writes == k - 1
+        assert accounting(fact.disk, fact.buffer_pool) == accounting(
+            reference.disk, reference.buffer_pool
+        )
+        assert fact.num_pages == fact.num_records == 0
 
 
 class TestImageOwnership:

@@ -1,11 +1,12 @@
-"""Tests for repro.storage.page — the packed fact-file page codec."""
+"""Tests for the packed fact-file page codec that the storage references
+encode their pages with (``tests/reference/pages.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import PageError
-from repro.storage.page import PackedPage
 from repro.storage.record import RecordFormat
+from tests.reference.pages import PackedPage
 
 
 @pytest.fixture()
